@@ -115,8 +115,6 @@ def format_metrics_summary(summary: Dict) -> str:
         if d.get("search_surrogate_rank_calls", 0):
             rows.append(["surrogate ranking fits",
                          d.get("search_surrogate_rank_calls", 0)])
-    if d.get("sched_jit_calls", 0):
-        rows.append(["JIT-scheduled phases", d.get("sched_jit_calls", 0)])
     out = [format_rows("sweep execution metrics", ["metric", "value"], rows)]
     timers = summary.get("timers", {})
     if timers:

@@ -52,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -214,7 +214,7 @@ def search_front(
         evaluator = BatchEvaluator(Musa(get_app(app)))
     rng = random.Random(seed)
 
-    evaluated: Dict[int, Dict] = {}
+    evaluated: Dict[int, Mapping] = {}
     # Parallel arrays over points that carry both metrics (front space).
     pts_idx: List[int] = []
     pts_x: List[float] = []
@@ -240,11 +240,10 @@ def search_front(
             misses = fresh
         if misses:
             before = reg.snapshot()
-            results = evaluator.evaluate(
+            frame = evaluator.evaluate_frame(
                 [nodes[i] for i in misses], n_ranks=n_ranks, mode=mode)
             delta = reg.delta(before, reg.snapshot())["counters"]
-            for i, res in zip(misses, results):
-                rec = res.record()
+            for i, rec in zip(misses, frame.rows()):
                 evaluated[i] = rec
                 if store is not None:
                     store.put_point(app, nodes[i].axis_values(), mode,

@@ -29,7 +29,6 @@ from .ledger import (
     check,
     make_entry,
     normalized,
-    seed_entries_from_snapshots,
 )
 from .registry import (
     REGISTRY,
@@ -61,5 +60,4 @@ __all__ = [
     "reference_kernel",
     "run_case",
     "run_suite",
-    "seed_entries_from_snapshots",
 ]

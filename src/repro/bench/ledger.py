@@ -43,8 +43,6 @@ __all__ = [
     "make_entry",
     "normalized",
     "check",
-    "seed_entries_from_snapshots",
-    "SNAPSHOT_SOURCES",
 ]
 
 #: Regression-gate statuses in severity order.
@@ -75,8 +73,6 @@ def make_entry(
     host: Dict[str, Any],
     code_version: str,
     ts: Optional[str] = None,
-    seed: bool = False,
-    source: str = "run",
 ) -> Dict[str, Any]:
     """Ledger entry for one :class:`~repro.bench.harness.BenchResult`.
 
@@ -101,8 +97,8 @@ def make_entry(
         "host": dict(host),
         "code_version": code_version,
         "ts": ts,
-        "seed": seed,
-        "source": source,
+        "seed": False,
+        "source": "run",
         "meta": dict(result.meta),
     }
 
@@ -276,99 +272,3 @@ def check(
             detail=(f"{ratio:+.1%} vs baseline (threshold "
                     f"{threshold:.0%})") if status == "regression" else None))
     return verdicts
-
-
-# -- BENCH_*.json snapshot migration ----------------------------------------
-
-#: snapshot file -> list of (benchmark id, JSON path to the raw seconds,
-#: meta note).  These are the PR2-PR5 one-off measurements, preserved as
-#: the ledger's opening baselines.
-SNAPSHOT_SOURCES: Dict[str, List[Dict[str, Any]]] = {
-    "BENCH_hotpaths.json": [
-        {"bench": "macro.fast_sweep", "kind": "macro",
-         "path": ("fast_mode", "batched_warm_s"),
-         "note": "PR5 batched warm fast-mode eval, 864 configs"},
-        {"bench": "macro.replay_sweep", "kind": "macro",
-         "path": ("replay_mode", "array_warm_s"),
-         "note": "PR5 array-driver warm replay eval, 864x256"},
-        {"bench": "macro.campaign", "kind": "macro",
-         "path": ("campaign", "batched_s"),
-         "note": "PR5 batched 5-app full-space campaign"},
-    ],
-    "BENCH_replay.json": [
-        {"bench": "micro.event_engine", "kind": "micro",
-         "path": ("unlimited_buses", "event_wall_s"),
-         "note": "PR3 event-driven 256-rank replay, unlimited buses"},
-    ],
-    "BENCH_replay_batch.json": [
-        {"bench": "micro.tape_replay", "kind": "micro",
-         "path": ("unlimited_buses", "batched_wall_s"),
-         "note": "PR4 config-vectorized replay pass, 864x256"},
-        {"bench": "micro.bus_arbitration", "kind": "micro",
-         "path": ("finite_buses_lockstep", "batched_wall_s"),
-         "note": "PR4 lockstep-peel finite-bus batch, 32x16, 8 buses"},
-    ],
-    "BENCH_batch_sweep.json": [
-        {"bench": "macro.fast_sweep", "kind": "macro",
-         "path": ("batched", "wall_s"),
-         "note": "PR2 batched single-app run_sweep (includes scheduler "
-                 "overhead; superseded workload, kept as a slow bound)"},
-    ],
-}
-
-
-def seed_entries_from_snapshots(
-    root: Union[str, Path],
-    calib_s: float,
-    host: Optional[Dict[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """Seed ledger entries from the retired ``BENCH_*.json`` snapshots.
-
-    The snapshots predate calibration, so they are normalized with the
-    *current* machine's ``calib_s`` under the recorded assumption that
-    they were produced on the same container class (``seed: true`` and
-    the source pointer make the provenance auditable; same-host baseline
-    preference means a genuinely different machine's fresh entries
-    outrank them anyway).
-    """
-    root = Path(root)
-    host = dict(host or {})
-    entries: List[Dict[str, Any]] = []
-    for fname, specs in SNAPSHOT_SOURCES.items():
-        p = root / fname
-        if not p.exists():
-            continue
-        snap = json.loads(p.read_text(encoding="utf-8"))
-        for spec in specs:
-            node: Any = snap
-            for key in spec["path"]:
-                if not isinstance(node, dict) or key not in node:
-                    node = None
-                    break
-                node = node[key]
-            if not isinstance(node, (int, float)) or node <= 0:
-                continue
-            raw = float(node)
-            entries.append({
-                "bench": spec["bench"],
-                "kind": spec["kind"],
-                "tier": "full",
-                "raw_min_s": raw,
-                "raw_median_s": raw,
-                "samples_s": [raw],
-                "calib_s": calib_s,
-                "norm": normalized(raw, calib_s),
-                "oracle_ok": True,  # every snapshot asserted bit-identity
-                "oracle_detail": None,
-                "inject_slowdown": 1.0,
-                "host": host,
-                "code_version": "pre-ledger",
-                "ts": datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"),
-                "seed": True,
-                "source": f"{fname}:{'.'.join(spec['path'])}",
-                "meta": {"note": spec["note"],
-                         "snapshot_python": snap.get("python"),
-                         "snapshot_machine": snap.get("machine")},
-            })
-    return entries

@@ -60,7 +60,6 @@ REQUIRED_COUNTERS = (
     "sched.batch.fast",
     "replay.batch.array_events",
     "replay.batch.driver.array",
-    "replay.batch.worklist_events",
     "replay.batch.lockstep_events",
     "replay.batch.driver.lockstep",
     "replay.batch.peeled_configs",
@@ -87,11 +86,12 @@ def _replay_results_equal(a, b) -> Optional[str]:
     return None
 
 
-def _records_equal(batched, scalar, what: str) -> Optional[str]:
-    for i, (b, s) in enumerate(zip(batched, scalar)):
-        if b.record() != s.record():
+def _records_equal(records, scalar, what: str) -> Optional[str]:
+    """``records`` (frame records) against scalar ``RunResult``s."""
+    for i, (r, s) in enumerate(zip(records, scalar)):
+        if r != s.record():
             return f"{what}: config {i} differs from the scalar path"
-    if len(batched) != len(scalar):
+    if len(records) != len(scalar):
         return f"{what}: length mismatch"
     return None
 
@@ -232,14 +232,8 @@ def _build_tape_replay(tier: str) -> BenchCase:
 
     def oracle() -> Optional[str]:
         array = replay_batch(trace, net, dur_batch, n_cfg)
-        worklist = replay_batch(trace, net, dur_batch, n_cfg,
-                                array_driver=False)
-        for i, (a, w) in enumerate(zip(array, worklist)):
-            err = _replay_results_equal(a, w)
-            if err:
-                return f"array vs worklist driver, config {i}: {err}"
         for i in _sample_indices(n_cfg, 4):
-            ref = replay(trace, net, dur_scalar(i), engine="event")
+            ref = replay(trace, net, dur_scalar(i))
             err = _replay_results_equal(array[i], ref)
             if err:
                 return f"array vs scalar replay, config {i}: {err}"
@@ -251,11 +245,9 @@ def _build_tape_replay(tier: str) -> BenchCase:
               "n_events": sum(len(rt.events) for rt in trace.ranks)},
         # driver.array must move: a silent tape bail-out runs the
         # worklist driver instead, and may not time the path this
-        # benchmark claims to measure (worklist_events moves in the
-        # oracle's cross-check run).
+        # benchmark claims to measure.
         required_counters=("replay.batch.array_events",
-                           "replay.batch.driver.array",
-                           "replay.batch.worklist_events"),
+                           "replay.batch.driver.array"),
         record_counters=("replay.batch.driver.array",
                          "replay.batch.driver.worklist",
                          "replay.batch.array_fallbacks"))
@@ -278,7 +270,7 @@ def _build_bus_arbitration(tier: str) -> BenchCase:
             return (f"peel storm: {peeled}/{n_cfg} configs left the "
                     f"vectorized lockstep path (bound is 2)")
         for i in range(n_cfg):
-            ref = replay(trace, net, dur_scalar(i), engine="event")
+            ref = replay(trace, net, dur_scalar(i))
             err = _replay_results_equal(batched[i], ref)
             if err:
                 return f"fork-lockstep vs scalar replay, config {i}: {err}"
@@ -325,8 +317,7 @@ def _build_bus_lockstep(tier: str) -> BenchCase:
         if obs.counter("replay.batch.peeled_configs") != peeled0:
             return "uniform-scale batch peeled configs to the scalar engine"
         ref = replay(trace, net,
-                     lambda r, p: phase_ns[id(p)] * rank_scales[r],
-                     engine="event")
+                     lambda r, p: phase_ns[id(p)] * rank_scales[r])
         for i in (0, n_cfg - 1):
             err = _replay_results_equal(batched[i], ref)
             if err:
@@ -345,18 +336,20 @@ def _build_bus_lockstep(tier: str) -> BenchCase:
 
 
 def _build_event_engine(tier: str) -> BenchCase:
-    musa, trace, n_ranks, _, _, dur_scalar = _replay_workload(
+    musa, trace, n_ranks, _, dur_batch, dur_scalar = _replay_workload(
         tier, 256, 1, 32, 1)
     net = musa.network
     duration = dur_scalar(0)
 
     def run():
-        return replay(trace, net, duration, engine="event")
+        return replay(trace, net, duration)
 
     def oracle() -> Optional[str]:
-        event = replay(trace, net, duration, engine="event")
-        polling = replay(trace, net, duration, engine="polling")
-        return _replay_results_equal(event, polling)
+        # A one-column batch runs the array tape: the production replay
+        # path must reproduce the scalar event engine bit for bit.
+        event = replay(trace, net, duration)
+        array = replay_batch(trace, net, dur_batch, 1)[0]
+        return _replay_results_equal(array, event)
 
     return BenchCase(
         run=run, oracle=oracle,
@@ -372,13 +365,13 @@ def _build_fast_sweep(tier: str) -> BenchCase:
     space = SMOKE_SPACE if tier == "smoke" else DesignSpace()
     nodes = list(space)
     ev = BatchEvaluator(Musa(get_app("lulesh")))
-    ev.evaluate(nodes)  # cold pass: memos warm before timing
+    ev.evaluate_frame(nodes)  # cold pass: memos warm before timing
 
     def run():
-        return ev.evaluate(nodes)
+        return ev.evaluate_frame(nodes)
 
     def oracle() -> Optional[str]:
-        batched = ev.evaluate(nodes)
+        batched = ev.evaluate_frame(nodes).to_records()
         sample = (range(len(nodes)) if tier == "smoke"
                   else _sample_indices(len(nodes), 12))
         scalar_musa = Musa(get_app("lulesh"))
@@ -399,13 +392,14 @@ def _build_replay_sweep(tier: str) -> BenchCase:
         space, n_ranks, n_sample = DesignSpace(), 256, 3
     nodes = list(space)
     ev = BatchEvaluator(Musa(get_app("lulesh")))
-    ev.evaluate(nodes, n_ranks=n_ranks, mode="replay")  # cold pass
+    ev.evaluate_frame(nodes, n_ranks=n_ranks, mode="replay")  # cold pass
 
     def run():
-        return ev.evaluate(nodes, n_ranks=n_ranks, mode="replay")
+        return ev.evaluate_frame(nodes, n_ranks=n_ranks, mode="replay")
 
     def oracle() -> Optional[str]:
-        batched = ev.evaluate(nodes, n_ranks=n_ranks, mode="replay")
+        batched = ev.evaluate_frame(nodes, n_ranks=n_ranks,
+                                    mode="replay").to_records()
         sample = _sample_indices(len(nodes), n_sample)
         scalar_musa = Musa(get_app("lulesh"))
         scalar = [scalar_musa.simulate_node(nodes[i], n_ranks=n_ranks,
@@ -553,7 +547,6 @@ def _build_sharded_sweep(tier: str) -> BenchCase:
 
 def _build_result_plane(tier: str) -> BenchCase:
     import tempfile
-    import time as _time
     from pathlib import Path
 
     from ..core.canon import canonical_dumps
@@ -584,16 +577,15 @@ def _build_result_plane(tier: str) -> BenchCase:
         served.add_frame(frame)
         return keys, served.canonical_text(), seq[0]
 
-    def dict_plane():
-        """The retained per-record oracle plane: one dict, one journal
-        line, one store_key digest and one store line per config."""
-        seq[0] += 1
+    def per_record_plane():
+        """The per-record reference: scalar records, one journal line,
+        one store_key digest and one store line per config."""
         records = [r.record() for r in ev.evaluate(nodes)]
         keys = []
-        with Journal(d / f"dict{seq[0]}.jsonl") as j:
+        with Journal(d / "ref.jsonl") as j:
             for r in records:
                 j.append(r)
-        with ResultStore(d / f"dict_store{seq[0]}.jsonl") as store:
+        with ResultStore(d / "ref_store.jsonl") as store:
             for node, r in zip(nodes, records):
                 cfg = node.axis_values()
                 key = store_key("lulesh", cfg, mode, n_ranks, cv)
@@ -604,50 +596,43 @@ def _build_result_plane(tier: str) -> BenchCase:
         served = ResultSet()
         for r in records:
             served.add(r, copy=False)
-        return keys, served.canonical_text(), seq[0]
+        return keys, served.canonical_text()
 
-    t0 = _time.perf_counter()
-    dict_keys, dict_text, dict_run = dict_plane()
-    dict_s = _time.perf_counter() - t0
+    ref_keys, ref_text = per_record_plane()
 
     def run():
         return columnar()
 
     def oracle() -> Optional[str]:
-        t0 = _time.perf_counter()
         col_keys, col_text, col_run = columnar()
-        col_s = _time.perf_counter() - t0
-        if list(col_keys) != dict_keys:
+        if list(col_keys) != ref_keys:
             return "columnar store keys differ from per-record store_key"
-        if col_text != dict_text:
+        if col_text != ref_text:
             return ("columnar served ResultSet differs byte-for-byte "
-                    "from the dict plane")
+                    "from the per-record scalar records")
         col_store = ResultStore(d / f"col_store{col_run}.jsonl")
-        dict_store = ResultStore(d / f"dict_store{dict_run}.jsonl")
-        for k in dict_keys:
+        ref_store = ResultStore(d / "ref_store.jsonl")
+        for k in ref_keys:
             if canonical_dumps(col_store.get(k)) != \
-                    canonical_dumps(dict_store.get(k)):
+                    canonical_dumps(ref_store.get(k)):
                 return (f"store entry {k[:12]} differs between the "
-                        f"columnar and dict planes")
+                        f"columnar and per-record stores")
         # Cross-resume identity: the one-block journal and the
         # per-record journal must canonicalize to the same bytes.
         merged = []
-        for src in (d / f"col{col_run}.jsonl", d / f"dict{dict_run}.jsonl"):
+        for src in (d / f"col{col_run}.jsonl", d / "ref.jsonl"):
             out = src.with_suffix(".merged")
             merge_journal([src], out, collect=False)
             merged.append(out.read_bytes())
         if merged[0] != merged[1]:
             return ("block journal and per-record journal merge to "
                     "different canonical bytes")
-        if tier == "full" and dict_s < 3.0 * col_s:
-            return (f"columnar result plane only {dict_s / col_s:.2f}x "
-                    f"over the dict plane (acceptance floor is 3x)")
         return None
 
     return BenchCase(
         run=run, oracle=oracle,
         meta={"app": "lulesh", "n_configs": len(nodes), "mode": mode,
-              "n_ranks": n_ranks, "dict_s": dict_s},
+              "n_ranks": n_ranks},
         required_counters=("store.block.put", "store.block.records"),
         record_counters=("store.block.put", "store.block.records",
                          "store.put"))
@@ -668,7 +653,7 @@ def _build_search_dse(tier: str) -> BenchCase:
         rec_space = DesignSpace()                           # 864 points
         big_space = range_design_space()                    # 140 616
     ev = BatchEvaluator(Musa(get_app("lulesh")))
-    exhaustive = [r.record() for r in ev.evaluate(list(rec_space))]
+    exhaustive = ev.evaluate_frame(list(rec_space)).to_records()
     ref_front = pareto_front(ResultSet(exhaustive), "lulesh", cores=None)
     ref_key = [(p.x, p.y) for p in ref_front]
 
@@ -712,8 +697,8 @@ REGISTRY: Dict[str, Benchmark] = {b.id: b for b in (
               "config-vectorized phase scheduler vs scalar simulate_phase",
               _build_phase_sched),
     Benchmark("micro.tape_replay", "micro",
-              "level-batched array replay driver vs worklist driver and "
-              "scalar replay", _build_tape_replay),
+              "level-batched array replay driver vs scalar replay",
+              _build_tape_replay),
     Benchmark("micro.bus_arbitration", "micro",
               "finite-bus fork-on-divergence lockstep batch replay vs "
               "scalar replay", _build_bus_arbitration),
@@ -721,13 +706,13 @@ REGISTRY: Dict[str, Benchmark] = {b.id: b for b in (
               "finite-bus zero-divergence lockstep batch replay "
               "(uniform scales) vs scalar replay", _build_bus_lockstep),
     Benchmark("micro.event_engine", "micro",
-              "event-driven replay engine vs the polling reference",
-              _build_event_engine),
+              "scalar event-driven replay engine vs one-column array "
+              "replay", _build_event_engine),
     Benchmark("macro.fast_sweep", "macro",
-              "full-space fast-mode batched evaluation (864 configs, warm)",
+              "full-space fast-mode evaluate_frame (864 configs, warm)",
               _build_fast_sweep),
     Benchmark("macro.replay_sweep", "macro",
-              "full-space replay-mode batched evaluation (864x256 ranks)",
+              "full-space replay-mode evaluate_frame (864x256 ranks)",
               _build_replay_sweep),
     Benchmark("macro.campaign", "macro",
               "all-apps full-space batched campaign through run_sweep",
@@ -737,7 +722,7 @@ REGISTRY: Dict[str, Benchmark] = {b.id: b for b in (
               "cold evaluation", _build_serve_query),
     Benchmark("macro.result_plane", "macro",
               "columnar evaluate->journal->store->serve result plane vs "
-              "the retained per-record dict plane (bit-identity)",
+              "per-record writes of scalar records (bit-identity)",
               _build_result_plane),
     Benchmark("macro.sharded_sweep", "macro",
               "work-stealing pooled sweep over a range-generated space "

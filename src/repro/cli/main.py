@@ -271,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multiply measured samples by FACTOR (gate "
                         "self-test aid; recorded in the entry and never "
                         "used as a baseline)")
-    b.add_argument("--seed-from-snapshots", action="store_true",
-                   help="convert the historical BENCH_*.json snapshots "
-                        "into seed ledger entries and exit")
     b.add_argument("--merge", nargs="+", metavar="JSONL",
                    help="merge these ledgers into --ledger (content-"
                         "deduplicated) and exit")
@@ -715,7 +712,6 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     import json as _json
     from dataclasses import asdict
-    from pathlib import Path
 
     from .. import bench as B
 
@@ -744,17 +740,6 @@ def cmd_bench(args) -> int:
         return 0
 
     host = B.host_fingerprint()
-
-    if args.seed_from_snapshots:
-        calib = B.calibration_s()
-        existing = B.Ledger.load(args.ledger)
-        have = {e.get("source") for e in existing.entries if e.get("seed")}
-        entries = [e for e in B.seed_entries_from_snapshots(
-            Path.cwd(), calib, host) if e["source"] not in have]
-        B.Ledger.append_to(args.ledger, entries)
-        print(f"seeded {len(entries)} snapshot entr{'y' if len(entries) == 1 else 'ies'} "
-              f"into {args.ledger} ({len(have)} already present)")
-        return 0
 
     report_only = args.report is not None and not (args.check or args.append)
     if not report_only:

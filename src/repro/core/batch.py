@@ -14,13 +14,13 @@ runs column-wise too (:mod:`repro.network.replay_batch`), with the
 order-free path executed level-batched on a structural tape.
 
 **Exactness contract**: for every configuration the batched evaluator
-produces a :class:`~repro.core.musa.RunResult` bitwise-identical to
-``Musa.simulate_node`` — same floats, not merely close ones.  The
-refine loop reproduces the scalar iteration structure with a per-config
-*active* mask: once a configuration passes the scalar convergence test
-its share and occupancy freeze, and because the timing recompute at a
-frozen share is deterministic and idempotent, frozen lanes ride along
-through later iterations unchanged.
+produces a record bitwise-identical to
+``Musa.simulate_node(...).record()`` — same floats, not merely close
+ones.  The refine loop reproduces the scalar iteration structure with a
+per-config *active* mask: once a configuration passes the scalar
+convergence test its share and occupancy freeze, and because the timing
+recompute at a frozen share is deterministic and idempotent, frozen
+lanes ride along through later iterations unchanged.
 
 Node-level totals are accumulated **in task order** (vector over the
 config axis), never regrouped per kernel — float addition is not
@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config.node import NodeConfig
-from ..network.replay import replay
 from ..network.replay_batch import replay_batch
 from ..obs import get_metrics
 from ..power.technology import energy_scale
@@ -45,7 +44,7 @@ from ..uarch.batch import NodeBatch, resolve_contention_batch, time_kernel_batch
 from ..util import LruDict
 from .frame import ResultFrame
 from .musa import Musa, RunResult
-from .phase_sim import PhaseDetail, _imbalance_factors
+from .phase_sim import _imbalance_factors
 
 __all__ = ["BatchEvaluator", "RECORD_KEYS"]
 
@@ -77,14 +76,8 @@ class _PhaseInvariants:
 
 @dataclass
 class _PhaseCols:
-    """One phase's converged per-config columns (SoA form).
+    """One phase's converged per-config columns (SoA form)."""
 
-    ``_materialize_details`` turns these into the per-config
-    :class:`PhaseDetail` list of the retained dict path;
-    ``evaluate_frame`` consumes the columns directly.
-    """
-
-    scheds: List[PhaseResult]
     makespan: np.ndarray         # per-config phase makespan (ns)
     busy: np.ndarray             # per-config sum of core busy time (ns)
     n_busy: np.ndarray
@@ -99,8 +92,6 @@ class _PhaseCols:
     row_hit: np.ndarray
     util: np.ndarray
     lanes_eff: np.ndarray        # effective SIMD lanes of the first kernel
-    kernel_names: Tuple[str, ...]
-    timing_cols: Dict
 
 
 class BatchEvaluator:
@@ -109,7 +100,7 @@ class BatchEvaluator:
     Owns per-app memoization: miss profiles keyed on the full hashable
     ``(kernel, hierarchy, share)`` and SIMD fusion keyed on
     ``(kernel, width)`` persist for the evaluator's lifetime; resolved
-    kernel-timing *columns* are memoized per :meth:`evaluate` call by
+    kernel-timing *columns* are memoized per :meth:`evaluate_frame` call by
     ``(kernel, share-column)``, which is what makes kernels shared by
     several phases (SP-MZ's ``sp_solve``) nearly free, mirroring the
     scalar path's ``(kernel, node, share)`` cache.
@@ -157,30 +148,17 @@ class BatchEvaluator:
         n_iterations: Optional[int] = None,
         include_comm: bool = False,
         mode: str = "fast",
-        batch_replay: bool = True,
     ) -> List[RunResult]:
-        """Integrated results for every node, in input order.
+        """Per-config :class:`RunResult` objects, in input order.
 
-        Bitwise-equal to ``[musa.simulate_node(n, n_ranks, n_iterations,
-        mode=mode, include_comm=include_comm) for n in nodes]``.  With
-        ``mode='replay'`` the per-kernel compute timings are resolved
-        column-wise over the whole batch and the Dimemas-style
-        event-driven replay also runs *once* for the batch: the
-        config-vectorized lockstep engine
-        (:func:`repro.network.replay_batch.replay_batch`) steps every
-        configuration through one event pass, peeling configs whose
-        step order diverges out to the scalar engine — bit-identical
-        either way.  ``batch_replay=False`` forces the per-config
-        scalar replay splice (the equivalence oracle).
+        The scalar reference: ``[musa.simulate_node(n, ...) for n in
+        nodes]`` on this evaluator's :class:`Musa`.  Production paths
+        (sweeps, serve, search) call :meth:`evaluate_frame`, which is
+        bitwise-equal to this list's ``record()``s.
         """
-        if mode not in ("fast", "replay"):
-            raise ValueError("mode must be 'fast' or 'replay'")
-        nodes = list(nodes)
-        obs = get_metrics()
-        obs.inc("musa.simulate_node", len(nodes))
-        with obs.span("musa.batch_eval"):
-            return self._evaluate(nodes, n_ranks, n_iterations, include_comm,
-                                  mode, batch_replay)
+        return [self.musa.simulate_node(n, n_ranks, n_iterations, mode=mode,
+                                        include_comm=include_comm)
+                for n in nodes]
 
     def evaluate_frame(
         self,
@@ -189,17 +167,19 @@ class BatchEvaluator:
         n_iterations: Optional[int] = None,
         include_comm: bool = False,
         mode: str = "fast",
-        batch_replay: bool = True,
     ) -> ResultFrame:
         """Columnar results for every node, in input order.
 
-        The SoA twin of :meth:`evaluate`: the same phase columns feed a
-        config-vectorized mirror of ``Musa._assemble_result`` instead of
-        per-config ``RunResult`` splicing, and the records never exist
-        as dicts.  The contract is *bitwise*:
-        ``frame.to_records() == [r.record() for r in evaluate(...)]``
-        and the canonical bytes/digests of every row are identical to
-        the dict path's — every expression below reproduces the scalar
+        The per-kernel compute timings are resolved column-wise over the
+        whole batch, and with ``mode='replay'`` the Dimemas-style
+        event-driven replay also runs *once* for the batch
+        (:func:`repro.network.replay_batch.replay_batch`).  The same
+        phase columns then feed a config-vectorized mirror of
+        ``Musa._assemble_result``; the records never exist as dicts.
+        The contract is *bitwise*: ``frame.to_records() ==
+        [r.record() for r in evaluate(...)]`` and the canonical
+        bytes/digests of every row are identical to the scalar
+        reference's — every expression below reproduces the scalar
         float64 evaluation order (elementwise ``+ - * /`` and
         ``minimum``/``maximum`` are IEEE-identical between numpy and
         Python floats; cross-phase accumulation runs phase-by-phase in
@@ -214,65 +194,7 @@ class BatchEvaluator:
         obs.inc("musa.simulate_node", len(nodes))
         with obs.span("musa.batch_eval"):
             return self._evaluate_frame(nodes, n_ranks, n_iterations,
-                                        include_comm, mode, batch_replay)
-
-    def _evaluate(self, nodes, n_ranks, n_iterations, include_comm, mode,
-                  batch_replay=True):
-        musa = self.musa
-        nb = NodeBatch.from_nodes(nodes)
-        n_configs = len(nodes)
-        n_iter = n_iterations or musa.app.default_iterations
-        scales = musa.app.rank_scales(n_ranks)
-        max_scale = float(scales.max())
-        comm_iter = musa.comm_iteration_ns(n_ranks) if include_comm else 0.0
-
-        kernel_memo: Dict = {}  # (kernel, share-column bytes) -> columns
-        cols_per_phase = [self._phase_cols(inv, nb, kernel_memo)
-                          for inv in self._invariants]
-        details_per_phase: List[List[PhaseDetail]] = [
-            self._materialize_details(pc) for pc in cols_per_phase]
-        compute_iter = np.zeros(n_configs)
-        for pc in cols_per_phase:
-            # Same accumulation order as sum(d.makespan_ns for d in details).
-            compute_iter = compute_iter + pc.makespan
-
-        trace = (musa._burst_trace(n_ranks, n_iterations)
-                 if mode == "replay" else None)
-        replay_totals: Optional[List[float]] = None
-        if mode == "replay" and batch_replay:
-            # One config-vectorized replay pass for the whole batch
-            # (array tape when order-free, fork-on-divergence lockstep
-            # under a finite bus pool): the per-phase makespan columns
-            # (exactly the arrays summed into ``compute_iter`` above)
-            # scaled per rank reproduce the scalar splice's float64
-            # products bit for bit.
-            cols = {id(p): pc.makespan
-                    for p, pc in zip(musa.phases, cols_per_phase)}
-
-            def duration_batch(rank, phase, _cols=cols):
-                return _cols[id(phase)] * scales[rank]
-
-            replay_totals = [
-                r.total_ns for r in replay_batch(
-                    trace, musa.network, duration_batch, n_configs)]
-        results: List[RunResult] = []
-        for i, node in enumerate(nodes):
-            details_i = [per_phase[i] for per_phase in details_per_phase]
-            ci = float(compute_iter[i])
-            if mode == "fast":
-                total_ns = n_iter * (ci * max_scale + comm_iter)
-            elif replay_totals is not None:
-                total_ns = replay_totals[i]
-            else:
-                by_id = {id(p): d for p, d in zip(musa.phases, details_i)}
-
-                def duration(rank, phase, _by_id=by_id):
-                    return _by_id[id(phase)].makespan_ns * scales[rank]
-
-                total_ns = replay(trace, musa.network, duration).total_ns
-            results.append(musa._assemble_result(
-                node, n_ranks, n_iter, details_i, total_ns, ci, comm_iter))
-        return results
+                                        include_comm, mode)
 
     # ----------------------------------------------------------------- phases
 
@@ -291,14 +213,12 @@ class BatchEvaluator:
             scheds = list(simulate_phase_batch(phase, nb.n_cores))
             zeros = np.zeros(n_configs)
             return _PhaseCols(
-                scheds=scheds,
                 makespan=np.array([s.makespan_ns for s in scheds]),
                 busy=np.array([float(s.busy_ns.sum()) for s in scheds]),
                 n_busy=zeros, instr=zeros, flops=0.0, l1=zeros, l2=zeros,
                 l3=zeros, dram=zeros, dram_bytes=zeros, store_frac=zeros,
                 row_hit=zeros, util=zeros,
                 lanes_eff=np.ones(n_configs),
-                kernel_names=(), timing_cols={},
             )
 
         detailed = self.musa.detailed
@@ -425,7 +345,6 @@ class BatchEvaluator:
              for v in timing_cols[kernel_names[0]].vectorizations],
             dtype=np.float64)
         return _PhaseCols(
-            scheds=scheds,
             makespan=np.array([s.makespan_ns for s in scheds]),
             busy=np.array([float(s.busy_ns.sum()) for s in scheds]),
             n_busy=n_busy.astype(np.float64, copy=True),
@@ -433,37 +352,7 @@ class BatchEvaluator:
             l3=tot_l3, dram=tot_dram, dram_bytes=tot_bytes,
             store_frac=store_col, row_hit=row_hit_col, util=util_col,
             lanes_eff=lanes_eff,
-            kernel_names=kernel_names, timing_cols=timing_cols,
         )
-
-    def _materialize_details(self, pc: _PhaseCols) -> List[PhaseDetail]:
-        """Per-config :class:`PhaseDetail` list — the retained dict path.
-
-        Field-for-field identical to the pre-columnar materialization:
-        every scalar is ``float()`` of the same column cell.
-        """
-        out = []
-        for i, sched in enumerate(pc.scheds):
-            out.append(PhaseDetail(
-                makespan_ns=sched.makespan_ns,
-                busy_core_ns=float(pc.busy[i]),
-                n_busy_cores=float(pc.n_busy[i]),
-                schedule=sched,
-                instructions=float(pc.instr[i]),
-                scalar_flops=pc.flops,
-                l1_accesses=float(pc.l1[i]),
-                l2_accesses=float(pc.l2[i]),
-                l3_accesses=float(pc.l3[i]),
-                dram_accesses=float(pc.dram[i]),
-                dram_bytes=float(pc.dram_bytes[i]),
-                store_fraction=float(pc.store_frac[i]),
-                row_hit_rate=float(pc.row_hit[i]),
-                bw_utilization=float(pc.util[i]),
-                core_dynamic_j=0.0,
-                timings=tuple(pc.timing_cols[k].at(i)
-                              for k in pc.kernel_names),
-            ))
-        return out
 
     # ------------------------------------------------------------- frame path
 
@@ -475,7 +364,7 @@ class BatchEvaluator:
         ``**``; each term is therefore computed by the existing scalar
         model per unique node key (a handful of presets span any
         sweep) and broadcast — the broadcast cell *is* the Python float
-        the dict path used.
+        the scalar path uses.
         """
         mcpat = self.musa.mcpat
         dp = self.musa.drampower
@@ -548,7 +437,7 @@ class BatchEvaluator:
         }
 
     def _evaluate_frame(self, nodes, n_ranks, n_iterations, include_comm,
-                        mode, batch_replay=True):
+                        mode):
         musa = self.musa
         mcpat = musa.mcpat
         dp = musa.drampower
@@ -570,30 +459,20 @@ class BatchEvaluator:
             # Scalar: n_iter * (ci * max_scale + comm_iter), per config.
             total_ns = n_iter * (compute_iter * max_scale + comm_iter)
         else:
+            # One config-vectorized replay pass for the whole batch: the
+            # per-phase makespan columns scaled per rank reproduce the
+            # scalar splice's float64 products bit for bit.
             trace = musa._burst_trace(n_ranks, n_iterations)
-            if batch_replay:
-                cols = {id(p): pc.makespan
-                        for p, pc in zip(musa.phases, cols_per_phase)}
+            cols = {id(p): pc.makespan
+                    for p, pc in zip(musa.phases, cols_per_phase)}
 
-                def duration_batch(rank, phase, _cols=cols):
-                    return _cols[id(phase)] * scales[rank]
+            def duration_batch(rank, phase):
+                return cols[id(phase)] * scales[rank]
 
-                total_ns = np.array(
-                    [r.total_ns for r in replay_batch(
-                        trace, musa.network, duration_batch, n_configs)],
-                    dtype=np.float64)
-            else:
-                totals = []
-                for i in range(n_configs):
-                    by_id = {id(p): float(pc.makespan[i])
-                             for p, pc in zip(musa.phases, cols_per_phase)}
-
-                    def duration(rank, phase, _by_id=by_id):
-                        return _by_id[id(phase)] * scales[rank]
-
-                    totals.append(
-                        replay(trace, musa.network, duration).total_ns)
-                total_ns = np.array(totals, dtype=np.float64)
+            total_ns = np.array(
+                [r.total_ns for r in replay_batch(
+                    trace, musa.network, duration_batch, n_configs)],
+                dtype=np.float64)
 
         if np.any(total_ns <= 0):
             raise ValueError("run has non-positive duration")

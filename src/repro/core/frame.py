@@ -16,7 +16,7 @@ record available without materializing dicts:
   ``canonical_dumps(record)`` would produce for each row — same key
   sort, same float ``repr``, same non-finite sentinel objects — so
   journal lines, store keys and golden digests are bit-identical to
-  the dict path by construction;
+  per-record serialization by construction;
 * ``record_digests()`` hashes those bytes (the content address of each
   record is unchanged);
 * ``to_block()``/``from_block()`` give the journal and the store a
@@ -130,7 +130,7 @@ def scalar_fragment(v: Any) -> str:
 
     Byte-identical to ``canonical_dumps(v)`` — this is the splice
     primitive for hand-rendered canonical text (store keys, canonical
-    lines) that must hash like the dict path.
+    lines) that must hash like ``canonical_dumps`` of a record dict.
     """
     if v is None:
         return "null"
@@ -149,7 +149,7 @@ class FrameRow(Mapping):
     """Read-only ``Mapping`` view of one frame row.
 
     Scalars materialize on key access (``int``/``float``/``None`` with
-    the exact Python types the dict path produced).  ``Mapping``
+    the exact Python types ``RunResult.record()`` produces).  ``Mapping``
     equality makes ``row == record_dict`` hold both ways, so existing
     consumers that compare records keep working unchanged.
     """
@@ -355,7 +355,7 @@ class ResultFrame:
         return out
 
     def canonical_lines(self) -> List[str]:
-        """Per-row canonical JSON, bit-identical to the dict path.
+        """Per-row canonical JSON, bit-identical to per-record dumps.
 
         Row ``i``'s text equals ``canonical_dumps(self.row(i).to_dict())``
         — same sorted keys, compact separators, float ``repr`` and

@@ -30,7 +30,7 @@ whole :class:`~repro.core.frame.ResultFrame` of records sharing one
 a common provenance.  Per-record keys are computed vectorized from the
 frame's columns (:func:`store_keys_frame`) and are bit-identical to
 :func:`store_key` of the same inputs, so a store written by the
-columnar path serves the same content addresses as the dict path.
+columnar path serves the same content addresses as per-record puts.
 Entries loaded from a block stay columnar: ``get`` materializes a thin
 entry dict whose ``record`` is a lazy ``FrameRow`` view.
 

@@ -160,7 +160,7 @@ _BATCH_EVALUATORS: Dict[str, BatchEvaluator] = {}
 #: (or directly for inline runs).
 _WORKER: Dict[str, object] = {"fault_hook": None, "timeout_s": None,
                               "batch": False, "batch_size": 1,
-                              "mode": "fast", "frame": True}
+                              "mode": "fast"}
 
 
 def _musa_for(app_name: str) -> Musa:
@@ -176,14 +176,12 @@ def _evaluator_for(app_name: str) -> BatchEvaluator:
 
 
 def _init_worker(fault_hook, timeout_s, batch: bool = False,
-                 batch_size: int = 1, mode: str = "fast",
-                 frame: bool = True) -> None:
+                 batch_size: int = 1, mode: str = "fast") -> None:
     _WORKER["fault_hook"] = fault_hook
     _WORKER["timeout_s"] = timeout_s
     _WORKER["batch"] = batch
     _WORKER["batch_size"] = batch_size
     _WORKER["mode"] = mode
-    _WORKER["frame"] = frame
 
 
 def _timeout_unavailable(seconds: float, why: str) -> None:
@@ -298,18 +296,12 @@ def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
                 evaluator = _evaluator_for(app_name)
                 nodes = [t[3] for t in runnable]
                 try:
-                    if _WORKER.get("frame", True):
-                        # Columnar path: one frame for the whole batch;
-                        # outcomes carry lazy row views of it, so the
-                        # journal can write one block line per shard
-                        # and no record dicts are ever materialized.
-                        res_frame = evaluator.evaluate_frame(
-                            nodes, n_ranks=n_ranks, mode=mode)
-                        ok_payloads = res_frame.rows()
-                    else:
-                        results = evaluator.evaluate(
-                            nodes, n_ranks=n_ranks, mode=mode)
-                        ok_payloads = [r.record() for r in results]
+                    # One frame for the whole batch; outcomes carry lazy
+                    # row views of it, so the journal can write one
+                    # block line per shard and no record dicts are ever
+                    # materialized.
+                    ok_payloads = evaluator.evaluate_frame(
+                        nodes, n_ranks=n_ranks, mode=mode).rows()
                 except (SweepAbort, TaskTimeout):
                     raise
                 except Exception:
@@ -766,7 +758,7 @@ def _make_shards(sched: _Scheduler, n_ranks: int, chunk_size: int) -> List:
 
 def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
                 chunk_size: int, fault_hook, timeout_s, batch,
-                batch_size, mode, frame: bool = True) -> None:
+                batch_size, mode) -> None:
     """Work-stealing shard scheduler over dedicated worker processes.
 
     Queued tasks are packed into app x config-batch shards and dealt
@@ -783,7 +775,7 @@ def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
     """
     reg = sched.reg
     ctx = _pool_context()
-    init_args = (fault_hook, timeout_s, batch, batch_size, mode, frame)
+    init_args = (fault_hook, timeout_s, batch, batch_size, mode)
     results_q = ctx.Queue()
     inboxes = []
     workers = []
@@ -921,7 +913,6 @@ def run_sweep(
     batch_size: int = 256,
     mode: str = "fast",
     shard: Optional[Union[str, Tuple[int, int]]] = None,
-    frame: bool = True,
 ) -> ResultSet:
     """Simulate every (application, configuration) pair.
 
@@ -981,15 +972,6 @@ def run_sweep(
         :func:`repro.core.checkpoint.merge_journal` — resuming the full
         sweep from the merged journal reproduces the single-process
         ResultSet byte-for-byte without re-evaluating anything.
-    frame:
-        Keep results columnar end-to-end (the default): batched
-        evaluations return one :class:`~repro.core.frame.ResultFrame`
-        per shard, workers ship it as a single pickle or shared-memory
-        block (``sweep.ipc.shm`` / ``sweep.ipc.pickle``), the journal
-        writes one block line per shard, and the returned ResultSet
-        holds lazy row views.  ``frame=False`` forces the per-record
-        dict path — the retained bit-identity oracle; both paths
-        produce byte-identical journals on resume, records and digests.
 
     The returned ResultSet is in canonical task order regardless of
     ``processes``/``chunk_size``/``batch_size``; failed tasks appear as
@@ -1059,8 +1041,7 @@ def run_sweep(
             sched.queue.extend((i, 0) for i in pending)
 
             if processes <= 1 or len(pending) <= 1:
-                _init_worker(fault_hook, timeout_s, batch, batch_size, mode,
-                             frame)
+                _init_worker(fault_hook, timeout_s, batch, batch_size, mode)
                 _run_inline(sched, n_ranks)
             else:
                 if chunk_size is None:
@@ -1071,8 +1052,7 @@ def run_sweep(
                     chunk_size = min(cap, max(1, len(pending)
                                               // (processes * 4)))
                 _run_pooled(sched, n_ranks, processes, chunk_size,
-                            fault_hook, timeout_s, batch, batch_size, mode,
-                            frame)
+                            fault_hook, timeout_s, batch, batch_size, mode)
     finally:
         if journal is not None:
             journal.close()

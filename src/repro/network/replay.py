@@ -6,21 +6,14 @@ compute-phase durations supplied by a callback — burst-mode scheduling
 results or detailed-simulation timings, exactly how MUSA splices the
 two levels together (Sec. II).
 
-Two engines share one event-processing core:
+The engine is a reactive discrete-event simulator in the Dimemas
+tradition (Girona et al., EuroPVM/MPI 2000): runnable ranks sit in a
+ready-heap keyed by virtual time, and a rank blocked on an unmatched
+message, an unresolved request, or an incomplete collective is parked
+on an explicit wake list and re-examined exactly once — when its
+dependency resolves.  O(events x log ranks).
 
-* ``engine='event'`` (default) — a reactive discrete-event simulator in
-  the Dimemas tradition (Girona et al., EuroPVM/MPI 2000): runnable
-  ranks sit in a ready-heap keyed by virtual time, and a rank blocked
-  on an unmatched message, an unresolved request, or an incomplete
-  collective is parked on an explicit wake list and re-examined exactly
-  once — when its dependency resolves.  O(events x log ranks).
-* ``engine='polling'`` — the reference engine: every step re-scans all
-  ranks for the runnable one with the smallest virtual clock.
-  O(events x ranks); semantically identical (bit-identical results,
-  both engines execute the same step sequence), kept as the oracle for
-  equivalence tests and benchmarks.
-
-Both engines advance exactly one event at a time, always for the ready
+The engine advances exactly one event at a time, always for the ready
 rank with the minimum ``(clock, rank)`` key.  That global virtual-time
 ordering is what makes the finite-bus pool — the only *shared* network
 resource — deterministic: transfers acquire buses in simulated-time
@@ -70,12 +63,10 @@ from ..trace.events import ComputePhase, MpiCall
 from .collectives import collective_cost_ns
 from .model import NetworkConfig
 
-__all__ = ["ReplayResult", "TimelineSegment", "replay", "REPLAY_ENGINES"]
+__all__ = ["ReplayResult", "TimelineSegment", "replay"]
 
 #: Maps (rank, phase) to its simulated duration in ns.
 PhaseDurationFn = Callable[[int, ComputePhase], float]
-
-REPLAY_ENGINES = ("event", "polling")
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ class _BusPool:
     """Dimemas's finite-bus model: at most ``n_buses`` simultaneous
     transfers network-wide; a transfer may start once a bus frees up.
 
-    Buses are granted in acquisition order, which both engines keep in
+    Buses are granted in acquisition order, which the engine keeps in
     simulated-time order — the pool itself is order-deterministic given
     that discipline.
     """
@@ -181,7 +172,7 @@ class _RankState:
 
 
 class _ReplayCore:
-    """Engine-independent replay state plus single-event stepping.
+    """Replay state plus single-event stepping.
 
     :meth:`step` processes exactly one event of one rank.  It either
     advances the rank (returns True) or registers the rank on the wake
@@ -499,7 +490,7 @@ class _ReplayCore:
         )
 
 
-# ----------------------------------------------------------------- engines
+# ------------------------------------------------------------------ engine
 
 def _run_event(core: _ReplayCore, order: Sequence[int]) -> None:
     """Reactive engine: ready-heap keyed by (clock, rank) + wake lists.
@@ -540,51 +531,11 @@ def _run_event(core: _ReplayCore, order: Sequence[int]) -> None:
         raise core.deadlock_error()
 
 
-def _run_polling(core: _ReplayCore, order: Sequence[int]) -> None:
-    """Reference engine: re-scan every unfinished rank per step.
-
-    Selects the same min-(clock, rank) runnable rank as the event
-    engine — executing the identical step sequence, hence bit-identical
-    results — but pays an O(ranks) scan for every event processed.
-    """
-    states = core.states
-    events = core.events
-    active: List[int] = []
-    for r in order:
-        if events[r]:
-            active.append(r)
-        else:
-            states[r].done = True
-
-    while active:
-        best = -1
-        best_clock = 0.0
-        for r in active:
-            st = states[r]
-            if st.blocked:
-                continue
-            if best < 0 or (st.clock, r) < (best_clock, best):
-                best, best_clock = r, st.clock
-        if best < 0:
-            raise core.deadlock_error()
-        st = states[best]
-        if core.step(best):
-            if st.cursor >= len(events[best]):
-                st.done = True
-                active.remove(best)
-        else:
-            st.blocked = True
-
-
-_ENGINES = {"event": _run_event, "polling": _run_polling}
-
-
 def replay(
     trace: BurstTrace,
     net: NetworkConfig,
     phase_duration: PhaseDurationFn,
     collect_segments: bool = False,
-    engine: str = "event",
     rank_order: Optional[Sequence[int]] = None,
 ) -> ReplayResult:
     """Replay ``trace`` through the network model.
@@ -593,9 +544,6 @@ def replay(
     duration; pass a burst-mode scheduler hook for hardware-agnostic
     runs or detailed timings for integrated runs.
 
-    ``engine`` selects the reactive event-driven simulator
-    (``'event'``, the default) or the re-scanning reference engine
-    (``'polling'``); both produce bit-identical results.
     ``rank_order`` permutes the order ranks are seeded/scanned in — it
     provably cannot change the outcome (ranks always advance in global
     virtual-time order) and exists so property tests can assert that.
@@ -604,9 +552,6 @@ def replay(
     ``replay.messages`` / ``replay.bus_waits``) and a ``replay.run``
     span are reported through :mod:`repro.obs`.
     """
-    if engine not in _ENGINES:
-        raise ValueError(
-            f"unknown replay engine {engine!r}; choose from {REPLAY_ENGINES}")
     order: Sequence[int] = (range(trace.n_ranks) if rank_order is None
                             else list(rank_order))
     if rank_order is not None and sorted(order) != list(range(trace.n_ranks)):
@@ -615,7 +560,7 @@ def replay(
     core = _ReplayCore(trace, net, phase_duration, collect_segments)
     obs = get_metrics()
     with obs.span("replay.run"):
-        _ENGINES[engine](core, order)
+        _run_event(core, order)
     obs.inc("replay.events", core.n_steps)
     obs.inc("replay.wakeups", core.n_wakeups)
     obs.inc("replay.messages", core.n_messages)

@@ -8,7 +8,7 @@ parameters never change), so message sizes, eager/rendezvous protocol
 choices, matching, collective membership and blocking structure are all
 configuration-invariant.  Only the compute-phase durations differ per
 configuration, which perturbs the virtual clocks but usually not the
-global ``(clock, rank)`` step order that both scalar engines follow.
+global ``(clock, rank)`` step order that the scalar engine follows.
 
 This module exploits that with three drivers, all carrying a NumPy
 *configuration axis* through every quantity the scalar ``_ReplayCore``
@@ -52,13 +52,13 @@ for the paper's MareNostrum4-like network, which has an unlimited bus
 pool — *any* structurally valid order yields, per configuration, the
 bit-exact scalar result, so one pass with a trivial run-until-blocked
 worklist steps all configurations at once with **zero** divergence
-checking.  It survives as the fallback for tapeless traces and as the
-benchmark reference the array driver is gated against.
+checking.  It survives as the fallback for traces whose tape build
+bails out.
 
 **Fork-on-divergence lockstep driver** (:func:`_run_lockstep`).  When
 the bus pool is finite (or a key mixes protocols), per-configuration
 order *does* matter.  The next rank to step is then chosen exactly like
-the scalar engines choose it, per configuration: a dense (rank, config)
+the scalar engine chooses it, per configuration: a dense (rank, config)
 key matrix holds each rank's clock column (``+inf`` when blocked or
 done) and one ``argmin(axis=0)`` per step yields every column's choice
 — NumPy's first-minimum tie-break is the scalar ``(clock, rank)`` tuple
@@ -1215,7 +1215,7 @@ def _run_lockstep(
         # Dense (rank, column) key matrix: row r is rank r's clock
         # column, +inf while r is blocked or done.  argmin(axis=0)
         # takes the *first* minimum per column, i.e. the smallest rank
-        # among ties — the scalar engines' (clock, rank) comparison.
+        # among ties — the scalar engine's (clock, rank) comparison.
         keys = np.full((core.n, core.n_cols), np.inf)
 
         def _wake(rank: int, _k=keys, _s=states) -> None:
@@ -1294,8 +1294,6 @@ def replay_batch(
     net: NetworkConfig,
     phase_duration: BatchPhaseDurationFn,
     n_configs: int,
-    scalar_engine: str = "event",
-    array_driver: bool = True,
 ) -> List[ReplayResult]:
     """Replay ``trace`` for ``n_configs`` configurations in one pass.
 
@@ -1304,12 +1302,10 @@ def replay_batch(
     one :class:`~repro.network.replay.ReplayResult` per configuration,
     bit-identical to ``replay(trace, net, scalar_fn_i, ...)`` with
     ``scalar_fn_i`` reading column ``i`` — for every configuration,
-    whether it ran on the array tape, the worklist pass, a forked
-    lockstep group, or (only on a structural deadlock) the scalar
-    engine (``scalar_engine`` picks which one raises the diagnostic).
-    ``array_driver=False`` keeps the order-free path on the
-    event-at-a-time worklist driver — the PR4-era behaviour, retained
-    for benchmarking and cross-checking.
+    whether it ran on the array tape, the worklist pass (the fallback
+    when an order-free trace's tape build bails out), a forked lockstep
+    group, or (only on a structural deadlock) the scalar engine, which
+    raises the diagnostic.
 
     Counters: ``replay.batch.array_events`` / ``worklist_events`` /
     ``lockstep_events`` (config-events priced per driver),
@@ -1329,7 +1325,7 @@ def replay_batch(
 
     order_free = _order_free_cached(trace, net)
     tape = None
-    if order_free and array_driver:
+    if order_free:
         tape = _tape_for(trace, net)
         if tape is None:
             obs.inc("replay.batch.array_fallbacks")
@@ -1397,5 +1393,5 @@ def replay_batch(
             def column(rank: int, phase: ComputePhase, _c=int(c)) -> float:
                 return phase_duration(rank, phase)[_c]
 
-            results[c] = replay(trace, net, column, engine=scalar_engine)
+            results[c] = replay(trace, net, column)
     return results  # type: ignore[return-value]

@@ -227,10 +227,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
       / ``search_surrogate_rank_calls`` — active-DSE search loop
       accounting (:mod:`repro.analysis.search`): points acquired,
       proposal rounds, final Pareto-front size, and surrogate ranking
-      fits;
-    * ``sched_jit_calls`` — general-DAG phases scheduled by the opt-in
-      ``REPRO_JIT`` compiled kernel instead of the interpreted heapq
-      path.
+      fits.
     """
     snap = snap if snap is not None else _GLOBAL.snapshot()
     c = snap.get("counters", {})
@@ -297,6 +294,5 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "search_front_size": c.get("search.front_size", 0),
         "search_surrogate_rank_calls": c.get("search.surrogate_rank_calls",
                                              0),
-        "sched_jit_calls": c.get("sched.jit.calls", 0),
     }
     return {"derived": derived, "counters": c, "timers": t}

@@ -31,7 +31,6 @@ import numpy as np
 from ..obs import get_metrics
 from ..trace.events import ComputePhase
 from ..util import LruDict
-from .jit import get_jit_kernel, run_jit_schedule
 
 __all__ = ["PhaseResult", "simulate_phase", "simulate_phase_batch"]
 
@@ -240,27 +239,6 @@ def simulate_phase(
             return _simulate_fast(structure, n, n_cores, durations,
                                   create_time, master_done, serial,
                                   creation, critical_total, busy)
-        # General-DAG phase: the opt-in JIT backend (REPRO_JIT=numba,
-        # see repro.runtime.jit) replays the exact heapq algorithm
-        # below, compiled.  Span collection stays on this path.
-        kernel = get_jit_kernel()
-        if kernel is not None:
-            makespan, ok = run_jit_schedule(
-                kernel, tasks, durations, create_time, master_done, busy)
-            if not ok:
-                raise RuntimeError(
-                    "scheduler deadlock: no ready tasks but work remains "
-                    "(dependency cycle in trace?)"
-                )
-            makespan = max(makespan, serial + critical_total)
-            return PhaseResult(
-                makespan_ns=makespan,
-                busy_ns=busy,
-                n_tasks=n,
-                serial_ns=serial,
-                creation_ns_total=n * creation,
-                spans=None,
-            )
 
     # Dependency bookkeeping: children lists and remaining-dep counters.
     n_deps = [len(t.deps) for t in tasks]

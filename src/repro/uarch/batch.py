@@ -35,7 +35,7 @@ from ..config.cache import LINE_BYTES, CacheHierarchy
 from ..config.memory import MemoryConfig
 from ..config.node import NodeConfig
 from ..trace.kernel import KernelSignature
-from .core_model import _MIN_EXPOSURE, KernelTiming
+from .core_model import _MIN_EXPOSURE
 from .cpu import _DAMPING, _MAX_ITER, _QUEUE_GAIN, _U_CLIP, dram_efficiency
 from .hierarchy import MissProfile, hierarchy_miss_profile_batch
 from .vector import VectorizationResult, vectorize_batch
@@ -132,7 +132,6 @@ class KernelTimingBatch:
     dram_lines: np.ndarray
     frequency_ghz: np.ndarray
     row_hit_rate: float
-    miss_profiles: Tuple[MissProfile, ...]
     vectorizations: Tuple[VectorizationResult, ...]
 
     def __len__(self) -> int:
@@ -154,27 +153,6 @@ class KernelTimingBatch:
 
     def with_mem_stall_scaled(self, factors: np.ndarray) -> "KernelTimingBatch":
         return replace(self, mem_stall_cycles=self.mem_stall_cycles * factors)
-
-    def at(self, i: int) -> KernelTiming:
-        """Materialize the scalar timing of configuration ``i``."""
-        return KernelTiming(
-            kernel=self.kernel,
-            base_cycles=float(self.base_cycles[i]),
-            l2_stall_cycles=float(self.l2_stall_cycles[i]),
-            l3_stall_cycles=float(self.l3_stall_cycles[i]),
-            mem_stall_cycles=float(self.mem_stall_cycles[i]),
-            instructions=float(self.instructions[i]),
-            scalar_flops=self.scalar_flops,
-            l1_accesses=float(self.l1_accesses[i]),
-            l2_accesses=float(self.l2_accesses[i]),
-            l3_accesses=float(self.l3_accesses[i]),
-            dram_accesses=float(self.dram_accesses[i]),
-            dram_lines=float(self.dram_lines[i]),
-            frequency_ghz=float(self.frequency_ghz[i]),
-            row_hit_rate=self.row_hit_rate,
-            miss_profile=self.miss_profiles[i],
-            vectorization=self.vectorizations[i],
-        )
 
 
 def time_kernel_batch(
@@ -268,7 +246,6 @@ def time_kernel_batch(
         dram_lines=dram_lines_traffic,
         frequency_ghz=batch.frequency_ghz,
         row_hit_rate=sig.row_hit_rate,
-        miss_profiles=tuple(profiles),
         vectorizations=tuple(vecs),
     )
 

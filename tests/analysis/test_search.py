@@ -49,7 +49,7 @@ def evaluator():
 
 @pytest.fixture(scope="module")
 def exhaustive_front(evaluator):
-    records = [r.record() for r in evaluator.evaluate(FULL.configs())]
+    records = evaluator.evaluate_frame(FULL.configs()).to_records()
     return pareto_front(ResultSet(records), APP, cores=None)
 
 
@@ -103,7 +103,7 @@ class TestBudget:
         assert res.n_evaluated == len(SMALL) == 16
         assert res.converged
         # With everything evaluated the front is the exhaustive one.
-        records = [r.record() for r in evaluator.evaluate(SMALL.configs())]
+        records = evaluator.evaluate_frame(SMALL.configs()).to_records()
         ref = pareto_front(ResultSet(records), APP, cores=None)
         assert _as_tuples(res.front) == _as_tuples(ref)
 

@@ -102,27 +102,6 @@ def test_list_names_every_benchmark(capsys):
         assert bid in out
 
 
-def test_seed_from_snapshots_is_idempotent(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "BENCH_replay.json").write_text(json.dumps(
-        {"unlimited_buses": {"event_wall_s": 0.063},
-         "python": "3.11.7", "machine": "x86_64"}))
-    ledger = tmp_path / "ledger.jsonl"
-    assert repro_main(["bench", "--seed-from-snapshots",
-                       "--ledger", str(ledger)]) == 0
-    led = Ledger.load(ledger)
-    assert len(led) == 1
-    e = led.entries[0]
-    assert e["bench"] == "micro.event_engine"
-    assert e["seed"] is True
-    assert e["raw_min_s"] == 0.063
-    assert e["code_version"] == "pre-ledger"
-    # Seeding twice adds nothing.
-    assert repro_main(["bench", "--seed-from-snapshots",
-                       "--ledger", str(ledger)]) == 0
-    assert len(Ledger.load(ledger)) == 1
-
-
 def test_invalid_flags_rejected():
     assert repro_main(["bench", "--check", "--threshold", "-1"]) == 2
     assert repro_main(["bench", "--inject-slowdown", "0"]) == 2

@@ -42,7 +42,7 @@ def _scalar_records(app_name, nodes):
 
 def _batched_records(app_name, nodes):
     ev = BatchEvaluator(Musa(get_app(app_name)))
-    return [r.record() for r in ev.evaluate(list(nodes))]
+    return ev.evaluate_frame(list(nodes)).to_records()
 
 
 class TestBatchedEqualsScalar:
@@ -68,10 +68,10 @@ class TestBatchedEqualsScalar:
         nodes = full_space[::101]
         whole = _batched_records("lulesh", nodes)
         ev = BatchEvaluator(Musa(get_app("lulesh")))
-        halves = [r.record()
+        halves = [rec
                   for part in (nodes[:len(nodes) // 2],
                                nodes[len(nodes) // 2:])
-                  for r in ev.evaluate(part)]
+                  for rec in ev.evaluate_frame(part).to_records()]
         singles = _batched_records("lulesh", [nodes[0]])
         assert whole == halves
         assert whole[0] == singles[0]
@@ -114,7 +114,6 @@ class TestSweepBatching:
         def boom(self, nodes, **kw):
             raise RuntimeError("injected evaluator bug")
 
-        monkeypatch.setattr(_BE, "evaluate", boom)
         monkeypatch.setattr(_BE, "evaluate_frame", boom)
         reg = get_metrics()
         before = reg.counter("sweep.batch.fallback")
@@ -139,16 +138,16 @@ class TestBoundedMemos:
         before = reg.counter("batch.memo.evictions")
         ev = BatchEvaluator(Musa(get_app("spmz")), memo_cap=2)
         nodes = list(tiny_space)
-        res = ev.evaluate(nodes)
+        res = ev.evaluate_frame(nodes).to_records()
         assert len(ev._miss_memo) <= 2
         assert len(ev._vec_memo) <= 2
         assert reg.counter("batch.memo.evictions") > before
         # Eviction changes memory behaviour only, never results.
-        ref = BatchEvaluator(Musa(get_app("spmz"))).evaluate(nodes)
-        assert [r.record() for r in res] == [r.record() for r in ref]
+        assert res == _batched_records("spmz", nodes)
 
     def test_default_cap_never_evicts_on_tiny_space(self, tiny_space):
         reg = get_metrics()
         before = reg.counter("batch.memo.evictions")
-        BatchEvaluator(Musa(get_app("spmz"))).evaluate(list(tiny_space))
+        BatchEvaluator(Musa(get_app("spmz"))).evaluate_frame(
+            list(tiny_space))
         assert reg.counter("batch.memo.evictions") == before

@@ -4,7 +4,7 @@ The batched engine's contract is exact equivalence: for every
 configuration column, ``replay_batch`` must produce the same
 ``ReplayResult`` — down to the float bits — that the scalar engine
 produces when handed that column's duration function.  The property
-tests drive the array/worklist drivers (unlimited buses) and the
+tests drive the array driver (unlimited buses) and the
 fork-on-divergence lockstep driver (finite buses), with per-config
 compute scalings chosen to flip the global ``(clock, rank)`` step
 order mid-replay; the regressions pin the forced-divergence fork path,
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.apps import get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
+from repro.network import replay_batch as replay_batch_mod
 from repro.network.replay_batch import _order_free, replay_batch
 from repro.obs import get_metrics
 from repro.trace import MpiCall
@@ -177,29 +178,29 @@ class TestForcedDivergence:
                          lambda r, p, _c=c: self.duration(r, p)[_c])
             assert_results_equal(ref, out[c])
 
-    def test_array_driver_matches_worklist_driver(self):
-        # The PR4-era event-at-a-time worklist driver is retained
-        # behind array_driver=False; both must be bit-identical.
+    def test_tape_bailout_falls_back_to_worklist_driver(self, monkeypatch):
+        # An order-free trace whose tape build bails out runs on the
+        # event-at-a-time worklist driver, still bit-identical to scalar.
         net = zero_net(n_buses=0)
         t = self._racing_trace()
+        monkeypatch.setattr(replay_batch_mod, "_tape_for",
+                            lambda trace, net: None)
         reg = get_metrics()
-        work0 = reg.counter("replay.batch.worklist_events")
-        lock0 = reg.counter("replay.batch.lockstep_events")
+        drv0 = reg.counter("replay.batch.driver.worklist")
+        fb0 = reg.counter("replay.batch.array_fallbacks")
         arr0 = reg.counter("replay.batch.array_events")
-        out_w = replay_batch(t, net, self.duration, 2, array_driver=False)
-        # The worklist run reports worklist events — never lockstep or
-        # array ones (each driver owns exactly one counter).
-        assert reg.counter("replay.batch.worklist_events") > work0
-        assert reg.counter("replay.batch.lockstep_events") == lock0
+        out = replay_batch(t, net, self.duration, 2)
+        assert reg.counter("replay.batch.driver.worklist") - drv0 == 1
+        assert reg.counter("replay.batch.array_fallbacks") - fb0 == 1
         assert reg.counter("replay.batch.array_events") == arr0
-        out_a = replay_batch(t, net, self.duration, 2)
-        assert reg.counter("replay.batch.array_events") > arr0
         for c in range(2):
-            assert_results_equal(out_w[c], out_a[c])
+            ref = replay(t, net,
+                         lambda r, p, _c=c: self.duration(r, p)[_c])
+            assert_results_equal(ref, out[c])
 
 
 class TestFiniteBusFastPath:
-    """Regression pin for the BENCH_replay_batch finite-bus scenario:
+    """Regression pin for the ``micro.bus_arbitration`` finite-bus scenario:
     16 LULESH ranks x 32 configs x 8 buses must stay on the vectorized
     lockstep path (the PR4 peel driver collapsed it to 29/32 scalar
     re-runs)."""

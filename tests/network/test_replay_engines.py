@@ -1,7 +1,8 @@
 """Engine equivalence, matching-order regressions, and deadlock
 diagnostics for the reactive replay engine.
 
-The event-driven engine and the polling reference both step the ready
+The event-driven engine and the test-local polling reference
+(:mod:`tests.network.polling_oracle`) both step the ready
 rank with the minimum ``(clock, rank)`` key, so the finite-bus pool —
 the only shared resource whose grant order matters — is exercised in
 one deterministic global-time order.  These tests pin that contract:
@@ -18,8 +19,18 @@ from hypothesis import strategies as st
 from repro.apps import get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
-from repro.network.replay import REPLAY_ENGINES
 from repro.trace import BurstTrace, ComputePhase, MpiCall, RankTrace, TaskRecord
+
+from .polling_oracle import polling_replay
+
+#: The production event engine and the polling reference.
+ENGINES = ("event", "polling")
+
+
+def run(t, net, duration, engine, **kw):
+    """Replay ``t`` on ``engine`` (one of :data:`ENGINES`)."""
+    fn = replay if engine == "event" else polling_replay
+    return fn(t, net, duration, **kw)
 
 
 def phase(duration=100.0, phase_id=0):
@@ -77,8 +88,8 @@ class TestEagerCostRegressions:
              MpiCall(kind="wait", request=0)],
             [MpiCall(kind="recv", peer=2, size_bytes=100)],
         ])
-        for engine in REPLAY_ENGINES:
-            res = replay(t, net, const_duration(0.0), engine=engine)
+        for engine in ENGINES:
+            res = run(t, net, const_duration(0.0), engine)
             assert res.p2p_ns[3] == pytest.approx(1100.0)
             assert res.total_ns == pytest.approx(1100.0)
 
@@ -95,8 +106,8 @@ class TestEagerCostRegressions:
             [MpiCall(kind="recv", peer=0, size_bytes=100)],
             [MpiCall(kind="recv", peer=0, size_bytes=100)],
         ])
-        for engine in REPLAY_ENGINES:
-            res = replay(t, net, const_duration(0.0), engine=engine)
+        for engine in ENGINES:
+            res = run(t, net, const_duration(0.0), engine)
             assert res.p2p_ns[1] == pytest.approx(100.0)
             assert res.p2p_ns[2] == pytest.approx(200.0)
 
@@ -112,9 +123,9 @@ class TestRendezvousCostRegressions:
     NET = dict(n_buses=1, eager_threshold_bytes=64)
 
     def _run(self, t, durations, engine):
-        return replay(t, zero_net(**self.NET), durations, engine=engine)
+        return run(t, zero_net(**self.NET), durations, engine)
 
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_receiver_side_match_charges_bus(self, engine):
         # Ranks 2->3 hold the single bus for [0, 1000].  Rank 0's
         # rendezvous send is advertised at 0; rank 1 matches it from
@@ -129,7 +140,7 @@ class TestRendezvousCostRegressions:
         res = self._run(t, lambda r, p: 500.0, engine)
         assert res.total_ns == pytest.approx(2000.0)
 
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_match_directions_price_identically(self, engine):
         # The mirrored scenario — who waits for whom is swapped, so the
         # sender-side path prices one trace and the receiver-side path
@@ -152,7 +163,7 @@ class TestRendezvousCostRegressions:
         assert a.p2p_ns[0] + a.p2p_ns[1] == pytest.approx(
             b.p2p_ns[0] + b.p2p_ns[1])
 
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_receiver_side_match_advances_sender_link(self, engine):
         # Two rendezvous sends from rank 0, both matched from the
         # receiver side at t=10.  The second transfer serializes on
@@ -163,13 +174,13 @@ class TestRendezvousCostRegressions:
             [phase(10.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
             [phase(10.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
         ])
-        res = replay(t, zero_net(eager_threshold_bytes=64),
-                     lambda r, p: 10.0, engine=engine)
+        res = run(t, zero_net(eager_threshold_bytes=64),
+                  lambda r, p: 10.0, engine)
         assert res.total_ns == pytest.approx(2010.0)
 
 
 class TestDeadlockDiagnostic:
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_names_stuck_ranks_and_events(self, engine):
         t = trace([
             [phase(), MpiCall(kind="recv", peer=1, size_bytes=8)],
@@ -177,9 +188,9 @@ class TestDeadlockDiagnostic:
         ])
         with pytest.raises(RuntimeError,
                            match=r"rank 0@event1:recv\(peer=1\)"):
-            replay(t, zero_net(), const_duration(1.0), engine=engine)
+            run(t, zero_net(), const_duration(1.0), engine)
 
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_counts_stuck_ranks(self, engine):
         t = trace([
             [MpiCall(kind="barrier")],
@@ -187,15 +198,10 @@ class TestDeadlockDiagnostic:
             [],
         ])
         with pytest.raises(RuntimeError, match=r"2 rank\(s\) stuck"):
-            replay(t, zero_net(), const_duration(0.0), engine=engine)
+            run(t, zero_net(), const_duration(0.0), engine)
 
 
 class TestEngineValidation:
-    def test_unknown_engine_rejected(self):
-        t = trace([[phase()]])
-        with pytest.raises(ValueError, match="engine"):
-            replay(t, zero_net(), const_duration(1.0), engine="bogus")
-
     def test_rank_order_must_be_permutation(self):
         t = trace([[phase()], [phase()]])
         with pytest.raises(ValueError, match="rank_order"):
@@ -219,13 +225,12 @@ class TestAppTraceEquivalence:
                 bandwidth_gbs=musa.network.bandwidth_gbs,
                 cpu_overhead_us=musa.network.cpu_overhead_us,
                 n_buses=n_buses)
-            ref = replay(tr, net, duration, engine="polling")
-            ev = replay(tr, net, duration, engine="event")
+            ref = polling_replay(tr, net, duration)
+            ev = replay(tr, net, duration)
             assert_results_equal(ref, ev)
             shuffled = list(reversed(range(8)))
             assert_results_equal(
-                ref, replay(tr, net, duration, engine="event",
-                            rank_order=shuffled))
+                ref, replay(tr, net, duration, rank_order=shuffled))
 
 
 # --------------------------------------------------------------------------
@@ -290,8 +295,8 @@ class TestOrderIndependenceProperty:
         t, order, n_buses = data
         net = NetworkConfig(latency_us=0.1, bandwidth_gbs=10.0,
                             cpu_overhead_us=0.05, n_buses=n_buses)
-        ref = replay(t, net, _skewed_duration, engine="polling")
-        for engine in REPLAY_ENGINES:
+        ref = polling_replay(t, net, _skewed_duration)
+        for engine in ENGINES:
             assert_results_equal(
-                ref, replay(t, net, _skewed_duration, engine=engine,
-                            rank_order=order))
+                ref, run(t, net, _skewed_duration, engine,
+                         rank_order=order))

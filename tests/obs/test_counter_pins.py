@@ -5,7 +5,6 @@ the CLI metrics summary all key on these exact strings.  Renaming one
 must fail here first, not silently blind the instrumentation.
 """
 
-import os
 import tempfile
 from pathlib import Path
 
@@ -21,9 +20,6 @@ from repro.core import sweep as sweep_mod
 from repro.core.musa import Musa
 from repro.network.replay_batch import replay_batch
 from repro.obs import MetricsRegistry, get_metrics, set_metrics, summarize
-from repro.runtime import jit, simulate_phase
-from repro.runtime.openmp import pipeline_deps
-from repro.trace import ComputePhase, TaskRecord
 
 #: 12-point space the fixture's active search explores: big enough
 #: that the seed stage leaves points for at least one proposal round
@@ -76,20 +72,6 @@ def workload_counters():
         search_front("spmz", _SEARCH_SPACE, max_evals=len(_SEARCH_SPACE),
                      patience=None, metrics=reg,
                      evaluator=sweep_mod._BATCH_EVALUATORS.get("spmz"))
-
-        os.environ[jit.JIT_ENV_VAR] = "python"
-        jit._reset_backend()
-        try:
-            deps = pipeline_deps(4, 4)
-            tasks = tuple(TaskRecord(kernel="k", duration_ns=100.0 + i,
-                                     deps=deps[i])
-                          for i in range(len(deps)))
-            simulate_phase(ComputePhase(phase_id=0, tasks=tasks,
-                                        serial_ns=0.0, creation_ns=0.0,
-                                        critical_ns=0.0), 4)
-        finally:
-            os.environ.pop(jit.JIT_ENV_VAR, None)
-            jit._reset_backend()
     finally:
         set_metrics(prev)
     yield reg.snapshot()["counters"]
@@ -109,10 +91,8 @@ def test_required_counters_are_real_emitted_names(workload_counters):
     counters = workload_counters
     # Every counter the bench registry contracts on must be one the
     # smoke-scale workloads actually emit (lockstep/fork/peel counters
-    # come from the finite-bus path and the worklist counter from the
-    # retained fallback driver, each exercised by its own benchmark).
-    always = set(REQUIRED_COUNTERS) - {"replay.batch.worklist_events",
-                                       "replay.batch.lockstep_events",
+    # come from the finite-bus path, exercised by its own benchmark).
+    always = set(REQUIRED_COUNTERS) - {"replay.batch.lockstep_events",
                                        "replay.batch.driver.lockstep",
                                        "replay.batch.peeled_configs"}
     for name in always:
@@ -160,7 +140,7 @@ def test_array_driver_does_not_alias_other_drivers(workload_counters):
     counters = workload_counters
     # Regression pin for the PR5-era counter aliasing: a pure
     # array-driver workload double-reported every array event as a
-    # lockstep event (BENCH_hotpaths.json showed 138,018,816 of each).
+    # lockstep event (138,018,816 of each on the 864x256 replay sweep).
     # Each driver owns exactly one event counter now.
     assert counters.get("replay.batch.array_events", 0) > 0
     assert counters.get("replay.batch.driver.array", 0) > 0
@@ -172,11 +152,10 @@ def test_array_driver_does_not_alias_other_drivers(workload_counters):
 
 def test_dse_counters_emitted(workload_counters):
     counters = workload_counters
-    # Shard scheduler (inline sweeps still deal shards), active search
-    # and the interpreted JIT backend all reported into the fixture run.
+    # Shard scheduler (inline sweeps still deal shards) and active
+    # search both reported into the fixture run.
     for name in ("sweep.shards", "search.evaluated", "search.rounds",
-                 "search.front_size", "sched.jit.calls",
-                 "sched.jit.enabled"):
+                 "search.front_size"):
         assert counters.get(name, 0) > 0, f"counter {name} never emitted"
 
 
@@ -190,7 +169,6 @@ def test_summarize_maps_dse_counters():
         "search.rounds": "search_rounds",
         "search.front_size": "search_front_size",
         "search.surrogate_rank_calls": "search_surrogate_rank_calls",
-        "sched.jit.calls": "sched_jit_calls",
     }
     reg = MetricsRegistry()
     for i, name in enumerate(mapping, start=1):
