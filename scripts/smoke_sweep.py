@@ -21,13 +21,30 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.apps import get_app
 from repro.config import smoke_design_space
-from repro.core import (FailNTimes, SweepAbort, merge_journal,
+from repro.core import (FailNTimes, Musa, SweepAbort, merge_journal,
                         replay_journal, run_sweep)
-from repro.obs import MetricsRegistry, summarize
+from repro.obs import MetricsRegistry, set_metrics, summarize
 
 APPS = ["spmz", "hydro"]
 SPACE = smoke_design_space()  # 8 configurations
+
+
+def scalar_records(metrics, n_ranks=256, mode="fast"):
+    """Per-config scalar ``Musa.simulate_node`` records in sweep order,
+    reporting into ``metrics``."""
+    prev = set_metrics(metrics)
+    try:
+        out = []
+        for app in APPS:
+            musa = Musa(get_app(app))
+            out += [musa.simulate_node(node, n_ranks=n_ranks,
+                                       mode=mode).record()
+                    for node in SPACE]
+        return out
+    finally:
+        set_metrics(prev)
 
 
 def main() -> int:
@@ -46,11 +63,9 @@ def main() -> int:
         "batched sweep never used the vectorized phase scheduler"
 
     reg_s = MetricsRegistry()
-    scalar = run_sweep(APPS, SPACE, processes=1, batch=False,
-                       metrics=reg_s)
-    assert reg_s.counter("sweep.batch.configs") == 0
-    assert json.dumps(list(scalar), sort_keys=True) == reference, \
-        "batched sweep differs from scalar sweep"
+    scalar = scalar_records(reg_s)
+    assert json.dumps(scalar, sort_keys=True) == reference, \
+        "batched sweep differs from scalar simulate_node"
     print(f"  batched == scalar: {len(cold)} records bit-identical")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,20 +141,16 @@ def main() -> int:
           f"1 and 2 workers, {int(dr['replay_events'])} events, "
           f"{int(dr['replay_messages'])} messages")
 
-    # 5. Config-vectorized replay (the batched default above) vs the
-    #    per-config scalar replay path: byte-for-byte identical
-    #    ResultSets.
+    # 5. Config-vectorized replay (the sweep above) vs per-config
+    #    scalar replay through simulate_node: byte-for-byte identical.
     reg_rs = MetricsRegistry()
-    replay_scalar = run_sweep(APPS, SPACE, n_ranks=16, processes=1,
-                              mode="replay", batch=False, metrics=reg_rs)
+    replay_scalar = scalar_records(reg_rs, n_ranks=16, mode="replay")
     drs = summarize(reg_rs.snapshot())["derived"]
-    assert drs["replay_lockstep_events"] == 0
-    assert drs["replay_array_events"] == 0
-    assert json.dumps(list(replay_scalar), sort_keys=True) == replay_ref, \
+    assert drs["replay_events"] > 0 and drs["replay_array_events"] == 0
+    assert json.dumps(replay_scalar, sort_keys=True) == replay_ref, \
         "config-vectorized replay differs from per-config replay"
     print(f"  replay batching OK: batched == per-config byte-for-byte, "
-          f"{int(dr['replay_array_events'])} array events, "
-          f"{int(dr['replay_peeled_configs'])} peeled")
+          f"{int(dr['replay_array_events'])} array events")
 
     # 6. Sharded campaign: two disjoint K/N shards journaled separately,
     #    merged with merge_journal, must resume into the canonical

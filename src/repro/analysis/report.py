@@ -64,11 +64,7 @@ def format_metrics_summary(summary: Dict) -> str:
             ["replay wakeups", d.get("replay_wakeups", 0)],
             ["replay messages", d.get("replay_messages", 0)],
             ["replay bus waits", d.get("replay_bus_waits", 0)],
-            ["replay lockstep events", d.get("replay_lockstep_events", 0)],
             ["replay array events", d.get("replay_array_events", 0)],
-            ["replay worklist events", d.get("replay_worklist_events", 0)],
-            ["replay forked groups", d.get("replay_forked_groups", 0)],
-            ["replay peeled configs", d.get("replay_peeled_configs", 0)],
         ]
     if d.get("miss_batch_geometries", 0):
         rows.append(["miss-model geometries evaluated",

@@ -82,7 +82,7 @@ class BenchCase:
     #: Counters whose run-over-run *delta* is recorded into the result's
     #: ``meta["counters"]`` — the ledger keeps them, so a measurement
     #: can prove which driver actually ran (a silent tape bail-out
-    #: increments ``replay.batch.driver.worklist``, not ``.array``, and
+    #: increments ``replay.batch.driver.scalar``, not ``.array``, and
     #: can no longer masquerade as an array-driver number).
     record_counters: Tuple[str, ...] = ()
 

@@ -35,7 +35,6 @@ from ..config import (
 from ..core import merge_journal, run_sweep
 from ..core.batch import BatchEvaluator
 from ..core.musa import Musa
-from ..network.model import NetworkConfig
 from ..network.replay import replay
 from ..network.replay_batch import replay_batch
 from ..obs import get_metrics
@@ -60,9 +59,6 @@ REQUIRED_COUNTERS = (
     "sched.batch.fast",
     "replay.batch.array_events",
     "replay.batch.driver.array",
-    "replay.batch.lockstep_events",
-    "replay.batch.driver.lockstep",
-    "replay.batch.peeled_configs",
     "replay.events",
     "sweep.batch.configs",
     "sweep.shards",
@@ -99,13 +95,6 @@ def _records_equal(records, scalar, what: str) -> Optional[str]:
 def _sample_indices(n: int, k: int) -> List[int]:
     stride = max(1, n // k)
     return list(range(0, n, stride))[:k]
-
-
-def _finite_net(net: NetworkConfig, n_buses: int) -> NetworkConfig:
-    return NetworkConfig(
-        latency_us=net.latency_us, bandwidth_gbs=net.bandwidth_gbs,
-        cpu_overhead_us=net.cpu_overhead_us, n_buses=n_buses,
-        eager_threshold_bytes=net.eager_threshold_bytes)
 
 
 def _cfg_scales(n: int) -> np.ndarray:
@@ -244,95 +233,13 @@ def _build_tape_replay(tier: str) -> BenchCase:
         meta={"app": "lulesh", "n_ranks": n_ranks, "n_configs": n_cfg,
               "n_events": sum(len(rt.events) for rt in trace.ranks)},
         # driver.array must move: a silent tape bail-out runs the
-        # worklist driver instead, and may not time the path this
-        # benchmark claims to measure.
+        # per-column scalar fallback instead, and would not time the
+        # path this benchmark claims to measure.
         required_counters=("replay.batch.array_events",
                            "replay.batch.driver.array"),
         record_counters=("replay.batch.driver.array",
-                         "replay.batch.driver.worklist",
+                         "replay.batch.driver.scalar",
                          "replay.batch.array_fallbacks"))
-
-
-def _build_bus_arbitration(tier: str) -> BenchCase:
-    musa, trace, n_ranks, n_cfg, dur_batch, dur_scalar = _replay_workload(
-        tier, 16, 32, 8, 8)
-    net = _finite_net(musa.network, n_buses=8)
-
-    def run():
-        return replay_batch(trace, net, dur_batch, n_cfg)
-
-    def oracle() -> Optional[str]:
-        obs = get_metrics()
-        peeled0 = obs.counter("replay.batch.peeled_configs")
-        batched = replay_batch(trace, net, dur_batch, n_cfg)
-        peeled = obs.counter("replay.batch.peeled_configs") - peeled0
-        if peeled > 2:
-            return (f"peel storm: {peeled}/{n_cfg} configs left the "
-                    f"vectorized lockstep path (bound is 2)")
-        for i in range(n_cfg):
-            ref = replay(trace, net, dur_scalar(i))
-            err = _replay_results_equal(batched[i], ref)
-            if err:
-                return f"fork-lockstep vs scalar replay, config {i}: {err}"
-        return None
-
-    return BenchCase(
-        run=run, oracle=oracle,
-        meta={"app": "lulesh", "n_ranks": n_ranks, "n_configs": n_cfg,
-              "n_buses": 8},
-        required_counters=("replay.batch.lockstep_events",
-                           "replay.batch.driver.lockstep"),
-        record_counters=("replay.batch.driver.lockstep",
-                         "replay.batch.forked_groups",
-                         "replay.batch.peeled_configs"))
-
-
-def _build_bus_lockstep(tier: str) -> BenchCase:
-    # Uniform per-config scales: every column shares one (clock, rank)
-    # step order, so the whole batch runs as a single zero-divergence
-    # lockstep group — this pins the cost of the pure vectorized
-    # finite-bus arbitration machinery (key-matrix argmin + batched
-    # step), with no forking in the measurement.
-    musa, trace, n_ranks, n_cfg, _, _ = _replay_workload(
-        tier, 16, 32, 8, 8)
-    net = _finite_net(musa.network, n_buses=8)
-    rank_scales = musa.app.rank_scales(n_ranks)
-    phase_ns = {id(p): musa.burst_phase(p, 64).makespan_ns
-                for p in musa.phases}
-    ones = np.ones(n_cfg)
-
-    def dur_batch(rank, phase):
-        return phase_ns[id(phase)] * rank_scales[rank] * ones
-
-    def run():
-        return replay_batch(trace, net, dur_batch, n_cfg)
-
-    def oracle() -> Optional[str]:
-        obs = get_metrics()
-        forked0 = obs.counter("replay.batch.forked_groups")
-        peeled0 = obs.counter("replay.batch.peeled_configs")
-        batched = replay_batch(trace, net, dur_batch, n_cfg)
-        if obs.counter("replay.batch.forked_groups") != forked0:
-            return "uniform-scale batch diverged: lockstep group forked"
-        if obs.counter("replay.batch.peeled_configs") != peeled0:
-            return "uniform-scale batch peeled configs to the scalar engine"
-        ref = replay(trace, net,
-                     lambda r, p: phase_ns[id(p)] * rank_scales[r])
-        for i in (0, n_cfg - 1):
-            err = _replay_results_equal(batched[i], ref)
-            if err:
-                return f"lockstep vs scalar replay, config {i}: {err}"
-        return None
-
-    return BenchCase(
-        run=run, oracle=oracle,
-        meta={"app": "lulesh", "n_ranks": n_ranks, "n_configs": n_cfg,
-              "n_buses": 8, "uniform_scales": True},
-        required_counters=("replay.batch.lockstep_events",
-                           "replay.batch.driver.lockstep"),
-        record_counters=("replay.batch.driver.lockstep",
-                         "replay.batch.forked_groups",
-                         "replay.batch.peeled_configs"))
 
 
 def _build_event_engine(tier: str) -> BenchCase:
@@ -413,7 +320,7 @@ def _build_replay_sweep(tier: str) -> BenchCase:
         required_counters=("replay.batch.array_events",
                            "replay.batch.driver.array"),
         record_counters=("replay.batch.driver.array",
-                         "replay.batch.driver.worklist",
+                         "replay.batch.driver.scalar",
                          "replay.batch.array_fallbacks"))
 
 
@@ -472,10 +379,13 @@ def _build_campaign(tier: str) -> BenchCase:
 
     def oracle() -> Optional[str]:
         batched = run_sweep(apps, space, processes=1)
-        scalar = run_sweep(apps, space, processes=1, batch=False)
+        scalar = []
+        for app in apps:
+            musa = Musa(get_app(app))
+            scalar += [musa.simulate_node(node).record() for node in space]
         if json.dumps(list(batched), sort_keys=True) != \
                 json.dumps(list(scalar), sort_keys=True):
-            return "batched campaign differs from the scalar sweep"
+            return "batched campaign differs from scalar simulate_node"
         return None
 
     return BenchCase(
@@ -699,12 +609,6 @@ REGISTRY: Dict[str, Benchmark] = {b.id: b for b in (
     Benchmark("micro.tape_replay", "micro",
               "level-batched array replay driver vs scalar replay",
               _build_tape_replay),
-    Benchmark("micro.bus_arbitration", "micro",
-              "finite-bus fork-on-divergence lockstep batch replay vs "
-              "scalar replay", _build_bus_arbitration),
-    Benchmark("micro.bus_lockstep", "micro",
-              "finite-bus zero-divergence lockstep batch replay "
-              "(uniform scales) vs scalar replay", _build_bus_lockstep),
     Benchmark("micro.event_engine", "micro",
               "scalar event-driven replay engine vs one-column array "
               "replay", _build_event_engine),

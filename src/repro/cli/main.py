@@ -105,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tasks per worker dispatch")
     w.add_argument("--batch-size", type=int, default=256,
                    help="configs per batched evaluation (default 256)")
-    w.add_argument("--no-batch", action="store_true",
-                   help="disable the batched evaluator (one simulation "
-                        "per task; results are identical, just slower)")
     w.add_argument("--profile", type=int, default=None, metavar="N",
                    help="profile the sweep with cProfile and print the "
                         "top-N cumulative hotspots; the raw stats are "
@@ -444,7 +441,6 @@ def cmd_sweep(args) -> int:
                          progress=True, resume=args.resume,
                          timeout_s=args.timeout, max_retries=args.retries,
                          chunk_size=args.chunk_size,
-                         batch=not args.no_batch,
                          batch_size=args.batch_size,
                          mode=args.mode, shard=args.shard)
 

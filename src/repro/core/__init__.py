@@ -5,10 +5,8 @@ from .canon import canonical_dumps, canonical_loads, content_digest
 from .checkpoint import (
     Journal,
     JournalReplay,
-    load_checkpoint,
     merge_journal,
     replay_journal,
-    run_sweep_checkpointed,
     task_key,
 )
 from .compare import AppDelta, NodeComparison, compare_nodes
@@ -59,14 +57,12 @@ __all__ = [
     "energy_delay_product",
     "energy_delay_squared",
     "geo_mean",
-    "load_checkpoint",
     "merge_journal",
     "normalize_axis",
     "normalized_energy",
     "parallel_efficiency",
     "replay_journal",
     "run_sweep",
-    "run_sweep_checkpointed",
     "simulate_phase_detailed",
     "speedup",
     "store_key",

@@ -48,7 +48,6 @@ from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence, Set, 
 
 from ..obs import inc as obs_inc
 from ..obs import warn as obs_warn
-from ..config.space import DesignSpace
 from .canon import canonical_dumps, canonical_loads
 from .frame import BLOCK_KEY, ResultFrame
 from .results import CONFIG_KEYS, ResultSet
@@ -57,10 +56,8 @@ __all__ = [
     "Journal",
     "JournalReplay",
     "META_KEY",
-    "load_checkpoint",
     "merge_journal",
     "replay_journal",
-    "run_sweep_checkpointed",
     "task_key",
 ]
 
@@ -249,16 +246,6 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
         obs_inc("checkpoint.corrupt_lines", out.corrupt_lines)
     obs_inc("checkpoint.records_loaded", len(out.results))
     return out
-
-
-def load_checkpoint(path: Union[str, Path]) -> ResultSet:
-    """Load the successful records of a journal into a ResultSet.
-
-    Tolerates a truncated final line (the crash case); duplicate
-    records keep their first occurrence (each drop is warned about and
-    counted through :mod:`repro.obs`); failure stubs are excluded.
-    """
-    return replay_journal(path).results
 
 
 #: Merge pass-1 line reference: (path index, byte offset, row).
@@ -470,35 +457,3 @@ def merge_journal(
     obs_inc("checkpoint.merged_journals", len(paths))
     obs_inc("checkpoint.merged_records", len(records))
     return merged
-
-
-def run_sweep_checkpointed(
-    app_names: Sequence[str],
-    space: Optional[DesignSpace] = None,
-    checkpoint_path: Union[str, Path] = "sweep.ckpt.jsonl",
-    n_ranks: int = 256,
-    flush_every: int = 1,
-    progress: bool = False,
-) -> ResultSet:
-    """Run (or resume) a single-process sweep journaled at
-    ``checkpoint_path``.
-
-    Kept as the stable high-level entry point; since the sweep engine
-    itself became journal-aware this is a thin wrapper over
-    :func:`~repro.core.sweep.run_sweep` with ``resume=`` set.  Use
-    ``run_sweep(..., resume=path, processes=N)`` directly for a
-    parallel resumable campaign.
-    """
-    if flush_every <= 0:
-        raise ValueError("flush_every must be positive")
-    from .sweep import run_sweep  # local import: sweep imports this module
-
-    return run_sweep(
-        app_names,
-        space,
-        n_ranks=n_ranks,
-        processes=1,
-        progress=progress,
-        resume=checkpoint_path,
-        fsync_every=flush_every,
-    )

@@ -159,8 +159,7 @@ _BATCH_EVALUATORS: Dict[str, BatchEvaluator] = {}
 #: Per-process task-execution settings, set by the pool initializer
 #: (or directly for inline runs).
 _WORKER: Dict[str, object] = {"fault_hook": None, "timeout_s": None,
-                              "batch": False, "batch_size": 1,
-                              "mode": "fast"}
+                              "batch_size": 1, "mode": "fast"}
 
 
 def _musa_for(app_name: str) -> Musa:
@@ -175,11 +174,10 @@ def _evaluator_for(app_name: str) -> BatchEvaluator:
     return _BATCH_EVALUATORS[app_name]
 
 
-def _init_worker(fault_hook, timeout_s, batch: bool = False,
-                 batch_size: int = 1, mode: str = "fast") -> None:
+def _init_worker(fault_hook, timeout_s, batch_size: int = 1,
+                 mode: str = "fast") -> None:
     _WORKER["fault_hook"] = fault_hook
     _WORKER["timeout_s"] = timeout_s
-    _WORKER["batch"] = batch
     _WORKER["batch_size"] = batch_size
     _WORKER["mode"] = mode
 
@@ -228,24 +226,12 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, old)
 
 
-def _execute_task(task) -> Dict:
-    """One (app, node) simulation, with fault hook and timeout applied."""
-    idx, attempt, app_name, node, n_ranks = task
-    reg = get_metrics()
-    with reg.span("sweep.task"), _deadline(_WORKER["timeout_s"]):
-        hook = _WORKER["fault_hook"]
-        if hook is not None:
-            hook(app_name, node, attempt)
-        return _musa_for(app_name).simulate_node(
-            node, n_ranks=n_ranks, mode=str(_WORKER["mode"])).record()
-
-
 def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
-    """One app x config-batch evaluation (the batched task shape).
+    """One app x config-batch evaluation (the unit of sweep work).
 
     ``batch`` is a list of ``(idx, attempt, app_name, node, n_ranks)``
-    tuples sharing one ``app_name``.  Semantics mirror running each
-    member through :func:`_execute_task`:
+    tuples sharing one ``app_name``.  Retry and abort semantics stay
+    per config:
 
     * the fault hook runs per member; a member whose hook raises a
       transient error fails *individually* and the rest proceed;
@@ -364,29 +350,18 @@ def _run_chunk(chunk) -> Tuple[List[Tuple], Dict]:
     outcomes: List[Tuple] = []
     try:
         batch_size = int(_WORKER.get("batch_size") or 1)
-        if _WORKER.get("batch") and batch_size > 1:
-            for batch in _iter_batches(chunk, batch_size):
-                try:
-                    out, abort = _execute_batch(batch)
-                except SweepAbort:
-                    raise
-                except Exception as exc:
-                    out = [(t[0], t[1], False, f"{type(exc).__name__}: {exc}")
-                           for t in batch]
-                    abort = None
-                outcomes.extend(out)
-                if abort is not None:
-                    raise abort
-        else:
-            for task in chunk:
-                idx, attempt = task[0], task[1]
-                try:
-                    outcomes.append((idx, attempt, True, _execute_task(task)))
-                except SweepAbort:
-                    raise
-                except Exception as exc:
-                    outcomes.append((idx, attempt, False,
-                                     f"{type(exc).__name__}: {exc}"))
+        for batch in _iter_batches(chunk, batch_size):
+            try:
+                out, abort = _execute_batch(batch)
+            except SweepAbort:
+                raise
+            except Exception as exc:
+                out = [(t[0], t[1], False, f"{type(exc).__name__}: {exc}")
+                       for t in batch]
+                abort = None
+            outcomes.extend(out)
+            if abort is not None:
+                raise abort
     finally:
         set_metrics(prev)
         prev.merge(chunk_reg.snapshot())
@@ -586,56 +561,26 @@ class _Scheduler:
                                         attempt + 1))
 
 
-def _pop_batch(sched: _Scheduler, n_ranks: int, batch_size: int) -> List:
-    """Pop a maximal run of queued tasks sharing the front task's app."""
-    idx, attempt = sched.queue.popleft()
-    app_name, node = sched.tasks[idx]
-    batch = [(idx, attempt, app_name, node, n_ranks)]
-    while sched.queue and len(batch) < batch_size:
-        nxt_idx = sched.queue[0][0]
-        if sched.tasks[nxt_idx][0] != app_name:
-            break
-        idx, attempt = sched.queue.popleft()
-        _, node = sched.tasks[idx]
-        batch.append((idx, attempt, app_name, node, n_ranks))
-    return batch
-
-
 def _run_inline(sched: _Scheduler, n_ranks: int) -> None:
     batch_size = int(_WORKER.get("batch_size") or 1)
-    batched = bool(_WORKER.get("batch")) and batch_size > 1
     while sched.pending():
         sched.promote_ready_retries()
         if not sched.queue:
             time.sleep(min(sched.next_retry_delay() or 0.0, 0.05))
             continue
-        if batched:
-            batch = _pop_batch(sched, n_ranks, batch_size)
-            sched.reg.inc("sweep.shards")
-            try:
-                outcomes, abort = _execute_batch(batch)
-            except Exception as exc:
-                outcomes = [(t[0], t[1], False,
-                             f"{type(exc).__name__}: {exc}") for t in batch]
-                abort = None
-            sched.record_outcomes(outcomes)
-            if abort is not None:
-                # Pre-abort members are journaled above before the
-                # campaign stops — a resume skips them.
-                raise abort
-            continue
-        idx, attempt = sched.queue.popleft()
-        app_name, node = sched.tasks[idx]
+        batch = _pop_chunk(sched, n_ranks, batch_size)
         sched.reg.inc("sweep.shards")
         try:
-            rec = _execute_task((idx, attempt, app_name, node, n_ranks))
-        except SweepAbort:
-            raise
+            outcomes, abort = _execute_batch(batch)
         except Exception as exc:
-            sched.record_outcome(idx, attempt, False,
-                                 f"{type(exc).__name__}: {exc}")
-        else:
-            sched.record_outcome(idx, attempt, True, rec)
+            outcomes = [(t[0], t[1], False,
+                         f"{type(exc).__name__}: {exc}") for t in batch]
+            abort = None
+        sched.record_outcomes(outcomes)
+        if abort is not None:
+            # Pre-abort members are journaled above before the
+            # campaign stops — a resume skips them.
+            raise abort
 
 
 def _drain_ready(sched: _Scheduler, inflight: Dict[int, object],
@@ -657,12 +602,7 @@ def _drain_ready(sched: _Scheduler, inflight: Dict[int, object],
                 abort = exc
             continue
         sched.reg.merge(delta)
-        recorder = getattr(sched, "record_outcomes", None)
-        if recorder is not None:
-            recorder(outcomes)
-        else:  # minimal scheduler doubles (tests) only record per-task
-            for idx, attempt, ok, payload in outcomes:
-                sched.record_outcome(idx, attempt, ok, payload)
+        sched.record_outcomes(outcomes)
     if abort is not None:
         raise abort
 
@@ -757,8 +697,8 @@ def _make_shards(sched: _Scheduler, n_ranks: int, chunk_size: int) -> List:
 
 
 def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
-                chunk_size: int, fault_hook, timeout_s, batch,
-                batch_size, mode) -> None:
+                chunk_size: int, fault_hook, timeout_s, batch_size,
+                mode) -> None:
     """Work-stealing shard scheduler over dedicated worker processes.
 
     Queued tasks are packed into app x config-batch shards and dealt
@@ -775,7 +715,7 @@ def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
     """
     reg = sched.reg
     ctx = _pool_context()
-    init_args = (fault_hook, timeout_s, batch, batch_size, mode)
+    init_args = (fault_hook, timeout_s, batch_size, mode)
     results_q = ctx.Queue()
     inboxes = []
     workers = []
@@ -909,7 +849,6 @@ def run_sweep(
     chunk_size: Optional[int] = None,
     fault_hook: Optional[Callable[[str, NodeConfig, int], None]] = None,
     metrics: Optional[MetricsRegistry] = None,
-    batch: bool = True,
     batch_size: int = 256,
     mode: str = "fast",
     shard: Optional[Union[str, Tuple[int, int]]] = None,
@@ -942,20 +881,18 @@ def run_sweep(
     chunk_size:
         Tasks per worker dispatch (default: sized so each worker sees
         ~4 chunks, capped at ``batch_size`` so batched shards keep
-        their column count — or at 32 when ``batch=False``).
+        their column count).
     fault_hook:
         ``hook(app_name, node, attempt)`` called before each attempt;
         raising simulates a worker failure (see :class:`FailNTimes`).
     metrics:
         Registry to report into (default: the process-global one).
-    batch:
-        Evaluate config batches through the column-wise
-        :class:`~repro.core.batch.BatchEvaluator` (the fast path; the
-        results are bitwise-identical to scalar evaluation).  Disable
-        to force one simulation per task.
     batch_size:
-        Upper bound on configs per batched evaluation; also scales the
-        batch's wall-clock budget (``timeout_s x len(batch)``).
+        Upper bound on configs per column-wise
+        :class:`~repro.core.batch.BatchEvaluator` evaluation (results
+        are bitwise-identical to per-config ``Musa.simulate_node``);
+        also scales the batch's wall-clock budget
+        (``timeout_s x len(batch)``).
     mode:
         ``'fast'`` (default) evaluates each point with the analytic
         communication-invariant model; ``'replay'`` splices the same
@@ -1041,18 +978,16 @@ def run_sweep(
             sched.queue.extend((i, 0) for i in pending)
 
             if processes <= 1 or len(pending) <= 1:
-                _init_worker(fault_hook, timeout_s, batch, batch_size, mode)
+                _init_worker(fault_hook, timeout_s, batch_size, mode)
                 _run_inline(sched, n_ranks)
             else:
                 if chunk_size is None:
                     # Coarse shards keep the batched evaluator's column
-                    # count high (work-stealing absorbs the imbalance);
-                    # scalar evaluation wants finer dispatch.
-                    cap = batch_size if batch else 32
-                    chunk_size = min(cap, max(1, len(pending)
-                                              // (processes * 4)))
+                    # count high (work-stealing absorbs the imbalance).
+                    chunk_size = min(batch_size, max(1, len(pending)
+                                                     // (processes * 4)))
                 _run_pooled(sched, n_ranks, processes, chunk_size,
-                            fault_hook, timeout_s, batch, batch_size, mode)
+                            fault_hook, timeout_s, batch_size, mode)
     finally:
         if journal is not None:
             journal.close()

@@ -30,21 +30,15 @@ An empty ready set with ranks still outstanding is a genuine
 communication deadlock in the trace and raises, naming the stuck ranks
 and the events they are stuck on.
 
-Design-space sweeps that replay one trace under many node
-configurations should use :func:`repro.network.replay_batch.replay_batch`,
-which carries a NumPy configuration axis through this core's state and
-prices the whole batch in one pass — bit-identically to per-config
-scalar replay.  The shared-grant semantics carry over column-wise:
-with unlimited buses the ``(clock, rank)`` order is unobservable and
-any structurally valid order prices identically, so whole batches share
-one pass; with a finite pool the batched driver steps lockstep groups
-in this same minimum-``(clock, rank)`` order per configuration and
-*forks* a group whenever per-config clocks disagree on the next grant,
-so every column still executes exactly this core's step sequence.  Its
-``_LockstepCore.step`` transliterates :meth:`_ReplayCore.step` branch
-for branch: any change to the stepping logic here must be mirrored
-there (the equivalence property tests in
-``tests/network/test_replay_batch.py`` will catch a drift).
+This engine is the one scalar reference for replay.  Design-space
+sweeps that replay one trace under many node configurations go through
+:func:`repro.network.replay_batch.replay_batch`: with unlimited buses
+the ``(clock, rank)`` order is unobservable, so it prices the whole
+batch from a structural tape in one NumPy pass; anything else (a
+finite bus pool, where per-config clocks decide the grant order) runs
+this engine once per configuration.  The tape path's equivalence to
+this engine is pinned by the property tests in
+``tests/network/test_replay_batch.py``.
 """
 
 from __future__ import annotations

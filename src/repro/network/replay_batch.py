@@ -1,4 +1,4 @@
-"""Config-vectorized MPI trace replay: one event-engine pass per batch.
+"""Config-vectorized MPI trace replay: one pass per design-space batch.
 
 The scalar replay (:mod:`repro.network.replay`) walks a trace once per
 node configuration, even though within one design-space batch the trace
@@ -7,104 +7,55 @@ the network is fixed across the space (as in MUSA, where the Dimemas
 parameters never change), so message sizes, eager/rendezvous protocol
 choices, matching, collective membership and blocking structure are all
 configuration-invariant.  Only the compute-phase durations differ per
-configuration, which perturbs the virtual clocks but usually not the
-global ``(clock, rank)`` step order that the scalar engine follows.
+configuration.
 
-This module exploits that with three drivers, all carrying a NumPy
-*configuration axis* through every quantity the scalar ``_ReplayCore``
-keeps as a float — rank clocks, outgoing-link ``link_free`` times,
-bus-pool free slots, buffered eager arrivals, rendezvous release slots,
-request completion times, collective entry times:
+:func:`replay_batch` has exactly two paths:
 
-**Array driver** (:func:`_run_array_tape`).  On the order-free path
-(see below) the event order is not just irrelevant — the whole matching
-is *structural*, so :func:`_build_tape` resolves it once in pure Python
-(no floats), levels the resulting value DAG by dependency depth, and
-the driver executes it level by level with one NumPy pass per
-(level, kind) group: all of a level's eager sends price in one
-vectorized expression over (events-in-level x configs), and likewise
-for receives, rendezvous handshakes, waits and collectives.  Full-rank
-groups (the bulk-synchronous common case) run as ``out=``-pipelined
-in-place kernels over two reusable workspace matrices, so a level costs
-stream passes over the state, not allocator round-trips for chained
-temporaries — at paper scale (864 configs x 256 ranks) the temporaries
-were the whole difference between losing and decisively beating the
-worklist driver.  Every float64 operation along a column stays the
-identical scalar operation — see the tape section below for why dropped
-clamps are exact no-ops.  Any structural snag (would-deadlock, unknown
-wait request, ragged collective) falls back to the worklist driver.
-
-**Worklist driver** (:func:`_run_shared`).  The scalar replay is
+**Array tape** (:func:`_run_array_tape`).  The scalar replay is
 *confluent* whenever no shared resource couples ranks: every message
-cost is computed from endpoint-local dataflow values (the sender's
-clock and ``link_free`` when *it* reaches the send, the receiver's
-clock when *it* posts the receive), collective completion is a
-commutative max over entry times, and FIFO matching per
-``(src, dst, tag)`` pairs the k-th send with the k-th receive under
-any interleaving.  The global ``(clock, rank)`` step order exists
-solely to serialize the finite-bus pool (see
-:mod:`repro.network.replay`'s docstring) — plus one structural corner:
-a key carrying both eager-buffered and rendezvous sends, where
-matching prefers whichever eager send is outstanding at discovery
-time.  :func:`_order_free` checks both conditions (``n_buses == 0``
-and protocol-pure keys, one O(events) scan); when they hold — they do
-for the paper's MareNostrum4-like network, which has an unlimited bus
-pool — *any* structurally valid order yields, per configuration, the
-bit-exact scalar result, so one pass with a trivial run-until-blocked
-worklist steps all configurations at once with **zero** divergence
-checking.  It survives as the fallback for traces whose tape build
-bails out.
+cost is computed from endpoint-local dataflow values, collective
+completion is a commutative max over entry times, and FIFO matching per
+``(src, dst, tag)`` pairs the k-th send with the k-th receive under any
+interleaving.  The global ``(clock, rank)`` step order exists solely to
+serialize the finite-bus pool — plus one structural corner: a key
+carrying both eager-buffered and rendezvous sends.  :func:`_order_free`
+checks both conditions (``n_buses == 0`` and protocol-pure keys, one
+O(events) scan).  They hold for the paper's MareNostrum4-like network,
+which has an unlimited bus pool, and for every bundled app on it.  The
+whole matching is then *structural*: :func:`_build_tape` resolves it
+once in pure Python (no floats), levels the resulting value DAG by
+dependency depth, and the driver executes it level by level with one
+NumPy pass per (level, kind) group over (events-in-level x configs).
+Full-rank groups (the bulk-synchronous common case) run as
+``out=``-pipelined in-place kernels over two reusable workspace
+matrices, so a level costs stream passes over the state, not allocator
+round-trips for chained temporaries.  Every float64 operation along a
+column stays the identical scalar operation — see the tape section
+below for why dropped clamps are exact no-ops.
 
-**Fork-on-divergence lockstep driver** (:func:`_run_lockstep`).  When
-the bus pool is finite (or a key mixes protocols), per-configuration
-order *does* matter.  The next rank to step is then chosen exactly like
-the scalar engine chooses it, per configuration: a dense (rank, config)
-key matrix holds each rank's clock column (``+inf`` when blocked or
-done) and one ``argmin(axis=0)`` per step yields every column's choice
-— NumPy's first-minimum tie-break is the scalar ``(clock, rank)`` tuple
-order.
-Wherever every configuration in a lockstep group agrees on the choice,
-one step serves the whole group.  Where they disagree (a per-config
-compute duration flipped the bus-grant order), the group *forks*: its
-columns are partitioned by their chosen rank and the full core state —
-clocks, queues, bus pool, collective bookkeeping — is column-sliced
-into one independent child core per partition, each of which continues
-from the divergence point executing exactly its columns' scalar step
-sequence.  Forking replaces the old modal-vote *peel* (re-replaying
-disagreeing columns from scratch on the scalar engine, which collapsed
-to 29/32 scalar re-runs on bus-contended batches); columns now leave
-the vectorized path only on a genuine structural deadlock, where the
-scalar engine owns the diagnostic.
-
-Either way, every arithmetic operation along a column is the same
-IEEE-754 float64 operation the scalar core performs (element-wise
-instead of one at a time), so results are **bit-identical** to
-per-config scalar replay — deadlocked columns trivially so, because
-the scalar engine produces them.  The step outcome itself (advance vs
-block, match vs buffer, collective complete vs park) depends only on
-*structural* state — queue occupancy, request bookkeeping, collective
-membership — which is identical across columns that share a step
-history; only the *selection* of which rank steps next reads the
-clocks, and only when a shared resource makes that order observable.
+**Scalar reference** (:func:`_run_scalar`).  Everything else — a
+finite bus pool, whose grant order depends on each configuration's
+clocks; a protocol-mixed key; or a tape that cannot be built (would
+deadlock, waits on an unknown request, prices a ragged collective) —
+runs the scalar event engine :func:`~repro.network.replay.replay` once
+per column.  Each ``(rank, phase)`` duration column is computed once
+per call and every column's replay indexes into it.  The results, and
+any deadlock diagnostic, are the reference's by construction.
 
 Counters: ``replay.batch.array_events`` (config-events priced by the
-array driver), ``replay.batch.worklist_events`` (config-events served
-by the event-at-a-time worklist pass), ``replay.batch.lockstep_events``
-(config-events served by lockstep groups), ``replay.batch.driver.*``
-(``array`` / ``worklist`` / ``lockstep`` — which driver a
+array driver), ``replay.batch.driver.{array,scalar}`` (which path a
 :func:`replay_batch` call actually ran, so a silent tape bail-out can
 never masquerade as an array-driver run), ``replay.batch.array_fallbacks``
-(order-free batches whose tape could not be built),
-``replay.batch.forked_groups`` (child groups created at divergence
-points), ``replay.batch.peeled_configs`` (columns finished on the
-scalar engine — deadlock diagnostics only), plus the scalar-equivalent
-``replay.events`` / ``replay.messages`` / ``replay.bus_waits`` totals.
+(order-free batches whose tape could not be built), plus the
+scalar-equivalent ``replay.events`` / ``replay.messages`` totals (the
+scalar path reports those, and ``replay.bus_waits``, through its
+``replay()`` calls).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,399 +71,6 @@ __all__ = ["replay_batch", "BatchPhaseDurationFn"]
 
 #: Maps (rank, phase) to a per-configuration duration column (ns).
 BatchPhaseDurationFn = Callable[[int, ComputePhase], np.ndarray]
-
-
-class _BatchBusPool:
-    """Column-wise Dimemas finite-bus pool.
-
-    Semantically the scalar pool is a multiset of per-bus free times
-    with pop-min/push; which physical slot serves a transfer is
-    unobservable, so an argmin over a dense array reproduces the heap's
-    results exactly, column by column.
-    """
-
-    def __init__(self, n_buses: int, n_cols: int) -> None:
-        self.n_buses = n_buses
-        self.n_cols = n_cols
-        self.n_waits = np.zeros(n_cols, dtype=np.int64)
-        if n_buses > 0:
-            self._free = np.zeros((n_buses, n_cols))
-            self._cols = np.arange(n_cols)
-
-    def acquire(self, ready: np.ndarray, duration_ns: float) -> np.ndarray:
-        if self.n_buses <= 0:
-            return ready
-        idx = np.argmin(self._free, axis=0)
-        earliest = self._free[idx, self._cols]
-        start = np.maximum(ready, earliest)
-        self.n_waits += start > ready
-        self._free[idx, self._cols] = start + duration_ns
-        return start
-
-    def fork(self, idx: np.ndarray) -> "_BatchBusPool":
-        """Column-slice of the pool (``_free`` is mutated in place, so
-        the fancy-index copy is load-bearing, not defensive)."""
-        new = _BatchBusPool.__new__(_BatchBusPool)
-        new.n_buses = self.n_buses
-        new.n_cols = int(idx.size)
-        new.n_waits = self.n_waits[idx]
-        if self.n_buses > 0:
-            new._free = self._free[:, idx]
-            new._cols = np.arange(new.n_cols)
-        return new
-
-
-class _ColState:
-    """Per-rank state with every float replaced by a config column."""
-
-    __slots__ = ("clock", "cursor", "compute_ns", "p2p_ns", "collective_ns",
-                 "requests", "pending_slot", "link_free", "blocked", "done")
-
-    def __init__(self, n_cols: int) -> None:
-        self.clock = np.zeros(n_cols)
-        self.cursor = 0
-        self.compute_ns = np.zeros(n_cols)
-        self.p2p_ns = np.zeros(n_cols)
-        self.collective_ns = np.zeros(n_cols)
-        self.requests: Dict[int, object] = {}
-        self.pending_slot: Optional[List[Optional[np.ndarray]]] = None
-        self.link_free = np.zeros(n_cols)
-        self.blocked = False
-        self.done = False
-
-
-class _LockstepCore:
-    """The scalar ``_ReplayCore.step`` transliterated onto columns.
-
-    Every float operation becomes the identical element-wise float64
-    operation; every structural decision (queue occupancy, protocol
-    choice, collective membership) is taken once for the whole group.
-    Arrays are never mutated in place once stored, so buffered values
-    (eager arrivals, release slots, request completions) stay frozen at
-    their creation-time columns exactly like the scalar floats they
-    replace.
-
-    All cross-references between queues and rank state are plain data —
-    a pending receive is ``(post_clock, slot, rank)`` where ``slot`` is
-    a one-element list shared with the blocked rank's ``requests`` /
-    ``pending_slot`` — never a closure, so :func:`_fork_core` can
-    column-slice a whole core (preserving slot sharing via an identity
-    memo) when a lockstep group diverges.
-
-    ``col_idx`` maps this core's local columns to absolute batch
-    columns; the root core covers the whole batch (``None``).  Forked
-    cores always index the *original* ``phase_duration`` output with
-    their absolute ``col_idx``, so repeated forks never stack slices.
-    """
-
-    def __init__(self, trace: BurstTrace, net: NetworkConfig,
-                 phase_duration: BatchPhaseDurationFn, n_cols: int,
-                 col_idx: Optional[np.ndarray] = None) -> None:
-        self.trace = trace
-        self.net = net
-        self.phase_duration = phase_duration
-        self.n_cols = n_cols
-        self.col_idx = col_idx
-        self.n = trace.n_ranks
-        self.states = [_ColState(n_cols) for _ in range(self.n)]
-        self.events = [trace.ranks[r].events for r in range(self.n)]
-        # FIFO queues per (src, dst, tag), as in the scalar _Matcher.
-        self.sends = defaultdict(list)
-        self.recvs = defaultdict(list)
-        self.rdv_sends = defaultdict(list)
-        self.buses = _BatchBusPool(net.n_buses, n_cols)
-
-        self.coll_seq = [defaultdict(int) for _ in range(self.n)]
-        self.coll_enter: Dict[Tuple[str, int], Dict[int, np.ndarray]] = \
-            defaultdict(dict)
-        self.coll_done: Dict[Tuple[str, int], np.ndarray] = {}
-        self.coll_waiters: Dict[Tuple[str, int], List[int]] = \
-            defaultdict(list)
-
-        self.n_steps = 0
-        self.n_wakeups = 0
-        self.n_messages = 0
-        self.bytes_sent = 0
-        self.n_unfinished = self.n
-        self.lockstep_events = 0
-        self.worklist_events = 0
-
-        #: set by the driver; receives ranks whose dependency resolved
-        self.on_wake: Callable[[int], None] = lambda rank: None
-
-    # ------------------------------------------------------------ wake lists
-
-    def wake(self, rank: int) -> None:
-        st = self.states[rank]
-        if st.blocked:
-            st.blocked = False
-            self.n_wakeups += 1
-            self.on_wake(rank)
-
-    # --------------------------------------------------------- transfer cost
-
-    def _rdv_transfer(self, send_ready, recv_ready, transfer_ns: float,
-                      sender: int) -> Tuple[np.ndarray, np.ndarray]:
-        sst = self.states[sender]
-        start = self.buses.acquire(
-            np.maximum(np.maximum(send_ready, recv_ready), sst.link_free),
-            transfer_ns)
-        sst.link_free = start + transfer_ns
-        return start, start + transfer_ns
-
-    def _match_source(self, key, recv_clock) -> Optional[np.ndarray]:
-        sq = self.sends[key]
-        if sq:
-            arrival, transfer_ns = sq.pop(0)
-            return np.maximum(arrival, recv_clock + transfer_ns)
-        dq = self.rdv_sends[key]
-        if dq:
-            ready, transfer_ns, sender_slot, sender = dq.pop(0)
-            start, arrival = self._rdv_transfer(ready, recv_clock,
-                                                transfer_ns, sender)
-            sender_slot[0] = start
-            self.wake(sender)
-            return arrival
-        return None
-
-    # ------------------------------------------------------------- stepping
-
-    def step(self, rank: int) -> bool:
-        """One event of ``rank`` for the whole group; False = blocked.
-
-        Mirrors ``_ReplayCore.step`` branch for branch; the tree leaf
-        for ``rank`` is refreshed by the engine loop, not here.
-        """
-        self.n_steps += 1
-        st = self.states[rank]
-        ev = self.events[rank][st.cursor]
-        net = self.net
-
-        if isinstance(ev, ComputePhase):
-            dur = np.asarray(self.phase_duration(rank, ev), dtype=np.float64)
-            if self.col_idx is not None and dur.ndim:
-                dur = dur[self.col_idx]
-            if (dur < 0).any():
-                raise ValueError("phase duration must be non-negative")
-            st.clock = st.clock + dur
-            st.compute_ns = st.compute_ns + dur
-            st.cursor += 1
-            return True
-
-        call: MpiCall = ev
-        if call.is_collective:
-            key = (call.kind, self.coll_seq[rank][call.kind])
-            if key not in self.coll_done:
-                enters = self.coll_enter[key]
-                if rank in enters:
-                    return False  # spurious wake; completion wakes us
-                enters[rank] = st.clock
-                if len(enters) < self.n:
-                    self.coll_waiters[key].append(rank)
-                    return False
-                cost = collective_cost_ns(call.kind, self.n,
-                                          call.size_bytes, net)
-                latest = None
-                for col in enters.values():
-                    latest = col if latest is None else np.maximum(latest, col)
-                self.coll_done[key] = latest + cost
-                for waiter in self.coll_waiters.pop(key, ()):
-                    self.wake(waiter)
-            t_done = self.coll_done[key]
-            enter = self.coll_enter[key][rank]
-            st.collective_ns = st.collective_ns + (t_done - enter)
-            st.clock = t_done
-            self.coll_seq[rank][call.kind] += 1
-            st.cursor += 1
-            return True
-
-        if call.kind in ("send", "isend"):
-            key = (rank, call.peer, call.tag)
-            transfer = net.transfer_ns(call.size_bytes)
-            if net.is_eager(call.size_bytes) or call.kind == "isend":
-                start = self.buses.acquire(
-                    np.maximum(st.clock + net.overhead_ns, st.link_free),
-                    transfer)
-                st.link_free = start + transfer
-                arrival = start + transfer
-                rq = self.recvs[key]
-                if rq:
-                    post, slot, waiter = rq.pop(0)
-                    slot[0] = np.maximum(arrival, post + transfer)
-                    self.wake(waiter)
-                else:
-                    self.sends[key].append((arrival, transfer))
-                st.clock = st.clock + net.overhead_ns
-                st.p2p_ns = st.p2p_ns + net.overhead_ns
-                if call.kind == "isend":
-                    st.requests[call.request] = arrival
-                self.n_messages += 1
-                self.bytes_sent += call.size_bytes
-                st.cursor += 1
-                return True
-            if st.pending_slot is not None:
-                if st.pending_slot[0] is None:
-                    return False
-                release = np.maximum(st.pending_slot[0], st.clock)
-                st.p2p_ns = st.p2p_ns + (release - st.clock)
-                st.clock = release
-                st.pending_slot = None
-                self.n_messages += 1
-                self.bytes_sent += call.size_bytes
-                st.cursor += 1
-                return True
-            rq = self.recvs[key]
-            if rq:
-                post, slot, waiter = rq.pop(0)
-                start, arrival = self._rdv_transfer(
-                    st.clock + net.overhead_ns, post, transfer, rank)
-                slot[0] = arrival
-                self.wake(waiter)
-                st.p2p_ns = st.p2p_ns + (start - st.clock)
-                st.clock = start
-                self.n_messages += 1
-                self.bytes_sent += call.size_bytes
-                st.cursor += 1
-                return True
-            slot: List[Optional[np.ndarray]] = [None]
-            self.rdv_sends[key].append(
-                (st.clock + net.overhead_ns, transfer, slot, rank))
-            st.pending_slot = slot
-            return False
-
-        if call.kind in ("recv", "irecv"):
-            key = (call.peer, rank, call.tag)
-            if call.kind == "irecv":
-                done = self._match_source(key, st.clock)
-                if done is not None:
-                    st.requests[call.request] = done
-                else:
-                    slot = [None]
-                    self.recvs[key].append((st.clock, slot, rank))
-                    st.requests[call.request] = slot
-                st.clock = st.clock + net.overhead_ns
-                st.p2p_ns = st.p2p_ns + net.overhead_ns
-                st.cursor += 1
-                return True
-            if st.pending_slot is not None:
-                if st.pending_slot[0] is None:
-                    return False
-                done = np.maximum(st.pending_slot[0], st.clock)
-                st.pending_slot = None
-            else:
-                maybe = self._match_source(key, st.clock)
-                if maybe is None:
-                    slot = [None]
-                    self.recvs[key].append((st.clock, slot, rank))
-                    st.pending_slot = slot
-                    return False
-                done = maybe
-            st.p2p_ns = st.p2p_ns + (done - st.clock)
-            st.clock = done
-            st.cursor += 1
-            return True
-
-        if call.kind == "wait":
-            entry = st.requests.get(call.request)
-            if entry is None:
-                raise ValueError(
-                    f"rank {rank}: wait on unknown request {call.request}")
-            if isinstance(entry, list):
-                if entry[0] is None:
-                    return False
-                done = np.maximum(entry[0], st.clock)
-            else:
-                done = np.maximum(entry, st.clock)
-            st.p2p_ns = st.p2p_ns + (done - st.clock)
-            st.clock = done
-            del st.requests[call.request]
-            st.cursor += 1
-            return True
-
-        raise ValueError(f"unhandled MPI call kind {call.kind!r}")
-
-
-def _fork_core(core: _LockstepCore, idx: np.ndarray) -> _LockstepCore:
-    """Column-slice ``core`` into an independent child covering ``idx``.
-
-    Called at a divergence point, before the disputed step runs, so
-    structural state (cursors, queue membership, collective rosters) is
-    shared by every column and copies as-is; only the float columns are
-    sliced.  One-element ``slot`` lists are shared between a queue
-    entry and the blocked rank's ``requests`` / ``pending_slot`` — the
-    identity memo preserves exactly that sharing in the child, so a
-    later match still wakes the right rank.  The parent is discarded
-    after forking (its children partition its columns), so buffered
-    arrays can be sliced without copy concerns; only the bus pool's
-    ``_free`` matrix is mutated in place, and fancy indexing already
-    copies it.
-    """
-    new = _LockstepCore.__new__(_LockstepCore)
-    new.trace = core.trace
-    new.net = core.net
-    new.phase_duration = core.phase_duration
-    new.n_cols = int(idx.size)
-    new.col_idx = idx if core.col_idx is None else core.col_idx[idx]
-    new.n = core.n
-    new.events = core.events
-
-    memo: Dict[int, List[Optional[np.ndarray]]] = {}
-
-    def fork_slot(slot):
-        forked = memo.get(id(slot))
-        if forked is None:
-            forked = [None if slot[0] is None else slot[0][idx]]
-            memo[id(slot)] = forked
-        return forked
-
-    states = []
-    for st in core.states:
-        ns = _ColState.__new__(_ColState)
-        ns.clock = st.clock[idx]
-        ns.cursor = st.cursor
-        ns.compute_ns = st.compute_ns[idx]
-        ns.p2p_ns = st.p2p_ns[idx]
-        ns.collective_ns = st.collective_ns[idx]
-        ns.requests = {req: (fork_slot(e) if type(e) is list else e[idx])
-                       for req, e in st.requests.items()}
-        ns.pending_slot = (None if st.pending_slot is None
-                           else fork_slot(st.pending_slot))
-        ns.link_free = st.link_free[idx]
-        ns.blocked = st.blocked
-        ns.done = st.done
-        states.append(ns)
-    new.states = states
-
-    new.sends = defaultdict(list, {
-        key: [(arrival[idx], t) for arrival, t in q]
-        for key, q in core.sends.items() if q})
-    new.recvs = defaultdict(list, {
-        key: [(post[idx], fork_slot(slot), waiter)
-              for post, slot, waiter in q]
-        for key, q in core.recvs.items() if q})
-    new.rdv_sends = defaultdict(list, {
-        key: [(ready[idx], t, fork_slot(slot), sender)
-              for ready, t, slot, sender in q]
-        for key, q in core.rdv_sends.items() if q})
-    new.buses = core.buses.fork(idx)
-
-    new.coll_seq = [defaultdict(int, d) for d in core.coll_seq]
-    new.coll_enter = defaultdict(dict, {
-        ckey: {r: col[idx] for r, col in enters.items()}
-        for ckey, enters in core.coll_enter.items()})
-    new.coll_done = {ckey: col[idx] for ckey, col in core.coll_done.items()}
-    new.coll_waiters = defaultdict(list, {
-        ckey: list(w) for ckey, w in core.coll_waiters.items() if w})
-
-    new.n_steps = core.n_steps
-    new.n_wakeups = core.n_wakeups
-    new.n_messages = core.n_messages
-    new.bytes_sent = core.bytes_sent
-    new.n_unfinished = core.n_unfinished
-    new.lockstep_events = core.lockstep_events
-    new.worklist_events = core.worklist_events
-    new.on_wake = lambda rank: None
-    return new
 
 
 def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
@@ -559,8 +117,8 @@ def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
 # appears at most once per level, so the fancy-index scatters never
 # collide.  Any structural snag (unmatched receive, rendezvous deadlock
 # cycle, unknown wait request, ragged collective, non-uniform collective
-# payload) falls back to the worklist driver, which reproduces the
-# scalar diagnostics.
+# payload) falls back to per-column scalar replay, which raises the
+# reference diagnostics.
 
 (_K_COMPUTE, _K_EAGER_SEND, _K_RECV_EAGER, _K_IRECV_POST, _K_RDV_SEND,
  _K_RDV_POST, _K_RDV_COMPLETE, _K_WAIT_ARR, _K_WAIT_EAGER,
@@ -590,8 +148,8 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     Returns ``None`` when the trace cannot be fully resolved
     structurally (it would deadlock, wait on an unknown request, or
     price a collective whose per-rank payloads disagree) — the caller
-    then falls back to the worklist driver / scalar engine, which owns
-    those diagnostics.
+    then falls back to per-column scalar replay, which owns those
+    diagnostics.
     """
     n = trace.n_ranks
     events = [trace.ranks[r].events for r in range(n)]
@@ -922,8 +480,8 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
 #: Tapes are structural — they depend only on ``(trace, net)``, never
 #: on configurations — so they are shared across batches.  The key pins
 #: the trace object itself (keeping its ``id`` valid for the entry's
-#: lifetime); a ``None`` tape records that the trace needs the
-#: worklist-driver fallback, so the failed build isn't repeated either.
+#: lifetime); a ``None`` tape records that the trace needs the scalar
+#: fallback, so the failed build isn't repeated either.
 #: The :func:`_order_free` scan is cached the same way.
 _TAPE_CACHE: LruDict = LruDict(8, eviction_counter="replay.tape.evictions")
 _ORDER_FREE_CACHE: LruDict = LruDict(
@@ -1138,155 +696,31 @@ def _run_array_tape(
     return clock, comp, p2p, coll
 
 
-def _run_shared(core: _LockstepCore, active: np.ndarray) -> np.ndarray:
-    """Order-free driver: one shared run-until-blocked worklist pass.
-
-    Valid only under :func:`_order_free`; then any structurally legal
-    order yields each column's bit-exact scalar result, so no clocks
-    are consulted for scheduling and no column ever diverges.  On a
-    structural deadlock every column is handed to the scalar engine,
-    which reproduces the scalar diagnostic.
-    """
-    states = core.states
-    events = core.events
-    ready = deque()
-    for r in range(core.n):
-        if events[r]:
-            ready.append(r)
-        else:
-            states[r].done = True
-            core.n_unfinished -= 1
-    core.on_wake = ready.append
-
-    step = core.step
-    while ready:
-        r = ready.popleft()
-        st = states[r]
-        n_ev = len(events[r])
-        while True:
-            if st.cursor >= n_ev:
-                st.done = True
-                core.n_unfinished -= 1
-                break
-            if not step(r):
-                st.blocked = True
-                break
-            core.worklist_events += 1
-
-    if core.n_unfinished:
-        return np.zeros_like(active)  # deadlock: scalar engine diagnoses
-    return active
-
-
-def _run_lockstep(
+def _run_scalar(
     trace: BurstTrace,
     net: NetworkConfig,
     phase_duration: BatchPhaseDurationFn,
     n_configs: int,
-) -> Tuple[List[_LockstepCore], np.ndarray, int]:
-    """Fork-on-divergence lockstep driver for order-sensitive batches.
+) -> List[ReplayResult]:
+    """Reference path: the scalar event engine once per column.
 
-    Runs a work stack of lockstep groups.  Within a group, every column
-    agrees on the next ``(clock, rank)``-minimal rank (one dense
-    ``argmin`` over the (rank, column) key matrix computes all columns'
-    choices at once), so one batched step serves the whole group.  At a divergence point the group's columns
-    are partitioned by their chosen rank and :func:`_fork_core` splits
-    the core into one child per partition; each child re-derives its
-    (now unanimous) choice from its own tree and continues.  Forked
-    work is bounded: a group of one column can never diverge again, so
-    at most ``n_configs - 1`` forks happen over the whole batch, and
-    the per-column step sequence is by construction exactly the scalar
-    engine's.
-
-    Returns ``(groups, peeled, n_forks)``: the finished cores (each
-    covering ``core.col_idx`` absolute columns), the mask of columns
-    that hit a structural deadlock (handed to the scalar engine, which
-    owns the diagnostic), and the number of extra groups divergences
-    created.
+    ``phase_duration`` runs once per ``(rank, phase)`` per call, not
+    once per event per column; each column's replay indexes the cached
+    duration list (plain floats, so the engine's arithmetic is the
+    same it performs for any scalar duration function).
     """
-    stack = [_LockstepCore(trace, net, phase_duration, n_configs)]
-    groups: List[_LockstepCore] = []
-    peeled = np.zeros(n_configs, dtype=bool)
-    n_forks = 0
-    while stack:
-        core = stack.pop()
-        states = core.states
-        events = core.events
-        # Dense (rank, column) key matrix: row r is rank r's clock
-        # column, +inf while r is blocked or done.  argmin(axis=0)
-        # takes the *first* minimum per column, i.e. the smallest rank
-        # among ties — the scalar engine's (clock, rank) comparison.
-        keys = np.full((core.n, core.n_cols), np.inf)
+    columns: Dict[Tuple[int, int], List[float]] = {}
 
-        def _wake(rank: int, _k=keys, _s=states) -> None:
-            _k[rank] = _s[rank].clock
+    def column(rank: int, phase: ComputePhase) -> List[float]:
+        key = (rank, id(phase))
+        col = columns.get(key)
+        if col is None:
+            dur = np.asarray(phase_duration(rank, phase), dtype=np.float64)
+            col = columns[key] = np.broadcast_to(dur, (n_configs,)).tolist()
+        return col
 
-        core.on_wake = _wake
-        for r in range(core.n):
-            st = states[r]
-            if not st.done and st.cursor >= len(events[r]):
-                st.done = True
-                core.n_unfinished -= 1
-            if not st.done and not st.blocked:
-                keys[r] = st.clock
-        diverged = None
-        while core.n_unfinished:
-            args = keys.argmin(axis=0)
-            r = int(args[0])
-            if np.isinf(keys[r, 0]):
-                # Column 0's minimum is inf, so every remaining rank is
-                # blocked — in every column, because blocked/done are
-                # group-level structural state (an all-inf matrix also
-                # makes argmin unanimous, so this check fires first).
-                break
-            if not (args == r).all():
-                diverged = args
-                break
-            st = states[r]
-            if core.step(r):
-                core.lockstep_events += 1
-                if st.cursor >= len(events[r]):
-                    st.done = True
-                    core.n_unfinished -= 1
-                    keys[r] = np.inf
-                else:
-                    keys[r] = st.clock
-            else:
-                st.blocked = True
-                keys[r] = np.inf
-        if diverged is not None:
-            choices = np.unique(diverged)
-            n_forks += int(choices.size) - 1
-            for v in choices:
-                stack.append(_fork_core(core, np.flatnonzero(diverged == v)))
-        elif core.n_unfinished:
-            # Structural deadlock: the scalar engine raises the
-            # diagnostic per config.
-            cols = (core.col_idx if core.col_idx is not None
-                    else np.arange(n_configs))
-            peeled[cols] = True
-        else:
-            groups.append(core)
-    return groups, peeled, n_forks
-
-
-def _core_results(core: _LockstepCore, cols: np.ndarray,
-                  results: List[Optional[ReplayResult]]) -> None:
-    """Assemble one finished core's columns into ``results``."""
-    clock_m = np.stack([st.clock for st in core.states])
-    comp_m = np.stack([st.compute_ns for st in core.states])
-    p2p_m = np.stack([st.p2p_ns for st in core.states])
-    coll_m = np.stack([st.collective_ns for st in core.states])
-    total = clock_m.max(axis=0)
-    for j, c in enumerate(cols):
-        results[int(c)] = ReplayResult(
-            total_ns=float(total[j]),
-            compute_ns=comp_m[:, j].copy(),
-            p2p_ns=p2p_m[:, j].copy(),
-            collective_ns=coll_m[:, j].copy(),
-            n_messages=core.n_messages,
-            bytes_sent=core.bytes_sent,
-        )
+    return [replay(trace, net, lambda r, p, _c=c: column(r, p)[_c])
+            for c in range(n_configs)]
 
 
 def replay_batch(
@@ -1301,97 +735,47 @@ def replay_batch(
     float64 column over the configuration axis.  The result list holds
     one :class:`~repro.network.replay.ReplayResult` per configuration,
     bit-identical to ``replay(trace, net, scalar_fn_i, ...)`` with
-    ``scalar_fn_i`` reading column ``i`` — for every configuration,
-    whether it ran on the array tape, the worklist pass (the fallback
-    when an order-free trace's tape build bails out), a forked lockstep
-    group, or (only on a structural deadlock) the scalar engine, which
-    raises the diagnostic.
+    ``scalar_fn_i`` reading column ``i`` — on the array tape when the
+    trace is order-free and its tape builds, otherwise because that is
+    literally what the scalar fallback runs (and a structural deadlock
+    raises the scalar diagnostic).
 
-    Counters: ``replay.batch.array_events`` / ``worklist_events`` /
-    ``lockstep_events`` (config-events priced per driver),
-    ``replay.batch.driver.{array,worklist,lockstep}`` (the driver this
+    Counters: ``replay.batch.array_events`` (config-events priced by
+    the tape), ``replay.batch.driver.{array,scalar}`` (the path this
     call actually ran), ``replay.batch.array_fallbacks`` (tape build
-    bail-outs), ``replay.batch.forked_groups``,
-    ``replay.batch.peeled_configs``, and scalar-equivalent
-    ``replay.events`` / ``replay.messages`` / ``replay.bus_waits``
-    totals for the batched columns (peeled columns report through
-    their scalar runs).
+    bail-outs), and scalar-equivalent ``replay.events`` /
+    ``replay.messages`` totals.
     """
     if n_configs <= 0:
         raise ValueError("n_configs must be positive")
     obs = get_metrics()
-    results: List[Optional[ReplayResult]] = [None] * n_configs
-    peeled_mask = np.zeros(n_configs, dtype=bool)
-
-    order_free = _order_free_cached(trace, net)
     tape = None
-    if order_free:
+    if _order_free_cached(trace, net):
         tape = _tape_for(trace, net)
         if tape is None:
             obs.inc("replay.batch.array_fallbacks")
 
     with obs.span("replay.batch.run"):
-        if tape is not None:
-            n = trace.n_ranks
-            clock, comp, p2p, coll = _run_array_tape(
-                tape, net, phase_duration, n, n_configs)
-            obs.inc("replay.batch.driver.array")
-            obs.inc("replay.batch.array_events", tape.n_events * n_configs)
-            obs.inc("replay.events", tape.n_events * n_configs)
-            obs.inc("replay.messages", tape.n_messages * n_configs)
-            total = clock.max(axis=0)
-            # Config-major copies: one transpose pass instead of
-            # n_configs strided column extractions; rows are disjoint
-            # views, and per-config consumers never share them.
-            comp_t = np.ascontiguousarray(comp.T)
-            p2p_t = np.ascontiguousarray(p2p.T)
-            coll_t = np.ascontiguousarray(coll.T)
-            for c in range(n_configs):
-                results[c] = ReplayResult(
-                    total_ns=float(total[c]),
-                    compute_ns=comp_t[c],
-                    p2p_ns=p2p_t[c],
-                    collective_ns=coll_t[c],
-                    n_messages=tape.n_messages,
-                    bytes_sent=tape.bytes_sent,
-                )
-        elif order_free:
-            core = _LockstepCore(trace, net, phase_duration, n_configs)
-            active = _run_shared(core, np.ones(n_configs, dtype=bool))
-            obs.inc("replay.batch.driver.worklist")
-            n_active = int(active.sum())
-            obs.inc("replay.batch.worklist_events",
-                    core.worklist_events * n_active)
-            if n_active:
-                obs.inc("replay.events", core.n_steps * n_active)
-                obs.inc("replay.messages", core.n_messages * n_active)
-                _core_results(core, np.flatnonzero(active), results)
-            peeled_mask = ~active
-        else:
-            groups, peeled_mask, n_forks = _run_lockstep(
-                trace, net, phase_duration, n_configs)
-            obs.inc("replay.batch.driver.lockstep")
-            if n_forks:
-                obs.inc("replay.batch.forked_groups", n_forks)
-            for core in groups:
-                cols = (core.col_idx if core.col_idx is not None
-                        else np.arange(n_configs))
-                k = int(cols.size)
-                obs.inc("replay.batch.lockstep_events",
-                        core.lockstep_events * k)
-                obs.inc("replay.events", core.n_steps * k)
-                obs.inc("replay.messages", core.n_messages * k)
-                bus_waits = int(core.buses.n_waits.sum())
-                if bus_waits:
-                    obs.inc("replay.bus_waits", bus_waits)
-                _core_results(core, cols, results)
-
-    peeled = np.flatnonzero(peeled_mask)
-    if peeled.size:
-        obs.inc("replay.batch.peeled_configs", int(peeled.size))
-        for c in peeled:
-            def column(rank: int, phase: ComputePhase, _c=int(c)) -> float:
-                return phase_duration(rank, phase)[_c]
-
-            results[c] = replay(trace, net, column)
-    return results  # type: ignore[return-value]
+        if tape is None:
+            obs.inc("replay.batch.driver.scalar")
+            return _run_scalar(trace, net, phase_duration, n_configs)
+        clock, comp, p2p, coll = _run_array_tape(
+            tape, net, phase_duration, trace.n_ranks, n_configs)
+        obs.inc("replay.batch.driver.array")
+        obs.inc("replay.batch.array_events", tape.n_events * n_configs)
+        obs.inc("replay.events", tape.n_events * n_configs)
+        obs.inc("replay.messages", tape.n_messages * n_configs)
+        total = clock.max(axis=0)
+        # Config-major copies: one transpose pass instead of n_configs
+        # strided column extractions; rows are disjoint views, and
+        # per-config consumers never share them.
+        comp_t = np.ascontiguousarray(comp.T)
+        p2p_t = np.ascontiguousarray(p2p.T)
+        coll_t = np.ascontiguousarray(coll.T)
+        return [ReplayResult(total_ns=float(total[c]),
+                             compute_ns=comp_t[c],
+                             p2p_ns=p2p_t[c],
+                             collective_ns=coll_t[c],
+                             n_messages=tape.n_messages,
+                             bytes_sent=tape.bytes_sent)
+                for c in range(n_configs)]

@@ -186,16 +186,9 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
       (``mode='replay'`` campaigns): trace events processed, blocked
       ranks re-examined after a dependency resolved, point-to-point
       messages matched, and transfers delayed by the finite-bus pool;
-    * ``replay_lockstep_events`` / ``replay_forked_groups`` /
-      ``replay_peeled_configs`` — config-vectorized finite-bus replay
-      accounting: events priced by lockstep groups, child groups
-      created when diverging columns forked off, and columns finished
-      on the scalar engine (deadlock diagnostics only);
-    * ``replay_array_events`` / ``replay_worklist_events`` —
-      config-events priced by the level-batched array replay driver
-      (structural tape, one NumPy pass per level group instead of one
-      Python step per event) and by the event-at-a-time worklist
-      fallback driver;
+    * ``replay_array_events`` — config-events priced by the
+      level-batched array replay driver (structural tape, one NumPy
+      pass per level group instead of one Python step per event);
     * ``miss_batch_geometries`` — distinct cache geometries evaluated
       by the batched set-associative miss model (one 2-D pass per
       kernel instead of one scalar call per level per config);
@@ -267,11 +260,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "replay_wakeups": c.get("replay.wakeups", 0),
         "replay_messages": c.get("replay.messages", 0),
         "replay_bus_waits": c.get("replay.bus_waits", 0),
-        "replay_lockstep_events": c.get("replay.batch.lockstep_events", 0),
         "replay_array_events": c.get("replay.batch.array_events", 0),
-        "replay_worklist_events": c.get("replay.batch.worklist_events", 0),
-        "replay_forked_groups": c.get("replay.batch.forked_groups", 0),
-        "replay_peeled_configs": c.get("replay.batch.peeled_configs", 0),
         "miss_batch_geometries": c.get("miss.batch.geometries", 0),
         "sched_batch_fast": c.get("sched.batch.fast", 0),
         "sched_batch_fallbacks": c.get("sched.batch.fallbacks", 0),

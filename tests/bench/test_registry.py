@@ -23,7 +23,7 @@ def test_registry_ids_unique_and_kind_prefixed():
 def test_registry_covers_the_issue_workloads():
     have = set(REGISTRY)
     assert {"micro.miss_model", "micro.phase_sched", "micro.tape_replay",
-            "micro.bus_arbitration", "micro.event_engine",
+            "micro.event_engine",
             "macro.fast_sweep", "macro.replay_sweep",
             "macro.campaign", "macro.serve_query"} <= have
 
@@ -53,7 +53,6 @@ def test_required_counters_cover_the_pinned_families():
 
 @pytest.mark.parametrize("bid", ["micro.miss_model", "micro.phase_sched",
                                  "micro.tape_replay",
-                                 "micro.bus_arbitration",
                                  "micro.event_engine"])
 def test_micro_smoke_oracles_green(bid):
     bench = get_benchmarks([bid])[0]

@@ -4,9 +4,19 @@ import json
 
 import pytest
 
+from repro.apps import get_app
 from repro.cli import build_parser, main
-from repro.config import DesignSpace
-from repro.core import ResultSet, run_sweep
+from repro.config import DesignSpace, smoke_design_space
+from repro.core import Musa, ResultSet, run_sweep
+
+
+def _reference(app, n_ranks=256, mode="fast"):
+    """The smoke space through the scalar ``Musa.simulate_node``."""
+    musa = Musa(get_app(app))
+    rs = ResultSet()
+    for node in smoke_design_space():
+        rs.add(musa.simulate_node(node, n_ranks=n_ranks, mode=mode).record())
+    return rs
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +119,8 @@ class TestCommands:
         assert len(back) == 4
 
     def test_sweep_batch_flags(self, tmp_path, capsys):
-        """--no-batch and --batch-size select the evaluation engine;
-        both engines must write identical results."""
+        """--batch-size caps the configs per batched evaluation; the
+        results must equal per-config scalar simulation."""
         out_b = tmp_path / "batched.json"
         out_s = tmp_path / "scalar.json"
         metrics = tmp_path / "metrics.json"
@@ -121,12 +131,8 @@ class TestCommands:
         d = json.loads(metrics.read_text())["derived"]
         assert d["batched_configs"] == 8
         assert d["batch_fallbacks"] == 0
-        rc = main(["sweep", "--apps", "spmz", "--smoke", "--processes", "1",
-                   "--no-batch", "--out", str(out_s),
-                   "--metrics-json", str(metrics)])
-        assert rc == 0
-        d = json.loads(metrics.read_text())["derived"]
-        assert d["batched_configs"] == 0
+        assert d["sweep_shards"] == 2
+        _reference("spmz").save(out_s)
         assert ResultSet.load(out_b) == ResultSet.load(out_s)
 
     def test_sweep_smoke_metrics_and_resume(self, tmp_path, capsys):
@@ -188,8 +194,8 @@ class TestCommands:
         assert rep != fast
 
     def test_sweep_replay_batched_matches_scalar(self, tmp_path, capsys):
-        """The config-vectorized replay engine (batched default) and the
-        per-config scalar path must write identical ResultSets."""
+        """The config-vectorized replay engine and per-config scalar
+        simulation must write byte-identical ResultSets."""
         out_b = tmp_path / "batched.json"
         out_s = tmp_path / "scalar.json"
         metrics = tmp_path / "metrics.json"
@@ -199,13 +205,11 @@ class TestCommands:
         assert rc == 0
         d = json.loads(metrics.read_text())["derived"]
         # The smoke network has an unlimited bus pool, so the order-free
-        # path takes the array driver; no column rides lockstep.
+        # path takes the array driver, never the scalar fallback.
         assert d["replay_array_events"] > 0
-        assert d["replay_lockstep_events"] == 0
-        rc = main(["sweep", "--apps", "spmz", "--smoke", "--processes", "1",
-                   "--mode", "replay", "--ranks", "8", "--no-batch",
-                   "--out", str(out_s)])
-        assert rc == 0
+        assert json.loads(metrics.read_text())["counters"].get(
+            "replay.batch.driver.scalar", 0) == 0
+        _reference("spmz", n_ranks=8, mode="replay").save(out_s)
         assert out_b.read_bytes() == out_s.read_bytes()
 
     def test_sweep_profile(self, tmp_path, capsys):

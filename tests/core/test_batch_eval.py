@@ -89,22 +89,20 @@ class TestBatchedEqualsScalar:
 class TestSweepBatching:
     def test_batched_sweep_equals_scalar_sweep(self, tiny_space):
         batched = run_sweep(["spmz", "hydro"], tiny_space, processes=1,
-                            batch=True, batch_size=8)
-        scalar = run_sweep(["spmz", "hydro"], tiny_space, processes=1,
-                           batch=False)
-        assert list(batched) == list(scalar)
+                            batch_size=8)
+        scalar = (_scalar_records("spmz", tiny_space)
+                  + _scalar_records("hydro", tiny_space))
+        assert list(batched) == scalar
 
     def test_pooled_batched_sweep_equals_scalar(self, tiny_space):
         batched = run_sweep(["btmz"], tiny_space, processes=2,
-                            chunk_size=4, batch=True, batch_size=4)
-        scalar = run_sweep(["btmz"], tiny_space, processes=1, batch=False)
-        assert list(batched) == list(scalar)
+                            chunk_size=4, batch_size=4)
+        assert list(batched) == _scalar_records("btmz", tiny_space)
 
     def test_batch_counters_surface_in_metrics(self, tiny_space):
         reg = get_metrics()
         before = reg.counter("sweep.batch.configs")
-        run_sweep(["spmz"], tiny_space, processes=1, batch=True,
-                  batch_size=8)
+        run_sweep(["spmz"], tiny_space, processes=1, batch_size=8)
         assert reg.counter("sweep.batch.configs") - before == 8
 
     def test_evaluator_failure_falls_back_to_scalar(self, tiny_space,
@@ -117,12 +115,10 @@ class TestSweepBatching:
         monkeypatch.setattr(_BE, "evaluate_frame", boom)
         reg = get_metrics()
         before = reg.counter("sweep.batch.fallback")
-        rs = run_sweep(["spmz"], tiny_space, processes=1, batch=True,
-                       batch_size=8)
+        rs = run_sweep(["spmz"], tiny_space, processes=1, batch_size=8)
         assert reg.counter("sweep.batch.fallback") - before >= 1
         monkeypatch.undo()
-        scalar = run_sweep(["spmz"], tiny_space, processes=1, batch=False)
-        assert list(rs) == list(scalar)
+        assert list(rs) == _scalar_records("spmz", tiny_space)
 
     def test_batch_size_validation(self, tiny_space):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for checkpointed (resumable) sweeps."""
+"""Tests for journaled (resumable) sweeps."""
 
 import json
 import logging
@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.config import DesignSpace
-from repro.core import load_checkpoint, replay_journal, run_sweep_checkpointed
+from repro.core import Journal, replay_journal, run_sweep
 from repro.obs import get_metrics
 
 
@@ -22,8 +22,7 @@ def tiny_space():
 class TestCheckpointedSweep:
     def test_fresh_run_completes(self, tiny_space, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        rs = run_sweep_checkpointed(["spmz"], tiny_space,
-                                    checkpoint_path=path)
+        rs = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         assert len(rs) == 2
         assert path.exists()
         # The columnar data plane journals one block line per shard;
@@ -35,62 +34,54 @@ class TestCheckpointedSweep:
 
     def test_resume_skips_done_work(self, tiny_space, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        first = run_sweep_checkpointed(["spmz"], tiny_space,
-                                       checkpoint_path=path)
+        first = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         size_before = path.stat().st_size
-        again = run_sweep_checkpointed(["spmz"], tiny_space,
-                                       checkpoint_path=path)
+        again = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         # Nothing re-simulated: file unchanged, results identical.
         assert path.stat().st_size == size_before
         assert len(again) == len(first)
 
     def test_partial_checkpoint_resumes_rest(self, tiny_space, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        full = run_sweep_checkpointed(["spmz"], tiny_space,
-                                      checkpoint_path=path)
+        full = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         # Truncate to one record (simulated crash after the first sim).
         lines = path.read_text().strip().splitlines()
         path.write_text(lines[0] + "\n")
-        resumed = run_sweep_checkpointed(["spmz"], tiny_space,
-                                         checkpoint_path=path)
+        resumed = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         assert len(resumed) == len(full)
 
     def test_truncated_tail_tolerated(self, tiny_space, tmp_path):
-        from repro.core import run_sweep
-
         path = tmp_path / "ckpt.jsonl"
-        # Scalar evaluation journals one line per record.
-        run_sweep(["spmz"], tiny_space, processes=1, resume=path,
-                  batch=False)
+        # Per-record lines, the form failure stubs and merged journals
+        # use.
+        with Journal(path) as journal:
+            for rec in run_sweep(["spmz"], tiny_space, processes=1):
+                journal.append(rec)
         # Corrupt the last line mid-JSON (torn write).
         content = path.read_text()
         path.write_text(content[:-20])
-        rs = load_checkpoint(path)
+        rs = replay_journal(path).results
         assert len(rs) == 1  # the intact record survives
-        resumed = run_sweep_checkpointed(["spmz"], tiny_space,
-                                         checkpoint_path=path)
+        resumed = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         assert len(resumed) == 2
 
     def test_truncated_block_tail_tolerated(self, tiny_space, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        run_sweep_checkpointed(["spmz"], tiny_space, checkpoint_path=path)
+        run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         # A torn block line drops the whole block; the resumed run
         # redoes its records rather than trusting a partial shard.
         content = path.read_text()
         path.write_text(content[:-20])
-        assert len(load_checkpoint(path)) == 0
-        resumed = run_sweep_checkpointed(["spmz"], tiny_space,
-                                         checkpoint_path=path)
+        assert len(replay_journal(path).results) == 0
+        resumed = run_sweep(["spmz"], tiny_space, processes=1, resume=path)
         assert len(resumed) == 2
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
-        assert len(load_checkpoint(tmp_path / "nope.jsonl")) == 0
+        assert len(replay_journal(tmp_path / "nope.jsonl").results) == 0
 
     def test_results_match_plain_sweep(self, tiny_space, tmp_path):
-        from repro.core import run_sweep
-
-        ckpt = run_sweep_checkpointed(["btmz"], tiny_space,
-                                      checkpoint_path=tmp_path / "c.jsonl")
+        ckpt = run_sweep(["btmz"], tiny_space, processes=1,
+                         resume=tmp_path / "c.jsonl")
         plain = run_sweep(["btmz"], tiny_space, processes=1)
         for rec in plain:
             cfg = {k: rec[k] for k in ("app", "core", "cache", "memory",
@@ -100,9 +91,8 @@ class TestCheckpointedSweep:
 
     def test_rejects_bad_flush(self, tiny_space, tmp_path):
         with pytest.raises(ValueError):
-            run_sweep_checkpointed(["spmz"], tiny_space,
-                                   checkpoint_path=tmp_path / "x.jsonl",
-                                   flush_every=0)
+            run_sweep(["spmz"], tiny_space, processes=1,
+                      resume=tmp_path / "x.jsonl", fsync_every=0)
 
 
 def _record(vector=128, time_ns=1.0):
@@ -118,7 +108,7 @@ class TestDuplicateHandling:
         path.write_text("".join(json.dumps(r) + "\n" for r in lines))
         before = get_metrics().counter("checkpoint.duplicates_dropped")
         with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            rs = load_checkpoint(path)
+            rs = replay_journal(path).results
         assert len(rs) == 2
         # First occurrence wins.
         assert rs.lookup(**{k: _record(128)[k]
@@ -145,7 +135,7 @@ class TestDuplicateHandling:
         del stub["time_ns"]
         path.write_text(json.dumps(stub) + "\n"
                         + json.dumps(_record(256)) + "\n")
-        rs = load_checkpoint(path)
+        rs = replay_journal(path).results
         assert len(rs) == 1  # the stub is retryable, not done
         replayed = replay_journal(path)
         assert len(replayed.failed) == 1

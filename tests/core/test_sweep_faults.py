@@ -156,8 +156,8 @@ class TestAbortDrainsCompletedWork:
                 self.reg = MetricsRegistry()
                 self.recorded = []
 
-            def record_outcome(self, idx, attempt, ok, payload):
-                self.recorded.append((idx, attempt, ok, payload))
+            def record_outcomes(self, outcomes):
+                self.recorded.extend(outcomes)
 
         delta = {"counters": {"sweep.tasks.completed": 1}, "timers": {}}
         sched = _FakeSched()
@@ -175,7 +175,7 @@ class TestAbortDrainsCompletedWork:
         assert inflight == {}
 
     def test_pooled_abort_preserves_journal(self, tmp_path):
-        from repro.core import load_checkpoint
+        from repro.core import replay_journal
 
         space = DesignSpace(core_labels=("medium",),
                             cache_labels=("64M:512K",),
@@ -192,25 +192,25 @@ class TestAbortDrainsCompletedWork:
         # The victim chunk is dispatched last and only once fewer than
         # 2 x processes chunks are inflight, so at least 4 of the other
         # 7 chunks were drained — and journaled — before the abort.
-        rs = load_checkpoint(journal)
+        rs = replay_journal(journal).results
         assert len(rs) >= 4
         assert all(not r.get("failed") for r in rs)
 
     def test_inline_batched_abort_preserves_journal(self, tiny_space,
                                                     tmp_path):
-        from repro.core import load_checkpoint
+        from repro.core import replay_journal
 
         victim = list(tiny_space)[-1].label
         journal = tmp_path / "abort.jsonl"
         with pytest.raises(SweepAbort):
-            run_sweep(["spmz"], tiny_space, processes=1, batch=True,
-                      batch_size=8, resume=journal,
+            run_sweep(["spmz"], tiny_space, processes=1, batch_size=8,
+                      resume=journal,
                       fault_hook=FailNTimes(times=1, fatal=True,
                                             label=victim))
         # Members of the aborted batch that cleared their hooks before
         # the victim are evaluated and journaled, so a resumed campaign
         # only redoes the victim.
-        rs = load_checkpoint(journal)
+        rs = replay_journal(journal).results
         assert len(rs) == 3
 
 

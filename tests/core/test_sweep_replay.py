@@ -1,8 +1,8 @@
 """``mode='replay'`` threaded through the sweep engine.
 
 Replay-mode campaigns must journal and resume exactly like fast-mode
-ones, produce identical results with and without the batched evaluator
-and across worker counts, and surface the replay activity counters in
+ones, produce results identical to per-config scalar simulation and
+across worker counts, and surface the replay activity counters in
 the campaign metrics.
 """
 
@@ -10,8 +10,9 @@ import json
 
 import pytest
 
+from repro.apps import get_app
 from repro.config import DesignSpace
-from repro.core import FailNTimes, SweepAbort, run_sweep
+from repro.core import FailNTimes, Musa, SweepAbort, run_sweep
 from repro.obs import MetricsRegistry, summarize
 
 APPS = ["spmz"]
@@ -45,8 +46,9 @@ class TestMode:
         assert canon(fast) != replay_reference
 
     def test_batched_equals_scalar(self, replay_reference):
-        scalar = run_sweep(APPS, SPACE, n_ranks=N_RANKS, processes=1,
-                           mode="replay", batch=False)
+        scalar = [Musa(get_app(app)).simulate_node(
+                      node, n_ranks=N_RANKS, mode="replay").record()
+                  for app in APPS for node in SPACE]
         assert canon(scalar) == replay_reference
 
     def test_pooled_equals_inline(self, replay_reference):

@@ -4,12 +4,12 @@ The batched engine's contract is exact equivalence: for every
 configuration column, ``replay_batch`` must produce the same
 ``ReplayResult`` — down to the float bits — that the scalar engine
 produces when handed that column's duration function.  The property
-tests drive the array driver (unlimited buses) and the
-fork-on-divergence lockstep driver (finite buses), with per-config
-compute scalings chosen to flip the global ``(clock, rank)`` step
-order mid-replay; the regressions pin the forced-divergence fork path,
-the finite-bus fast-path peel bound, the collective pricing path, and
-the :func:`_order_free` classification.
+tests drive the array tape (unlimited buses) and the per-column scalar
+fallback (finite buses), with per-config compute scalings chosen to
+flip the global ``(clock, rank)`` step order mid-replay; the
+regressions pin the tape bail-out fallback, the collective pricing
+path, the :func:`_order_free` classification, and that every bundled
+app stays on the tape.
 """
 
 import numpy as np
@@ -17,11 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import get_app
+from repro.apps import APP_NAMES, get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
 from repro.network import replay_batch as replay_batch_mod
-from repro.network.replay_batch import _order_free, replay_batch
+from repro.network.replay_batch import _order_free, _tape_for, replay_batch
 from repro.obs import get_metrics
 from repro.trace import MpiCall
 
@@ -77,19 +77,15 @@ class TestPropertyEquivalence:
                            max_size=8))
     def test_finite_bus_lockstep_equals_scalar(self, data, n_buses,
                                                scales):
-        # Force the fork-on-divergence lockstep driver (a finite bus
-        # pool is never order-free): vectorized bus arbitration must
-        # equal scalar _ReplayCore across bus counts x rank counts x
-        # scale vectors, including scale ties that exercise the
-        # smallest-rank argmin tie-break.
+        # A finite bus pool is never order-free, so the batch runs the
+        # per-column scalar fallback: it must equal scalar replay across
+        # bus counts x rank counts x scale vectors, reading the
+        # per-call duration cache instead of the duration function.
         t, _, _ = data
         net = NetworkConfig(latency_us=0.1, bandwidth_gbs=10.0,
                             cpu_overhead_us=0.05, n_buses=n_buses)
         assert not _order_free(t, net)
-        reg = get_metrics()
-        peeled0 = reg.counter("replay.batch.peeled_configs")
         assert_batch_equals_scalar(t, net, scales)
-        assert reg.counter("replay.batch.peeled_configs") == peeled0
 
 
 class TestCollectivePricing:
@@ -120,9 +116,7 @@ class TestCollectivePricing:
 
 class TestForcedDivergence:
     """Per-config compute scalings that flip the step order mid-replay
-    must *fork* the lockstep group at the divergence point — no column
-    leaves the vectorized path — and still match the scalar engine bit
-    for bit."""
+    still match the scalar engine bit for bit, on either path."""
 
     def _racing_trace(self):
         # Ranks 0 and 2 race for the single bus; whichever reaches its
@@ -143,92 +137,42 @@ class TestForcedDivergence:
         cols = {0: np.array([10.0, 500.0]), 2: np.array([500.0, 10.0])}
         return cols.get(rank, np.zeros(2))
 
-    def test_finite_bus_forks_diverged_column(self):
-        net = zero_net(n_buses=1)
-        reg = get_metrics()
-        peeled0 = reg.counter("replay.batch.peeled_configs")
-        forked0 = reg.counter("replay.batch.forked_groups")
-        drv0 = reg.counter("replay.batch.driver.lockstep")
-        out = replay_batch(self._racing_trace(), net, self.duration, 2)
-        # The disagreeing column forks into its own lockstep group; the
-        # scalar engine is never consulted (peels are deadlock-only).
-        assert reg.counter("replay.batch.peeled_configs") == peeled0
-        assert reg.counter("replay.batch.forked_groups") - forked0 == 1
-        assert reg.counter("replay.batch.driver.lockstep") - drv0 == 1
-        for c in range(2):
-            ref = replay(self._racing_trace(), net,
-                         lambda r, p, _c=c: self.duration(r, p)[_c])
-            assert_results_equal(ref, out[c])
-
     def test_unlimited_buses_take_array_path(self):
-        # Same trace, no bus contention: order-free, so the structural
-        # tape prices the whole batch and no column peels even though
-        # the step orders differ between configs.
+        # No bus contention: order-free, so the structural tape prices
+        # the whole batch even though the step orders differ between
+        # configs.
         net = zero_net(n_buses=0)
         t = self._racing_trace()
         assert _order_free(t, net)
         reg = get_metrics()
-        peeled0 = reg.counter("replay.batch.peeled_configs")
+        scalar0 = reg.counter("replay.batch.driver.scalar")
         arr0 = reg.counter("replay.batch.array_events")
         out = replay_batch(t, net, self.duration, 2)
-        assert reg.counter("replay.batch.peeled_configs") == peeled0
+        assert reg.counter("replay.batch.driver.scalar") == scalar0
         assert reg.counter("replay.batch.array_events") > arr0
         for c in range(2):
             ref = replay(t, net,
                          lambda r, p, _c=c: self.duration(r, p)[_c])
             assert_results_equal(ref, out[c])
 
-    def test_tape_bailout_falls_back_to_worklist_driver(self, monkeypatch):
-        # An order-free trace whose tape build bails out runs on the
-        # event-at-a-time worklist driver, still bit-identical to scalar.
+    def test_tape_bailout_falls_back_to_scalar_replay(self, monkeypatch):
+        # An order-free trace whose tape build bails out runs the scalar
+        # event engine once per column: the reference itself.
         net = zero_net(n_buses=0)
         t = self._racing_trace()
         monkeypatch.setattr(replay_batch_mod, "_tape_for",
                             lambda trace, net: None)
         reg = get_metrics()
-        drv0 = reg.counter("replay.batch.driver.worklist")
+        drv0 = reg.counter("replay.batch.driver.scalar")
         fb0 = reg.counter("replay.batch.array_fallbacks")
         arr0 = reg.counter("replay.batch.array_events")
         out = replay_batch(t, net, self.duration, 2)
-        assert reg.counter("replay.batch.driver.worklist") - drv0 == 1
+        assert reg.counter("replay.batch.driver.scalar") - drv0 == 1
         assert reg.counter("replay.batch.array_fallbacks") - fb0 == 1
         assert reg.counter("replay.batch.array_events") == arr0
         for c in range(2):
             ref = replay(t, net,
                          lambda r, p, _c=c: self.duration(r, p)[_c])
-            assert_results_equal(ref, out[c])
-
-
-class TestFiniteBusFastPath:
-    """Regression pin for the ``micro.bus_arbitration`` finite-bus scenario:
-    16 LULESH ranks x 32 configs x 8 buses must stay on the vectorized
-    lockstep path (the PR4 peel driver collapsed it to 29/32 scalar
-    re-runs)."""
-
-    def test_bench_scenario_peels_at_most_two(self):
-        musa = Musa(get_app("lulesh"))
-        t = musa._burst_trace(16, 1)
-        scales = musa.app.rank_scales(16)
-        base = {id(p): musa.burst_phase(p, 64).makespan_ns
-                for p in musa.phases}
-        cfg = 1.0 + (np.arange(32, dtype=np.float64) % 7) * 0.05
-
-        def dur(rank, ph):
-            return base[id(ph)] * scales[rank] * cfg
-
-        import dataclasses
-        net = dataclasses.replace(musa.network, n_buses=8)
-        reg = get_metrics()
-        peeled0 = reg.counter("replay.batch.peeled_configs")
-        lock0 = reg.counter("replay.batch.lockstep_events")
-        out = replay_batch(t, net, dur, 32)
-        assert len(out) == 32 and all(r is not None for r in out)
-        assert reg.counter("replay.batch.peeled_configs") - peeled0 <= 2
-        assert reg.counter("replay.batch.lockstep_events") > lock0
-        # Spot-check bit-identity on the extreme columns.
-        for c in (0, 6, 31):
-            ref = replay(t, net,
-                         lambda r, p, _c=c: float(dur(r, p)[_c]))
             assert_results_equal(ref, out[c])
 
 
@@ -251,7 +195,7 @@ class TestOrderFreeClassification:
              MpiCall(kind="recv", peer=0, size_bytes=1000)],
         ])
         assert not _order_free(t, net)
-        # The lockstep driver still reproduces the scalar results.
+        # The scalar fallback reproduces the scalar results.
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 2.0))
 
     def test_distinct_tags_keep_keys_pure(self):
@@ -315,3 +259,18 @@ class TestAppTraceEquivalence:
                 ref = replay(tr, net,
                              lambda r, p, _c=c: dur(r, p)[_c])
                 assert_results_equal(ref, out[c])
+
+
+class TestBundledAppsStayOnTape:
+    """Every bundled app must replay on the array tape with its default
+    network.  A trace that drops to the per-column scalar fallback would
+    run O(configs) slower; this fails instead of the sweep slowing down
+    silently."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_default_network_builds_a_tape(self, app):
+        musa = Musa(get_app(app))
+        for n_ranks in (1, 7, 64, 256):
+            t = musa._burst_trace(n_ranks, None)
+            assert _order_free(t, musa.network), (app, n_ranks)
+            assert _tape_for(t, musa.network) is not None, (app, n_ranks)

@@ -90,12 +90,8 @@ def test_pinned_counter_names_emitted(workload_counters):
 def test_required_counters_are_real_emitted_names(workload_counters):
     counters = workload_counters
     # Every counter the bench registry contracts on must be one the
-    # smoke-scale workloads actually emit (lockstep/fork/peel counters
-    # come from the finite-bus path, exercised by its own benchmark).
-    always = set(REQUIRED_COUNTERS) - {"replay.batch.lockstep_events",
-                                       "replay.batch.driver.lockstep",
-                                       "replay.batch.peeled_configs"}
-    for name in always:
+    # smoke-scale workloads actually emit.
+    for name in REQUIRED_COUNTERS:
         assert counters.get(name, 0) > 0, f"required counter {name} silent"
 
 
@@ -139,15 +135,13 @@ def test_sweep_ipc_transport_counters():
 def test_array_driver_does_not_alias_other_drivers(workload_counters):
     counters = workload_counters
     # Regression pin for the PR5-era counter aliasing: a pure
-    # array-driver workload double-reported every array event as a
-    # lockstep event (138,018,816 of each on the 864x256 replay sweep).
-    # Each driver owns exactly one event counter now.
+    # array-driver workload double-reported every array event under a
+    # second driver's counter.  The fixture's replays all run on the
+    # tape, so the scalar fallback must never report.
     assert counters.get("replay.batch.array_events", 0) > 0
     assert counters.get("replay.batch.driver.array", 0) > 0
-    assert counters.get("replay.batch.lockstep_events", 0) == 0
-    assert counters.get("replay.batch.worklist_events", 0) == 0
-    assert counters.get("replay.batch.driver.lockstep", 0) == 0
-    assert counters.get("replay.batch.driver.worklist", 0) == 0
+    assert counters.get("replay.batch.driver.scalar", 0) == 0
+    assert counters.get("replay.batch.array_fallbacks", 0) == 0
 
 
 def test_dse_counters_emitted(workload_counters):
