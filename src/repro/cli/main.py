@@ -225,53 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", default="report.html")
     rp.add_argument("--cores", type=int, default=64)
 
-    b = sub.add_parser(
-        "bench",
-        help="pinned benchmark suite: identity oracles, trend ledger, "
-             "regression gate")
-    b.add_argument("--smoke", action="store_true",
-                   help="CI-sized workloads (seconds, identity still "
-                        "asserted)")
-    b.add_argument("--only", nargs="+", metavar="ID",
-                   help="run a subset: exact ids, 'micro'/'macro', or a "
-                        "'micro.' prefix")
-    b.add_argument("--list", action="store_true",
-                   help="list registered benchmarks and exit")
-    b.add_argument("--ledger", default="BENCH_LEDGER.jsonl", metavar="JSONL",
-                   help="trend ledger path (default BENCH_LEDGER.jsonl)")
-    b.add_argument("--check", action="store_true",
-                   help="regression gate: exit nonzero when any benchmark "
-                        "regresses past --threshold vs its ledger baseline "
-                        "or any identity oracle fails")
-    b.add_argument("--threshold", type=float, default=0.10,
-                   help="allowed normalized-cost regression fraction "
-                        "(default 0.10 = 10%%)")
-    b.add_argument("--append", action="store_true",
-                   help="append this run's entries to the ledger")
-    b.add_argument("--report", nargs="?", const="bench_trend.html",
-                   default=None, metavar="HTML",
-                   help="render the ledger trend report; alone (without "
-                        "--check/--append) renders without running")
-    b.add_argument("--json", default=None, metavar="PATH",
-                   help="write this run's results and verdicts as JSON")
-    b.add_argument("--repeats", type=int, default=None,
-                   help="timed samples per benchmark (default: protocol "
-                        "per kind/tier)")
-    b.add_argument("--warmup", type=int, default=None,
-                   help="untimed warmup runs per benchmark")
-    b.add_argument("--retries", type=int, default=2,
-                   help="independent re-measurements a suspected "
-                        "regression must survive before the gate fails "
-                        "it (default 2; 0 disables arbitration)")
-    b.add_argument("--inject-slowdown", type=float, default=1.0,
-                   metavar="FACTOR",
-                   help="multiply measured samples by FACTOR (gate "
-                        "self-test aid; recorded in the entry and never "
-                        "used as a baseline)")
-    b.add_argument("--merge", nargs="+", metavar="JSONL",
-                   help="merge these ledgers into --ledger (content-"
-                        "deduplicated) and exit")
-
     sv = sub.add_parser(
         "serve",
         help="serve design-space queries over HTTP from a persistent "
@@ -483,9 +436,8 @@ def cmd_merge_journal(args) -> int:
 
 def cmd_search(args) -> int:
     from ..analysis import format_metrics_summary, search_front
-    from ..bench import code_version
     from ..config import range_design_space
-    from ..core.store import ResultStore
+    from ..core.store import ResultStore, code_version
     from ..obs import get_metrics, summarize
 
     space = range_design_space() if args.range else full_design_space()
@@ -705,147 +657,8 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json as _json
-    from dataclasses import asdict
-
-    from .. import bench as B
-
-    if args.threshold < 0:
-        print("error: --threshold must be non-negative", file=sys.stderr)
-        return 2
-    if args.inject_slowdown <= 0:
-        print("error: --inject-slowdown must be positive", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print("error: --retries must be non-negative", file=sys.stderr)
-        return 2
-
-    if args.list:
-        for b in B.REGISTRY.values():
-            print(f"{b.id:24s} [{b.kind}] {b.description}")
-        return 0
-
-    if args.merge:
-        merged = B.Ledger.load(args.ledger)
-        for other in args.merge:
-            merged = merged.merge(B.Ledger.load(other))
-        merged.save(args.ledger)
-        print(f"merged {len(args.merge)} ledger(s) into {args.ledger} "
-              f"({len(merged)} entries)")
-        return 0
-
-    host = B.host_fingerprint()
-
-    report_only = args.report is not None and not (args.check or args.append)
-    if not report_only:
-        tier = "smoke" if args.smoke else "full"
-        benches = B.get_benchmarks(args.only)
-        print(f"calibrating reference kernel...", flush=True)
-        calib = B.calibration_s()
-        print(f"  calib_s = {calib * 1e3:.2f} ms  host={host['id']}")
-        ledger = B.Ledger.load(args.ledger)
-
-        def _progress(bid, r):
-            norm = B.normalized(r.min_s, r.calib_min_s or calib)
-            oracle = "ok" if r.oracle_ok else "ORACLE-FAILED"
-            print(f"  {bid:24s} [{tier}] min {r.min_s:8.4f} s  "
-                  f"median {r.median_s:8.4f} s  norm {norm:8.2f}  "
-                  f"{oracle}", flush=True)
-            if not r.oracle_ok:
-                print(f"    {r.oracle_detail}", flush=True)
-
-        results = B.run_suite(benches, tier=tier, repeats=args.repeats,
-                              warmup=args.warmup,
-                              inject_slowdown=args.inject_slowdown,
-                              progress=_progress)
-
-        verdicts = []
-        failed = any(not r.oracle_ok for r in results)
-        if args.check:
-            verdicts = B.check(results, ledger, args.threshold, calib,
-                               host_id=host["id"])
-            # Retry arbitration: a suspected regression must hold up
-            # across independent re-measurements.  The final statistic
-            # is the *best* attempt, so a transient contention burst on
-            # a shared runner cannot fail the gate, while a genuine
-            # slowdown — present in every attempt — still does.
-            suspects = [v for v in verdicts if v.status == "regression"]
-            if args.retries > 0 and suspects:
-                by_id = {b.id: b for b in benches}
-                print(f"re-measuring {len(suspects)} suspected "
-                      f"regression(s), up to {args.retries} more "
-                      f"attempt(s) each...", flush=True)
-                for v in suspects:
-                    best = v
-                    for _ in range(args.retries):
-                        r2 = B.run_case(
-                            by_id[v.bench], tier=tier,
-                            repeats=args.repeats, warmup=args.warmup,
-                            inject_slowdown=args.inject_slowdown)
-                        results.append(r2)
-                        v2 = B.check([r2], ledger, args.threshold,
-                                     calib, host_id=host["id"])[0]
-                        if v2.ratio is not None and (
-                                best.ratio is None or v2.ratio < best.ratio):
-                            best = v2
-                        if not v2.failed:
-                            break
-                    verdicts[verdicts.index(v)] = best
-            print("regression gate:")
-            for v in verdicts:
-                line = f"  {v.bench:24s} {v.status:14s}"
-                if v.ratio is not None:
-                    line += (f" {v.ratio:+7.1%} (norm {v.current_norm:.2f} "
-                             f"vs baseline {v.baseline_norm:.2f})")
-                if v.detail and v.failed:
-                    line += f"  {v.detail}"
-                print(line)
-            failed = failed or any(v.failed for v in verdicts)
-
-        if args.append:
-            entries = [B.make_entry(r, calib, host, B.code_version())
-                       for r in results]
-            B.Ledger.append_to(args.ledger, entries)
-            print(f"appended {len(entries)} entr"
-                  f"{'y' if len(entries) == 1 else 'ies'} to {args.ledger}")
-
-        if args.json:
-            payload = {
-                "calib_s": calib,
-                "host": host,
-                "code_version": B.code_version(),
-                "tier": tier,
-                "results": [asdict(r) for r in results],
-                "verdicts": [asdict(v) for v in verdicts],
-            }
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(payload, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.json}")
-
-    if args.report is not None:
-        ledger = B.Ledger.load(args.ledger)
-        if not len(ledger):
-            print(f"error: no ledger entries at {args.ledger!r} — run "
-                  "`repro bench --append` first", file=sys.stderr)
-            return 1
-        html_text = B.build_trend_report(ledger, host_id=host["id"])
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(html_text)
-        print(f"wrote {args.report}")
-
-    if report_only:
-        return 0
-    if failed:
-        print("bench: FAILED (regression or identity-oracle failure)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_serve(args) -> int:
-    from ..bench import code_version
-    from ..core.store import ResultStore
+    from ..core.store import ResultStore, code_version
     from ..serve import ServeState, serve_forever
 
     store = ResultStore(args.store)
@@ -987,7 +800,6 @@ _COMMANDS = {
     "roofline": cmd_roofline,
     "tornado": cmd_tornado,
     "report": cmd_report,
-    "bench": cmd_bench,
     "serve": cmd_serve,
     "query": cmd_query,
 }

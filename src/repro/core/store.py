@@ -7,7 +7,8 @@ version.  The key is the SHA-256 of the canonical serialization
 
 * equal queries hash to equal keys regardless of dict ordering or the
   process that computed them;
-* a model change (new code version) can never silently serve stale
+* a model change (new :func:`code_version`: the git revision, unless
+  ``REPRO_CODE_VERSION`` overrides it) can never silently serve stale
   results — old entries simply stop matching, and can be audited or
   bulk-invalidated by their recorded provenance.
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -65,13 +67,30 @@ from ..obs import get_metrics
 from .canon import canonical_dumps, canonical_loads, content_digest
 from .frame import ResultFrame, scalar_fragment
 
-__all__ = ["ResultStore", "make_provenance", "store_key",
+__all__ = ["ResultStore", "code_version", "make_provenance", "store_key",
            "store_keys_batch", "store_keys_frame",
            "STORE_KEY_SCHEMA", "STORE_BLOCK_KEY", "STORE_BLOCK_SCHEMA"]
 
 #: Version tag of the key schema.  Bump when the keyed-input structure
 #: changes so old entries can never alias new keys.
 STORE_KEY_SCHEMA = 1
+
+
+def code_version(root: Optional[Path] = None) -> str:
+    """Short git revision of the working tree (or ``unknown``)."""
+    env = os.environ.get("REPRO_CODE_VERSION")
+    if env:
+        return env
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=root or Path(__file__).resolve().parents[3],
+            capture_output=True, text=True, timeout=5)
+        if out.returncode == 0:
+            return out.stdout.strip() or "unknown"
+    except (OSError, subprocess.SubprocessError):
+        pass
+    return "unknown"
 
 
 def store_key(app: str, config: Dict[str, Any], mode: str, ranks: int,

@@ -49,8 +49,10 @@ Query shapes (plain dicts, the HTTP layer passes JSON bodies through):
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from numbers import Integral, Real
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,7 +168,11 @@ class ServeState:
         if kind not in ("sweep", "best", "delta"):
             raise QueryError(
                 f"unknown query kind {kind!r}; expected sweep|best|delta")
-        apps = list(query.get("apps") or APP_NAMES)
+        apps = query.get("apps") or list(APP_NAMES)
+        if not isinstance(apps, (list, tuple)):
+            raise QueryError(f"apps must be a list of app names, "
+                             f"got {apps!r}")
+        apps = list(apps)
         for app in apps:
             if app not in APP_NAMES:
                 raise QueryError(f"unknown app {app!r}; known: {APP_NAMES}")
@@ -176,10 +182,16 @@ class ServeState:
         space = query.get("space", "full")
         if space not in ("full", "smoke"):
             raise QueryError(f"space must be full|smoke, got {space!r}")
-        ranks = int(query.get("ranks", 256))
-        if ranks < 1:
-            raise QueryError("ranks must be >= 1")
-        subset = dict(query.get("subset") or {})
+        ranks = query.get("ranks", 256)
+        if (isinstance(ranks, bool) or not isinstance(ranks, Integral)
+                or ranks < 1):
+            raise QueryError(f"ranks must be an integer >= 1, got {ranks!r}")
+        ranks = int(ranks)
+        subset = query.get("subset") or {}
+        if not isinstance(subset, dict):
+            raise QueryError(f"subset must be an object mapping axis to "
+                             f"value(s), got {subset!r}")
+        subset = dict(subset)
         for axis in subset:
             if axis not in AXES:
                 raise QueryError(f"unknown axis {axis!r}; valid axes: {AXES}")
@@ -191,6 +203,11 @@ class ServeState:
             for f in ("power_cap_w", "area_cap_mm2", "min_frequency_ghz",
                       "energy_cap_j"):
                 v = query.get(f)
+                if v is not None and (isinstance(v, bool)
+                                      or not isinstance(v, Real)
+                                      or not math.isfinite(v)):
+                    raise QueryError(f"{f} must be a finite number, "
+                                     f"got {v!r}")
                 norm[f] = None if v is None else float(v)
         elif kind == "delta":
             axis = query.get("axis")

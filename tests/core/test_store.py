@@ -11,7 +11,12 @@ import threading
 
 import pytest
 
-from repro.core.canon import canonical_loads
+from repro.apps import get_app
+from repro.config import smoke_design_space
+from repro.core.batch import BatchEvaluator
+from repro.core.canon import canonical_dumps, canonical_loads
+from repro.core.checkpoint import Journal, merge_journal
+from repro.core.musa import Musa
 from repro.core.store import ResultStore, store_key
 from repro.obs import MetricsRegistry, get_metrics, set_metrics
 
@@ -201,3 +206,65 @@ class TestThreadSafety:
         store.close()
         with ResultStore(path) as again:
             assert len(again) == 80
+
+
+class TestResultPlane:
+    """The columnar plane (one frame, one block line) writes the same
+    content as per-record writes of the scalar reference's records."""
+
+    MODE, RANKS, CV = "fast", 256, "plane"
+    PROV = {"engine": "plane"}
+
+    @pytest.fixture(scope="class")
+    def plane(self):
+        nodes = list(smoke_design_space())
+        musa = Musa(get_app("lulesh"))
+        frame = BatchEvaluator(musa).evaluate_frame(nodes)
+        records = [musa.simulate_node(n, n_ranks=self.RANKS,
+                                      mode=self.MODE).record()
+                   for n in nodes]
+        return nodes, frame, records
+
+    def _ref_keys(self, nodes):
+        return [store_key("lulesh", n.axis_values(), self.MODE, self.RANKS,
+                          self.CV) for n in nodes]
+
+    def test_put_frame_keys_match_store_key(self, tmp_path, plane):
+        nodes, frame, _ = plane
+        with ResultStore(tmp_path / "s.jsonl") as store:
+            keys = store.put_frame(frame, self.MODE, self.RANKS, self.CV,
+                                   self.PROV)
+        assert keys == self._ref_keys(nodes)
+
+    def test_block_entries_equal_per_record_puts(self, tmp_path, plane):
+        nodes, frame, records = plane
+        keys = self._ref_keys(nodes)
+        with ResultStore(tmp_path / "ref.jsonl") as ref:
+            for node, key, rec in zip(nodes, keys, records):
+                ref.put(key, rec, {"app": "lulesh",
+                                   "config": node.axis_values(),
+                                   "mode": self.MODE, "ranks": self.RANKS,
+                                   "code_version": self.CV}, self.PROV)
+        with ResultStore(tmp_path / "col.jsonl") as col:
+            col.put_frame(frame, self.MODE, self.RANKS, self.CV, self.PROV)
+        # Reopened from disk: the block line round-trips too.
+        with ResultStore(tmp_path / "ref.jsonl") as ref, \
+                ResultStore(tmp_path / "col.jsonl") as col:
+            for key in keys:
+                assert canonical_dumps(col.get(key)) == \
+                    canonical_dumps(ref.get(key))
+
+    def test_block_and_per_record_journals_merge_identically(
+            self, tmp_path, plane):
+        _, frame, records = plane
+        with Journal(tmp_path / "col.jsonl") as j:
+            j.append_frame(frame)
+        with Journal(tmp_path / "ref.jsonl") as j:
+            for rec in records:
+                j.append(rec)
+        merged = []
+        for name in ("col", "ref"):
+            out = tmp_path / f"{name}.merged"
+            merge_journal([tmp_path / f"{name}.jsonl"], out, collect=False)
+            merged.append(out.read_bytes())
+        assert merged[0] and merged[0] == merged[1]

@@ -1,8 +1,8 @@
-"""Pin the observability counter names the bench harness contracts on.
+"""Pin the observability counter names that readers key on.
 
-The trend dashboards, the ``repro bench`` required-counter checks and
-the CLI metrics summary all key on these exact strings.  Renaming one
-must fail here first, not silently blind the instrumentation.
+The CLI metrics summary, ``--metrics-json`` consumers and the ``perf``
+benchmark's per-layer counters all read these exact strings.  Renaming
+one must fail here first, not silently blind the instrumentation.
 """
 
 import tempfile
@@ -13,13 +13,28 @@ import pytest
 
 from repro.analysis import search_front
 from repro.apps import get_app
-from repro.bench import REQUIRED_COUNTERS
 from repro.config import DesignSpace, smoke_design_space
 from repro.core import run_sweep
 from repro.core import sweep as sweep_mod
 from repro.core.musa import Musa
+from repro.core.store import code_version
 from repro.network.replay_batch import replay_batch
 from repro.obs import MetricsRegistry, get_metrics, set_metrics, summarize
+
+#: Counters a smoke-scale sweep, replay, pooled sweep, store write and
+#: search must all emit.  A rename of any of these is a breaking change.
+REQUIRED_COUNTERS = (
+    "miss.batch.geometries",
+    "sched.batch.fast",
+    "replay.batch.array_events",
+    "replay.batch.driver.array",
+    "replay.events",
+    "sweep.batch.configs",
+    "sweep.shards",
+    "search.evaluated",
+    "store.block.put",
+    "store.block.records",
+)
 
 #: 12-point space the fixture's active search explores: big enough
 #: that the seed stage leaves points for at least one proposal round
@@ -89,8 +104,8 @@ def test_pinned_counter_names_emitted(workload_counters):
 
 def test_required_counters_are_real_emitted_names(workload_counters):
     counters = workload_counters
-    # Every counter the bench registry contracts on must be one the
-    # smoke-scale workloads actually emit.
+    # Every pinned counter must be one the smoke-scale workloads
+    # actually emit.
     for name in REQUIRED_COUNTERS:
         assert counters.get(name, 0) > 0, f"required counter {name} silent"
 
@@ -183,3 +198,10 @@ def test_summarize_exposes_pinned_families(workload_counters):
     assert derived["miss_batch_geometries"] > 0
     assert derived["sched_batch_fast"] > 0
     assert derived["replay_events"] > 0
+
+
+def test_code_version_honours_env_override(monkeypatch):
+    # Store keys, and so every pinned serve digest, depend on the code
+    # version; the environment variable must override the git revision.
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-cv")
+    assert code_version() == "pinned-cv"

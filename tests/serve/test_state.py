@@ -246,6 +246,24 @@ class TestQueryValidation:
         with pytest.raises(QueryError):
             state.handle(query)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ranks", None), ("ranks", "abc"), ("ranks", [4]),
+        ("subset", [1, 2]), ("apps", "spmz"),
+        *((cap, bad)
+          for cap in ("power_cap_w", "area_cap_mm2", "min_frequency_ghz",
+                      "energy_cap_j")
+          for bad in ("abc", [1], float("nan"), float("inf"))),
+    ])
+    def test_malformed_fields_are_query_errors(self, state, fresh_metrics,
+                                                field, value):
+        # A malformed field is the client's error (HTTP 400), raised
+        # before any engine or store work.
+        query = {"kind": "best", "apps": ["spmz"], "space": "smoke",
+                 field: value}
+        with pytest.raises(QueryError, match=field):
+            state.handle(query)
+        assert fresh_metrics.snapshot()["counters"] == {"serve.requests": 1}
+
     def test_normalization_coalesces_default_spellings(self, state,
                                                        fresh_metrics):
         state.handle({"kind": "sweep", "apps": ["spmz"], "space": "smoke"})
