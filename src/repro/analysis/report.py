@@ -65,6 +65,7 @@ def format_metrics_summary(summary: Dict) -> str:
             ["replay messages", d.get("replay_messages", 0)],
             ["replay bus waits", d.get("replay_bus_waits", 0)],
             ["replay array events", d.get("replay_array_events", 0)],
+            ["replay tapes built", d.get("replay_tape_builds", 0)],
         ]
     if d.get("miss_batch_geometries", 0):
         rows.append(["miss-model geometries evaluated",

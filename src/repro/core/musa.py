@@ -158,9 +158,11 @@ class Musa:
 
     def _burst_trace(self, n_ranks: int,
                      n_iterations: Optional[int]) -> BurstTrace:
-        key = (n_ranks, n_iterations)
+        # ``None`` means the default: key both spellings to one trace,
+        # so the replay tape cache (keyed on the trace) builds one tape.
+        key = (n_ranks, n_iterations or self.app.default_iterations)
         if key not in self._trace_cache:
-            self._trace_cache[key] = self.app.burst_trace(n_ranks, n_iterations)
+            self._trace_cache[key] = self.app.burst_trace(*key)
         return self._trace_cache[key]
 
     def simulate_burst_full(

@@ -18,14 +18,17 @@ completion is a commutative max over entry times, and FIFO matching per
 ``(src, dst, tag)`` pairs the k-th send with the k-th receive under any
 interleaving.  The global ``(clock, rank)`` step order exists solely to
 serialize the finite-bus pool — plus one structural corner: a key
-carrying both eager-buffered and rendezvous sends.  :func:`_order_free`
-checks both conditions (``n_buses == 0`` and protocol-pure keys, one
-O(events) scan).  They hold for the paper's MareNostrum4-like network,
-which has an unlimited bus pool, and for every bundled app on it.  The
-whole matching is then *structural*: :func:`_build_tape` resolves it
-once in pure Python (no floats), levels the resulting value DAG by
-dependency depth, and the driver executes it level by level with one
-NumPy pass per (level, kind) group over (events-in-level x configs).
+carrying both eager-buffered and rendezvous sends.  :func:`_classify`
+checks both conditions (``n_buses == 0`` and protocol-pure keys) in
+one O(events) scan.  They hold for the paper's MareNostrum4-like
+network, which has an unlimited bus pool, and for every bundled app on
+it.  The whole matching is then *structural*: :func:`_build_tape`
+resolves it once in pure Python (no floats), levels the resulting value
+DAG by dependency depth, and the driver executes it level by level with
+one NumPy pass per (level, kind) group over (events-in-level x configs).
+The same scan detects *periodic* traces — every bundled app repeats
+``n_iterations`` identical iterations — whose tape covers one period
+and runs ``reps`` times, carrying the state matrices across periods.
 Full-rank groups (the bulk-synchronous common case) run as
 ``out=``-pipelined in-place kernels over two reusable workspace
 matrices, so a level costs stream passes over the state, not allocator
@@ -46,10 +49,11 @@ Counters: ``replay.batch.array_events`` (config-events priced by the
 array driver), ``replay.batch.driver.{array,scalar}`` (which path a
 :func:`replay_batch` call actually ran, so a silent tape bail-out can
 never masquerade as an array-driver run), ``replay.batch.array_fallbacks``
-(order-free batches whose tape could not be built), plus the
-scalar-equivalent ``replay.events`` / ``replay.messages`` totals (the
-scalar path reports those, and ``replay.bus_waits``, through its
-``replay()`` calls).
+(order-free batches whose tape could not be built), ``replay.tape.builds``
+/ ``replay.tape.evictions`` (tape cache misses that built, and entries
+the cache dropped), plus the scalar-equivalent ``replay.events`` /
+``replay.messages`` totals (the scalar path reports those, and
+``replay.bus_waits``, through its ``replay()`` calls).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import numpy as np
 
 from ..obs import get_metrics
 from ..trace.burst import BurstTrace
-from ..trace.events import ComputePhase, MpiCall
+from ..trace.events import ComputePhase, MpiCall, RankEvent
 from ..util import LruDict
 from .collectives import collective_cost_ns
 from .model import NetworkConfig
@@ -73,28 +77,95 @@ __all__ = ["replay_batch", "BatchPhaseDurationFn"]
 BatchPhaseDurationFn = Callable[[int, ComputePhase], np.ndarray]
 
 
-def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
-    """True when the replay's values cannot depend on step order.
+def _classify(
+    trace: BurstTrace, net: NetworkConfig,
+) -> Optional[Tuple[Dict[Tuple[int, int, int], bool], int]]:
+    """One scan over every event: can a tape replay ``trace``, and how?
 
-    Requires an unlimited bus pool (``n_buses == 0``) — the one shared
-    resource whose grant order is observable — and *protocol-pure*
-    point-to-point keys: no ``(src, dst, tag)`` carries both
-    eager/isend-buffered and rendezvous sends, because
+    Returns ``None`` when the replay's values can depend on step order:
+    a finite bus pool (``n_buses > 0``) — the one shared resource whose
+    grant order is observable — or a point-to-point ``(src, dst, tag)``
+    key carrying both eager/isend-buffered and rendezvous sends, because
     ``_match_source`` prefers a buffered send over an advertised
     rendezvous one, making mixed-key pairing depend on what is
     outstanding at discovery time.
+
+    Otherwise returns ``(key_eager, reps)``: each send key's protocol
+    (``True`` = eager) and the number of identical periods the tape may
+    execute — ``trace.n_iterations`` when every rank's stream splits
+    into that many blocks that replay identically, else 1.  Blocks are
+    identical when, position by position, compute phases are the *same
+    object* (so the duration function sees exactly the phases the full
+    replay would pass) and MPI calls have equal fields, request ids
+    relabelled by first appearance within the block.  Each block must
+    also close its own requests (every wait consumes a request of its
+    block, none pending at its end) and its own messages (per key, as
+    many receives as sends), so FIFO matching never pairs a send with a
+    receive of another period.
     """
     if net.n_buses > 0:
-        return False
-    classes: Dict[Tuple[int, int, int], bool] = {}
+        return None
+    reps = trace.n_iterations
+    periodic = reps > 1
+    key_eager: Dict[Tuple[int, int, int], bool] = {}
+    balance: Dict[Tuple[int, int, int], int] = defaultdict(int)
     for rt in trace.ranks:
-        for ev in rt.events:
-            if isinstance(ev, MpiCall) and ev.kind in ("send", "isend"):
-                key = (rt.rank, ev.peer, ev.tag)
-                eager = ev.kind == "isend" or net.is_eager(ev.size_bytes)
-                if classes.setdefault(key, eager) != eager:
-                    return False
-    return True
+        r = rt.rank
+        events = rt.events
+        if periodic and len(events) % reps:
+            periodic = False
+        block = len(events) // reps if periodic else 0
+        first: List[object] = []   # block 0, position by position
+        labels: Dict[int, int] = {}
+        pending = set()
+        pos = 0
+        for ev in events:
+            if isinstance(ev, ComputePhase):
+                sig = ev
+            else:
+                kind = ev.kind
+                if kind in ("send", "isend"):
+                    key = (r, ev.peer, ev.tag)
+                    eager = kind == "isend" or net.is_eager(ev.size_bytes)
+                    if key_eager.setdefault(key, eager) != eager:
+                        return None
+                if not periodic:
+                    continue
+                req = ev.request
+                if req is not None:
+                    if kind == "wait":
+                        if req not in pending:
+                            periodic = False  # waits on an earlier block
+                            continue
+                        pending.discard(req)
+                    else:
+                        pending.add(req)
+                    req = labels.setdefault(req, len(labels))
+                sig = (kind, ev.peer, ev.size_bytes, ev.tag, req)
+                if len(first) < block:
+                    if kind in ("send", "isend"):
+                        balance[(r, ev.peer, ev.tag)] += 1
+                    elif kind in ("recv", "irecv"):
+                        balance[(ev.peer, r, ev.tag)] -= 1
+            if not periodic:
+                continue
+            if len(first) < block:
+                first.append(sig)
+            else:
+                ref = first[pos]
+                if sig is not ref and (type(sig) is not tuple
+                                       or sig != ref):
+                    periodic = False
+                    continue
+            pos += 1
+            if pos == block:
+                if pending:
+                    periodic = False
+                pos = 0
+                labels.clear()
+    if periodic and any(balance.values()):
+        periodic = False
+    return key_eager, (reps if periodic else 1)
 
 
 # --------------------------------------------------------------------- tape
@@ -119,6 +190,16 @@ def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
 # cycle, unknown wait request, ragged collective, non-uniform collective
 # payload) falls back to per-column scalar replay, which raises the
 # reference diagnostics.
+#
+# A periodic trace (see _classify) is built from its first period only
+# and the driver runs that tape ``reps`` times.  Each period's slots are
+# produced and consumed within it (requests and messages are closed per
+# period, collectives match by per-period sequence), and same-rank state
+# — clock, link availability, the three time accumulators — carries over
+# in the state matrices, so every column executes the very float64 ops,
+# on the very operands, of the full tape, in another valid topological
+# order.  Results are bit-identical; the tape and its workspace shrink by
+# the factor ``reps``.
 
 (_K_COMPUTE, _K_EAGER_SEND, _K_RECV_EAGER, _K_IRECV_POST, _K_RDV_SEND,
  _K_RDV_POST, _K_RDV_COMPLETE, _K_WAIT_ARR, _K_WAIT_EAGER,
@@ -126,43 +207,44 @@ def _order_free(trace: BurstTrace, net: NetworkConfig) -> bool:
 
 
 class _Tape:
-    #: ``n_msgs`` holds the (arrival, post) buffer row counts; ``ws``
-    #: caches the driver's workspace matrices between runs (the big
+    #: ``groups`` price one period; the driver runs them ``reps`` times
+    #: (``n_events``/``n_messages``/``bytes_sent`` count all periods).
+    #: ``n_msgs`` holds one period's (arrival, post) buffer row counts;
+    #: ``ws`` caches the driver's workspace matrices between runs (the
     #: slot buffers are tens of MB — repaying their first-touch page
     #: faults on every call costs more than the arithmetic).
-    __slots__ = ("groups", "n_msgs", "n_events", "n_messages",
+    __slots__ = ("groups", "reps", "n_msgs", "n_events", "n_messages",
                  "bytes_sent", "ws")
 
-    def __init__(self, groups, n_msgs, n_events, n_messages, bytes_sent):
+    def __init__(self, groups, reps, n_msgs, n_events, n_messages,
+                 bytes_sent):
         self.groups = groups
+        self.reps = reps
         self.n_msgs = n_msgs
-        self.n_events = n_events
-        self.n_messages = n_messages
-        self.bytes_sent = bytes_sent
+        self.n_events = n_events * reps
+        self.n_messages = n_messages * reps
+        self.bytes_sent = bytes_sent * reps
         self.ws = None
 
 
-def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
-    """Structural pre-pass: match, level, and group the whole replay.
+def _build_tape(
+    events: List[Tuple[RankEvent, ...]],
+    net: NetworkConfig,
+    key_eager: Dict[Tuple[int, int, int], bool],
+    reps: int,
+) -> Optional[_Tape]:
+    """Structural pre-pass: match, level, and group one period's replay.
 
-    Returns ``None`` when the trace cannot be fully resolved
-    structurally (it would deadlock, wait on an unknown request, or
-    price a collective whose per-rank payloads disagree) — the caller
-    then falls back to per-column scalar replay, which owns those
-    diagnostics.
+    ``events`` holds each rank's stream for one period — the whole trace
+    when ``reps == 1`` — and ``key_eager`` each send key's protocol, both
+    from :func:`_classify`.  Returns ``None`` when the events cannot be
+    fully resolved structurally (they would deadlock, wait on an unknown
+    request, or price a collective whose per-rank payloads disagree) —
+    the caller then falls back to per-column scalar replay, which owns
+    those diagnostics.
     """
-    n = trace.n_ranks
-    events = [trace.ranks[r].events for r in range(n)]
+    n = len(events)
     n_events = sum(len(e) for e in events)
-
-    # Pass 1: per-key protocol (guaranteed pure by _order_free).
-    key_eager: Dict[Tuple[int, int, int], bool] = {}
-    for r in range(n):
-        for ev in events[r]:
-            if isinstance(ev, MpiCall) and ev.kind in ("send", "isend"):
-                key = (r, ev.peer, ev.tag)
-                key_eager[key] = (ev.kind == "isend"
-                                  or net.is_eager(ev.size_bytes))
 
     # Message registry: FIFO slot i of a key pairs send i with recv i.
     msg_transfer: List[Optional[float]] = []
@@ -473,40 +555,47 @@ def _build_tape(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
             rsl2 = post_blocks[gi]
         groups.append((k, rr, widx, rsl, rsl2, tt2, pl))
 
-    return _Tape(groups, (arr_size, post_size), n_events, n_messages,
+    return _Tape(groups, reps, (arr_size, post_size), n_events, n_messages,
                  bytes_sent)
 
 
 #: Tapes are structural — they depend only on ``(trace, net)``, never
-#: on configurations — so they are shared across batches.  The key pins
-#: the trace object itself (keeping its ``id`` valid for the entry's
-#: lifetime); a ``None`` tape records that the trace needs the scalar
-#: fallback, so the failed build isn't repeated either.
-#: The :func:`_order_free` scan is cached the same way.
-_TAPE_CACHE: LruDict = LruDict(8, eviction_counter="replay.tape.evictions")
-_ORDER_FREE_CACHE: LruDict = LruDict(
-    64, eviction_counter="replay.tape.evictions")
-
-
-def _order_free_cached(trace: BurstTrace, net: NetworkConfig) -> bool:
-    key = (id(trace), net)
-    entry = _ORDER_FREE_CACHE.get(key)
-    if entry is not None and entry[0] is trace:
-        return entry[1]
-    free = _order_free(trace, net)
-    _ORDER_FREE_CACHE[key] = (trace, free)
-    return free
+#: on configurations — so they are shared across batches.  An entry is
+#: ``(trace, tape, order_free)``: the key pins the trace object itself
+#: (keeping its ``id`` valid for the entry's lifetime), and a ``None``
+#: tape records that the trace needs the scalar fallback — order
+#: dependent, or an order-free trace whose build bailed out — so
+#: neither the scan nor a failed build is repeated.  Sixteen entries
+#: hold every (app, ranks) trace a serve stream cycles through.
+_TAPE_CACHE: LruDict = LruDict(16, eviction_counter="replay.tape.evictions")
 
 
 def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
+    """The cached tape for ``(trace, net)``, or ``None`` for the scalar
+    fallback (counted under ``replay.batch.array_fallbacks`` when the
+    trace is order-free, i.e. its tape build bailed out).
+
+    A periodic trace's tape covers one period; if that build bails out,
+    the full trace is built instead.
+    """
     key = (id(trace), net)
     entry = _TAPE_CACHE.get(key)
-    if entry is not None and entry[0] is trace:
-        return entry[1]
-    tape = _build_tape(trace, net)
-    _TAPE_CACHE[key] = (trace, tape)
-    get_metrics().inc("replay.tape.builds")
-    return tape
+    if entry is None or entry[0] is not trace:
+        verdict = _classify(trace, net)
+        tape = None
+        if verdict is not None:
+            key_eager, reps = verdict
+            events = [rt.events for rt in trace.ranks]
+            if reps > 1:
+                tape = _build_tape([e[:len(e) // reps] for e in events],
+                                   net, key_eager, reps)
+            if tape is None:
+                tape = _build_tape(events, net, key_eager, 1)
+            get_metrics().inc("replay.tape.builds")
+        entry = _TAPE_CACHE[key] = (trace, tape, verdict is not None)
+    if entry[1] is None and entry[2]:
+        get_metrics().inc("replay.batch.array_fallbacks")
+    return entry[1]
 
 
 def _run_array_tape(
@@ -518,11 +607,12 @@ def _run_array_tape(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Order-free driver: level-batched NumPy execution of the tape.
 
-    Valid only under :func:`_order_free`.  Runs the identical float64
-    operation sequence the scalar core performs per event — the
-    redundant ``max(x, clock)`` clamps the scalar blocked/resumed paths
-    apply are exact no-ops there (``x >= clock`` always holds at those
-    points), so dropping them changes no bits.  Returns the final
+    Valid only for order-free traces (:func:`_classify`).  Runs the
+    tape's groups once per period, each the identical float64 operation
+    sequence the scalar core performs per event — the redundant
+    ``max(x, clock)`` clamps the scalar blocked/resumed paths apply are
+    exact no-ops there (``x >= clock`` always holds at those points), so
+    dropping them changes no bits.  Returns the final
     ``(clock, compute, p2p, collective)`` state matrices, one row per
     rank, one column per configuration.
 
@@ -559,139 +649,147 @@ def _run_array_tape(
                    [np.empty((n, n_cols)) for _ in range(5)],
                    np.empty((n, n_cols)),
                    np.empty((n, n_cols)))
-    _, arr_buf, post_buf, state, ws1, ws2 = tape.ws
+    _, arr_buf, post_buf, state, ws1_home, ws2 = tape.ws
     clock, link_free, p2p, comp, coll = state
     for m in state:
         m.fill(0.0)
 
-    for kind, rr, widx, rsl, rsl2, tt2, pl in tape.groups:
-        full = type(rr) is slice
-        if kind == _K_COMPUTE:
-            dur = ws1 if full else np.empty((len(pl), n_cols))
-            for j, (rank, ph) in enumerate(pl):
-                dur[j] = phase_duration(rank, ph)
-            if dur.min() < 0:
-                raise ValueError("phase duration must be non-negative")
-            if full:
-                np.add(clock, dur, out=clock)
-                np.add(comp, dur, out=comp)
-            else:
-                clock[rr] += dur
-                comp[rr] += dur
-        elif kind == _K_EAGER_SEND:
-            if full:
-                np.add(clock, ov, out=clock)                 # ready
-                np.maximum(clock, link_free, out=link_free)  # start
-                np.add(link_free, tt2, out=link_free)        # arrival
-                for tgt, src in widx:
-                    arr_buf[tgt] = link_free if src is None else \
-                        link_free[src]
-                np.add(p2p, ov, out=p2p)
-            else:
-                ready = clock[rr]
-                np.add(ready, ov, out=ready)
-                lf = link_free[rr]
-                np.maximum(ready, lf, out=lf)
-                np.add(lf, tt2, out=lf)
-                for tgt, src in widx:
-                    arr_buf[tgt] = lf if src is None else lf[src]
-                link_free[rr] = lf
-                clock[rr] = ready
-                p2p[rr] += ov
-        elif kind == _K_RECV_EAGER:
-            av = arr_buf[rsl]
-            if full:
-                np.add(clock, tt2, out=ws1)      # post + transfer
-                np.maximum(av, ws1, out=av)      # done, finished in place
-                np.subtract(av, clock, out=ws2)
-                np.add(p2p, ws2, out=p2p)
-                clock = av
-            else:
-                pre = clock[rr]
-                done = np.maximum(av, pre + tt2)
-                p2p[rr] += done - pre
-                clock[rr] = done
-        elif kind == _K_IRECV_POST:
-            if full:
-                post_buf[widx] = clock
-                np.add(clock, ov, out=clock)
-                np.add(p2p, ov, out=p2p)
-            else:
-                pre = clock[rr]
-                post_buf[widx] = pre
-                clock[rr] = pre + ov
-                p2p[rr] += ov
-        elif kind == _K_RDV_POST:
-            post_buf[widx] = clock if full else clock[rr]
-        elif kind == _K_RDV_SEND:
-            pv = post_buf[rsl]
-            if full:
-                np.add(clock, ov, out=ws1)           # ready
-                np.maximum(ws1, pv, out=ws1)
-                np.maximum(ws1, link_free, out=ws1)  # start
-                np.subtract(ws1, clock, out=ws2)
-                np.add(p2p, ws2, out=p2p)
-                np.add(ws1, tt2, out=link_free)      # arrival
-                for tgt, src in widx:
-                    arr_buf[tgt] = link_free if src is None else \
-                        link_free[src]
-                clock, ws1 = ws1, clock
-            else:
-                pre = clock[rr]
-                ready = pre + ov
-                start = np.maximum(np.maximum(ready, pv), link_free[rr])
-                arrival = start + tt2
-                for tgt, src in widx:
-                    arr_buf[tgt] = arrival if src is None else arrival[src]
-                link_free[rr] = arrival
-                p2p[rr] += start - pre
-                clock[rr] = start
-        elif kind == _K_RDV_COMPLETE:
-            av = arr_buf[rsl]
-            if full:
-                np.subtract(av, clock, out=ws2)
-                np.add(p2p, ws2, out=p2p)
-                clock = av
-            else:
-                pre = clock[rr]
-                p2p[rr] += av - pre
-                clock[rr] = av
-        elif kind == _K_WAIT_ARR:
-            av = arr_buf[rsl]
-            if full:
-                np.maximum(av, clock, out=av)    # done, finished in place
-                np.subtract(av, clock, out=ws2)
-                np.add(p2p, ws2, out=p2p)
-                clock = av
-            else:
-                pre = clock[rr]
-                done = np.maximum(av, pre)
-                p2p[rr] += done - pre
-                clock[rr] = done
-        elif kind == _K_WAIT_EAGER:
-            av = arr_buf[rsl]
-            pv = post_buf[rsl2]
-            if full:
-                np.add(pv, tt2, out=pv)
-                np.maximum(av, pv, out=pv)       # buffered value
-                np.maximum(pv, clock, out=pv)    # done, finished in place
-                np.subtract(pv, clock, out=ws2)
-                np.add(p2p, ws2, out=p2p)
-                clock = pv
-            else:
-                pre = clock[rr]
-                value = np.maximum(av, pv + tt2)
-                done = np.maximum(value, pre)
-                p2p[rr] += done - pre
-                clock[rr] = done
-        else:  # _K_COLL: enter clocks are frozen — every rank is parked
-            ckind, size = pl
-            cost = collective_cost_ns(ckind, n, size, net)
-            done_row = clock.max(axis=0)
-            np.add(done_row, cost, out=done_row)
-            np.subtract(done_row[None, :], clock, out=ws1)
-            np.add(coll, ws1, out=coll)
-            clock[:] = done_row
+    for _ in range(tape.reps):
+        # Each period rewrites the message buffers, which ``clock`` and
+        # ``ws1`` may alias after adopting slot blocks of the last
+        # period: re-home both first (copying values changes no bits).
+        if clock is not state[0]:
+            np.copyto(state[0], clock)
+            clock = state[0]
+        ws1 = ws1_home
+        for kind, rr, widx, rsl, rsl2, tt2, pl in tape.groups:
+            full = type(rr) is slice
+            if kind == _K_COMPUTE:
+                dur = ws1 if full else np.empty((len(pl), n_cols))
+                for j, (rank, ph) in enumerate(pl):
+                    dur[j] = phase_duration(rank, ph)
+                if dur.min() < 0:
+                    raise ValueError("phase duration must be non-negative")
+                if full:
+                    np.add(clock, dur, out=clock)
+                    np.add(comp, dur, out=comp)
+                else:
+                    clock[rr] += dur
+                    comp[rr] += dur
+            elif kind == _K_EAGER_SEND:
+                if full:
+                    np.add(clock, ov, out=clock)                 # ready
+                    np.maximum(clock, link_free, out=link_free)  # start
+                    np.add(link_free, tt2, out=link_free)        # arrival
+                    for tgt, src in widx:
+                        arr_buf[tgt] = link_free if src is None else \
+                            link_free[src]
+                    np.add(p2p, ov, out=p2p)
+                else:
+                    ready = clock[rr]
+                    np.add(ready, ov, out=ready)
+                    lf = link_free[rr]
+                    np.maximum(ready, lf, out=lf)
+                    np.add(lf, tt2, out=lf)
+                    for tgt, src in widx:
+                        arr_buf[tgt] = lf if src is None else lf[src]
+                    link_free[rr] = lf
+                    clock[rr] = ready
+                    p2p[rr] += ov
+            elif kind == _K_RECV_EAGER:
+                av = arr_buf[rsl]
+                if full:
+                    np.add(clock, tt2, out=ws1)      # post + transfer
+                    np.maximum(av, ws1, out=av)      # done, finished in place
+                    np.subtract(av, clock, out=ws2)
+                    np.add(p2p, ws2, out=p2p)
+                    clock = av
+                else:
+                    pre = clock[rr]
+                    done = np.maximum(av, pre + tt2)
+                    p2p[rr] += done - pre
+                    clock[rr] = done
+            elif kind == _K_IRECV_POST:
+                if full:
+                    post_buf[widx] = clock
+                    np.add(clock, ov, out=clock)
+                    np.add(p2p, ov, out=p2p)
+                else:
+                    pre = clock[rr]
+                    post_buf[widx] = pre
+                    clock[rr] = pre + ov
+                    p2p[rr] += ov
+            elif kind == _K_RDV_POST:
+                post_buf[widx] = clock if full else clock[rr]
+            elif kind == _K_RDV_SEND:
+                pv = post_buf[rsl]
+                if full:
+                    np.add(clock, ov, out=ws1)           # ready
+                    np.maximum(ws1, pv, out=ws1)
+                    np.maximum(ws1, link_free, out=ws1)  # start
+                    np.subtract(ws1, clock, out=ws2)
+                    np.add(p2p, ws2, out=p2p)
+                    np.add(ws1, tt2, out=link_free)      # arrival
+                    for tgt, src in widx:
+                        arr_buf[tgt] = link_free if src is None else \
+                            link_free[src]
+                    clock, ws1 = ws1, clock
+                else:
+                    pre = clock[rr]
+                    ready = pre + ov
+                    start = np.maximum(np.maximum(ready, pv), link_free[rr])
+                    arrival = start + tt2
+                    for tgt, src in widx:
+                        arr_buf[tgt] = arrival if src is None else arrival[src]
+                    link_free[rr] = arrival
+                    p2p[rr] += start - pre
+                    clock[rr] = start
+            elif kind == _K_RDV_COMPLETE:
+                av = arr_buf[rsl]
+                if full:
+                    np.subtract(av, clock, out=ws2)
+                    np.add(p2p, ws2, out=p2p)
+                    clock = av
+                else:
+                    pre = clock[rr]
+                    p2p[rr] += av - pre
+                    clock[rr] = av
+            elif kind == _K_WAIT_ARR:
+                av = arr_buf[rsl]
+                if full:
+                    np.maximum(av, clock, out=av)    # done, finished in place
+                    np.subtract(av, clock, out=ws2)
+                    np.add(p2p, ws2, out=p2p)
+                    clock = av
+                else:
+                    pre = clock[rr]
+                    done = np.maximum(av, pre)
+                    p2p[rr] += done - pre
+                    clock[rr] = done
+            elif kind == _K_WAIT_EAGER:
+                av = arr_buf[rsl]
+                pv = post_buf[rsl2]
+                if full:
+                    np.add(pv, tt2, out=pv)
+                    np.maximum(av, pv, out=pv)       # buffered value
+                    np.maximum(pv, clock, out=pv)    # done, finished in place
+                    np.subtract(pv, clock, out=ws2)
+                    np.add(p2p, ws2, out=p2p)
+                    clock = pv
+                else:
+                    pre = clock[rr]
+                    value = np.maximum(av, pv + tt2)
+                    done = np.maximum(value, pre)
+                    p2p[rr] += done - pre
+                    clock[rr] = done
+            else:  # _K_COLL: enter clocks are frozen — every rank is parked
+                ckind, size = pl
+                cost = collective_cost_ns(ckind, n, size, net)
+                done_row = clock.max(axis=0)
+                np.add(done_row, cost, out=done_row)
+                np.subtract(done_row[None, :], clock, out=ws1)
+                np.add(coll, ws1, out=coll)
+                clock[:] = done_row
 
     return clock, comp, p2p, coll
 
@@ -749,12 +847,7 @@ def replay_batch(
     if n_configs <= 0:
         raise ValueError("n_configs must be positive")
     obs = get_metrics()
-    tape = None
-    if _order_free_cached(trace, net):
-        tape = _tape_for(trace, net)
-        if tape is None:
-            obs.inc("replay.batch.array_fallbacks")
-
+    tape = _tape_for(trace, net)
     with obs.span("replay.batch.run"):
         if tape is None:
             obs.inc("replay.batch.driver.scalar")
@@ -768,10 +861,13 @@ def replay_batch(
         total = clock.max(axis=0)
         # Config-major copies: one transpose pass instead of n_configs
         # strided column extractions; rows are disjoint views, and
-        # per-config consumers never share them.
-        comp_t = np.ascontiguousarray(comp.T)
-        p2p_t = np.ascontiguousarray(p2p.T)
-        coll_t = np.ascontiguousarray(coll.T)
+        # per-config consumers never share them.  Always copies — the
+        # state matrices are the tape's cached workspace, which the
+        # next run overwrites (``ascontiguousarray`` returned a view of
+        # it for a single column).
+        comp_t = comp.T.copy()
+        p2p_t = p2p.T.copy()
+        coll_t = coll.T.copy()
         return [ReplayResult(total_ns=float(total[c]),
                              compute_ns=comp_t[c],
                              p2p_ns=p2p_t[c],

@@ -189,6 +189,9 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     * ``replay_array_events`` — config-events priced by the
       level-batched array replay driver (structural tape, one NumPy
       pass per level group instead of one Python step per event);
+    * ``replay_tape_builds`` — replay tapes built (one per distinct
+      trace and network a process replays, while the tape cache holds
+      it; more means the cache key or capacity is wrong);
     * ``miss_batch_geometries`` — distinct cache geometries evaluated
       by the batched set-associative miss model (one 2-D pass per
       kernel instead of one scalar call per level per config);
@@ -261,6 +264,7 @@ def summarize(snap: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         "replay_messages": c.get("replay.messages", 0),
         "replay_bus_waits": c.get("replay.bus_waits", 0),
         "replay_array_events": c.get("replay.batch.array_events", 0),
+        "replay_tape_builds": c.get("replay.tape.builds", 0),
         "miss_batch_geometries": c.get("miss.batch.geometries", 0),
         "sched_batch_fast": c.get("sched.batch.fast", 0),
         "sched_batch_fallbacks": c.get("sched.batch.fallbacks", 0),

@@ -185,6 +185,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "replay events processed" in out
+        assert "replay tapes built" in out
         d = json.loads(metrics.read_text())["derived"]
         assert d["replay_events"] > 0
         assert d["replay_messages"] > 0

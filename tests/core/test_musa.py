@@ -37,6 +37,11 @@ class TestBurstMode:
         b = musa._burst_trace(8, 1)
         assert a is b
 
+    def test_default_iterations_share_one_trace(self, musa):
+        # ``None`` spells the default: one trace, hence one replay tape.
+        n = musa.app.default_iterations
+        assert musa._burst_trace(8, None) is musa._burst_trace(8, n)
+
 
 class TestDetailedMode:
     def test_simulate_node_record_fields(self, musa, node64):

@@ -8,8 +8,9 @@ tests drive the array tape (unlimited buses) and the per-column scalar
 fallback (finite buses), with per-config compute scalings chosen to
 flip the global ``(clock, rank)`` step order mid-replay; the
 regressions pin the tape bail-out fallback, the collective pricing
-path, the :func:`_order_free` classification, and that every bundled
-app stays on the tape.
+path, the order-free classification of :func:`_classify`, the
+iteration-periodic tape and its full-tape fallback, and that every
+bundled app stays on a periodic tape.
 """
 
 import numpy as np
@@ -21,9 +22,9 @@ from repro.apps import APP_NAMES, get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
 from repro.network import replay_batch as replay_batch_mod
-from repro.network.replay_batch import _order_free, _tape_for, replay_batch
+from repro.network.replay_batch import _classify, _tape_for, replay_batch
 from repro.obs import get_metrics
-from repro.trace import MpiCall
+from repro.trace import BurstTrace, MpiCall, RankTrace
 
 from .test_replay_engines import (
     _skewed_duration,
@@ -36,6 +37,10 @@ from .test_replay_engines import (
 
 #: Scale factors that reorder ranks' virtual clocks between columns.
 SCALE_POOL = (0.1, 0.5, 1.0, 1.0 + 2**-40, 2.0, 7.3)
+
+
+def order_free(t, net):
+    return _classify(t, net) is not None
 
 
 def batch_duration(scales):
@@ -84,7 +89,7 @@ class TestPropertyEquivalence:
         t, _, _ = data
         net = NetworkConfig(latency_us=0.1, bandwidth_gbs=10.0,
                             cpu_overhead_us=0.05, n_buses=n_buses)
-        assert not _order_free(t, net)
+        assert not order_free(t, net)
         assert_batch_equals_scalar(t, net, scales)
 
 
@@ -143,7 +148,7 @@ class TestForcedDivergence:
         # configs.
         net = zero_net(n_buses=0)
         t = self._racing_trace()
-        assert _order_free(t, net)
+        assert order_free(t, net)
         reg = get_metrics()
         scalar0 = reg.counter("replay.batch.driver.scalar")
         arr0 = reg.counter("replay.batch.array_events")
@@ -160,8 +165,8 @@ class TestForcedDivergence:
         # event engine once per column: the reference itself.
         net = zero_net(n_buses=0)
         t = self._racing_trace()
-        monkeypatch.setattr(replay_batch_mod, "_tape_for",
-                            lambda trace, net: None)
+        monkeypatch.setattr(replay_batch_mod, "_build_tape",
+                            lambda *args: None)
         reg = get_metrics()
         drv0 = reg.counter("replay.batch.driver.scalar")
         fb0 = reg.counter("replay.batch.array_fallbacks")
@@ -179,8 +184,8 @@ class TestForcedDivergence:
 class TestOrderFreeClassification:
     def test_finite_bus_pool_is_order_dependent(self):
         t = trace([[phase()], [phase()]])
-        assert not _order_free(t, zero_net(n_buses=1))
-        assert _order_free(t, zero_net(n_buses=0))
+        assert not order_free(t, zero_net(n_buses=1))
+        assert order_free(t, zero_net(n_buses=0))
 
     def test_mixed_protocol_key_is_order_dependent(self):
         # One (src, dst, tag) key carrying both an isend (buffered) and
@@ -194,7 +199,7 @@ class TestOrderFreeClassification:
             [MpiCall(kind="recv", peer=0, size_bytes=8),
              MpiCall(kind="recv", peer=0, size_bytes=1000)],
         ])
-        assert not _order_free(t, net)
+        assert not order_free(t, net)
         # The scalar fallback reproduces the scalar results.
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 2.0))
 
@@ -208,7 +213,7 @@ class TestOrderFreeClassification:
             [MpiCall(kind="recv", peer=0, size_bytes=8, tag=1),
              MpiCall(kind="recv", peer=0, size_bytes=1000, tag=2)],
         ])
-        assert _order_free(t, net)
+        assert order_free(t, net)
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 2.0))
 
 
@@ -228,6 +233,17 @@ class TestDeadlockAndValidation:
         t = trace([[phase()]])
         with pytest.raises(ValueError, match="n_configs"):
             replay_batch(t, zero_net(), batch_duration(()), 0)
+
+    def test_results_survive_the_next_run(self):
+        # Results must not alias the tape's cached workspace, which the
+        # next run on the same tape overwrites (one column included).
+        t = trace([[phase()], [phase()]])
+        net = zero_net()
+        for n_cols in (1, 3):
+            first = replay_batch(t, net, lambda r, p: np.full(n_cols, 5.0),
+                                 n_cols)
+            replay_batch(t, net, lambda r, p: np.full(n_cols, 9.0), n_cols)
+            assert all((r.compute_ns == 5.0).all() for r in first)
 
     def test_rejects_negative_duration(self):
         t = trace([[phase()]])
@@ -272,5 +288,119 @@ class TestBundledAppsStayOnTape:
         musa = Musa(get_app(app))
         for n_ranks in (1, 7, 64, 256):
             t = musa._burst_trace(n_ranks, None)
-            assert _order_free(t, musa.network), (app, n_ranks)
-            assert _tape_for(t, musa.network) is not None, (app, n_ranks)
+            assert order_free(t, musa.network), (app, n_ranks)
+            tape = _tape_for(t, musa.network)
+            assert tape is not None, (app, n_ranks)
+        # A silent fall back to the full tape would cost n_iterations
+        # times the memory: pin the periodic one at paper scale.
+        assert tape.reps == t.n_iterations > 1, app
+
+
+class TestPeriodicTape:
+    """A trace of identical iterations replays one period's tape
+    ``n_iterations`` times; anything else builds the full tape.  Both
+    must equal scalar replay bit for bit."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_app_traces_equal_scalar(self, app):
+        musa = Musa(get_app(app))
+        base = {id(p): 1000.0 * (i + 1)
+                for i, p in enumerate(musa.phases)}
+        cfg = np.array([1.0, 0.37, 1.0 + 2**-35])
+        for n_ranks in (1, 7, 64):
+            scales = musa.app.rank_scales(n_ranks)
+
+            def dur(rank, ph):
+                return base[id(ph)] * cfg * scales[rank]
+
+            for n_iter in (1, 2, 3, 4):
+                t = musa._burst_trace(n_ranks, n_iter)
+                assert _tape_for(t, musa.network).reps == n_iter
+                out = replay_batch(t, musa.network, dur, len(cfg))
+                for c in range(len(cfg)):
+                    ref = replay(t, musa.network,
+                                 lambda r, p, _c=c: dur(r, p)[_c])
+                    assert_results_equal(ref, out[c])
+
+    P = (phase(phase_id=0), phase(phase_id=1))
+
+    def iteration(self, rank, k, size=8):
+        """One halo-plus-allreduce iteration of a 2-rank ring; request
+        ids grow across iterations, as a real trace's do."""
+        peer = 1 - rank
+        return [MpiCall(kind="irecv", peer=peer, size_bytes=size,
+                        request=2 * k),
+                MpiCall(kind="isend", peer=peer, size_bytes=size,
+                        request=2 * k + 1),
+                self.P[rank],
+                MpiCall(kind="wait", request=2 * k),
+                MpiCall(kind="wait", request=2 * k + 1),
+                MpiCall(kind="allreduce", size_bytes=8)]
+
+    def check(self, rank_events, n_iterations, reps):
+        t = BurstTrace(app="t", n_iterations=n_iterations, ranks=tuple(
+            RankTrace(rank=r, events=tuple(evs))
+            for r, evs in enumerate(rank_events)))
+        net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
+        assert _tape_for(t, net).reps == reps
+        assert_batch_equals_scalar(t, net, (0.5, 1.0, 7.3))
+
+    def test_identical_iterations_run_one_period(self):
+        self.check([sum((self.iteration(r, k) for k in range(3)), [])
+                    for r in range(2)], 3, reps=3)
+
+    def test_rendezvous_iterations_run_one_period(self):
+        # Blocking rendezvous sends make the driver adopt message-buffer
+        # rows as its clock and scratch matrices; each period must
+        # re-home them before it rewrites those buffers.
+        def rdv(rank, k):
+            peer = 1 - rank
+            return [MpiCall(kind="irecv", peer=peer, size_bytes=65536,
+                            request=k),
+                    MpiCall(kind="send", peer=peer, size_bytes=65536),
+                    MpiCall(kind="wait", request=k),
+                    self.P[rank],
+                    MpiCall(kind="allreduce", size_bytes=8)]
+
+        self.check([sum((rdv(r, k) for k in range(3)), [])
+                    for r in range(2)], 3, reps=3)
+
+    def test_differing_last_iteration_builds_full_tape(self):
+        self.check([self.iteration(r, 0) + self.iteration(r, 1)
+                    + self.iteration(r, 2, size=16)
+                    for r in range(2)], 3, reps=1)
+
+    def test_request_pending_across_iterations_builds_full_tape(self):
+        # Rank 0 posts both receives in iteration 0 and waits on them in
+        # iteration 1.
+        rank0 = [MpiCall(kind="irecv", peer=1, size_bytes=8, request=0),
+                 self.P[0], MpiCall(kind="allreduce", size_bytes=8),
+                 MpiCall(kind="irecv", peer=1, size_bytes=8, request=1),
+                 MpiCall(kind="wait", request=0), self.P[0],
+                 MpiCall(kind="allreduce", size_bytes=8),
+                 MpiCall(kind="wait", request=1)]
+        rank1 = [MpiCall(kind="send", peer=0, size_bytes=8), self.P[1],
+                 MpiCall(kind="allreduce", size_bytes=8)] * 2
+        self.check([rank0, rank1], 2, reps=1)
+
+    def test_send_received_an_iteration_later_builds_full_tape(self):
+        # Every iteration is identical, but rank 0 sends twice per
+        # iteration while rank 1 receives once: FIFO matching pairs
+        # rank 1's second receive with rank 0's second send of
+        # iteration 0, so one period cannot replay alone.
+        rank0 = [MpiCall(kind="send", peer=1, size_bytes=8),
+                 MpiCall(kind="send", peer=1, size_bytes=8),
+                 self.P[0], MpiCall(kind="allreduce", size_bytes=8)]
+        rank1 = [MpiCall(kind="recv", peer=0, size_bytes=8),
+                 self.P[1], MpiCall(kind="allreduce", size_bytes=8)]
+        self.check([rank0 * 2, rank1 * 2], 2, reps=1)
+
+    def test_equal_but_distinct_phase_builds_full_tape(self):
+        # Same fields, another object: the duration function may key
+        # on phase identity, so the period must not stand in for it.
+        again = [ev if ev is not self.P[0] else phase(phase_id=0)
+                 for ev in self.iteration(0, 1)]
+        assert again[2] == self.P[0] and again[2] is not self.P[0]
+        self.check([self.iteration(0, 0) + again,
+                    self.iteration(1, 0) + self.iteration(1, 1)], 2,
+                   reps=1)

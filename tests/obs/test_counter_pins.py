@@ -195,6 +195,7 @@ def test_summarize_exposes_pinned_families(workload_counters):
     derived = summarize(reg.snapshot())["derived"]
     assert derived["batched_configs"] > 0
     assert derived["replay_array_events"] > 0
+    assert derived["replay_tape_builds"] > 0
     assert derived["miss_batch_geometries"] > 0
     assert derived["sched_batch_fast"] > 0
     assert derived["replay_events"] > 0
