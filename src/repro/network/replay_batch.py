@@ -98,10 +98,10 @@ def _classify(
     object* (so the duration function sees exactly the phases the full
     replay would pass) and MPI calls have equal fields, request ids
     relabelled by first appearance within the block.  Each block must
-    also close its own requests (every wait consumes a request of its
-    block, none pending at its end) and its own messages (per key, as
-    many receives as sends), so FIFO matching never pairs a send with a
-    receive of another period.
+    also close its own requests (none pending at its end, so no wait
+    consumes an earlier block's request) and its own messages (per key,
+    as many receives as sends), so FIFO matching never pairs a send
+    with a receive of another period.
     """
     if net.n_buses > 0:
         return None
@@ -134,9 +134,6 @@ def _classify(
                 req = ev.request
                 if req is not None:
                     if kind == "wait":
-                        if req not in pending:
-                            periodic = False  # waits on an earlier block
-                            continue
                         pending.discard(req)
                     else:
                         pending.add(req)
@@ -575,8 +572,9 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     fallback (counted under ``replay.batch.array_fallbacks`` when the
     trace is order-free, i.e. its tape build bailed out).
 
-    A periodic trace's tape covers one period; if that build bails out,
-    the full trace is built instead.
+    A periodic trace's tape covers its first period.  Every bail-out
+    condition of a period persists in its repetition, so a period that
+    cannot be built is not retried as the full trace.
     """
     key = (id(trace), net)
     entry = _TAPE_CACHE.get(key)
@@ -585,12 +583,8 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         tape = None
         if verdict is not None:
             key_eager, reps = verdict
-            events = [rt.events for rt in trace.ranks]
-            if reps > 1:
-                tape = _build_tape([e[:len(e) // reps] for e in events],
-                                   net, key_eager, reps)
-            if tape is None:
-                tape = _build_tape(events, net, key_eager, 1)
+            tape = _build_tape([rt.events[:len(rt.events) // reps]
+                                for rt in trace.ranks], net, key_eager, reps)
             get_metrics().inc("replay.tape.builds")
         entry = _TAPE_CACHE[key] = (trace, tape, verdict is not None)
     if entry[1] is None and entry[2]:
