@@ -61,7 +61,7 @@ from ..config.space import DesignSpace
 from ..core.batch import BatchEvaluator
 from ..core.musa import Musa
 from ..core.results import ResultSet
-from ..core.store import ResultStore, store_key
+from ..core.store import ResultStore, make_provenance, store_key
 from ..obs import MetricsRegistry, get_metrics, set_metrics
 from .pareto import ParetoPoint, front_indices, pareto_front
 
@@ -179,10 +179,11 @@ def search_front(
         Rank the candidate pool with the quadratic surrogate before
         evaluation (``search.surrogate_rank_calls``).
     store:
-        Optional :class:`ResultStore`; every evaluated point is
-        streamed in under ``(app, config, mode, ranks, code_version)``
-        — the serve layer then answers those points without touching
-        the engine.  Points already in the store are reused, not
+        Optional :class:`ResultStore`; each evaluated batch is written
+        as one columnar block (:meth:`ResultStore.put_frame`), keyed
+        per point on ``(app, config, mode, ranks, code_version)`` — the
+        serve layer then answers those points without touching the
+        engine.  Points already in the store are reused, not
         re-evaluated.
     evaluator:
         Share a warmed :class:`BatchEvaluator` across calls (e.g. the
@@ -242,13 +243,12 @@ def search_front(
             before = reg.snapshot()
             frame = evaluator.evaluate_frame(
                 [nodes[i] for i in misses], n_ranks=n_ranks, mode=mode)
-            delta = reg.delta(before, reg.snapshot())["counters"]
+            if store is not None:
+                delta = reg.delta(before, reg.snapshot())["counters"]
+                store.put_frame(frame, mode, n_ranks, code_version,
+                                make_provenance("search", delta))
             for i, rec in zip(misses, frame.rows()):
                 evaluated[i] = rec
-                if store is not None:
-                    store.put_point(app, nodes[i].axis_values(), mode,
-                                    n_ranks, code_version, rec,
-                                    engine="search", obs_delta=delta)
         reg.inc("search.evaluated", len(fresh))
         for i in fresh:
             rec = evaluated[i]

@@ -38,7 +38,7 @@ from ..config.node import NodeConfig
 from ..network.replay_batch import replay_batch
 from ..obs import get_metrics
 from ..power.technology import energy_scale
-from ..runtime.scheduler import PhaseResult, simulate_phase_batch
+from ..runtime.scheduler import simulate_phase_batch
 from ..trace.events import ComputePhase
 from ..uarch.batch import NodeBatch, resolve_contention_batch, time_kernel_batch
 from ..util import LruDict
@@ -67,8 +67,7 @@ class _PhaseInvariants:
 
     phase: ComputePhase
     imb: np.ndarray              # per-task imbalance factors
-    work: Tuple                  # per-task work units (original numbers)
-    work_arr: np.ndarray         # same, as float64 (exact conversion)
+    work_arr: np.ndarray         # per-task work units, as float64
     kernel_names: Tuple[str, ...]
     kidx: np.ndarray             # per-task index into kernel_names
     n_tasks: int
@@ -121,19 +120,17 @@ class BatchEvaluator:
     def _phase_invariants(phase: ComputePhase) -> _PhaseInvariants:
         tasks = phase.tasks
         if not tasks:
-            return _PhaseInvariants(phase, np.empty(0), (),
-                                    np.empty(0, np.int64), (),
+            return _PhaseInvariants(phase, np.empty(0),
+                                    np.empty(0, np.float64), (),
                                     np.empty(0, np.int64), 0)
         imb = _imbalance_factors(phase)
         kernel_names = tuple(sorted({t.kernel for t in tasks}))
         pos = {k: i for i, k in enumerate(kernel_names)}
         kidx = np.array([pos[t.kernel] for t in tasks], np.int64)
-        work = tuple(t.work_units for t in tasks)
         return _PhaseInvariants(
             phase=phase,
             imb=imb,
-            work=work,
-            work_arr=np.array(work, np.float64),
+            work_arr=np.array([t.work_units for t in tasks], np.float64),
             kernel_names=kernel_names,
             kidx=kidx,
             n_tasks=len(tasks),
@@ -210,11 +207,10 @@ class BatchEvaluator:
         phase = inv.phase
 
         if inv.n_tasks == 0:
-            scheds = list(simulate_phase_batch(phase, nb.n_cores))
+            sched = simulate_phase_batch(phase, nb.n_cores)
             zeros = np.zeros(n_configs)
             return _PhaseCols(
-                makespan=np.array([s.makespan_ns for s in scheds]),
-                busy=np.array([float(s.busy_ns.sum()) for s in scheds]),
+                makespan=sched.makespan_ns, busy=sched.busy_sum_ns,
                 n_busy=zeros, instr=zeros, flops=0.0, l1=zeros, l2=zeros,
                 l3=zeros, dram=zeros, dram_bytes=zeros, store_frac=zeros,
                 row_hit=zeros, util=zeros,
@@ -230,7 +226,8 @@ class BatchEvaluator:
 
         active = np.ones(n_configs, dtype=bool)
         share: Optional[np.ndarray] = None
-        scheds: List[Optional[PhaseResult]] = [None] * n_configs
+        makespan = np.zeros(n_configs)
+        busy = np.zeros(n_configs)
         timing_cols: Dict = {}
         util_col = np.zeros(n_configs)
         for _ in range(_N_REFINE):
@@ -263,27 +260,23 @@ class BatchEvaluator:
 
             dur_cols = np.stack(
                 [timing_cols[k].duration_ns for k in kernel_names])
-            conv = np.zeros(n_configs, dtype=bool)
+            # Per-task durations for every active column at once: the
+            # same (gather * work) * imb float64 sequence the scalar path
+            # runs per config, elementwise over columns.
             act = np.flatnonzero(active)
-            if len(act):
-                # Per-task durations for every active column at once:
-                # the same (gather * work) * imb float64 sequence the
-                # scalar path runs per config, elementwise over columns.
-                durations = ((dur_cols[kidx][:, act]
-                              * inv.work_arr[:, None]) * imb[:, None])
-                batch = simulate_phase_batch(
-                    phase, nb.n_cores[act], task_durations_ns=durations)
-                for j, i in enumerate(act):
-                    sched = batch[j]
-                    scheds[i] = sched
-                    exec_ns = max(sched.makespan_ns - sched.serial_ns, 1e-9)
-                    n_busy_new = min(
-                        float(n_cores_f[i]),
-                        max(1.0, float(sched.busy_ns.sum()) / exec_ns),
-                    )
-                    conv[i] = abs(n_busy_new - n_busy[i]) < 0.5
-                    n_busy[i] = n_busy_new
-            active = active & ~conv
+            durations = ((dur_cols[kidx][:, act]
+                          * inv.work_arr[:, None]) * imb[:, None])
+            sched = simulate_phase_batch(
+                phase, nb.n_cores[act], task_durations_ns=durations)
+            makespan[act] = sched.makespan_ns
+            busy[act] = sched.busy_sum_ns
+            # Scalar: min(n_cores, max(1.0, busy / max(mk - serial,
+            # 1e-9))) — IEEE-identical as elementwise minimum/maximum.
+            exec_ns = np.maximum(sched.makespan_ns - sched.serial_ns, 1e-9)
+            n_busy_new = np.minimum(
+                n_cores_f[act], np.maximum(1.0, sched.busy_sum_ns / exec_ns))
+            active[act] = ~(np.abs(n_busy_new - n_busy[act]) < 0.5)
+            n_busy[act] = n_busy_new
             if not active.any():
                 break
 
@@ -310,33 +303,27 @@ class BatchEvaluator:
         sw_cols = np.stack(
             [ratios[j] * l1_cols[j] for j in range(len(kernel_names))])
 
-        tot_instr = np.zeros(n_configs)
-        tot_l1 = np.zeros(n_configs)
-        tot_l2 = np.zeros(n_configs)
-        tot_l3 = np.zeros(n_configs)
-        tot_dram = np.zeros(n_configs)
-        tot_bytes = np.zeros(n_configs)
-        row_hit_w = np.zeros(n_configs)
-        store_w = np.zeros(n_configs)
-        tot_flops = 0.0  # config-invariant: same accumulation, computed once
-        for t_i in range(inv.n_tasks):
-            j = kidx[t_i]
-            w = inv.work[t_i]
-            tot_instr = tot_instr + instr_cols[j] * w
-            tot_flops += flops_per_kernel[j] * w
-            tot_l1 = tot_l1 + l1_cols[j] * w
-            tot_l2 = tot_l2 + l2_cols[j] * w
-            tot_l3 = tot_l3 + l3_cols[j] * w
-            tot_dram = tot_dram + dram_cols[j] * w
-            tot_bytes = tot_bytes + bytes_cols[j] * w
-            row_hit_w = row_hit_w + rhb_cols[j] * w
-            store_w = store_w + sw_cols[j] * w
+        def task_order_total(per_kernel: np.ndarray) -> np.ndarray:
+            # sum over tasks of per_kernel[kidx[t]] * work[t], added in
+            # task order: accumulate is sequential, np.sum is pairwise.
+            work = inv.work_arr.reshape((-1,) + (1,) * (per_kernel.ndim - 1))
+            return np.add.accumulate(per_kernel[kidx] * work, axis=0)[-1]
+
+        tot_instr = task_order_total(instr_cols)
+        # Config-invariant: the same accumulation, computed once.
+        tot_flops = float(task_order_total(np.array(flops_per_kernel)))
+        tot_l1 = task_order_total(l1_cols)
+        tot_l2 = task_order_total(l2_cols)
+        tot_l3 = task_order_total(l3_cols)
+        tot_dram = task_order_total(dram_cols)
+        tot_bytes = task_order_total(bytes_cols)
+        row_hit_w = task_order_total(rhb_cols)
+        store_w = task_order_total(sw_cols)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             row_hit_col = np.where(tot_bytes != 0.0, row_hit_w / tot_bytes, 0.0)
             store_col = np.where(tot_l1 != 0.0, store_w / tot_l1, 0.0)
 
-        assert all(s is not None for s in scheds)
         # The scalar path reads effective lanes off the phase's *first*
         # kernel timing (``d.timings[0]``); kernel_names is sorted, so
         # that is kernel_names[0]'s vectorization column.
@@ -345,8 +332,7 @@ class BatchEvaluator:
              for v in timing_cols[kernel_names[0]].vectorizations],
             dtype=np.float64)
         return _PhaseCols(
-            makespan=np.array([s.makespan_ns for s in scheds]),
-            busy=np.array([float(s.busy_ns.sum()) for s in scheds]),
+            makespan=makespan, busy=busy,
             n_busy=n_busy.astype(np.float64, copy=True),
             instr=tot_instr, flops=tot_flops, l1=tot_l1, l2=tot_l2,
             l3=tot_l3, dram=tot_dram, dram_bytes=tot_bytes,

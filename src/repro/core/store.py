@@ -435,24 +435,6 @@ class ResultStore:
         obs.inc("store.block.records", len(fresh))
         return keys
 
-    def put_point(self, app: str, config: Dict[str, Any], mode: str,
-                  ranks: int, code_version: str, record: Dict,
-                  engine: str, obs_delta: Optional[Dict] = None) -> str:
-        """Store one evaluated design point from its raw identity.
-
-        Convenience over :meth:`put` for producers that stream points
-        as they evaluate them (the active-search loop): computes the
-        content address, assembles the auditable ``inputs`` block and
-        the provenance, and returns the key so the caller can hand it
-        to the serve layer.
-        """
-        inputs = {"app": app, "config": dict(config), "mode": mode,
-                  "ranks": int(ranks), "code_version": code_version}
-        key = store_key(app, config, mode, ranks, code_version)
-        self.put(key, record, inputs,
-                 make_provenance(engine, obs_delta or {}))
-        return key
-
     # -- invalidation ---------------------------------------------------------
 
     def invalidate(

@@ -32,7 +32,8 @@ from ..obs import get_metrics
 from ..trace.events import ComputePhase
 from ..util import LruDict
 
-__all__ = ["PhaseResult", "simulate_phase", "simulate_phase_batch"]
+__all__ = ["PhaseBatch", "PhaseResult", "simulate_phase",
+           "simulate_phase_batch"]
 
 
 @dataclass(frozen=True)
@@ -304,13 +305,31 @@ def simulate_phase(
     )
 
 
+@dataclass(frozen=True)
+class PhaseBatch:
+    """Per-config columns of one :func:`simulate_phase_batch` call.
+
+    Column ``k`` holds exactly the floats of the scalar
+    :class:`PhaseResult` for config ``k``; ``busy_sum_ns[k]`` is its
+    ``float(busy_ns.sum())`` and row ``k`` of ``busy_ns`` is its
+    per-core busy vector, zero past that config's core count.
+    """
+
+    makespan_ns: np.ndarray        # (configs,)
+    serial_ns: np.ndarray          # (configs,)
+    creation_ns_total: np.ndarray  # (configs,)
+    busy_sum_ns: np.ndarray        # (configs,)
+    busy_ns: np.ndarray            # (configs, max cores), zero-padded
+    n_tasks: int
+
+
 def simulate_phase_batch(
     phase: ComputePhase,
     n_cores: Sequence[int],
     duration_scale: Union[float, Sequence[float]] = 1.0,
     overhead_scale: Union[float, Sequence[float]] = 1.0,
     task_durations_ns: Optional[np.ndarray] = None,
-) -> List[PhaseResult]:
+) -> PhaseBatch:
     """:func:`simulate_phase` over a configuration axis, vectorized.
 
     ``n_cores`` / ``duration_scale`` / ``overhead_scale`` give one value
@@ -341,13 +360,21 @@ def simulate_phase_batch(
     * ``start``/``end``/``busy`` updates are the same float64 operations
       on the same operands, elementwise across the config axis.
 
+    Every core count runs in the same pass: the free/busy matrices are
+    ``(configs, max cores)`` and a core a config does not have starts
+    free at ``+inf``, so ``argmin`` never picks it and the tie-break
+    over its real cores is unchanged.  Busy sums are reduced over each
+    config's real cores only (one reduction per core-count group):
+    NumPy's pairwise summation tree depends on the length, so summing
+    the zero-padded row would differ in the last ulp.
+
     Each column therefore reproduces the scalar heap schedule float for
     float.  Phases with any other dependency structure — and columns
     whose ``overhead_scale`` differs from ``duration_scale``, which the
     scale-invariance contract of the batched sweep does not cover — fall
-    back to per-config :func:`simulate_phase` calls.  Vectorized columns
-    are counted under ``sched.batch.fast``; fallback columns under
-    ``sched.batch.fallbacks``.
+    back to per-config :func:`simulate_phase` calls that fill the same
+    columns.  Vectorized columns are counted under ``sched.batch.fast``;
+    fallback columns under ``sched.batch.fallbacks``.
     """
     nc = np.asarray(n_cores, dtype=np.int64)
     if nc.ndim != 1:
@@ -375,7 +402,6 @@ def simulate_phase_batch(
         base = np.array([t.duration_ns for t in tasks],
                         dtype=np.float64)[:, None]
 
-    results: List[Optional[PhaseResult]] = [None] * n_cfg
     structure = _structure_of(phase) if n else None
     if n == 0:
         # The scalar path returns before looking at structure or scales.
@@ -385,96 +411,99 @@ def simulate_phase_batch(
     else:
         fast = ds == os_
 
+    serial = phase.serial_ns * os_
+    creation = phase.creation_ns * os_
+    makespan = serial + phase.critical_ns * os_
+    creation_total = n * creation
+    busy_sum = np.zeros(n_cfg)
+    busy_mat = np.zeros((n_cfg, int(nc.max()) if n_cfg else 0))
+
     slow = np.flatnonzero(~fast)
     if len(slow):
         get_metrics().inc("sched.batch.fallbacks", len(slow))
         for k in slow:
             col = base[:, 0] if base.shape[1] == 1 else base[:, k]
-            results[k] = simulate_phase(
+            ref = simulate_phase(
                 phase, int(nc[k]), duration_scale=float(ds[k]),
                 overhead_scale=float(os_[k]),
                 task_durations_ns=col.tolist())
+            makespan[k] = ref.makespan_ns
+            serial[k] = ref.serial_ns
+            creation_total[k] = ref.creation_ns_total
+            busy_sum[k] = ref.busy_ns.sum()
+            busy_mat[k, :ref.n_cores] = ref.busy_ns
 
     cols = np.flatnonzero(fast)
-    if len(cols) == 0:
-        return results  # type: ignore[return-value]
-    get_metrics().inc("sched.batch.fast", len(cols))
+    if len(cols) and n:
+        get_metrics().inc("sched.batch.fast", len(cols))
+        _schedule_columns(structure, base, ds, serial, creation, nc, cols,
+                          makespan, busy_sum, busy_mat)
+    elif len(cols):
+        # makespan = serial + critical with no busy time: already set.
+        get_metrics().inc("sched.batch.fast", len(cols))
+    return PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat,
+                      n)
 
-    serial = phase.serial_ns * os_[cols]
-    creation = phase.creation_ns * os_[cols]
-    critical_total = phase.critical_ns * os_[cols]
 
-    if n == 0:
-        makespan = serial + critical_total
-        for j, k in enumerate(cols):
-            results[k] = PhaseResult(
-                float(makespan[j]), np.zeros(int(nc[k]), dtype=np.float64),
-                0, float(serial[j]), 0.0, spans=None)
-        return results  # type: ignore[return-value]
+def _schedule_columns(structure, base, ds, serial, creation, nc, cols,
+                      makespan_out, busy_sum, busy_mat) -> None:
+    """One synchronized per-task pass over the fast columns ``cols``.
 
+    Writes each column's makespan (``max`` with the ``serial +
+    critical`` floor already in ``makespan_out``), busy sum and busy
+    row in place.
+    """
+    n = base.shape[0]
     dur = (base if base.shape[1] == 1 else base[:, cols]) * ds[cols]
     # create_time[i] = serial + (i+1)*creation, per column — the same
     # float64 ops as the scalar list comprehension, elementwise.
     create = (np.arange(1, n + 1, dtype=np.float64)[:, None]
-              * creation[None, :]) + serial[None, :]
-    master_done = create[-1, :]
+              * creation[None, cols]) + serial[None, cols]
+    md = create[-1, :]
     nc_f = nc[cols]
+    width = busy_mat.shape[1]
+    # Core j of column r is cell r*width + j of the flattened matrices.
+    offsets = np.arange(len(cols)) * width
 
-    # Process one core-count group at a time so the free/busy matrices
-    # are dense (no +inf padding rows) and slices stay contiguous.
-    makespans = np.empty(len(cols), dtype=np.float64)
-    busy_out: List[Optional[np.ndarray]] = [None] * len(cols)
+    # A core the column does not have is never free, so never picked.
+    free = np.where(np.arange(width) < nc_f[:, None], 0.0, np.inf)
+    free[:, 0] = md
+    busy = np.zeros((len(cols), width), dtype=np.float64)
+    busy[:, 0] += md
+    free_flat = free.reshape(-1)
+    busy_flat = busy.reshape(-1)
+    makespan = md.copy()
+
+    start_index = 0
+    end0 = None
+    if structure == "fanout0":
+        cell = free.argmin(axis=1) + offsets
+        ft = free_flat[cell]
+        rt = create[0]
+        start = np.where(rt > ft, rt, ft)
+        end0 = start + dur[0]
+        busy_flat[cell] += dur[0]
+        free_flat[cell] = end0
+        np.maximum(makespan, end0, out=makespan)
+        start_index = 1
+
+    for i in range(start_index, n):
+        rt = create[i]
+        if end0 is not None:
+            rt = np.where(end0 > rt, end0, rt)
+        cell = free.argmin(axis=1)
+        cell += offsets
+        ft = free_flat[cell]
+        start = np.where(rt > ft, rt, ft)
+        end = start + dur[i]
+        busy_flat[cell] += dur[i]
+        free_flat[cell] = end
+        np.maximum(makespan, end, out=makespan)
+
+    makespan_out[cols] = np.maximum(makespan, makespan_out[cols])
+    busy_mat[cols] = busy
+    # Sum each column over its real cores only: the pairwise summation
+    # tree depends on the length, so the padded row would differ.
     for c in np.unique(nc_f):
         g = np.flatnonzero(nc_f == c)
-        kg = len(g)
-        rows = np.arange(kg)
-        dur_g = np.ascontiguousarray(dur[:, g])
-        create_g = create[:, g]
-        md = master_done[g]
-
-        free = np.zeros((kg, int(c)), dtype=np.float64)
-        free[:, 0] = md
-        busy = np.zeros((kg, int(c)), dtype=np.float64)
-        busy[:, 0] += md
-        makespan = md.copy()
-
-        start_index = 0
-        end0 = None
-        if structure == "fanout0":
-            idx = np.argmin(free, axis=1)
-            ft = free[rows, idx]
-            rt = create_g[0]
-            start = np.where(rt > ft, rt, ft)
-            end0 = start + dur_g[0]
-            busy[rows, idx] += dur_g[0]
-            free[rows, idx] = end0
-            np.maximum(makespan, end0, out=makespan)
-            start_index = 1
-
-        for i in range(start_index, n):
-            rt = create_g[i]
-            if end0 is not None:
-                rt = np.where(end0 > rt, end0, rt)
-            idx = np.argmin(free, axis=1)
-            ft = free[rows, idx]
-            start = np.where(rt > ft, rt, ft)
-            end = start + dur_g[i]
-            busy[rows, idx] += dur_g[i]
-            free[rows, idx] = end
-            np.maximum(makespan, end, out=makespan)
-
-        np.maximum(makespan, serial[g] + critical_total[g], out=makespan)
-        makespans[g] = makespan
-        for j, gj in enumerate(g):
-            busy_out[gj] = busy[j].copy()
-
-    for j, k in enumerate(cols):
-        results[k] = PhaseResult(
-            makespan_ns=float(makespans[j]),
-            busy_ns=busy_out[j],
-            n_tasks=n,
-            serial_ns=float(serial[j]),
-            creation_ns_total=n * float(creation[j]),
-            spans=None,
-        )
-    return results  # type: ignore[return-value]
+        busy_sum[cols[g]] = busy[g, :c].sum(axis=1)

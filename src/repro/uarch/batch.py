@@ -37,7 +37,7 @@ from ..config.node import NodeConfig
 from ..trace.kernel import KernelSignature
 from .core_model import _MIN_EXPOSURE
 from .cpu import _DAMPING, _MAX_ITER, _QUEUE_GAIN, _U_CLIP, dram_efficiency
-from .hierarchy import MissProfile, hierarchy_miss_profile_batch
+from .hierarchy import hierarchy_miss_profile_batch
 from .vector import VectorizationResult, vectorize_batch
 
 __all__ = [
@@ -56,7 +56,10 @@ class NodeBatch:
     Numeric fields become float64 columns (integer configuration values
     convert to float64 exactly); categorical fields (cache hierarchy,
     memory technology) stay as object lists for the dedupe-and-scatter
-    sub-models.
+    sub-models.  Cache hierarchies are stored once each:
+    ``hierarchy_idx[i]`` indexes config ``i``'s hierarchy in
+    ``hierarchies``, so the miss model dedupes configs with integer
+    arithmetic instead of hashing one dataclass per config.
     """
 
     nodes: Tuple[NodeConfig, ...]
@@ -74,7 +77,8 @@ class NodeBatch:
     peak_bw_gbs: np.ndarray
     n_cores: np.ndarray
     vector_bits: Tuple[int, ...]
-    hierarchies: Tuple[CacheHierarchy, ...]
+    hierarchies: Tuple[CacheHierarchy, ...]     # distinct, first-seen order
+    hierarchy_idx: np.ndarray
     memories: Tuple[MemoryConfig, ...]
 
     def __len__(self) -> int:
@@ -86,6 +90,16 @@ class NodeBatch:
         if not nodes:
             raise ValueError("NodeBatch needs at least one node")
         f64 = np.float64
+        # Hash each distinct cache object once, not each config.
+        distinct: Dict[CacheHierarchy, int] = {}
+        by_id: Dict[int, int] = {}
+        hierarchy_idx = np.empty(len(nodes), np.int64)
+        for i, n in enumerate(nodes):
+            j = by_id.get(id(n.cache))
+            if j is None:
+                j = by_id[id(n.cache)] = distinct.setdefault(
+                    n.cache, len(distinct))
+            hierarchy_idx[i] = j
         return cls(
             nodes=nodes,
             issue_width=np.array([n.core.issue_width for n in nodes], f64),
@@ -105,7 +119,8 @@ class NodeBatch:
             peak_bw_gbs=np.array([n.memory.peak_bw_gbs for n in nodes], f64),
             n_cores=np.array([n.n_cores for n in nodes], np.int64),
             vector_bits=tuple(n.vector_bits for n in nodes),
-            hierarchies=tuple(n.cache for n in nodes),
+            hierarchies=tuple(distinct),
+            hierarchy_idx=hierarchy_idx,
             memories=tuple(n.memory for n in nodes),
         )
 
@@ -160,7 +175,7 @@ def time_kernel_batch(
     batch: NodeBatch,
     shares: Sequence[int],
     mem_latency_ns: float = 0.0,
-    miss_memo: Optional[Dict[Tuple[str, str, int], MissProfile]] = None,
+    miss_memo: Optional[Dict[Tuple, Tuple[float, float, float]]] = None,
     vec_memo: Optional[Dict[Tuple[str, int], VectorizationResult]] = None,
 ) -> KernelTimingBatch:
     """Batched :func:`~repro.uarch.core_model.time_kernel`.
@@ -170,16 +185,13 @@ def time_kernel_batch(
     the module docstring for why that yields bitwise equality).
     """
     vecs = vectorize_batch(sig, batch.vector_bits, memo=vec_memo)
-    profiles = hierarchy_miss_profile_batch(
-        sig, batch.hierarchies, shares, memo=miss_memo)
+    miss_l1, miss_l2, miss_l3 = hierarchy_miss_profile_batch(
+        sig, batch.hierarchies, batch.hierarchy_idx, shares, memo=miss_memo)
 
     f64 = np.float64
     instr_scale = np.array([v.instr_scale for v in vecs], f64)
     fp_scale = np.array([v.fp_scale for v in vecs], f64)
     mem_scale = np.array([v.mem_scale for v in vecs], f64)
-    miss_l1 = np.array([p.miss_l1 for p in profiles], f64)
-    miss_l2 = np.array([p.miss_l2 for p in profiles], f64)
-    miss_l3 = np.array([p.miss_l3 for p in profiles], f64)
 
     n0 = sig.instr_per_unit
     m = sig.mix

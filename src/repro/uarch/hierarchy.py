@@ -106,57 +106,61 @@ def hierarchy_miss_profile(
 def hierarchy_miss_profile_batch(
     sig: KernelSignature,
     hierarchies: Sequence[CacheHierarchy],
+    index: Sequence[int],
     shares: Sequence[int],
-    memo: Optional[Dict[Tuple, MissProfile]] = None,
-) -> List[MissProfile]:
+    memo: Optional[Dict[Tuple, Tuple[float, float, float]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`hierarchy_miss_profile` over a configuration axis.
 
-    Miss ratios depend only on ``(hierarchy, l3_share_cores)``, and a
-    sweep batch contains few distinct pairs (3 cache presets x a handful
-    of occupancy values).  The distinct pairs' per-level cache
-    geometries are deduplicated (the fixed L1 is shared by every preset)
-    and evaluated in **one** :meth:`~repro.trace.kernel.ReuseProfile.\
-miss_ratio_batch` pass — bitwise-identical to per-config scalar
-    :func:`hierarchy_miss_profile` calls, since the batched miss model
-    is bitwise-identical per geometry and the monotonicity clamp is
-    applied the same way per pair.  The number of geometry rows actually
-    evaluated is counted under ``miss.batch.geometries``.  ``memo`` —
-    keyed ``(kernel, hierarchy, share)`` on the full hashable hierarchy,
-    never a display label — lets a caller share distinct-pair
+    Config ``i`` runs on ``hierarchies[index[i]]`` with
+    ``l3_share_cores = shares[i]``; the result is the ``(miss_l1,
+    miss_l2, miss_l3)`` columns.  Miss ratios depend only on
+    ``(hierarchy, share)``, and a sweep batch contains few distinct
+    pairs (3 cache presets x a handful of occupancy values), so the
+    pairs are deduplicated as integers (``np.unique`` of
+    ``index * stride + share``).  The distinct pairs' per-level cache
+    geometries are deduplicated again (the fixed L1 is shared by every
+    preset) and evaluated in **one** :meth:`~repro.trace.kernel.\
+ReuseProfile.miss_ratio_batch` pass — bitwise-identical to per-config
+    scalar :func:`hierarchy_miss_profile` calls, since the batched miss
+    model is bitwise-identical per geometry and the monotonicity clamp
+    is applied the same way per pair.  The number of geometry rows
+    actually evaluated is counted under ``miss.batch.geometries``.
+    ``memo`` — keyed ``(kernel, hierarchy, share)`` on the full hashable
+    hierarchy, never a display label — lets a caller share distinct-pair
     evaluations across batches.
     """
-    if len(hierarchies) != len(shares):
-        raise ValueError("hierarchies and shares must align")
-    local: Dict[Tuple, Optional[MissProfile]] = {}
-    keys: List[Tuple] = []
-    pending: List[Tuple[CacheHierarchy, int]] = []
-    for h, s in zip(hierarchies, shares):
-        s = int(s)
-        lk = (h, s)
-        keys.append(lk)
-        if lk in local:
-            continue
-        prof = memo.get((sig.name, h, s)) if memo is not None else None
-        local[lk] = prof
-        if prof is None:
-            pending.append(lk)
+    index = np.asarray(index, dtype=np.int64)
+    shares = np.asarray(shares, dtype=np.int64)
+    if index.shape != shares.shape or index.ndim != 1:
+        raise ValueError("index and shares must be aligned 1-D sequences")
+    if np.any(shares <= 0):
+        raise ValueError("shares must be positive")
+    stride = int(shares.max(initial=0)) + 1
+    pairs, inverse = np.unique(index * stride + shares, return_inverse=True)
+    keys = [(sig.name, hierarchies[h], s)
+            for h, s in zip(*(a.tolist() for a in np.divmod(pairs, stride)))]
+    ratios = np.empty((len(pairs), 3))
+    pending: List[int] = []
+    for p, key in enumerate(keys):
+        hit = memo.get(key) if memo is not None else None
+        if hit is None:
+            pending.append(p)
+        else:
+            ratios[p] = hit
 
     if pending:
         # Dedup the (capacity, assoc, n_sets) rows across pairs and levels,
         # evaluate them in a single 2-D pass, then gather per pair.
         geom_index: Dict[Tuple[float, int, int], int] = {}
-        rows: List[Tuple[float, int, int]] = []
 
         def _row(cap: float, assoc: int, n_sets: int) -> int:
-            g = (cap, assoc, n_sets)
-            i = geom_index.get(g)
-            if i is None:
-                i = geom_index[g] = len(rows)
-                rows.append(g)
-            return i
+            return geom_index.setdefault((cap, assoc, n_sets),
+                                         len(geom_index))
 
         level_idx = []
-        for h, s in pending:
+        for p in pending:
+            _, h, s = keys[p]
             l1, l2, l3 = h.l1, h.l2, h.l3
             l3_lines = max(1.0, l3.n_lines / s)
             l3_sets = max(1, int(l3.n_sets // s))
@@ -165,19 +169,20 @@ miss_ratio_batch` pass — bitwise-identical to per-config scalar
                 _row(float(l2.n_lines), l2.associativity, l2.n_sets),
                 _row(l3_lines, l3.associativity, l3_sets),
             ))
-        geom = np.asarray(rows, dtype=np.float64)
+        geom = np.asarray(list(geom_index), dtype=np.float64)
         miss = sig.reuse.miss_ratio_batch(
             geom[:, 0], geom[:, 1].astype(np.int64),
             geom[:, 2].astype(np.int64))
-        get_metrics().inc("miss.batch.geometries", len(rows))
+        get_metrics().inc("miss.batch.geometries", len(geom_index))
 
-        for (h, s), (i1, i2, i3) in zip(pending, level_idx):
-            m1 = float(miss[i1])
-            m2 = min(float(miss[i2]), m1)
-            m3 = min(float(miss[i3]), m2)
-            prof = MissProfile(miss_l1=m1, miss_l2=m2, miss_l3=m3)
-            local[(h, s)] = prof
-            if memo is not None:
-                memo[(sig.name, h, s)] = prof
+        fresh = miss[np.asarray(level_idx)]
+        # The scalar clamp: m2 = min(m2, m1); m3 = min(m3, m2).
+        fresh[:, 1] = np.minimum(fresh[:, 1], fresh[:, 0])
+        fresh[:, 2] = np.minimum(fresh[:, 2], fresh[:, 1])
+        ratios[pending] = fresh
+        if memo is not None:
+            for p, row in zip(pending, fresh.tolist()):
+                memo[keys[p]] = tuple(row)
 
-    return [local[k] for k in keys]
+    cols = ratios.T[:, inverse]
+    return cols[0], cols[1], cols[2]

@@ -112,24 +112,41 @@ class TestStoreStreaming:
     def test_second_search_runs_entirely_from_store(self, evaluator,
                                                     tmp_path):
         path = tmp_path / "store.jsonl"
+
+        class CountingEvaluator:
+            batches = 0
+
+            def evaluate_frame(self, nodes, **kw):
+                CountingEvaluator.batches += 1
+                return evaluator.evaluate_frame(nodes, **kw)
+
         with ResultStore(path) as store:
             first = search_front(APP, SMALL, max_evals=len(SMALL),
-                                 patience=None, evaluator=evaluator,
+                                 patience=None,
+                                 evaluator=CountingEvaluator(),
                                  store=store, code_version="test",
                                  metrics=MetricsRegistry())
             assert len(store) == first.n_evaluated
+        # One columnar block line per evaluated batch, not per point.
+        assert CountingEvaluator.batches > 0
+        assert len(path.read_text().splitlines()) == \
+            CountingEvaluator.batches
 
         class ExplodingEvaluator:
-            def evaluate(self, *a, **k):
+            def evaluate_frame(self, *a, **k):
                 raise AssertionError("engine touched despite warm store")
 
+        reg = MetricsRegistry()
         with ResultStore(path) as store:
             again = search_front(APP, SMALL, max_evals=len(SMALL),
                                  patience=None,
                                  evaluator=ExplodingEvaluator(),
                                  store=store, code_version="test",
-                                 metrics=MetricsRegistry())
+                                 metrics=reg)
             assert len(store) == first.n_evaluated  # nothing re-put
+        assert reg.counter("musa.simulate_node") == 0
+        assert reg.counter("store.miss") == 0
+        assert reg.counter("store.hit") == first.n_evaluated
         assert _as_tuples(again.front) == _as_tuples(first.front)
         assert list(again.results) == list(first.results)
 

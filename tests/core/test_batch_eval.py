@@ -63,6 +63,24 @@ class TestBatchedEqualsScalar:
         assert _batched_records(app_name, nodes) == \
             _scalar_records(app_name, nodes)
 
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_bitwise_equal_on_odd_core_counts(self, app_name):
+        # The scheduler pads every core-count group to one matrix; the
+        # Table I slices above only use multiples of 8 up to 128, so
+        # this space mixes core counts that are not multiples of 8 or
+        # exceed 128 in one batch.
+        space = DesignSpace(
+            core_labels=("medium",),
+            cache_labels=("64M:512K", "32M:256K"),
+            memory_labels=("4chDDR4",),
+            frequencies=(2.0,),
+            vector_widths=(128, 512),
+            core_counts=(1, 3, 4, 7, 9, 12, 100, 129, 132, 200, 252),
+        )
+        nodes = space.configs()
+        assert _batched_records(app_name, nodes) == \
+            _scalar_records(app_name, nodes)
+
     def test_batch_size_invariance(self, full_space):
         """Splitting one batch arbitrarily cannot change any result."""
         nodes = full_space[::101]

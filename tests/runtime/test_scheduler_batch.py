@@ -40,6 +40,7 @@ def assert_batch_matches_scalar(phase, n_cores, duration_scale=1.0,
                          (n_cfg,))
     os_ = np.broadcast_to(np.asarray(overhead_scale, dtype=np.float64),
                           (n_cfg,))
+    assert batch.busy_ns.shape == (n_cfg, max(n_cores))
     for k in range(n_cfg):
         if task_durations_ns is None:
             col = None
@@ -50,12 +51,14 @@ def assert_batch_matches_scalar(phase, n_cores, duration_scale=1.0,
                              duration_scale=float(ds[k]),
                              overhead_scale=float(os_[k]),
                              task_durations_ns=col)
-        got = batch[k]
-        assert got.makespan_ns == ref.makespan_ns, k
-        assert got.n_tasks == ref.n_tasks
-        assert got.serial_ns == ref.serial_ns
-        assert got.creation_ns_total == ref.creation_ns_total
-        assert np.array_equal(got.busy_ns, ref.busy_ns), k
+        c = ref.n_cores
+        assert batch.makespan_ns[k] == ref.makespan_ns, k
+        assert batch.n_tasks == ref.n_tasks
+        assert batch.serial_ns[k] == ref.serial_ns
+        assert batch.creation_ns_total[k] == ref.creation_ns_total
+        assert np.array_equal(batch.busy_ns[k, :c], ref.busy_ns), k
+        assert not batch.busy_ns[k, c:].any(), k  # padding tail is zero
+        assert batch.busy_sum_ns[k] == float(ref.busy_ns.sum()), k
     return batch
 
 
@@ -70,7 +73,7 @@ scale_st = st.floats(min_value=0.05, max_value=20.0, allow_nan=False,
 class TestBatchEqualsScalarBitwise:
     @settings(max_examples=150, deadline=None)
     @given(durations=durations_st,
-           cores=st.lists(st.integers(min_value=1, max_value=64),
+           cores=st.lists(st.integers(min_value=1, max_value=300),
                           min_size=1, max_size=6),
            scale=scale_st,
            serial=st.floats(min_value=0.0, max_value=1e4),
@@ -86,7 +89,7 @@ class TestBatchEqualsScalarBitwise:
     @settings(max_examples=100, deadline=None)
     @given(durations=st.lists(st.floats(min_value=0.0, max_value=1e6),
                               min_size=2, max_size=24),
-           cores=st.lists(st.integers(min_value=1, max_value=64),
+           cores=st.lists(st.integers(min_value=1, max_value=300),
                           min_size=1, max_size=6),
            scale=scale_st,
            creation=st.floats(min_value=0.0, max_value=1e3))
@@ -100,7 +103,7 @@ class TestBatchEqualsScalarBitwise:
     @settings(max_examples=75, deadline=None)
     @given(durations=st.lists(st.floats(min_value=0.0, max_value=1e6),
                               min_size=1, max_size=16),
-           cores=st.lists(st.integers(min_value=1, max_value=32),
+           cores=st.lists(st.integers(min_value=1, max_value=300),
                           min_size=1, max_size=5),
            data=st.data())
     def test_per_config_duration_matrix(self, durations, cores, data):
@@ -138,7 +141,7 @@ class TestBatchRegressions:
     def test_empty_phase_all_columns(self):
         phase = make_phase([], serial=11.0, critical=4.0)
         batch = assert_batch_matches_scalar(phase, [1, 4], overhead_scale=2.0)
-        assert batch[0].makespan_ns == pytest.approx(30.0)
+        assert batch.makespan_ns[0] == pytest.approx(30.0)
 
     def test_general_dag_falls_back(self):
         # A chain dependency is neither nodeps nor fanout0.
@@ -168,6 +171,16 @@ class TestBatchRegressions:
     def test_mixed_core_counts_group_correctly(self):
         phase = make_phase([9.0, 1.0, 7.0, 3.0, 2.0], creation=0.5)
         assert_batch_matches_scalar(phase, [4, 2, 4, 1, 2, 8])
+
+    def test_busy_sums_over_real_cores_only(self):
+        # Dense busy rows at core counts that are not multiples of 8 or
+        # exceed 128: NumPy's pairwise summation tree depends on the row
+        # length, so summing the zero-padded row would differ in the
+        # last ulp from the scalar busy_ns.sum().
+        rng = np.random.default_rng(7)
+        durations = rng.uniform(1.0, 1e4, size=2000)
+        phase = make_phase(durations, creation=0.37)
+        assert_batch_matches_scalar(phase, [1, 3, 7, 9, 129, 200, 252, 300])
 
     def test_input_validation(self):
         phase = make_phase([1.0])

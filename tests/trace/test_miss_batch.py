@@ -12,6 +12,7 @@ Three contracts:
   imports hard-blocked.
 """
 
+import copy
 import subprocess
 import sys
 import textwrap
@@ -23,12 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.config import cache_preset
+from repro.config import NodeConfig, cache_preset, core_preset, \
+    memory_preset
+from repro.obs import MetricsRegistry, set_metrics
 from repro.trace import InstructionMix, KernelSignature, ReuseProfile
 from repro.trace.kernel import (_SMALL_D_MAX, _setassoc_miss_prob,
                                 _setassoc_miss_prob_batch,
                                 _setassoc_miss_prob_scipy)
 from repro.uarch import hierarchy_miss_profile
+from repro.uarch.batch import NodeBatch
 from repro.uarch.hierarchy import hierarchy_miss_profile_batch
 
 components_st = st.lists(
@@ -102,24 +106,80 @@ class TestHierarchyBatchBitwise:
     def test_batch_matches_scalar_over_presets_and_shares(self):
         sig = _sig([(100, 0.4), (5000, 0.3), (24_000, 0.2), (5e6, 0.1)],
                    cold=0.02)
-        hierarchies, shares = [], []
-        for label in ("64M:512K", "96M:1M", "32M:256K"):
+        labels = ("64M:512K", "96M:1M", "32M:256K")
+        hierarchies = [cache_preset(label) for label in labels]
+        index, shares = [], []
+        for h in range(len(labels)):
             for share in (1, 16, 64):
-                hierarchies.append(cache_preset(label))
+                index.append(h)
                 shares.append(share)
-        batch = hierarchy_miss_profile_batch(sig, hierarchies, shares)
-        for got, h, s in zip(batch, hierarchies, shares):
-            ref = hierarchy_miss_profile(sig, h, l3_share_cores=s)
-            assert got == ref, (h, s)
+        cols = hierarchy_miss_profile_batch(sig, hierarchies, index, shares)
+        for k, (h, s) in enumerate(zip(index, shares)):
+            ref = hierarchy_miss_profile(sig, hierarchies[h],
+                                         l3_share_cores=s)
+            got = tuple(float(c[k]) for c in cols)
+            assert got == (ref.miss_l1, ref.miss_l2, ref.miss_l3), (h, s)
 
     def test_memo_shares_distinct_pairs_across_batches(self):
         sig = _sig([(2000, 1.0)])
         h = cache_preset("64M:512K")
         memo = {}
-        first = hierarchy_miss_profile_batch(sig, [h, h], [1, 1], memo=memo)
+        first = hierarchy_miss_profile_batch(sig, [h], [0, 0], [1, 1],
+                                             memo=memo)
         assert len(memo) == 1
-        again = hierarchy_miss_profile_batch(sig, [h], [1], memo=memo)
-        assert again[0] == first[0] == first[1]
+        again = hierarchy_miss_profile_batch(sig, [h], [0], [1], memo=memo)
+        for a, f in zip(again, first):
+            assert a[0] == f[0] == f[1]
+
+    def test_equal_but_distinct_hierarchies(self):
+        # Equal hierarchy objects that are not the same object must
+        # behave exactly like one shared object: same miss columns, same
+        # geometry count, one memo entry per (kernel, hierarchy, share).
+        sig = _sig([(100, 0.4), (5000, 0.3), (5e6, 0.3)], cold=0.01)
+        h = cache_preset("96M:1M")
+        twins = [copy.deepcopy(h) for _ in range(4)]
+        assert all(t == h and t is not h for t in twins)
+        shares = [1, 3, 3, 8, 1, 8, 3, 1]
+
+        def run(caches):
+            nodes = [NodeConfig(core=core_preset("medium"), cache=c,
+                                memory=memory_preset("4chDDR4"),
+                                frequency_ghz=2.0, vector_bits=128,
+                                n_cores=64) for c in caches]
+            nb = NodeBatch.from_nodes(nodes)
+            reg, memo = MetricsRegistry(), {}
+            prev = set_metrics(reg)
+            try:
+                cols = hierarchy_miss_profile_batch(
+                    sig, nb.hierarchies, nb.hierarchy_idx, shares,
+                    memo=memo)
+            finally:
+                set_metrics(prev)
+            return nb, cols, reg.counter("miss.batch.geometries"), memo
+
+        nb_one, one, geoms_one, memo_one = run([h] * len(shares))
+        nb_eq, eq, geoms_eq, memo_eq = run(
+            [twins[i % len(twins)] for i in range(len(shares))])
+        assert len(nb_one.hierarchies) == len(nb_eq.hierarchies) == 1
+        for a, b in zip(one, eq):
+            assert np.array_equal(a, b)
+        assert geoms_eq == geoms_one > 0
+        assert len(memo_eq) == len(memo_one) == len(set(shares))
+
+        # Without the batch's dedupe (one index per object), the pairs
+        # still collapse to the same geometries and memo keys.
+        reg, memo = MetricsRegistry(), {}
+        prev = set_metrics(reg)
+        try:
+            raw = hierarchy_miss_profile_batch(
+                sig, twins, [i % len(twins) for i in range(len(shares))],
+                shares, memo=memo)
+        finally:
+            set_metrics(prev)
+        for a, b in zip(one, raw):
+            assert np.array_equal(a, b)
+        assert reg.counter("miss.batch.geometries") == geoms_one
+        assert len(memo) == len(set(shares))
 
 
 class TestScipyCrossCheck:
