@@ -307,13 +307,9 @@ def simulate_phase(
 
 @dataclass(frozen=True)
 class PhaseBatch:
-    """Per-config columns of one :func:`simulate_phase_batch` call.
-
-    Column ``k`` holds exactly the floats of the scalar
-    :class:`PhaseResult` for config ``k``; ``busy_sum_ns[k]`` is its
-    ``float(busy_ns.sum())`` and row ``k`` of ``busy_ns`` is its
-    per-core busy vector, zero past that config's core count.
-    """
+    """Per-config columns of :func:`simulate_phase_batch`: entry ``k``
+    holds the scalar :class:`PhaseResult`'s floats for config ``k``
+    (``busy_sum_ns[k]`` is its ``float(busy_ns.sum())``)."""
 
     makespan_ns: np.ndarray        # (configs,)
     serial_ns: np.ndarray          # (configs,)
@@ -433,27 +429,13 @@ def simulate_phase_batch(
             busy_sum[k] = ref.busy_ns.sum()
             busy_mat[k, :ref.n_cores] = ref.busy_ns
 
+    out = PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat, n)
     cols = np.flatnonzero(fast)
-    if len(cols) and n:
+    if len(cols):
         get_metrics().inc("sched.batch.fast", len(cols))
-        _schedule_columns(structure, base, ds, serial, creation, nc, cols,
-                          makespan, busy_sum, busy_mat)
-    elif len(cols):
-        # makespan = serial + critical with no busy time: already set.
-        get_metrics().inc("sched.batch.fast", len(cols))
-    return PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat,
-                      n)
+    if len(cols) == 0 or n == 0:
+        return out  # an empty phase: serial + critical, no busy time
 
-
-def _schedule_columns(structure, base, ds, serial, creation, nc, cols,
-                      makespan_out, busy_sum, busy_mat) -> None:
-    """One synchronized per-task pass over the fast columns ``cols``.
-
-    Writes each column's makespan (``max`` with the ``serial +
-    critical`` floor already in ``makespan_out``), busy sum and busy
-    row in place.
-    """
-    n = base.shape[0]
     dur = (base if base.shape[1] == 1 else base[:, cols]) * ds[cols]
     # create_time[i] = serial + (i+1)*creation, per column — the same
     # float64 ops as the scalar list comprehension, elementwise.
@@ -472,7 +454,7 @@ def _schedule_columns(structure, base, ds, serial, creation, nc, cols,
     busy[:, 0] += md
     free_flat = free.reshape(-1)
     busy_flat = busy.reshape(-1)
-    makespan = md.copy()
+    span = md.copy()
 
     start_index = 0
     end0 = None
@@ -484,7 +466,7 @@ def _schedule_columns(structure, base, ds, serial, creation, nc, cols,
         end0 = start + dur[0]
         busy_flat[cell] += dur[0]
         free_flat[cell] = end0
-        np.maximum(makespan, end0, out=makespan)
+        np.maximum(span, end0, out=span)
         start_index = 1
 
     for i in range(start_index, n):
@@ -498,12 +480,13 @@ def _schedule_columns(structure, base, ds, serial, creation, nc, cols,
         end = start + dur[i]
         busy_flat[cell] += dur[i]
         free_flat[cell] = end
-        np.maximum(makespan, end, out=makespan)
+        np.maximum(span, end, out=span)
 
-    makespan_out[cols] = np.maximum(makespan, makespan_out[cols])
+    makespan[cols] = np.maximum(span, makespan[cols])
     busy_mat[cols] = busy
     # Sum each column over its real cores only: the pairwise summation
     # tree depends on the length, so the padded row would differ.
     for c in np.unique(nc_f):
         g = np.flatnonzero(nc_f == c)
         busy_sum[cols[g]] = busy[g, :c].sum(axis=1)
+    return out
