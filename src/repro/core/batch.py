@@ -306,12 +306,13 @@ class BatchEvaluator:
         def task_order_total(per_kernel: np.ndarray) -> np.ndarray:
             # sum over tasks of per_kernel[kidx[t]] * work[t], added in
             # task order: accumulate is sequential, np.sum is pairwise.
-            work = inv.work_arr.reshape((-1,) + (1,) * (per_kernel.ndim - 1))
-            return np.add.accumulate(per_kernel[kidx] * work, axis=0)[-1]
+            terms = per_kernel[kidx] * inv.work_arr[:, None]
+            return np.add.accumulate(terms, axis=0)[-1]
 
         tot_instr = task_order_total(instr_cols)
         # Config-invariant: the same accumulation, computed once.
-        tot_flops = float(task_order_total(np.array(flops_per_kernel)))
+        tot_flops = float(task_order_total(
+            np.array(flops_per_kernel)[:, None])[0])
         tot_l1 = task_order_total(l1_cols)
         tot_l2 = task_order_total(l2_cols)
         tot_l3 = task_order_total(l3_cols)

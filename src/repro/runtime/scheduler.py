@@ -434,7 +434,7 @@ def simulate_phase_batch(
     if len(cols):
         get_metrics().inc("sched.batch.fast", len(cols))
     if len(cols) == 0 or n == 0:
-        return out  # an empty phase: serial + critical, no busy time
+        return out  # all fallbacks, or serial + critical and no tasks
 
     dur = (base if base.shape[1] == 1 else base[:, cols]) * ds[cols]
     # create_time[i] = serial + (i+1)*creation, per column — the same
