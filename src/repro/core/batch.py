@@ -307,7 +307,8 @@ class BatchEvaluator:
             # sum over tasks of per_kernel[kidx[t]] * work[t], added in
             # task order: accumulate is sequential, np.sum is pairwise.
             terms = per_kernel[kidx] * inv.work_arr[:, None]
-            return np.add.accumulate(terms, axis=0)[-1]
+            # Copy the last row so the (tasks, configs) buffer is freed.
+            return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
 
         tot_instr = task_order_total(instr_cols)
         # Config-invariant: the same accumulation, computed once.
