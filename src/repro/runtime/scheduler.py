@@ -441,7 +441,7 @@ def simulate_phase_batch(
     # float64 ops as the scalar list comprehension, elementwise.
     create = (np.arange(1, n + 1, dtype=np.float64)[:, None]
               * creation[None, cols]) + serial[None, cols]
-    md = create[-1, :]
+    master_done = create[-1, :]
     nc_f = nc[cols]
     width = busy_mat.shape[1]
     # Core j of column r is cell r*width + j of the flattened matrices.
@@ -449,12 +449,12 @@ def simulate_phase_batch(
 
     # A core the column does not have is never free, so never picked.
     free = np.where(np.arange(width) < nc_f[:, None], 0.0, np.inf)
-    free[:, 0] = md
+    free[:, 0] = master_done
     busy = np.zeros((len(cols), width), dtype=np.float64)
-    busy[:, 0] += md
+    busy[:, 0] += master_done
     free_flat = free.reshape(-1)
     busy_flat = busy.reshape(-1)
-    span = md.copy()
+    span = master_done.copy()
 
     start_index = 0
     end0 = None
