@@ -9,16 +9,21 @@ engine produces bit-identical results to scalar per-config evaluation
 — in fast mode and in replay mode, where the config-vectorized replay
 engine must match per-config scalar replay byte-for-byte — that a
 campaign split into two K/N shards and merged back with merge_journal
-resumes bit-identically with zero re-evaluation, and that the
-execution metrics report throughput and memoization.
+resumes bit-identically with zero re-evaluation, that a `repro sweep
+--resume J` process SIGKILLed mid-campaign resumes to output
+byte-identical to an uninterrupted run, and that the execution metrics
+report throughput and memoization.
 Exits non-zero on any violation.
 
 Run from the repo root:  PYTHONPATH=src python scripts/smoke_sweep.py
 """
 
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from repro.apps import get_app
@@ -29,6 +34,18 @@ from repro.obs import MetricsRegistry, set_metrics, summarize
 
 APPS = ["spmz", "hydro"]
 SPACE = smoke_design_space()  # 8 configurations
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_sweep(*args):
+    """Start ``repro sweep`` over the smoke campaign, one config per
+    journal line so the journal grows while the process runs."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep", "--apps", *APPS,
+         "--smoke", "--batch-size", "1", "--processes", "1", *args],
+        env=env, stdout=subprocess.DEVNULL)
 
 
 def scalar_records(metrics, n_ranks=256, mode="fast"):
@@ -177,6 +194,27 @@ def main() -> int:
             "merged 2-shard journals differ from the single-process sweep"
         print(f"  shard merge OK: {len(part0)}+{len(part1)} tasks from 2 "
               "shards, merged resume bit-identical, zero re-evaluations")
+
+    # 7. SIGKILL a journaled CLI sweep once its journal is non-empty,
+    #    resume it, and compare the output with an uninterrupted run
+    #    byte for byte.  The kill may land mid-line, between lines or
+    #    after the last one; the resumed output must match every time.
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "kill.jsonl"
+        ref, out = Path(tmp) / "ref.json", Path(tmp) / "resumed.json"
+        assert cli_sweep("--out", str(ref)).wait() == 0
+        victim = cli_sweep("--resume", str(journal))
+        while victim.poll() is None and not (
+                journal.exists() and journal.stat().st_size):
+            time.sleep(0.002)
+        victim.kill()
+        victim.wait()
+        n_killed = len(replay_journal(journal).results)
+        assert cli_sweep("--resume", str(journal), "--out", str(out)).wait() == 0
+        assert out.read_bytes() == ref.read_bytes(), \
+            "SIGKILLed and resumed CLI sweep differs from uninterrupted run"
+        print(f"  SIGKILL resume OK: killed with {n_killed} journaled "
+              "records, resumed output byte-identical")
     print("smoke sweep passed")
     return 0
 

@@ -6,6 +6,11 @@ appends each finished record to a JSONL journal as it completes and, on
 resume, skips every (app, configuration) pair already present — the
 same amortization discipline MUSA applies to its traces.
 
+The journal is a format layer over :mod:`repro.core.linelog`, which
+owns the file: the ``fsync_every`` budget, the line scan, and the
+repair of a torn final line on reopen, so the first record appended
+after a crash is readable.
+
 Journal format: one JSON object per line.
 
 * **result records** — flat :class:`~repro.core.results.ResultSet`
@@ -18,8 +23,8 @@ Journal format: one JSON object per line.
   one line (DESIGN §10); replay expands them through the exact same
   dedup rules as N scalar lines, so a journal written by the columnar
   path resumes byte-for-byte like its per-record equivalent;
-* a truncated final line (the torn-write crash case) is tolerated and
-  dropped.
+* a line that does not decode (a torn final write) is dropped and
+  counted.
 
 Duplicate keys keep their first occurrence; every dropped duplicate is
 counted (``checkpoint.duplicates_dropped``) and logged through
@@ -33,23 +38,23 @@ Sharded campaigns add two pieces on top of this format:
   with meta lines resumes identically to one without;
 * :func:`merge_journal` — unions K partial journals into one, first
   occurrence per task key winning, records written in canonical
-  task-key order.  Resuming from the merged journal is byte-identical
-  to resuming from a single-process journal of the same campaign.
+  task-key order by one atomic rewrite.  Resuming from the merged
+  journal is byte-identical to resuming from a single-process journal
+  of the same campaign.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..obs import inc as obs_inc
 from ..obs import warn as obs_warn
-from .canon import canonical_dumps, canonical_loads
+from .canon import canonical_dumps
 from .frame import BLOCK_KEY, ResultFrame
+from .linelog import LineLog, LineReader, LineScan, rewrite
 from .results import CONFIG_KEYS, ResultSet
 
 __all__ = [
@@ -71,36 +76,15 @@ def task_key(record: Dict) -> Tuple:
     return tuple(record[k] for k in CONFIG_KEYS)
 
 
-class Journal:
-    """Append-only JSONL writer with a bounded-loss fsync policy.
-
-    ``fsync_every=1`` (the default) makes every record durable before
-    the next task starts; larger values trade at most that many records
-    of loss for fewer synchronous flushes on large campaigns.
-    """
-
-    def __init__(self, path: Union[str, Path], fsync_every: int = 1) -> None:
-        if fsync_every <= 0:
-            raise ValueError("fsync_every must be positive")
-        self.path = Path(path)
-        self.fsync_every = fsync_every
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
-        self._since_sync = 0
+class Journal(LineLog):
+    """Append-only JSONL journal writer (``fsync_every`` as in
+    :class:`~repro.core.linelog.LineLog`)."""
 
     def append(self, record: Dict) -> None:
         # Canonical serialization: valid interchange JSON even for
         # non-finite floats (sentinel-encoded, never bare NaN tokens),
         # key-sorted so identical records are byte-identical lines.
-        self.append_rendered(canonical_dumps(record))
-
-    def append_rendered(self, line: str, n: int = 1) -> None:
-        """Append a pre-rendered canonical JSON line covering ``n``
-        records (no trailing newline in ``line``)."""
-        self._fh.write(line + "\n")
-        self._since_sync += n
-        if self._since_sync >= self.fsync_every:
-            self.flush()
+        self.write(canonical_dumps(record))
 
     def append_frame(self, frame: ResultFrame) -> None:
         """Append one columnar block line covering ``len(frame)``
@@ -112,7 +96,7 @@ class Journal:
         columnar journal path earns its throughput.
         """
         if len(frame):
-            self.append_rendered(frame.to_block_line(), n=len(frame))
+            self.write(frame.to_block_line(), n=len(frame))
 
     def append_meta(self, meta: Dict) -> None:
         """Append a provenance header (shard identity etc.).
@@ -121,22 +105,6 @@ class Journal:
         by resume logic, so they may appear anywhere in the file.
         """
         self.append({META_KEY: dict(meta)})
-
-    def flush(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._since_sync = 0
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self.flush()
-            self._fh.close()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass
@@ -155,20 +123,80 @@ def _frame_task_keys(frame: ResultFrame) -> List[Tuple]:
     """Per-row task keys from a block frame's columns.
 
     Raises ``KeyError`` when a config key column is missing, which the
-    callers treat as a corrupt block line.
+    caller treats as a corrupt block line.
     """
     cols = [frame.column(k).tolist() for k in CONFIG_KEYS]
     return list(zip(*cols))
 
 
-def _frame_failed_flags(frame: ResultFrame) -> Optional[List[bool]]:
+def _frame_failed_flags(frame: ResultFrame) -> List[bool]:
     if "failed" not in frame.keys:
-        return None
+        return [False] * len(frame)
     return [bool(v) for v in frame.column("failed").tolist()]
 
 
+def _scan_journal(path: Path, keep: Callable[[int, int, Any], Any],
+                  out: JournalReplay
+                  ) -> Tuple[Dict[Tuple, Any], Dict[Tuple, Any]]:
+    """The journal's dedup rules, in one pass over one file.
+
+    First success per task key wins, the latest failure stub wins, and
+    a stub is dropped once its task succeeds; block rows follow the
+    same rules as scalar lines.  Returns ``(results, stubs)`` mapping
+    each surviving key, in first-seen order, to ``keep(offset, row,
+    source)``: the line's byte offset, the block row (``-1`` for a
+    scalar line), and the record dict or block frame.  Duplicates,
+    corrupt lines and meta accumulate into ``out``.
+    """
+    results: Dict[Tuple, Any] = {}
+    stubs: Dict[Tuple, Any] = {}
+    lines = LineScan(path)
+    for offset, record in lines:
+        if not isinstance(record, dict):
+            lines.corrupt += 1
+            continue
+        if META_KEY in record:
+            out.meta.append(record[META_KEY])
+            continue
+        try:
+            if BLOCK_KEY in record:
+                source: Any = ResultFrame.from_block_payload(record[BLOCK_KEY])
+                keys = _frame_task_keys(source)
+                failed = _frame_failed_flags(source)
+                rows = range(len(keys))
+            else:
+                source, keys = record, [task_key(record)]
+                failed, rows = [bool(record.get("failed"))], (-1,)
+        except (KeyError, ValueError, TypeError):
+            lines.corrupt += 1  # block or record missing config keys
+            continue
+        for key, stub, row in zip(keys, failed, rows):
+            if key in results:
+                out.duplicates += 1
+            elif stub:
+                stubs[key] = keep(offset, row, source)
+            else:
+                results[key] = keep(offset, row, source)
+                stubs.pop(key, None)  # the task eventually succeeded
+    out.corrupt_lines += lines.corrupt
+    return results, stubs
+
+
+def _keep_record(offset: int, row: int, source: Any) -> Mapping[str, Any]:
+    return source if row < 0 else source.row(row)
+
+
+def _count_drops(out: JournalReplay, what: Any) -> None:
+    if out.duplicates:
+        obs_inc("checkpoint.duplicates_dropped", out.duplicates)
+        obs_warn("%s: dropped %d duplicate record(s), keeping first "
+                 "occurrences", what, out.duplicates)
+    if out.corrupt_lines:
+        obs_inc("checkpoint.corrupt_lines", out.corrupt_lines)
+
+
 def replay_journal(path: Union[str, Path]) -> JournalReplay:
-    """Replay a (possibly partial) journal.
+    """Replay a (possibly partial) journal in one pass.
 
     Successful records land in ``results``/``done``; failure stubs are
     collected separately so the caller can retry them; duplicates keep
@@ -183,67 +211,13 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
     p = Path(path)
     if not p.exists():
         return out
-    stubs: Dict[Tuple, Dict] = {}
-    with p.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = canonical_loads(line)
-            except (json.JSONDecodeError, ValueError):
-                out.corrupt_lines += 1  # truncated tail of a crashed run
-                continue
-            if not isinstance(record, dict):
-                out.corrupt_lines += 1
-                continue
-            if META_KEY in record:
-                out.meta.append(record[META_KEY])
-                continue
-            if BLOCK_KEY in record:
-                # Columnar block line: expand rows through the exact
-                # same dedup rules as N scalar lines (first success
-                # wins, latest stub wins, stubs dropped on success).
-                try:
-                    frame = ResultFrame.from_block_payload(record[BLOCK_KEY])
-                    keys = _frame_task_keys(frame)
-                except (KeyError, ValueError, TypeError):
-                    out.corrupt_lines += 1
-                    continue
-                failed = _frame_failed_flags(frame)
-                for i, key in enumerate(keys):
-                    if key in out.done:
-                        out.duplicates += 1
-                        continue
-                    if failed is not None and failed[i]:
-                        stubs[key] = frame.row(i).to_dict()
-                        continue
-                    out.done.add(key)
-                    out.results._add_keyed(key, frame.row(i))
-                    stubs.pop(key, None)
-                continue
-            try:
-                key = task_key(record)
-            except KeyError:
-                out.corrupt_lines += 1  # record missing config keys
-                continue
-            if key in out.done:
-                out.duplicates += 1
-                continue
-            if record.get("failed"):
-                stubs[key] = record  # latest stub wins
-                continue
-            out.done.add(key)
-            out.results.add(record, copy=False)  # freshly parsed: owned
-            stubs.pop(key, None)  # the task eventually succeeded
-    out.failed.extend(stubs.values())
-    if out.duplicates:
-        obs_inc("checkpoint.duplicates_dropped", out.duplicates)
-        obs_warn(
-            "journal %s: dropped %d duplicate record(s), keeping first "
-            "occurrences", p, out.duplicates)
-    if out.corrupt_lines:
-        obs_inc("checkpoint.corrupt_lines", out.corrupt_lines)
+    results, stubs = _scan_journal(p, _keep_record, out)
+    for key, record in results.items():
+        out.results._add_keyed(key, record)
+    out.done.update(results)
+    out.failed.extend(s if type(s) is dict else s.to_dict()
+                      for s in stubs.values())
+    _count_drops(out, f"journal {p}")
     obs_inc("checkpoint.records_loaded", len(out.results))
     return out
 
@@ -254,96 +228,15 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
 _LineRef = Tuple[int, int, int]
 
 
-def _scan_journal(
-    pi: int, p: Path,
-) -> Tuple[Dict[Tuple, _LineRef], Dict[Tuple, _LineRef], int, int, List[Dict]]:
-    """Streaming single-journal replay recording line references.
-
-    Mirrors :func:`replay_journal`'s dedup/tolerance rules exactly but
-    keeps only ``(path, offset, row)`` per surviving key, so merge's
-    peak memory is bounded by the key index, not the record payloads.
-    Returns ``(results, stubs, duplicates, corrupt_lines, meta)``.
-    """
-    results: Dict[Tuple, _LineRef] = {}
-    stubs: Dict[Tuple, _LineRef] = {}
-    done: Set[Tuple] = set()
-    duplicates = corrupt = 0
-    meta: List[Dict] = []
-    if not p.exists():
-        return results, stubs, duplicates, corrupt, meta
-    with p.open("rb") as fh:
-        offset = 0
-        for raw in fh:
-            line_off = offset
-            offset += len(raw)
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = canonical_loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, ValueError):
-                corrupt += 1
-                continue
-            if not isinstance(record, dict):
-                corrupt += 1
-                continue
-            if META_KEY in record:
-                meta.append(record[META_KEY])
-                continue
-            if BLOCK_KEY in record:
-                try:
-                    frame = ResultFrame.from_block_payload(record[BLOCK_KEY])
-                    keys = _frame_task_keys(frame)
-                except (KeyError, ValueError, TypeError):
-                    corrupt += 1
-                    continue
-                failed = _frame_failed_flags(frame)
-                for i, key in enumerate(keys):
-                    if key in done:
-                        duplicates += 1
-                        continue
-                    if failed is not None and failed[i]:
-                        stubs[key] = (pi, line_off, i)
-                        continue
-                    done.add(key)
-                    results[key] = (pi, line_off, i)
-                    stubs.pop(key, None)
-                continue
-            try:
-                key = task_key(record)
-            except KeyError:
-                corrupt += 1
-                continue
-            if key in done:
-                duplicates += 1
-                continue
-            if record.get("failed"):
-                stubs[key] = (pi, line_off, -1)
-                continue
-            done.add(key)
-            results[key] = (pi, line_off, -1)
-            stubs.pop(key, None)
-    return results, stubs, duplicates, corrupt, meta
-
-
 class _LineFetcher:
     """Random access to journal lines by byte offset (merge pass 2),
     with a small LRU of decoded block frames so a block is not
     re-parsed once per row."""
 
     def __init__(self, paths: Sequence[Path], cache_blocks: int = 16) -> None:
-        self._paths = list(paths)
-        self._handles: Dict[int, BinaryIO] = {}
+        self._readers = [LineReader(p) for p in paths]
         self._blocks: "OrderedDict[Tuple[int, int], ResultFrame]" = OrderedDict()
         self._cache_blocks = cache_blocks
-
-    def _line(self, pi: int, offset: int) -> str:
-        fh = self._handles.get(pi)
-        if fh is None:
-            fh = self._paths[pi].open("rb")
-            self._handles[pi] = fh
-        fh.seek(offset)
-        return fh.readline().decode("utf-8").strip()
 
     def _frame(self, pi: int, offset: int) -> ResultFrame:
         key = (pi, offset)
@@ -351,7 +244,7 @@ class _LineFetcher:
         if frame is not None:
             self._blocks.move_to_end(key)
             return frame
-        payload = canonical_loads(self._line(pi, offset))
+        payload = self._readers[pi].read(offset)
         frame = ResultFrame.from_block_payload(payload[BLOCK_KEY])
         self._blocks[key] = frame
         while len(self._blocks) > self._cache_blocks:
@@ -364,25 +257,23 @@ class _LineFetcher:
         if row < 0:
             # Scalar lines may predate canonical form; re-render like
             # Journal.append always has.
-            return canonical_dumps(canonical_loads(self._line(pi, offset)))
+            return canonical_dumps(self._readers[pi].read(offset))
         return self._frame(pi, offset).canonical_lines()[row]
 
     def record(self, ref: _LineRef) -> Mapping[str, Any]:
         pi, offset, row = ref
         if row < 0:
-            return canonical_loads(self._line(pi, offset))
+            return self._readers[pi].read(offset)
         return self._frame(pi, offset).row(row)
 
     def close(self) -> None:
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
+        for reader in self._readers:
+            reader.close()
 
 
 def merge_journal(
     paths: Sequence[Union[str, Path]],
     out_path: Union[str, Path],
-    fsync_every: int = 64,
     collect: bool = True,
 ) -> JournalReplay:
     """Union K partial journals into one canonical resume journal.
@@ -398,11 +289,10 @@ def merge_journal(
     byte-identical file, and resuming from it is byte-identical to
     resuming a single-process journal.
 
-    The merge streams: pass 1 scans each input line-at-a-time keeping
-    only ``(path, offset, row)`` references per surviving key; pass 2
-    re-reads just the winning lines in key order.  Peak memory is
-    bounded by the key index plus one cached block, independent of
-    record payload size.
+    The merge streams: pass 1 keeps only ``(path, offset, row)`` per
+    surviving key; pass 2 re-reads the winning lines in key order into
+    one atomic rewrite of ``out_path``.  Peak memory is the key index
+    plus a few cached blocks, independent of record payload size.
 
     Returns the replay of the merged content (results + surviving
     stubs); counts land under ``checkpoint.merged_*``.  With
@@ -417,28 +307,19 @@ def merge_journal(
     stubs: Dict[Tuple, _LineRef] = {}
     merged = JournalReplay()
     for pi, p in enumerate(path_objs):
-        res_j, stubs_j, dups, corrupt, meta = _scan_journal(pi, p)
-        merged.duplicates += dups
-        merged.corrupt_lines += corrupt
-        merged.meta.extend(meta)
+        res_j, stubs_j = _scan_journal(
+            p, lambda offset, row, _, pi=pi: (pi, offset, row), merged)
         for key, ref in res_j.items():
             records.setdefault(key, ref)  # first occurrence wins
-        for key, ref in stubs_j.items():
-            stubs[key] = ref  # latest stub wins
+        stubs.update(stubs_j)  # latest stub wins
     for key in records:
         stubs.pop(key, None)  # a shard eventually succeeded
 
     fetch = _LineFetcher(path_objs)
     try:
-        out = Path(out_path)
-        tmp = out.with_suffix(out.suffix + ".tmp")
-        with Journal(tmp, fsync_every=fsync_every) as journal:
-            for key in sorted(records):
-                journal.append_rendered(fetch.canonical_line(records[key]))
-            for key in sorted(stubs):
-                journal.append_rendered(fetch.canonical_line(stubs[key]))
-        os.replace(tmp, out)
-
+        rewrite(out_path, (fetch.canonical_line(refs[key])
+                           for refs in (records, stubs)
+                           for key in sorted(refs)))
         merged.done.update(records)
         if collect:
             for key in sorted(records):
@@ -447,13 +328,7 @@ def merge_journal(
                 dict(fetch.record(stubs[key])) for key in sorted(stubs))
     finally:
         fetch.close()
-    if merged.duplicates:
-        obs_inc("checkpoint.duplicates_dropped", merged.duplicates)
-        obs_warn(
-            "merge: dropped %d duplicate record(s), keeping first "
-            "occurrences", merged.duplicates)
-    if merged.corrupt_lines:
-        obs_inc("checkpoint.corrupt_lines", merged.corrupt_lines)
+    _count_drops(merged, "merge")
     obs_inc("checkpoint.merged_journals", len(paths))
     obs_inc("checkpoint.merged_records", len(records))
     return merged

@@ -17,12 +17,14 @@ re-hashing), the code version, creation time, the engine that produced
 the record, and the engine's :mod:`repro.obs` counter deltas for the
 evaluation that filled them.
 
-Persistence is an append-only JSONL file in the same spirit as the
-sweep journal (:mod:`repro.core.checkpoint`): crash-tolerant (a torn
-final line is dropped and counted), duplicate keys keep their first
-occurrence, and :meth:`ResultStore.invalidate` compacts by atomic
-rewrite.  All operations are thread-safe — the serve worker pool calls
-into one shared store.
+Persistence is an append-only JSONL file on the same line log as the
+sweep journal (:mod:`repro.core.linelog`): a line that does not decode
+(a torn final write) is dropped and counted, reopening repairs a torn
+final line so the next put is readable, duplicate keys keep their
+first occurrence, and :meth:`ResultStore.invalidate` compacts by the
+log's atomic rewrite (temp file, fsync, rename, directory fsync).  The
+store itself only decides what a line means.  All operations are
+thread-safe — the serve worker pool calls into one shared store.
 
 Since the columnar data plane (DESIGN §10) the store also speaks a
 **block** line format: one ``{"__block__": ...}`` JSONL line carries a
@@ -49,6 +51,7 @@ import os
 import subprocess
 import threading
 import time
+from itertools import groupby
 from pathlib import Path
 from typing import (
     Any,
@@ -64,8 +67,9 @@ from typing import (
 )
 
 from ..obs import get_metrics
-from .canon import canonical_dumps, canonical_loads, content_digest
+from .canon import canonical_dumps, content_digest
 from .frame import ResultFrame, scalar_fragment
+from .linelog import LineLog, LineScan
 
 __all__ = ["ResultStore", "code_version", "make_provenance", "store_key",
            "store_keys_batch", "store_keys_frame",
@@ -281,16 +285,11 @@ class ResultStore:
     """
 
     def __init__(self, path: Union[str, Path], fsync_every: int = 1) -> None:
-        if fsync_every <= 0:
-            raise ValueError("fsync_every must be positive")
         self.path = Path(path)
-        self.fsync_every = fsync_every
         self._lock = threading.Lock()
         self._entries: Dict[str, _Slot] = {}
-        self._since_sync = 0
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._load()
-        self._fh = self.path.open("a", encoding="utf-8")
+        self._log = LineLog(self.path, fsync_every)
 
     # -- loading --------------------------------------------------------------
 
@@ -298,35 +297,29 @@ class ResultStore:
         if not self.path.exists():
             return
         obs = get_metrics()
-        corrupt = duplicates = blocks = 0
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+        duplicates = blocks = 0
+        lines = LineScan(self.path)
+        for _, entry in lines:
+            try:
+                if isinstance(entry, dict) and STORE_BLOCK_KEY in entry:
+                    block = self._decode_block(entry[STORE_BLOCK_KEY])
+                    blocks += 1
+                    for j, key in enumerate(block.keys):
+                        if key in self._entries:
+                            duplicates += 1
+                            continue
+                        self._entries[key] = (block, j)
                     continue
-                try:
-                    entry = canonical_loads(line)
-                    if (isinstance(entry, dict)
-                            and STORE_BLOCK_KEY in entry):
-                        block = self._decode_block(entry[STORE_BLOCK_KEY])
-                        blocks += 1
-                        for j, key in enumerate(block.keys):
-                            if key in self._entries:
-                                duplicates += 1
-                                continue
-                            self._entries[key] = (block, j)
-                        continue
-                    key = entry["key"]
-                except (json.JSONDecodeError, ValueError, KeyError,
-                        TypeError):
-                    corrupt += 1  # torn tail of a crashed writer
-                    continue
-                if key in self._entries:
-                    duplicates += 1
-                    continue
-                self._entries[key] = entry
-        if corrupt:
-            obs.inc("store.corrupt_lines", corrupt)
+                key = entry["key"]
+            except (ValueError, KeyError, TypeError):
+                lines.corrupt += 1
+                continue
+            if key in self._entries:
+                duplicates += 1
+                continue
+            self._entries[key] = entry
+        if lines.corrupt:
+            obs.inc("store.corrupt_lines", lines.corrupt)
         if duplicates:
             obs.inc("store.duplicates_dropped", duplicates)
         if blocks:
@@ -393,10 +386,7 @@ class ResultStore:
             if key in self._entries:
                 return self._entries[key]
             self._entries[key] = entry
-            self._fh.write(canonical_dumps(entry) + "\n")
-            self._since_sync += 1
-            if self._since_sync >= self.fsync_every:
-                self._flush_locked()
+            self._log.write(canonical_dumps(entry))
         get_metrics().inc("store.put")
         return entry
 
@@ -417,18 +407,14 @@ class ResultStore:
                      if k not in self._entries]
             if not fresh:
                 return keys
-            block = _Block(frame, keys, mode, int(ranks), code_version,
-                           provenance)
-            if len(fresh) < len(keys):
-                block = _Block(frame.select(fresh),
-                               [keys[i] for i in fresh], mode,
-                               int(ranks), code_version, provenance)
+            block = _Block(
+                frame if len(fresh) == len(keys) else frame.select(fresh),
+                [keys[i] for i in fresh], mode, int(ranks), code_version,
+                provenance)
             for j, k in enumerate(block.keys):
                 self._entries[k] = (block, j)
-            self._fh.write(canonical_dumps(block.payload()) + "\n")
-            self._since_sync += len(block.keys)
-            if self._since_sync >= self.fsync_every:
-                self._flush_locked()
+            self._log.write(canonical_dumps(block.payload()),
+                            n=len(block.keys))
         obs = get_metrics()
         obs.inc("store.put", len(fresh))
         obs.inc("store.block.put")
@@ -463,7 +449,7 @@ class ResultStore:
             removed = len(self._entries) - len(keep)
             if removed:
                 self._entries = keep
-                self._rewrite_locked()
+                self._log.rewrite(self._lines_locked())
         if removed:
             get_metrics().inc("store.invalidated", removed)
         return removed
@@ -474,63 +460,28 @@ class ResultStore:
             lambda e: e.get("inputs", {}).get("code_version")
             != current_code_version)
 
-    def _rewrite_locked(self) -> None:
-        """Atomic compaction: write a temp file, fsync, rename over.
-
-        Streams line-at-a-time: scalar entries re-render one canonical
-        line each, and surviving rows of a block are written back as
-        one (possibly row-subset) block line — no per-row entry dicts
-        are ever materialized, so compaction memory is bounded by one
-        block, not the store size.
-        """
-        self._fh.close()
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            run_block: Optional[_Block] = None
-            run_rows: List[int] = []
-
-            def flush_run() -> None:
-                nonlocal run_block
-                if run_block is not None:
-                    fh.write(canonical_dumps(
-                        run_block.payload(run_rows)) + "\n")
-                run_block = None
-                run_rows.clear()
-
-            for slot in self._entries.values():
-                if type(slot) is tuple:
-                    block, j = slot
-                    if block is not run_block:
-                        flush_run()
-                        run_block = block
-                    run_rows.append(j)
-                else:
-                    flush_run()
-                    fh.write(canonical_dumps(slot) + "\n")
-            flush_run()
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._fh = self.path.open("a", encoding="utf-8")
-        self._since_sync = 0
+    def _lines_locked(self) -> Iterator[str]:
+        """The store's content as log lines, streamed for compaction:
+        one line per scalar entry and one (row-subset) block line per
+        run of a block's surviving rows, so memory stays bounded by
+        one block."""
+        for block, slots in groupby(
+                self._entries.values(),
+                key=lambda s: s[0] if type(s) is tuple else None):
+            if block is None:
+                yield from (canonical_dumps(entry) for entry in slots)
+            else:
+                yield canonical_dumps(block.payload([j for _, j in slots]))
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _flush_locked(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._since_sync = 0
-
     def flush(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._flush_locked()
+            self._log.flush()
 
     def close(self) -> None:
         with self._lock:
-            if not self._fh.closed:
-                self._flush_locked()
-                self._fh.close()
+            self._log.close()
 
     def __enter__(self) -> "ResultStore":
         return self

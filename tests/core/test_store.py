@@ -96,10 +96,18 @@ class TestPersistence:
             store.put(key, rec, inputs, prov)
         with path.open("a") as fh:
             fh.write('{"key": "torn')  # crashed writer mid-line
+        key2, rec2, inputs2, prov2 = _entry_args(app="spmz")
         with ResultStore(path) as store:
             assert len(store) == 1
             assert store.get(key) is not None
+            # The reopen cut the torn line off, so this put starts a
+            # line of its own and survives the next open.
+            store.put(key2, rec2, inputs2, prov2)
+        with ResultStore(path) as store:
+            assert store.get(key) is not None
+            assert store.get(key2) is not None
         assert fresh_metrics.counter("store.corrupt_lines") == 1
+        assert fresh_metrics.counter("linelog.tail_repaired") == 1
 
     def test_duplicate_keys_first_wins(self, tmp_path, fresh_metrics):
         path = tmp_path / "store.jsonl"

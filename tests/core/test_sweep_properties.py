@@ -130,6 +130,14 @@ class TestJournalProperties:
             replayed = replay_journal(path)
             assert list(replayed.results) == records[:-1]
             assert replayed.corrupt_lines == 1
+            # Reopening repairs the torn line, so the next record
+            # appended is readable.
+            new = {**records[-1], "time_ns": records[-1]["time_ns"] + 1.0}
+            with Journal(path) as j:
+                j.append(new)
+            replayed = replay_journal(path)
+            assert list(replayed.results) == records[:-1] + [new]
+            assert replayed.corrupt_lines == 0
 
 
 class TestScheduleInvariance:
