@@ -277,38 +277,62 @@ class ReuseProfile:
 #: the normal approximation takes over (same threshold scipy-era code used).
 _SMALL_D_MAX = 256
 
-#: Survival tables keyed ``(assoc, n_sets)``.  The design space only has a
-#: handful of associativities x set counts (plus L3 set counts divided by
-#: the few occupancy values), so these are computed once per process.
+#: Survival tables keyed ``(assoc, n_sets)``, one owned row each.  The
+#: L3 set count divided by each occupancy gives many keys: a cold
+#: ``sweep_fast`` round needs 166, over only two associativities.
 _SURVIVAL_TABLES: LruDict = LruDict(512, eviction_counter="miss.table.evictions")
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def _binom_survival_table(assoc: int, n_sets: int) -> np.ndarray:
-    """``tab[d] = P(Binom(d, 1/n_sets) >= assoc)`` for d = 0.._SMALL_D_MAX.
+def _survival_rows(assoc: int, p: np.ndarray) -> np.ndarray:
+    """``tab[d, i] = P(Binom(d, p[i, 0]) >= assoc)`` for d = 0.._SMALL_D_MAX.
 
     Built from the exact one-more-trial pmf recurrence
-    ``pmf_{d+1}[k] = pmf_d[k]*q + pmf_d[k-1]*p`` and summed over the
-    upper tail directly, so no scipy is needed and small tail values are
-    not lost to a ``1 - cdf`` cancellation.
+    ``pmf_{d+1}[k] = pmf_d[k]*q + pmf_d[k-1]*p``, one pmf row per key,
+    and summed over the upper tail directly, so no scipy is needed and
+    small tail values are not lost to a ``1 - cdf`` cancellation.  Every
+    element sees the float64 operations of a one-key loop and each tail
+    is a C-contiguous row sum, so a table's bits do not depend on the
+    other keys of its call.
     """
-    key = (int(assoc), int(n_sets))
-    tab = _SURVIVAL_TABLES.get(key)
-    if tab is None:
-        p = 1.0 / key[1]
-        q = 1.0 - p
-        a = max(0, key[0])
-        pmf = np.zeros(_SMALL_D_MAX + 1, dtype=np.float64)
-        pmf[0] = 1.0
-        tab = np.empty(_SMALL_D_MAX + 1, dtype=np.float64)
-        tab[0] = float(pmf[a:].sum())
-        for d in range(1, _SMALL_D_MAX + 1):
-            pmf[1:d + 1] = pmf[1:d + 1] * q + pmf[:d] * p
-            pmf[0] *= q
-            tab[d] = float(pmf[a:d + 1].sum())
-        _SURVIVAL_TABLES[key] = tab
+    n, q = _SMALL_D_MAX + 1, 1.0 - p
+    pmf = np.zeros((len(p), n), dtype=np.float64)
+    pmf[:, 0] = 1.0
+    moved = np.empty_like(pmf)
+    tab = np.zeros((n, len(p)), dtype=np.float64)
+    for d in range(n):
+        if d:
+            np.multiply(pmf[:, :d], p, out=moved[:, :d])
+            kept = pmf[:, :d + 1]
+            np.multiply(kept, q, out=kept)
+            grown = kept[:, 1:]
+            np.add(grown, moved[:, :d], out=grown)
+        if d >= assoc:
+            np.add.reduce(pmf[:, assoc:d + 1], axis=1, out=tab[d])
     return tab
+
+
+def _survival_tables(assocs, n_sets) -> np.ndarray:
+    """Tables of the ``(assoc, n_sets)`` keys, ``(G, _SMALL_D_MAX + 1)``.
+
+    Keys missing from ``_SURVIVAL_TABLES`` are built together: one
+    :func:`_survival_rows` recurrence per distinct ``max(0, assoc)``.
+    """
+    keys = [(int(a), int(s)) for a, s in zip(assocs, n_sets)]
+    tables, missing = {}, {}
+    for key in dict.fromkeys(keys):
+        tab = _SURVIVAL_TABLES.get(key)
+        if tab is None:
+            missing.setdefault(max(0, key[0]), []).append(key)
+        else:
+            tables[key] = tab
+    for assoc, group in missing.items():
+        p = 1.0 / np.array([[s] for _, s in group], dtype=np.float64)
+        tab = _survival_rows(assoc, p)
+        for i, key in enumerate(group):
+            tables[key] = _SURVIVAL_TABLES[key] = tab[:, i].copy()
+    return np.stack([tables[key] for key in keys])
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:
@@ -332,8 +356,8 @@ def _setassoc_miss_prob(distances: np.ndarray, assoc: int,
     map to its set; intervening lines are assumed uniformly spread
     (Hill & Smith, 1989).  A normal approximation is used for large d to
     keep the sweep fast; the exact binomial tail (precomputed survival
-    table) is used when d is small.  scipy-free: cross-checked against
-    ``scipy.stats`` by :func:`_setassoc_miss_prob_scipy` in the tests.
+    table) is used when d is small.  scipy-free: the tests cross-check it
+    against ``scipy.stats``.
     """
     d = np.asarray(distances, dtype=np.float64)
     p = 1.0 / n_sets
@@ -341,7 +365,7 @@ def _setassoc_miss_prob(distances: np.ndarray, assoc: int,
     out = np.empty_like(d)
     small = d <= _SMALL_D_MAX
     if small.any():
-        tab = _binom_survival_table(assoc, n_sets)
+        tab = _survival_tables([assoc], [n_sets])[0]
         out[small] = tab[np.maximum(d[small], 0).astype(int)]
     big = ~small
     if big.any():
@@ -369,8 +393,7 @@ def _setassoc_miss_prob_batch(distances: np.ndarray, assocs: np.ndarray,
     small = d <= _SMALL_D_MAX
     if small.any():
         idx = np.maximum(d[small], 0).astype(int)
-        tabs = np.stack([_binom_survival_table(a, s)
-                         for a, s in zip(assocs, sets)])
+        tabs = _survival_tables(assocs, sets)
         out[:, small] = tabs[:, idx]
     big = ~small
     if big.any():
@@ -378,31 +401,6 @@ def _setassoc_miss_prob_batch(distances: np.ndarray, assocs: np.ndarray,
                                 1e-12))
         out[:, big] = _norm_sf(
             ((assocs.astype(np.float64) - 0.5)[:, None] - mean[:, big]) / sd)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _setassoc_miss_prob_scipy(distances: np.ndarray, assoc: int,
-                              n_sets: int) -> np.ndarray:
-    """The scipy-based reference implementation, kept for cross-checks.
-
-    Not called by any hot path — only by the test suite (when scipy is
-    installed) to validate the table/erfc rewrite above.
-    """
-    d = np.asarray(distances, dtype=np.float64)
-    p = 1.0 / n_sets
-    mean = d * p
-    out = np.empty_like(d)
-    small = d <= _SMALL_D_MAX
-    if small.any():
-        from scipy.stats import binom
-
-        out[small] = binom.sf(assoc - 1, np.maximum(d[small], 0).astype(int), p)
-    big = ~small
-    if big.any():
-        from scipy.stats import norm
-
-        sd = np.sqrt(np.maximum(d[big] * p * (1 - p), 1e-12))
-        out[big] = norm.sf((assoc - 0.5 - mean[big]) / sd)
     return np.clip(out, 0.0, 1.0)
 
 

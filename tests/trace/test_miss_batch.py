@@ -1,26 +1,31 @@
 """Tests for the batched, scipy-free set-associative miss model.
 
-Three contracts:
+Four contracts:
 
 * ``ReuseProfile.miss_ratio_batch`` is **bitwise** identical to a loop
   of scalar ``miss_ratio`` calls — the geometry batch axis never
   perturbs a miss ratio in the last ulp;
+* the survival tables that ``_survival_tables`` builds together, one
+  recurrence per associativity, are bitwise identical to the one-key
+  recurrence kept here as :func:`_binom_survival_table`;
 * the scipy-free binomial-tail / ``erfc`` implementation matches the
-  retained scipy reference to floating-point noise (cross-check runs
-  only when scipy is installed);
-* no simulation hot path imports scipy — a sweep completes with scipy
-  imports hard-blocked.
+  scipy reference kept here as :func:`_setassoc_miss_prob_scipy` to
+  floating-point noise (cross-check runs only when scipy is installed);
+* no module under ``src/repro`` imports scipy, and a sweep completes
+  with scipy imports hard-blocked.
 """
 
+import ast
 import copy
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -28,12 +33,63 @@ from repro.config import NodeConfig, cache_preset, core_preset, \
     memory_preset
 from repro.obs import MetricsRegistry, set_metrics
 from repro.trace import InstructionMix, KernelSignature, ReuseProfile
+from repro.trace import kernel
 from repro.trace.kernel import (_SMALL_D_MAX, _setassoc_miss_prob,
-                                _setassoc_miss_prob_batch,
-                                _setassoc_miss_prob_scipy)
+                                _setassoc_miss_prob_batch, _survival_tables)
 from repro.uarch import hierarchy_miss_profile
 from repro.uarch.batch import NodeBatch
 from repro.uarch.hierarchy import hierarchy_miss_profile_batch
+from repro.util import LruDict
+
+#: The oracle's own cache, so it never fills the production one.
+_ORACLE_TABLES = {}
+
+
+def _binom_survival_table(assoc: int, n_sets: int) -> np.ndarray:
+    """``tab[d] = P(Binom(d, 1/n_sets) >= assoc)`` for d = 0.._SMALL_D_MAX.
+
+    The one-key-at-a-time recurrence that ``_survival_tables`` replaced,
+    kept as its bitwise reference: one NumPy step per trial, each tail
+    summed over a 1-D slice.
+    """
+    key = (int(assoc), int(n_sets))
+    tab = _ORACLE_TABLES.get(key)
+    if tab is None:
+        p = 1.0 / key[1]
+        q = 1.0 - p
+        a = max(0, key[0])
+        pmf = np.zeros(_SMALL_D_MAX + 1, dtype=np.float64)
+        pmf[0] = 1.0
+        tab = np.empty(_SMALL_D_MAX + 1, dtype=np.float64)
+        tab[0] = float(pmf[a:].sum())
+        for d in range(1, _SMALL_D_MAX + 1):
+            pmf[1:d + 1] = pmf[1:d + 1] * q + pmf[:d] * p
+            pmf[0] *= q
+            tab[d] = float(pmf[a:d + 1].sum())
+        _ORACLE_TABLES[key] = tab
+    return tab
+
+
+def _setassoc_miss_prob_scipy(distances: np.ndarray, assoc: int,
+                              n_sets: int) -> np.ndarray:
+    """The scipy-based reference implementation, kept for cross-checks."""
+    d = np.asarray(distances, dtype=np.float64)
+    p = 1.0 / n_sets
+    mean = d * p
+    out = np.empty_like(d)
+    small = d <= _SMALL_D_MAX
+    if small.any():
+        from scipy.stats import binom
+
+        out[small] = binom.sf(assoc - 1, np.maximum(d[small], 0).astype(int), p)
+    big = ~small
+    if big.any():
+        from scipy.stats import norm
+
+        sd = np.sqrt(np.maximum(d[big] * p * (1 - p), 1e-12))
+        out[big] = norm.sf((assoc - 0.5 - mean[big]) / sd)
+    return np.clip(out, 0.0, 1.0)
+
 
 components_st = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
@@ -90,6 +146,101 @@ class TestMissRatioBatchBitwise:
         ref = np.stack([_setassoc_miss_prob(d, int(a), int(s))
                         for a, s in geoms])
         assert np.array_equal(got, ref)
+
+
+# Associativities mix the fully associative 0 (and a negative value,
+# which shares its recurrence), the design space's 8 and 16, and values
+# past _SMALL_D_MAX (all-zero tables); n_sets == 1 gives p = 1, q = 0.
+survival_key_st = st.tuples(
+    st.one_of(st.sampled_from([-1, 0, 8, 16, _SMALL_D_MAX,
+                               _SMALL_D_MAX + 1, 300]),
+              st.integers(min_value=1, max_value=32)),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=1 << 20)))
+
+
+@contextmanager
+def _fresh_tables(maxsize=512):
+    """Swap in an empty table cache, so every key is built in the call."""
+    saved = kernel._SURVIVAL_TABLES
+    kernel._SURVIVAL_TABLES = LruDict(
+        maxsize, eviction_counter="miss.table.evictions")
+    try:
+        yield kernel._SURVIVAL_TABLES
+    finally:
+        kernel._SURVIVAL_TABLES = saved
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _tables(keys):
+    return _survival_tables([a for a, _ in keys], [s for _, s in keys])
+
+
+class TestSurvivalTables:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(survival_key_st, min_size=1, max_size=10),
+           repeats=st.lists(st.integers(min_value=0, max_value=9),
+                            max_size=4),
+           warm=st.integers(min_value=0, max_value=10))
+    @example(keys=[(0, 1), (-1, 7), (8, 1), (16, 512), (_SMALL_D_MAX + 1, 3),
+                   (_SMALL_D_MAX, 2), (8, 512), (16, 1)],
+             repeats=[3, 3, 0], warm=2)
+    def test_batched_tables_match_oracle_bitwise(self, keys, repeats, warm):
+        # Duplicates in one call, and a call where the first ``warm``
+        # keys are already cached and the rest are built together.
+        keys = keys + [keys[i % len(keys)] for i in repeats]
+        with _fresh_tables():
+            if warm:
+                _tables(keys[:warm])
+            got = _tables(keys)
+        ref = np.stack([_binom_survival_table(a, s) for a, s in keys])
+        assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_one_recurrence_per_associativity(self, monkeypatch):
+        calls = []
+        build = kernel._survival_rows
+
+        def counted(assoc, p):
+            calls.append((assoc, len(p)))
+            return build(assoc, p)
+
+        monkeypatch.setattr(kernel, "_survival_rows", counted)
+        # 6 distinct keys over 3 associativities (-2 groups with 0).
+        keys = [(8, 64), (16, 64), (8, 100), (8, 64), (16, 3), (-2, 5),
+                (0, 5)]
+        with _fresh_tables() as tables:
+            first = _tables(keys)
+            assert sorted(calls) == [(0, 2), (8, 2), (16, 2)]
+            assert len(tables) == 6
+            calls.clear()
+            again = _tables(keys)
+            assert calls == []
+            _tables([(8, 64), (8, 7)])
+            assert calls == [(8, 1)]
+        assert np.array_equal(_bits(first), _bits(again))
+
+    def test_eviction_keeps_the_other_tables(self):
+        keys = [(8, 64), (8, 100), (16, 64), (16, 3)]
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            with _fresh_tables(maxsize=3) as tables:
+                got = _tables(keys)
+                cached = dict(tables)
+        finally:
+            set_metrics(prev)
+        assert reg.counter("miss.table.evictions") == 1
+        ref = np.stack([_binom_survival_table(a, s) for a, s in keys])
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert len(cached) == 3
+        for key, tab in cached.items():
+            # An owned row: evicting it frees the table, not a view of
+            # the call's whole build buffer.
+            assert tab.base is None and tab.flags.c_contiguous
+            ref = _binom_survival_table(*key)
+            assert np.array_equal(_bits(tab), _bits(ref))
 
 
 def _sig(components, cold=0.0):
@@ -208,6 +359,26 @@ class TestScipyCrossCheck:
 
 
 class TestScipyFreeHotPath:
+    def test_no_module_under_src_imports_scipy(self):
+        # Static half of the contract: covers modules the subprocess
+        # sweep below never imports.
+        src_root = Path(repro.__file__).resolve().parent
+        scanned, offenders = [], []
+        for path in sorted(src_root.rglob("*.py")):
+            rel = path.relative_to(src_root).as_posix()
+            scanned.append(rel)
+            for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n.split(".")[0] == "scipy" for n in names):
+                    offenders.append(f"{rel}:{node.lineno}")
+        assert "trace/kernel.py" in scanned and len(scanned) > 50
+        assert offenders == []
+
     def test_sweep_runs_with_scipy_import_blocked(self):
         # A fresh interpreter with scipy imports hard-blocked must run a
         # fast-mode sweep end to end, including both miss-model branches.
