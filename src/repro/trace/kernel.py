@@ -329,9 +329,9 @@ def _survival_tables(assocs, n_sets) -> np.ndarray:
             tables[key] = tab
     for assoc, group in missing.items():
         p = 1.0 / np.array([[s] for _, s in group], dtype=np.float64)
-        tab = _survival_rows(assoc, p)
+        built = _survival_rows(assoc, p)
         for i, key in enumerate(group):
-            tables[key] = _SURVIVAL_TABLES[key] = tab[:, i].copy()
+            tables[key] = _SURVIVAL_TABLES[key] = built[:, i].copy()
     return np.stack([tables[key] for key in keys])
 
 
