@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..obs.catalog import CATALOG
+
 __all__ = ["format_metrics_summary", "format_panel", "format_stacked_power",
            "format_rows"]
 
@@ -36,82 +38,21 @@ def _fmt(v: object) -> str:
 def format_metrics_summary(summary: Dict) -> str:
     """Human-readable campaign execution metrics.
 
-    ``summary`` is :func:`repro.obs.summarize` output: a ``derived``
-    block (throughput, retry/fault accounting, memoization hit rate)
-    plus the raw counters and timer spans.  The memo hit rate reads as
-    "fraction of per-(phase, node) detailed simulations avoided": a
-    fresh single-worker full-space sweep of one app approaches
-    ``(points - 1) / points`` per phase; more workers or a cold cache
-    lower it because each worker process warms its own memo.
+    ``summary`` is :func:`repro.obs.summarize` output.  The metric rows
+    and the rule for which of them print come from
+    :mod:`repro.obs.catalog`; the raw timer spans follow in a second
+    table.  The memo hit rate reads as "fraction of per-(phase, node)
+    detailed simulations avoided": a fresh single-worker full-space
+    sweep of one app approaches ``(points - 1) / points`` per phase;
+    more workers or a cold cache lower it because each worker process
+    warms its own memo.
     """
     d = summary.get("derived", {})
-    rows = [
-        ["tasks completed", d.get("tasks_completed", 0)],
-        ["tasks skipped (resume)", d.get("tasks_skipped", 0)],
-        ["tasks failed", d.get("tasks_failed", 0)],
-        ["retries", d.get("retries", 0)],
-        ["faults observed", d.get("faults", 0)],
-        ["journal duplicates dropped", d.get("duplicates_dropped", 0)],
-        ["sweep wall time [s]", d.get("sweep_wall_s", 0.0)],
-        ["throughput [tasks/s]", d.get("tasks_per_second")],
-        ["memo hit rate (overall)", d.get("memo_hit_rate")],
-        ["  phase-detail component", d.get("phase_memo_hit_rate")],
-        ["  kernel-timing component", d.get("kernel_memo_hit_rate")],
-    ]
-    if d.get("replay_events", 0):
-        rows += [
-            ["replay events processed", d.get("replay_events", 0)],
-            ["replay wakeups", d.get("replay_wakeups", 0)],
-            ["replay messages", d.get("replay_messages", 0)],
-            ["replay bus waits", d.get("replay_bus_waits", 0)],
-            ["replay array events", d.get("replay_array_events", 0)],
-            ["replay tapes built", d.get("replay_tape_builds", 0)],
-        ]
-    if d.get("miss_batch_geometries", 0):
-        rows.append(["miss-model geometries evaluated",
-                     d.get("miss_batch_geometries", 0)])
-    if d.get("sched_batch_fast", 0) or d.get("sched_batch_fallbacks", 0):
-        rows += [
-            ["scheduler columns vectorized", d.get("sched_batch_fast", 0)],
-            ["scheduler columns fallback", d.get("sched_batch_fallbacks", 0)],
-        ]
-    if d.get("memo_evictions", 0):
-        rows.append(["memo evictions", d.get("memo_evictions", 0)])
-    if d.get("batch_memo_evictions", 0):
-        rows.append(["batch memo evictions",
-                     d.get("batch_memo_evictions", 0)])
-    if d.get("store_hits", 0) or d.get("store_misses", 0):
-        rows += [
-            ["result-store hits", d.get("store_hits", 0)],
-            ["result-store misses", d.get("store_misses", 0)],
-            ["result-store hit rate", d.get("store_hit_rate")],
-        ]
-    if d.get("serve_requests", 0):
-        rows += [
-            ["serve requests", d.get("serve_requests", 0)],
-            ["serve queries coalesced", d.get("serve_coalesced", 0)],
-        ]
-    if d.get("timeout_unavailable", 0):
-        rows.append(["timeouts unavailable", d.get("timeout_unavailable", 0)])
-    if d.get("sweep_shards", 0):
-        rows += [
-            ["work shards dealt", d.get("sweep_shards", 0)],
-            ["shards stolen", d.get("sweep_steals", 0)],
-        ]
-        if d.get("sweep_workers_lost", 0):
-            rows.append(["workers lost", d.get("sweep_workers_lost", 0)])
-        if d.get("sweep_ctx_spawn", 0):
-            rows.append(["spawn-context fallbacks",
-                         d.get("sweep_ctx_spawn", 0)])
-    if d.get("search_evaluated", 0):
-        rows += [
-            ["search points evaluated", d.get("search_evaluated", 0)],
-            ["search rounds", d.get("search_rounds", 0)],
-            ["search front size", d.get("search_front_size", 0)],
-        ]
-        if d.get("search_surrogate_rank_calls", 0):
-            rows.append(["surrogate ranking fits",
-                         d.get("search_surrogate_rank_calls", 0)])
+    labelled = [m for m in CATALOG if m.label]
+    shown = {labelled[0].group}
+    shown.update(m.group for m in labelled if not m.sparse and d.get(m.key))
+    rows = [[m.label, d.get(m.key, 0)] for m in labelled
+            if (d.get(m.key) if m.sparse else m.group in shown)]
     out = [format_rows("sweep execution metrics", ["metric", "value"], rows)]
     timers = summary.get("timers", {})
     if timers:

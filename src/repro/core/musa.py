@@ -40,21 +40,6 @@ from .phase_sim import PhaseDetail, simulate_phase_detailed
 __all__ = ["Musa", "RunResult"]
 
 
-class _LruDict(LruDict):
-    """:class:`repro.util.LruDict` counting under ``musa.memo.evictions``.
-
-    The shared implementation lives in :mod:`repro.util`; this alias
-    pins Musa's historical eviction counter name (read by
-    :func:`repro.obs.summarize`) and keeps the import path stable for
-    callers — including
-    :func:`~repro.core.phase_sim.simulate_phase_detailed`, which takes
-    the timing cache as an argument.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        super().__init__(maxsize, eviction_counter="musa.memo.evictions")
-
-
 @dataclass(frozen=True)
 class RunResult:
     """Integrated detailed-mode outcome for one (app, node) point."""
@@ -125,12 +110,16 @@ class Musa:
         # long multi-app campaign's per-process caches stay flat in
         # memory; the default cap comfortably holds one app's full
         # 864-point space (phases x configs) without evicting.
-        self._burst_cache: Dict[Tuple, PhaseResult] = _LruDict(memo_cap)
-        self._detail_cache: Dict[Tuple, PhaseDetail] = _LruDict(memo_cap)
-        self._trace_cache: Dict[Tuple, BurstTrace] = _LruDict(memo_cap)
+        self._burst_cache: Dict[Tuple, PhaseResult] = LruDict(
+            memo_cap, eviction_counter="musa.memo.evictions")
+        self._detail_cache: Dict[Tuple, PhaseDetail] = LruDict(
+            memo_cap, eviction_counter="musa.memo.evictions")
+        self._trace_cache: Dict[Tuple, BurstTrace] = LruDict(
+            memo_cap, eviction_counter="musa.memo.evictions")
         #: (kernel, node, share) -> resolved timing; shared across
         #: phases so kernels reused by several phases are timed once
-        self._timing_cache: Dict[Tuple, Tuple] = _LruDict(memo_cap)
+        self._timing_cache: Dict[Tuple, Tuple] = LruDict(
+            memo_cap, eviction_counter="musa.memo.evictions")
 
     # ------------------------------------------------------------------ burst
 

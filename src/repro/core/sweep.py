@@ -89,7 +89,7 @@ from .batch import BatchEvaluator
 from .checkpoint import Journal, replay_journal, task_key
 from .frame import FrameRow, pack_frame, unpack_frame
 from .musa import Musa
-from .results import ResultSet
+from .results import CONFIG_KEYS, ResultSet
 
 __all__ = [
     "FailNTimes",
@@ -467,19 +467,17 @@ def _parse_shard(shard) -> Optional[Tuple[int, int]]:
     return int(k), int(n)
 
 
+def _point_key(app_name: str, node: NodeConfig) -> Tuple:
+    """The design point's identity in ``CONFIG_KEYS`` order: the
+    :func:`~repro.core.checkpoint.task_key` of its records."""
+    return task_key({"app": app_name, **node.axis_values()})
+
+
 def _failure_stub(app_name: str, node: NodeConfig, error: str,
                   attempts: int) -> Dict:
     """A result-shaped record marking a task that exhausted its retries."""
-    ax = node.axis_values()
-    return {
-        "app": app_name,
-        "core": ax["core"], "cache": ax["cache"], "memory": ax["memory"],
-        "frequency": ax["frequency"], "vector": ax["vector"],
-        "cores": ax["cores"],
-        "failed": True,
-        "error": error,
-        "attempts": attempts,
-    }
+    return {**dict(zip(CONFIG_KEYS, _point_key(app_name, node))),
+            "failed": True, "error": error, "attempts": attempts}
 
 
 class _Scheduler:
@@ -583,25 +581,30 @@ def _run_inline(sched: _Scheduler, n_ranks: int) -> None:
             raise abort
 
 
-def _drain_ready(sched: _Scheduler, inflight: Dict[int, object],
-                 ready: Sequence[int]) -> None:
-    """Collect every ready chunk result, then surface any abort.
+def _drain_ready(sched: _Scheduler, ready: Dict[int, Tuple]) -> None:
+    """Record every ready ``shard_id -> (status, payload)`` worker
+    message (see :func:`_worker_main`), then surface any abort.
 
-    A chunk whose ``.get()`` raises :class:`SweepAbort` must not
-    discard the *other* ready chunks' completed outcomes and metrics
-    deltas: those are drained (and journaled through the scheduler)
-    first, and the abort is re-raised only after all ready handles have
-    been recorded — so a resume does not redo finished work.
+    An ``"abort"`` message must not discard the *other* ready shards'
+    completed outcomes and metrics deltas: those are recorded (and
+    journaled through the scheduler) first, and :class:`SweepAbort` is
+    raised only once every message is consumed — so a resume does not
+    redo finished work.  An ``"err"`` message fails each of its tasks
+    into the retry path.
     """
-    abort: Optional[BaseException] = None
-    for h in ready:
-        try:
-            outcomes, delta = inflight.pop(h).get()
-        except SweepAbort as exc:
-            if abort is None:
-                abort = exc
+    abort: Optional[SweepAbort] = None
+    for shard_id in list(ready):
+        status, payload = ready.pop(shard_id)
+        if status == "abort":
+            abort = abort or SweepAbort(payload)
             continue
-        sched.reg.merge(delta)
+        if status == "err":
+            pairs, msg = payload
+            outcomes = [(idx, attempt, False, msg) for idx, attempt in pairs]
+        else:
+            wire, packed, delta = payload
+            outcomes = _unpack_outcomes(wire, packed)
+            sched.reg.merge(delta)
         sched.record_outcomes(outcomes)
     if abort is not None:
         raise abort
@@ -648,28 +651,6 @@ def _worker_main(inbox, results, init_args) -> None:
             results.put((shard_id, "err",
                          ([(t[0], t[1]) for t in chunk],
                           f"{type(exc).__name__}: {exc}")))
-
-
-class _ShardResult:
-    """Handle-shaped view of one finished shard message, so the shared
-    abort-draining logic (:func:`_drain_ready`, directly unit-tested)
-    works unchanged on queue messages."""
-
-    __slots__ = ("_status", "_payload")
-
-    def __init__(self, status: str, payload) -> None:
-        self._status = status
-        self._payload = payload
-
-    def get(self):
-        if self._status == "abort":
-            raise SweepAbort(self._payload)
-        if self._status == "err":
-            pairs, msg = self._payload
-            return ([(idx, attempt, False, msg) for idx, attempt in pairs],
-                    {})
-        wire, packed, delta = self._payload
-        return _unpack_outcomes(wire, packed), delta
 
 
 def _pop_chunk(sched: _Scheduler, n_ranks: int, chunk_size: int) -> List:
@@ -803,18 +784,18 @@ def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
                     raise RuntimeError(
                         "all sweep workers died; cannot continue")
                 continue
-            ready: Dict[int, _ShardResult] = {}
+            ready: Dict[int, Tuple] = {}
             while True:
                 shard_id, status, payload = msg
                 w = owner.pop(shard_id)
                 shard_tasks.pop(shard_id, None)
                 outstanding[w] -= 1
-                ready[shard_id] = _ShardResult(status, payload)
+                ready[shard_id] = (status, payload)
                 try:
                     msg = results_q.get_nowait()
                 except _QueueEmpty:
                     break
-            _drain_ready(sched, ready, list(ready))
+            _drain_ready(sched, ready)
             dispatch_all()
     finally:
         for w, proc in enumerate(workers):
@@ -949,11 +930,7 @@ def run_sweep(
             if done:
                 pending: List[int] = []
                 for i in indices:
-                    app_name, node = tasks[i]
-                    ax = node.axis_values()
-                    key = (app_name, ax["core"], ax["cache"], ax["memory"],
-                           ax["frequency"], ax["vector"], ax["cores"])
-                    if key in done:
+                    if _point_key(*tasks[i]) in done:
                         n_resumed += 1
                     else:
                         pending.append(i)
@@ -1000,9 +977,5 @@ def run_sweep(
         if i in sched.completed:
             results.add(sched.completed[i])
         else:
-            app_name, node = tasks[i]
-            ax = node.axis_values()
-            key = (app_name, ax["core"], ax["cache"], ax["memory"],
-                   ax["frequency"], ax["vector"], ax["cores"])
-            results.add(done[key])
+            results.add(done[_point_key(*tasks[i])])
     return results

@@ -1,9 +1,10 @@
 """Execution observability: counters, timer spans, progress meters.
 
 Everything here is process-local and dependency-free; the sweep engine
-merges worker deltas so campaign metrics survive multiprocessing.  See
-:func:`summarize` for the derived statistics (tasks/s, memo hit rate)
-surfaced by ``repro sweep --metrics-json``.
+merges worker deltas so campaign metrics survive multiprocessing.
+:mod:`repro.obs.catalog` lists every emitted counter and timer name and
+the ``derived`` statistics :func:`summarize` builds from them for
+``repro sweep --metrics-json`` and the CLI metrics table.
 """
 
 from .metrics import (

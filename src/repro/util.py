@@ -35,9 +35,10 @@ class LruDict(OrderedDict):
 
     Reads refresh recency; an insert past the cap evicts the
     least-recently-used entry and counts it under the obs counter named
-    by ``eviction_counter``.  Quacks like the plain dicts it replaces
-    (``in`` / ``[]`` / ``[]=`` / ``.get`` / ``clear``), so callers that
-    receive the cache as an argument need no changes.
+    by ``eviction_counter`` (a name listed in :mod:`repro.obs.catalog`).
+    Quacks like the plain dicts it replaces (``in`` / ``[]`` / ``[]=`` /
+    ``.get`` / ``clear``), so callers that receive the cache as an
+    argument need no changes.
 
     Unlike a wipe-at-capacity cache, eviction is per-entry: the hot
     working set stays resident and cold entries (and whatever their
@@ -45,8 +46,7 @@ class LruDict(OrderedDict):
     ``id()`` keys) are released incrementally.
     """
 
-    def __init__(self, maxsize: int,
-                 eviction_counter: str = "util.lru.evictions") -> None:
+    def __init__(self, maxsize: int, *, eviction_counter: str) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         super().__init__()

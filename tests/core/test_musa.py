@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps import get_app
 from repro.core import Musa
-from repro.core.musa import _LruDict
 from repro.obs import get_metrics
 
 
@@ -96,39 +95,6 @@ class TestDetailedMode:
 
 
 class TestMemoLru:
-    def test_evicts_least_recently_used(self):
-        d = _LruDict(2)
-        d["a"] = 1
-        d["b"] = 2
-        assert d["a"] == 1  # refresh 'a' — 'b' is now the LRU entry
-        d["c"] = 3
-        assert "b" not in d
-        assert "a" in d and "c" in d
-        assert len(d) == 2
-
-    def test_eviction_counted(self):
-        reg = get_metrics()
-        before = reg.counter("musa.memo.evictions")
-        d = _LruDict(1)
-        d["a"] = 1
-        d["b"] = 2
-        d["c"] = 3
-        assert reg.counter("musa.memo.evictions") - before == 2
-
-    def test_overwrite_does_not_evict(self):
-        reg = get_metrics()
-        before = reg.counter("musa.memo.evictions")
-        d = _LruDict(2)
-        d["a"] = 1
-        d["a"] = 2
-        d["b"] = 3
-        assert d["a"] == 2
-        assert reg.counter("musa.memo.evictions") == before
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            _LruDict(0)
-
     def test_capped_musa_results_unchanged(self, node64):
         """Evicted entries are re-simulated, not lost: a tightly capped
         Musa returns the same PhaseDetail values as an uncapped one."""

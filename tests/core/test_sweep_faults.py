@@ -138,18 +138,8 @@ class TestAbortDrainsCompletedWork:
     """Regression: an abort surfacing from one pool chunk used to throw
     away every *other* ready chunk's finished results and metrics."""
 
-    class _Handle:
-        def __init__(self, result=None, exc=None):
-            self._result = result
-            self._exc = exc
-
-        def get(self):
-            if self._exc is not None:
-                raise self._exc
-            return self._result
-
     def test_drain_ready_records_siblings_before_raising(self):
-        from repro.core.sweep import _drain_ready
+        from repro.core.sweep import _drain_ready, _pack_outcomes
 
         class _FakeSched:
             def __init__(self):
@@ -161,18 +151,18 @@ class TestAbortDrainsCompletedWork:
 
         delta = {"counters": {"sweep.tasks.completed": 1}, "timers": {}}
         sched = _FakeSched()
-        inflight = {
-            0: self._Handle(result=([(0, 0, True, {"r": 0})], delta)),
-            1: self._Handle(exc=SweepAbort("injected")),
-            2: self._Handle(result=([(2, 0, True, {"r": 2})], delta)),
+        ready = {
+            0: ("ok", (*_pack_outcomes([(0, 0, True, {"r": 0})]), delta)),
+            1: ("abort", "injected"),
+            2: ("ok", (*_pack_outcomes([(2, 0, True, {"r": 2})]), delta)),
         }
         with pytest.raises(SweepAbort):
-            _drain_ready(sched, inflight, [0, 1, 2])
-        # Both sibling chunks were recorded and their metrics merged
-        # before the abort surfaced; every handle was consumed.
+            _drain_ready(sched, ready)
+        # Both sibling shards were recorded and their metrics merged
+        # before the abort surfaced; every message was consumed.
         assert sorted(o[0] for o in sched.recorded) == [0, 2]
         assert sched.reg.counter("sweep.tasks.completed") == 2
-        assert inflight == {}
+        assert ready == {}
 
     def test_pooled_abort_preserves_journal(self, tmp_path):
         from repro.core import replay_journal

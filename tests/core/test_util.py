@@ -14,7 +14,7 @@ from repro.util import LruDict
 
 class TestLruSemantics:
     def test_reads_refresh_recency(self):
-        d = LruDict(2)
+        d = LruDict(2, eviction_counter="test.lru.evictions")
         d["a"] = 1
         d["b"] = 2
         assert d["a"] == 1  # refresh "a"
@@ -22,7 +22,7 @@ class TestLruSemantics:
         assert "a" in d and "c" in d and "b" not in d
 
     def test_get_refreshes_and_defaults(self):
-        d = LruDict(2)
+        d = LruDict(2, eviction_counter="test.lru.evictions")
         d["a"] = 1
         d["b"] = 2
         assert d.get("a") == 1
@@ -30,9 +30,22 @@ class TestLruSemantics:
         d["c"] = 3
         assert "b" not in d and "a" in d
 
+    def test_overwrite_does_not_evict(self):
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            d = LruDict(2, eviction_counter="test.lru.evictions")
+            d["a"] = 1
+            d["a"] = 2
+            d["b"] = 3
+            assert d["a"] == 2
+            assert reg.counter("test.lru.evictions") == 0
+        finally:
+            set_metrics(prev)
+
     def test_maxsize_validation(self):
         try:
-            LruDict(0)
+            LruDict(0, eviction_counter="test.lru.evictions")
         except ValueError:
             pass
         else:  # pragma: no cover - guard

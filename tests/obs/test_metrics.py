@@ -153,18 +153,6 @@ class TestSummarize:
         assert d["memo_hit_rate"] is None
         assert d["tasks_per_second"] is None
 
-    def test_replay_counters_surface(self):
-        reg = MetricsRegistry()
-        reg.inc("replay.events", 100)
-        reg.inc("replay.wakeups", 7)
-        reg.inc("replay.messages", 12)
-        reg.inc("replay.bus_waits", 3)
-        d = summarize(reg.snapshot())["derived"]
-        assert d["replay_events"] == 100
-        assert d["replay_wakeups"] == 7
-        assert d["replay_messages"] == 12
-        assert d["replay_bus_waits"] == 3
-
 
 class TestProgressMeter:
     def test_rate_and_eta(self):
