@@ -11,7 +11,8 @@ engine must match per-config scalar replay byte-for-byte — that a
 campaign split into two K/N shards and merged back with merge_journal
 resumes bit-identically with zero re-evaluation, that a `repro sweep
 --resume J` process SIGKILLed mid-campaign resumes to output
-byte-identical to an uninterrupted run, and that the execution metrics
+byte-identical to an uninterrupted run — inline, and pooled with no
+worker outliving the killed parent — and that the execution metrics
 report throughput and memoization.
 Exits non-zero on any violation.
 
@@ -37,15 +38,61 @@ SPACE = smoke_design_space()  # 8 configurations
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def cli_sweep(*args):
+def cli_sweep(*args, processes=1):
     """Start ``repro sweep`` over the smoke campaign, one config per
     journal line so the journal grows while the process runs."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "sweep", "--apps", *APPS,
-         "--smoke", "--batch-size", "1", "--processes", "1", *args],
-        env=env, stdout=subprocess.DEVNULL)
+         "--smoke", "--batch-size", "1", "--processes", str(processes),
+         *args], env=env, stdout=subprocess.DEVNULL)
+
+
+def children(pid):
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # exited meanwhile
+            continue
+        if int(fields[1]) == pid:
+            out.append(int(stat.parent.name))
+    return out
+
+
+def running(pid):
+    """True while ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+def kill_and_resume(tmp, processes):
+    """SIGKILL a journaled CLI sweep once its journal is non-empty,
+    resume it, and compare the output with an uninterrupted run byte
+    for byte.  Returns ``(journaled records at the kill, pids of the
+    killed run's children)``."""
+    journal = Path(tmp) / f"kill{processes}.jsonl"
+    ref, out = Path(tmp) / "ref.json", Path(tmp) / f"resumed{processes}.json"
+    if not ref.exists():
+        assert cli_sweep("--out", str(ref)).wait() == 0
+    victim = cli_sweep("--resume", str(journal), processes=processes)
+    while victim.poll() is None and not (
+            journal.exists() and journal.stat().st_size):
+        time.sleep(0.002)
+    workers = children(victim.pid) if os.path.isdir("/proc") else []
+    victim.kill()
+    victim.wait()
+    n_killed = len(replay_journal(journal).results)
+    assert cli_sweep("--resume", str(journal), "--out", str(out),
+                     processes=processes).wait() == 0
+    assert out.read_bytes() == ref.read_bytes(), \
+        "SIGKILLed and resumed CLI sweep differs from uninterrupted run"
+    return n_killed, workers
 
 
 def scalar_records(metrics, n_ranks=256, mode="fast"):
@@ -199,22 +246,23 @@ def main() -> int:
     #    resume it, and compare the output with an uninterrupted run
     #    byte for byte.  The kill may land mid-line, between lines or
     #    after the last one; the resumed output must match every time.
+    #    Then the same with 2 workers, none of which may outlive the
+    #    killed parent.
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "kill.jsonl"
-        ref, out = Path(tmp) / "ref.json", Path(tmp) / "resumed.json"
-        assert cli_sweep("--out", str(ref)).wait() == 0
-        victim = cli_sweep("--resume", str(journal))
-        while victim.poll() is None and not (
-                journal.exists() and journal.stat().st_size):
-            time.sleep(0.002)
-        victim.kill()
-        victim.wait()
-        n_killed = len(replay_journal(journal).results)
-        assert cli_sweep("--resume", str(journal), "--out", str(out)).wait() == 0
-        assert out.read_bytes() == ref.read_bytes(), \
-            "SIGKILLed and resumed CLI sweep differs from uninterrupted run"
+        n_killed, _ = kill_and_resume(tmp, processes=1)
         print(f"  SIGKILL resume OK: killed with {n_killed} journaled "
               "records, resumed output byte-identical")
+        n_killed, workers = kill_and_resume(tmp, processes=2)
+        assert len(workers) == 2 or not os.path.isdir("/proc"), workers
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if running(pid)]
+        assert not survivors, \
+            f"workers {survivors} outlived their SIGKILLed parent"
+        print(f"  pooled SIGKILL resume OK: killed with {n_killed} "
+              f"journaled records, {len(workers)} workers exited, "
+              "resumed output byte-identical")
     print("smoke sweep passed")
     return 0
 

@@ -101,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-task wall-clock budget in seconds")
     w.add_argument("--retries", type=int, default=2,
                    help="retry attempts per failing task (default 2)")
-    w.add_argument("--chunk-size", type=int, default=None,
-                   help="tasks per worker dispatch")
     w.add_argument("--batch-size", type=int, default=256,
                    help="configs per batched evaluation (default 256)")
     w.add_argument("--profile", type=int, default=None, metavar="N",
@@ -393,7 +391,6 @@ def cmd_sweep(args) -> int:
                          processes=args.processes,
                          progress=True, resume=args.resume,
                          timeout_s=args.timeout, max_retries=args.retries,
-                         chunk_size=args.chunk_size,
                          batch_size=args.batch_size,
                          mode=args.mode, shard=args.shard)
 

@@ -1,7 +1,7 @@
 """Fault-tolerant, resumable design-space sweep engine.
 
 Runs the full (or a restricted) design space for a set of applications
-as a chunked task schedule, inline or across worker processes.  Each
+as a sharded task schedule, inline or across worker processes.  Each
 worker owns one lazily-built :class:`~repro.core.musa.Musa` instance
 per application, so trace generation happens once per (worker, app) and
 phase-detail memoization works across the configs the worker handles —
@@ -35,23 +35,25 @@ was:
   :mod:`repro.obs`, with worker deltas merged back into the parent.
 
 The returned :class:`~repro.core.results.ResultSet` is always in the
-canonical ``sweep_configs`` order, independent of worker count, chunk
+canonical ``sweep_configs`` order, independent of worker count, batch
 size and completion order.
 
-Scaling to million-point range spaces (PR 9) changed the parallel
-scheduler from static ``Pool`` chunking to a **work-stealing shard
-scheduler**:
+The parallel scheduler is **one parent-side FIFO of shards**:
 
-* tasks come from a lazy task table (``DesignSpace.config_at``) so the
-  space is never materialized;
+* tasks come from a task table (lazy ``DesignSpace.config_at`` when the
+  space has it), so the parent schedules indices and never builds a
+  :class:`NodeConfig` before dispatch;
 * the queued work is packed into app x config-batch *shards*
-  (``sweep.shards`` counts them), dealt across per-worker deques; a
-  worker that drains its deque steals the back half of the richest
-  victim's deque (``sweep.steals``);
+  (``sweep.shards`` counts them) of ``(idx, attempt)`` pairs, each one
+  evaluator batch; a worker resolves the pairs to ``(app, node)``
+  itself from the task table and run settings it got at start;
+* any live worker with fewer than two shards outstanding takes the
+  next shard, so a slow shard delays only its own worker; retries and
+  a dead worker's in-flight tasks (``sweep.worker.lost``) re-enter the
+  same FIFO instead of hanging the campaign;
 * workers are dedicated processes fed through per-worker inboxes, so
-  shard ownership is real (Musa/evaluator caches stay hot per worker)
-  and a dead worker's shards are requeued (``sweep.worker.lost``)
-  instead of hanging the campaign;
+  Musa/evaluator caches stay hot per worker, and a worker whose parent
+  died exits on its own;
 * ``shard=(K, N)`` (CLI ``--shard K/N``) restricts one invocation to
   every Nth task, letting N hosts split a campaign; their journals
   merge with :func:`repro.core.checkpoint.merge_journal` into one
@@ -156,10 +158,16 @@ _MUSA_CACHE: Dict[str, Musa] = {}
 # Per-process batched-evaluator cache, keyed like _MUSA_CACHE.
 _BATCH_EVALUATORS: Dict[str, BatchEvaluator] = {}
 
-#: Per-process task-execution settings, set by the pool initializer
-#: (or directly for inline runs).
-_WORKER: Dict[str, object] = {"fault_hook": None, "timeout_s": None,
-                              "batch_size": 1, "mode": "fast"}
+
+@dataclass(frozen=True)
+class _RunSettings:
+    """Everything a shard's evaluation needs besides its task pairs;
+    fixed for one sweep and handed to each worker at start."""
+
+    n_ranks: int
+    mode: str
+    timeout_s: Optional[float]
+    fault_hook: Optional[Callable[[str, NodeConfig, int], None]]
 
 
 def _musa_for(app_name: str) -> Musa:
@@ -174,12 +182,8 @@ def _evaluator_for(app_name: str) -> BatchEvaluator:
     return _BATCH_EVALUATORS[app_name]
 
 
-def _init_worker(fault_hook, timeout_s, batch_size: int = 1,
-                 mode: str = "fast") -> None:
-    _WORKER["fault_hook"] = fault_hook
-    _WORKER["timeout_s"] = timeout_s
-    _WORKER["batch_size"] = batch_size
-    _WORKER["mode"] = mode
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _timeout_unavailable(seconds: float, why: str) -> None:
@@ -226,12 +230,13 @@ def _deadline(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, old)
 
 
-def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
-    """One app x config-batch evaluation (the unit of sweep work).
+def _execute_batch(shard, tasks, settings: _RunSettings
+                   ) -> Tuple[List[Tuple], Optional[SweepAbort]]:
+    """Evaluate one shard: an app x config-batch (the unit of sweep work).
 
-    ``batch`` is a list of ``(idx, attempt, app_name, node, n_ranks)``
-    tuples sharing one ``app_name``.  Retry and abort semantics stay
-    per config:
+    ``shard`` is a list of ``(idx, attempt)`` pairs of one app, resolved
+    to nodes through ``tasks``.  Retry and abort semantics stay per
+    config:
 
     * the fault hook runs per member; a member whose hook raises a
       transient error fails *individually* and the rest proceed;
@@ -240,30 +245,28 @@ def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
       caller can journal them before surfacing the abort), and the
       abort comes back as the second tuple element — never raised from
       here;
-    * the wall-clock budget is ``timeout_s x len(batch)`` for the whole
-      batch; on :class:`TaskTimeout` every member without an outcome
+    * the wall-clock budget is ``timeout_s x len(shard)`` for the whole
+      shard; on :class:`TaskTimeout` every member without an outcome
       fails with the timeout (entering the per-task retry path);
-    * if the batched evaluator itself fails, the batch falls back to
+    * if the batched evaluator itself fails, the shard falls back to
       scalar per-config simulation (``sweep.batch.fallback`` counts
       these) — a model bug degrades throughput, not coverage.
 
-    Returns ``(outcomes, abort)`` with outcomes shaped exactly like
-    :func:`_run_chunk`'s.
+    Returns ``(outcomes, abort)``; each outcome is
+    ``(idx, attempt, ok, record_or_error)``.
     """
     reg = get_metrics()
     outcomes: List[Tuple] = []
     runnable: List[Tuple] = []
-    abort: Optional[BaseException] = None
-    app_name, n_ranks = batch[0][2], batch[0][4]
-    mode = str(_WORKER["mode"])
-    timeout_s = _WORKER["timeout_s"]
-    budget = timeout_s * len(batch) if timeout_s else None
-    hook = _WORKER["fault_hook"]
-    reg.inc("sweep.batch.configs", len(batch))
+    abort: Optional[SweepAbort] = None
+    app_name = tasks.app_of(shard[0][0])
+    n_ranks, mode, hook = settings.n_ranks, settings.mode, settings.fault_hook
+    budget = settings.timeout_s * len(shard) if settings.timeout_s else None
+    reg.inc("sweep.batch.configs", len(shard))
     try:
         with reg.span("sweep.batch"), _deadline(budget):
-            for task in batch:
-                idx, attempt, _, node, _ = task
+            for idx, attempt in shard:
+                node = tasks[idx][1]
                 if hook is not None:
                     try:
                         hook(app_name, node, attempt)
@@ -273,16 +276,15 @@ def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
                     except TaskTimeout:
                         raise
                     except Exception as exc:
-                        outcomes.append((idx, attempt, False,
-                                         f"{type(exc).__name__}: {exc}"))
+                        outcomes.append((idx, attempt, False, _describe(exc)))
                         continue
-                runnable.append(task)
+                runnable.append((idx, attempt, node))
             if runnable:
                 ok_payloads = None
                 evaluator = _evaluator_for(app_name)
-                nodes = [t[3] for t in runnable]
+                nodes = [t[2] for t in runnable]
                 try:
-                    # One frame for the whole batch; outcomes carry lazy
+                    # One frame for the whole shard; outcomes carry lazy
                     # row views of it, so the journal can write one
                     # block line per shard and no record dicts are ever
                     # materialized.
@@ -293,11 +295,11 @@ def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
                 except Exception:
                     reg.inc("sweep.batch.fallback")
                 if ok_payloads is not None:
-                    for task, payload in zip(runnable, ok_payloads):
-                        outcomes.append((task[0], task[1], True, payload))
+                    for (idx, attempt, _), payload in zip(runnable,
+                                                          ok_payloads):
+                        outcomes.append((idx, attempt, True, payload))
                 else:
-                    for task in runnable:  # scalar fallback; hooks already ran
-                        idx, attempt, _, node, _ = task
+                    for idx, attempt, node in runnable:  # hooks already ran
                         try:
                             rec = _musa_for(app_name).simulate_node(
                                 node, n_ranks=n_ranks, mode=mode).record()
@@ -305,73 +307,53 @@ def _execute_batch(batch) -> Tuple[List[Tuple], Optional[BaseException]]:
                             raise
                         except Exception as exc:
                             outcomes.append((idx, attempt, False,
-                                             f"{type(exc).__name__}: {exc}"))
+                                             _describe(exc)))
                         else:
                             outcomes.append((idx, attempt, True, rec))
     except TaskTimeout as exc:
         if abort is None:
             done = {o[0] for o in outcomes}
-            msg = f"{type(exc).__name__}: {exc}"
-            for task in batch:
-                if task[0] not in done:
-                    outcomes.append((task[0], task[1], False, msg))
+            outcomes.extend((idx, attempt, False, _describe(exc))
+                            for idx, attempt in shard if idx not in done)
         # With an abort pending, evaluated-but-unrecorded members simply
         # stay un-journaled; the resumed campaign redoes them.
     return outcomes, abort
 
 
-def _iter_batches(chunk, batch_size: int):
-    """Split a task chunk into maximal runs of consecutive same-app
-    tasks, capped at ``batch_size``."""
-    i = 0
-    while i < len(chunk):
-        j = i + 1
-        while (j < len(chunk) and j - i < batch_size
-               and chunk[j][2] == chunk[i][2]):
-            j += 1
-        yield list(chunk[i:j])
-        i = j
+def _run_chunk(shard, tasks, settings: _RunSettings
+               ) -> Tuple[List[Tuple], Dict, Optional[SweepAbort]]:
+    """Run one shard; never raises for per-task failures, so a worker
+    stays alive, and returns a :class:`SweepAbort` instead of raising
+    it, so the outcomes evaluated before it still reach the journal.
 
-
-def _run_chunk(chunk) -> Tuple[List[Tuple], Dict]:
-    """Run a chunk of tasks in a worker; never raises for per-task
-    failures (:class:`SweepAbort` excepted), so the pool stays alive.
-
-    Returns ``(outcomes, metrics_delta)`` where each outcome is
-    ``(idx, attempt, ok, record_or_error)``.  The delta is recorded in
-    a fresh chunk-local registry (swapped in for the chunk's duration,
-    then folded into the worker's persistent one) so its timer
+    Returns ``(outcomes, metrics_delta, abort)``.  The delta is recorded
+    in a fresh shard-local registry (swapped in for the shard's
+    duration, then folded into the process's current one) so its timer
     ``max_s`` values are true per-interval maxima — snapshot
     subtraction would report the worker's *all-time* max for every
-    chunk, inflating parent-merged spans.
+    shard, inflating parent-merged spans.
     """
-    chunk_reg = MetricsRegistry()
-    prev = set_metrics(chunk_reg)
-    outcomes: List[Tuple] = []
+    shard_reg = MetricsRegistry()
+    prev = set_metrics(shard_reg)
     try:
-        batch_size = int(_WORKER.get("batch_size") or 1)
-        for batch in _iter_batches(chunk, batch_size):
-            try:
-                out, abort = _execute_batch(batch)
-            except SweepAbort:
-                raise
-            except Exception as exc:
-                out = [(t[0], t[1], False, f"{type(exc).__name__}: {exc}")
-                       for t in batch]
-                abort = None
-            outcomes.extend(out)
-            if abort is not None:
-                raise abort
+        outcomes, abort = _execute_batch(shard, tasks, settings)
+    except SweepAbort as exc:
+        outcomes, abort = [], exc
+    except Exception as exc:
+        outcomes = [(idx, attempt, False, _describe(exc))
+                    for idx, attempt in shard]
+        abort = None
     finally:
         set_metrics(prev)
-        prev.merge(chunk_reg.snapshot())
-    return outcomes, chunk_reg.snapshot()
+    delta = shard_reg.snapshot()
+    prev.merge(delta)
+    return outcomes, delta, abort
 
 
 # ---------------------------------------------------------- frame IPC wire
 
 def _pack_outcomes(outcomes: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
-    """Wire-encode a chunk's outcomes for the results queue.
+    """Wire-encode a shard's outcomes for the results queue.
 
     Frame-backed success payloads collapse to ``("__row__", fi, row)``
     references into a side list of packed frames — each distinct frame
@@ -428,27 +410,36 @@ def sweep_configs(
 
 
 class _TaskTable:
-    """Lazy (app, node) view in app-major x space row-major order.
+    """(app, node) tasks in app-major x space row-major order.
 
-    Indexable like the materialized :func:`sweep_configs` list but
-    builds each :class:`NodeConfig` on demand through
-    ``DesignSpace.config_at``, so scheduling a million-point range
-    space costs index arithmetic, not a million dataclasses.
+    Indexable like the materialized :func:`sweep_configs` list.  A
+    space with random access stays lazy: each :class:`NodeConfig` is
+    built on demand through ``DesignSpace.config_at``, by the worker
+    that evaluates it, so scheduling a million-point range space costs
+    index arithmetic, not a million dataclasses.  Any other config
+    iterable (tests, ad-hoc lists) is materialized once.
     """
 
-    def __init__(self, app_names: Sequence[str], space: DesignSpace) -> None:
+    def __init__(self, app_names: Sequence[str], space) -> None:
         self.app_names = list(app_names)
-        self.space = space
+        if hasattr(space, "config_at"):
+            self.config_at = space.config_at
+        else:
+            space = list(space)
+            self.config_at = space.__getitem__
         self.n_configs = len(space)
 
     def __len__(self) -> int:
         return len(self.app_names) * self.n_configs
 
+    def app_of(self, idx: int) -> str:
+        return self.app_names[idx // self.n_configs]
+
     def __getitem__(self, idx: int) -> Tuple[str, NodeConfig]:
         if not 0 <= idx < len(self):
             raise IndexError(idx)
         app_i, cfg_i = divmod(idx, self.n_configs)
-        return self.app_names[app_i], self.space.config_at(cfg_i)
+        return self.app_names[app_i], self.config_at(cfg_i)
 
 
 def _parse_shard(shard) -> Optional[Tuple[int, int]]:
@@ -481,26 +472,48 @@ def _failure_stub(app_name: str, node: NodeConfig, error: str,
 
 
 class _Scheduler:
-    """Shared bookkeeping for the inline and pooled schedulers: retry
-    queue with exponential backoff, journaling, metrics, progress."""
+    """Shared bookkeeping for the inline and pooled schedulers: the FIFO
+    of shards, retry heap with exponential backoff, journaling,
+    metrics, progress."""
 
     def __init__(self, tasks, reg, journal, meter, max_retries,
-                 retry_backoff_s):
+                 retry_backoff_s, shard_size, completed):
         self.tasks = tasks
         self.reg = reg
         self.journal = journal
         self.meter = meter
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.completed: Dict[int, Dict] = {}
+        self.shard_size = shard_size
+        #: task index -> record, resumed ones included
+        self.completed: Dict[int, Dict] = completed
+        #: shards waiting for a worker: lists of ``(idx, attempt)``
         self.queue: deque = deque()
         self.retry_heap: List[Tuple[float, int, int]] = []
 
+    def enqueue(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Pack ``(idx, attempt)`` pairs into shards: runs of consecutive
+        same-app tasks, at most ``shard_size`` long."""
+        app_of = self.tasks.app_of
+        n_queued = len(self.queue)
+        shard: List[Tuple[int, int]] = []
+        for pair in pairs:
+            if shard and (len(shard) == self.shard_size
+                          or app_of(pair[0]) != app_of(shard[0][0])):
+                self.queue.append(shard)
+                shard = []
+            shard.append(pair)
+        if shard:
+            self.queue.append(shard)
+            self.reg.inc("sweep.shards", len(self.queue) - n_queued)
+
     def promote_ready_retries(self) -> None:
         now = time.monotonic()
+        ready = []
         while self.retry_heap and self.retry_heap[0][0] <= now:
             _, idx, attempt = heappop(self.retry_heap)
-            self.queue.append((idx, attempt))
+            ready.append((idx, attempt))
+        self.enqueue(ready)
 
     def next_retry_delay(self) -> Optional[float]:
         if not self.retry_heap:
@@ -559,21 +572,14 @@ class _Scheduler:
                                         attempt + 1))
 
 
-def _run_inline(sched: _Scheduler, n_ranks: int) -> None:
-    batch_size = int(_WORKER.get("batch_size") or 1)
+def _run_inline(sched: _Scheduler, settings: _RunSettings) -> None:
     while sched.pending():
         sched.promote_ready_retries()
         if not sched.queue:
             time.sleep(min(sched.next_retry_delay() or 0.0, 0.05))
             continue
-        batch = _pop_chunk(sched, n_ranks, batch_size)
-        sched.reg.inc("sweep.shards")
-        try:
-            outcomes, abort = _execute_batch(batch)
-        except Exception as exc:
-            outcomes = [(t[0], t[1], False,
-                         f"{type(exc).__name__}: {exc}") for t in batch]
-            abort = None
+        outcomes, _, abort = _run_chunk(sched.queue.popleft(), sched.tasks,
+                                        settings)
         sched.record_outcomes(outcomes)
         if abort is not None:
             # Pre-abort members are journaled above before the
@@ -585,26 +591,26 @@ def _drain_ready(sched: _Scheduler, ready: Dict[int, Tuple]) -> None:
     """Record every ready ``shard_id -> (status, payload)`` worker
     message (see :func:`_worker_main`), then surface any abort.
 
-    An ``"abort"`` message must not discard the *other* ready shards'
-    completed outcomes and metrics deltas: those are recorded (and
-    journaled through the scheduler) first, and :class:`SweepAbort` is
-    raised only once every message is consumed — so a resume does not
-    redo finished work.  An ``"err"`` message fails each of its tasks
-    into the retry path.
+    An ``"ok"`` payload is ``(wire, packed, delta, abort)``: its
+    outcomes are recorded and its metrics delta merged even when
+    ``abort`` (a :class:`SweepAbort` message, else None) is set, and so
+    are the *other* ready shards' — :class:`SweepAbort` is raised only
+    once every message is consumed, so a resume does not redo finished
+    work.  An ``"err"`` payload ``(shard, msg)`` fails each of the
+    shard's tasks into the retry path.
     """
     abort: Optional[SweepAbort] = None
     for shard_id in list(ready):
         status, payload = ready.pop(shard_id)
-        if status == "abort":
-            abort = abort or SweepAbort(payload)
-            continue
         if status == "err":
-            pairs, msg = payload
-            outcomes = [(idx, attempt, False, msg) for idx, attempt in pairs]
+            shard, msg = payload
+            outcomes = [(idx, attempt, False, msg) for idx, attempt in shard]
         else:
-            wire, packed, delta = payload
+            wire, packed, delta, abort_msg = payload
             outcomes = _unpack_outcomes(wire, packed)
             sched.reg.merge(delta)
+            if abort_msg is not None:
+                abort = abort or SweepAbort(abort_msg)
         sched.record_outcomes(outcomes)
     if abort is not None:
         raise abort
@@ -627,190 +633,128 @@ def _pool_context():
         return get_context("spawn")
 
 
-def _worker_main(inbox, results, init_args) -> None:
-    """Shard-worker loop: pull ``(shard_id, chunk)`` from the private
+#: Seconds an idle worker waits on its inbox before checking that the
+#: parent that started it is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _worker_main(inbox, results, tasks, settings: _RunSettings,
+                 parent_pid: int) -> None:
+    """Shard-worker loop: pull ``(shard_id, shard)`` from the private
     inbox, run it, push ``(shard_id, status, payload)`` to the shared
     results queue.  ``None`` is the shutdown sentinel.  Nothing short
     of process death escapes: per-task failures are outcomes, a
-    :class:`SweepAbort` is shipped as a message, and any other escape
-    fails the whole shard into the retry path.
+    :class:`SweepAbort` travels with the outcomes evaluated before it,
+    and any other escape fails the whole shard into the retry path.
+
+    A SIGKILLed parent never sends the sentinel, and the inbox never
+    reports EOF (this process holds its write end too), so an idle
+    worker exits once it has been reparented.
     """
-    _init_worker(*init_args)
     while True:
-        item = inbox.get()
+        try:
+            item = inbox.get(timeout=_PARENT_POLL_S)
+        except _QueueEmpty:
+            if os.getppid() != parent_pid:
+                results.cancel_join_thread()  # nobody drains it any more
+                return
+            continue
         if item is None:
             return
-        shard_id, chunk = item
+        shard_id, shard = item
         try:
-            outcomes, delta = _run_chunk(chunk)
+            outcomes, delta, abort = _run_chunk(shard, tasks, settings)
             wire, packed = _pack_outcomes(outcomes)
-            results.put((shard_id, "ok", (wire, packed, delta)))
-        except SweepAbort as exc:
-            results.put((shard_id, "abort", str(exc)))
+            results.put((shard_id, "ok", (wire, packed, delta,
+                                          abort and str(abort))))
         except BaseException as exc:  # keep the worker alive
-            results.put((shard_id, "err",
-                         ([(t[0], t[1]) for t in chunk],
-                          f"{type(exc).__name__}: {exc}")))
+            results.put((shard_id, "err", (shard, _describe(exc))))
 
 
-def _pop_chunk(sched: _Scheduler, n_ranks: int, chunk_size: int) -> List:
-    """Pop one shard: a run of queued same-app tasks, <= chunk_size."""
-    idx, attempt = sched.queue.popleft()
-    app_name, node = sched.tasks[idx]
-    chunk = [(idx, attempt, app_name, node, n_ranks)]
-    while sched.queue and len(chunk) < chunk_size:
-        nxt_idx = sched.queue[0][0]
-        nxt_app, nxt_node = sched.tasks[nxt_idx]
-        if nxt_app != app_name:
-            break
-        idx, attempt = sched.queue.popleft()
-        chunk.append((idx, attempt, app_name, nxt_node, n_ranks))
-    return chunk
+def _run_pooled(sched: _Scheduler, settings: _RunSettings,
+                processes: int) -> None:
+    """Feed the shard FIFO to dedicated worker processes.
 
-
-def _make_shards(sched: _Scheduler, n_ranks: int, chunk_size: int) -> List:
-    """Pack every queued task into app x config-batch shards."""
-    shards = []
-    while sched.queue:
-        shards.append(_pop_chunk(sched, n_ranks, chunk_size))
-    sched.reg.inc("sweep.shards", len(shards))
-    return shards
-
-
-def _run_pooled(sched: _Scheduler, n_ranks: int, processes: int,
-                chunk_size: int, fault_hook, timeout_s, batch_size,
-                mode) -> None:
-    """Work-stealing shard scheduler over dedicated worker processes.
-
-    Queued tasks are packed into app x config-batch shards and dealt
-    across per-worker deques.  Each worker keeps at most two shards in
-    flight (one running, one buffered in its inbox); when a worker's
-    deque drains, it steals the back half of the richest victim's deque
-    (``sweep.steals``), so tail imbalance — slow shards, heterogeneous
-    apps, a noisy machine — rebalances instead of serializing on the
-    unluckiest worker.  Retries re-enter as fresh shards dealt to the
-    lightest deque.  A worker process that dies mid-shard has its
-    in-flight tasks pushed into the retry path and its deque
-    redistributed (``sweep.worker.lost``) rather than hanging the
-    campaign.
+    Any live worker with fewer than two shards outstanding (one
+    running, one buffered in its inbox) takes the next shard, so a slow
+    shard delays its own worker only.  Retries re-enter the FIFO as
+    fresh shards.  A worker process that dies mid-shard has its
+    in-flight tasks pushed into the retry path (``sweep.worker.lost``)
+    rather than hanging the campaign.
     """
-    reg = sched.reg
     ctx = _pool_context()
-    init_args = (fault_hook, timeout_s, batch_size, mode)
     results_q = ctx.Queue()
-    inboxes = []
     workers = []
     for _ in range(processes):
         inbox = ctx.Queue()
         proc = ctx.Process(target=_worker_main,
-                           args=(inbox, results_q, init_args), daemon=True)
+                           args=(inbox, results_q, sched.tasks, settings,
+                                 os.getpid()), daemon=True)
         proc.start()
-        inboxes.append(inbox)
-        workers.append(proc)
+        workers.append((proc, inbox))
 
-    deques: List[deque] = [deque() for _ in range(processes)]
-    alive = [True] * processes
-    outstanding = [0] * processes
-    owner: Dict[int, int] = {}        # shard_id -> worker slot
-    shard_tasks: Dict[int, List] = {}  # shard_id -> [(idx, attempt), ...]
-    next_shard = 0
+    live = list(range(processes))
+    inflight: Dict[int, Tuple[int, List]] = {}  # shard_id -> (worker, shard)
+    next_id = 0
 
-    def live_slots() -> List[int]:
-        return [w for w in range(processes) if alive[w]]
-
-    def deal(shards) -> None:
-        nonlocal next_shard
-        slots = live_slots()
-        if not slots:
-            raise RuntimeError("all sweep workers died; cannot continue")
-        for chunk in shards:
-            w = min(slots, key=lambda j: len(deques[j]) + outstanding[j])
-            deques[w].append((next_shard, chunk))
-            next_shard += 1
-
-    def dispatch(w: int) -> None:
-        while alive[w] and outstanding[w] < 2:
-            if not deques[w]:
-                victims = [v for v in live_slots() if v != w and deques[v]]
-                if not victims:
-                    return
-                v = max(victims, key=lambda j: len(deques[j]))
-                stolen = [deques[v].pop()
-                          for _ in range((len(deques[v]) + 1) // 2)]
-                deques[w].extend(reversed(stolen))
-                reg.inc("sweep.steals")
-            shard_id, chunk = deques[w].popleft()
-            owner[shard_id] = w
-            shard_tasks[shard_id] = [(t[0], t[1]) for t in chunk]
-            inboxes[w].put((shard_id, chunk))
-            outstanding[w] += 1
-
-    def dispatch_all() -> None:
-        for w in range(processes):
-            dispatch(w)
+    def dispatch() -> None:
+        nonlocal next_id
+        for _ in range(2):
+            for w in live:
+                if sched.queue and sum(
+                        ow == w for ow, _ in inflight.values()) < 2:
+                    shard = sched.queue.popleft()
+                    inflight[next_id] = (w, shard)
+                    workers[w][1].put((next_id, shard))
+                    next_id += 1
 
     def reap_dead() -> None:
-        for w in range(processes):
-            if not alive[w] or workers[w].is_alive():
-                continue
-            alive[w] = False
-            reg.inc("sweep.worker.lost")
+        for w in [w for w in live if not workers[w][0].is_alive()]:
+            live.remove(w)
+            sched.reg.inc("sweep.worker.lost")
             warn("sweep worker %d died; requeueing its shards", w)
-            for sid in [s for s, ow in owner.items() if ow == w]:
-                owner.pop(sid)
-                outstanding[w] -= 1
-                for idx, attempt in shard_tasks.pop(sid):
-                    if idx not in sched.completed:
-                        sched.record_outcome(idx, attempt, False,
-                                             "worker process died")
-            if deques[w]:
-                orphans = [chunk for _, chunk in deques[w]]
-                deques[w].clear()
-                deal(orphans)
+            for sid in [s for s, (ow, _) in inflight.items() if ow == w]:
+                for idx, attempt in inflight.pop(sid)[1]:
+                    sched.record_outcome(idx, attempt, False,
+                                         "worker process died")
+        if not live:
+            raise RuntimeError("all sweep workers died; cannot continue")
 
     try:
-        deal(_make_shards(sched, n_ranks, chunk_size))
-        dispatch_all()
-        while (sched.pending() or owner or any(deques)):
+        while sched.pending() or inflight:
             sched.promote_ready_retries()
-            if sched.queue:
-                deal(_make_shards(sched, n_ranks, chunk_size))
-                dispatch_all()
+            dispatch()
             try:
                 msg = results_q.get(timeout=0.02)
             except _QueueEmpty:
                 reap_dead()
-                if not live_slots():
-                    raise RuntimeError(
-                        "all sweep workers died; cannot continue")
                 continue
             ready: Dict[int, Tuple] = {}
-            while True:
+            while msg is not None:
                 shard_id, status, payload = msg
-                w = owner.pop(shard_id)
-                shard_tasks.pop(shard_id, None)
-                outstanding[w] -= 1
-                ready[shard_id] = (status, payload)
+                # A reaped worker's late reply is dropped: its tasks
+                # were already requeued.
+                if inflight.pop(shard_id, None) is not None:
+                    ready[shard_id] = (status, payload)
                 try:
                     msg = results_q.get_nowait()
                 except _QueueEmpty:
-                    break
+                    msg = None
             _drain_ready(sched, ready)
-            dispatch_all()
     finally:
-        for w, proc in enumerate(workers):
+        for proc, inbox in workers:
             if proc.is_alive():
                 try:
-                    inboxes[w].put_nowait(None)
+                    inbox.put_nowait(None)
                 except Exception:  # pragma: no cover - full/broken pipe
                     pass
-        for proc in workers:
+        for proc, _ in workers:
             proc.join(timeout=2.0)
-        for proc in workers:
+        for proc, _ in workers:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for q in inboxes + [results_q]:
+        for q in [inbox for _, inbox in workers] + [results_q]:
             q.close()
             q.cancel_join_thread()
 
@@ -827,7 +771,6 @@ def run_sweep(
     timeout_s: Optional[float] = None,
     max_retries: int = 2,
     retry_backoff_s: float = 0.05,
-    chunk_size: Optional[int] = None,
     fault_hook: Optional[Callable[[str, NodeConfig, int], None]] = None,
     metrics: Optional[MetricsRegistry] = None,
     batch_size: int = 256,
@@ -859,21 +802,18 @@ def run_sweep(
         ``"failed": True`` stub instead of aborting the campaign.
     retry_backoff_s:
         Base of the exponential retry backoff (doubles per attempt).
-    chunk_size:
-        Tasks per worker dispatch (default: sized so each worker sees
-        ~4 chunks, capped at ``batch_size`` so batched shards keep
-        their column count).
     fault_hook:
         ``hook(app_name, node, attempt)`` called before each attempt;
         raising simulates a worker failure (see :class:`FailNTimes`).
     metrics:
         Registry to report into (default: the process-global one).
     batch_size:
-        Upper bound on configs per column-wise
-        :class:`~repro.core.batch.BatchEvaluator` evaluation (results
-        are bitwise-identical to per-config ``Musa.simulate_node``);
-        also scales the batch's wall-clock budget
-        (``timeout_s x len(batch)``).
+        Upper bound on configs per shard, the unit of dispatch and of
+        column-wise :class:`~repro.core.batch.BatchEvaluator`
+        evaluation (results are bitwise-identical to per-config
+        ``Musa.simulate_node``).  Pooled sweeps shrink shards so each
+        worker sees ~4 of them.  Also scales the shard's wall-clock
+        budget (``timeout_s x len(shard)``).
     mode:
         ``'fast'`` (default) evaluates each point with the analytic
         communication-invariant model; ``'replay'`` splices the same
@@ -892,7 +832,7 @@ def run_sweep(
         ResultSet byte-for-byte without re-evaluating anything.
 
     The returned ResultSet is in canonical task order regardless of
-    ``processes``/``chunk_size``/``batch_size``; failed tasks appear as
+    ``processes``/``batch_size``; failed tasks appear as
     stub records (``record["failed"] is True``).
     """
     if max_retries < 0:
@@ -903,18 +843,13 @@ def run_sweep(
         raise ValueError("mode must be 'fast' or 'replay'")
     space = space or DesignSpace()
     shard_kn = _parse_shard(shard)
-    # Lazy task table when the space supports random access; arbitrary
-    # config iterables (tests, ad-hoc lists) still materialize.
-    if hasattr(space, "config_at"):
-        tasks = _TaskTable(app_names, space)
-    else:
-        tasks = sweep_configs(app_names, space)
+    tasks = _TaskTable(app_names, space)
     if processes is None:
         processes = min(os.cpu_count() or 1, 8)
+    settings = _RunSettings(n_ranks, mode, timeout_s, fault_hook)
 
     reg = metrics or get_metrics()
     prev_reg = set_metrics(reg) if reg is not get_metrics() else None
-    prev_worker = dict(_WORKER)
     journal: Optional[Journal] = None
     try:
         with reg.span("sweep.run"):
@@ -926,16 +861,17 @@ def run_sweep(
 
             indices = (range(len(tasks)) if shard_kn is None
                        else range(shard_kn[0], len(tasks), shard_kn[1]))
-            n_resumed = 0
+            completed: Dict[int, Dict] = {}  # resumed records by index
+            pending = list(indices)
             if done:
-                pending: List[int] = []
+                pending = []
                 for i in indices:
-                    if _point_key(*tasks[i]) in done:
-                        n_resumed += 1
-                    else:
+                    rec = done.get(_point_key(*tasks[i]))
+                    if rec is None:
                         pending.append(i)
-            else:
-                pending = list(indices)
+                    else:
+                        completed[i] = rec
+            n_resumed = len(completed)
             reg.inc("sweep.tasks.skipped", n_resumed)
 
             if progress and n_resumed:
@@ -950,32 +886,25 @@ def run_sweep(
                     journal.append_meta({"shard": shard_kn[0],
                                          "of": shard_kn[1],
                                          "tasks": len(pending) + n_resumed})
+            inline = processes <= 1 or len(pending) <= 1
+            # Pooled shards are sized so each worker sees ~4 of them;
+            # the batch-size cap keeps the evaluator's column count.
+            shard_size = (batch_size if inline else min(
+                batch_size, max(1, len(pending) // (processes * 4))))
             sched = _Scheduler(tasks, reg, journal, meter, max_retries,
-                               retry_backoff_s)
-            sched.queue.extend((i, 0) for i in pending)
-
-            if processes <= 1 or len(pending) <= 1:
-                _init_worker(fault_hook, timeout_s, batch_size, mode)
-                _run_inline(sched, n_ranks)
+                               retry_backoff_s, shard_size, completed)
+            sched.enqueue((i, 0) for i in pending)
+            if inline:
+                _run_inline(sched, settings)
             else:
-                if chunk_size is None:
-                    # Coarse shards keep the batched evaluator's column
-                    # count high (work-stealing absorbs the imbalance).
-                    chunk_size = min(batch_size, max(1, len(pending)
-                                                     // (processes * 4)))
-                _run_pooled(sched, n_ranks, processes, chunk_size,
-                            fault_hook, timeout_s, batch_size, mode)
+                _run_pooled(sched, settings, processes)
     finally:
         if journal is not None:
             journal.close()
-        _WORKER.update(prev_worker)
         if prev_reg is not None:
             set_metrics(prev_reg)
 
     results = ResultSet()
     for i in indices:
-        if i in sched.completed:
-            results.add(sched.completed[i])
-        else:
-            results.add(done[_point_key(*tasks[i])])
+        results.add(sched.completed[i])
     return results

@@ -122,13 +122,11 @@ CATALOG = (
            "serve_coalesced", "serve queries coalesced", "serve"),
     Metric("serve.query.*", "queries handled, per query kind"),
     Metric("serve.errors", "requests answered with an error"),
-    # -- shards: the sweep's work-stealing scheduler --------------------
+    # -- shards: the sweep's shard queue and worker pool ----------------
     Metric("sweep.timeout_unavailable", "task budgets run without SIGALRM",
            "timeout_unavailable", "timeouts unavailable", sparse=True),
     Metric("sweep.shards", "work shards dealt",
            "sweep_shards", "work shards dealt", "shards"),
-    Metric("sweep.steals", "shards stolen by an idle worker",
-           "sweep_steals", "shards stolen", "shards"),
     Metric("sweep.worker.lost", "worker processes that died",
            "sweep_workers_lost", "workers lost", sparse=True),
     Metric("sweep.ctx.spawn", "pools started with spawn, not fork",

@@ -114,7 +114,7 @@ class TestSweepBatching:
 
     def test_pooled_batched_sweep_equals_scalar(self, tiny_space):
         batched = run_sweep(["btmz"], tiny_space, processes=2,
-                            chunk_size=4, batch_size=4)
+                            batch_size=4)
         assert list(batched) == _scalar_records("btmz", tiny_space)
 
     def test_batch_counters_surface_in_metrics(self, tiny_space):

@@ -79,7 +79,7 @@ class TestResume:
         # resume across a worker pool.
         lines = journal.read_text().strip().splitlines()
         journal.write_text(lines[0] + "\n")
-        resumed = run_sweep(["spmz"], space, processes=2, chunk_size=1,
+        resumed = run_sweep(["spmz"], space, processes=2, batch_size=1,
                             resume=journal)
         assert (json.dumps(list(resumed), sort_keys=True)
                 == json.dumps(list(cold_run), sort_keys=True))

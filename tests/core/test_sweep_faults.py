@@ -6,7 +6,12 @@ uninterrupted run — or, once retries are exhausted, degrade gracefully
 to a failed-task stub instead of aborting the campaign.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +70,7 @@ class TestInjectedFaults:
     def test_single_task_fault_in_worker_pool(self, tiny_space, clean_run):
         victim = list(tiny_space)[1].label
         reg = MetricsRegistry()
-        rs = run_sweep(["spmz"], tiny_space, processes=2, chunk_size=1,
+        rs = run_sweep(["spmz"], tiny_space, processes=2, batch_size=1,
                        fault_hook=FailNTimes(times=1, app="spmz",
                                              label=victim),
                        retry_backoff_s=0.0, metrics=reg)
@@ -152,9 +157,11 @@ class TestAbortDrainsCompletedWork:
         delta = {"counters": {"sweep.tasks.completed": 1}, "timers": {}}
         sched = _FakeSched()
         ready = {
-            0: ("ok", (*_pack_outcomes([(0, 0, True, {"r": 0})]), delta)),
-            1: ("abort", "injected"),
-            2: ("ok", (*_pack_outcomes([(2, 0, True, {"r": 2})]), delta)),
+            0: ("ok", (*_pack_outcomes([(0, 0, True, {"r": 0})]), delta,
+                       None)),
+            1: ("ok", (*_pack_outcomes([]), {}, "injected")),
+            2: ("ok", (*_pack_outcomes([(2, 0, True, {"r": 2})]), delta,
+                       None)),
         }
         with pytest.raises(SweepAbort):
             _drain_ready(sched, ready)
@@ -175,16 +182,41 @@ class TestAbortDrainsCompletedWork:
         victim = list(space)[-1].label
         journal = tmp_path / "abort.jsonl"
         with pytest.raises(SweepAbort):
-            run_sweep(["spmz"], space, processes=2, chunk_size=1,
+            run_sweep(["spmz"], space, processes=2, batch_size=1,
                       resume=journal,
                       fault_hook=FailNTimes(times=1, fatal=True,
                                             label=victim))
-        # The victim chunk is dispatched last and only once fewer than
-        # 2 x processes chunks are inflight, so at least 4 of the other
-        # 7 chunks were drained — and journaled — before the abort.
+        # The victim shard is queued last and only dispatched once
+        # fewer than 2 x processes shards are in flight, so at least 4
+        # of the other 7 shards were drained — and journaled — before
+        # the abort.
         rs = replay_journal(journal).results
         assert len(rs) >= 4
         assert all(not r.get("failed") for r in rs)
+
+    def test_pooled_abort_journals_the_shards_cleared_members(self,
+                                                              tmp_path):
+        from repro.config import smoke_design_space
+        from repro.core import replay_journal
+        from repro.core.checkpoint import task_key
+
+        # 32 tasks over 2 workers make 4-task shards: tasks 0-3 share
+        # one, and the abort fires on task 2 after 0 and 1 cleared.
+        apps = ["spmz", "hydro", "btmz", "spec3d"]
+        nodes = list(smoke_design_space())
+        journal = tmp_path / "abort.jsonl"
+        with pytest.raises(SweepAbort):
+            run_sweep(apps, smoke_design_space(), processes=2,
+                      batch_size=4, resume=journal,
+                      fault_hook=FailNTimes(times=1, fatal=True, app="spmz",
+                                            label=nodes[2].label))
+        keys = {task_key(r) for r in replay_journal(journal).results}
+
+        def key(i):
+            return task_key({"app": "spmz", **nodes[i].axis_values()})
+
+        assert {key(0), key(1)} <= keys
+        assert key(2) not in keys
 
     def test_inline_batched_abort_preserves_journal(self, tiny_space,
                                                     tmp_path):
@@ -202,6 +234,67 @@ class TestAbortDrainsCompletedWork:
         # only redoes the victim.
         rs = replay_journal(journal).results
         assert len(rs) == 3
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # exited meanwhile
+            continue
+        if int(fields[1]) == pid:
+            out.append(int(stat.parent.name))
+    return out
+
+
+def _running(pid):
+    """True while ``pid`` exists and has not exited (zombies count as
+    exited: only their parent's reaping is left)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_after_parent_sigkill(self, tmp_path):
+        import repro
+
+        journal = tmp_path / "j.jsonl"
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        parent = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--apps", "lulesh",
+             "--mode", "replay", "--ranks", "256", "--batch-size", "1",
+             "--processes", "2", "--resume", str(journal),
+             "--out", str(tmp_path / "out.json")],
+            env=env, stdout=subprocess.DEVNULL)
+        workers = []
+        try:
+            while parent.poll() is None and not (
+                    journal.exists() and journal.stat().st_size):
+                time.sleep(0.005)
+            workers = _children(parent.pid)
+            parent.kill()
+            parent.wait()
+            assert len(workers) == 2, "campaign ended before the kill"
+            deadline = time.monotonic() + 5.0
+            while (any(map(_running, workers))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _running(pid)]
+            assert not survivors, "workers outlived their SIGKILLed parent"
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestTimeoutDegradation:

@@ -149,9 +149,9 @@ class TestScheduleInvariance:
                             core_counts=(64,))
         reference = json.dumps(
             list(run_sweep(["spmz"], space, processes=1)), sort_keys=True)
-        for procs, chunk in ((2, 1), (3, 2), (2, 5)):
+        for procs, batch in ((1, 3), (2, 1), (3, 2), (2, 5)):
             rs = run_sweep(["spmz"], space, processes=procs,
-                           chunk_size=chunk)
+                           batch_size=batch)
             assert json.dumps(list(rs), sort_keys=True) == reference, \
                 f"schedule-dependent results with processes={procs}, " \
-                f"chunk_size={chunk}"
+                f"batch_size={batch}"

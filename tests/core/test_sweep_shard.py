@@ -1,5 +1,5 @@
-"""Sharded campaigns: K/N partitioning, journal merge, work stealing
-and the spawn-context fallback.
+"""Sharded campaigns: K/N partitioning, journal merge, the pooled shard
+queue and the spawn-context fallback.
 
 The multi-host contract: N invocations with ``shard="K/N"`` and
 separate journals, merged with :func:`merge_journal`, must resume into
@@ -8,6 +8,7 @@ the single-process ResultSet **byte-for-byte with zero re-evaluation**
 """
 
 import json
+import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import smoke_design_space
+from repro.config import DesignSpace, smoke_design_space
 from repro.core import merge_journal, run_sweep
 from repro.core import sweep as sweep_mod
 from repro.core.checkpoint import replay_journal
@@ -118,32 +119,110 @@ class TestMergeInvariance:
 
 @dataclass(frozen=True)
 class SleepOn:
-    """Fault hook that stalls (without failing) one task, so the
-    worker that drew it falls behind and its deque gets robbed."""
+    """Fault hook that logs which process evaluates each task and stalls
+    (without failing) one task, so the worker that drew it falls
+    behind."""
 
     label: str
-    seconds: float = 0.3
+    log: str
+    seconds: float = 1.0
 
     def __call__(self, app_name, node, attempt):
+        with open(self.log, "a") as f:
+            f.write(f"{node.label} {os.getpid()}\n")
         if node.label == self.label:
             time.sleep(self.seconds)
 
 
-class TestWorkStealing:
-    def test_stall_triggers_steal_and_results_unchanged(self, reference):
+@dataclass(frozen=True)
+class DieOn:
+    """Fault hook that kills the worker process on the first attempt of
+    one task."""
+
+    label: str
+
+    def __call__(self, app_name, node, attempt):
+        if node.label == self.label and attempt == 0:
+            os._exit(1)
+
+
+class TestShardQueue:
+    def test_stalled_worker_holds_at_most_two_shards(self, reference,
+                                                     tmp_path):
         victim = list(SPACE)[0].label
+        log = tmp_path / "pids.log"
         reg = MetricsRegistry()
-        rs = run_sweep(APPS, SPACE, processes=2, chunk_size=1,
-                       fault_hook=SleepOn(victim), metrics=reg)
+        rs = run_sweep(APPS, SPACE, processes=2, batch_size=1,
+                       fault_hook=SleepOn(victim, str(log)), metrics=reg)
         assert reg.counter("sweep.shards") == len(APPS) * len(SPACE)
-        assert reg.counter("sweep.steals") >= 1, \
-            "idle worker never stole from the stalled one"
+        pid_of = dict(line.split() for line in log.read_text().splitlines())
+        assert len(pid_of) == len(SPACE)
+        stalled = pid_of[victim]
+        held = [label for label, pid in pid_of.items() if pid == stalled]
+        # The stalled worker keeps only the shard it is stuck in and the
+        # one buffered behind it; the other worker takes every other.
+        assert victim in held and len(held) <= 2, held
+        assert len(set(pid_of.values())) == 2
         assert json.dumps(list(rs), sort_keys=True) == reference
 
-    def test_pooled_counts_shards(self, reference):
+    def test_dead_worker_shards_are_retried(self, reference):
+        # The victim's worker dies in its first shard, holding that
+        # shard and one buffered behind it: both go back through the
+        # retry path to the surviving worker.
+        victim = list(SPACE)[0].label
         reg = MetricsRegistry()
-        run_sweep(APPS, SPACE, processes=2, chunk_size=4, metrics=reg)
-        assert reg.counter("sweep.shards") == 2
+        rs = run_sweep(APPS, SPACE, processes=2, batch_size=1,
+                       fault_hook=DieOn(victim), retry_backoff_s=0.0,
+                       metrics=reg)
+        assert reg.counter("sweep.worker.lost") == 1
+        assert reg.counter("sweep.retries") == 2
+        assert reg.counter("sweep.tasks.failed") == 0
+        assert json.dumps(list(rs), sort_keys=True) == reference
+
+    def test_pooled_counts_shards(self):
+        # 32 tasks over 2 workers: ~4 shards per worker, so shards of 4
+        # tasks (the batch-size cap), one app each.
+        apps = ["spmz", "hydro", "btmz", "spec3d"]
+        reg = MetricsRegistry()
+        rs = run_sweep(apps, SPACE, processes=2, batch_size=4, metrics=reg)
+        assert reg.counter("sweep.shards") == 8
+        assert reg.counter("sweep.batch.configs") == len(apps) * len(SPACE)
+        assert list(rs) == list(run_sweep(apps, SPACE, processes=1))
+
+
+class TestParentConfigBuilds:
+    """The parent schedules task indices; workers build the configs."""
+
+    @pytest.fixture
+    def config_at_calls(self, monkeypatch):
+        calls = []
+        config_at = DesignSpace.config_at
+
+        def counted(space, index):
+            calls.append(index)
+            return config_at(space, index)
+
+        monkeypatch.setattr(DesignSpace, "config_at", counted)
+        return calls
+
+    def test_fresh_pooled_campaign_builds_nothing_in_parent(
+            self, reference, config_at_calls, tmp_path):
+        rs = run_sweep(APPS, SPACE, processes=2,
+                       resume=tmp_path / "j.jsonl")
+        assert config_at_calls == []
+        assert json.dumps(list(rs), sort_keys=True) == reference
+
+    def test_full_resume_builds_each_config_once(self, reference,
+                                                 config_at_calls, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        run_sweep(APPS, SPACE, processes=2, resume=journal)
+        del config_at_calls[:]
+        reg = MetricsRegistry()
+        rs = run_sweep(APPS, SPACE, processes=2, resume=journal,
+                       metrics=reg)
+        assert reg.counter("sweep.tasks.skipped") == len(SPACE)
+        assert sorted(config_at_calls) == list(range(len(SPACE)))
+        assert json.dumps(list(rs), sort_keys=True) == reference
 
 
 class TestSpawnFallback:

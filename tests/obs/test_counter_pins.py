@@ -64,7 +64,7 @@ def workload_counters():
                   mode="replay", n_ranks=8)
         # Pooled: workers ship frame blocks over the IPC transports.
         run_sweep(["spmz"], smoke_design_space(), processes=2,
-                  chunk_size=4, metrics=reg)
+                  batch_size=4, metrics=reg)
         # Columnar store plane: one block line for the whole frame.
         from repro.core.store import ResultStore
         ev = sweep_mod._BATCH_EVALUATORS["spmz"]

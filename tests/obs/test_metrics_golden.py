@@ -10,8 +10,10 @@ import pytest
 from repro.analysis import format_metrics_summary
 from repro.obs import summarize
 
-#: Every counter name the package emits; the ``all`` snapshot sets the
-#: i-th one to ``i``.
+#: Every counter name the package emits, plus the retired
+#: ``sweep.steals``; the ``all`` snapshot sets the i-th one to ``i``.
+#: The retired name keeps its slot, so every other value stays put and
+#: the snapshot shows that an uncatalogued counter is ignored.
 COUNTERS = (
     "batch.memo.evictions", "checkpoint.corrupt_lines",
     "checkpoint.duplicates_dropped", "checkpoint.merged_journals",
@@ -94,13 +96,11 @@ GROUPS = {
     }, {}),
     "shards": ({
         "sweep.shards": 6,
-        "sweep.steals": 2,
         "sweep.worker.lost": 1,
         "sweep.ctx.spawn": 1,
     }, {}),
     "shards_dense": ({
         "sweep.shards": 6,
-        "sweep.steals": 2,
     }, {}),
     "search": ({
         "search.evaluated": 30,
@@ -132,7 +132,7 @@ DERIVED_KEYS = (
     "miss_batch_geometries", "sched_batch_fast", "sched_batch_fallbacks",
     "memo_evictions", "batch_memo_evictions", "store_hits", "store_misses",
     "store_hit_rate", "store_puts", "store_invalidated", "serve_requests",
-    "serve_coalesced", "timeout_unavailable", "sweep_shards", "sweep_steals",
+    "serve_coalesced", "timeout_unavailable", "sweep_shards",
     "sweep_workers_lost", "sweep_ctx_spawn", "search_evaluated",
     "search_rounds", "search_front_size", "search_surrogate_rank_calls",
 )
@@ -141,65 +141,65 @@ DERIVED_KEYS = (
 DERIVED = {
     "empty": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "all": (
         61, 63, 62, 58, 55, 3, 4.0, 15.25, 0.4827586206896552,
         0.4782608695652174, 0.4857142857142857, 52, 53, 24, 28, 25, 23, 19, 26,
         8, 30, 29, 10, 1, 48, 50, 0.4897959183673469, 51, 49, 40, 41, 64, 59,
-        60, 65, 54, 32, 34, 33, 35,
+        65, 54, 32, 34, 33, 35,
     ),
     "only_run": (
         8, 2, 1, 3, 4, 5, 4.0, 2.0, 0.625, 0.75, 0.5, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_replay": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 100, 7, 12, 3, 64,
-        2, 0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_miss": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        9, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        9, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_sched": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 40, 2, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 40, 2, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_memo_evictions": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 6, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 6, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_batch_memo_evictions": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 4, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 4, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_store": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 8, 2, 0.8, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 8, 2, 0.8, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_serve": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_timeout": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
     ),
     "only_shards": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 6, 2, 1, 1, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 6, 1, 1, 0, 0, 0, 0,
     ),
     "only_shards_dense": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 6, 2, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0,
     ),
     "only_search": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 4, 7, 3,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 30, 4, 7, 3,
     ),
     "only_search_dense": (
         0, 0, 0, 0, 0, 0, 0.0, None, None, None, None, 0, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 0, 30, 4, 7, 0,
+        0, 0, 0, 0, 0, 0, 0, None, 0, 0, 0, 0, 0, 0, 0, 0, 30, 4, 7, 0,
     ),
 }
 
@@ -252,7 +252,6 @@ miss-model geometries evaluated       8
         serve queries coalesced      41
            timeouts unavailable      64
               work shards dealt      59
-                  shards stolen      60
                    workers lost      65
         spawn-context fallbacks      54
         search points evaluated      32
@@ -438,7 +437,6 @@ journal duplicates dropped      0
     phase-detail component    n/a
    kernel-timing component    n/a
          work shards dealt      6
-             shards stolen      2
               workers lost      1
    spawn-context fallbacks      1""",
     "only_shards_dense": """\
@@ -456,8 +454,7 @@ journal duplicates dropped      0
    memo hit rate (overall)    n/a
     phase-detail component    n/a
    kernel-timing component    n/a
-         work shards dealt      6
-             shards stolen      2""",
+         work shards dealt      6""",
     "only_search": """\
 sweep execution metrics
                     metric  value
