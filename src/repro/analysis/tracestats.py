@@ -97,6 +97,7 @@ class MessageStats:
 
 
 def message_stats(trace: BurstTrace) -> MessageStats:
+    """Counted over each rank's period, scaled by the repeat count."""
     sizes: List[int] = []
     n_coll = 0
     for rt in trace.ranks:
@@ -105,18 +106,20 @@ def message_stats(trace: BurstTrace) -> MessageStats:
                 n_coll += 1
             elif call.kind in ("send", "isend"):
                 sizes.append(call.size_bytes)
+    reps = trace.repeats
+    total = reps * sum(sizes)
     return MessageStats(
-        n_p2p=len(sizes),
-        n_collectives=n_coll,
-        total_bytes=int(sum(sizes)),
-        mean_message_bytes=float(np.mean(sizes)) if sizes else 0.0,
+        n_p2p=reps * len(sizes),
+        n_collectives=reps * n_coll,
+        total_bytes=total,
+        mean_message_bytes=total / (reps * len(sizes)) if sizes else 0.0,
         max_message_bytes=max(sizes) if sizes else 0,
     )
 
 
 def trace_summary(trace: BurstTrace) -> Dict[str, object]:
     """One-stop trace characterization (Sec. V-A's table of limiters)."""
-    phases = [p for rt in trace.ranks[:1] for p in rt.compute_phases()]
+    phases = trace.ranks[0].compute_phases()   # one period of rank 0
     grans = [task_granularity(p) for p in phases if p.n_tasks]
     profiles = [parallelism_profile(p) for p in phases if p.n_tasks]
     mean_par = float(np.mean([p.mean() for p in profiles])) if profiles else 0.0
@@ -125,7 +128,7 @@ def trace_summary(trace: BurstTrace) -> Dict[str, object]:
     return {
         "app": trace.app,
         "n_ranks": trace.n_ranks,
-        "phases_per_rank": len(phases),
+        "phases_per_rank": len(phases) * trace.repeats,
         "mean_task_us": float(np.mean([g.mean_ns for g in grans])) / 1e3
         if grans else 0.0,
         "worst_imbalance": max((g.max_over_mean for g in grans),

@@ -187,6 +187,15 @@ class AppModel(ABC):
         raw = np.maximum(raw, 0.05)
         return raw / raw.mean()
 
+    def iterations(self, n_iterations: Optional[int]) -> int:
+        """Resolve an ``n_iterations`` argument: ``None`` means
+        :attr:`default_iterations`; zero or a negative count raises."""
+        if n_iterations is None:
+            return self.default_iterations
+        if n_iterations <= 0:
+            raise ValueError("n_iterations must be positive")
+        return n_iterations
+
     def burst_trace(self, n_ranks: int = 256,
                     n_iterations: Optional[int] = None) -> BurstTrace:
         """Whole-application burst trace for ``n_ranks`` ranks.
@@ -194,11 +203,11 @@ class AppModel(ABC):
         Every iteration is: halo exchange (irecv/isend/waitall with the
         6 grid neighbours), the canonical compute phases, and the
         iteration-closing allreduce(s) — the dominant communication
-        skeleton of all five applications (Sec. V-A).
+        skeleton of all five applications (Sec. V-A).  Iterations are
+        identical, so each rank stores one as its period, repeated
+        ``n_iterations`` times.
         """
-        n_iter = n_iterations or self.default_iterations
-        if n_iter <= 0:
-            raise ValueError("n_iterations must be positive")
+        n_iter = self.iterations(n_iterations)
         dims = rank_grid_dims(n_ranks)
         phases = self.canonical_phases()
         ranks = []
@@ -206,28 +215,28 @@ class AppModel(ABC):
             neighbours = grid_neighbors(r, dims)
             events: List = []
             req = 0
-            for _ in range(n_iter):
-                for phase in phases:
-                    # Boundary exchange feeding this phase.
-                    reqs: List[int] = []
-                    for nb in neighbours:
-                        events.append(MpiCall(kind="irecv", peer=nb,
-                                              size_bytes=self.halo_bytes,
-                                              tag=0, request=req))
-                        reqs.append(req)
-                        req += 1
-                    for nb in neighbours:
-                        events.append(MpiCall(kind="isend", peer=nb,
-                                              size_bytes=self.halo_bytes,
-                                              tag=0, request=req))
-                        reqs.append(req)
-                        req += 1
-                    for rq in reqs:
-                        events.append(MpiCall(kind="wait", request=rq))
-                    events.append(phase)
-                for _ in range(self.allreduce_per_iter):
-                    events.append(MpiCall(kind="allreduce", size_bytes=8))
-            ranks.append(RankTrace(rank=r, events=tuple(events)))
+            for phase in phases:
+                # Boundary exchange feeding this phase.
+                reqs: List[int] = []
+                for nb in neighbours:
+                    events.append(MpiCall(kind="irecv", peer=nb,
+                                          size_bytes=self.halo_bytes,
+                                          tag=0, request=req))
+                    reqs.append(req)
+                    req += 1
+                for nb in neighbours:
+                    events.append(MpiCall(kind="isend", peer=nb,
+                                          size_bytes=self.halo_bytes,
+                                          tag=0, request=req))
+                    reqs.append(req)
+                    req += 1
+                for rq in reqs:
+                    events.append(MpiCall(kind="wait", request=rq))
+                events.append(phase)
+            for _ in range(self.allreduce_per_iter):
+                events.append(MpiCall(kind="allreduce", size_bytes=8))
+            ranks.append(RankTrace(rank=r, period=tuple(events),
+                                   repeats=n_iter))
         return BurstTrace(app=self.name, ranks=tuple(ranks),
                           n_iterations=n_iter)
 

@@ -431,7 +431,7 @@ class BatchEvaluator:
         dp = musa.drampower
         nb = NodeBatch.from_nodes(nodes)
         n_configs = len(nodes)
-        n_iter = n_iterations or musa.app.default_iterations
+        n_iter = musa.app.iterations(n_iterations)
         scales = musa.app.rank_scales(n_ranks)
         max_scale = float(scales.max())
         comm_iter = musa.comm_iteration_ns(n_ranks) if include_comm else 0.0
@@ -450,7 +450,7 @@ class BatchEvaluator:
             # One config-vectorized replay pass for the whole batch: the
             # per-phase makespan columns scaled per rank reproduce the
             # scalar splice's float64 products bit for bit.
-            trace = musa._burst_trace(n_ranks, n_iterations)
+            trace = musa._burst_trace(n_ranks, n_iter)
             cols = {id(p): pc.makespan
                     for p, pc in zip(musa.phases, cols_per_phase)}
 

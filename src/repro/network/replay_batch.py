@@ -20,15 +20,17 @@ interleaving.  The global ``(clock, rank)`` step order exists solely to
 serialize the finite-bus pool — plus one structural corner: a key
 carrying both eager-buffered and rendezvous sends.  :func:`_classify`
 checks both conditions (``n_buses == 0`` and protocol-pure keys) in
-one O(events) scan.  They hold for the paper's MareNostrum4-like
+one scan over each rank's stored period.  They hold for the paper's MareNostrum4-like
 network, which has an unlimited bus pool, and for every bundled app on
 it.  The whole matching is then *structural*: :func:`_build_tape`
 resolves it once in pure Python (no floats), levels the resulting value
 DAG by dependency depth, and the driver executes it level by level with
 one NumPy pass per (level, kind) group over (events-in-level x configs).
-The same scan detects *periodic* traces — every bundled app repeats
-``n_iterations`` identical iterations — whose tape covers one period
-and runs ``reps`` times, carrying the state matrices across periods.
+A trace stores one period per rank plus a repeat count (every bundled
+app's generator emits one iteration, repeated ``n_iterations`` times);
+when the period is message-balanced the tape covers that period and
+runs ``reps`` times, carrying the state matrices across periods, and
+the flat stream is never built.
 Full-rank groups (the bulk-synchronous common case) run as
 ``out=``-pipelined in-place kernels over two reusable workspace
 matrices, so a level costs stream passes over the state, not allocator
@@ -80,7 +82,7 @@ BatchPhaseDurationFn = Callable[[int, ComputePhase], np.ndarray]
 def _classify(
     trace: BurstTrace, net: NetworkConfig,
 ) -> Optional[Tuple[Dict[Tuple[int, int, int], bool], int]]:
-    """One scan over every event: can a tape replay ``trace``, and how?
+    """One scan over every rank's period: can a tape replay ``trace``, and how?
 
     Returns ``None`` when the replay's values can depend on step order:
     a finite bus pool (``n_buses > 0``) — the one shared resource whose
@@ -91,78 +93,34 @@ def _classify(
     outstanding at discovery time.
 
     Otherwise returns ``(key_eager, reps)``: each send key's protocol
-    (``True`` = eager) and the number of identical periods the tape may
-    execute — ``trace.n_iterations`` when every rank's stream splits
-    into that many blocks that replay identically, else 1.  Blocks are
-    identical when, position by position, compute phases are the *same
-    object* (so the duration function sees exactly the phases the full
-    replay would pass) and MPI calls have equal fields, request ids
-    relabelled by first appearance within the block.  Each block must
-    also close its own requests (none pending at its end, so no wait
-    consumes an earlier block's request) and its own messages (per key,
-    as many receives as sends), so FIFO matching never pairs a send
-    with a receive of another period.
+    (``True`` = eager) and the number of times the tape may run one
+    period — ``trace.repeats`` when the period is message-balanced (per
+    key, as many receives as sends), else 1.  A balanced period pairs
+    every send with a receive of its own period under FIFO matching; it
+    closes its own requests (:class:`~repro.trace.burst.RankTrace`
+    validates that), and every copy holds the period's own phase
+    objects, so the period's tape run ``repeats`` times is the full
+    replay.  A flat trace (``repeats == 1``) takes the full tape.
     """
     if net.n_buses > 0:
         return None
-    reps = trace.n_iterations
-    periodic = reps > 1
     key_eager: Dict[Tuple[int, int, int], bool] = {}
     balance: Dict[Tuple[int, int, int], int] = defaultdict(int)
     for rt in trace.ranks:
         r = rt.rank
-        events = rt.events
-        if periodic and len(events) % reps:
-            periodic = False
-        block = len(events) // reps if periodic else 0
-        first: List[object] = []   # block 0, position by position
-        labels: Dict[int, int] = {}
-        pending = set()
-        pos = 0
-        for ev in events:
+        for ev in rt.period:
             if isinstance(ev, ComputePhase):
-                sig = ev
-            else:
-                kind = ev.kind
-                if kind in ("send", "isend"):
-                    key = (r, ev.peer, ev.tag)
-                    eager = kind == "isend" or net.is_eager(ev.size_bytes)
-                    if key_eager.setdefault(key, eager) != eager:
-                        return None
-                if not periodic:
-                    continue
-                req = ev.request
-                if req is not None:
-                    if kind == "wait":
-                        pending.discard(req)
-                    else:
-                        pending.add(req)
-                    req = labels.setdefault(req, len(labels))
-                sig = (kind, ev.peer, ev.size_bytes, ev.tag, req)
-                if len(first) < block:
-                    if kind in ("send", "isend"):
-                        balance[(r, ev.peer, ev.tag)] += 1
-                    elif kind in ("recv", "irecv"):
-                        balance[(ev.peer, r, ev.tag)] -= 1
-            if not periodic:
                 continue
-            if len(first) < block:
-                first.append(sig)
-            else:
-                ref = first[pos]
-                if sig is not ref and (type(sig) is not tuple
-                                       or sig != ref):
-                    periodic = False
-                    continue
-            pos += 1
-            if pos == block:
-                if pending:
-                    periodic = False
-                pos = 0
-                labels.clear()
-    if periodic and any(balance.values()):
-        periodic = False
-    return key_eager, (reps if periodic else 1)
+            kind = ev.kind
+            if kind in ("send", "isend"):
+                key = (r, ev.peer, ev.tag)
+                eager = kind == "isend" or net.is_eager(ev.size_bytes)
+                if key_eager.setdefault(key, eager) != eager:
+                    return None
+                balance[key] += 1
+            elif kind in ("recv", "irecv"):
+                balance[(ev.peer, r, ev.tag)] -= 1
+    return key_eager, (1 if any(balance.values()) else trace.repeats)
 
 
 # --------------------------------------------------------------------- tape
@@ -188,7 +146,7 @@ def _classify(
 # payload) falls back to per-column scalar replay, which raises the
 # reference diagnostics.
 #
-# A periodic trace (see _classify) is built from its first period only
+# A periodic trace (see _classify) is built from its stored period only
 # and the driver runs that tape ``reps`` times.  Each period's slots are
 # produced and consumed within it (requests and messages are closed per
 # period, collectives match by per-period sequence), and same-rank state
@@ -572,7 +530,7 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     fallback (counted under ``replay.batch.array_fallbacks`` when the
     trace is order-free, i.e. its tape build bailed out).
 
-    A periodic trace's tape covers its first period.  Every bail-out
+    A periodic trace's tape covers one period.  Every bail-out
     condition of a period persists in its repetition, so a period that
     cannot be built is not retried as the full trace.
     """
@@ -583,7 +541,7 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         tape = None
         if verdict is not None:
             key_eager, reps = verdict
-            tape = _build_tape([rt.events[:len(rt.events) // reps]
+            tape = _build_tape([rt.events if reps == 1 else rt.period
                                 for rt in trace.ranks], net, key_eager, reps)
             get_metrics().inc("replay.tape.builds")
         entry = _TAPE_CACHE[key] = (trace, tape, verdict is not None)

@@ -4,11 +4,17 @@ A :class:`BurstTrace` is the whole-application, per-rank event stream
 MUSA obtains with Extrae: compute phases carrying runtime-system events,
 interleaved with MPI calls.  It is the input to both burst-mode
 (hardware-agnostic) simulation and the communication replay.
+
+A traced region is iterative, so each rank stores one *period* of its
+stream plus a repeat count; the flat stream is a view built on demand.
+A trace loaded from disk or written by hand is flat: one period,
+repeated once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator, List, Tuple
 
 from .events import ComputePhase, MpiCall, RankEvent
@@ -18,20 +24,27 @@ __all__ = ["RankTrace", "BurstTrace"]
 
 @dataclass(frozen=True)
 class RankTrace:
-    """Event stream of one MPI rank."""
+    """Event stream of one MPI rank: ``period`` run ``repeats`` times.
+
+    The period must close every request it opens, so validating it
+    validates every copy.  The summaries below read the period and scale
+    by ``repeats``; only :attr:`events` builds the flat stream.
+    """
 
     rank: int
-    events: Tuple[RankEvent, ...]
+    period: Tuple[RankEvent, ...]
+    repeats: int = 1
 
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
-        for ev in self.events:
+        if self.repeats < 1:
+            raise ValueError("repeats must be positive")
+        for ev in self.period:
             if not isinstance(ev, (ComputePhase, MpiCall)):
                 raise TypeError(f"unexpected event type {type(ev).__name__}")
-        seen_requests = set()
         pending = set()
-        for ev in self.events:
+        for ev in self.period:
             if isinstance(ev, MpiCall):
                 if ev.kind in {"isend", "irecv"}:
                     if ev.request in pending:
@@ -40,7 +53,6 @@ class RankTrace:
                             "before being waited on"
                         )
                     pending.add(ev.request)
-                    seen_requests.add(ev.request)
                 elif ev.kind == "wait":
                     if ev.request not in pending:
                         raise ValueError(
@@ -53,26 +65,54 @@ class RankTrace:
                 f"rank {self.rank}: unwaited requests {sorted(pending)}"
             )
 
+    @cached_property
+    def events(self) -> Tuple[RankEvent, ...]:
+        """The flat stream: ``repeats`` copies of the period.
+
+        Copy ``k`` offsets every request id by ``k * (max id + 1)``, the
+        ids a rank numbering its requests across iterations would use.
+        Phases and request-free calls are the period's own objects.
+        """
+        if self.repeats == 1:
+            return self.period
+        ids = [ev.request for ev in self.period
+               if isinstance(ev, MpiCall) and ev.request is not None]
+        stride = max(ids) + 1 if ids else 0
+        out = list(self.period)
+        for k in range(1, self.repeats):
+            off = k * stride
+            out.extend(ev if isinstance(ev, ComputePhase) or ev.request is None
+                       else replace(ev, request=ev.request + off)
+                       for ev in self.period)
+        return tuple(out)
+
     def compute_phases(self) -> List[ComputePhase]:
-        return [e for e in self.events if isinstance(e, ComputePhase)]
+        """One period's compute phases."""
+        return [e for e in self.period if isinstance(e, ComputePhase)]
 
     def mpi_calls(self) -> List[MpiCall]:
-        return [e for e in self.events if isinstance(e, MpiCall)]
+        """One period's MPI calls."""
+        return [e for e in self.period if isinstance(e, MpiCall)]
 
     @property
     def total_compute_ns(self) -> float:
         """Reference (native-trace) compute time, perfectly parallel."""
-        return sum(p.total_task_ns + p.serial_ns for p in self.compute_phases())
+        per = [p.total_task_ns + p.serial_ns for p in self.compute_phases()]
+        # Summed in flat-stream order: the flat trace's value, bit for bit.
+        return sum(per * self.repeats)
 
     @property
     def total_mpi_bytes(self) -> int:
-        return sum(c.size_bytes for c in self.mpi_calls()
-                   if c.kind in {"send", "isend"})
+        return self.repeats * sum(c.size_bytes for c in self.mpi_calls()
+                                  if c.kind in {"send", "isend"})
 
 
 @dataclass(frozen=True)
 class BurstTrace:
-    """Whole-application coarse trace: one :class:`RankTrace` per rank."""
+    """Whole-application coarse trace: one :class:`RankTrace` per rank.
+
+    Every rank repeats its period the same number of times.
+    """
 
     app: str
     ranks: Tuple[RankTrace, ...]
@@ -87,6 +127,8 @@ class BurstTrace:
         got = [r.rank for r in self.ranks]
         if got != list(range(len(self.ranks))):
             raise ValueError(f"ranks must be dense 0..N-1, got {got[:8]}...")
+        if len({rt.repeats for rt in self.ranks}) > 1:
+            raise ValueError("every rank must repeat its period equally often")
         n = len(self.ranks)
         for rt in self.ranks:
             for ev in rt.mpi_calls():
@@ -98,6 +140,11 @@ class BurstTrace:
     @property
     def n_ranks(self) -> int:
         return len(self.ranks)
+
+    @property
+    def repeats(self) -> int:
+        """How many times every rank runs its period."""
+        return self.ranks[0].repeats
 
     def __iter__(self) -> Iterator[RankTrace]:
         return iter(self.ranks)
@@ -114,6 +161,7 @@ class BurstTrace:
 
     def phase_counts(self) -> Tuple[int, int]:
         """(total compute phases, total MPI calls) across ranks."""
+        reps = self.repeats
         n_phase = sum(len(rt.compute_phases()) for rt in self.ranks)
         n_mpi = sum(len(rt.mpi_calls()) for rt in self.ranks)
-        return n_phase, n_mpi
+        return n_phase * reps, n_mpi * reps

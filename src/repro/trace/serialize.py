@@ -81,7 +81,7 @@ def burst_from_dict(data: Dict[str, Any]) -> BurstTrace:
                        tag=d["tag"], request=d["req"])
 
     ranks = tuple(
-        RankTrace(rank=r["rank"], events=tuple(event(e) for e in r["events"]))
+        RankTrace(rank=r["rank"], period=tuple(event(e) for e in r["events"]))
         for r in data["ranks"]
     )
     return BurstTrace(app=data["app"], ranks=ranks,

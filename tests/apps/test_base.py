@@ -92,6 +92,16 @@ class TestAppModelInterface:
         n_app_phases = len(app.iteration_phases())
         assert n_phases == 8 * 2 * n_app_phases
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_burst_trace_rejects_nonpositive_iterations(self, bad):
+        with pytest.raises(ValueError, match="n_iterations"):
+            get_app("spmz").burst_trace(n_ranks=4, n_iterations=bad)
+
+    def test_burst_trace_none_means_default_iterations(self):
+        app = get_app("spmz")
+        t = app.burst_trace(n_ranks=4)
+        assert t.n_iterations == t.repeats == app.default_iterations
+
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_representative_phase_is_heaviest(self, name):
         app = get_app(name)

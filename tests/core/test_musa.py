@@ -42,6 +42,26 @@ class TestBurstMode:
         assert musa._burst_trace(8, None) is musa._burst_trace(8, n)
 
 
+class TestIterationCount:
+    """``None`` means the app's default; zero or fewer iterations is an
+    error in both modes, not a silent default or a later failure."""
+
+    @pytest.mark.parametrize("mode", ["fast", "replay"])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_simulate_node_rejects_nonpositive(self, musa, node64, mode,
+                                               bad):
+        with pytest.raises(ValueError, match="n_iterations"):
+            musa.simulate_node(node64, n_ranks=4, n_iterations=bad,
+                               mode=mode)
+
+    @pytest.mark.parametrize("mode", ["fast", "replay"])
+    def test_simulate_node_none_means_default(self, musa, node64, mode):
+        n = musa.app.default_iterations
+        a = musa.simulate_node(node64, n_ranks=4, mode=mode)
+        b = musa.simulate_node(node64, n_ranks=4, n_iterations=n, mode=mode)
+        assert a.record() == b.record()
+
+
 class TestDetailedMode:
     def test_simulate_node_record_fields(self, musa, node64):
         rec = musa.simulate_node(node64).record()

@@ -115,7 +115,7 @@ class TestReplayProperties:
             for i in range(len(durations))
         )
         ranks = tuple(
-            RankTrace(rank=r, events=phases) for r in range(n_ranks))
+            RankTrace(rank=r, period=phases) for r in range(n_ranks))
         trace = BurstTrace(app="t", ranks=ranks)
         net = NetworkConfig(latency_us=0.001, bandwidth_gbs=100.0,
                             cpu_overhead_us=0.001)
@@ -132,7 +132,7 @@ class TestReplayProperties:
         phase = ComputePhase(phase_id=0, tasks=(
             TaskRecord(kernel="k", duration_ns=1.0),))
         ranks = tuple(
-            RankTrace(rank=r, events=(phase, MpiCall(kind="barrier")))
+            RankTrace(rank=r, period=(phase, MpiCall(kind="barrier")))
             for r in range(n_ranks))
         trace = BurstTrace(app="t", ranks=ranks)
         net = NetworkConfig(latency_us=0.001, bandwidth_gbs=100.0,

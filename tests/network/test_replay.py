@@ -17,7 +17,7 @@ def const_duration(value):
 
 
 def trace(rank_events, app="t"):
-    ranks = tuple(RankTrace(rank=r, events=tuple(evs))
+    ranks = tuple(RankTrace(rank=r, period=tuple(evs))
                   for r, evs in enumerate(rank_events))
     return BurstTrace(app=app, ranks=ranks)
 

@@ -9,8 +9,8 @@ fallback (finite buses), with per-config compute scalings chosen to
 flip the global ``(clock, rank)`` step order mid-replay; the
 regressions pin the tape bail-out fallback, the collective pricing
 path, the order-free classification of :func:`_classify`, the
-iteration-periodic tape and its full-tape fallback, and that every
-bundled app stays on a periodic tape.
+period tape and its full-tape fallback (flat and loaded traces,
+unbalanced periods), and that every bundled app stays on a period tape.
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ from repro.network import NetworkConfig, replay
 from repro.network import replay_batch as replay_batch_mod
 from repro.network.replay_batch import _classify, _tape_for, replay_batch
 from repro.obs import get_metrics
-from repro.trace import BurstTrace, MpiCall, RankTrace
+from repro.trace import (BurstTrace, MpiCall, RankTrace, burst_from_dict,
+                         burst_to_dict)
 
 from .test_replay_engines import (
     _skewed_duration,
@@ -297,9 +298,10 @@ class TestBundledAppsStayOnTape:
 
 
 class TestPeriodicTape:
-    """A trace of identical iterations replays one period's tape
-    ``n_iterations`` times; anything else builds the full tape.  Both
-    must equal scalar replay bit for bit."""
+    """A message-balanced period replays its own tape ``repeats`` times;
+    a flat trace (``repeats == 1``, e.g. one loaded from disk) or an
+    unbalanced period builds the full tape from the flat view.  Both
+    must equal scalar replay, which reads the flat view, bit for bit."""
 
     @pytest.mark.parametrize("app", APP_NAMES)
     def test_app_traces_equal_scalar(self, app):
@@ -337,33 +339,58 @@ class TestPeriodicTape:
                 MpiCall(kind="wait", request=2 * k + 1),
                 MpiCall(kind="allreduce", size_bytes=8)]
 
-    def check(self, rank_events, n_iterations, reps):
+    def check(self, rank_events, n_iterations, reps, repeats=1):
         t = BurstTrace(app="t", n_iterations=n_iterations, ranks=tuple(
-            RankTrace(rank=r, events=tuple(evs))
+            RankTrace(rank=r, period=tuple(evs), repeats=repeats)
             for r, evs in enumerate(rank_events)))
         net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
         assert _tape_for(t, net).reps == reps
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 7.3))
 
     def test_identical_iterations_run_one_period(self):
-        self.check([sum((self.iteration(r, k) for k in range(3)), [])
-                    for r in range(2)], 3, reps=3)
+        self.check([self.iteration(r, 0) for r in range(2)], 3, reps=3,
+                   repeats=3)
 
     def test_rendezvous_iterations_run_one_period(self):
         # Blocking rendezvous sends make the driver adopt message-buffer
         # rows as its clock and scratch matrices; each period must
         # re-home them before it rewrites those buffers.
-        def rdv(rank, k):
+        def rdv(rank):
             peer = 1 - rank
             return [MpiCall(kind="irecv", peer=peer, size_bytes=65536,
-                            request=k),
+                            request=0),
                     MpiCall(kind="send", peer=peer, size_bytes=65536),
-                    MpiCall(kind="wait", request=k),
+                    MpiCall(kind="wait", request=0),
                     self.P[rank],
                     MpiCall(kind="allreduce", size_bytes=8)]
 
-        self.check([sum((rdv(r, k) for k in range(3)), [])
-                    for r in range(2)], 3, reps=3)
+        self.check([rdv(r) for r in range(2)], 3, reps=3, repeats=3)
+
+    def test_flat_identical_iterations_build_full_tape(self):
+        # The same three iterations stored flat: no block detection.
+        self.check([sum((self.iteration(r, k) for k in range(3)), [])
+                    for r in range(2)], 3, reps=1)
+
+    @pytest.mark.parametrize("app", ["spmz", "lulesh"])
+    def test_loaded_app_trace_builds_full_tape(self, app):
+        musa = Musa(get_app(app))
+        t = musa._burst_trace(16, None)
+        flat = burst_from_dict(burst_to_dict(t))
+        assert flat.repeats == 1 and t.repeats == t.n_iterations > 1
+        net = musa.network
+        assert _tape_for(flat, net).reps == 1
+        assert _tape_for(flat, net).n_events == _tape_for(t, net).n_events
+        scales = (0.5, 1.0, 7.3)
+        out = assert_batch_equals_scalar(flat, net, scales)
+        for a, b in zip(out, replay_batch(t, net, batch_duration(scales),
+                                          len(scales))):
+            assert_results_equal(a, b)
+
+    def test_pending_request_in_period_is_rejected(self):
+        with pytest.raises(ValueError, match="unwaited"):
+            RankTrace(rank=0, repeats=2, period=(
+                MpiCall(kind="irecv", peer=1, size_bytes=8, request=0),
+                self.P[0]))
 
     def test_differing_last_iteration_builds_full_tape(self):
         self.check([self.iteration(r, 0) + self.iteration(r, 1)
@@ -384,16 +411,15 @@ class TestPeriodicTape:
         self.check([rank0, rank1], 2, reps=1)
 
     def test_send_received_an_iteration_later_builds_full_tape(self):
-        # Every iteration is identical, but rank 0 sends twice per
-        # iteration while rank 1 receives once: FIFO matching pairs
-        # rank 1's second receive with rank 0's second send of
-        # iteration 0, so one period cannot replay alone.
+        # Rank 0 sends twice per period while rank 1 receives once:
+        # FIFO matching pairs rank 1's second receive with rank 0's
+        # second send of period 0, so one period cannot replay alone.
         rank0 = [MpiCall(kind="send", peer=1, size_bytes=8),
                  MpiCall(kind="send", peer=1, size_bytes=8),
                  self.P[0], MpiCall(kind="allreduce", size_bytes=8)]
         rank1 = [MpiCall(kind="recv", peer=0, size_bytes=8),
                  self.P[1], MpiCall(kind="allreduce", size_bytes=8)]
-        self.check([rank0 * 2, rank1 * 2], 2, reps=1)
+        self.check([rank0, rank1], 2, reps=1, repeats=2)
 
     def test_equal_but_distinct_phase_builds_full_tape(self):
         # Same fields, another object: the duration function may key

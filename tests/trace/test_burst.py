@@ -15,18 +15,18 @@ def _phase(n_tasks=2, phase_id=0):
 
 class TestRankTrace:
     def test_partitions_events(self):
-        rt = RankTrace(rank=0, events=(
+        rt = RankTrace(rank=0, period=(
             _phase(), MpiCall(kind="barrier"), _phase(phase_id=1),
         ))
         assert len(rt.compute_phases()) == 2
         assert len(rt.mpi_calls()) == 1
 
     def test_total_compute(self):
-        rt = RankTrace(rank=0, events=(_phase(3),))
+        rt = RankTrace(rank=0, period=(_phase(3),))
         assert rt.total_compute_ns == pytest.approx(30.0)
 
     def test_bytes_counts_sends_only(self):
-        rt = RankTrace(rank=0, events=(
+        rt = RankTrace(rank=0, period=(
             MpiCall(kind="isend", peer=1, size_bytes=100, request=0),
             MpiCall(kind="irecv", peer=1, size_bytes=999, request=1),
             MpiCall(kind="wait", request=0),
@@ -36,30 +36,30 @@ class TestRankTrace:
 
     def test_rejects_unwaited_request(self):
         with pytest.raises(ValueError, match="unwaited"):
-            RankTrace(rank=0, events=(
+            RankTrace(rank=0, period=(
                 MpiCall(kind="isend", peer=1, size_bytes=1, request=0),
             ))
 
     def test_rejects_wait_on_unknown_request(self):
         with pytest.raises(ValueError, match="unknown request"):
-            RankTrace(rank=0, events=(MpiCall(kind="wait", request=5),))
+            RankTrace(rank=0, period=(MpiCall(kind="wait", request=5),))
 
     def test_rejects_request_reuse_before_wait(self):
         with pytest.raises(ValueError, match="reused"):
-            RankTrace(rank=0, events=(
+            RankTrace(rank=0, period=(
                 MpiCall(kind="isend", peer=1, size_bytes=1, request=0),
                 MpiCall(kind="irecv", peer=1, size_bytes=1, request=0),
             ))
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):
-            RankTrace(rank=-1, events=())
+            RankTrace(rank=-1, period=())
 
 
 class TestBurstTrace:
     def _trace(self, n_ranks=2):
         ranks = tuple(
-            RankTrace(rank=r, events=(_phase(), MpiCall(kind="barrier")))
+            RankTrace(rank=r, period=(_phase(), MpiCall(kind="barrier")))
             for r in range(n_ranks)
         )
         return BurstTrace(app="test", ranks=ranks)
@@ -71,13 +71,13 @@ class TestBurstTrace:
         assert t.phase_counts() == (4, 4)
 
     def test_rejects_sparse_ranks(self):
-        ranks = (RankTrace(rank=0, events=()), RankTrace(rank=2, events=()))
+        ranks = (RankTrace(rank=0, period=()), RankTrace(rank=2, period=()))
         with pytest.raises(ValueError, match="dense"):
             BurstTrace(app="x", ranks=ranks)
 
     def test_rejects_out_of_range_peer(self):
         ranks = (
-            RankTrace(rank=0, events=(
+            RankTrace(rank=0, period=(
                 MpiCall(kind="isend", peer=5, size_bytes=1, request=0),
                 MpiCall(kind="wait", request=0),
             )),
