@@ -9,7 +9,7 @@ those statistics directly from a burst trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -98,14 +98,9 @@ class MessageStats:
 
 def message_stats(trace: BurstTrace) -> MessageStats:
     """Counted over each rank's period, scaled by the repeat count."""
-    sizes: List[int] = []
-    n_coll = 0
-    for rt in trace.ranks:
-        for call in rt.mpi_calls():
-            if call.is_collective:
-                n_coll += 1
-            elif call.kind in ("send", "isend"):
-                sizes.append(call.size_bytes)
+    calls = [c for rt in trace.ranks for c in rt.mpi_calls()]
+    sizes = [c.size_bytes for c in calls if c.kind in ("send", "isend")]
+    n_coll = sum(c.is_collective for c in calls)
     reps = trace.repeats
     total = reps * sum(sizes)
     return MessageStats(

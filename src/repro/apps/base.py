@@ -216,22 +216,17 @@ class AppModel(ABC):
             events: List = []
             req = 0
             for phase in phases:
-                # Boundary exchange feeding this phase.
-                reqs: List[int] = []
-                for nb in neighbours:
-                    events.append(MpiCall(kind="irecv", peer=nb,
-                                          size_bytes=self.halo_bytes,
-                                          tag=0, request=req))
-                    reqs.append(req)
-                    req += 1
-                for nb in neighbours:
-                    events.append(MpiCall(kind="isend", peer=nb,
-                                          size_bytes=self.halo_bytes,
-                                          tag=0, request=req))
-                    reqs.append(req)
-                    req += 1
-                for rq in reqs:
-                    events.append(MpiCall(kind="wait", request=rq))
+                # Boundary exchange feeding this phase: post every
+                # receive, then every send, then wait on all of them.
+                first = req
+                for kind in ("irecv", "isend"):
+                    for nb in neighbours:
+                        events.append(MpiCall(kind=kind, peer=nb,
+                                              size_bytes=self.halo_bytes,
+                                              tag=0, request=req))
+                        req += 1
+                events.extend(MpiCall(kind="wait", request=rq)
+                              for rq in range(first, req))
                 events.append(phase)
             for _ in range(self.allreduce_per_iter):
                 events.append(MpiCall(kind="allreduce", size_bytes=8))

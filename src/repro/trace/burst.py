@@ -3,12 +3,8 @@
 A :class:`BurstTrace` is the whole-application, per-rank event stream
 MUSA obtains with Extrae: compute phases carrying runtime-system events,
 interleaved with MPI calls.  It is the input to both burst-mode
-(hardware-agnostic) simulation and the communication replay.
-
-A traced region is iterative, so each rank stores one *period* of its
-stream plus a repeat count; the flat stream is a view built on demand.
-A trace loaded from disk or written by hand is flat: one period,
-repeated once.
+(hardware-agnostic) simulation and the communication replay.  A traced
+region is iterative, so each rank stores one period plus a repeat count.
 """
 
 from __future__ import annotations
@@ -26,9 +22,10 @@ __all__ = ["RankTrace", "BurstTrace"]
 class RankTrace:
     """Event stream of one MPI rank: ``period`` run ``repeats`` times.
 
-    The period must close every request it opens, so validating it
-    validates every copy.  The summaries below read the period and scale
-    by ``repeats``; only :attr:`events` builds the flat stream.
+    A period must close every request it opens, so validating it
+    validates every copy.  The summaries read the period and scale by
+    ``repeats``; only :attr:`events` builds the flat stream.  A trace
+    loaded from disk or written by hand is flat (``repeats == 1``).
     """
 
     rank: int
@@ -40,26 +37,26 @@ class RankTrace:
             raise ValueError("rank must be non-negative")
         if self.repeats < 1:
             raise ValueError("repeats must be positive")
-        for ev in self.period:
-            if not isinstance(ev, (ComputePhase, MpiCall)):
-                raise TypeError(f"unexpected event type {type(ev).__name__}")
         pending = set()
         for ev in self.period:
-            if isinstance(ev, MpiCall):
-                if ev.kind in {"isend", "irecv"}:
-                    if ev.request in pending:
-                        raise ValueError(
-                            f"rank {self.rank}: request {ev.request} reused "
-                            "before being waited on"
-                        )
-                    pending.add(ev.request)
-                elif ev.kind == "wait":
-                    if ev.request not in pending:
-                        raise ValueError(
-                            f"rank {self.rank}: wait on unknown request "
-                            f"{ev.request}"
-                        )
-                    pending.discard(ev.request)
+            if isinstance(ev, ComputePhase):
+                continue
+            if not isinstance(ev, MpiCall):
+                raise TypeError(f"unexpected event type {type(ev).__name__}")
+            if ev.kind in {"isend", "irecv"}:
+                if ev.request in pending:
+                    raise ValueError(
+                        f"rank {self.rank}: request {ev.request} reused "
+                        "before being waited on"
+                    )
+                pending.add(ev.request)
+            elif ev.kind == "wait":
+                if ev.request not in pending:
+                    raise ValueError(
+                        f"rank {self.rank}: wait on unknown request "
+                        f"{ev.request}"
+                    )
+                pending.discard(ev.request)
         if pending:
             raise ValueError(
                 f"rank {self.rank}: unwaited requests {sorted(pending)}"
@@ -75,14 +72,12 @@ class RankTrace:
         """
         if self.repeats == 1:
             return self.period
-        ids = [ev.request for ev in self.period
-               if isinstance(ev, MpiCall) and ev.request is not None]
-        stride = max(ids) + 1 if ids else 0
+        stride = 1 + max((ev.request for ev in self.mpi_calls()
+                          if ev.request is not None), default=-1)
         out = list(self.period)
         for k in range(1, self.repeats):
-            off = k * stride
             out.extend(ev if isinstance(ev, ComputePhase) or ev.request is None
-                       else replace(ev, request=ev.request + off)
+                       else replace(ev, request=ev.request + k * stride)
                        for ev in self.period)
         return tuple(out)
 
@@ -109,10 +104,8 @@ class RankTrace:
 
 @dataclass(frozen=True)
 class BurstTrace:
-    """Whole-application coarse trace: one :class:`RankTrace` per rank.
-
-    Every rank repeats its period the same number of times.
-    """
+    """Whole-application coarse trace: one :class:`RankTrace` per rank,
+    every rank repeating its period equally often."""
 
     app: str
     ranks: Tuple[RankTrace, ...]
@@ -143,7 +136,6 @@ class BurstTrace:
 
     @property
     def repeats(self) -> int:
-        """How many times every rank runs its period."""
         return self.ranks[0].repeats
 
     def __iter__(self) -> Iterator[RankTrace]:
@@ -161,7 +153,6 @@ class BurstTrace:
 
     def phase_counts(self) -> Tuple[int, int]:
         """(total compute phases, total MPI calls) across ranks."""
-        reps = self.repeats
         n_phase = sum(len(rt.compute_phases()) for rt in self.ranks)
         n_mpi = sum(len(rt.mpi_calls()) for rt in self.ranks)
-        return n_phase * reps, n_mpi * reps
+        return n_phase * self.repeats, n_mpi * self.repeats
