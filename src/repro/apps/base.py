@@ -187,7 +187,7 @@ class AppModel(ABC):
         raw = np.maximum(raw, 0.05)
         return raw / raw.mean()
 
-    def iterations(self, n_iterations: Optional[int]) -> int:
+    def resolve_iterations(self, n_iterations: Optional[int]) -> int:
         """Resolve an ``n_iterations`` argument: ``None`` means
         :attr:`default_iterations`; zero or a negative count raises."""
         if n_iterations is None:
@@ -207,7 +207,7 @@ class AppModel(ABC):
         identical, so each rank stores one as its period, repeated
         ``n_iterations`` times.
         """
-        n_iter = self.iterations(n_iterations)
+        n_iter = self.resolve_iterations(n_iterations)
         dims = rank_grid_dims(n_ranks)
         phases = self.canonical_phases()
         ranks = []

@@ -431,7 +431,7 @@ class BatchEvaluator:
         dp = musa.drampower
         nb = NodeBatch.from_nodes(nodes)
         n_configs = len(nodes)
-        n_iter = musa.app.iterations(n_iterations)
+        n_iter = musa.app.resolve_iterations(n_iterations)
         scales = musa.app.rank_scales(n_ranks)
         max_scale = float(scales.max())
         comm_iter = musa.comm_iteration_ns(n_ranks) if include_comm else 0.0

@@ -149,7 +149,7 @@ class Musa:
                      n_iterations: Optional[int]) -> BurstTrace:
         # ``None`` means the default: key both spellings to one trace,
         # so the replay tape cache (keyed on the trace) builds one tape.
-        key = (n_ranks, self.app.iterations(n_iterations))
+        key = (n_ranks, self.app.resolve_iterations(n_iterations))
         if key not in self._trace_cache:
             self._trace_cache[key] = self.app.burst_trace(*key)
         return self._trace_cache[key]
@@ -254,7 +254,7 @@ class Musa:
         mode: str,
         include_comm: bool,
     ) -> RunResult:
-        n_iter = self.app.iterations(n_iterations)
+        n_iter = self.app.resolve_iterations(n_iterations)
         details = [self.phase_detail(p, node) for p in self.phases]
         scales = self.app.rank_scales(n_ranks)
         max_scale = float(scales.max())

@@ -20,12 +20,13 @@ interleaving.  The global ``(clock, rank)`` step order exists solely to
 serialize the finite-bus pool — plus one structural corner: a key
 carrying both eager-buffered and rendezvous sends.  :func:`_classify`
 checks both conditions (``n_buses == 0`` and protocol-pure keys) in
-one scan over each rank's stored period.  They hold for the paper's MareNostrum4-like
-network, which has an unlimited bus pool, and for every bundled app on
-it.  The whole matching is then *structural*: :func:`_build_tape`
-resolves it once in pure Python (no floats), levels the resulting value
-DAG by dependency depth, and the driver executes it level by level with
-one NumPy pass per (level, kind) group over (events-in-level x configs).
+one scan over each rank's stored period.  They hold for the paper's
+MareNostrum4-like network, which has an unlimited bus pool, and for
+every bundled app on it.  The whole matching is then *structural*:
+:func:`_build_tape` resolves it once in pure Python (no floats), levels
+the resulting value DAG by dependency depth, and the driver executes it
+level by level with one NumPy pass per (level, kind) group over
+(events-in-level x configs).
 A trace stores one period per rank plus a repeat count (every bundled
 app's generator emits one iteration, repeated ``n_iterations`` times);
 when the period is message-balanced the tape covers that period and
@@ -82,7 +83,7 @@ BatchPhaseDurationFn = Callable[[int, ComputePhase], np.ndarray]
 def _classify(
     trace: BurstTrace, net: NetworkConfig,
 ) -> Optional[Tuple[Dict[Tuple[int, int, int], bool], int]]:
-    """One scan over every rank's period: can a tape replay ``trace``, and how?
+    """One scan over the periods: can a tape replay ``trace``, and how?
 
     Returns ``None`` when the replay's values can depend on step order:
     a finite bus pool (``n_buses > 0``) — the one shared resource whose

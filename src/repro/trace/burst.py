@@ -68,18 +68,15 @@ class RankTrace:
 
         Copy ``k`` offsets every request id by ``k * (max id + 1)``, the
         ids a rank numbering its requests across iterations would use.
-        Phases and request-free calls are the period's own objects.
+        Phases, request-free calls and all of copy 0 are the period's
+        own objects.
         """
-        if self.repeats == 1:
-            return self.period
         stride = 1 + max((ev.request for ev in self.mpi_calls()
                           if ev.request is not None), default=-1)
-        out = list(self.period)
-        for k in range(1, self.repeats):
-            out.extend(ev if isinstance(ev, ComputePhase) or ev.request is None
-                       else replace(ev, request=ev.request + k * stride)
-                       for ev in self.period)
-        return tuple(out)
+        return tuple(
+            ev if k == 0 or isinstance(ev, ComputePhase) or ev.request is None
+            else replace(ev, request=ev.request + k * stride)
+            for k in range(self.repeats) for ev in self.period)
 
     def compute_phases(self) -> List[ComputePhase]:
         """One period's compute phases."""

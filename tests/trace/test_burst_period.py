@@ -108,8 +108,11 @@ class TestFlatView:
 
 
 def test_single_repeat_view_is_the_period():
-    rt = RankTrace(rank=0, period=(MpiCall(kind="barrier"),))
-    assert rt.events is rt.period
+    rt = RankTrace(rank=0, period=(
+        MpiCall(kind="irecv", peer=1, size_bytes=8, request=3),
+        MpiCall(kind="wait", request=3)))
+    assert all(a is b for a, b in zip(rt.events, rt.period))
+    assert len(rt.events) == len(rt.period)
 
 
 def test_rejects_nonpositive_repeats():
