@@ -60,10 +60,10 @@ from ..apps.registry import get_app
 from ..config.space import DesignSpace
 from ..core.batch import BatchEvaluator
 from ..core.musa import Musa
-from ..core.results import ResultSet
-from ..core.store import ResultStore, make_provenance, store_key
+from ..core.results import CONFIG_KEYS, ResultSet
+from ..core.store import ResultStore, make_provenance, store_keys_batch
 from ..obs import MetricsRegistry, get_metrics, set_metrics
-from .pareto import ParetoPoint, front_indices, pareto_front
+from .pareto import ParetoPoint, front_indices
 
 __all__ = ["SearchResult", "search_front", "search_fronts"]
 
@@ -86,38 +86,36 @@ class SearchResult:
         return self.n_evaluated / self.n_space if self.n_space else 0.0
 
 
-def _neighbors(space: DesignSpace, lengths: Tuple[int, ...],
-               idx: int) -> List[int]:
-    """Axis neighbors (+-1 along each axis, clamped) of a flat index."""
-    coords = space.coords_at(idx)
-    out: List[int] = []
-    for d, length in enumerate(lengths):
-        for step in (-1, 1):
-            c = coords[d] + step
-            if 0 <= c < length:
-                out.append(space.index_of(
-                    coords[:d] + (c,) + coords[d + 1:]))
-    return out
+def _front_pool(space: DesignSpace, front: Sequence[int],
+                done: np.ndarray) -> List[int]:
+    """Unevaluated axis neighbors (+-1 along each axis) of the front.
+
+    Ordered by front member, then axis, then -1 before +1; a point
+    reachable from several members keeps its first position.
+    """
+    lengths = np.array(space.axis_lengths())
+    strides = np.array(space.axis_strides())
+    idx = np.asarray(front, dtype=np.int64)
+    steps = np.array([-1, 1])
+    # (front, axis, step) arrays of neighbor coordinates and indices.
+    c = space.coords_array(idx)[:, :, None] + steps
+    cand = idx[:, None, None] + strides[:, None] * steps
+    cand = cand[(c >= 0) & (c < lengths[:, None])]
+    cand = cand[~done[cand]]
+    _, first = np.unique(cand, return_index=True)
+    return cand[np.sort(first)].tolist()
 
 
-def _seed_indices(space: DesignSpace, lengths: Tuple[int, ...]) -> List[int]:
+def _seed_indices(space: DesignSpace) -> List[int]:
     """Deterministic seed set: corners + axis cross through the center."""
-    seeds: List[int] = []
-    seen = set()
-
-    def add(coords: Tuple[int, ...]) -> None:
-        i = space.index_of(coords)
-        if i not in seen:
-            seen.add(i)
-            seeds.append(i)
-
-    for corner in product(*[(0, length - 1) for length in lengths]):
-        add(tuple(corner))
+    lengths = space.axis_lengths()
     center = tuple(length // 2 for length in lengths)
-    for d, length in enumerate(lengths):
-        for v in range(length):
-            add(center[:d] + (v,) + center[d + 1:])
-    return seeds
+    seeds = space.index_array(
+        list(product(*[(0, length - 1) for length in lengths]))
+        + [center[:d] + (v,) + center[d + 1:]
+           for d, length in enumerate(lengths) for v in range(length)])
+    _, first = np.unique(seeds, return_index=True)
+    return seeds[np.sort(first)].tolist()
 
 
 def _fit_quadratic(coords: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,7 +199,6 @@ def search_front(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     space = space or DesignSpace()
-    lengths = space.axis_lengths()
     n_space = len(space)
     budget = (int(max_evals) if max_evals is not None
               else max(1, math.ceil(budget_frac * n_space)))
@@ -215,49 +212,60 @@ def search_front(
         evaluator = BatchEvaluator(Musa(get_app(app)))
     rng = random.Random(seed)
 
-    evaluated: Dict[int, Mapping] = {}
+    done = np.zeros(n_space, dtype=bool)
+    n_done = 0
+    # Every acquired ``(index, ResultSet key, record)``; the key is None
+    # for store hits, which go through ``ResultSet.add``.
+    acquired: List[Tuple[int, Optional[Tuple], Mapping]] = []
     # Parallel arrays over points that carry both metrics (front space).
     pts_idx: List[int] = []
     pts_x: List[float] = []
     pts_y: List[float] = []
+    pts_rec: List[Mapping] = []
 
     def acquire(indices: Sequence[int]) -> None:
         """Evaluate (or fetch from the store) a batch of space indices."""
-        fresh = [i for i in indices if i not in evaluated]
+        nonlocal n_done
+        fresh = [i for i in indices if not done[i]]
         if not fresh:
             return
-        nodes = {i: space.config_at(i) for i in fresh}
-        misses: List[int] = []
+        nodes = [space.config_at(i) for i in fresh]
+        got: List[Optional[Tuple[Optional[Tuple], Mapping]]] = \
+            [None] * len(fresh)
         if store is not None:
-            for i in fresh:
-                entry = store.get(store_key(
-                    app, nodes[i].axis_values(), mode, n_ranks,
-                    code_version))
+            for k, key in enumerate(store_keys_batch(
+                    app, [node.axis_values() for node in nodes], mode,
+                    n_ranks, code_version)):
+                entry = store.get(key)
                 if entry is not None:
-                    evaluated[i] = entry["record"]
-                else:
-                    misses.append(i)
-        else:
-            misses = fresh
+                    got[k] = (None, entry["record"])
+        misses = [k for k, g in enumerate(got) if g is None]
         if misses:
             before = reg.snapshot()
             frame = evaluator.evaluate_frame(
-                [nodes[i] for i in misses], n_ranks=n_ranks, mode=mode)
+                [nodes[k] for k in misses], n_ranks=n_ranks, mode=mode)
             if store is not None:
                 delta = reg.delta(before, reg.snapshot())["counters"]
                 store.put_frame(frame, mode, n_ranks, code_version,
                                 make_provenance("search", delta))
-            for i, rec in zip(misses, frame.rows()):
-                evaluated[i] = rec
+            missing = [k for k in CONFIG_KEYS if k not in frame.keys]
+            if missing:
+                raise ValueError(f"record missing config keys: {missing}")
+            key_cols = [frame.column(k).tolist() for k in CONFIG_KEYS]
+            for k, key, rec in zip(misses, zip(*key_cols), frame.rows()):
+                got[k] = (key, rec)
+        done[fresh] = True
+        n_done += len(fresh)
         reg.inc("search.evaluated", len(fresh))
-        for i in fresh:
-            rec = evaluated[i]
+        for i, (key, rec) in zip(fresh, got):
+            acquired.append((i, key, rec))
             x, y = rec.get(x_metric), rec.get(y_metric)
             if x is None or y is None:
                 continue
             pts_idx.append(i)
             pts_x.append(float(x))
             pts_y.append(float(y))
+            pts_rec.append(rec)
 
     def current_front() -> List[int]:
         return [pts_idx[j] for j in front_indices(pts_x, pts_y)]
@@ -265,30 +273,21 @@ def search_front(
     rounds = 0
     converged = False
     try:
-        seeds = _seed_indices(space, lengths)[:budget]
-        acquire(seeds)
+        acquire(_seed_indices(space)[:budget])
 
         stall = 0
-        prev_front: Optional[Tuple[int, ...]] = None
+        front, prev_front = current_front(), None
         while True:
-            room = budget - len(evaluated)
-            if room <= 0 or len(evaluated) >= n_space:
-                converged = len(evaluated) >= n_space
+            room = budget - n_done
+            if room <= 0 or n_done >= n_space:
+                converged = n_done >= n_space
                 break
-            front = current_front()
-            pool: List[int] = []
-            pool_seen = set()
-            for i in front:
-                for j in _neighbors(space, lengths, i):
-                    if j not in evaluated and j not in pool_seen:
-                        pool_seen.add(j)
-                        pool.append(j)
+            pool = _front_pool(space, front, done)
             if patience is not None and not pool and stall >= patience:
                 converged = True
                 break
             if surrogate and pool:
-                pool = _rank_pool(space, lengths, pool, pts_idx, pts_x,
-                                  pts_y, reg)
+                pool = _rank_pool(space, pool, pts_idx, pts_x, pts_y, reg)
             batch: List[int] = []
             batch_seen = set()
             for _ in range(min(batch_size, room)):
@@ -298,21 +297,21 @@ def search_front(
                 else:
                     for _ in range(64):  # rejection-sample the space
                         j = rng.randrange(n_space)
-                        if j not in evaluated and j not in batch_seen:
+                        if not done[j] and j not in batch_seen:
                             pick = j
                             break
                     if pick is None and pool:
                         pick = pool.pop(0)
-                    elif pick is None and len(evaluated) + len(batch) < n_space:
+                    elif pick is None and n_done + len(batch) < n_space:
                         # Rejection sampling starves when almost nothing
                         # is left; scan from a random start so a
                         # full-budget run really exhausts the space.
                         start = rng.randrange(n_space)
-                        for off in range(n_space):
-                            j = (start + off) % n_space
-                            if j not in evaluated and j not in batch_seen:
-                                pick = j
-                                break
+                        free = ~done
+                        free[list(batch_seen)] = False
+                        rest = np.flatnonzero(np.roll(free, -start))
+                        if rest.size:
+                            pick = (start + int(rest[0])) % n_space
                 if pick is None or pick in batch_seen:
                     continue
                 batch_seen.add(pick)
@@ -321,32 +320,42 @@ def search_front(
                 break  # nothing proposable: space effectively exhausted
             acquire(batch)
             rounds += 1
-            front_now = tuple(current_front())
-            if front_now == prev_front:
-                stall += 1
-            else:
-                stall = 0
-            prev_front = front_now
+            front = current_front()
+            stall = stall + 1 if front == prev_front else 0
+            prev_front = front
     finally:
         if prev_reg is not None:
             set_metrics(prev_reg)
 
-    results = ResultSet(evaluated[i] for i in sorted(evaluated))
-    front_ids = current_front()
-    front = pareto_front(results, app, x_metric=x_metric,
-                         y_metric=y_metric, cores=None)
+    # The final front is read in space-index order, so a tie in (x, y)
+    # goes to the lowest index -- exactly pareto_front's rule.
+    idx = np.array(pts_idx, dtype=np.int64)
+    xs, ys = np.array(pts_x), np.array(pts_y)
+    order = np.argsort(idx)
+    order = order[~(np.isnan(xs[order]) | np.isnan(ys[order]))]
+    if not len(order):
+        raise ValueError(f"no records with {x_metric}/{y_metric} for {app}")
+    sel = order[front_indices(xs[order], ys[order])].tolist()
+    front = [ParetoPoint(config={k: pts_rec[j][k] for k in CONFIG_KEYS},
+                         x=pts_x[j], y=pts_y[j]) for j in sel]
+    results = ResultSet()
+    for _, key, rec in sorted(acquired, key=lambda t: t[0]):
+        if key is None:
+            results.add(rec)
+        else:
+            results._add_keyed(key, rec)
     reg.inc("search.rounds", rounds)
     reg.inc("search.front_size", len(front))
     return SearchResult(
         app=app, front=front, results=results,
-        n_evaluated=len(evaluated), n_space=n_space, rounds=rounds,
-        converged=converged, front_point_indices=sorted(front_ids),
+        n_evaluated=n_done, n_space=n_space, rounds=rounds,
+        converged=converged,
+        front_point_indices=sorted(pts_idx[j] for j in sel),
     )
 
 
-def _rank_pool(space: DesignSpace, lengths: Tuple[int, ...],
-               pool: List[int], pts_idx: List[int], pts_x: List[float],
-               pts_y: List[float], reg) -> List[int]:
+def _rank_pool(space: DesignSpace, pool: List[int], pts_idx: List[int],
+               pts_x: List[float], pts_y: List[float], reg) -> List[int]:
     """Order the candidate pool by surrogate-predicted promise.
 
     Fits per-axis quadratics to ``log(x)``/``log(y)`` over the
@@ -355,23 +364,17 @@ def _rank_pool(space: DesignSpace, lengths: Tuple[int, ...],
     (low-left corner first).  Falls back to the unranked pool until
     there are enough samples for the 13-parameter fit.
     """
-    d = len(lengths)
-    if len(pts_idx) < 2 * (2 * d + 1):
+    lengths = space.axis_lengths()
+    if len(pts_idx) < 2 * (2 * len(lengths) + 1):
         return pool
-
-    def norm_coords(indices: Sequence[int]) -> np.ndarray:
-        z = np.array([space.coords_at(i) for i in indices],
+    scale = np.array([max(length - 1, 1) for length in lengths],
                      dtype=np.float64)
-        scale = np.array([max(length - 1, 1) for length in lengths],
-                         dtype=np.float64)
-        return z / scale
-
-    zs = norm_coords(pts_idx)
+    zs = space.coords_array(pts_idx) / scale
     log_x = np.log(np.maximum(np.array(pts_x), 1e-300))
     log_y = np.log(np.maximum(np.array(pts_y), 1e-300))
     beta_x = _fit_quadratic(zs, log_x)
     beta_y = _fit_quadratic(zs, log_y)
-    zc = norm_coords(pool)
+    zc = space.coords_array(pool) / scale
     px = _predict(zc, beta_x)
     py = _predict(zc, beta_y)
 

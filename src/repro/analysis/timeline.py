@@ -75,12 +75,6 @@ class RankActivityStats:
     def mean_collective_fraction(self) -> float:
         return float(self.collective_fraction.mean())
 
-    @property
-    def imbalance_wait_fraction(self) -> float:
-        """Collective time is almost entirely waiting for slow ranks when
-        the payload is tiny — the paper's Fig. 4 observation."""
-        return self.mean_collective_fraction
-
 
 def rank_activity_stats(result: ReplayResult) -> RankActivityStats:
     if result.total_ns <= 0:

@@ -13,9 +13,12 @@ stable ordering produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cache import CACHE_LABELS, cache_preset
 from .core import CORE_LABELS, core_preset
@@ -28,6 +31,13 @@ __all__ = ["DesignSpace", "axis_linspace", "axis_range",
 
 #: Axis names in canonical iteration order (outermost first).
 AXES: Tuple[str, ...] = ("core", "cache", "memory", "frequency", "vector", "cores")
+
+#: The :class:`DesignSpace` field that holds each axis's values.
+_AXIS_FIELDS: Dict[str, str] = {
+    "core": "core_labels", "cache": "cache_labels",
+    "memory": "memory_labels", "frequency": "frequencies",
+    "vector": "vector_widths", "cores": "core_counts",
+}
 
 
 def axis_range(start, stop, step) -> Tuple:
@@ -86,25 +96,28 @@ class DesignSpace:
             if len(set(self._axis(name))) != len(self._axis(name)):
                 raise ValueError(f"axis {name!r} has duplicate values")
 
+    def __getstate__(self) -> Dict[str, Tuple]:
+        # Pickle the fields only, never the cached geometry.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def _axis(self, name: str) -> Sequence:
-        return {
-            "core": self.core_labels,
-            "cache": self.cache_labels,
-            "memory": self.memory_labels,
-            "frequency": self.frequencies,
-            "vector": self.vector_widths,
-            "cores": self.core_counts,
-        }[name]
+        return getattr(self, _AXIS_FIELDS[name])
+
+    @cached_property
+    def _geometry(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+        """Axis lengths, row-major strides and size, computed once."""
+        lengths = tuple(len(self._axis(name)) for name in AXES)
+        strides = [1]
+        for length in reversed(lengths[1:]):
+            strides.insert(0, strides[0] * length)
+        return lengths, tuple(strides), strides[0] * lengths[0]
 
     def axis_values(self, name: str) -> Tuple:
         """Values explored along one named axis."""
         return tuple(self._axis(name))
 
     def __len__(self) -> int:
-        n = 1
-        for name in AXES:
-            n *= len(self._axis(name))
-        return n
+        return self._geometry[2]
 
     def __iter__(self) -> Iterator[NodeConfig]:
         for core, cache, mem, freq, vec, ncores in product(
@@ -126,7 +139,11 @@ class DesignSpace:
 
     def axis_lengths(self) -> Tuple[int, ...]:
         """Per-axis value counts in canonical :data:`AXES` order."""
-        return tuple(len(self._axis(name)) for name in AXES)
+        return self._geometry[0]
+
+    def axis_strides(self) -> Tuple[int, ...]:
+        """Flat-index step of +1 along each axis, in :data:`AXES` order."""
+        return self._geometry[1]
 
     def coords_at(self, index: int) -> Tuple[int, ...]:
         """Mixed-radix decode of a flat index into per-axis coordinates.
@@ -134,26 +151,44 @@ class DesignSpace:
         Row-major over :data:`AXES` (cores fastest-varying), matching
         ``__iter__``'s ``itertools.product`` order exactly.
         """
-        n = len(self)
+        lengths, strides, n = self._geometry
         if not 0 <= index < n:
             raise IndexError(f"index {index} out of range for {n}-point space")
-        coords = []
-        for length in reversed(self.axis_lengths()):
-            index, c = divmod(index, length)
-            coords.append(c)
-        return tuple(reversed(coords))
+        return tuple(index // s % length for s, length in zip(strides, lengths))
 
     def index_of(self, coords: Sequence[int]) -> int:
         """Inverse of :meth:`coords_at`."""
-        lengths = self.axis_lengths()
+        lengths, strides, _ = self._geometry
         if len(coords) != len(lengths):
             raise ValueError(f"expected {len(lengths)} coords, got {coords}")
         index = 0
-        for c, length in zip(coords, lengths):
+        for c, length, s in zip(coords, lengths, strides):
             if not 0 <= c < length:
                 raise IndexError(f"coordinate {c} out of range 0..{length - 1}")
-            index = index * length + c
+            index += c * s
         return index
+
+    def coords_array(self, indices) -> np.ndarray:
+        """:meth:`coords_at` over an array of flat indices: an int64
+        array with one trailing axis of ``len(AXES)`` coordinates."""
+        lengths, strides, n = self._geometry
+        idx = np.asarray(indices, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= n)]
+        if bad.size:
+            raise IndexError(f"index {bad[0]} out of range for {n}-point space")
+        return idx[..., None] // np.array(strides) % np.array(lengths)
+
+    def index_array(self, coords) -> np.ndarray:
+        """:meth:`index_of` over an array of coordinate rows."""
+        lengths, strides, _ = self._geometry
+        z = np.asarray(coords, dtype=np.int64)
+        if z.ndim == 0 or z.shape[-1] != len(lengths):
+            raise ValueError(f"expected rows of {len(lengths)} coords, "
+                             f"got shape {z.shape}")
+        bad = z[(z < 0) | (z >= np.array(lengths))]
+        if bad.size:
+            raise IndexError(f"coordinate {bad[0]} out of range {lengths}")
+        return z @ np.array(strides)
 
     def config_at(self, index: int) -> NodeConfig:
         """Lazily materialize the ``index``-th config of the space.
@@ -180,13 +215,8 @@ class DesignSpace:
         subset used for the PCA study (Sec. V-C).
         """
         kwargs: Dict[str, Tuple] = {}
-        mapping = {
-            "core": "core_labels", "cache": "cache_labels",
-            "memory": "memory_labels", "frequency": "frequencies",
-            "vector": "vector_widths", "cores": "core_counts",
-        }
         for axis, value in fixed.items():
-            if axis not in mapping:
+            if axis not in _AXIS_FIELDS:
                 raise KeyError(f"unknown axis {axis!r}; valid axes: {AXES}")
             values = value if isinstance(value, (tuple, list)) else (value,)
             for v in values:
@@ -194,17 +224,8 @@ class DesignSpace:
                     raise ValueError(
                         f"value {v!r} not in axis {axis!r} ({self._axis(axis)})"
                     )
-            kwargs[mapping[axis]] = tuple(values)
-        current = {
-            "core_labels": self.core_labels,
-            "cache_labels": self.cache_labels,
-            "memory_labels": self.memory_labels,
-            "frequencies": self.frequencies,
-            "vector_widths": self.vector_widths,
-            "core_counts": self.core_counts,
-        }
-        current.update(kwargs)
-        return DesignSpace(**current)
+            kwargs[_AXIS_FIELDS[axis]] = tuple(values)
+        return replace(self, **kwargs)
 
     def samples_per_bar(self, axis: str, panel_cores: Optional[int] = None) -> int:
         """Number of paired samples averaged into one figure bar.

@@ -75,21 +75,6 @@ class ResultSet:
             record = dict(record)
         self._records.append(record)
 
-    def add_frame(self, frame: ResultFrame) -> None:
-        """Bulk-insert every row of a frame as lazy entries.
-
-        Config keys and duplicates are validated from the frame's
-        columns; no row dict is materialized.
-        """
-        if len(frame) == 0:
-            return
-        missing = [k for k in CONFIG_KEYS if k not in frame.keys]
-        if missing:
-            raise ValueError(f"record missing config keys: {missing}")
-        key_cols = [frame.column(k).tolist() for k in CONFIG_KEYS]
-        for i, key in enumerate(zip(*key_cols)):
-            self._add_keyed(key, frame.row(i))
-
     def _add_keyed(self, key: Tuple, record: Record) -> None:
         """Trusted insert: the caller guarantees ``key == _key(record)``
         and that the record carries every config key."""

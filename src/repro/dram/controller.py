@@ -80,10 +80,6 @@ class ChannelResult:
     total_latency_cycles: float
     n_requests: int
 
-    @property
-    def avg_latency_cycles(self) -> float:
-        return self.total_latency_cycles / self.n_requests if self.n_requests else 0.0
-
 
 class _Channel:
     """One channel: banks + shared data bus + FR-FCFS window."""
@@ -221,14 +217,6 @@ class DramSystemResult:
         for ch in self.per_channel:
             total += ch.counts
         return total
-
-    @property
-    def avg_latency_ns(self) -> float:
-        n = sum(c.n_requests for c in self.per_channel)
-        if n == 0:
-            return 0.0
-        lat_cy = sum(c.total_latency_cycles for c in self.per_channel)
-        return lat_cy / n  # caller multiplies by tck if needed per channel
 
 
 class DramSystem:

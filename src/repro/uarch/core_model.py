@@ -80,12 +80,6 @@ class KernelTiming:
         return self.dram_lines * LINE_BYTES
 
     @property
-    def mem_stall_fraction(self) -> float:
-        """Share of time sensitive to memory queueing delay."""
-        c = self.cycles
-        return self.mem_stall_cycles / c if c > 0 else 0.0
-
-    @property
     def ipc(self) -> float:
         c = self.cycles
         return self.instructions / c if c > 0 else 0.0

@@ -19,8 +19,9 @@ from repro.config import DesignSpace, axis_linspace, axis_range, \
     full_design_space
 from repro.core import ResultSet
 from repro.core.batch import BatchEvaluator
+from repro.core.frame import ResultFrame
 from repro.core.musa import Musa
-from repro.core.store import ResultStore
+from repro.core.store import ResultStore, store_key, store_keys_batch
 from repro.obs import MetricsRegistry
 
 APP = "lulesh"
@@ -149,6 +150,63 @@ class TestStoreStreaming:
         assert reg.counter("store.hit") == first.n_evaluated
         assert _as_tuples(again.front) == _as_tuples(first.front)
         assert list(again.results) == list(first.results)
+
+
+    def test_search_keys_are_store_keys(self, evaluator, tmp_path):
+        batches = []
+
+        class RecordingEvaluator:
+            def evaluate_frame(self, nodes, **kw):
+                batches.append(list(nodes))
+                return evaluator.evaluate_frame(nodes, **kw)
+
+        with ResultStore(tmp_path / "store.jsonl") as store:
+            search_front(APP, SMALL, max_evals=len(SMALL), patience=None,
+                         evaluator=RecordingEvaluator(), store=store,
+                         code_version="test", metrics=MetricsRegistry())
+            configs = [node.axis_values() for node in batches[0]]
+            keys = store_keys_batch(APP, configs, "fast", 256, "test")
+            assert keys == [store_key(APP, c, "fast", 256, "test")
+                            for c in configs]
+            assert all(key in store for key in keys)
+
+
+class TestFrontTies:
+    """A tie in (x, y) goes to the lowest space index, in ``front`` and
+    ``front_point_indices`` alike."""
+
+    #: Seeds visit index 0, then 2, then 1: the tied pair (1, 2) is
+    #: acquired out of index order.
+    LINE = DesignSpace(core_labels=("medium",), cache_labels=("64M:512K",),
+                       memory_labels=("4chDDR4",), frequencies=(2.0,),
+                       vector_widths=(256,), core_counts=(32, 64, 96))
+
+    class TiedEvaluator:
+        METRICS = {32: (2.0, 1.0), 64: (1.0, 2.0), 96: (1.0, 2.0)}
+
+        def evaluate_frame(self, nodes, **kw):
+            records = []
+            for node in nodes:
+                x, y = self.METRICS[node.n_cores]
+                records.append({"app": APP, **node.axis_values(),
+                                "time_ns": x, "power_total_w": y})
+            return ResultFrame.from_records(records)
+
+    def test_front_point_indices_name_the_front_configs(self):
+        space = self.LINE
+        res = search_front(APP, space, max_evals=len(space), patience=None,
+                           evaluator=self.TiedEvaluator(),
+                           metrics=MetricsRegistry())
+        assert res.n_evaluated == len(space)
+        named = [space.config_at(i).axis_values()
+                 for i in res.front_point_indices]
+        front = [{k: v for k, v in p.config.items() if k != "app"}
+                 for p in res.front]
+        assert sorted(sorted(c.items()) for c in named) == \
+            sorted(sorted(c.items()) for c in front)
+        assert res.front_point_indices == [0, 1]
+        ref = pareto_front(res.results, APP, cores=None)
+        assert _as_tuples(res.front) == _as_tuples(ref)
 
 
 class TestSurrogate:

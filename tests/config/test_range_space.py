@@ -147,3 +147,81 @@ class TestLazyIndexingProperties:
     @given(space=small_spaces)
     def test_full_enumeration_by_index(self, space):
         assert [space.config_at(i) for i in range(len(space))] == list(space)
+
+
+#: Spaces with every axis length drawn, numeric axes included.
+shaped_spaces = st.builds(
+    DesignSpace,
+    core_labels=_axis_subset(CORE_LABELS),
+    cache_labels=_axis_subset(CACHE_LABELS),
+    memory_labels=_axis_subset(MEMORY_LABELS),
+    frequencies=st.integers(1, 4).map(lambda n: axis_linspace(1.0, 4.0, n)),
+    vector_widths=st.integers(1, 3).map(lambda n: (128, 256, 512)[:n]),
+    core_counts=st.integers(1, 5).map(lambda n: axis_range(8, 8 * n, 8)),
+)
+
+
+class TestArrayIndexing:
+    @_SETTINGS
+    @given(space=shaped_spaces, data=st.data())
+    def test_array_forms_match_scalar_forms(self, space, data):
+        indices = data.draw(st.lists(st.integers(0, len(space) - 1),
+                                     max_size=20))
+        coords = space.coords_array(indices)
+        assert coords.shape == (len(indices), len(space.axis_lengths()))
+        assert [tuple(row) for row in coords.tolist()] == \
+            [space.coords_at(i) for i in indices]
+        assert space.index_array(coords).tolist() == \
+            [space.index_of(space.coords_at(i)) for i in indices]
+
+    @_SETTINGS
+    @given(space=shaped_spaces, data=st.data())
+    def test_out_of_range_raises_index_error(self, space, data):
+        n = len(space)
+        bad = data.draw(st.one_of(st.integers(n, 2 * n),
+                                  st.integers(-n, -1)))
+        with pytest.raises(IndexError):
+            space.coords_at(bad)
+        with pytest.raises(IndexError):
+            space.coords_array([0, bad])
+        d = data.draw(st.integers(0, len(space.axis_lengths()) - 1))
+        coords = list(space.coords_at(data.draw(st.integers(0, n - 1))))
+        coords[d] = data.draw(st.sampled_from(
+            [-1, space.axis_lengths()[d]]))
+        with pytest.raises(IndexError):
+            space.index_of(coords)
+        with pytest.raises(IndexError):
+            space.index_array([list(space.coords_at(0)), coords])
+
+    def test_wrong_coordinate_width_raises_value_error(self):
+        space = range_design_space()
+        with pytest.raises(ValueError):
+            space.index_of((0, 0))
+        with pytest.raises(ValueError):
+            space.index_array([[0, 0]])
+
+
+class TestCachedGeometry:
+    def test_cached_space_equals_hashes_and_pickles_like_a_fresh_one(self):
+        import pickle
+
+        warm = range_design_space()
+        warm.config_at(len(warm) - 1)
+        warm.coords_array([0, 1])
+        fresh = range_design_space()
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == warm and hash(back) == hash(warm)
+        assert pickle.dumps(warm) == pickle.dumps(fresh)
+        assert back.axis_lengths() == warm.axis_lengths()
+        assert back.config_at(12345) == warm.config_at(12345)
+
+    def test_strides_are_row_major(self):
+        space = range_design_space()
+        lengths = space.axis_lengths()
+        strides = space.axis_strides()
+        assert strides[-1] == 1
+        for d in range(len(lengths) - 1):
+            assert strides[d] == strides[d + 1] * lengths[d + 1]
+        assert strides[0] * lengths[0] == len(space)
