@@ -4,27 +4,44 @@ One sweep task used to be one ``(app, node)`` simulation; this module
 evaluates one app against a whole *batch* of node configurations at
 once.  Trace-derived quantities (imbalance factors, per-task work,
 kernel membership) are invariant across configurations and precomputed
-once per app; the per-kernel hot path then runs column-wise over the
-configuration axis (:mod:`repro.uarch.batch`) on the batched cache-miss
-model, the phase schedule replay runs column-wise through
-:func:`~repro.runtime.scheduler.simulate_phase_batch` (falling back to
-per-config scalar scheduling only for general DAGs or unequal
-overhead/duration scales), and the MPI trace replay of ``mode='replay'``
-runs column-wise too (:mod:`repro.network.replay_batch`), with the
-order-free path executed level-batched on a structural tape.
+once per app, with every phase's task rows padded to the app's largest
+task count (padded rows carry zero work).
+
+The app's phases are evaluated in **one pass**.  A *lane* is one
+(phase, config) pair; each of the ``_N_REFINE`` refine iterations
+stacks every still-active lane of every phase:
+
+* kernels are timed column-wise over the configuration axis
+  (:mod:`repro.uarch.batch`) on the batched cache-miss model, once per
+  (kernel, share column) not yet in the call's kernel memo, and all of
+  the iteration's misses share **one** contention fixed point
+  (:func:`~repro.uarch.batch.resolve_contention_batch`);
+* all lanes share **one** schedule replay
+  (:func:`~repro.runtime.scheduler.simulate_phase_batch`, which takes a
+  phase per lane and falls back to per-lane scalar scheduling only for
+  general DAGs or unequal overhead/duration scales);
+* the task-order event totals run once per app over the padded rows.
+
+The MPI trace replay of ``mode='replay'`` runs column-wise too
+(:mod:`repro.network.replay_batch`), with the order-free path executed
+level-batched on a structural tape.
 
 **Exactness contract**: for every configuration the batched evaluator
 produces a record bitwise-identical to
 ``Musa.simulate_node(...).record()`` — same floats, not merely close
-ones.  The refine loop reproduces the scalar iteration structure with a
-per-config *active* mask: once a configuration passes the scalar
-convergence test its share and occupancy freeze, and because the timing
-recompute at a frozen share is deterministic and idempotent, frozen
-lanes ride along through later iterations unchanged.
+ones.  Every lane keeps the scalar float sequence of its own phase and
+config: stacking only puts independent elementwise operations side by
+side.  The refine loop reproduces the scalar iteration structure with a
+per-lane *active* mask: once a lane passes the scalar convergence test
+its share and occupancy freeze, and because the timing recompute at a
+frozen share is deterministic and idempotent, frozen lanes ride along
+through later iterations unchanged; a phase with no active lane left
+drops out of the iteration.
 
 Node-level totals are accumulated **in task order** (vector over the
 config axis), never regrouped per kernel — float addition is not
-associative and the contract is bitwise.
+associative and the contract is bitwise.  Each phase's total is read at
+its own last task row, so the padding never enters a sum.
 """
 
 from __future__ import annotations
@@ -62,15 +79,21 @@ _N_REFINE = 2
 
 
 @dataclass(frozen=True)
-class _PhaseInvariants:
-    """Configuration-independent per-phase data, computed once per app."""
+class _AppInvariants:
+    """Configuration-independent task data of all phases, computed once
+    per app.  Task rows are padded to the largest phase with zero work;
+    a *slot* is one (phase, kernel) pair, in phase then kernel order."""
 
-    phase: ComputePhase
-    imb: np.ndarray              # per-task imbalance factors
-    work_arr: np.ndarray         # per-task work units, as float64
-    kernel_names: Tuple[str, ...]
-    kidx: np.ndarray             # per-task index into kernel_names
-    n_tasks: int
+    phases: Tuple[ComputePhase, ...]
+    n_tasks: np.ndarray              # (phases,)
+    slots: Tuple[Tuple[int, str], ...]
+    first_slot: np.ndarray           # (phases,) its first kernel's slot
+    slot_of: np.ndarray              # (rows, phases) task slot, 0 when padded
+    work: np.ndarray                 # (rows, phases) task work units
+    imb: np.ndarray                  # (rows, phases) task imbalance factors
+    last: np.ndarray                 # (phases,) last task row, 0 when empty
+    row_hit_rate: np.ndarray         # (slots,) the slot kernel's row hit rate
+    store_ratio: np.ndarray          # (slots,) store / mem of its mix
 
 
 @dataclass
@@ -79,7 +102,6 @@ class _PhaseCols:
 
     makespan: np.ndarray         # per-config phase makespan (ns)
     busy: np.ndarray             # per-config sum of core busy time (ns)
-    n_busy: np.ndarray
     instr: np.ndarray
     flops: float                 # config-invariant scalar
     l1: np.ndarray
@@ -107,7 +129,7 @@ class BatchEvaluator:
 
     def __init__(self, musa: Musa, memo_cap: int = 16384) -> None:
         self.musa = musa
-        self._invariants = [self._phase_invariants(p) for p in musa.phases]
+        self._app = self._app_invariants(musa)
         # LRU-bounded like Musa's memos (PR 4): a long-lived process
         # (the sweep service) evaluates unbounded config streams through
         # one evaluator, and these were the last unbounded memo dicts.
@@ -117,23 +139,35 @@ class BatchEvaluator:
             memo_cap, eviction_counter="batch.memo.evictions")
 
     @staticmethod
-    def _phase_invariants(phase: ComputePhase) -> _PhaseInvariants:
-        tasks = phase.tasks
-        if not tasks:
-            return _PhaseInvariants(phase, np.empty(0),
-                                    np.empty(0, np.float64), (),
-                                    np.empty(0, np.int64), 0)
-        imb = _imbalance_factors(phase)
-        kernel_names = tuple(sorted({t.kernel for t in tasks}))
-        pos = {k: i for i, k in enumerate(kernel_names)}
-        kidx = np.array([pos[t.kernel] for t in tasks], np.int64)
-        return _PhaseInvariants(
-            phase=phase,
-            imb=imb,
-            work_arr=np.array([t.work_units for t in tasks], np.float64),
-            kernel_names=kernel_names,
-            kidx=kidx,
-            n_tasks=len(tasks),
+    def _app_invariants(musa: Musa) -> _AppInvariants:
+        phases = tuple(musa.phases)
+        n_tasks = np.array([len(p.tasks) for p in phases], np.int64)
+        rows = int(n_tasks.max()) if len(phases) else 0
+        slot_of = np.zeros((rows, len(phases)), np.int64)
+        work = np.zeros((rows, len(phases)))
+        imb = np.zeros((rows, len(phases)))
+        slots: List[Tuple[int, str]] = []
+        first_slot = np.zeros(len(phases), np.int64)
+        for p, phase in enumerate(phases):
+            tasks = phase.tasks
+            if not tasks:
+                continue
+            kernel_names = sorted({t.kernel for t in tasks})
+            pos = {k: len(slots) + i for i, k in enumerate(kernel_names)}
+            first_slot[p] = len(slots)
+            slots.extend((p, k) for k in kernel_names)
+            n = len(tasks)
+            slot_of[:n, p] = [pos[t.kernel] for t in tasks]
+            work[:n, p] = [t.work_units for t in tasks]
+            imb[:n, p] = _imbalance_factors(phase)
+        sigs = [musa.detailed[k] for _, k in slots]
+        return _AppInvariants(
+            phases=phases, n_tasks=n_tasks, slots=tuple(slots),
+            first_slot=first_slot, slot_of=slot_of, work=work, imb=imb,
+            last=np.maximum(n_tasks - 1, 0),
+            row_hit_rate=np.array([s.row_hit_rate for s in sigs]),
+            store_ratio=np.array([s.mix.store / s.mix.mem if s.mix.mem > 0
+                                  else 0.0 for s in sigs]),
         )
 
     # ------------------------------------------------------------------ public
@@ -195,152 +229,155 @@ class BatchEvaluator:
 
     # ----------------------------------------------------------------- phases
 
-    def _phase_cols(
-        self,
-        inv: _PhaseInvariants,
-        nb: NodeBatch,
-        kernel_memo: Dict,
-    ) -> _PhaseCols:
+    def _app_cols(self, nb: NodeBatch, kernel_memo: Dict) -> List[_PhaseCols]:
+        """Every phase's converged columns, in one pass over the app.
+
+        Each refine iteration stacks the still-active (phase, config)
+        pairs — *lanes* — so the kernel-memo misses of all phases share
+        one contention fixed point and all lanes one scheduler call.
+        """
         obs = get_metrics()
+        app = self._app
+        n_phases = len(app.phases)
         n_configs = len(nb)
-        obs.inc("phase_sim.calls", n_configs)
-        phase = inv.phase
-
-        if inv.n_tasks == 0:
-            sched = simulate_phase_batch(phase, nb.n_cores)
-            zeros = np.zeros(n_configs)
-            return _PhaseCols(
-                makespan=sched.makespan_ns, busy=sched.busy_sum_ns,
-                n_busy=zeros, instr=zeros, flops=0.0, l1=zeros, l2=zeros,
-                l3=zeros, dram=zeros, dram_bytes=zeros, store_frac=zeros,
-                row_hit=zeros, util=zeros,
-                lanes_eff=np.ones(n_configs),
-            )
-
+        obs.inc("phase_sim.calls", n_phases * n_configs)
         detailed = self.musa.detailed
-        kernel_names, kidx, imb = inv.kernel_names, inv.kidx, inv.imb
+        has_tasks = app.n_tasks > 0
+        rows = app.work.shape[0]
 
         n_cores_f = nb.n_cores.astype(np.float64)
         # Scalar: float(min(len(tasks), node.n_cores)).
-        n_busy = np.minimum(float(inv.n_tasks), n_cores_f)
-
-        active = np.ones(n_configs, dtype=bool)
-        share: Optional[np.ndarray] = None
-        makespan = np.zeros(n_configs)
-        busy = np.zeros(n_configs)
-        timing_cols: Dict = {}
-        util_col = np.zeros(n_configs)
-        for _ in range(_N_REFINE):
+        n_busy = np.minimum(app.n_tasks.astype(np.float64)[:, None],
+                            n_cores_f)
+        active = np.repeat(has_tasks[:, None], n_configs, axis=1)
+        share = np.zeros((n_phases, n_configs), np.int64)
+        makespan = np.zeros((n_phases, n_configs))
+        busy = np.zeros((n_phases, n_configs))
+        util = np.zeros((n_phases, n_configs))
+        timing: List = [None] * len(app.slots)
+        for it in range(_N_REFINE):
+            live = active.any(axis=1)
             # Frozen lanes keep the share of the iteration they converged
             # in (NOT round(frozen n_busy): 2.4 -> 2.6 converges with
             # |diff| < 0.5 but the rounds differ).
-            share_new = np.maximum(1.0, np.round(n_busy)).astype(np.int64)
-            share = share_new if share is None else np.where(
-                active, share_new, share)
-            skey = share.tobytes()
+            share = np.where(
+                active, np.maximum(1.0, np.round(n_busy)).astype(np.int64),
+                share)
+            skeys = [share[p].tobytes() if live[p] else None
+                     for p in range(n_phases)]
 
-            timing_cols = {}
-            util_col = np.zeros(n_configs)
-            for k in kernel_names:
-                mk = (k, skey)
-                hit = kernel_memo.get(mk)
-                if hit is not None:
+            # Kernel timings: memo hits, then one contention fixed point
+            # over every miss of the iteration.
+            misses: Dict = {}
+            for p, k in app.slots:
+                if not live[p]:
+                    continue
+                mk = (k, skeys[p])
+                if mk in kernel_memo or mk in misses:
                     obs.inc("phase_sim.kernel_memo.hit", n_configs)
-                    t_col, u_col = hit
-                else:
-                    obs.inc("phase_sim.kernel_memo.miss", n_configs)
-                    tb = time_kernel_batch(
-                        detailed[k], nb, share,
-                        miss_memo=self._miss_memo, vec_memo=self._vec_memo)
-                    cb = resolve_contention_batch(tb, share, nb)
-                    t_col, u_col = cb.timing, cb.utilization
-                    kernel_memo[mk] = (t_col, u_col)
-                timing_cols[k] = t_col
-                util_col = np.maximum(util_col, u_col)
+                    continue
+                obs.inc("phase_sim.kernel_memo.miss", n_configs)
+                misses[mk] = (time_kernel_batch(
+                    detailed[k], nb, share[p], miss_memo=self._miss_memo,
+                    vec_memo=self._vec_memo), share[p])
+            if misses:
+                resolved = resolve_contention_batch(
+                    [tb for tb, _ in misses.values()],
+                    [sh for _, sh in misses.values()], nb)
+                for mk, cb in zip(misses, resolved):
+                    kernel_memo[mk] = (cb.timing, cb.utilization)
+            util[live] = 0.0
+            for s, (p, k) in enumerate(app.slots):
+                if live[p]:
+                    timing[s], u_col = kernel_memo[(k, skeys[p])]
+                    util[p] = np.maximum(util[p], u_col)
 
-            dur_cols = np.stack(
-                [timing_cols[k].duration_ns for k in kernel_names])
-            # Per-task durations for every active column at once: the
-            # same (gather * work) * imb float64 sequence the scalar path
-            # runs per config, elementwise over columns.
-            act = np.flatnonzero(active)
-            durations = ((dur_cols[kidx][:, act]
-                          * inv.work_arr[:, None]) * imb[:, None])
+            # One scheduler call over every active lane; phases without
+            # tasks join the first one (serial + critical) and are done.
+            lanes = active if it else active | ~has_tasks[:, None]
+            lane_p, lane_c = np.nonzero(lanes)
+            if not len(lane_p):
+                break
+            # Per-task durations of every lane at once: the same (gather *
+            # work) * imb float64 sequence the scalar path runs per
+            # config, elementwise over lanes.
+            dur_tab = (np.stack([t.duration_ns for t in timing])
+                       if timing else np.zeros((0, n_configs)))
+            durations = ((dur_tab[app.slot_of[:, lane_p], lane_c]
+                          * app.work[:, lane_p]) * app.imb[:, lane_p])
             sched = simulate_phase_batch(
-                phase, nb.n_cores[act], task_durations_ns=durations)
-            makespan[act] = sched.makespan_ns
-            busy[act] = sched.busy_sum_ns
+                [app.phases[p] for p in lane_p], nb.n_cores[lane_c],
+                task_durations_ns=durations)
+            makespan[lane_p, lane_c] = sched.makespan_ns
+            busy[lane_p, lane_c] = sched.busy_sum_ns
             # Scalar: min(n_cores, max(1.0, busy / max(mk - serial,
             # 1e-9))) — IEEE-identical as elementwise minimum/maximum.
-            exec_ns = np.maximum(sched.makespan_ns - sched.serial_ns, 1e-9)
+            ref = has_tasks[lane_p]
+            lp, lc = lane_p[ref], lane_c[ref]
+            exec_ns = np.maximum(
+                sched.makespan_ns[ref] - sched.serial_ns[ref], 1e-9)
             n_busy_new = np.minimum(
-                n_cores_f[act], np.maximum(1.0, sched.busy_sum_ns / exec_ns))
-            active[act] = ~(np.abs(n_busy_new - n_busy[act]) < 0.5)
-            n_busy[act] = n_busy_new
-            if not active.any():
-                break
+                n_cores_f[lc],
+                np.maximum(1.0, sched.busy_sum_ns[ref] / exec_ns))
+            active[lp, lc] = ~(np.abs(n_busy_new - n_busy[lp, lc]) < 0.5)
+            n_busy[lp, lc] = n_busy_new
 
         # ------- node-level event totals, accumulated in task order ----------
-        instr_cols = np.stack(
-            [timing_cols[k].instructions for k in kernel_names])
-        l1_cols = np.stack([timing_cols[k].l1_accesses for k in kernel_names])
-        l2_cols = np.stack([timing_cols[k].l2_accesses for k in kernel_names])
-        l3_cols = np.stack([timing_cols[k].l3_accesses for k in kernel_names])
-        dram_cols = np.stack(
-            [timing_cols[k].dram_accesses for k in kernel_names])
-        bytes_cols = np.stack([timing_cols[k].dram_bytes for k in kernel_names])
-        flops_per_kernel = [timing_cols[k].scalar_flops for k in kernel_names]
+        def task_order_total(per_slot, width=n_configs) -> np.ndarray:
+            # Per phase, sum over tasks of per_slot[slot[t]] * work[t],
+            # added in task order (accumulate is sequential, np.sum is
+            # pairwise): one accumulate over every phase's zero-padded
+            # task rows, read at each phase's own last task.
+            if not rows:
+                return np.zeros((n_phases, width))
+            terms = np.stack(per_slot)[app.slot_of] * app.work[:, :, None]
+            np.add.accumulate(terms, axis=0, out=terms)
+            return terms[app.last, np.arange(n_phases)]
+
+        dram_bytes = [t.dram_bytes for t in timing]
+        l1 = [t.l1_accesses for t in timing]
+        tot_instr = task_order_total([t.instructions for t in timing])
+        # Config-invariant: the same accumulation, one column.
+        tot_flops = task_order_total(
+            [np.array([t.scalar_flops]) for t in timing], width=1)[:, 0]
+        tot_l1 = task_order_total(l1)
+        tot_l2 = task_order_total([t.l2_accesses for t in timing])
+        tot_l3 = task_order_total([t.l3_accesses for t in timing])
+        tot_dram = task_order_total([t.dram_accesses for t in timing])
+        tot_bytes = task_order_total(dram_bytes)
         # Scalar computes (sig.row_hit_rate * dram_bytes) * w and
         # (store/mem * l1_accesses) * w per task; hoist the per-kernel
         # left factor, keep the * w and the accumulation per task.
-        rhb_cols = np.stack([
-            detailed[k].row_hit_rate * timing_cols[k].dram_bytes
-            for k in kernel_names])
-        ratios = []
-        for k in kernel_names:
-            mix = detailed[k].mix
-            ratios.append(mix.store / mix.mem if mix.mem > 0 else 0.0)
-        sw_cols = np.stack(
-            [ratios[j] * l1_cols[j] for j in range(len(kernel_names))])
-
-        def task_order_total(per_kernel: np.ndarray) -> np.ndarray:
-            # sum over tasks of per_kernel[kidx[t]] * work[t], added in
-            # task order: accumulate is sequential, np.sum is pairwise.
-            terms = per_kernel[kidx] * inv.work_arr[:, None]
-            # Copy the last row so the (tasks, configs) buffer is freed.
-            return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
-
-        tot_instr = task_order_total(instr_cols)
-        # Config-invariant: the same accumulation, computed once.
-        tot_flops = float(task_order_total(
-            np.array(flops_per_kernel)[:, None])[0])
-        tot_l1 = task_order_total(l1_cols)
-        tot_l2 = task_order_total(l2_cols)
-        tot_l3 = task_order_total(l3_cols)
-        tot_dram = task_order_total(dram_cols)
-        tot_bytes = task_order_total(bytes_cols)
-        row_hit_w = task_order_total(rhb_cols)
-        store_w = task_order_total(sw_cols)
+        row_hit_w = task_order_total(
+            [r * b for r, b in zip(app.row_hit_rate, dram_bytes)])
+        store_w = task_order_total(
+            [r * c for r, c in zip(app.store_ratio, l1)])
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            row_hit_col = np.where(tot_bytes != 0.0, row_hit_w / tot_bytes, 0.0)
-            store_col = np.where(tot_l1 != 0.0, store_w / tot_l1, 0.0)
+            row_hit = np.where(tot_bytes != 0.0, row_hit_w / tot_bytes, 0.0)
+            store = np.where(tot_l1 != 0.0, store_w / tot_l1, 0.0)
 
-        # The scalar path reads effective lanes off the phase's *first*
-        # kernel timing (``d.timings[0]``); kernel_names is sorted, so
-        # that is kernel_names[0]'s vectorization column.
-        lanes_eff = np.array(
-            [v.effective_lanes
-             for v in timing_cols[kernel_names[0]].vectorizations],
-            dtype=np.float64)
-        return _PhaseCols(
-            makespan=makespan, busy=busy,
-            n_busy=n_busy.astype(np.float64, copy=True),
-            instr=tot_instr, flops=tot_flops, l1=tot_l1, l2=tot_l2,
-            l3=tot_l3, dram=tot_dram, dram_bytes=tot_bytes,
-            store_frac=store_col, row_hit=row_hit_col, util=util_col,
-            lanes_eff=lanes_eff,
-        )
+        out = []
+        for p in range(n_phases):
+            if has_tasks[p]:
+                # The scalar path reads effective lanes off the phase's
+                # *first* kernel timing (``d.timings[0]``): the kernel
+                # names are sorted, so that is the phase's first slot.
+                lanes_eff = np.array(
+                    [v.effective_lanes
+                     for v in timing[app.first_slot[p]].vectorizations],
+                    dtype=np.float64)
+            else:
+                lanes_eff = np.ones(n_configs)
+            out.append(_PhaseCols(
+                makespan=makespan[p], busy=busy[p],
+                instr=tot_instr[p], flops=float(tot_flops[p]),
+                l1=tot_l1[p], l2=tot_l2[p], l3=tot_l3[p],
+                dram=tot_dram[p], dram_bytes=tot_bytes[p],
+                store_frac=store[p], row_hit=row_hit[p], util=util[p],
+                lanes_eff=lanes_eff,
+            ))
+        return out
 
     # ------------------------------------------------------------- frame path
 
@@ -437,8 +474,7 @@ class BatchEvaluator:
         comm_iter = musa.comm_iteration_ns(n_ranks) if include_comm else 0.0
 
         kernel_memo: Dict = {}
-        cols_per_phase = [self._phase_cols(inv, nb, kernel_memo)
-                          for inv in self._invariants]
+        cols_per_phase = self._app_cols(nb, kernel_memo)
         compute_iter = np.zeros(n_configs)
         for pc in cols_per_phase:
             compute_iter = compute_iter + pc.makespan

@@ -1,7 +1,6 @@
 """Network and MPI replay models (Dimemas substitute)."""
 
 from .collectives import collective_cost_ns
-from .dimemas_cfg import load_network_cfg, save_network_cfg
 from .model import NetworkConfig, marenostrum4_network
 from .replay import ReplayResult, TimelineSegment, replay
 
@@ -10,8 +9,6 @@ __all__ = [
     "ReplayResult",
     "TimelineSegment",
     "collective_cost_ns",
-    "load_network_cfg",
     "marenostrum4_network",
     "replay",
-    "save_network_cfg",
 ]

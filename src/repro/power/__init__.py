@@ -3,7 +3,6 @@
 from .area import AreaModel, NodeArea
 from .breakdown import PowerBreakdown
 from .drampower import DramPowerModel, DramPowerResult
-from .dvfs import DvfsPoint, DvfsSelection, select_frequency
 from .mcpat import CorePower, McPatModel
 from .technology import (
     FREF_GHZ,
@@ -19,8 +18,6 @@ __all__ = [
     "CorePower",
     "DramPowerModel",
     "DramPowerResult",
-    "DvfsPoint",
-    "DvfsSelection",
     "FREF_GHZ",
     "McPatModel",
     "NodeArea",
@@ -29,6 +26,5 @@ __all__ = [
     "dynamic_scale",
     "energy_scale",
     "leakage_scale",
-    "select_frequency",
     "voltage_for_frequency",
 ]

@@ -23,6 +23,7 @@ occupancy analysis.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -223,6 +224,8 @@ def simulate_phase(
         durations = [d * duration_scale for d in task_durations_ns]
     else:
         durations = [t.duration_ns * duration_scale for t in tasks]
+    if not all(0.0 <= d < math.inf for d in durations):
+        raise ValueError("task durations must be finite and non-negative")
 
     busy = np.zeros(n_cores, dtype=np.float64)
     if n == 0:
@@ -305,122 +308,173 @@ def simulate_phase(
     )
 
 
+
+
 @dataclass(frozen=True)
 class PhaseBatch:
-    """Per-config columns of :func:`simulate_phase_batch`: entry ``k``
-    holds the scalar :class:`PhaseResult`'s floats for config ``k``
+    """Per-lane columns of :func:`simulate_phase_batch`: entry ``k``
+    holds the scalar :class:`PhaseResult`'s floats for lane ``k``
     (``busy_sum_ns[k]`` is its ``float(busy_ns.sum())``)."""
 
-    makespan_ns: np.ndarray        # (configs,)
-    serial_ns: np.ndarray          # (configs,)
-    creation_ns_total: np.ndarray  # (configs,)
-    busy_sum_ns: np.ndarray        # (configs,)
-    busy_ns: np.ndarray            # (configs, max cores), zero-padded
-    n_tasks: int
+    makespan_ns: np.ndarray        # (lanes,)
+    serial_ns: np.ndarray          # (lanes,)
+    creation_ns_total: np.ndarray  # (lanes,)
+    busy_sum_ns: np.ndarray        # (lanes,)
+    busy_ns: np.ndarray            # (lanes, max cores), zero-padded
+    n_tasks: np.ndarray            # (lanes,), int64
+
+
+def _lane_phases(phase: Union[ComputePhase, Sequence[ComputePhase]],
+                 n_lanes: int) -> Tuple[List[ComputePhase], np.ndarray]:
+    """The distinct phases of a call and each lane's index into them."""
+    if isinstance(phase, ComputePhase):
+        return [phase], np.zeros(n_lanes, dtype=np.int64)
+    phases = list(phase)
+    if len(phases) != n_lanes:
+        raise ValueError(f"expected {n_lanes} phases, got {len(phases)}")
+    ids = np.fromiter(map(id, phases), dtype=np.uint64, count=n_lanes)
+    _, first, idx = np.unique(ids, return_index=True, return_inverse=True)
+    return [phases[i] for i in first], idx.astype(np.int64, copy=False)
 
 
 def simulate_phase_batch(
-    phase: ComputePhase,
+    phase: Union[ComputePhase, Sequence[ComputePhase]],
     n_cores: Sequence[int],
     duration_scale: Union[float, Sequence[float]] = 1.0,
     overhead_scale: Union[float, Sequence[float]] = 1.0,
     task_durations_ns: Optional[np.ndarray] = None,
 ) -> PhaseBatch:
-    """:func:`simulate_phase` over a configuration axis, vectorized.
+    """:func:`simulate_phase` over an axis of *lanes*, vectorized.
 
-    ``n_cores`` / ``duration_scale`` / ``overhead_scale`` give one value
-    (or a broadcastable scalar) per config column; ``task_durations_ns``
-    is an optional ``(n_tasks, n_configs)`` matrix of explicit per-task,
-    per-config durations (or a 1-D shared base, like the scalar call).
+    A lane is one scalar call: ``phase`` is one phase shared by every
+    lane or a sequence of one phase per lane, and ``n_cores`` /
+    ``duration_scale`` / ``overhead_scale`` give one value (or a
+    broadcastable scalar) per lane.  ``task_durations_ns`` is an
+    optional ``(rows, lanes)`` matrix of explicit per-task durations (or
+    a 1-D base shared by every lane, like the scalar call), where
+    ``rows`` is the largest task count among the lanes' phases; lane
+    ``k`` reads its first ``n_k`` rows and the rest is padding.
+    Durations must be finite and non-negative, like the scalar call's.
 
-    Bitwise-identity argument.  A per-config *result broadcast* — run
+    Bitwise-identity argument.  A per-lane *result broadcast* — run
     the schedule once on base durations and multiply the output times by
-    each config's scale — can never be bitwise: float multiplication
+    each lane's scale — can never be bitwise: float multiplication
     does not distribute over addition, so ``fl(s*a) + fl(s*b)`` differs
     from ``s*(a+b)`` in the last ulp for general ``s``.  What *is*
-    exactly config-invariant for the ``nodeps``/``fanout0`` structures
+    exactly lane-invariant for the ``nodeps``/``fanout0`` structures
     is the scheduler's **task visit order**: ready times are
     nondecreasing in the task index for any non-negative durations and
     overheads (``nodeps``: ready = creation times, an increasing
     sequence; ``fanout0``: task 0 first, then
     ``max(create_time[i], end0)``, nondecreasing in ``i``), and ties
-    break on the index — so every config visits tasks 0..n-1 in index
+    break on the index — so every lane visits tasks 0..n-1 in index
     order, exactly as :func:`_simulate_fast` does.  That lets all
-    configs advance through one synchronized per-task loop in which the
-    per-config core state is exact, not broadcast:
+    lanes advance through one synchronized per-task loop in which the
+    per-lane core state is exact, not broadcast:
 
+    * each lane's ready times form one column of a ``(rows, lanes)``
+      matrix: creation times, gated by task 0's finish ``end0`` for
+      ``fanout0`` lanes (``end0 = create_time[0] + duration[0]``: task 0
+      finds a core free at 0 whenever the lane has two or more, and on
+      one core the gate never binds), so both shapes share the loop;
+    * a padded row (``i >= n_k``) has ready time ``-inf`` and duration
+      0: it starts on its core's free time and ends there, adding 0 to
+      the core's busy time — exactly a no-op;
     * the core heap's pop (min ``(free_time, core)``, ties to the lowest
-      core index) is an ``argmin`` over a per-config row of core free
+      core index) is an ``argmin`` over a per-lane row of core free
       times (NumPy ``argmin`` returns the first occurrence — the same
       tie-break);
     * ``start``/``end``/``busy`` updates are the same float64 operations
-      on the same operands, elementwise across the config axis.
+      on the same operands, elementwise across the lane axis.
+
+    **First wave.**  When a lane's ``serial + creation > 0`` every
+    ready time is positive, so ``master_done`` and every finished
+    task's end are positive too, while cores ``1..nc-1`` sit idle at
+    exactly 0: task ``i < min(n, nc - 1)`` pops idle core ``i + 1`` and
+    starts at its ready time.  Those cells are written in one masked
+    array operation.  Only lanes with no idle core left take the
+    per-task ``argmin`` loop; lanes are sorted by the task at which they
+    join it, so at task ``i`` the joined lanes are a prefix and the
+    ``argmin`` runs over that prefix's rows and widest core count only.
+    With ``serial = creation = 0`` core 0 is free at 0 too and the first
+    wave does not apply: such lanes join the loop at task 0.
 
     Every core count runs in the same pass: the free/busy matrices are
-    ``(configs, max cores)`` and a core a config does not have starts
+    ``(lanes, max cores)`` and a core a lane does not have starts
     free at ``+inf``, so ``argmin`` never picks it and the tie-break
-    over its real cores is unchanged.  Busy sums are reduced over each
-    config's real cores only (one reduction per core-count group):
-    NumPy's pairwise summation tree depends on the length, so summing
-    the zero-padded row would differ in the last ulp.
+    over its real cores is unchanged.  Free times never decrease
+    (durations are non-negative), so a lane's makespan is the maximum of
+    its real cores' final free times — the scalar running maximum.
+    Busy sums are reduced over each lane's real cores only (one
+    reduction per core-count group): NumPy's pairwise summation tree
+    depends on the length, so summing the zero-padded row would differ
+    in the last ulp.
 
-    Each column therefore reproduces the scalar heap schedule float for
-    float.  Phases with any other dependency structure — and columns
+    Each lane therefore reproduces the scalar heap schedule float for
+    float.  Phases with any other dependency structure — and lanes
     whose ``overhead_scale`` differs from ``duration_scale``, which the
     scale-invariance contract of the batched sweep does not cover — fall
-    back to per-config :func:`simulate_phase` calls that fill the same
-    columns.  Vectorized columns are counted under ``sched.batch.fast``;
-    fallback columns under ``sched.batch.fallbacks``.
+    back to per-lane :func:`simulate_phase` calls that fill the same
+    columns.  Vectorized lanes are counted under ``sched.batch.fast``;
+    fallback lanes under ``sched.batch.fallbacks``.
     """
     nc = np.asarray(n_cores, dtype=np.int64)
     if nc.ndim != 1:
         raise ValueError("n_cores must be 1-D")
-    n_cfg = len(nc)
+    n_lanes = len(nc)
     if np.any(nc <= 0):
         raise ValueError("n_cores must be positive")
     ds = np.broadcast_to(np.asarray(duration_scale, dtype=np.float64),
-                         (n_cfg,)).copy()
+                         (n_lanes,)).copy()
     os_ = np.broadcast_to(np.asarray(overhead_scale, dtype=np.float64),
-                          (n_cfg,)).copy()
+                          (n_lanes,)).copy()
     if np.any(ds <= 0) or np.any(os_ <= 0):
         raise ValueError("scales must be positive")
 
-    tasks = phase.tasks
-    n = len(tasks)
+    phases, pidx = _lane_phases(phase, n_lanes)
+    n_of = np.array([len(p.tasks) for p in phases], dtype=np.int64)
+    n_task = n_of[pidx]
+    rows = int(n_of.max()) if len(phases) else 0
+    real = np.arange(rows)[:, None] < n_task
     if task_durations_ns is not None:
         base = np.asarray(task_durations_ns, dtype=np.float64)
         if base.ndim == 1:
             base = base[:, None]
-        if base.shape[0] != n or base.shape[1] not in (1, n_cfg):
+        if (base.ndim != 2 or base.shape[0] != rows
+                or base.shape[1] not in (1, n_lanes)):
             raise ValueError(
-                f"expected ({n}, {n_cfg}) durations, got {base.shape}")
+                f"expected ({rows}, {n_lanes}) durations, got {base.shape}")
     else:
-        base = np.array([t.duration_ns for t in tasks],
-                        dtype=np.float64)[:, None]
+        base = np.zeros((rows, len(phases)))
+        for j, p in enumerate(phases):
+            base[:len(p.tasks), j] = [t.duration_ns for t in p.tasks]
+        if len(phases) > 1:
+            base = base[:, pidx]
+    with np.errstate(over="ignore"):
+        dur = np.where(real, base, 0.0) * ds
+    if dur.size and not (dur.min() >= 0.0 and dur.max() < np.inf):
+        raise ValueError("task durations must be finite and non-negative")
 
-    structure = _structure_of(phase) if n else None
-    if n == 0:
-        # The scalar path returns before looking at structure or scales.
-        fast = np.ones(n_cfg, dtype=bool)
-    elif structure is None:
-        fast = np.zeros(n_cfg, dtype=bool)
-    else:
-        fast = ds == os_
-
-    serial = phase.serial_ns * os_
-    creation = phase.creation_ns * os_
-    makespan = serial + phase.critical_ns * os_
-    creation_total = n * creation
-    busy_sum = np.zeros(n_cfg)
-    busy_mat = np.zeros((n_cfg, int(nc.max()) if n_cfg else 0))
+    structure = [_structure_of(p) if p.tasks else None for p in phases]
+    # The scalar path returns before looking at structure or scales when
+    # a phase has no tasks.
+    fast = (n_task == 0) | (
+        np.array([s is not None for s in structure])[pidx] & (ds == os_))
+    serial = np.array([p.serial_ns for p in phases])[pidx] * os_
+    creation = np.array([p.creation_ns for p in phases])[pidx] * os_
+    makespan = serial + np.array([p.critical_ns for p in phases])[pidx] * os_
+    creation_total = n_task * creation
+    busy_sum = np.zeros(n_lanes)
+    busy_mat = np.zeros((n_lanes, int(nc.max()) if n_lanes else 0))
 
     slow = np.flatnonzero(~fast)
     if len(slow):
         get_metrics().inc("sched.batch.fallbacks", len(slow))
         for k in slow:
-            col = base[:, 0] if base.shape[1] == 1 else base[:, k]
+            n = int(n_task[k])
+            col = base[:n, 0] if base.shape[1] == 1 else base[:n, k]
             ref = simulate_phase(
-                phase, int(nc[k]), duration_scale=float(ds[k]),
+                phases[pidx[k]], int(nc[k]), duration_scale=float(ds[k]),
                 overhead_scale=float(os_[k]),
                 task_durations_ns=col.tolist())
             makespan[k] = ref.makespan_ns
@@ -429,64 +483,95 @@ def simulate_phase_batch(
             busy_sum[k] = ref.busy_ns.sum()
             busy_mat[k, :ref.n_cores] = ref.busy_ns
 
-    out = PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat, n)
-    cols = np.flatnonzero(fast)
-    if len(cols):
-        get_metrics().inc("sched.batch.fast", len(cols))
-    if len(cols) == 0 or n == 0:
-        return out  # all fallbacks, or serial + critical and no tasks
+    out = PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat,
+                     n_task)
+    if fast.any():
+        get_metrics().inc("sched.batch.fast", int(fast.sum()))
+    # Lanes without tasks are done: serial + critical, no busy time.
+    cols = np.flatnonzero(fast & (n_task > 0))
+    if len(cols) == 0:
+        return out
 
-    dur = (base if base.shape[1] == 1 else base[:, cols]) * ds[cols]
-    # create_time[i] = serial + (i+1)*creation, per column — the same
+    # Tasks placed by the first wave (create_time[0] = serial + 1 *
+    # creation > 0), and the task at which each lane joins the argmin
+    # loop (``rows``: never).  Lanes are sorted by it, then by core count.
+    n_c = n_task[cols]
+    nc_c = nc[cols]
+    wave = np.where(1.0 * creation[cols] + serial[cols] > 0.0,
+                    np.minimum(n_c, nc_c - 1), 0)
+    join = np.where(wave < n_c, wave, rows)
+    order = np.lexsort((nc_c, join))
+    cols, n_c, nc_c = cols[order], n_c[order], nc_c[order]
+    wave, join = wave[order], join[order]
+    lane = np.arange(len(cols))
+
+    d = dur[:, cols]
+    # create_time[i] = serial + (i+1)*creation, per lane — the same
     # float64 ops as the scalar list comprehension, elementwise.
-    create = (np.arange(1, n + 1, dtype=np.float64)[:, None]
-              * creation[None, cols]) + serial[None, cols]
-    master_done = create[-1, :]
-    nc_f = nc[cols]
-    width = busy_mat.shape[1]
-    # Core j of column r is cell r*width + j of the flattened matrices.
-    offsets = np.arange(len(cols)) * width
+    create = (np.arange(1, rows + 1, dtype=np.float64)[:, None]
+              * creation[cols]) + serial[cols]
+    master_done = create[n_c - 1, lane]
+    ready = create
+    fanout = np.array([s == "fanout0" for s in structure])[pidx[cols]]
+    if fanout.any():
+        # Task 0 starts at its creation on a core free at 0 (core 1, or
+        # core 0 when master_done is 0).  On a single core it waits for
+        # master_done instead, but there every task waits for the one
+        # before it, which ends no earlier than task 0: the gate never
+        # binds, so the same end0 serves.
+        end0 = create[0] + d[0]
+        ready = create.copy()
+        ready[1:] = np.where(fanout & (end0 > create[1:]), end0, create[1:])
+    ready[np.arange(rows)[:, None] >= n_c] = -np.inf
 
-    # A core the column does not have is never free, so never picked.
-    free = np.where(np.arange(width) < nc_f[:, None], 0.0, np.inf)
+    # Cores past a lane's task count stay idle at 0, so the matrices stop
+    # at the widest min(cores, tasks + 1); a core the lane does not have
+    # is never free, so never picked.
+    width = int(np.minimum(nc_c, n_c + 1).max())
+    free = np.where(np.arange(width) < nc_c[:, None], 0.0, np.inf)
     free[:, 0] = master_done
-    busy = np.zeros((len(cols), width), dtype=np.float64)
+    busy = np.zeros((len(cols), width))
     busy[:, 0] += master_done
-    free_flat = free.reshape(-1)
-    busy_flat = busy.reshape(-1)
-    span = master_done.copy()
+    top = int(wave.max())
+    if top:
+        # Task t of a first-wave lane runs on core t + 1 from its ready
+        # time: start = ready, end = start + duration, busy = 0 + duration.
+        hit = np.arange(top) < wave[:, None]
+        free[:, 1:top + 1] = np.where(hit, (ready[:top] + d[:top]).T,
+                                      free[:, 1:top + 1])
+        busy[:, 1:top + 1] += np.where(hit, d[:top].T, 0.0)
 
-    start_index = 0
-    end0 = None
-    if structure == "fanout0":
-        cell = free.argmin(axis=1) + offsets
-        ft = free_flat[cell]
-        rt = create[0]
-        start = np.where(rt > ft, rt, ft)
-        end0 = start + dur[0]
-        busy_flat[cell] += dur[0]
-        free_flat[cell] = end0
-        np.maximum(span, end0, out=span)
-        start_index = 1
+    if join[0] < rows:
+        joined = np.searchsorted(join, np.arange(rows), side="right")
+        reach = np.maximum.accumulate(nc_c)
+        # Core j of lane r is cell r*width + j of the flattened matrices.
+        offsets = lane * width
+        free_flat = free.reshape(-1)
+        busy_flat = busy.reshape(-1)
+        for i in range(int(join[0]), rows):
+            p = joined[i]
+            cell = free[:p, :reach[p - 1]].argmin(axis=1)
+            cell += offsets[:p]
+            ft = free_flat[cell]
+            rt = ready[i, :p]
+            start = np.where(rt > ft, rt, ft)
+            di = d[i, :p]
+            busy_flat[cell] += di
+            free_flat[cell] = start + di
 
-    for i in range(start_index, n):
-        rt = create[i]
-        if end0 is not None:
-            rt = np.where(end0 > rt, end0, rt)
-        cell = free.argmin(axis=1)
-        cell += offsets
-        ft = free_flat[cell]
-        start = np.where(rt > ft, rt, ft)
-        end = start + dur[i]
-        busy_flat[cell] += dur[i]
-        free_flat[cell] = end
-        np.maximum(span, end, out=span)
-
+    # Reduce each run of equal core counts over exactly its real cores:
+    # the pairwise summation tree depends on the length, so a row cut
+    # short or padded past the core count would differ.
+    full = np.zeros((len(cols), busy_mat.shape[1]))
+    full[:, :width] = busy
+    span = np.empty(len(cols))
+    total = np.empty(len(cols))
+    runs = np.flatnonzero(np.diff(nc_c)) + 1
+    for lo, hi in zip(np.r_[0, runs], np.r_[runs, len(cols)]):
+        c = nc_c[lo]
+        span[lo:hi] = free[lo:hi, :c].max(axis=1)
+        total[lo:hi] = full[lo:hi, :c].sum(axis=1)
     makespan[cols] = np.maximum(span, makespan[cols])
-    busy_mat[cols] = busy
-    # Sum each column over its real cores only: the pairwise summation
-    # tree depends on the length, so the padded row would differ.
-    for c in np.unique(nc_f):
-        g = np.flatnonzero(nc_f == c)
-        busy_sum[cols[g]] = busy[g, :c].sum(axis=1)
+    busy_sum[cols] = total
+    busy_mat[cols] = full
     return out

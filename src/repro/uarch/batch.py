@@ -19,9 +19,9 @@ result is bitwise-identical to the scalar path, not merely close.
   replicated op-for-op: same operand order, same associativity, same
   float64 intermediates.  IEEE-754 elementwise ops are deterministic,
   so identical operation sequences give identical bits;
-* the contention fixed point converges per-config; an *active mask*
-  freezes each lane at exactly the iteration where the scalar loop
-  would ``break``.
+* the contention fixed point runs over ``(kernels, configs)`` lanes
+  and converges per lane; an *active mask* freezes each lane at exactly
+  the iteration where the scalar loop would ``break``.
 """
 
 from __future__ import annotations
@@ -274,63 +274,78 @@ class ContentionBatch:
 
 
 def resolve_contention_batch(
-    timing: KernelTimingBatch,
-    n_busy_cores: np.ndarray,
+    timings: Sequence[KernelTimingBatch],
+    n_busy_cores: Sequence[np.ndarray],
     batch: NodeBatch,
-) -> ContentionBatch:
-    """Batched :func:`~repro.uarch.cpu.resolve_contention`.
+) -> List[ContentionBatch]:
+    """Batched :func:`~repro.uarch.cpu.resolve_contention`, one fixed
+    point for several kernels.
 
-    ``n_busy_cores[i]`` is the occupied core count of configuration
-    ``i``.  The damped fixed point runs with an *active* mask: a lane
-    that satisfies the scalar convergence test is assigned ``d_new``
-    and frozen — exactly where the scalar loop breaks — so every lane
-    reproduces its scalar iteration sequence bit-for-bit.
+    ``timings[j]`` is a kernel's timing over ``batch`` and
+    ``n_busy_cores[j][i]`` the occupied core count of configuration
+    ``i`` for it.  The kernels stack into ``(kernels, configs)`` lanes —
+    row hit rate, and so capacity, are per lane — and the damped fixed
+    point runs once over all of them with an *active* mask: a lane that
+    satisfies the scalar convergence test is assigned ``d_new`` and
+    frozen — exactly where the scalar loop breaks — so every lane
+    reproduces its scalar iteration sequence bit-for-bit, however long
+    the other lanes run.  Returns one :class:`ContentionBatch` per
+    kernel, in input order.
     """
-    n_busy = np.asarray(n_busy_cores, dtype=np.float64)
+    if not timings:
+        return []
+    n_busy = np.array([np.asarray(n, dtype=np.float64)
+                       for n in n_busy_cores])
+    if n_busy.shape != (len(timings), len(batch)):
+        raise ValueError(
+            f"expected {len(timings)} busy-core columns of {len(batch)}")
     if np.any(n_busy <= 0):
         raise ValueError("n_busy_cores must be positive")
 
-    capacity = batch.peak_bw_gbs * dram_efficiency(timing.row_hit_rate)
-    bytes_per_unit = timing.dram_bytes
-    freq = timing.frequency_ghz
-    t_fixed = (timing.base_cycles + timing.l2_stall_cycles
-               + timing.l3_stall_cycles)
-    t_mem0 = timing.mem_stall_cycles
+    eff = np.array([dram_efficiency(t.row_hit_rate) for t in timings])
+    capacity = batch.peak_bw_gbs * eff[:, None]
+    bytes_per_unit = np.array([t.dram_bytes for t in timings])
+    freq = np.array([t.frequency_ghz for t in timings])
+    t_fixed = np.array([t.base_cycles + t.l2_stall_cycles
+                        + t.l3_stall_cycles for t in timings])
+    t_mem0 = np.array([t.mem_stall_cycles for t in timings])
 
     trivial = (bytes_per_unit <= 0) | (t_mem0 <= 0)
     active = ~trivial
 
     d = t_fixed + t_mem0
+    # Scalar: n_busy * bytes / (d / freq), associating left to right.
+    load = n_busy * bytes_per_unit
+    keep = 1.0 - _DAMPING
     with np.errstate(divide="ignore", invalid="ignore"):
         d_floor = bytes_per_unit / (capacity / n_busy) * freq
         for _ in range(_MAX_ITER):
             if not active.any():
                 break
-            demand = n_busy * bytes_per_unit / (d / freq)
-            u = demand / capacity
-            uc = np.minimum(u, _U_CLIP)
+            u = load / (d / freq) / capacity
+            uc = np.minimum(u, _U_CLIP, out=u)
             inflate = 1.0 + _QUEUE_GAIN * uc * uc / (1.0 - uc)
             d_new = np.maximum(t_fixed + t_mem0 * inflate, d_floor)
             conv = np.abs(d_new - d) < 1e-9 * np.maximum(d, 1.0)
-            d = np.where(
-                active,
-                np.where(conv, d_new, _DAMPING * d + (1.0 - _DAMPING) * d_new),
-                d,
-            )
-            active = active & ~conv
+            np.copyto(d, np.where(conv, d_new, _DAMPING * d + keep * d_new),
+                      where=active)
+            active &= ~conv
         d = np.maximum(np.maximum(d, d_floor), t_fixed + t_mem0)
 
         mult = np.where(
             trivial, 1.0,
             np.maximum(1.0, (d - t_fixed) / np.where(trivial, 1.0, t_mem0)))
         achieved = np.where(
-            trivial, 0.0, n_busy * bytes_per_unit / (d / freq))
+            trivial, 0.0, load / (d / freq))
         utilization = np.where(trivial, 0.0, achieved / capacity)
 
-    return ContentionBatch(
-        timing=timing.with_mem_stall_scaled(mult),
-        utilization=utilization,
-        achieved_bw_gbs=achieved,
-        capacity_gbs=capacity,
-        mem_stall_multiplier=mult,
-    )
+    return [
+        ContentionBatch(
+            timing=t.with_mem_stall_scaled(mult[j]),
+            utilization=utilization[j],
+            achieved_bw_gbs=achieved[j],
+            capacity_gbs=capacity[j],
+            mem_stall_multiplier=mult[j],
+        )
+        for j, t in enumerate(timings)
+    ]

@@ -111,6 +111,21 @@ class TestExplicitDurations:
         with pytest.raises(ValueError, match="durations"):
             simulate_phase(make_phase([10]), 1, task_durations_ns=[1, 2])
 
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, float("nan"),
+                                     float("inf"), float("-inf")])
+    def test_rejects_negative_or_non_finite(self, bad):
+        phase = make_phase([10, 10])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase(phase, 2, task_durations_ns=[1.0, bad])
+        # The general path validates too, before scheduling anything.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase(phase, 2, task_durations_ns=[bad, 1.0],
+                           collect_spans=True)
+
+    def test_rejects_a_scale_that_overflows(self):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase(make_phase([1e300]), 1, duration_scale=1e10)
+
 
 class TestSpans:
     def test_spans_cover_tasks(self):

@@ -53,7 +53,7 @@ def assert_batch_matches_scalar(phase, n_cores, duration_scale=1.0,
                              task_durations_ns=col)
         c = ref.n_cores
         assert batch.makespan_ns[k] == ref.makespan_ns, k
-        assert batch.n_tasks == ref.n_tasks
+        assert batch.n_tasks[k] == ref.n_tasks
         assert batch.serial_ns[k] == ref.serial_ns
         assert batch.creation_ns_total[k] == ref.creation_ns_total
         assert np.array_equal(batch.busy_ns[k, :c], ref.busy_ns), k
@@ -193,6 +193,136 @@ class TestBatchRegressions:
         with pytest.raises(ValueError):
             simulate_phase_batch(phase, [2],
                                  task_durations_ns=np.zeros((3, 2)))
+
+
+def phase_of(shape, durations, serial=0.0, creation=0.0, critical=0.0):
+    """A phase of the given dependency shape: ``"dag"`` is a general DAG
+    (task i >= 2 waits on tasks i-2 and i-1) that takes the fallback."""
+    n = len(durations)
+    if shape == "nodeps":
+        deps = None
+    elif shape == "fanout0":
+        deps = [()] + [(0,)] * (n - 1)
+    else:
+        deps = [()] + [tuple(range(max(0, i - 2), i)) for i in range(1, n)]
+    return make_phase(durations, deps=deps, serial=serial,
+                      creation=creation, critical=critical)
+
+
+#: Few distinct values, so ties between tasks, cores and ready times are
+#: common; 0.0 makes zero-duration tasks.
+tie_st = st.sampled_from([0.0, 1.0, 2.5, 350.0, 1000.0])
+#: (serial, creation): (0, 0) must not take the first wave.
+overhead_st = st.one_of(
+    st.just((0.0, 0.0)), st.just((0.0, 350.0)), st.just((4000.0, 200.0)),
+    st.just((5.0, 0.0)),
+    st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e3)))
+
+
+@st.composite
+def lane_calls(draw):
+    """Phases of unequal task counts and shapes, and lanes over them whose
+    core counts straddle each lane's task count."""
+    phases = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["nodeps", "fanout0", "dag"]))
+        n = draw(st.integers(3 if shape == "dag" else 0, 14))
+        durations = draw(st.lists(st.one_of(tie_st, st.floats(0.0, 1e6)),
+                                  min_size=n, max_size=n))
+        serial, creation = draw(overhead_st)
+        critical = draw(st.sampled_from([0.0, 50.0, 1e5]))
+        phases.append((shape, phase_of(shape, durations, serial, creation,
+                                       critical)))
+    lanes = []
+    for _ in range(draw(st.integers(1, 12))):
+        j = draw(st.integers(0, len(phases) - 1))
+        n = len(phases[j][1].tasks)
+        nc = draw(st.sampled_from([1, n - 1, n, n + 1, n + 7, 3 * n + 2]))
+        lanes.append((j, max(1, nc)))
+    return phases, lanes
+
+
+class TestMultiPhaseLanes:
+    @settings(max_examples=200, deadline=None)
+    @given(call=lane_calls(), explicit=st.booleans(), data=st.data())
+    def test_matches_per_lane_scalar_bitwise(self, call, explicit, data):
+        phases, lanes = call
+        lane_phase = [phases[j][1] for j, _ in lanes]
+        n_cores = [nc for _, nc in lanes]
+        rows = max(len(p.tasks) for p in lane_phase)
+        durations = None
+        if explicit:
+            # Per-lane durations; the padding below a lane's task count
+            # is NaN, which the scheduler must never read.
+            durations = np.full((rows, len(lanes)), np.nan)
+            for k, p in enumerate(lane_phase):
+                n = len(p.tasks)
+                durations[:n, k] = data.draw(st.lists(
+                    st.one_of(tie_st, st.floats(0.0, 1e6)),
+                    min_size=n, max_size=n))
+        scale = data.draw(st.sampled_from([1.0, 0.5, 3.0]))
+        reg = get_metrics()
+        fb0 = reg.counter("sched.batch.fallbacks")
+        batch = simulate_phase_batch(lane_phase, n_cores,
+                                     duration_scale=scale,
+                                     overhead_scale=scale,
+                                     task_durations_ns=durations)
+        dags = sum(phases[j][0] == "dag" for j, _ in lanes)
+        assert reg.counter("sched.batch.fallbacks") - fb0 == dags
+        assert batch.busy_ns.shape == (len(lanes), max(n_cores))
+        for k, (p, nc) in enumerate(zip(lane_phase, n_cores)):
+            n = len(p.tasks)
+            col = None if durations is None else durations[:n, k].tolist()
+            ref = simulate_phase(p, nc, duration_scale=scale,
+                                 overhead_scale=scale,
+                                 task_durations_ns=col)
+            assert batch.makespan_ns[k] == ref.makespan_ns, k
+            assert batch.busy_sum_ns[k] == float(ref.busy_ns.sum()), k
+            assert np.array_equal(batch.busy_ns[k, :nc], ref.busy_ns), k
+            assert not batch.busy_ns[k, nc:].any(), k
+            assert batch.serial_ns[k] == ref.serial_ns
+            assert batch.creation_ns_total[k] == ref.creation_ns_total
+            assert batch.n_tasks[k] == ref.n_tasks
+
+    def test_first_wave_boundary(self):
+        # Core counts n - 1, n and n + 1 put the last task just inside,
+        # at and past the first wave; a 0/0 overhead phase never uses it.
+        for serial, creation in ((0.0, 350.0), (0.0, 0.0)):
+            phases = [phase_of("fanout0", [5.0, 1.0, 2.0, 2.0, 9.0],
+                               serial, creation),
+                      phase_of("nodeps", [3.0, 0.0, 3.0], serial, creation)]
+            lanes = [(p, nc) for p in phases
+                     for nc in range(1, len(p.tasks) + 3)]
+            batch = simulate_phase_batch([p for p, _ in lanes],
+                                         [nc for _, nc in lanes])
+            for k, (p, nc) in enumerate(lanes):
+                ref = simulate_phase(p, nc)
+                assert batch.makespan_ns[k] == ref.makespan_ns, (k, nc)
+                assert np.array_equal(batch.busy_ns[k, :nc], ref.busy_ns)
+
+    def test_phase_count_must_match_lanes(self):
+        phase = make_phase([1.0])
+        with pytest.raises(ValueError, match="phases"):
+            simulate_phase_batch([phase, phase], [2])
+
+
+class TestDurationValidation:
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite(self, bad):
+        phase = make_phase([1.0, 2.0])
+        mat = np.array([[1.0, 1.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase_batch(phase, [2, 3], task_durations_ns=mat)
+        # Also on a lane that would fall back to the scalar scheduler.
+        dag = phase_of("dag", [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase_batch(dag, [2], task_durations_ns=[1.0, bad, 1.0])
+
+    def test_rejects_a_scale_that_overflows(self):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            simulate_phase_batch(make_phase([1e300]), [1, 2],
+                                 duration_scale=[1.0, 1e10],
+                                 overhead_scale=[1.0, 1e10])
 
 
 class TestStructureCacheLru:
