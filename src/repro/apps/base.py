@@ -29,12 +29,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..trace.burst import BurstTrace, RankTrace
+from ..trace.burst import (IRECV, ISEND, KINDS, PHASE, WAIT, BurstTrace,
+                           EventColumns)
 from ..trace.detailed import DetailedTrace
-from ..trace.events import ComputePhase, MpiCall
+from ..trace.events import ComputePhase
 from ..trace.kernel import KernelSignature
 
 __all__ = ["AppModel", "rank_grid_dims", "grid_neighbors"]
+
+_ALLREDUCE = KINDS.index("allreduce")
 
 
 def rank_grid_dims(n_ranks: int) -> Tuple[int, int, int]:
@@ -205,35 +208,44 @@ class AppModel(ABC):
         iteration-closing allreduce(s) — the dominant communication
         skeleton of all five applications (Sec. V-A).  Iterations are
         identical, so each rank stores one as its period, repeated
-        ``n_iterations`` times.
+        ``n_iterations`` times.  The periods are built directly as the
+        trace's integer columns; no event object is made.
         """
         n_iter = self.resolve_iterations(n_iterations)
-        dims = rank_grid_dims(n_ranks)
         phases = self.canonical_phases()
-        ranks = []
-        for r in range(n_ranks):
-            neighbours = grid_neighbors(r, dims)
-            events: List = []
-            req = 0
-            for phase in phases:
-                # Boundary exchange feeding this phase: post every
-                # receive, then every send, then wait on all of them.
-                first = req
-                for kind in ("irecv", "isend"):
-                    for nb in neighbours:
-                        events.append(MpiCall(kind=kind, peer=nb,
-                                              size_bytes=self.halo_bytes,
-                                              tag=0, request=req))
-                        req += 1
-                events.extend(MpiCall(kind="wait", request=rq)
-                              for rq in range(first, req))
-                events.append(phase)
-            for _ in range(self.allreduce_per_iter):
-                events.append(MpiCall(kind="allreduce", size_bytes=8))
-            ranks.append(RankTrace(rank=r, period=tuple(events),
-                                   repeats=n_iter))
-        return BurstTrace(app=self.name, ranks=tuple(ranks),
-                          n_iterations=n_iter)
+        dims = rank_grid_dims(n_ranks)
+        nbrs = np.array([grid_neighbors(r, dims) for r in range(n_ranks)],
+                        dtype=np.int64).reshape(n_ranks, -1)
+        k = nbrs.shape[1]   # the same for every rank of a periodic grid
+        # Phase block p: k irecvs, then k isends, to the neighbours in
+        # order; a wait on each of the 2k requests, numbered on from
+        # block p - 1's; the phase.  After the blocks, the allreduces.
+        blk = 4 * k + 1
+        n_blk = len(phases) * blk
+        pos = np.arange(n_blk) % blk
+        block = np.arange(n_blk) // blk
+        posting = pos < 2 * k
+        kind = np.concatenate((
+            np.where(posting, np.where(pos < k, IRECV, ISEND),
+                     np.where(pos < 4 * k, WAIT, PHASE)),
+            np.full(self.allreduce_per_iter, _ALLREDUCE)))
+        tail = np.full(self.allreduce_per_iter, -1)
+        within = np.where(posting, pos, pos - 2 * k)   # request in block
+        request = np.concatenate((
+            np.where(pos < 4 * k, 2 * k * block + within, -1), tail))
+        size = np.concatenate((np.where(posting, self.halo_bytes, 0),
+                               np.full(self.allreduce_per_iter, 8)))
+        phase = np.concatenate((np.where(pos == 4 * k, block, -1), tail))
+        peer = np.full((n_ranks, len(kind)), -1, dtype=np.int64)
+        peer[:, np.flatnonzero(posting)] = np.tile(nbrs, 2 * len(phases))
+        columns = EventColumns(
+            kind=np.tile(kind, n_ranks), peer=peer.ravel(),
+            tag=np.zeros(peer.size, dtype=np.int64),
+            size=np.tile(size, n_ranks), request=np.tile(request, n_ranks),
+            phase=np.tile(phase, n_ranks),
+            offsets=np.arange(n_ranks + 1) * len(kind))
+        return BurstTrace.from_columns(self.name, columns, phases,
+                                       repeats=n_iter, n_iterations=n_iter)
 
     # -- bookkeeping -------------------------------------------------------------
 

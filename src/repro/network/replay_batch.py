@@ -19,11 +19,13 @@ completion is a commutative max over entry times, and FIFO matching per
 interleaving.  The global ``(clock, rank)`` step order exists solely to
 serialize the finite-bus pool — plus one structural corner: a key
 carrying both eager-buffered and rendezvous sends.  :func:`_classify`
-checks both conditions (``n_buses == 0`` and protocol-pure keys) in
-one scan over each rank's stored period.  They hold for the paper's
+checks both conditions (``n_buses == 0`` and protocol-pure keys) with
+array operations over the trace's integer event columns
+(:class:`~repro.trace.burst.EventColumns`).  They hold for the paper's
 MareNostrum4-like network, which has an unlimited bus pool, and for
 every bundled app on it.  The whole matching is then *structural*:
-:func:`_build_tape` resolves it once in pure Python (no floats), levels
+:func:`_build_tape` resolves it once from the same columns (sorts,
+uniques and cumulative counts; no floats, no event objects), levels
 the resulting value DAG by dependency depth, and the driver executes it
 level by level with one NumPy pass per (level, kind) group over
 (events-in-level x configs).
@@ -31,7 +33,8 @@ A trace stores one period per rank plus a repeat count (every bundled
 app's generator emits one iteration, repeated ``n_iterations`` times);
 when the period is message-balanced the tape covers that period and
 runs ``reps`` times, carrying the state matrices across periods, and
-the flat stream is never built.
+the flat stream is never built.  Neither path of a batched replay
+builds event objects: only the scalar reference reads them.
 Full-rank groups (the bulk-synchronous common case) run as
 ``out=``-pipelined in-place kernels over two reusable workspace
 matrices, so a level costs stream passes over the state, not allocator
@@ -61,14 +64,14 @@ the cache dropped), plus the scalar-equivalent ``replay.events`` /
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs import get_metrics
-from ..trace.burst import BurstTrace
-from ..trace.events import ComputePhase, MpiCall, RankEvent
+from ..trace.burst import (FIRST_COLLECTIVE, IRECV, ISEND, KINDS, RECV, SEND,
+                           WAIT, BurstTrace, EventColumns)
+from ..trace.events import ComputePhase
 from ..util import LruDict
 from .collectives import collective_cost_ns
 from .model import NetworkConfig
@@ -80,10 +83,39 @@ __all__ = ["replay_batch", "BatchPhaseDurationFn"]
 BatchPhaseDurationFn = Callable[[int, ComputePhase], np.ndarray]
 
 
+def _per_size(sizes: np.ndarray, fn: Callable, dtype) -> np.ndarray:
+    """``fn`` (a scalar network function) of every size: evaluated once
+    per distinct size, so each value is the scalar path's own."""
+    uniq, inv = np.unique(sizes, return_inverse=True)
+    return np.array([fn(int(s)) for s in uniq], dtype=dtype)[inv]
+
+
+def _first_touch(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``codes``, numbered in order of first appearance,
+    and each id's first position."""
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(first), dtype=np.int64)
+    number[order] = np.arange(len(first))
+    return number[inv], first[order]
+
+
+def _cumcount(groups: np.ndarray) -> np.ndarray:
+    """Each element's rank among the earlier elements of its group."""
+    order = np.argsort(groups, kind="stable")
+    g = groups[order]
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    sizes = np.diff(np.concatenate((starts, [len(g)])))
+    out = np.empty(len(g), dtype=np.int64)
+    out[order] = np.arange(len(g)) - np.repeat(starts, sizes)
+    return out
+
+
 def _classify(
     trace: BurstTrace, net: NetworkConfig,
-) -> Optional[Tuple[Dict[Tuple[int, int, int], bool], int]]:
-    """One scan over the periods: can a tape replay ``trace``, and how?
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """Array checks over the period columns: can a tape replay
+    ``trace``, and how?
 
     Returns ``None`` when the replay's values can depend on step order:
     a finite bus pool (``n_buses > 0``) — the one shared resource whose
@@ -93,35 +125,49 @@ def _classify(
     rendezvous one, making mixed-key pairing depend on what is
     outstanding at discovery time.
 
-    Otherwise returns ``(key_eager, reps)``: each send key's protocol
-    (``True`` = eager) and the number of times the tape may run one
-    period — ``trace.repeats`` when the period is message-balanced (per
-    key, as many receives as sends), else 1.  A balanced period pairs
-    every send with a receive of its own period under FIFO matching; it
-    closes its own requests (:class:`~repro.trace.burst.RankTrace`
-    validates that), and every copy holds the period's own phase
-    objects, so the period's tape run ``repeats`` times is the full
-    replay.  A flat trace (``repeats == 1``) takes the full tape.
+    Otherwise returns ``(key, eager, reps)``, the first two one entry
+    per period row: the dense id of a send's or receive's
+    ``(src, dst, tag)`` key (-1 for other rows), and its key's protocol
+    (1 eager, 0 rendezvous, -1 for a receive whose key has no send);
+    ``reps`` is the number of times the tape may run one period —
+    ``trace.repeats`` when the period is message-balanced (per key, as
+    many receives as sends), else 1.  A balanced period pairs every send
+    with a receive of its own period under FIFO matching; it closes its
+    own requests (the trace validates that), and every copy holds the
+    period's own phase objects, so the period's tape run ``repeats``
+    times is the full replay.  A flat trace (``repeats == 1``) takes the
+    full tape.
     """
     if net.n_buses > 0:
         return None
-    key_eager: Dict[Tuple[int, int, int], bool] = {}
-    balance: Dict[Tuple[int, int, int], int] = defaultdict(int)
-    for rt in trace.ranks:
-        r = rt.rank
-        for ev in rt.period:
-            if isinstance(ev, ComputePhase):
-                continue
-            kind = ev.kind
-            if kind in ("send", "isend"):
-                key = (r, ev.peer, ev.tag)
-                eager = kind == "isend" or net.is_eager(ev.size_bytes)
-                if key_eager.setdefault(key, eager) != eager:
-                    return None
-                balance[key] += 1
-            elif kind in ("recv", "irecv"):
-                balance[(ev.peer, r, ev.tag)] -= 1
-    return key_eager, (1 if any(balance.values()) else trace.repeats)
+    c = trace.columns
+    kind = c.kind
+    sends = (kind == SEND) | (kind == ISEND)
+    at = np.flatnonzero(sends | (kind == RECV) | (kind == IRECV))
+    key = np.full(len(kind), -1, dtype=np.int64)
+    eager = np.full(len(kind), -1, dtype=np.int64)
+    if not at.size:
+        return key, eager, trace.repeats
+    rank = c.event_ranks()[at]
+    peer = c.peer[at]
+    is_send = sends[at]
+    src = np.where(is_send, rank, peer)
+    dst = np.where(is_send, peer, rank)
+    _, tag = np.unique(c.tag[at], return_inverse=True)   # dense codes
+    _, key[at] = np.unique((src * trace.n_ranks + dst) * (tag.max() + 1)
+                           + tag, return_inverse=True)
+    n_keys = int(key.max()) + 1
+    s_key = key[at][is_send]
+    s_eager = (kind[at][is_send] == ISEND) | _per_size(
+        c.size[at][is_send], net.is_eager, bool)
+    n_send = np.bincount(s_key, minlength=n_keys)
+    n_eager = np.bincount(s_key[s_eager], minlength=n_keys)
+    if ((n_eager > 0) & (n_eager < n_send)).any():
+        return None
+    eager[at] = np.where(n_send > 0, n_eager > 0, -1)[key[at]]
+    n_recv = np.bincount(key[at][~is_send], minlength=n_keys)
+    return key, eager, (trace.repeats if np.array_equal(n_send, n_recv)
+                        else 1)
 
 
 # --------------------------------------------------------------------- tape
@@ -134,9 +180,12 @@ def _classify(
 # request a wait consumes are all fixed by the trace alone.  The float
 # values then form a DAG: each event's output depends on the same rank's
 # previous event plus at most one cross-rank value (a message arrival, a
-# receive-post clock, or a collective's entry set).  _build_tape walks
-# the trace once (pure Python, no floats), resolves the matching, and
-# levels the DAG by depth; _run_array_tape then executes it level by
+# receive-post clock, or a collective's entry set).  _build_tape
+# resolves the matching with array operations over the trace's event
+# columns (FIFO slots by per-key cumulative counts, collectives by
+# per-rank (kind, seq), waits by their (rank, request) predecessor; no
+# floats, no event objects), and levels the DAG by depth;
+# _run_array_tape then executes it level by
 # level with one NumPy pass per (level, kind) group — the same float64
 # ops the scalar ``step`` performs, (events-in-level x configs) at a
 # time — instead of ~one Python ``step()`` call per event.  Because an
@@ -184,183 +233,141 @@ class _Tape:
 
 
 def _build_tape(
-    events: List[Tuple[RankEvent, ...]],
+    cols: EventColumns,
+    phases: Tuple[ComputePhase, ...],
     net: NetworkConfig,
-    key_eager: Dict[Tuple[int, int, int], bool],
+    key: np.ndarray,
+    eager: np.ndarray,
     reps: int,
 ) -> Optional[_Tape]:
     """Structural pre-pass: match, level, and group one period's replay.
 
-    ``events`` holds each rank's stream for one period — the whole trace
-    when ``reps == 1`` — and ``key_eager`` each send key's protocol, both
-    from :func:`_classify`.  Returns ``None`` when the events cannot be
-    fully resolved structurally (they would deadlock, wait on an unknown
+    ``cols`` holds each rank's stream for one period — the whole trace
+    when ``reps == 1`` — whose ``phase`` column indexes ``phases``;
+    ``key`` and ``eager`` give each row's point-to-point key and
+    protocol, from :func:`_classify`.  Every step is an array operation
+    over the rows.  Returns ``None`` when the events cannot be fully
+    resolved structurally (they would deadlock, wait on an unknown
     request, or price a collective whose per-rank payloads disagree) —
     the caller then falls back to per-column scalar replay, which owns
     those diagnostics.
     """
-    n = len(events)
-    n_events = sum(len(e) for e in events)
+    n = cols.n_ranks
+    kind, size = cols.kind, cols.size
+    n_events = len(kind)
+    rank = cols.event_ranks()
+    is_send = (kind == SEND) | (kind == ISEND)
+    is_recv = (kind == RECV) | (kind == IRECV)
+    is_coll = kind >= FIRST_COLLECTIVE
+    rdv_recv = (kind == RECV) & (eager == 0)
+    if ((kind == RECV) & (eager < 0)).any():
+        return None  # a receive no rank ever sends to: structural deadlock
 
-    # Message registry: FIFO slot i of a key pairs send i with recv i.
-    msg_transfer: List[Optional[float]] = []
-    msg_arrival: List[Optional[int]] = []   # producer node (send)
-    msg_post: List[Optional[int]] = []      # receive-post node
-    key_slots: Dict[Tuple[int, int, int], List[int]] = defaultdict(list)
+    # Message slots: send i and receive i of a key share slot (key, i)
+    # (FIFO matching); slots are numbered in order of first touch, rows
+    # read rank-major.
+    p2p = np.flatnonzero(is_send | is_recv)
+    nth = _cumcount(key[p2p] * 2 + is_send[p2p])
+    msg = np.full(n_events, -1, dtype=np.int64)
+    msg[p2p], first = _first_touch(key[p2p] * (int(nth.max(initial=0)) + 1)
+                                   + nth)
+    n_msgs = len(first)
 
-    def msg_slot(key, i: int) -> int:
-        slots = key_slots[key]
-        while len(slots) <= i:
-            slots.append(len(msg_transfer))
-            msg_transfer.append(None)
-            msg_arrival.append(None)
-            msg_post.append(None)
-        return slots[i]
+    # Each wait consumes the request its rank last opened under that id:
+    # its predecessor in (rank, request, row) order.
+    rq = np.flatnonzero((kind == ISEND) | (kind == IRECV) | (kind == WAIT))
+    rq = rq[np.lexsort((rq, cols.request[rq], rank[rq]))]
+    is_wait = kind[rq] == WAIT
+    same = np.concatenate(([False], (rank[rq][1:] == rank[rq][:-1])
+                           & (cols.request[rq][1:] == cols.request[rq][:-1])))
+    wait = rq[is_wait]
+    opener = rq[np.flatnonzero(is_wait) - 1] if wait.size else wait
+    if not (same[is_wait].all() and (kind[opener] != WAIT).all()):
+        return None  # wait on an unknown request: the scalar engine raises
+    from_irecv = kind[opener] == IRECV
+    if (from_irecv & (eager[opener] < 0)).any():
+        return None  # waits on a receive no rank ever sends to
+    msg[wait] = msg[opener]
 
-    # Nodes as parallel lists; dependencies as one flat edge list.  The
-    # walk below runs once per trace event — the structural hot loop —
-    # hence the inlined node construction via bound ``append``s.
-    kinds: List[int] = []
-    ranks: List[int] = []
-    nmsg: List[int] = []
-    payloads: List[object] = []
-    e_src: List[int] = []
-    e_dst: List[int] = []
-    k_ap, r_ap, m_ap, p_ap = (kinds.append, ranks.append, nmsg.append,
-                              payloads.append)
-    es_ap, ed_ap = e_src.append, e_dst.append
+    # Node kinds per row; a rendezvous blocking receive is two nodes
+    # (post, completion) and a collective one node all ranks share.
+    ev_kind = np.full(n_events, _K_COMPUTE, dtype=np.int64)
+    ev_kind[is_send] = np.where(eager[is_send] == 1, _K_EAGER_SEND,
+                                _K_RDV_SEND)
+    ev_kind[kind == RECV] = _K_RECV_EAGER
+    ev_kind[rdv_recv] = _K_RDV_POST
+    ev_kind[kind == IRECV] = _K_IRECV_POST
+    ev_kind[wait] = np.where(from_irecv & (eager[opener] == 1),
+                             _K_WAIT_EAGER, _K_WAIT_ARR)
+    count = (~is_coll).astype(np.int64) + rdv_recv
+    node = np.cumsum(count) - count        # first node of each plain row
+    n_plain = int(count.sum())
 
-    send_i: Dict[Tuple, int] = defaultdict(int)
-    recv_i: Dict[Tuple, int] = defaultdict(int)
-    colls: Dict[Tuple[str, int], int] = {}
-    coll_members: Dict[int, int] = {}
-    n_messages = 0
-    bytes_sent = 0
+    # Collectives match across ranks by per-rank (kind, seq).
+    coll = np.flatnonzero(is_coll)
+    seq = _cumcount(rank[coll] * len(KINDS) + kind[coll])
+    c_id, c_first = _first_touch(seq * len(KINDS) + kind[coll])
+    n_coll = len(c_first)
+    node[coll] = n_plain + c_id
+    c_size = size[coll][c_first]
+    if (size[coll] != c_size[c_id]).any():
+        return None  # ragged payload: completion order decides
+    if (np.bincount(c_id, minlength=n_coll) != n).any():
+        return None  # some rank never joins: structural deadlock
+    coll_payload = [(KINDS[k], sz) for k, sz in
+                    zip(kind[coll][c_first].tolist(), c_size.tolist())]
 
-    for r in range(n):
-        coll_seq: Dict[str, int] = defaultdict(int)
-        requests: Dict[int, Tuple[str, int]] = {}
-        prev = -1
-        for ev in events[r]:
-            if isinstance(ev, ComputePhase):
-                nid = len(kinds)
-                k_ap(_K_COMPUTE), r_ap(r), m_ap(-1), p_ap(ev)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                continue
-            call: MpiCall = ev
-            if call.is_collective:
-                ckey = (call.kind, coll_seq[call.kind])
-                coll_seq[call.kind] += 1
-                nid = colls.get(ckey, -1)
-                if nid < 0:
-                    nid = len(kinds)
-                    k_ap(_K_COLL), r_ap(-1), m_ap(-1)
-                    p_ap((call.kind, call.size_bytes))
-                    colls[ckey] = nid
-                    coll_members[nid] = 0
-                elif payloads[nid] != (call.kind, call.size_bytes):
-                    return None  # ragged payload: completion order decides
-                coll_members[nid] += 1
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-            elif call.kind in ("send", "isend"):
-                key = (r, call.peer, call.tag)
-                mid = msg_slot(key, send_i[key])
-                send_i[key] += 1
-                msg_transfer[mid] = net.transfer_ns(call.size_bytes)
-                eager = call.kind == "isend" or net.is_eager(call.size_bytes)
-                nid = len(kinds)
-                k_ap(_K_EAGER_SEND if eager else _K_RDV_SEND)
-                r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                msg_arrival[mid] = nid
-                if call.kind == "isend":
-                    requests[call.request] = ("s", mid)
-                n_messages += 1
-                bytes_sent += call.size_bytes
-            elif call.kind == "recv":
-                key = (call.peer, r, call.tag)
-                mid = msg_slot(key, recv_i[key])
-                recv_i[key] += 1
-                eager = key_eager.get(key)
-                if eager is None:
-                    return None  # no sender ever: structural deadlock
-                nid = len(kinds)
-                if eager:
-                    k_ap(_K_RECV_EAGER), r_ap(r), m_ap(mid), p_ap(None)
-                    if prev >= 0:
-                        es_ap(prev), ed_ap(nid)
-                    prev = nid
-                else:
-                    k_ap(_K_RDV_POST), r_ap(r), m_ap(mid), p_ap(None)
-                    if prev >= 0:
-                        es_ap(prev), ed_ap(nid)
-                    msg_post[mid] = nid
-                    k_ap(_K_RDV_COMPLETE), r_ap(r), m_ap(mid), p_ap(None)
-                    es_ap(nid), ed_ap(nid + 1)
-                    prev = nid + 1
-            elif call.kind == "irecv":
-                key = (call.peer, r, call.tag)
-                mid = msg_slot(key, recv_i[key])
-                recv_i[key] += 1
-                eager = key_eager.get(key)
-                nid = len(kinds)
-                k_ap(_K_IRECV_POST), r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-                msg_post[mid] = nid
-                requests[call.request] = (
-                    "x" if eager is None else ("e" if eager else "r"), mid)
-            elif call.kind == "wait":
-                entry = requests.pop(call.request, None)
-                if entry is None or entry[0] == "x":
-                    return None  # unknown request / unmatched irecv
-                tag, mid = entry
-                nid = len(kinds)
-                k_ap(_K_WAIT_EAGER if tag == "e" else _K_WAIT_ARR)
-                r_ap(r), m_ap(mid), p_ap(None)
-                if prev >= 0:
-                    es_ap(prev), ed_ap(nid)
-                prev = nid
-            else:
-                return None  # unhandled kind: scalar engine raises
+    n_nodes = n_plain + n_coll
+    rows = np.concatenate((np.flatnonzero(~is_coll), np.flatnonzero(rdv_recv)))
+    at = np.concatenate((node[~is_coll], node[rdv_recv] + 1))
+    kind_arr = np.full(n_nodes, _K_COLL, dtype=np.int64)
+    kind_arr[at] = np.concatenate((ev_kind[~is_coll], np.full(
+        int(rdv_recv.sum()), _K_RDV_COMPLETE)))
+    rank_arr = np.full(n_nodes, -1, dtype=np.int64)
+    rank_arr[at] = rank[rows]
+    nmsg_arr = np.full(n_nodes, -1, dtype=np.int64)
+    nmsg_arr[at] = msg[rows]
+    phase_arr = np.full(n_nodes, -1, dtype=np.int64)
+    phase_arr[at] = cols.phase[rows]
+    last = node + rdv_recv                 # last node of each row
 
-    for nid, count in coll_members.items():
-        if count != n:
-            return None  # some rank never joins: structural deadlock
+    # Same-rank chain edges, then cross-rank value edges.
+    chain = np.flatnonzero(rank[1:] == rank[:-1])
+    e_src = [last[chain], node[rdv_recv]]
+    e_dst = [node[chain + 1], node[rdv_recv] + 1]
+    arrival = np.full(n_msgs, -1, dtype=np.int64)
+    arrival[msg[is_send]] = node[is_send]
+    post = np.full(n_msgs, -1, dtype=np.int64)
+    posting = (kind == IRECV) | rdv_recv
+    post[msg[posting]] = node[posting]
+    consumer = np.flatnonzero(np.isin(kind_arr, (_K_RECV_EAGER,
+                                                 _K_RDV_COMPLETE, _K_WAIT_ARR,
+                                                 _K_WAIT_EAGER)))
+    arr_src = arrival[nmsg_arr[consumer]]
+    if (arr_src < 0).any():
+        return None  # consumes a message nobody sends
+    w_eager = np.flatnonzero(kind_arr == _K_WAIT_EAGER)
+    rdv_send = np.flatnonzero(kind_arr == _K_RDV_SEND)
+    rdv_src = post[nmsg_arr[rdv_send]]
+    if (rdv_src < 0).any():
+        return None  # rendezvous sender blocks forever
+    e_src += [arr_src, post[nmsg_arr[w_eager]], rdv_src]
+    e_dst += [consumer, w_eager, rdv_send]
+    src = np.concatenate(e_src)
+    dst = np.concatenate(e_dst)
 
-    # Cross-rank value edges, resolved now that every producer exists.
-    for nid, kind in enumerate(kinds):
-        if kind in (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
-                    _K_WAIT_EAGER):
-            mid = nmsg[nid]
-            arr = msg_arrival[mid]
-            if arr is None:
-                return None  # consumes a message nobody sends
-            es_ap(arr), ed_ap(nid)
-            if kind == _K_WAIT_EAGER:
-                es_ap(msg_post[mid]), ed_ap(nid)
-        elif kind == _K_RDV_SEND:
-            post = msg_post[nmsg[nid]]
-            if post is None:
-                return None  # rendezvous sender blocks forever
-            es_ap(post), ed_ap(nid)
+    tr_arr = np.full(n_msgs, np.nan)
+    tr_arr[msg[is_send]] = _per_size(size[is_send], net.transfer_ns,
+                                     np.float64)
+    n_messages = int(is_send.sum())
+    bytes_sent = int(size[is_send].sum())
 
     # Level the DAG (depth = 1 + max over predecessors) with Kahn waves
     # vectorized over the flat edge list: each wave expands the whole
     # zero-indegree frontier at once.  Total work is O(edges) spread
     # over ~levels vector calls instead of O(edges) dict/list hops.
-    n_nodes = len(kinds)
     depth = np.zeros(n_nodes, dtype=np.int64)
-    if e_src:
-        src = np.asarray(e_src, dtype=np.int64)
-        dst = np.asarray(e_dst, dtype=np.int64)
+    if src.size:
         e_order = np.argsort(src, kind="stable")
         dst_s = dst[e_order]
         starts = np.searchsorted(src, np.arange(n_nodes + 1),
@@ -387,17 +394,13 @@ def _build_tape(
             return None  # dependency cycle: a genuine deadlock
 
     # Group by (depth, kind); groups are rank-disjoint within a level.
-    # Node ids are assigned rank-major and the sort is stable, so
-    # members sort by rank within a group; when a group covers every
+    # Plain node ids are assigned rank-major (collective nodes follow
+    # them) and the sort is stable, so members sort by rank within a
+    # group; when a group covers every
     # rank, the index array is the identity permutation and a full
     # slice serves instead — the driver then runs its in-place
     # whole-matrix kernels (the common case: bulk-synchronous apps keep
     # all ranks at the same depth).
-    kind_arr = np.asarray(kinds, dtype=np.int64)
-    rank_arr = np.asarray(ranks, dtype=np.int64)
-    nmsg_arr = np.asarray(nmsg, dtype=np.int64)
-    tr_arr = np.asarray([np.nan if t is None else t for t in msg_transfer],
-                        dtype=np.float64)
     order = np.lexsort((kind_arr, depth))
     d_s = depth[order]
     k_s = kind_arr[order]
@@ -424,7 +427,6 @@ def _build_tape(
     # were ~40% of the driver's memory traffic.  Never-read slots
     # (unreceived sends, unwaited irecvs) get the leftover ids past
     # every reader's run, keeping producer scatters unconditional.
-    n_msgs = len(msg_transfer)
     arr_map1 = np.full(n_msgs, -1, dtype=np.int64)
     arr_map2 = np.full(n_msgs, -1, dtype=np.int64)
     post_map = np.full(n_msgs, -1, dtype=np.int64)
@@ -479,14 +481,15 @@ def _build_tape(
         if k == _K_COLL:
             for nid in members:
                 groups.append((k, None, None, None, None, None,
-                               payloads[nid]))
+                               coll_payload[nid - n_plain]))
             continue
         rr = rank_arr[members]
         mm = nmsg_arr[members]
         tt2 = (tr_arr[mm][:, None] if k in (_K_EAGER_SEND, _K_RECV_EAGER,
                                             _K_RDV_SEND, _K_WAIT_EAGER)
                else None)
-        pl = ([(int(rank_arr[e]), payloads[e]) for e in members]
+        pl = ([(r, phases[i]) for r, i in zip(rank_arr[members].tolist(),
+                                              phase_arr[members].tolist())]
               if k == _K_COMPUTE else None)
         if np.array_equal(rr, identity):
             rr = slice(None)
@@ -541,9 +544,12 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         verdict = _classify(trace, net)
         tape = None
         if verdict is not None:
-            key_eager, reps = verdict
-            tape = _build_tape([rt.events if reps == 1 else rt.period
-                                for rt in trace.ranks], net, key_eager, reps)
+            p2p_key, eager, reps = verdict
+            cols = trace.columns
+            if reps < trace.repeats:
+                cols, row = trace.flat_columns()
+                p2p_key, eager = p2p_key[row], eager[row]
+            tape = _build_tape(cols, trace.phases, net, p2p_key, eager, reps)
             get_metrics().inc("replay.tape.builds")
         entry = _TAPE_CACHE[key] = (trace, tape, verdict is not None)
     if entry[1] is None and entry[2]:

@@ -1,6 +1,6 @@
 """Multi-level trace substrate (replaces Extrae + DynamoRIO output)."""
 
-from .burst import BurstTrace, RankTrace
+from .burst import BurstTrace, EventColumns, RankTrace
 from .detailed import DetailedTrace
 from .events import (
     COLLECTIVE_KINDS,
@@ -29,6 +29,7 @@ __all__ = [
     "BurstTrace",
     "ComputePhase",
     "DetailedTrace",
+    "EventColumns",
     "FenwickTree",
     "InstructionMix",
     "KernelSignature",

@@ -5,17 +5,41 @@ MUSA obtains with Extrae: compute phases carrying runtime-system events,
 interleaved with MPI calls.  It is the input to both burst-mode
 (hardware-agnostic) simulation and the communication replay.  A traced
 region is iterative, so each rank stores one period plus a repeat count.
+
+A trace stores its periods as flat integer columns
+(:class:`EventColumns`): one row per event, ranks one after another,
+each event a kind code plus its peer, tag, size, request id and phase
+index.  The app generators emit the columns directly and the batched
+replay builds its tape from them.  :attr:`BurstTrace.ranks`, one
+:class:`RankTrace` of event objects per rank, is a view built on first
+access for the readers that walk events one by one: the scalar replay,
+serialization and trace statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
-from .events import ComputePhase, MpiCall, RankEvent
+import numpy as np
 
-__all__ = ["RankTrace", "BurstTrace"]
+from .events import (COLLECTIVE_KINDS, P2P_KINDS, ComputePhase, MpiCall,
+                     RankEvent)
+
+__all__ = ["RankTrace", "BurstTrace", "EventColumns", "KINDS", "PHASE",
+           "SEND", "RECV", "ISEND", "IRECV", "WAIT", "FIRST_COLLECTIVE"]
+
+#: Event kind codes of the columns: a compute phase, then the MPI calls.
+KINDS: Tuple[str, ...] = ("phase", "send", "recv", "isend", "irecv", "wait",
+                          "barrier", "allreduce", "reduce", "bcast",
+                          "alltoall", "allgather")
+PHASE, SEND, RECV, ISEND, IRECV, WAIT = range(6)
+#: Codes from here on are collectives.
+FIRST_COLLECTIVE = 6
+assert set(KINDS[1:FIRST_COLLECTIVE]) == P2P_KINDS
+assert set(KINDS[FIRST_COLLECTIVE:]) == COLLECTIVE_KINDS
+_CODE: Dict[str, int] = {k: i for i, k in enumerate(KINDS)}
 
 
 @dataclass(frozen=True)
@@ -99,57 +123,224 @@ class RankTrace:
                                   if c.kind in {"send", "isend"})
 
 
-@dataclass(frozen=True)
-class BurstTrace:
-    """Whole-application coarse trace: one :class:`RankTrace` per rank,
-    every rank repeating its period equally often."""
+class EventColumns(NamedTuple):
+    """Event streams of all ranks as int64 columns, one row per event.
 
-    app: str
-    ranks: Tuple[RankTrace, ...]
-    #: iterations the traced region covers (for per-iteration metrics)
-    n_iterations: int = 1
+    Rank ``r``'s events are rows ``offsets[r]:offsets[r + 1]``, in
+    program order.  ``kind`` is a code into :data:`KINDS`; ``peer`` and
+    ``request`` hold -1 where the call has none; ``phase`` indexes the
+    trace's ``phases`` for a compute phase and is -1 for an MPI call.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.ranks:
-            raise ValueError("trace needs at least one rank")
-        if self.n_iterations <= 0:
-            raise ValueError("n_iterations must be positive")
-        got = [r.rank for r in self.ranks]
-        if got != list(range(len(self.ranks))):
-            raise ValueError(f"ranks must be dense 0..N-1, got {got[:8]}...")
-        if len({rt.repeats for rt in self.ranks}) > 1:
-            raise ValueError("every rank must repeat its period equally often")
-        n = len(self.ranks)
-        for rt in self.ranks:
-            for ev in rt.mpi_calls():
-                if ev.peer is not None and not 0 <= ev.peer < n:
-                    raise ValueError(
-                        f"rank {rt.rank}: peer {ev.peer} out of range 0..{n-1}"
-                    )
+    kind: np.ndarray
+    peer: np.ndarray
+    tag: np.ndarray
+    size: np.ndarray
+    request: np.ndarray
+    phase: np.ndarray
+    offsets: np.ndarray
 
     @property
     def n_ranks(self) -> int:
-        return len(self.ranks)
+        return len(self.offsets) - 1
+
+    def event_ranks(self) -> np.ndarray:
+        """The rank of every row."""
+        return np.repeat(np.arange(self.n_ranks), np.diff(self.offsets))
+
+
+def _columns_from_ranks(
+    ranks: Sequence[RankTrace],
+) -> Tuple[EventColumns, Tuple[ComputePhase, ...]]:
+    """Columns of the ranks' periods; phases are numbered by identity in
+    order of first appearance."""
+    index: Dict[int, int] = {}
+    phases: List[ComputePhase] = []
+    rows = []
+    for rt in ranks:
+        for ev in rt.period:
+            if isinstance(ev, ComputePhase):
+                i = index.get(id(ev))
+                if i is None:
+                    i = index[id(ev)] = len(phases)
+                    phases.append(ev)
+                rows.append((PHASE, -1, 0, 0, -1, i))
+            else:
+                rows.append((_CODE[ev.kind],
+                             -1 if ev.peer is None else ev.peer, ev.tag,
+                             ev.size_bytes,
+                             -1 if ev.request is None else ev.request, -1))
+    table = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    offsets = np.cumsum([0] + [len(rt.period) for rt in ranks],
+                        dtype=np.int64)
+    return EventColumns(*table.T, offsets), tuple(phases)
+
+
+def _check_columns(cols: EventColumns) -> None:
+    """The trace invariants, as array checks over the columns: peers in
+    range, and every request opened before its wait, never reused
+    while pending, and closed within the period.
+
+    Raises the errors :class:`RankTrace` and :class:`BurstTrace` raise
+    for the same events; among several faults, the first rank's
+    earliest wins.
+    """
+    n = cols.n_ranks
+    kind, peer, request = cols.kind, cols.peer, cols.request
+    bad = np.flatnonzero(peer >= n)
+    if bad.size:
+        rank = np.searchsorted(cols.offsets, bad[0], side="right") - 1
+        raise ValueError(
+            f"rank {rank}: peer {peer[bad[0]]} out of range 0..{n - 1}")
+
+    # Requests: sorted by (rank, request, position), each request's
+    # calls must alternate open (isend/irecv), wait, open, ... and end
+    # on a wait.
+    pos = np.flatnonzero((kind >= ISEND) & (kind <= WAIT))
+    if not pos.size:
+        return
+    rank = cols.event_ranks()[pos]
+    req = request[pos]
+    order = np.lexsort((pos, req, rank))
+    pos, rank, req = pos[order], rank[order], req[order]
+    opens = kind[pos] != WAIT
+    same = np.concatenate(
+        ([False], (rank[1:] == rank[:-1]) & (req[1:] == req[:-1])))
+    after_open = np.concatenate(([False], opens[:-1])) & same
+    wrong = opens == after_open          # reopened, or waited unopened
+    unwaited = opens & ~np.concatenate((same[1:], [False]))
+    if not (wrong.any() or unwaited.any()):
+        return
+    r = rank[wrong | unwaited].min()
+    here = np.flatnonzero(wrong & (rank == r))
+    if here.size:
+        i = here[np.argmin(pos[here])]
+        if opens[i]:
+            raise ValueError(
+                f"rank {r}: request {req[i]} reused before being waited on")
+        raise ValueError(f"rank {r}: wait on unknown request {req[i]}")
+    pending = sorted(req[unwaited & (rank == r)].tolist())
+    raise ValueError(f"rank {r}: unwaited requests {pending}")
+
+
+class BurstTrace:
+    """Whole-application coarse trace: every rank's period as
+    :class:`EventColumns`, every rank repeating its period equally often.
+
+    Construct it from one :class:`RankTrace` per rank (hand-written and
+    loaded traces; they are converted to columns once and kept as the
+    :attr:`ranks` view), or from columns with :meth:`from_columns`.
+    """
+
+    def __init__(self, app: str, ranks: Sequence[RankTrace],
+                 n_iterations: int = 1) -> None:
+        ranks = tuple(ranks)
+        if not ranks:
+            raise ValueError("trace needs at least one rank")
+        if n_iterations <= 0:
+            raise ValueError("n_iterations must be positive")
+        got = [r.rank for r in ranks]
+        if got != list(range(len(ranks))):
+            raise ValueError(f"ranks must be dense 0..N-1, got {got[:8]}...")
+        if len({rt.repeats for rt in ranks}) > 1:
+            raise ValueError("every rank must repeat its period equally often")
+        columns, phases = _columns_from_ranks(ranks)
+        self._init(app, columns, phases, ranks[0].repeats, n_iterations)
+        self.__dict__["ranks"] = ranks
+
+    @classmethod
+    def from_columns(cls, app: str, columns: EventColumns,
+                     phases: Sequence[ComputePhase], repeats: int = 1,
+                     n_iterations: int = 1) -> "BurstTrace":
+        """A trace over ``columns``, whose ``phase`` column indexes
+        ``phases``.  The columns must hold what :class:`MpiCall` allows
+        (kind codes, non-negative sizes, a peer on every point-to-point
+        call, a request on every isend, irecv and wait); peers and
+        requests are then checked as the :class:`RankTrace` path
+        checks them."""
+        trace = cls.__new__(cls)
+        trace._init(app, columns, tuple(phases), repeats, n_iterations)
+        return trace
+
+    def _init(self, app: str, columns: EventColumns,
+              phases: Tuple[ComputePhase, ...], repeats: int,
+              n_iterations: int) -> None:
+        columns = EventColumns(*(np.array(a, dtype=np.int64)
+                                 for a in columns))
+        if columns.n_ranks < 1:
+            raise ValueError("trace needs at least one rank")
+        if n_iterations <= 0:
+            raise ValueError("n_iterations must be positive")
+        if repeats < 1:
+            raise ValueError("repeats must be positive")
+        _check_columns(columns)
+        for a in columns:
+            a.flags.writeable = False
+        self.app = app
+        self.columns = columns
+        self.phases = phases
+        self.repeats = repeats
+        #: iterations the traced region covers (for per-iteration metrics)
+        self.n_iterations = n_iterations
+
+    @cached_property
+    def ranks(self) -> Tuple[RankTrace, ...]:
+        """One :class:`RankTrace` of event objects per rank, built from
+        the columns on first access."""
+        c = self.columns
+        phases = self.phases
+        events = [
+            phases[ph] if k == PHASE else MpiCall(
+                kind=KINDS[k], peer=None if p < 0 else p, size_bytes=s,
+                tag=t, request=None if q < 0 else q)
+            for k, p, t, s, q, ph in zip(*(a.tolist() for a in c[:6]))]
+        bounds = c.offsets.tolist()
+        return tuple(
+            RankTrace(rank=r, period=tuple(events[bounds[r]:bounds[r + 1]]),
+                      repeats=self.repeats)
+            for r in range(c.n_ranks))
+
+    def flat_columns(self) -> Tuple[EventColumns, np.ndarray]:
+        """The flat stream, ``repeats`` copies of every period, as
+        columns, plus the period row each flat row copies.
+
+        Copy ``k`` offsets a rank's request ids by ``k * (max id + 1)``,
+        as :attr:`RankTrace.events` does.
+        """
+        c = self.columns
+        reps = self.repeats
+        lengths = np.diff(c.offsets)
+        flat_len = lengths * reps
+        rank = np.repeat(np.arange(c.n_ranks), flat_len)
+        j = np.arange(int(flat_len.sum())) - np.repeat(c.offsets[:-1] * reps,
+                                                       flat_len)
+        per = lengths[rank]
+        src = c.offsets[rank] + j % per
+        stride = np.full(c.n_ranks, -1, dtype=np.int64)
+        np.maximum.at(stride, c.event_ranks(), c.request)
+        req = c.request[src]
+        req = np.where(req >= 0, req + (j // per) * (stride[rank] + 1), -1)
+        return EventColumns(c.kind[src], c.peer[src], c.tag[src],
+                            c.size[src], req, c.phase[src],
+                            c.offsets * reps), src
 
     @property
-    def repeats(self) -> int:
-        return self.ranks[0].repeats
+    def n_ranks(self) -> int:
+        return self.columns.n_ranks
 
     def __iter__(self) -> Iterator[RankTrace]:
         return iter(self.ranks)
 
+    def __repr__(self) -> str:
+        return (f"BurstTrace(app={self.app!r}, n_ranks={self.n_ranks}, "
+                f"repeats={self.repeats}, n_iterations={self.n_iterations})")
+
     def kernel_names(self) -> List[str]:
         """All kernel names referenced by any task, sorted."""
-        names = {
-            t.kernel
-            for rt in self.ranks
-            for ph in rt.compute_phases()
-            for t in ph.tasks
-        }
-        return sorted(names)
+        return sorted({t.kernel for ph in self.phases for t in ph.tasks})
 
     def phase_counts(self) -> Tuple[int, int]:
         """(total compute phases, total MPI calls) across ranks."""
-        n_phase = sum(len(rt.compute_phases()) for rt in self.ranks)
-        n_mpi = sum(len(rt.mpi_calls()) for rt in self.ranks)
+        n_phase = int((self.columns.kind == PHASE).sum())
+        n_mpi = len(self.columns.kind) - n_phase
         return n_phase * self.repeats, n_mpi * self.repeats

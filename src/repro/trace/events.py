@@ -9,6 +9,7 @@ sections) needed to re-simulate scheduling for any core count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -43,10 +44,10 @@ class TaskRecord:
     work_units: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.duration_ns < 0:
-            raise ValueError("duration_ns must be non-negative")
-        if self.work_units < 0:
-            raise ValueError("work_units must be non-negative")
+        if not (math.isfinite(self.duration_ns) and self.duration_ns >= 0):
+            raise ValueError("duration_ns must be finite and non-negative")
+        if not (math.isfinite(self.work_units) and self.work_units >= 0):
+            raise ValueError("work_units must be finite and non-negative")
         if any(d < 0 for d in self.deps):
             raise ValueError("dependency indices must be non-negative")
 
@@ -85,8 +86,11 @@ class ComputePhase:
     critical_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.serial_ns < 0 or self.creation_ns < 0 or self.critical_ns < 0:
-            raise ValueError("phase overheads must be non-negative")
+        for name in ("serial_ns", "creation_ns", "critical_ns"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"phase overhead {name} must be finite and non-negative")
         n = len(self.tasks)
         for i, t in enumerate(self.tasks):
             for d in t.deps:
@@ -121,6 +125,8 @@ class MpiCall:
     ``peer`` is the remote rank for point-to-point calls (``None`` for
     collectives), ``size_bytes`` the message payload (0 for barrier),
     and ``request`` a rank-local id linking isend/irecv to their wait.
+    Peers and request ids are non-negative: a trace stores ``None`` as
+    -1 in its integer columns.
     """
 
     kind: str
@@ -134,6 +140,10 @@ class MpiCall:
             raise ValueError(f"unknown MPI call kind {self.kind!r}")
         if self.size_bytes < 0:
             raise ValueError("size_bytes must be non-negative")
+        if self.peer is not None and self.peer < 0:
+            raise ValueError("peer must be a non-negative rank")
+        if self.request is not None and self.request < 0:
+            raise ValueError("request id must be non-negative")
         if self.kind in {"send", "recv", "isend", "irecv"} and self.peer is None:
             raise ValueError(f"{self.kind} requires a peer rank")
         if self.kind in {"isend", "irecv"} and self.request is None:

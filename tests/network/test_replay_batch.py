@@ -94,6 +94,112 @@ class TestPropertyEquivalence:
         assert_batch_equals_scalar(t, net, scales)
 
 
+#: Eager (<= the default 32 KiB threshold) and rendezvous sizes.
+SIZES = st.one_of(st.integers(1, 4096), st.integers(40_000, 100_000))
+
+
+@st.composite
+def rich_traces(draw):
+    """Deadlock-free traces in shapes the app generators never emit.
+
+    Rounds of collectives, one-way pair exchanges and two-way ring
+    exchanges: several messages in flight on one ``(src, dst, tag)``
+    key, tags 0..2, blocking or nonblocking on either side (rendezvous
+    sizes included), waits in a shuffled order, request ids reused once
+    their wait has passed, and each rank's period repeated 1..3 times.
+    """
+    n_ranks = draw(st.integers(2, 4))
+    events = [[] for _ in range(n_ranks)]
+    free = [[0, 1, 2, 3, 4, 5, 6, 7] for _ in range(n_ranks)]
+
+    def post(r, kind, peer, size, tag, opened):
+        req = free[r].pop(0)        # the lowest id not pending
+        events[r].append(MpiCall(kind=kind, peer=peer, size_bytes=size,
+                                 tag=tag, request=req))
+        opened.append(req)
+
+    def wait_all(r, opened):
+        for req in draw(st.permutations(opened)):
+            events[r].append(MpiCall(kind="wait", request=req))
+        free[r] = sorted(free[r] + opened)
+
+    pid = 0
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["collective", "pairs", "ring"]))
+        if shape == "collective":
+            kind = draw(st.sampled_from(["allreduce", "barrier", "bcast"]))
+            size = 0 if kind == "barrier" else draw(st.integers(0, 4096))
+            for r in range(n_ranks):
+                events[r].append(MpiCall(kind=kind, size_bytes=size))
+        elif shape == "pairs":
+            perm = draw(st.permutations(range(n_ranks)))
+            for i in range(0, n_ranks - 1, 2):
+                a, b = perm[i], perm[i + 1]
+                msgs = draw(st.lists(st.tuples(SIZES, st.integers(0, 2)),
+                                     min_size=1, max_size=3))
+                sent, got = [], []
+                for size, tag in msgs:
+                    if draw(st.booleans()):
+                        post(a, "isend", b, size, tag, sent)
+                    else:
+                        events[a].append(MpiCall(kind="send", peer=b,
+                                                 size_bytes=size, tag=tag))
+                    if draw(st.booleans()):
+                        post(b, "irecv", a, size, tag, got)
+                    else:
+                        events[b].append(MpiCall(kind="recv", peer=a,
+                                                 size_bytes=size, tag=tag))
+                wait_all(a, sent)
+                wait_all(b, got)
+        else:  # every rank trades with both ring neighbours, nonblocking
+            size = draw(SIZES)
+            tag = draw(st.integers(0, 2))
+            opened = [[] for _ in range(n_ranks)]
+            for r in range(n_ranks):
+                for nb in ((r - 1) % n_ranks, (r + 1) % n_ranks):
+                    post(r, "irecv", nb, size, tag, opened[r])
+            for r in range(n_ranks):
+                for nb in ((r - 1) % n_ranks, (r + 1) % n_ranks):
+                    post(r, "isend", nb, size, tag, opened[r])
+            for r in range(n_ranks):
+                wait_all(r, opened[r])
+        if draw(st.booleans()):
+            for r in range(n_ranks):
+                events[r].append(phase(phase_id=pid))
+            pid += 1
+    repeats = draw(st.integers(1, 3))
+    return BurstTrace(app="rich", n_iterations=repeats, ranks=tuple(
+        RankTrace(rank=r, period=tuple(evs), repeats=repeats)
+        for r, evs in enumerate(events)))
+
+
+class TestRichShapes:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(t=rich_traces(),
+           scales=st.lists(st.sampled_from(SCALE_POOL), min_size=1,
+                           max_size=4))
+    def test_batched_equals_scalar_without_fallback(self, t, scales):
+        net = NetworkConfig(latency_us=0.1, bandwidth_gbs=10.0,
+                            cpu_overhead_us=0.05)
+        reg = get_metrics()
+        fb0 = reg.counter("replay.batch.array_fallbacks")
+        assert_batch_equals_scalar(t, net, scales)
+        if order_free(t, net):
+            # Deadlock-free and order-free: the tape must build.
+            assert reg.counter("replay.batch.array_fallbacks") == fb0
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=rich_traces())
+    def test_flat_columns_equal_the_flat_view(self, t):
+        flat = BurstTrace(app="flat", ranks=tuple(
+            RankTrace(rank=rt.rank, period=rt.events) for rt in t.ranks))
+        cols, row = t.flat_columns()
+        for got, want in zip(cols, flat.columns):
+            assert np.array_equal(got, want)
+        assert np.array_equal(t.columns.kind[row], cols.kind)
+
+
 class TestCollectivePricing:
     """Collectives must price identically in batched and scalar paths."""
 

@@ -1,8 +1,14 @@
 """Tests for burst trace containers."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import BurstTrace, ComputePhase, MpiCall, RankTrace, TaskRecord
+from repro.trace.burst import _columns_from_ranks
 
 
 def _phase(n_tasks=2, phase_id=0):
@@ -92,3 +98,91 @@ class TestBurstTrace:
     def test_iteration(self):
         t = self._trace(3)
         assert [rt.rank for rt in t] == [0, 1, 2]
+
+
+class TestColumns:
+    """The columns are the trace; the event objects are a view of them."""
+
+    def _period(self):
+        return (MpiCall(kind="irecv", peer=1, size_bytes=8, tag=2,
+                        request=4),
+                _phase(),
+                MpiCall(kind="send", peer=1, size_bytes=40_000),
+                MpiCall(kind="wait", request=4),
+                MpiCall(kind="allreduce", size_bytes=8))
+
+    def test_rank_view_round_trips_through_columns(self):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        again = BurstTrace.from_columns("x", t.columns, t.phases)
+        assert "ranks" not in vars(again)
+        assert [rt.period for rt in again.ranks] == [(), self._period()]
+        assert again.ranks[1].period[1] is t.phases[0]
+        assert again.phase_counts() == t.phase_counts() == (1, 4)
+        assert again.kernel_names() == ["k"]
+
+    def test_columns_are_read_only(self):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        with pytest.raises(ValueError):
+            t.columns.peer[0] = 0
+
+    def test_from_columns_rejects_out_of_range_peer(self):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        peer = np.array(t.columns.peer)
+        peer[0] = 5
+        with pytest.raises(ValueError, match="rank 1: peer 5 out of range"):
+            BurstTrace.from_columns("x", t.columns._replace(peer=peer),
+                                    t.phases)
+
+    def test_from_columns_rejects_bad_counts(self):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),))
+        with pytest.raises(ValueError, match="repeats"):
+            BurstTrace.from_columns("x", t.columns, (), repeats=0)
+        with pytest.raises(ValueError, match="n_iterations"):
+            BurstTrace.from_columns("x", t.columns, (), n_iterations=0)
+        empty = t.columns._replace(offsets=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="at least one rank"):
+            BurstTrace.from_columns("x", empty, ())
+
+
+#: Request-carrying calls over a tiny id space, so reuse, unknown waits
+#: and unwaited requests all occur.
+_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["isend", "irecv", "wait"]),
+              st.integers(0, 2)),
+    st.just(("barrier", None)))
+
+
+def _event(kind, request):
+    if kind == "barrier":
+        return MpiCall(kind="barrier")
+    if kind == "wait":
+        return MpiCall(kind="wait", request=request)
+    return MpiCall(kind=kind, peer=0, size_bytes=8, request=request)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CALLS, max_size=6), min_size=1, max_size=3))
+def test_column_checks_raise_the_event_checks_errors(periods):
+    # The event path validates rank by rank, event by event; the array
+    # checks must accept the same periods and name the same first fault.
+    periods = [tuple(_event(*c) for c in p) for p in periods]
+    want = None
+    try:
+        for r, p in enumerate(periods):
+            RankTrace(rank=r, period=p)
+    except ValueError as exc:
+        want = str(exc)
+    cols, phases = _columns_from_ranks(
+        [SimpleNamespace(period=p) for p in periods])
+    if want is None:
+        BurstTrace.from_columns("x", cols, phases)
+    else:
+        with pytest.raises(ValueError) as info:
+            BurstTrace.from_columns("x", cols, phases)
+        assert str(info.value) == want

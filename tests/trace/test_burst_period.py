@@ -136,3 +136,15 @@ def test_replay_batch_never_builds_the_flat_view(name):
     trace = musa._burst_trace(16, None)
     assert trace.repeats > 1
     assert not any("events" in rt.__dict__ for rt in trace.ranks)
+
+
+@pytest.mark.parametrize("name", APP_NAMES)
+def test_replay_frame_never_builds_the_rank_view(name):
+    # The generator emits columns and the batched replay tapes them:
+    # no event object of the trace is built on the way.
+    musa = Musa(get_app(name))
+    frame = BatchEvaluator(musa).evaluate_frame(
+        smoke_design_space().configs(), n_ranks=16, mode="replay")
+    assert len(frame) == len(smoke_design_space())
+    trace = musa._burst_trace(16, None)
+    assert "ranks" not in vars(trace)

@@ -20,6 +20,14 @@ class TestTaskRecord:
         with pytest.raises(ValueError):
             TaskRecord(kernel="k", duration_ns=1.0, work_units=-1.0)
 
+    @pytest.mark.parametrize("field", ["duration_ns", "work_units"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_rejects_non_finite(self, field, bad):
+        kw = {"duration_ns": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TaskRecord(kernel="k", **kw)
+
     def test_zero_work_allowed(self):
         # Empty partitions of an irregular decomposition are legal.
         t = TaskRecord(kernel="k", duration_ns=1.0, work_units=0.0)
@@ -62,6 +70,20 @@ class TestComputePhase:
         with pytest.raises(ValueError):
             ComputePhase(phase_id=0, tasks=self._tasks(1), serial_ns=-1.0)
 
+    @pytest.mark.parametrize("field",
+                             ["serial_ns", "creation_ns", "critical_ns"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -1.0])
+    def test_rejects_non_finite_overheads(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ComputePhase(phase_id=0, tasks=self._tasks(2), **{field: bad})
+
+    def test_nan_overheads_cannot_reach_the_scheduler(self):
+        # Accepted, they made simulate_phase return a NaN makespan.
+        with pytest.raises(ValueError, match="finite"):
+            ComputePhase(phase_id=0, tasks=self._tasks(2),
+                         serial_ns=float("nan"), creation_ns=float("inf"))
+
     def test_empty_phase_allowed(self):
         p = ComputePhase(phase_id=0, tasks=(), serial_ns=100.0)
         assert p.total_task_ns == 0.0
@@ -95,3 +117,11 @@ class TestMpiCall:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             MpiCall(kind="bcast", size_bytes=-1)
+
+    def test_rejects_negative_peer(self):
+        with pytest.raises(ValueError, match="peer must be"):
+            MpiCall(kind="send", peer=-1, size_bytes=8)
+
+    def test_rejects_negative_request(self):
+        with pytest.raises(ValueError, match="request id must be"):
+            MpiCall(kind="isend", peer=1, size_bytes=8, request=-1)
