@@ -70,7 +70,7 @@ import numpy as np
 
 from ..obs import get_metrics
 from ..trace.burst import (FIRST_COLLECTIVE, IRECV, ISEND, KINDS, RECV, SEND,
-                           WAIT, BurstTrace, EventColumns)
+                           WAIT, BurstTrace, EventColumns, RankTrace)
 from ..trace.events import ComputePhase
 from ..util import LruDict
 from .collectives import collective_cost_ns
@@ -534,7 +534,9 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     fallback (counted under ``replay.batch.array_fallbacks`` when the
     trace is order-free, i.e. its tape build bailed out).
 
-    A periodic trace's tape covers one period.  Every bail-out
+    A periodic trace's tape covers one period, or, when the period is
+    not message-balanced, the flat stream that :attr:`RankTrace.events`
+    builds (never for an app generator's trace).  Every bail-out
     condition of a period persists in its repetition, so a period that
     cannot be built is not retried as the full trace.
     """
@@ -544,12 +546,18 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
         verdict = _classify(trace, net)
         tape = None
         if verdict is not None:
+            built = trace
+            if verdict[2] < trace.repeats:
+                # Not message-balanced: the tape covers the flat stream.
+                # Its keys and protocols are the period's, so it
+                # classifies as order-free too.
+                built = BurstTrace(trace.app, [
+                    RankTrace(rank=rt.rank, period=rt.events)
+                    for rt in trace.ranks])
+                verdict = _classify(built, net)
             p2p_key, eager, reps = verdict
-            cols = trace.columns
-            if reps < trace.repeats:
-                cols, row = trace.flat_columns()
-                p2p_key, eager = p2p_key[row], eager[row]
-            tape = _build_tape(cols, trace.phases, net, p2p_key, eager, reps)
+            tape = _build_tape(built.columns, built.phases, net, p2p_key,
+                               eager, reps)
             get_metrics().inc("replay.tape.builds")
         entry = _TAPE_CACHE[key] = (trace, tape, verdict is not None)
     if entry[1] is None and entry[2]:

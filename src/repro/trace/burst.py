@@ -18,7 +18,7 @@ serialization and trace statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import cached_property
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -176,15 +176,52 @@ def _columns_from_ranks(
     return EventColumns(*table.T, offsets), tuple(phases)
 
 
-def _check_columns(cols: EventColumns) -> None:
-    """The trace invariants, as array checks over the columns: peers in
-    range, and every request opened before its wait, never reused
-    while pending, and closed within the period.
+def _check_rows(cols: EventColumns, n_phases: int) -> None:
+    """Each row must hold an event :class:`MpiCall` or a phase index
+    allows: raises the :class:`MpiCall` message for the first bad row."""
+    kind, peer, request, phase = cols.kind, cols.peer, cols.request, cols.phase
+    n_rows = len(kind)
+    if any(len(a) != n_rows for a in cols[1:6]):
+        raise ValueError("event columns must all have one entry per row")
+    bounds = cols.offsets
+    if bounds[0] != 0 or bounds[-1] != n_rows or (np.diff(bounds) < 0).any():
+        raise ValueError(f"offsets must rise from 0 to the row count {n_rows}")
+    p2p = (kind >= SEND) & (kind <= IRECV)
+    opens = (kind == ISEND) | (kind == IRECV)
+    is_phase = kind == PHASE
+    faults = (
+        ((kind < 0) | (kind >= len(KINDS)), lambda i: (
+            f"unknown event kind code {kind[i]}")),
+        (cols.size < 0, lambda i: "size_bytes must be non-negative"),
+        (peer < -1, lambda i: "peer must be a non-negative rank"),
+        (request < -1, lambda i: "request id must be non-negative"),
+        (p2p & (peer < 0), lambda i: f"{KINDS[kind[i]]} requires a peer rank"),
+        (opens & (request < 0), lambda i: (
+            f"{KINDS[kind[i]]} requires a request id")),
+        (is_phase & ((phase < 0) | (phase >= n_phases)), lambda i: (
+            f"phase index {phase[i]} out of range 0..{n_phases - 1}")),
+        (~is_phase & (phase != -1), lambda i: (
+            f"{KINDS[kind[i]]} row carries phase index {phase[i]}")),
+    )
+    for bad, message in faults:
+        if bad.any():
+            i = int(np.argmax(bad))
+            rank = np.searchsorted(bounds, i, side="right") - 1
+            raise ValueError(f"rank {rank}, event {i - bounds[rank]}: "
+                             f"{message(i)}")
 
-    Raises the errors :class:`RankTrace` and :class:`BurstTrace` raise
-    for the same events; among several faults, the first rank's
-    earliest wins.
+
+def _check_columns(cols: EventColumns, n_phases: int) -> None:
+    """The trace invariants, as array checks over the columns: rows
+    that :class:`MpiCall` and the phase tuple allow, peers in range,
+    and every request opened before its wait, never reused while
+    pending, and closed within the period.
+
+    Raises the errors :class:`MpiCall`, :class:`RankTrace` and
+    :class:`BurstTrace` raise for the same events; among several
+    request faults, the first rank's earliest wins.
     """
+    _check_rows(cols, n_phases)
     n = cols.n_ranks
     kind, peer, request = cols.kind, cols.peer, cols.request
     bad = np.flatnonzero(peer >= n)
@@ -253,11 +290,12 @@ class BurstTrace:
                      phases: Sequence[ComputePhase], repeats: int = 1,
                      n_iterations: int = 1) -> "BurstTrace":
         """A trace over ``columns``, whose ``phase`` column indexes
-        ``phases``.  The columns must hold what :class:`MpiCall` allows
-        (kind codes, non-negative sizes, a peer on every point-to-point
-        call, a request on every isend, irecv and wait); peers and
-        requests are then checked as the :class:`RankTrace` path
-        checks them."""
+        ``phases``.  Every row must hold what :class:`MpiCall` allows
+        (a kind code, a non-negative size, a peer on every
+        point-to-point call, a request on every isend and irecv, -1
+        where there is none) and a phase row an index into ``phases``;
+        peers and requests are then checked as the :class:`RankTrace`
+        path checks them.  Raises ``ValueError`` otherwise."""
         trace = cls.__new__(cls)
         trace._init(app, columns, tuple(phases), repeats, n_iterations)
         return trace
@@ -273,15 +311,21 @@ class BurstTrace:
             raise ValueError("n_iterations must be positive")
         if repeats < 1:
             raise ValueError("repeats must be positive")
-        _check_columns(columns)
+        _check_columns(columns, len(phases))
         for a in columns:
             a.flags.writeable = False
-        self.app = app
-        self.columns = columns
-        self.phases = phases
-        self.repeats = repeats
-        #: iterations the traced region covers (for per-iteration metrics)
-        self.n_iterations = n_iterations
+        # Set once: the attributes are read-only afterwards (see
+        # __setattr__), as cached tapes keyed on the trace rely on.
+        # ``n_iterations`` is the number of iterations the traced region
+        # covers (for per-iteration metrics).
+        self.__dict__.update(app=app, columns=columns, phases=phases,
+                             repeats=repeats, n_iterations=n_iterations)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def ranks(self) -> Tuple[RankTrace, ...]:
@@ -299,30 +343,6 @@ class BurstTrace:
             RankTrace(rank=r, period=tuple(events[bounds[r]:bounds[r + 1]]),
                       repeats=self.repeats)
             for r in range(c.n_ranks))
-
-    def flat_columns(self) -> Tuple[EventColumns, np.ndarray]:
-        """The flat stream, ``repeats`` copies of every period, as
-        columns, plus the period row each flat row copies.
-
-        Copy ``k`` offsets a rank's request ids by ``k * (max id + 1)``,
-        as :attr:`RankTrace.events` does.
-        """
-        c = self.columns
-        reps = self.repeats
-        lengths = np.diff(c.offsets)
-        flat_len = lengths * reps
-        rank = np.repeat(np.arange(c.n_ranks), flat_len)
-        j = np.arange(int(flat_len.sum())) - np.repeat(c.offsets[:-1] * reps,
-                                                       flat_len)
-        per = lengths[rank]
-        src = c.offsets[rank] + j % per
-        stride = np.full(c.n_ranks, -1, dtype=np.int64)
-        np.maximum.at(stride, c.event_ranks(), c.request)
-        req = c.request[src]
-        req = np.where(req >= 0, req + (j // per) * (stride[rank] + 1), -1)
-        return EventColumns(c.kind[src], c.peer[src], c.tag[src],
-                            c.size[src], req, c.phase[src],
-                            c.offsets * reps), src
 
     @property
     def n_ranks(self) -> int:

@@ -189,16 +189,6 @@ class TestRichShapes:
             # Deadlock-free and order-free: the tape must build.
             assert reg.counter("replay.batch.array_fallbacks") == fb0
 
-    @settings(max_examples=40, deadline=None)
-    @given(t=rich_traces())
-    def test_flat_columns_equal_the_flat_view(self, t):
-        flat = BurstTrace(app="flat", ranks=tuple(
-            RankTrace(rank=rt.rank, period=rt.events) for rt in t.ranks))
-        cols, row = t.flat_columns()
-        for got, want in zip(cols, flat.columns):
-            assert np.array_equal(got, want)
-        assert np.array_equal(t.columns.kind[row], cols.kind)
-
 
 class TestCollectivePricing:
     """Collectives must price identically in batched and scalar paths."""

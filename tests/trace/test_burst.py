@@ -1,5 +1,6 @@
 """Tests for burst trace containers."""
 
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,6 +139,61 @@ class TestColumns:
         with pytest.raises(ValueError, match="rank 1: peer 5 out of range"):
             BurstTrace.from_columns("x", t.columns._replace(peer=peer),
                                     t.phases)
+
+    # Rank 1's rows 0..4: irecv, phase, send, wait, allreduce.
+    @pytest.mark.parametrize("column,row,value,message", [
+        ("kind", 4, 99, "event 4: unknown event kind code 99"),
+        ("kind", 4, -1, "event 4: unknown event kind code -1"),
+        ("size", 2, -1, "event 2: size_bytes must be non-negative"),
+        ("peer", 4, -2, "event 4: peer must be a non-negative rank"),
+        ("peer", 2, -1, "event 2: send requires a peer rank"),
+        ("peer", 0, -1, "event 0: irecv requires a peer rank"),
+        ("request", 3, -2, "event 3: request id must be non-negative"),
+        ("request", 0, -1, "event 0: irecv requires a request id"),
+        ("phase", 1, 1, r"event 1: phase index 1 out of range 0\.\.0"),
+        ("phase", 1, -1, r"event 1: phase index -1 out of range 0\.\.0"),
+        ("phase", 4, 0, "event 4: allreduce row carries phase index 0"),
+    ])
+    def test_from_columns_rejects_bad_rows(self, column, row, value,
+                                           message):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        bad = np.array(getattr(t.columns, column))
+        bad[row] = value
+        with pytest.raises(ValueError, match=f"rank 1, {message}"):
+            BurstTrace.from_columns(
+                "x", t.columns._replace(**{column: bad}), t.phases)
+
+    def test_from_columns_rejects_bad_shapes(self):
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        with pytest.raises(ValueError, match="offsets must rise"):
+            BurstTrace.from_columns(
+                "x", t.columns._replace(offsets=np.array([0, 3, 2])),
+                t.phases)
+        with pytest.raises(ValueError, match="offsets must rise"):
+            BurstTrace.from_columns(
+                "x", t.columns._replace(offsets=np.array([0, 0, 4])), t.phases)
+        with pytest.raises(ValueError, match="one entry per row"):
+            BurstTrace.from_columns(
+                "x", t.columns._replace(tag=t.columns.tag[:4]), t.phases)
+
+    def test_attributes_are_read_only(self):
+        # Cached replay tapes are keyed on the trace object: its fields
+        # must not change under them.
+        t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),
+                                       RankTrace(rank=1,
+                                                 period=self._period())))
+        for name, value in (("repeats", 2), ("phases", ()), ("app", "y"),
+                            ("n_iterations", 3), ("columns", None),
+                            ("ranks", ())):
+            with pytest.raises(FrozenInstanceError):
+                setattr(t, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(t, name)
+        assert t.repeats == 1 and t.app == "x" and len(t.ranks) == 2
 
     def test_from_columns_rejects_bad_counts(self):
         t = BurstTrace(app="x", ranks=(RankTrace(rank=0, period=()),))
