@@ -5,7 +5,7 @@ from .optimize import Constraints, OptimalChoice, optimize_node
 from .pareto import ParetoPoint, best_configs, front_indices, pareto_front
 from .pca import PCA_VARIABLES, PcaResult, app_pca, pca
 from .recommend import Recommendation, RecommendationReport, recommend
-from .search import SearchResult, search_front, search_fronts
+from .search import SearchResult, search_front
 from .report import (format_metrics_summary, format_panel, format_rows,
                      format_stacked_power)
 from .sensitivity import AxisSwing, render_tornado, tornado
@@ -37,7 +37,6 @@ __all__ = [
     "best_configs",
     "front_indices",
     "search_front",
-    "search_fronts",
     "Constraints",
     "OptimalChoice",
     "build_html_report",

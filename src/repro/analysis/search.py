@@ -52,7 +52,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from ..core.store import ResultStore, make_provenance, store_keys_batch
 from ..obs import MetricsRegistry, get_metrics, set_metrics
 from .pareto import ParetoPoint, front_indices
 
-__all__ = ["SearchResult", "search_front", "search_fronts"]
+__all__ = ["SearchResult", "search_front"]
 
 
 @dataclass
@@ -387,11 +387,3 @@ def _rank_pool(space: DesignSpace, pool: List[int], pts_idx: List[int],
     order = sorted(range(len(pool)), key=lambda j: (score[j], pool[j]))
     return [pool[j] for j in order]
 
-
-def search_fronts(
-    apps: Sequence[str],
-    space: Optional[DesignSpace] = None,
-    **kwargs,
-) -> Dict[str, SearchResult]:
-    """Per-app :func:`search_front` over a list of applications."""
-    return {app: search_front(app, space, **kwargs) for app in apps}

@@ -227,21 +227,6 @@ class DesignSpace:
             kwargs[_AXIS_FIELDS[axis]] = tuple(values)
         return replace(self, **kwargs)
 
-    def samples_per_bar(self, axis: str, panel_cores: Optional[int] = None) -> int:
-        """Number of paired samples averaged into one figure bar.
-
-        With the full space, one vector-width bar in a 32-core panel
-        averages 864 / 3 (vector values) / 3 (core counts) = 96 samples,
-        matching the paper's statement in Sec. V-B.
-        """
-        n = len(self) // len(self._axis(axis))
-        if panel_cores is not None:
-            if panel_cores not in self.core_counts:
-                raise ValueError(f"{panel_cores} not in cores axis")
-            if axis != "cores":
-                n //= len(self.core_counts)
-        return n
-
 
 def full_design_space() -> DesignSpace:
     """The paper's 864-point space (Table I)."""

@@ -47,7 +47,7 @@ its own last task row, so the padding never enters a sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -176,8 +176,6 @@ class BatchEvaluator:
         self,
         nodes: Sequence[NodeConfig],
         n_ranks: int = 256,
-        n_iterations: Optional[int] = None,
-        include_comm: bool = False,
         mode: str = "fast",
     ) -> List[RunResult]:
         """Per-config :class:`RunResult` objects, in input order.
@@ -187,19 +185,20 @@ class BatchEvaluator:
         (sweeps, serve, search) call :meth:`evaluate_frame`, which is
         bitwise-equal to this list's ``record()``s.
         """
-        return [self.musa.simulate_node(n, n_ranks, n_iterations, mode=mode,
-                                        include_comm=include_comm)
+        return [self.musa.simulate_node(n, n_ranks, mode=mode)
                 for n in nodes]
 
     def evaluate_frame(
         self,
         nodes: Sequence[NodeConfig],
         n_ranks: int = 256,
-        n_iterations: Optional[int] = None,
-        include_comm: bool = False,
         mode: str = "fast",
     ) -> ResultFrame:
         """Columnar results for every node, in input order.
+
+        Both modes run the app's default iteration count; fast mode
+        leaves out the analytic communication term, as
+        ``Musa.simulate_node`` does by default.
 
         The per-kernel compute timings are resolved column-wise over the
         whole batch, and with ``mode='replay'`` the Dimemas-style
@@ -224,8 +223,7 @@ class BatchEvaluator:
         obs = get_metrics()
         obs.inc("musa.simulate_node", len(nodes))
         with obs.span("musa.batch_eval"):
-            return self._evaluate_frame(nodes, n_ranks, n_iterations,
-                                        include_comm, mode)
+            return self._evaluate_frame(nodes, n_ranks, mode)
 
     # ----------------------------------------------------------------- phases
 
@@ -461,17 +459,15 @@ class BatchEvaluator:
             "energy_ok": energy_ok,
         }
 
-    def _evaluate_frame(self, nodes, n_ranks, n_iterations, include_comm,
-                        mode):
+    def _evaluate_frame(self, nodes, n_ranks, mode):
         musa = self.musa
         mcpat = musa.mcpat
         dp = musa.drampower
         nb = NodeBatch.from_nodes(nodes)
         n_configs = len(nodes)
-        n_iter = musa.app.resolve_iterations(n_iterations)
+        n_iter = musa.app.resolve_iterations(None)
         scales = musa.app.rank_scales(n_ranks)
         max_scale = float(scales.max())
-        comm_iter = musa.comm_iteration_ns(n_ranks) if include_comm else 0.0
 
         kernel_memo: Dict = {}
         cols_per_phase = self._app_cols(nb, kernel_memo)
@@ -480,8 +476,9 @@ class BatchEvaluator:
             compute_iter = compute_iter + pc.makespan
 
         if mode == "fast":
-            # Scalar: n_iter * (ci * max_scale + comm_iter), per config.
-            total_ns = n_iter * (compute_iter * max_scale + comm_iter)
+            # Scalar: n_iter * (ci * max_scale + comm_iter), per config,
+            # with comm_iter = 0.0 (no analytic communication term).
+            total_ns = n_iter * (compute_iter * max_scale + 0.0)
         else:
             # One config-vectorized replay pass for the whole batch: the
             # per-phase makespan columns scaled per rank reproduce the

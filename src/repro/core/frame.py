@@ -17,8 +17,6 @@ record available without materializing dicts:
   sort, same float ``repr``, same non-finite sentinel objects — so
   journal lines, store keys and golden digests are bit-identical to
   per-record serialization by construction;
-* ``record_digests()`` hashes those bytes (the content address of each
-  record is unchanged);
 * ``to_block()``/``from_block()`` give the journal and the store a
   schema-versioned one-line-per-shard representation;
 * :class:`FrameRow` is a ``Mapping`` view of one row — consumers that
@@ -35,7 +33,6 @@ re-render byte-identical lines.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import pickle
@@ -47,8 +44,7 @@ import numpy as np
 from .canon import NONFINITE_KEY, canonical_dumps
 
 __all__ = ["ResultFrame", "FrameRow", "BLOCK_KEY", "BLOCK_SCHEMA",
-           "pack_frame", "unpack_frame", "scalar_fragment",
-           "SHM_MIN_BYTES"]
+           "pack_frame", "unpack_frame", "scalar_fragment"]
 
 #: Reserved top-level key marking a columnar block line in a journal or
 #: store file.  Like ``NONFINITE_KEY`` it may not appear in user
@@ -59,14 +55,6 @@ BLOCK_KEY = "__frame__"
 #: column encoding; readers reject versions they do not understand
 #: rather than misparse them.
 BLOCK_SCHEMA = 1
-
-#: Frames whose pickled payload is at least this large ship between
-#: sweep workers via ``multiprocessing.shared_memory`` (one bulk copy)
-#: instead of the results queue's pipe.  Below it the queue pickle is
-#: cheaper than a segment create/attach round trip.
-SHM_MIN_BYTES = 64 * 1024
-
-_KINDS = ("i8", "f8", "obj")
 
 
 def _infer_column(values: Sequence[Any]) -> Tuple[str, Any, Any]:
@@ -192,7 +180,7 @@ class ResultFrame:
     are exposed as :class:`FrameRow` views through :meth:`row`.
     """
 
-    __slots__ = ("keys", "_cols", "_n", "_lines", "_digests")
+    __slots__ = ("keys", "_cols", "_n", "_lines")
 
     def __init__(self, keys: Tuple[str, ...],
                  cols: Dict[str, Tuple[str, Any, Any]], n: int):
@@ -200,7 +188,6 @@ class ResultFrame:
         self._cols = cols          # key -> (kind, array, none_mask|None)
         self._n = n
         self._lines: Optional[List[str]] = None
-        self._digests: Optional[List[str]] = None
 
     # -- construction --------------------------------------------------
 
@@ -304,9 +291,6 @@ class ResultFrame:
     def column_kind(self, key: str) -> str:
         return self._cols[key][0]
 
-    def none_mask(self, key: str) -> Optional[np.ndarray]:
-        return self._cols[key][2]
-
     def to_records(self) -> List[Dict[str, Any]]:
         return [self.row(i).to_dict() for i in range(self._n)]
 
@@ -320,8 +304,6 @@ class ResultFrame:
         out = ResultFrame(self.keys, cols, len(idx))
         if self._lines is not None:
             out._lines = [self._lines[i] for i in idx]
-        if self._digests is not None:
-            out._digests = [self._digests[i] for i in idx]
         return out
 
     # -- canonical rendering -------------------------------------------
@@ -360,8 +342,8 @@ class ResultFrame:
         Row ``i``'s text equals ``canonical_dumps(self.row(i).to_dict())``
         — same sorted keys, compact separators, float ``repr`` and
         non-finite sentinels — because every fragment renderer mirrors
-        one ``json.dumps`` rule exactly.  Cached: the journal, the
-        digests and the store all reuse one rendering.
+        one ``json.dumps`` rule exactly.  Cached: the journal and the
+        store reuse one rendering.
         """
         if self._lines is None:
             if self._n == 0:
@@ -381,14 +363,6 @@ class ResultFrame:
                     lines.append("".join(parts))
                 self._lines = lines
         return self._lines
-
-    def record_digests(self) -> List[str]:
-        """Hex SHA-256 of each row's canonical bytes (content address)."""
-        if self._digests is None:
-            sha = hashlib.sha256
-            self._digests = [sha(line.encode("utf-8")).hexdigest()
-                             for line in self.canonical_lines()]
-        return self._digests
 
     # -- block (journal / store) form ----------------------------------
 
@@ -458,48 +432,16 @@ class ResultFrame:
 # -- worker IPC packing ------------------------------------------------------
 
 
-def pack_frame(frame: ResultFrame) -> Tuple[str, Any]:
-    """Pack a frame for the sweep results queue.
+def pack_frame(frame: ResultFrame) -> bytes:
+    """The pickle bytes a sweep worker puts on the results queue.
 
-    Returns ``("shm", (segment_name, nbytes))`` when the pickled frame
-    is large enough that a shared-memory segment beats the queue pipe
-    (one bulk copy, no per-chunk pipe writes), else
-    ``("pickle", frame)``.  The receiving side *must* call
-    :func:`unpack_frame`, which unlinks the segment.
+    The parent decodes them with :func:`unpack_frame`, so the frame's
+    decode is one call on the parent side rather than hidden inside the
+    queue's own unpickle.
     """
-    payload = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) >= SHM_MIN_BYTES:
-        try:
-            from multiprocessing import shared_memory
-            seg = shared_memory.SharedMemory(create=True,
-                                             size=len(payload))
-        except (ImportError, OSError):
-            return "pickle", frame
-        try:
-            seg.buf[:len(payload)] = payload
-            name = seg.name
-        finally:
-            seg.close()
-        return "shm", (name, len(payload))
-    return "pickle", frame
+    return pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def unpack_frame(transport: str, payload: Any) -> ResultFrame:
-    """Reconstruct a frame shipped by :func:`pack_frame`.
-
-    For the shm transport this attaches, copies out, closes and
-    *unlinks* the segment — exactly-once consumption.
-    """
-    if transport == "pickle":
-        return payload
-    if transport != "shm":
-        raise ValueError(f"unknown frame transport: {transport!r}")
-    from multiprocessing import shared_memory
-    name, nbytes = payload
-    seg = shared_memory.SharedMemory(name=name)
-    try:
-        data = bytes(seg.buf[:nbytes])
-    finally:
-        seg.close()
-        seg.unlink()
+def unpack_frame(data: bytes) -> ResultFrame:
+    """Reconstruct a frame shipped by :func:`pack_frame`."""
     return pickle.loads(data)

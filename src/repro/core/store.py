@@ -20,22 +20,23 @@ evaluation that filled them.
 Persistence is an append-only JSONL file on the same line log as the
 sweep journal (:mod:`repro.core.linelog`): a line that does not decode
 (a torn final write) is dropped and counted, reopening repairs a torn
-final line so the next put is readable, duplicate keys keep their
+final line so the next write is readable, duplicate keys keep their
 first occurrence, and :meth:`ResultStore.invalidate` compacts by the
 log's atomic rewrite (temp file, fsync, rename, directory fsync).  The
 store itself only decides what a line means.  All operations are
 thread-safe — the serve worker pool calls into one shared store.
 
-Since the columnar data plane (DESIGN §10) the store also speaks a
-**block** line format: one ``{"__block__": ...}`` JSONL line carries a
-whole :class:`~repro.core.frame.ResultFrame` of records sharing one
-``(mode, ranks, code_version)`` identity plus their per-record keys and
-a common provenance.  Per-record keys are computed vectorized from the
-frame's columns (:func:`store_keys_frame`) and are bit-identical to
-:func:`store_key` of the same inputs, so a store written by the
-columnar path serves the same content addresses as per-record puts.
-Entries loaded from a block stay columnar: ``get`` materializes a thin
-entry dict whose ``record`` is a lazy ``FrameRow`` view.
+The store writes **block** lines only (DESIGN §10):
+:meth:`ResultStore.put_frame` appends one ``{"__block__": ...}`` JSONL
+line carrying a whole :class:`~repro.core.frame.ResultFrame` of records
+that share one ``(mode, ranks, code_version)`` identity, plus their
+per-record keys and a common provenance.  Per-record keys are computed
+from the frame's columns (:func:`store_keys_frame`) and are
+bit-identical to :func:`store_key` of the same inputs.  Entries loaded
+from a block stay columnar: ``get`` materializes a thin entry dict
+whose ``record`` is a lazy ``FrameRow`` view.  Stores written before
+the block format hold one scalar entry dict per line; the loader still
+reads those, ``get`` serves them and ``invalidate`` compacts them.
 
 Observability: ``store.hit`` / ``store.miss`` / ``store.put`` /
 ``store.invalidated`` / ``store.corrupt_lines``, plus
@@ -51,12 +52,13 @@ import os
 import subprocess
 import threading
 import time
-from itertools import groupby
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -127,39 +129,47 @@ STORE_BLOCK_SCHEMA = 1
 _AXIS_KEYS_SORTED: Tuple[str, ...] = (
     "cache", "core", "cores", "frequency", "memory", "vector")
 
-
-def _config_fragment(config: Mapping[str, Any],
-                     memo: Optional[Dict[Any, str]] = None) -> str:
-    """The ``"config":{...}`` inner text of a key serialization,
-    byte-identical to ``canonical_dumps(dict(config))``."""
-    items = sorted(config.items())
-    parts = []
-    for k, v in items:
-        if memo is not None:
-            frag = memo.get(v)
-            if frag is None:
-                frag = memo[v] = scalar_fragment(v)
-        else:
-            frag = scalar_fragment(v)
-        parts.append(json.dumps(k) + ":" + frag)
-    return "{" + ",".join(parts) + "}"
+#: The text before each axis value in a rendered config object.
+_AXIS_HEADS: Tuple[str, ...] = tuple(
+    ("{" if j == 0 else ",") + json.dumps(k) + ":"
+    for j, k in enumerate(_AXIS_KEYS_SORTED))
 
 
-def _key_text_parts(app: str, mode: str, ranks: int,
-                    code_version: str) -> Tuple[str, str]:
-    """(head, tail) around the config fragment of one key text.
+def _render_keys(apps: Iterable[str], rows: Iterable[Sequence[Any]],
+                 mode: str, ranks: int, code_version: str) -> List[str]:
+    """:func:`store_key` of each ``(app, row)`` pair, by fragment splicing.
 
-    Splicing ``head + config_fragment + tail`` reproduces
+    A row holds one value per axis, in :data:`_AXIS_KEYS_SORTED` order.
+    Each key text is spliced from memoized fragments (a space reuses a
+    handful of labels and numbers) instead of building and canonically
+    serializing one dict per point; the splice reproduces
     ``canonical_dumps`` of the keyed-input dict byte-for-byte (sorted
     top-level keys: app, code_version, config, mode, ranks, schema).
+    The memo keys on ``(type, value)``: ``4`` and ``4.0`` hash alike but
+    render differently.
     """
-    head = ('{"app":' + json.dumps(app)
-            + ',"code_version":' + json.dumps(code_version)
-            + ',"config":')
-    tail = (',"mode":' + json.dumps(mode)
-            + ',"ranks":' + str(int(ranks))
+    cv = json.dumps(code_version)
+    tail = ('},"mode":' + json.dumps(mode) + ',"ranks":' + str(int(ranks))
             + ',"schema":' + str(STORE_KEY_SCHEMA) + "}")
-    return head, tail
+    heads: Dict[str, str] = {}
+    memo: Dict[Tuple[type, Any], str] = {}
+    sha = hashlib.sha256
+    keys = []
+    for app, row in zip(apps, rows):
+        head = heads.get(app)
+        if head is None:
+            head = heads[app] = ('{"app":' + json.dumps(app)
+                                 + ',"code_version":' + cv + ',"config":')
+        text = [head]
+        for axis_head, v in zip(_AXIS_HEADS, row):
+            frag = memo.get((type(v), v))
+            if frag is None:
+                frag = memo[(type(v), v)] = scalar_fragment(v)
+            text.append(axis_head)
+            text.append(frag)
+        text.append(tail)
+        keys.append(sha("".join(text).encode("utf-8")).hexdigest())
+    return keys
 
 
 def store_keys_batch(app: str, configs: Sequence[Mapping[str, Any]],
@@ -167,19 +177,12 @@ def store_keys_batch(app: str, configs: Sequence[Mapping[str, Any]],
                      code_version: str) -> List[str]:
     """Vectorized :func:`store_key` over one app's config sequence.
 
-    Renders each key text by fragment splicing (axis values memoized
-    across rows — a design space reuses a handful of labels) instead of
-    building and canonically serializing one dict per point.
-    Bit-identical to calling :func:`store_key` per config.
+    Each config is the six-axis mapping of
+    :meth:`repro.config.node.NodeConfig.axis_values`.  Bit-identical to
+    calling :func:`store_key` per config.
     """
-    head, tail = _key_text_parts(app, mode, ranks, code_version)
-    memo: Dict[Any, str] = {}
-    return [
-        hashlib.sha256(
-            (head + _config_fragment(cfg, memo) + tail).encode("utf-8")
-        ).hexdigest()
-        for cfg in configs
-    ]
+    rows = ([cfg[k] for k in _AXIS_KEYS_SORTED] for cfg in configs)
+    return _render_keys(repeat(app), rows, mode, ranks, code_version)
 
 
 def store_keys_frame(frame: ResultFrame, mode: str, ranks: int,
@@ -191,27 +194,9 @@ def store_keys_frame(frame: ResultFrame, mode: str, ranks: int,
     the keys are bit-identical to :func:`store_key` over the same
     points — pinned by the store tests.
     """
-    cols = {k: frame.column(k).tolist() for k in _AXIS_KEYS_SORTED}
-    apps = frame.column("app").tolist()
-    memo: Dict[Any, str] = {}
-    heads: Dict[str, Tuple[str, str]] = {}
-    keys = []
-    for i in range(len(frame)):
-        app = apps[i]
-        parts = heads.get(app)
-        if parts is None:
-            parts = heads[app] = _key_text_parts(
-                app, mode, ranks, code_version)
-        frags = []
-        for k in _AXIS_KEYS_SORTED:
-            v = cols[k][i]
-            frag = memo.get(v)
-            if frag is None:
-                frag = memo[v] = scalar_fragment(v)
-            frags.append('"' + k + '":' + frag)
-        text = parts[0] + "{" + ",".join(frags) + "}" + parts[1]
-        keys.append(hashlib.sha256(text.encode("utf-8")).hexdigest())
-    return keys
+    cols = [frame.column(k).tolist() for k in _AXIS_KEYS_SORTED]
+    return _render_keys(frame.column("app").tolist(), zip(*cols), mode,
+                        ranks, code_version)
 
 
 class _Block:
@@ -279,9 +264,9 @@ class ResultStore:
           "provenance": {"engine", "created_s", "obs": {counter: delta}},
         }
 
-    ``get`` counts hits/misses; ``put`` appends (first occurrence wins,
-    consistent with the journal); ``invalidate`` removes matching
-    entries and compacts the file atomically.
+    ``get`` counts hits/misses; ``put_frame`` appends a block (first
+    occurrence wins, consistent with the journal); ``invalidate``
+    removes matching entries and compacts the file atomically.
     """
 
     def __init__(self, path: Union[str, Path], fsync_every: int = 1) -> None:
@@ -372,34 +357,17 @@ class ResultStore:
         get_metrics().inc("store.hit" if slot is not None else "store.miss")
         return None if slot is None else self._materialize(slot)
 
-    def put(self, key: str, record: Dict, inputs: Dict,
-            provenance: Dict) -> Dict:
-        """Store one evaluated design point (idempotent per key).
-
-        Returns the stored entry.  A concurrent or repeated put of an
-        existing key keeps the first entry — content addressing makes
-        both byte-equivalent by construction.
-        """
-        entry = {"key": key, "inputs": inputs, "record": record,
-                 "provenance": provenance}
-        with self._lock:
-            if key in self._entries:
-                return self._entries[key]
-            self._entries[key] = entry
-            self._log.write(canonical_dumps(entry))
-        get_metrics().inc("store.put")
-        return entry
-
     def put_frame(self, frame: ResultFrame, mode: str, ranks: int,
                   code_version: str, provenance: Dict) -> List[str]:
         """Store every row of a frame as one columnar block line.
 
         Keys are computed vectorized from the frame's columns
         (bit-identical to :func:`store_key` per row); rows whose key is
-        already present are skipped (first occurrence wins, like
-        :meth:`put`).  One line, one write, at most one fsync — this is
-        the columnar data plane's store write path.  Returns the
-        per-row keys for *all* rows, stored or pre-existing.
+        already present are skipped: the first occurrence wins, and
+        content addressing makes a repeat byte-equivalent anyway.  One
+        line, one write, at most one fsync — this is the store's only
+        write path.  Returns the per-row keys for *all* rows, stored or
+        pre-existing.
         """
         keys = store_keys_frame(frame, mode, ranks, code_version)
         with self._lock:

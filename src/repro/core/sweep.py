@@ -352,14 +352,14 @@ def _run_chunk(shard, tasks, settings: _RunSettings
 
 # ---------------------------------------------------------- frame IPC wire
 
-def _pack_outcomes(outcomes: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
+def _pack_outcomes(outcomes: List[Tuple]) -> Tuple[List[Tuple], List[bytes]]:
     """Wire-encode a shard's outcomes for the results queue.
 
     Frame-backed success payloads collapse to ``("__row__", fi, row)``
-    references into a side list of packed frames — each distinct frame
-    crosses the process boundary once (as one ndarray pickle, or a
-    shared-memory segment when large), instead of N per-row pickles.
-    Returns ``(wire_outcomes, packed_frames)``.
+    references into a side list of packed frames, so each distinct
+    frame crosses the process boundary once, as the pickle bytes of
+    :func:`~repro.core.frame.pack_frame`, instead of as N per-row
+    pickles.  Returns ``(wire_outcomes, packed_frames)``.
     """
     frames: List = []
     frame_slot: Dict[int, int] = {}
@@ -376,18 +376,17 @@ def _pack_outcomes(outcomes: List[Tuple]) -> Tuple[List[Tuple], List[Tuple]]:
     return wire, [pack_frame(f) for f in frames]
 
 
-def _unpack_outcomes(wire: List[Tuple], packed: List[Tuple]) -> List[Tuple]:
+def _unpack_outcomes(wire: List[Tuple], packed: List[bytes]) -> List[Tuple]:
     """Decode :func:`_pack_outcomes` output on the parent side.
 
-    Counts each frame's transport (``sweep.ipc.shm`` /
-    ``sweep.ipc.pickle``) and rebinds row references to the
-    reconstructed frames.
+    Decodes each frame (counted as ``sweep.ipc.pickle``) and rebinds
+    row references to the reconstructed frames.
     """
     reg = get_metrics()
     frames = []
-    for transport, payload in packed:
-        reg.inc(f"sweep.ipc.{transport}")
-        frames.append(unpack_frame(transport, payload))
+    for data in packed:
+        reg.inc("sweep.ipc.pickle")
+        frames.append(unpack_frame(data))
     out: List[Tuple] = []
     for idx, attempt, ok, payload in wire:
         if (ok and type(payload) is tuple and len(payload) == 3

@@ -3,7 +3,7 @@
 from .area import AreaModel, NodeArea
 from .breakdown import PowerBreakdown
 from .drampower import DramPowerModel, DramPowerResult
-from .mcpat import CorePower, McPatModel
+from .mcpat import McPatModel
 from .technology import (
     FREF_GHZ,
     VREF,
@@ -15,7 +15,6 @@ from .technology import (
 
 __all__ = [
     "AreaModel",
-    "CorePower",
     "DramPowerModel",
     "DramPowerResult",
     "FREF_GHZ",

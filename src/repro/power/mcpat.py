@@ -22,23 +22,9 @@ from typing import Tuple
 
 from ..config.cache import MIB
 from ..config.node import NodeConfig
-from ..uarch.core_model import KernelTiming
 from .technology import energy_scale, leakage_scale
 
-__all__ = ["McPatModel", "CorePower"]
-
-
-@dataclass(frozen=True)
-class CorePower:
-    """Average power of one core (and its cache slices), in watts."""
-
-    core_l1_dynamic_w: float
-    core_l1_leakage_w: float
-    l2_l3_dynamic_w: float
-
-    @property
-    def core_l1_w(self) -> float:
-        return self.core_l1_dynamic_w + self.core_l1_leakage_w
+__all__ = ["McPatModel"]
 
 
 @dataclass(frozen=True)
@@ -149,25 +135,3 @@ class McPatModel:
             + l3_accesses * self.e_l3_access_nj
         )
         return core_l1_nj * 1e-9 * escale, l2_l3_nj * 1e-9 * escale
-
-    def busy_core_power(self, timing: KernelTiming,
-                        node: NodeConfig) -> CorePower:
-        """Average power of one core while executing ``timing``'s kernel."""
-        cycles = timing.cycles
-        if cycles <= 0:
-            raise ValueError("timing has zero cycles")
-        seconds_per_unit = cycles / (node.frequency_ghz * 1e9)
-        core_j, l2l3_j = self.dynamic_energy_j(
-            node,
-            instructions=timing.instructions,
-            scalar_flops=timing.scalar_flops,
-            l1_accesses=timing.l1_accesses,
-            l2_accesses=timing.l2_accesses,
-            l3_accesses=timing.l3_accesses,
-            effective_lanes=timing.vectorization.effective_lanes,
-        )
-        return CorePower(
-            core_l1_dynamic_w=core_j / seconds_per_unit,
-            core_l1_leakage_w=self.core_l1_leakage_w(node),
-            l2_l3_dynamic_w=l2l3_j / seconds_per_unit,
-        )

@@ -53,7 +53,7 @@ import math
 import threading
 import time
 from numbers import Integral, Real
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from ..core.batch import BatchEvaluator
 from ..core.canon import content_digest
 from ..core.musa import Musa
 from ..core.results import ResultSet
-from ..core.store import ResultStore, store_keys_batch
+from ..core.store import ResultStore, make_provenance, store_keys_batch
 from ..obs import get_metrics
 
 __all__ = ["QueryError", "ServeState"]
@@ -93,11 +93,9 @@ class _Flight:
 class ServeState:
     """Shared server state: store, warm evaluators, in-flight queries."""
 
-    def __init__(self, store: ResultStore, code_version: str,
-                 engine: str = "batch") -> None:
+    def __init__(self, store: ResultStore, code_version: str) -> None:
         self.store = store
         self.code_version = code_version
-        self.engine = engine
         self.started_s = time.time()
         self._engine_lock = threading.Lock()
         self._evaluators: Dict[str, BatchEvaluator] = {}
@@ -176,6 +174,8 @@ class ServeState:
         for app in apps:
             if app not in APP_NAMES:
                 raise QueryError(f"unknown app {app!r}; known: {APP_NAMES}")
+        if len(set(apps)) != len(apps):
+            raise QueryError(f"apps must not repeat a name, got {apps!r}")
         mode = query.get("mode", "fast")
         if mode not in ("fast", "replay"):
             raise QueryError(f"mode must be fast|replay, got {mode!r}")
@@ -287,18 +287,14 @@ class ServeState:
                         [nodes[i] for i in idxs], n_ranks=ranks, mode=mode)
                     delta = reg.delta(before, reg.snapshot())
                     evaluated += len(idxs)
-                    # Whole-batch counter deltas, attributed to each
-                    # entry of the batch: enough to audit *what kind* of
-                    # engine work produced it (phase sims, replay
-                    # events), cheap enough to store per point.
-                    prov = {"engine": self.engine,
-                            "created_s": time.time(),
-                            "batch_size": len(idxs),
-                            "obs": delta.get("counters", {})}
-                    # One columnar block line stores the whole batch;
-                    # its vectorized keys match keys[(app, i)] exactly.
-                    self.store.put_frame(frame, mode, ranks,
-                                         self.code_version, prov)
+                    # Whole-batch counter deltas, shared by every entry
+                    # of the batch's block line: enough to audit *what
+                    # kind* of engine work produced it (phase sims,
+                    # replay events).  Its vectorized keys match
+                    # keys[(app, i)] exactly.
+                    self.store.put_frame(
+                        frame, mode, ranks, self.code_version,
+                        make_provenance("batch", delta.get("counters", {})))
                     for j, i in enumerate(idxs):
                         records[(app, i)] = frame.row(j)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import pareto_front, search_front, search_fronts
+from repro.analysis import pareto_front, search_front
 from repro.apps import get_app
 from repro.config import DesignSpace, axis_linspace, axis_range, \
     full_design_space
@@ -241,10 +241,3 @@ class TestValidation:
     def test_bad_batch_size(self):
         with pytest.raises(ValueError, match="batch_size"):
             search_front(APP, SMALL, batch_size=0)
-
-
-def test_search_fronts_is_per_app(evaluator):
-    out = search_fronts([APP], SMALL, max_evals=8, evaluator=evaluator,
-                        metrics=MetricsRegistry())
-    assert set(out) == {APP}
-    assert out[APP].app == APP

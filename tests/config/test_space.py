@@ -3,6 +3,8 @@
 import pytest
 
 from repro.config import DesignSpace, full_design_space, unconventional_configs
+from repro.core.normalize import normalize_axis
+from repro.core.results import ResultSet
 
 
 class TestFullSpace:
@@ -22,11 +24,22 @@ class TestFullSpace:
     def test_samples_per_bar_matches_paper(self):
         # Sec. V-B: "with a total of 864 simulations per application,
         # we are averaging 96 samples per bar" (vector axis, one panel).
-        space = full_design_space()
-        assert space.samples_per_bar("vector", panel_cores=32) == 96
-        assert space.samples_per_bar("vector") == 288
-        assert space.samples_per_bar("core", panel_cores=64) == 72
-        assert space.samples_per_bar("memory", panel_cores=64) == 144
+        # Synthetic records are enough: a bar's sample count depends on
+        # the space, not on the model.
+        results = ResultSet(
+            dict(node.axis_values(), app="lulesh", time_ns=1.0 + i)
+            for i, node in enumerate(full_design_space()))
+
+        def n_samples(axis, baseline):
+            bars = normalize_axis(results, axis, baseline, "time_ns")
+            counts = {}
+            for bar in bars:
+                counts.setdefault(bar.cores, set()).add(bar.n_samples)
+            return counts
+
+        assert n_samples("vector", 128) == {c: {96} for c in (1, 32, 64)}
+        assert n_samples("core", "medium")[64] == {72}
+        assert n_samples("memory", "4chDDR4")[64] == {144}
 
     def test_axis_values(self):
         space = full_design_space()

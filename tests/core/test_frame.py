@@ -1,15 +1,17 @@
 """Property tests for the columnar result frame (DESIGN §10).
 
 The frame's whole contract is *byte* equivalence with the dict path:
-for any uniform-schema records, ``canonical_lines``/``record_digests``
-must match ``canonical_dumps``/``content_digest`` of the equivalent
+for any uniform-schema records, ``canonical_lines`` must match
+``canonical_dumps`` (and so ``content_digest``) of the equivalent
 dicts exactly — including NaN/inf sentinels, None cells, booleans
 (failure stubs) and nested values — and the journal/store block form
-plus both IPC transports must round-trip without perturbing a byte.
+plus the worker IPC wire must round-trip without perturbing a byte.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,7 +58,8 @@ class TestFrameEqualsDictPath:
         frame = ResultFrame.from_records(records)
         assert frame.canonical_lines() == \
             [canonical_dumps(r) for r in records]
-        assert frame.record_digests() == \
+        assert [hashlib.sha256(line.encode("utf-8")).hexdigest()
+                for line in frame.canonical_lines()] == \
             [content_digest(r) for r in records]
         # FrameRow is a Mapping: canon encodes it like the dict itself.
         assert [canonical_dumps(row) for row in frame.rows()] == \
@@ -78,9 +81,27 @@ class TestFrameEqualsDictPath:
     @given(records=record_batches())
     def test_ipc_transports_round_trip(self, records):
         frame = ResultFrame.from_records(records)
-        for transport, payload in (pack_frame(frame),):
-            back = unpack_frame(transport, payload)
-            assert back.canonical_lines() == frame.canonical_lines()
+        back = unpack_frame(pack_frame(frame))
+        assert back.canonical_lines() == frame.canonical_lines()
+
+    def test_pack_frame_round_trips_masked_and_object_columns(self):
+        cfg = np.empty(3, dtype=object)
+        cfg[:] = ["medium", "high", "medium"]
+        frame = ResultFrame.from_columns(
+            ("core", "power_w", "tags", "cores"),
+            {"core": cfg,
+             "power_w": (np.array([1.5, 0.0, 2.5]),
+                         np.array([False, True, False])),
+             "tags": [[1, 2], {"a": None}, True],
+             "cores": np.array([32, 64, 128], dtype=np.int64)})
+        assert [frame.column_kind(k) for k in frame.keys] == \
+            ["obj", "f8", "obj", "i8"]
+        data = pack_frame(frame)
+        assert type(data) is bytes
+        back = unpack_frame(data)
+        assert back == frame
+        assert back.cell("power_w", 1) is None
+        assert back.canonical_lines() == frame.canonical_lines()
 
     @settings(max_examples=60, deadline=None)
     @given(records=record_batches(),

@@ -13,9 +13,10 @@ import pytest
 
 from repro.analysis import search_front
 from repro.apps import get_app
-from repro.config import DesignSpace, smoke_design_space
+from repro.config import DesignSpace, axis_linspace, smoke_design_space
 from repro.core import run_sweep
 from repro.core import sweep as sweep_mod
+from repro.core.canon import canonical_dumps
 from repro.core.musa import Musa
 from repro.core.store import code_version
 from repro.network.replay_batch import replay_batch
@@ -115,37 +116,33 @@ def test_data_plane_counters_emitted(workload_counters):
     counters = workload_counters
     # Columnar data plane (DESIGN §10): pooled shards ship whole frames
     # (one transport count per frame) and the store writes block lines.
-    assert counters.get("sweep.ipc.pickle", 0) \
-        + counters.get("sweep.ipc.shm", 0) > 0
+    assert counters.get("sweep.ipc.pickle", 0) > 0
     assert counters.get("store.block.put", 0) > 0
     assert counters.get("store.block.records", 0) > 0
 
 
-def test_sweep_ipc_transport_counters():
-    """Both IPC transports are counted by exact pinned name: small
-    frames ride the queue pickle, large ones a shared-memory segment."""
-    from repro.core.frame import ResultFrame
+def test_sweep_ipc_transport_counters(monkeypatch):
+    """Pooled shards whose frames pickle to more than 64 KiB ride the
+    same pickle wire as small ones: one ``sweep.ipc.pickle`` per shard,
+    and the sweep is byte-identical to the inline one."""
+    space = DesignSpace(frequencies=axis_linspace(1.0, 4.0, 20))
+    inline = run_sweep(["lulesh"], space, processes=1, batch_size=1024)
+    sizes = []
+    unpack = sweep_mod._unpack_outcomes
 
+    def measured(wire, packed):
+        sizes.extend(len(data) for data in packed)
+        return unpack(wire, packed)
+
+    monkeypatch.setattr(sweep_mod, "_unpack_outcomes", measured)
     reg = MetricsRegistry()
-    prev = get_metrics()
-    set_metrics(reg)
-    try:
-        small = ResultFrame.from_records([{"app": "a", "x": 1.0}])
-        big = ResultFrame.from_records(
-            [{"app": "a", "pad": "y" * 1024 + str(i)} for i in range(128)])
-        for frame, transport in ((small, "pickle"), (big, "shm")):
-            outcomes = [(i, 1, True, frame.row(i))
-                        for i in range(len(frame))]
-            wire, packed = sweep_mod._pack_outcomes(outcomes)
-            assert len(packed) == 1, "one frame must pack once, not per row"
-            assert packed[0][0] == transport
-            out = sweep_mod._unpack_outcomes(wire, packed)
-            assert [dict(p) for _, _, _, p in out] == frame.to_records()
-        counters = reg.snapshot()["counters"]
-        assert counters["sweep.ipc.pickle"] == 1
-        assert counters["sweep.ipc.shm"] == 1
-    finally:
-        set_metrics(prev)
+    pooled = run_sweep(["lulesh"], space, processes=2, batch_size=1024,
+                       metrics=reg)
+    counters = reg.snapshot()["counters"]
+    assert len(sizes) == counters["sweep.shards"] == 8
+    assert min(sizes) > 64 * 1024
+    assert counters["sweep.ipc.pickle"] == len(sizes)
+    assert canonical_dumps(list(pooled)) == canonical_dumps(list(inline))
 
 
 def test_array_driver_does_not_alias_other_drivers(workload_counters):

@@ -71,23 +71,11 @@ class TestDynamicEnergy:
 class TestBusyCorePower:
     def test_magnitude_plausible(self, model, node64, simple_kernel):
         t = time_kernel(simple_kernel, node64)
-        p = model.busy_core_power(t, node64)
-        # A 22nm server core at 2 GHz: single-digit watts.
-        assert 0.3 < p.core_l1_dynamic_w < 10.0
-        assert 0.1 < p.core_l1_leakage_w < 2.0
-
-    def test_power_energy_consistency(self, model, node64, simple_kernel):
-        t = time_kernel(simple_kernel, node64)
-        p = model.busy_core_power(t, node64)
-        seconds = t.cycles / (node64.frequency_ghz * 1e9)
         core_j, _ = model.dynamic_energy_j(
             node64, t.instructions, t.scalar_flops, t.l1_accesses,
             t.l2_accesses, t.l3_accesses,
             effective_lanes=t.vectorization.effective_lanes)
-        assert p.core_l1_dynamic_w * seconds == pytest.approx(core_j)
-
-    def test_total_property(self, model, node64, simple_kernel):
-        t = time_kernel(simple_kernel, node64)
-        p = model.busy_core_power(t, node64)
-        assert p.core_l1_w == pytest.approx(
-            p.core_l1_dynamic_w + p.core_l1_leakage_w)
+        seconds = t.cycles / (node64.frequency_ghz * 1e9)
+        # A 22nm server core at 2 GHz: single-digit watts.
+        assert 0.3 < core_j / seconds < 10.0
+        assert 0.1 < model.core_l1_leakage_w(node64) < 2.0

@@ -264,6 +264,19 @@ class TestQueryValidation:
             state.handle(query)
         assert fresh_metrics.snapshot()["counters"] == {"serve.requests": 1}
 
+    @pytest.mark.parametrize("kind", ["sweep", "best"])
+    def test_duplicate_apps_rejected_before_engine_work(
+            self, state, fresh_metrics, kind):
+        # A repeated app would return every record twice (sweep) or
+        # hand the optimizer duplicate records (best): a client error.
+        query = {"kind": kind, "apps": ["lulesh", "lulesh"],
+                 "space": "smoke"}
+        with pytest.raises(QueryError, match="repeat"):
+            state.handle(query)
+        # No engine counter (nor any other) moved.
+        assert fresh_metrics.snapshot()["counters"] == {"serve.requests": 1}
+        assert len(state.store) == 0
+
     def test_normalization_coalesces_default_spellings(self, state,
                                                        fresh_metrics):
         state.handle({"kind": "sweep", "apps": ["spmz"], "space": "smoke"})
