@@ -19,7 +19,7 @@ stacks every still-active lane of every phase:
 * all lanes share **one** schedule replay
   (:func:`~repro.runtime.scheduler.simulate_phase_batch`, which takes a
   phase per lane and falls back to per-lane scalar scheduling only for
-  general DAGs or unequal overhead/duration scales);
+  general DAGs);
 * the task-order event totals run once per app over the padded rows.
 
 The MPI trace replay of ``mode='replay'`` runs column-wise too

@@ -5,7 +5,7 @@ natural follow-up question the paper leaves open is *mixing* core
 classes in one socket: do a few big cores for the serial/imbalanced
 tail plus many small cores beat a homogeneous die of the same area?
 
-This module extends the runtime scheduler with per-core speed factors
+This module runs the runtime scheduler with per-core speed factors
 (a task on core ``c`` runs for ``duration / speed[c]``) and provides
 the area-normalized study helper: build mixed sockets that spend the
 same silicon as a homogeneous one, schedule every application phase on
@@ -14,9 +14,9 @@ both, and compare.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..config.core import CoreConfig, core_preset
 from ..config.node import NodeConfig
 from ..power.area import AreaModel
 from ..trace.events import ComputePhase
-from .scheduler import PhaseResult, TaskSpan
+from .scheduler import PhaseResult, _list_schedule, _prologue
 
 __all__ = ["simulate_phase_hetero", "HeteroMix", "area_matched_mix"]
 
@@ -32,9 +32,6 @@ __all__ = ["simulate_phase_hetero", "HeteroMix", "area_matched_mix"]
 def simulate_phase_hetero(
     phase: ComputePhase,
     core_speeds: Sequence[float],
-    duration_scale: float = 1.0,
-    overhead_scale: float = 1.0,
-    task_durations_ns: Optional[Sequence[float]] = None,
     collect_spans: bool = False,
 ) -> PhaseResult:
     """Greedy list scheduling on cores with per-core speed factors.
@@ -43,84 +40,15 @@ def simulate_phase_hetero(
     reference core the durations were timed for).  The scheduler is
     speed-aware: an idle fast core is preferred over an idle slow one
     (what a heterogeneity-aware runtime would do).  The master thread —
-    creation overheads — runs on core 0, so put a big core first.
+    creation overheads — runs on core 0, so put a big core first.  With
+    every speed 1.0 the schedule is :func:`simulate_phase`'s, bit for
+    bit: both run the same loop.
     """
-    speeds = np.asarray(list(core_speeds), dtype=np.float64)
-    if len(speeds) == 0 or np.any(speeds <= 0):
-        raise ValueError("core_speeds must be non-empty and positive")
-    if duration_scale <= 0 or overhead_scale <= 0:
-        raise ValueError("scales must be positive")
-    n_cores = len(speeds)
-
-    tasks = phase.tasks
-    n = len(tasks)
-    serial = phase.serial_ns * overhead_scale
-    creation = phase.creation_ns * overhead_scale
-    critical_total = phase.critical_ns * overhead_scale
-
-    if task_durations_ns is not None:
-        if len(task_durations_ns) != n:
-            raise ValueError(f"expected {n} durations")
-        durations = [d * duration_scale for d in task_durations_ns]
-    else:
-        durations = [t.duration_ns * duration_scale for t in tasks]
-
-    busy = np.zeros(n_cores, dtype=np.float64)
-    if n == 0:
-        return PhaseResult(serial + critical_total, busy, 0, serial, 0.0,
-                           spans=() if collect_spans else None)
-
-    create_time = [serial + (i + 1) * creation for i in range(n)]
-    master_done = create_time[-1]
-    n_deps = [len(t.deps) for t in tasks]
-    children: List[List[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(tasks):
-        for d in t.deps:
-            children[d].append(i)
-    dep_finish = [0.0] * n
-
-    ready: List[Tuple[float, int]] = []
-    for i in range(n):
-        if n_deps[i] == 0:
-            heapq.heappush(ready, (create_time[i], i))
-
-    # Core heap keyed by (free_time, -speed): ties go to the fastest.
-    cores: List[Tuple[float, float, int]] = [
-        (0.0, -speeds[c], c) for c in range(n_cores)]
-    cores[0] = (master_done, -speeds[0], 0)
-    heapq.heapify(cores)
-    busy[0] += master_done
-
-    spans: List[TaskSpan] = []
-    n_done = 0
-    makespan = master_done
-    while n_done < n:
-        if not ready:
-            raise RuntimeError("hetero scheduler deadlock")
-        ready_time, i = heapq.heappop(ready)
-        free_time, neg_speed, core = heapq.heappop(cores)
-        start = max(ready_time, free_time)
-        dur = durations[i] / (-neg_speed)
-        end = start + dur
-        busy[core] += dur
-        heapq.heappush(cores, (end, neg_speed, core))
-        if collect_spans:
-            spans.append(TaskSpan(i, core, start, end))
-        makespan = max(makespan, end)
-        n_done += 1
-        for child in children[i]:
-            n_deps[child] -= 1
-            dep_finish[child] = max(dep_finish[child], end)
-            if n_deps[child] == 0:
-                heapq.heappush(
-                    ready, (max(create_time[child], dep_finish[child]),
-                            child))
-    makespan = max(makespan, serial + critical_total)
-    return PhaseResult(
-        makespan_ns=makespan, busy_ns=busy, n_tasks=n, serial_ns=serial,
-        creation_ns_total=n * creation,
-        spans=tuple(spans) if collect_spans else None,
-    )
+    speeds = [float(s) for s in core_speeds]
+    if not speeds or not all(0.0 < s < math.inf for s in speeds):
+        raise ValueError("core_speeds must be non-empty, finite and positive")
+    return _list_schedule(_prologue(phase, len(speeds)), speeds,
+                          collect_spans)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,17 +91,18 @@ _STRUCTURE_CACHE: LruDict = LruDict(
 
 
 def _structure_of(phase: ComputePhase) -> Optional[str]:
-    """Classify the dependency structure of a phase, if specializable.
+    """Classify the dependency structure of a phase, if vectorizable.
 
-    Two shapes cover every trace the application models emit and admit
-    an exact shortcut of the general list scheduler (see
-    :func:`_simulate_fast`):
+    Two shapes cover every trace the application models emit, and for
+    both the list scheduler visits tasks in index order (see
+    :func:`simulate_phase_batch`):
 
     * ``"nodeps"`` — every task is immediately ready once created;
     * ``"fanout0"`` — task 0 has no dependencies and every other task
       depends exactly on task 0 (producer/consumer fan-out).
 
-    Anything else returns ``None`` and takes the general path.
+    Anything else returns ``None``; the batch scheduler hands such
+    phases to :func:`simulate_phase` lane by lane.
     """
     key = id(phase)
     hit = _STRUCTURE_CACHE.get(key)
@@ -118,174 +119,125 @@ def _structure_of(phase: ComputePhase) -> Optional[str]:
     return structure
 
 
-def _simulate_fast(structure: str, n: int, n_cores: int, durations,
-                   create_time, master_done: float, serial: float,
-                   creation: float, critical_total: float,
-                   busy: np.ndarray) -> PhaseResult:
-    """Specialized greedy scheduler for the two common dependency shapes.
+@dataclass(frozen=True)
+class _Prologue:
+    """Checked, overhead-scaled inputs of one scalar schedule, shared by
+    the list scheduler here and the work-stealing policy.
 
-    Bitwise-identical to the general algorithm: for both shapes the
-    ready heap provably pops tasks in index order (ready times are
-    nondecreasing in the task index and ties break on the index), so
-    the ready heap is elided and only the core heap is kept.  The same
-    heap operations run in the same order, producing the same floats.
+    Task ``i`` is created at ``create_time[i] = serial + (i+1)*creation``
+    by the master thread, which is busy until ``master_done`` (the last
+    creation; 0 for a phase without tasks).  ``children[i]`` lists the
+    tasks that depend on task ``i`` and ``n_deps[i]`` counts its
+    unresolved dependencies (a fresh list per call: the schedulers
+    decrement it).
     """
-    cores: List[Tuple[float, int]] = [(0.0, c) for c in range(n_cores)]
-    cores[0] = (master_done, 0)
-    heapq.heapify(cores)
-    busy[0] += master_done
 
-    makespan = master_done
-    start_index = 0
-    if structure == "fanout0":
-        # Task 0 runs alone; its finish gates every other task.
-        free_time, core = heapq.heappop(cores)
-        rt = create_time[0]
-        start = rt if rt > free_time else free_time
-        end0 = start + durations[0]
-        busy[core] += durations[0]
-        heapq.heappush(cores, (end0, core))
-        if end0 > makespan:
-            makespan = end0
-        start_index = 1
-    else:
-        end0 = 0.0
+    durations: List[float]
+    serial: float
+    creation: float
+    critical_total: float
+    create_time: List[float]
+    master_done: float
+    n_deps: List[int]
+    children: List[List[int]]
 
-    for i in range(start_index, n):
-        rt = create_time[i]
-        if structure == "fanout0" and end0 > rt:
-            rt = end0
-        free_time, core = heapq.heappop(cores)
-        start = rt if rt > free_time else free_time
-        end = start + durations[i]
-        busy[core] += durations[i]
-        heapq.heappush(cores, (end, core))
-        if end > makespan:
-            makespan = end
-
-    makespan = max(makespan, serial + critical_total)
-    return PhaseResult(
-        makespan_ns=makespan,
-        busy_ns=busy,
-        n_tasks=n,
-        serial_ns=serial,
-        creation_ns_total=n * creation,
-        spans=None,
-    )
+    def result(self, makespan: float, busy: np.ndarray,
+               spans: Optional[List[TaskSpan]]) -> PhaseResult:
+        """Close a schedule: critical sections serialize, so the phase
+        cannot finish before the sum of all critical time has elapsed
+        after the serial section."""
+        n = len(self.durations)
+        return PhaseResult(
+            makespan_ns=max(makespan, self.serial + self.critical_total),
+            busy_ns=busy,
+            n_tasks=n,
+            serial_ns=self.serial,
+            creation_ns_total=n * self.creation,
+            spans=None if spans is None else tuple(spans),
+        )
 
 
-def simulate_phase(
-    phase: ComputePhase,
-    n_cores: int,
-    duration_scale: float = 1.0,
-    overhead_scale: float = 1.0,
-    task_durations_ns: Optional[Sequence[float]] = None,
-    collect_spans: bool = False,
-    _force_general: bool = False,
-) -> PhaseResult:
-    """Simulate one compute phase on ``n_cores`` cores.
-
-    Parameters
-    ----------
-    duration_scale:
-        Multiplier applied to every task duration (used by the detailed
-        integration to re-time tasks for a target architecture, and by
-        rank-level imbalance).
-    overhead_scale:
-        Multiplier for runtime overheads (serial, creation, critical).
-        Kept separate because runtime timings are wall-clock and do not
-        follow core frequency.
-    task_durations_ns:
-        Optional explicit per-task durations overriding the trace
-        reference values (after which ``duration_scale`` still applies).
-    collect_spans:
-        If True, record per-task (core, start, end) for timeline
-        analysis; costs memory, off by default for the sweep.
-    _force_general:
-        Skip the structure-specialized fast path (testing hook; the two
-        paths are asserted bitwise-equal by the property suite).
-    """
+def _prologue(phase: ComputePhase, n_cores: int, overhead_scale: float = 1.0,
+              task_durations_ns: Optional[Sequence[float]] = None
+              ) -> _Prologue:
+    """Validate one scalar call and derive its schedule inputs."""
     if n_cores <= 0:
         raise ValueError("n_cores must be positive")
-    if duration_scale <= 0 or overhead_scale <= 0:
-        raise ValueError("scales must be positive")
-
+    if overhead_scale <= 0:
+        raise ValueError("overhead_scale must be positive")
     tasks = phase.tasks
     n = len(tasks)
-    serial = phase.serial_ns * overhead_scale
-    creation = phase.creation_ns * overhead_scale
-    critical_total = phase.critical_ns * overhead_scale
-
-    if task_durations_ns is not None:
-        if len(task_durations_ns) != n:
-            raise ValueError(
-                f"expected {n} durations, got {len(task_durations_ns)}"
-            )
-        durations = [d * duration_scale for d in task_durations_ns]
+    if task_durations_ns is None:
+        durations = [t.duration_ns for t in tasks]
+    elif len(task_durations_ns) != n:
+        raise ValueError(
+            f"expected {n} durations, got {len(task_durations_ns)}")
     else:
-        durations = [t.duration_ns * duration_scale for t in tasks]
+        durations = [float(d) for d in task_durations_ns]
     if not all(0.0 <= d < math.inf for d in durations):
         raise ValueError("task durations must be finite and non-negative")
-
-    busy = np.zeros(n_cores, dtype=np.float64)
-    if n == 0:
-        makespan = serial + critical_total
-        return PhaseResult(makespan, busy, 0, serial, 0.0,
-                           spans=() if collect_spans else None)
-
-    # Task i is created at serial + (i+1)*creation by the master thread.
+    serial = phase.serial_ns * overhead_scale
+    creation = phase.creation_ns * overhead_scale
     create_time = [serial + (i + 1) * creation for i in range(n)]
-    master_done = create_time[-1]
-
-    if not collect_spans and not _force_general:
-        structure = _structure_of(phase)
-        if structure is not None:
-            return _simulate_fast(structure, n, n_cores, durations,
-                                  create_time, master_done, serial,
-                                  creation, critical_total, busy)
-
-    # Dependency bookkeeping: children lists and remaining-dep counters.
-    n_deps = [len(t.deps) for t in tasks]
     children: List[List[int]] = [[] for _ in range(n)]
     for i, t in enumerate(tasks):
         for d in t.deps:
             children[d].append(i)
+    return _Prologue(
+        durations=durations,
+        serial=serial,
+        creation=creation,
+        critical_total=phase.critical_ns * overhead_scale,
+        create_time=create_time,
+        master_done=create_time[-1] if n else 0.0,
+        n_deps=[len(t.deps) for t in tasks],
+        children=children,
+    )
 
+
+def _list_schedule(pro: _Prologue, speeds: Sequence[float],
+                   collect_spans: bool) -> PhaseResult:
+    """Greedy list scheduling of one phase on cores of the given speeds.
+
+    The master (core 0) runs the serial section and creates every task,
+    so it is busy until the last creation.  Each step pops the ready
+    task with the earliest ready time (ties to the lowest index) and the
+    core that frees first (ties to the fastest, then the lowest index),
+    which runs it for ``duration / speed``.
+    """
+    durations, create_time = pro.durations, pro.create_time
+    n_deps, children = pro.n_deps, pro.children
+    n = len(durations)
     dep_finish = [0.0] * n         # latest finish among resolved deps
-    finish_time = [0.0] * n
+    spans: Optional[List[TaskSpan]] = [] if collect_spans else None
 
-    # Ready heap: (ready_time, task index).  Cores heap: (free_time, core).
-    ready: List[Tuple[float, int]] = []
-    for i in range(n):
-        if n_deps[i] == 0:
-            heapq.heappush(ready, (create_time[i], i))
-
-    cores: List[Tuple[float, int]] = [(0.0, c) for c in range(n_cores)]
-    # The master (core 0) is busy until it finishes creating tasks.
-    cores[0] = (master_done, 0)
+    # Ready heap: (ready_time, task).  Core heap: (free_time, -speed, core).
+    ready: List[Tuple[float, int]] = [
+        (create_time[i], i) for i in range(n) if n_deps[i] == 0]
+    heapq.heapify(ready)
+    cores = [(0.0, -s, c) for c, s in enumerate(speeds)]
+    cores[0] = (pro.master_done, -speeds[0], 0)
     heapq.heapify(cores)
-    busy[0] += master_done  # serial + creation work occupies the master
+    busy = np.zeros(len(speeds), dtype=np.float64)
+    busy[0] += pro.master_done
 
-    spans: List[TaskSpan] = []
-    n_done = 0
-    makespan = master_done
-    while n_done < n:
+    makespan = pro.master_done
+    for _ in range(n):
         if not ready:
             raise RuntimeError(
                 "scheduler deadlock: no ready tasks but work remains "
                 "(dependency cycle in trace?)"
             )
         ready_time, i = heapq.heappop(ready)
-        free_time, core = heapq.heappop(cores)
+        free_time, neg_speed, core = heapq.heappop(cores)
         start = max(ready_time, free_time)
-        end = start + durations[i]
-        finish_time[i] = end
-        busy[core] += durations[i]
-        heapq.heappush(cores, (end, core))
-        if collect_spans:
+        dur = durations[i] / -neg_speed
+        end = start + dur
+        busy[core] += dur
+        heapq.heappush(cores, (end, neg_speed, core))
+        if spans is not None:
             spans.append(TaskSpan(i, core, start, end))
         makespan = max(makespan, end)
-        n_done += 1
         for child in children[i]:
             n_deps[child] -= 1
             dep_finish[child] = max(dep_finish[child], end)
@@ -293,21 +245,39 @@ def simulate_phase(
                 heapq.heappush(
                     ready, (max(create_time[child], dep_finish[child]), child)
                 )
-
-    # Critical sections serialize: the phase cannot finish before the
-    # sum of all critical time has elapsed after the serial section.
-    makespan = max(makespan, serial + critical_total)
-
-    return PhaseResult(
-        makespan_ns=makespan,
-        busy_ns=busy,
-        n_tasks=n,
-        serial_ns=serial,
-        creation_ns_total=n * creation,
-        spans=tuple(spans) if collect_spans else None,
-    )
+    return pro.result(makespan, busy, spans)
 
 
+def simulate_phase(
+    phase: ComputePhase,
+    n_cores: int,
+    overhead_scale: float = 1.0,
+    task_durations_ns: Optional[Sequence[float]] = None,
+    collect_spans: bool = False,
+) -> PhaseResult:
+    """Simulate one compute phase on ``n_cores`` cores.
+
+    This is the scalar reference the batch scheduler is checked against
+    bit for bit: one ready-heap event loop for every dependency shape.
+
+    Parameters
+    ----------
+    overhead_scale:
+        Multiplier for runtime overheads (serial, creation, critical).
+        Runtime timings are wall-clock and do not follow core frequency.
+    task_durations_ns:
+        Optional explicit per-task durations overriding the trace
+        reference values (the detailed integration re-times tasks for a
+        target architecture this way).  Durations must be finite and
+        non-negative.
+    collect_spans:
+        If True, record per-task (core, start, end) for timeline
+        analysis; costs memory, off by default for the sweep.
+    """
+    pro = _prologue(phase, n_cores, overhead_scale, task_durations_ns)
+    # Unit speeds are exact: x / 1.0 == x, and the core heap's -1.0
+    # column never breaks a tie, so the order stays (free_time, core).
+    return _list_schedule(pro, [1.0] * n_cores, collect_spans)
 
 
 @dataclass(frozen=True)
@@ -324,12 +294,10 @@ class PhaseBatch:
     n_tasks: np.ndarray            # (lanes,), int64
 
 
-def _lane_phases(phase: Union[ComputePhase, Sequence[ComputePhase]],
+def _lane_phases(phases: Sequence[ComputePhase],
                  n_lanes: int) -> Tuple[List[ComputePhase], np.ndarray]:
     """The distinct phases of a call and each lane's index into them."""
-    if isinstance(phase, ComputePhase):
-        return [phase], np.zeros(n_lanes, dtype=np.int64)
-    phases = list(phase)
+    phases = list(phases)
     if len(phases) != n_lanes:
         raise ValueError(f"expected {n_lanes} phases, got {len(phases)}")
     ids = np.fromiter(map(id, phases), dtype=np.uint64, count=n_lanes)
@@ -338,37 +306,29 @@ def _lane_phases(phase: Union[ComputePhase, Sequence[ComputePhase]],
 
 
 def simulate_phase_batch(
-    phase: Union[ComputePhase, Sequence[ComputePhase]],
+    phases: Sequence[ComputePhase],
     n_cores: Sequence[int],
-    duration_scale: Union[float, Sequence[float]] = 1.0,
-    overhead_scale: Union[float, Sequence[float]] = 1.0,
-    task_durations_ns: Optional[np.ndarray] = None,
+    task_durations_ns: np.ndarray,
 ) -> PhaseBatch:
     """:func:`simulate_phase` over an axis of *lanes*, vectorized.
 
-    A lane is one scalar call: ``phase`` is one phase shared by every
-    lane or a sequence of one phase per lane, and ``n_cores`` /
-    ``duration_scale`` / ``overhead_scale`` give one value (or a
-    broadcastable scalar) per lane.  ``task_durations_ns`` is an
-    optional ``(rows, lanes)`` matrix of explicit per-task durations (or
-    a 1-D base shared by every lane, like the scalar call), where
-    ``rows`` is the largest task count among the lanes' phases; lane
-    ``k`` reads its first ``n_k`` rows and the rest is padding.
-    Durations must be finite and non-negative, like the scalar call's.
+    A lane is one scalar call ``simulate_phase(phases[k], n_cores[k],
+    task_durations_ns=task_durations_ns[:n_k, k])``: ``phases`` holds
+    one phase per lane and ``task_durations_ns`` is a ``(rows, lanes)``
+    matrix of per-task durations, where ``rows`` is the largest task
+    count among the lanes' phases; lane ``k`` reads its first ``n_k``
+    rows and the rest is padding.  Durations must be finite and
+    non-negative, like the scalar call's.
 
-    Bitwise-identity argument.  A per-lane *result broadcast* — run
-    the schedule once on base durations and multiply the output times by
-    each lane's scale — can never be bitwise: float multiplication
-    does not distribute over addition, so ``fl(s*a) + fl(s*b)`` differs
-    from ``s*(a+b)`` in the last ulp for general ``s``.  What *is*
-    exactly lane-invariant for the ``nodeps``/``fanout0`` structures
-    is the scheduler's **task visit order**: ready times are
+    Bitwise-identity argument.  What is exactly lane-invariant for the
+    ``nodeps``/``fanout0`` structures is the scheduler's **task visit
+    order**: ready times are
     nondecreasing in the task index for any non-negative durations and
     overheads (``nodeps``: ready = creation times, an increasing
     sequence; ``fanout0``: task 0 first, then
     ``max(create_time[i], end0)``, nondecreasing in ``i``), and ties
-    break on the index — so every lane visits tasks 0..n-1 in index
-    order, exactly as :func:`_simulate_fast` does.  That lets all
+    break on the index — so every lane's ready heap pops tasks 0..n-1
+    in index order and only its core heap matters.  That lets all
     lanes advance through one synchronized per-task loop in which the
     per-lane core state is exact, not broadcast:
 
@@ -411,11 +371,9 @@ def simulate_phase_batch(
     in the last ulp.
 
     Each lane therefore reproduces the scalar heap schedule float for
-    float.  Phases with any other dependency structure — and lanes
-    whose ``overhead_scale`` differs from ``duration_scale``, which the
-    scale-invariance contract of the batched sweep does not cover — fall
-    back to per-lane :func:`simulate_phase` calls that fill the same
-    columns.  Vectorized lanes are counted under ``sched.batch.fast``;
+    float.  Phases with any other dependency structure (general DAGs)
+    fall back to per-lane :func:`simulate_phase` calls that fill the
+    same columns.  Vectorized lanes are counted under ``sched.batch.fast``;
     fallback lanes under ``sched.batch.fallbacks``.
     """
     nc = np.asarray(n_cores, dtype=np.int64)
@@ -424,45 +382,25 @@ def simulate_phase_batch(
     n_lanes = len(nc)
     if np.any(nc <= 0):
         raise ValueError("n_cores must be positive")
-    ds = np.broadcast_to(np.asarray(duration_scale, dtype=np.float64),
-                         (n_lanes,)).copy()
-    os_ = np.broadcast_to(np.asarray(overhead_scale, dtype=np.float64),
-                          (n_lanes,)).copy()
-    if np.any(ds <= 0) or np.any(os_ <= 0):
-        raise ValueError("scales must be positive")
 
-    phases, pidx = _lane_phases(phase, n_lanes)
+    phases, pidx = _lane_phases(phases, n_lanes)
     n_of = np.array([len(p.tasks) for p in phases], dtype=np.int64)
     n_task = n_of[pidx]
     rows = int(n_of.max()) if len(phases) else 0
-    real = np.arange(rows)[:, None] < n_task
-    if task_durations_ns is not None:
-        base = np.asarray(task_durations_ns, dtype=np.float64)
-        if base.ndim == 1:
-            base = base[:, None]
-        if (base.ndim != 2 or base.shape[0] != rows
-                or base.shape[1] not in (1, n_lanes)):
-            raise ValueError(
-                f"expected ({rows}, {n_lanes}) durations, got {base.shape}")
-    else:
-        base = np.zeros((rows, len(phases)))
-        for j, p in enumerate(phases):
-            base[:len(p.tasks), j] = [t.duration_ns for t in p.tasks]
-        if len(phases) > 1:
-            base = base[:, pidx]
-    with np.errstate(over="ignore"):
-        dur = np.where(real, base, 0.0) * ds
+    base = np.asarray(task_durations_ns, dtype=np.float64)
+    if base.shape != (rows, n_lanes):
+        raise ValueError(
+            f"expected ({rows}, {n_lanes}) durations, got {base.shape}")
+    dur = np.where(np.arange(rows)[:, None] < n_task, base, 0.0)
     if dur.size and not (dur.min() >= 0.0 and dur.max() < np.inf):
         raise ValueError("task durations must be finite and non-negative")
 
-    structure = [_structure_of(p) if p.tasks else None for p in phases]
-    # The scalar path returns before looking at structure or scales when
-    # a phase has no tasks.
-    fast = (n_task == 0) | (
-        np.array([s is not None for s in structure])[pidx] & (ds == os_))
-    serial = np.array([p.serial_ns for p in phases])[pidx] * os_
-    creation = np.array([p.creation_ns for p in phases])[pidx] * os_
-    makespan = serial + np.array([p.critical_ns for p in phases])[pidx] * os_
+    # A phase without tasks is "nodeps": serial + critical, no busy time.
+    structure = [_structure_of(p) for p in phases]
+    fast = np.array([s is not None for s in structure])[pidx]
+    serial = np.array([p.serial_ns for p in phases])[pidx]
+    creation = np.array([p.creation_ns for p in phases])[pidx]
+    makespan = serial + np.array([p.critical_ns for p in phases])[pidx]
     creation_total = n_task * creation
     busy_sum = np.zeros(n_lanes)
     busy_mat = np.zeros((n_lanes, int(nc.max()) if n_lanes else 0))
@@ -471,15 +409,10 @@ def simulate_phase_batch(
     if len(slow):
         get_metrics().inc("sched.batch.fallbacks", len(slow))
         for k in slow:
-            n = int(n_task[k])
-            col = base[:n, 0] if base.shape[1] == 1 else base[:n, k]
             ref = simulate_phase(
-                phases[pidx[k]], int(nc[k]), duration_scale=float(ds[k]),
-                overhead_scale=float(os_[k]),
-                task_durations_ns=col.tolist())
+                phases[pidx[k]], int(nc[k]),
+                task_durations_ns=base[:n_task[k], k].tolist())
             makespan[k] = ref.makespan_ns
-            serial[k] = ref.serial_ns
-            creation_total[k] = ref.creation_ns_total
             busy_sum[k] = ref.busy_ns.sum()
             busy_mat[k, :ref.n_cores] = ref.busy_ns
 

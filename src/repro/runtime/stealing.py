@@ -10,20 +10,21 @@ Semantics: task creation pushes to the creating worker's deque
 (round-robin for the master's initial burst); idle workers pop their
 own deque LIFO and steal FIFO from victims chosen deterministically.
 Steals cost ``steal_ns`` of the thief's time.  The simulation remains
-a discrete-event replay with the same inputs/outputs as
-:func:`~repro.runtime.scheduler.simulate_phase`.
+a discrete-event replay of the same checked inputs as
+:func:`~repro.runtime.scheduler.simulate_phase` and returns the same
+:class:`~repro.runtime.scheduler.PhaseResult`.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..trace.events import ComputePhase
-from .scheduler import PhaseResult, TaskSpan
+from .scheduler import PhaseResult, TaskSpan, _prologue
 
 __all__ = ["simulate_phase_stealing"]
 
@@ -31,54 +32,28 @@ __all__ = ["simulate_phase_stealing"]
 def simulate_phase_stealing(
     phase: ComputePhase,
     n_cores: int,
-    duration_scale: float = 1.0,
-    overhead_scale: float = 1.0,
-    task_durations_ns: Optional[Sequence[float]] = None,
     steal_ns: float = 120.0,
     collect_spans: bool = False,
 ) -> PhaseResult:
     """Simulate one phase under work stealing.
 
-    Compatible signature with :func:`simulate_phase`; an extra
-    ``steal_ns`` parameter charges each successful steal.
+    Takes the checked inputs of :func:`simulate_phase` (validation,
+    creation times, dependency children); ``steal_ns`` charges each
+    successful steal.
     """
-    if n_cores <= 0:
-        raise ValueError("n_cores must be positive")
-    if duration_scale <= 0 or overhead_scale <= 0:
-        raise ValueError("scales must be positive")
     if steal_ns < 0:
         raise ValueError("steal_ns must be non-negative")
-
-    tasks = phase.tasks
-    n = len(tasks)
-    serial = phase.serial_ns * overhead_scale
-    creation = phase.creation_ns * overhead_scale
-    critical_total = phase.critical_ns * overhead_scale
-
-    if task_durations_ns is not None:
-        if len(task_durations_ns) != n:
-            raise ValueError(f"expected {n} durations")
-        durations = [d * duration_scale for d in task_durations_ns]
-    else:
-        durations = [t.duration_ns * duration_scale for t in tasks]
-
+    pro = _prologue(phase, n_cores)
+    durations, create_time = pro.durations, pro.create_time
+    n_deps, children = pro.n_deps, pro.children
+    n = len(durations)
     busy = np.zeros(n_cores, dtype=np.float64)
-    if n == 0:
-        return PhaseResult(serial + critical_total, busy, 0, serial, 0.0,
-                           spans=() if collect_spans else None)
-
-    create_time = [serial + (i + 1) * creation for i in range(n)]
-    n_deps = [len(t.deps) for t in tasks]
-    children: List[List[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(tasks):
-        for d in t.deps:
-            children[d].append(i)
+    spans: Optional[List[TaskSpan]] = [] if collect_spans else None
 
     # Per-worker deques; creation round-robins the master's burst the way
     # an eager-binding runtime distributes initial chunks.
     deques: List[Deque[int]] = [deque() for _ in range(n_cores)]
     release_time = [0.0] * n       # when the task became ready
-    finish_time = [0.0] * n
 
     # Event queue of (time, kind, payload): kind 0 = task created,
     # kind 1 = core free.  Created tasks with unmet deps wait for their
@@ -90,14 +65,13 @@ def simulate_phase_stealing(
             heapq.heappush(events, (create_time[i], 0, seq, i))
             seq += 1
     for c in range(n_cores):
-        start = create_time[-1] if c == 0 else 0.0
+        start = pro.master_done if c == 0 else 0.0
         heapq.heappush(events, (start, 1, seq, c))
         seq += 1
-    busy[0] += create_time[-1]
+    busy[0] += pro.master_done
 
-    spans: List[TaskSpan] = []
     n_done = 0
-    makespan = create_time[-1]
+    makespan = pro.master_done
     idle_since = [None] * n_cores  # cores parked waiting for work
     rr = 0
 
@@ -106,8 +80,7 @@ def simulate_phase_stealing(
         start = now + (steal_ns if stole else 0.0)
         end = start + durations[task]
         busy[core] += end - start
-        finish_time[task] = end
-        if collect_spans:
+        if spans is not None:
             spans.append(TaskSpan(task, core, start, end))
         makespan = max(makespan, end)
         n_done += 1
@@ -160,12 +133,4 @@ def simulate_phase_stealing(
     if n_done < n:
         raise RuntimeError("work-stealing scheduler deadlock "
                            "(dependency cycle in trace?)")
-    makespan = max(makespan, serial + critical_total)
-    return PhaseResult(
-        makespan_ns=makespan,
-        busy_ns=busy,
-        n_tasks=n,
-        serial_ns=serial,
-        creation_ns_total=n * creation,
-        spans=tuple(spans) if collect_spans else None,
-    )
+    return pro.result(makespan, busy, spans)

@@ -129,17 +129,6 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
 
-    async def serve_until(self,
-                          stop: Optional[asyncio.Event] = None) -> None:
-        await self.start()
-        try:
-            if stop is None:
-                await asyncio.Event().wait()  # run forever
-            else:
-                await stop.wait()
-        finally:
-            await self.close()
-
     # -- request handling -----------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,

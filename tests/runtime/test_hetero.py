@@ -16,10 +16,19 @@ from .test_scheduler import make_phase
 
 class TestHeteroScheduler:
     def test_uniform_speeds_match_homogeneous(self):
-        phase = make_phase([10, 20, 30, 40], creation=1.0)
-        homo = simulate_phase(phase, 4)
-        het = simulate_phase_hetero(phase, [1.0] * 4)
-        assert het.makespan_ns == pytest.approx(homo.makespan_ns)
+        # Unit speeds run the scalar reference's loop: bit for bit, on
+        # nodeps, fanout0 and general-DAG phases.
+        for deps in (None, [(), (0,), (0,), (0,), (0,), (0,)],
+                     [(), (0,), (0,), (1, 2), (3,), (1,)]):
+            phase = make_phase([10, 20, 30, 40, 7, 13], deps=deps,
+                               serial=3.0, creation=1.0, critical=5.0)
+            for cores in (1, 2, 4, 9):
+                homo = simulate_phase(phase, cores, collect_spans=True)
+                het = simulate_phase_hetero(phase, [1.0] * cores,
+                                            collect_spans=True)
+                assert het.makespan_ns == homo.makespan_ns
+                assert het.busy_ns.tobytes() == homo.busy_ns.tobytes()
+                assert het.spans == homo.spans
 
     def test_slow_cores_slow_tasks(self):
         phase = make_phase([100.0])
@@ -56,6 +65,13 @@ class TestHeteroScheduler:
             simulate_phase_hetero(make_phase([1]), [])
         with pytest.raises(ValueError):
             simulate_phase_hetero(make_phase([1]), [1.0, -1.0])
+
+    @pytest.mark.parametrize("speeds", [
+        [float("nan")], [float("inf")], [1.0, float("nan")]])
+    def test_rejects_non_finite_speeds(self, speeds):
+        # NaN made busy time NaN; inf made every task take 0 ns.
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate_phase_hetero(make_phase([10.0, 20.0]), speeds)
 
 
 class TestHeteroMix:

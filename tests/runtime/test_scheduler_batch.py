@@ -28,29 +28,31 @@ def make_phase(durations, deps=None, serial=0.0, creation=0.0, critical=0.0):
                         creation_ns=creation, critical_ns=critical)
 
 
-def assert_batch_matches_scalar(phase, n_cores, duration_scale=1.0,
-                                overhead_scale=1.0, task_durations_ns=None):
-    """Run both engines and require bitwise-equal results per column."""
-    batch = simulate_phase_batch(phase, n_cores,
-                                 duration_scale=duration_scale,
-                                 overhead_scale=overhead_scale,
-                                 task_durations_ns=task_durations_ns)
+def trace_durations(phases):
+    """The ``(rows, lanes)`` matrix of the lanes' trace durations; rows
+    past a lane's task count are NaN, which the scheduler must never
+    read."""
+    rows = max((len(p.tasks) for p in phases), default=0)
+    mat = np.full((rows, len(phases)), np.nan)
+    for k, p in enumerate(phases):
+        mat[:len(p.tasks), k] = [t.duration_ns for t in p.tasks]
+    return mat
+
+
+def assert_batch_matches_scalar(phase, n_cores, task_durations_ns=None):
+    """Run ``phase`` once per core count on both engines and require
+    bitwise-equal results per lane; ``task_durations_ns`` is an optional
+    ``(tasks, lanes)`` matrix of explicit durations."""
+    lanes = [phase] * len(n_cores)
+    mat = (trace_durations(lanes) if task_durations_ns is None
+           else task_durations_ns)
+    batch = simulate_phase_batch(lanes, n_cores, mat)
     n_cfg = len(n_cores)
-    ds = np.broadcast_to(np.asarray(duration_scale, dtype=np.float64),
-                         (n_cfg,))
-    os_ = np.broadcast_to(np.asarray(overhead_scale, dtype=np.float64),
-                          (n_cfg,))
     assert batch.busy_ns.shape == (n_cfg, max(n_cores))
     for k in range(n_cfg):
-        if task_durations_ns is None:
-            col = None
-        else:
-            arr = np.asarray(task_durations_ns, dtype=np.float64)
-            col = (arr if arr.ndim == 1 else arr[:, k]).tolist()
-        ref = simulate_phase(phase, int(n_cores[k]),
-                             duration_scale=float(ds[k]),
-                             overhead_scale=float(os_[k]),
-                             task_durations_ns=col)
+        col = (None if task_durations_ns is None
+               else task_durations_ns[:, k].tolist())
+        ref = simulate_phase(phase, int(n_cores[k]), task_durations_ns=col)
         c = ref.n_cores
         assert batch.makespan_ns[k] == ref.makespan_ns, k
         assert batch.n_tasks[k] == ref.n_tasks
@@ -62,6 +64,10 @@ def assert_batch_matches_scalar(phase, n_cores, duration_scale=1.0,
     return batch
 
 
+def scaled(durations, scale):
+    return [d * scale for d in durations]
+
+
 durations_st = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
               allow_infinity=False),
@@ -71,6 +77,9 @@ scale_st = st.floats(min_value=0.05, max_value=20.0, allow_nan=False,
 
 
 class TestBatchEqualsScalarBitwise:
+    # The re-timing scales a caller applies are drawn into the phase
+    # itself: scaled durations and scaled overheads.
+
     @settings(max_examples=150, deadline=None)
     @given(durations=durations_st,
            cores=st.lists(st.integers(min_value=1, max_value=300),
@@ -81,10 +90,10 @@ class TestBatchEqualsScalarBitwise:
            critical=st.floats(min_value=0.0, max_value=1e4))
     def test_nodeps_property(self, durations, cores, scale, serial,
                              creation, critical):
-        phase = make_phase(durations, serial=serial, creation=creation,
-                           critical=critical)
-        assert_batch_matches_scalar(phase, cores, duration_scale=scale,
-                                    overhead_scale=scale)
+        phase = make_phase(scaled(durations, scale), serial=serial * scale,
+                           creation=creation * scale,
+                           critical=critical * scale)
+        assert_batch_matches_scalar(phase, cores)
 
     @settings(max_examples=100, deadline=None)
     @given(durations=st.lists(st.floats(min_value=0.0, max_value=1e6),
@@ -95,10 +104,10 @@ class TestBatchEqualsScalarBitwise:
            creation=st.floats(min_value=0.0, max_value=1e3))
     def test_fanout0_property(self, durations, cores, scale, creation):
         deps = [()] + [(0,)] * (len(durations) - 1)
-        phase = make_phase(durations, deps=deps, creation=creation)
+        phase = make_phase(scaled(durations, scale), deps=deps,
+                           creation=creation * scale)
         assert _structure_of(phase) == "fanout0"
-        assert_batch_matches_scalar(phase, cores, duration_scale=scale,
-                                    overhead_scale=scale)
+        assert_batch_matches_scalar(phase, cores)
 
     @settings(max_examples=75, deadline=None)
     @given(durations=st.lists(st.floats(min_value=0.0, max_value=1e6),
@@ -120,13 +129,15 @@ class TestBatchEqualsScalarBitwise:
            cores=st.lists(st.integers(min_value=1, max_value=32),
                           min_size=1, max_size=5),
            dscale=scale_st, oscale=scale_st)
-    def test_unequal_scales_fall_back_and_still_match(self, durations,
-                                                      cores, dscale, oscale):
-        # overhead_scale != duration_scale is outside the vectorized
-        # contract; it must fall back per config and still match.
-        phase = make_phase(durations, serial=7.0, creation=3.0)
-        assert_batch_matches_scalar(phase, cores, duration_scale=dscale,
-                                    overhead_scale=oscale)
+    def test_unequal_scales_match(self, durations, cores, dscale, oscale):
+        # Durations and overheads re-timed by different factors are one
+        # more phase to the batch: vectorized, no fallback.
+        phase = make_phase(scaled(durations, dscale), serial=7.0 * oscale,
+                           creation=3.0 * oscale)
+        reg = get_metrics()
+        fb0 = reg.counter("sched.batch.fallbacks")
+        assert_batch_matches_scalar(phase, cores)
+        assert reg.counter("sched.batch.fallbacks") == fb0
 
 
 class TestBatchRegressions:
@@ -139,8 +150,8 @@ class TestBatchRegressions:
         assert_batch_matches_scalar(phase, [1])
 
     def test_empty_phase_all_columns(self):
-        phase = make_phase([], serial=11.0, critical=4.0)
-        batch = assert_batch_matches_scalar(phase, [1, 4], overhead_scale=2.0)
+        phase = make_phase([], serial=22.0, critical=8.0)
+        batch = assert_batch_matches_scalar(phase, [1, 4])
         assert batch.makespan_ns[0] == pytest.approx(30.0)
 
     def test_general_dag_falls_back(self):
@@ -154,17 +165,17 @@ class TestBatchRegressions:
 
     def test_counters_split_fast_and_fallback(self):
         phase = make_phase([5.0, 6.0], serial=1.0)
+        dag = make_phase([5.0, 6.0, 7.0], deps=[(), (0,), (1,)])
         reg = get_metrics()
         fast0 = reg.counter("sched.batch.fast")
         fb0 = reg.counter("sched.batch.fallbacks")
-        simulate_phase_batch(phase, [2, 4], duration_scale=1.0,
-                             overhead_scale=1.0)
+        lanes = [phase, phase]
+        simulate_phase_batch(lanes, [2, 4], trace_durations(lanes))
         assert reg.counter("sched.batch.fast") - fast0 == 2
         assert reg.counter("sched.batch.fallbacks") == fb0
-        simulate_phase_batch(phase, [2, 4],
-                             duration_scale=[1.0, 2.0],
-                             overhead_scale=[1.0, 3.0])
-        # Column 0 has equal scales (fast); column 1 does not (fallback).
+        lanes = [phase, dag]
+        simulate_phase_batch(lanes, [2, 4], trace_durations(lanes))
+        # Lane 0 is nodeps (fast); lane 1 is a chain (fallback).
         assert reg.counter("sched.batch.fast") - fast0 == 3
         assert reg.counter("sched.batch.fallbacks") - fb0 == 1
 
@@ -184,15 +195,16 @@ class TestBatchRegressions:
 
     def test_input_validation(self):
         phase = make_phase([1.0])
+        one = np.ones((1, 1))
         with pytest.raises(ValueError):
-            simulate_phase_batch(phase, [0])
+            simulate_phase_batch([phase], [0], one)
         with pytest.raises(ValueError):
-            simulate_phase_batch(phase, [2], duration_scale=0.0)
+            simulate_phase_batch([phase], [[2]], one)
         with pytest.raises(ValueError):
-            simulate_phase_batch(phase, [[2]])
+            simulate_phase_batch([phase], [2], np.zeros((3, 2)))
+        # One column per lane: a 1-D duration list is not a matrix.
         with pytest.raises(ValueError):
-            simulate_phase_batch(phase, [2],
-                                 task_durations_ns=np.zeros((3, 2)))
+            simulate_phase_batch([phase], [2], np.ones(1))
 
 
 def phase_of(shape, durations, serial=0.0, creation=0.0, critical=0.0):
@@ -222,7 +234,9 @@ overhead_st = st.one_of(
 @st.composite
 def lane_calls(draw):
     """Phases of unequal task counts and shapes, and lanes over them whose
-    core counts straddle each lane's task count."""
+    core counts straddle each lane's task count.  Every phase's durations
+    and overheads are re-timed by one drawn scale, also returned."""
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0]))
     phases = []
     for _ in range(draw(st.integers(1, 4))):
         shape = draw(st.sampled_from(["nodeps", "fanout0", "dag"]))
@@ -231,51 +245,43 @@ def lane_calls(draw):
                                   min_size=n, max_size=n))
         serial, creation = draw(overhead_st)
         critical = draw(st.sampled_from([0.0, 50.0, 1e5]))
-        phases.append((shape, phase_of(shape, durations, serial, creation,
-                                       critical)))
+        phases.append((shape, phase_of(shape, scaled(durations, scale),
+                                       serial * scale, creation * scale,
+                                       critical * scale)))
     lanes = []
     for _ in range(draw(st.integers(1, 12))):
         j = draw(st.integers(0, len(phases) - 1))
         n = len(phases[j][1].tasks)
         nc = draw(st.sampled_from([1, n - 1, n, n + 1, n + 7, 3 * n + 2]))
         lanes.append((j, max(1, nc)))
-    return phases, lanes
+    return phases, lanes, scale
 
 
 class TestMultiPhaseLanes:
     @settings(max_examples=200, deadline=None)
     @given(call=lane_calls(), explicit=st.booleans(), data=st.data())
     def test_matches_per_lane_scalar_bitwise(self, call, explicit, data):
-        phases, lanes = call
+        phases, lanes, scale = call
         lane_phase = [phases[j][1] for j, _ in lanes]
         n_cores = [nc for _, nc in lanes]
-        rows = max(len(p.tasks) for p in lane_phase)
-        durations = None
+        durations = trace_durations(lane_phase)
         if explicit:
-            # Per-lane durations; the padding below a lane's task count
-            # is NaN, which the scheduler must never read.
-            durations = np.full((rows, len(lanes)), np.nan)
+            # Per-lane durations; the padding stays NaN.
             for k, p in enumerate(lane_phase):
                 n = len(p.tasks)
-                durations[:n, k] = data.draw(st.lists(
+                durations[:n, k] = scaled(data.draw(st.lists(
                     st.one_of(tie_st, st.floats(0.0, 1e6)),
-                    min_size=n, max_size=n))
-        scale = data.draw(st.sampled_from([1.0, 0.5, 3.0]))
+                    min_size=n, max_size=n)), scale)
         reg = get_metrics()
         fb0 = reg.counter("sched.batch.fallbacks")
-        batch = simulate_phase_batch(lane_phase, n_cores,
-                                     duration_scale=scale,
-                                     overhead_scale=scale,
-                                     task_durations_ns=durations)
+        batch = simulate_phase_batch(lane_phase, n_cores, durations)
         dags = sum(phases[j][0] == "dag" for j, _ in lanes)
         assert reg.counter("sched.batch.fallbacks") - fb0 == dags
         assert batch.busy_ns.shape == (len(lanes), max(n_cores))
         for k, (p, nc) in enumerate(zip(lane_phase, n_cores)):
             n = len(p.tasks)
-            col = None if durations is None else durations[:n, k].tolist()
-            ref = simulate_phase(p, nc, duration_scale=scale,
-                                 overhead_scale=scale,
-                                 task_durations_ns=col)
+            col = durations[:n, k].tolist() if explicit else None
+            ref = simulate_phase(p, nc, task_durations_ns=col)
             assert batch.makespan_ns[k] == ref.makespan_ns, k
             assert batch.busy_sum_ns[k] == float(ref.busy_ns.sum()), k
             assert np.array_equal(batch.busy_ns[k, :nc], ref.busy_ns), k
@@ -293,8 +299,9 @@ class TestMultiPhaseLanes:
                       phase_of("nodeps", [3.0, 0.0, 3.0], serial, creation)]
             lanes = [(p, nc) for p in phases
                      for nc in range(1, len(p.tasks) + 3)]
-            batch = simulate_phase_batch([p for p, _ in lanes],
-                                         [nc for _, nc in lanes])
+            lane_phase = [p for p, _ in lanes]
+            batch = simulate_phase_batch(lane_phase, [nc for _, nc in lanes],
+                                         trace_durations(lane_phase))
             for k, (p, nc) in enumerate(lanes):
                 ref = simulate_phase(p, nc)
                 assert batch.makespan_ns[k] == ref.makespan_ns, (k, nc)
@@ -303,7 +310,7 @@ class TestMultiPhaseLanes:
     def test_phase_count_must_match_lanes(self):
         phase = make_phase([1.0])
         with pytest.raises(ValueError, match="phases"):
-            simulate_phase_batch([phase, phase], [2])
+            simulate_phase_batch([phase, phase], [2], np.ones((1, 1)))
 
 
 class TestDurationValidation:
@@ -312,17 +319,19 @@ class TestDurationValidation:
         phase = make_phase([1.0, 2.0])
         mat = np.array([[1.0, 1.0], [bad, 1.0]])
         with pytest.raises(ValueError, match="finite and non-negative"):
-            simulate_phase_batch(phase, [2, 3], task_durations_ns=mat)
+            simulate_phase_batch([phase, phase], [2, 3], mat)
         # Also on a lane that would fall back to the scalar scheduler.
         dag = phase_of("dag", [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="finite and non-negative"):
-            simulate_phase_batch(dag, [2], task_durations_ns=[1.0, bad, 1.0])
+            simulate_phase_batch([dag], [2], np.array([[1.0], [bad], [1.0]]))
 
     def test_rejects_a_scale_that_overflows(self):
+        # A caller's per-lane re-timing scale that overflows to inf.
+        phase = make_phase([1e300])
+        with np.errstate(over="ignore"):
+            mat = np.array([[1e300, 1e300]]) * np.array([1.0, 1e10])
         with pytest.raises(ValueError, match="finite and non-negative"):
-            simulate_phase_batch(make_phase([1e300]), [1, 2],
-                                 duration_scale=[1.0, 1e10],
-                                 overhead_scale=[1.0, 1e10])
+            simulate_phase_batch([phase, phase], [1, 2], mat)
 
 
 class TestStructureCacheLru:
