@@ -490,13 +490,11 @@ class BatchEvaluator:
             def duration_batch(rank, phase):
                 return cols[id(phase)] * scales[rank]
 
-            total_ns = np.array(
-                [r.total_ns for r in replay_batch(
-                    trace, musa.network, duration_batch, n_configs)],
-                dtype=np.float64)
+            total_ns = replay_batch(trace, musa.network, duration_batch,
+                                    n_configs)
 
-        if np.any(total_ns <= 0):
-            raise ValueError("run has non-positive duration")
+        if not ((0.0 < total_ns) & (total_ns < np.inf)).all():
+            raise ValueError("run has non-positive or non-finite duration")
         total_s = total_ns * 1e-9
         sc = self._node_scalar_cols(nodes)
         n_cores_f = nb.n_cores.astype(np.float64)

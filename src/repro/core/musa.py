@@ -288,8 +288,8 @@ class Musa:
         comm_iter: float,
     ) -> RunResult:
         total_s = total_ns * 1e-9
-        if total_s <= 0:
-            raise ValueError("run has non-positive duration")
+        if not 0.0 < total_s < float("inf"):
+            raise ValueError("run has non-positive or non-finite duration")
 
         # Event totals for the whole run (one node, mean-scale rank).
         agg = {k: 0.0 for k in ("instr", "flops", "l1", "l2", "l3", "dram",

@@ -286,8 +286,9 @@ class _ReplayCore:
 
         if isinstance(ev, ComputePhase):
             dur = self.phase_duration(rank, ev)
-            if dur < 0:
-                raise ValueError("phase duration must be non-negative")
+            if not 0.0 <= dur < np.inf:
+                raise ValueError(
+                    "phase duration must be finite and non-negative")
             if self.collect_segments and dur > 0:
                 self.segments.append(TimelineSegment(
                     rank, "compute", st.clock, st.clock + dur))

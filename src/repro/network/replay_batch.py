@@ -1,5 +1,9 @@
 """Config-vectorized MPI trace replay: one pass per design-space batch.
 
+A sweep keeps one number of a replay: the makespan.  :func:`replay_batch`
+returns exactly that, one float64 ``total_ns`` per configuration; the
+per-rank compute/p2p/collective breakdown is the scalar engine's alone.
+
 The scalar replay (:mod:`repro.network.replay`) walks a trace once per
 node configuration, even though within one design-space batch the trace
 — and therefore almost all of the replay's *control flow* — is shared:
@@ -32,15 +36,15 @@ level by level with one NumPy pass per (level, kind) group over
 A trace stores one period per rank plus a repeat count (every bundled
 app's generator emits one iteration, repeated ``n_iterations`` times);
 when the period is message-balanced the tape covers that period and
-runs ``reps`` times, carrying the state matrices across periods, and
-the flat stream is never built.  Neither path of a batched replay
-builds event objects: only the scalar reference reads them.
-Full-rank groups (the bulk-synchronous common case) run as
-``out=``-pipelined in-place kernels over two reusable workspace
-matrices, so a level costs stream passes over the state, not allocator
-round-trips for chained temporaries.  Every float64 operation along a
-column stays the identical scalar operation — see the tape section
-below for why dropped clamps are exact no-ops.
+runs ``reps`` times, carrying the ``clock`` and ``link_free`` matrices
+across periods, and the flat stream is never built.  Neither path of a
+batched replay builds event objects: only the scalar reference reads
+them.  Every group kernel writes ``clock`` in place through ``out=``,
+so a level costs stream passes over the state, not allocator
+round-trips for chained temporaries, and message buffers reuse the
+rows of values already read.  Every float64 operation along a column
+stays the identical scalar operation — see the tape section below for
+why dropped clamps are exact no-ops.
 
 **Scalar reference** (:func:`_run_scalar`).  Everything else — a
 finite bus pool, whose grant order depends on each configuration's
@@ -75,7 +79,7 @@ from ..trace.events import ComputePhase
 from ..util import LruDict
 from .collectives import collective_cost_ns
 from .model import NetworkConfig
-from .replay import ReplayResult, replay
+from .replay import replay
 
 __all__ = ["replay_batch", "BatchPhaseDurationFn"]
 
@@ -200,24 +204,56 @@ def _classify(
 # and the driver runs that tape ``reps`` times.  Each period's slots are
 # produced and consumed within it (requests and messages are closed per
 # period, collectives match by per-period sequence), and same-rank state
-# — clock, link availability, the three time accumulators — carries over
-# in the state matrices, so every column executes the very float64 ops,
-# on the very operands, of the full tape, in another valid topological
-# order.  Results are bit-identical; the tape and its workspace shrink by
-# the factor ``reps``.
+# — clock and link availability — carries over in the state matrices, so
+# every column executes the very float64 ops, on the very operands, of
+# the full tape, in another valid topological order.  Results are
+# bit-identical; the tape shrinks by the factor ``reps``, and its message
+# buffers hold the values live at one time, not a whole period's.
 
 (_K_COMPUTE, _K_EAGER_SEND, _K_RECV_EAGER, _K_IRECV_POST, _K_RDV_SEND,
  _K_RDV_POST, _K_RDV_COMPLETE, _K_WAIT_ARR, _K_WAIT_EAGER,
  _K_COLL) = range(10)
 
 
+def _live_rows(blocks: List[Tuple[int, int, int, int]]
+               ) -> Tuple[np.ndarray, int]:
+    """Buffer rows for virtual row ``blocks`` of ``(first, last, start,
+    size)``: virtual rows ``start:start + size``, written from group
+    ``first`` on and last read by group ``last``.
+
+    Blocks are placed first-fit in order of ``first``, each on the
+    lowest run of rows whose occupants were all read before it is
+    written, so a block stays one contiguous run and rows of dead
+    blocks are reused.  Returns the virtual-to-buffer row map and the
+    buffer's row count.
+    """
+    row = np.empty(max((b[2] + b[3] for b in blocks), default=0),
+                   dtype=np.int64)
+    dead = np.empty(0, dtype=np.int64)   # last reader group per row
+    for first, last, start, size in sorted(blocks, key=lambda b: b[0]):
+        free = np.concatenate(([0], dead < first, np.ones(size, bool)))
+        run = np.cumsum(free)
+        at = int(np.argmax(run[size:] - run[:-size] == size))
+        dead = np.concatenate((dead, np.zeros(max(0, at + size - len(dead)),
+                                              dtype=np.int64)))
+        dead[at:at + size] = last
+        row[start:start + size] = np.arange(at, at + size)
+    return row, len(dead)
+
+
+def _block(row: np.ndarray, start: int, size: int) -> slice:
+    """The buffer rows of the virtual block at ``start``: one slice."""
+    return slice(int(row[start]), int(row[start]) + size)
+
+
 class _Tape:
     #: ``groups`` price one period; the driver runs them ``reps`` times
     #: (``n_events``/``n_messages``/``bytes_sent`` count all periods).
-    #: ``n_msgs`` holds one period's (arrival, post) buffer row counts;
-    #: ``ws`` caches the driver's workspace matrices between runs (the
-    #: slot buffers are tens of MB — repaying their first-touch page
-    #: faults on every call costs more than the arithmetic).
+    #: ``n_msgs`` holds the (arrival, post) buffer row counts, sized by
+    #: live range (:func:`_live_rows`); ``ws`` caches the driver's
+    #: buffers and state matrices between runs (tens of MB at paper
+    #: scale — repaying their first-touch page faults on every call
+    #: costs more than the arithmetic).
     __slots__ = ("groups", "reps", "n_msgs", "n_events", "n_messages",
                  "bytes_sent", "ws")
 
@@ -417,50 +453,71 @@ def _build_tape(
     # two readers — the receiver-side consumer (recv / wait / rdv
     # completion) and, for a waited isend, the sender's own wait; a
     # post value has at most one (the matching wait or rendezvous
-    # send).  Each (slot, reader) pair gets its *own* buffer slot,
-    # assigned walking the groups in execution order, so every reader
-    # group's slots form one contiguous ascending run: the driver
-    # reads plain slices — views it may finish in place and adopt as
-    # the next ``clock``, the slot being dead afterwards — instead of
-    # fancy-index gathers, and only producers pay a scatter (twice,
-    # for the doubly-read slots).  At paper scale the reader gathers
-    # were ~40% of the driver's memory traffic.  Never-read slots
-    # (unreceived sends, unwaited irecvs) get the leftover ids past
-    # every reader's run, keeping producer scatters unconditional.
+    # send).  Each (slot, reader) pair gets its *own* buffer row, and
+    # every reader group's rows form one contiguous run: the driver
+    # reads plain slices instead of fancy-index gathers, and only
+    # producers pay a scatter (twice, for the doubly-read slots).  At
+    # paper scale the reader gathers were ~40% of the driver's memory
+    # traffic.  The walk numbers rows virtually, one block per reader
+    # group plus one per producer group for its never-read slots
+    # (unreceived sends, unwaited irecvs), keeping producer scatters
+    # unconditional; :func:`_live_rows` then folds the blocks onto the
+    # rows of blocks already dead.
     arr_map1 = np.full(n_msgs, -1, dtype=np.int64)
     arr_map2 = np.full(n_msgs, -1, dtype=np.int64)
     post_map = np.full(n_msgs, -1, dtype=np.int64)
+    arr_prod = np.full(n_msgs, -1, dtype=np.int64)    # producer group
+    post_prod = np.full(n_msgs, -1, dtype=np.int64)
+    arr_live: List[Tuple[int, int, int, int]] = []
+    post_live: List[Tuple[int, int, int, int]] = []
     n_arr = n_post = 0
-    arr_blocks: List[Optional[slice]] = []
-    post_blocks: List[Optional[slice]] = []
-    for k, members in raw:
+    arr_blocks: List[Optional[int]] = []
+    post_blocks: List[Optional[int]] = []
+    for gi, (k, members) in enumerate(raw):
         ablk = pblk = None
-        if k != _K_COLL:
-            mm = nmsg_arr[members]
-            if k in (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
-                     _K_WAIT_EAGER):
-                ids = np.arange(n_arr, n_arr + mm.size)
-                ablk = slice(n_arr, n_arr + mm.size)
-                n_arr += mm.size
-                first = arr_map1[mm] < 0
-                arr_map1[mm[first]] = ids[first]
-                second = mm[~first]
-                if (arr_map2[second] >= 0).any():
-                    return None  # >2 readers: bail rather than corrupt
-                arr_map2[second] = ids[~first]
-            if k in (_K_WAIT_EAGER, _K_RDV_SEND):
-                if (post_map[mm] >= 0).any():
-                    return None  # post read twice: bail
-                post_map[mm] = np.arange(n_post, n_post + mm.size)
-                pblk = slice(n_post, n_post + mm.size)
-                n_post += mm.size
+        mm = nmsg_arr[members]
+        if k in (_K_EAGER_SEND, _K_RDV_SEND):
+            arr_prod[mm] = gi
+        elif k in (_K_IRECV_POST, _K_RDV_POST):
+            post_prod[mm] = gi
+        if k in (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
+                 _K_WAIT_EAGER):
+            ids = np.arange(n_arr, n_arr + mm.size)
+            ablk = n_arr
+            arr_live.append((int(arr_prod[mm].min()), gi, n_arr, mm.size))
+            n_arr += mm.size
+            first = arr_map1[mm] < 0
+            arr_map1[mm[first]] = ids[first]
+            second = mm[~first]
+            if (arr_map2[second] >= 0).any():
+                return None  # >2 readers: bail rather than corrupt
+            arr_map2[second] = ids[~first]
+        if k in (_K_WAIT_EAGER, _K_RDV_SEND):
+            if (post_map[mm] >= 0).any():
+                return None  # post read twice: bail
+            post_map[mm] = np.arange(n_post, n_post + mm.size)
+            pblk = n_post
+            post_live.append((int(post_prod[mm].min()), gi, n_post,
+                              mm.size))
+            n_post += mm.size
         arr_blocks.append(ablk)
         post_blocks.append(pblk)
-    for mp, cnt in ((arr_map1, n_arr), (post_map, n_post)):
-        left = np.flatnonzero(mp < 0)
+    for mp, cnt, prod, live in ((arr_map1, n_arr, arr_prod, arr_live),
+                                (post_map, n_post, post_prod, post_live)):
+        # A never-read slot lives only at its producer group.
+        left = np.flatnonzero((mp < 0) & (prod >= 0))
+        left = left[np.argsort(prod[left], kind="stable")]
         mp[left] = np.arange(cnt, cnt + left.size)
-    arr_size = n_arr + int((arr_map1 >= n_arr).sum())
-    post_size = n_post + int((post_map >= n_post).sum())
+        g, at, sz = np.unique(prod[left], return_index=True,
+                              return_counts=True)
+        live += [(int(gg), int(gg), cnt + int(a), int(z))
+                 for gg, a, z in zip(g, at, sz)]
+    arr_row, arr_size = _live_rows(arr_live)
+    post_row, post_size = _live_rows(post_live)
+    for mp, row in ((arr_map1, arr_row), (arr_map2, arr_row),
+                    (post_map, post_row)):
+        placed = mp >= 0
+        mp[placed] = row[mp[placed]]
 
     def _as_slice(idx: np.ndarray):
         lo = int(idx[0]) if idx.size else 0
@@ -505,13 +562,13 @@ def _build_tape(
                 widx += ((w2[rows], rows),)
         elif k in (_K_IRECV_POST, _K_RDV_POST):
             widx = _as_slice(post_map[mm])
-        if k in (_K_RECV_EAGER, _K_RDV_COMPLETE, _K_WAIT_ARR,
-                 _K_WAIT_EAGER):
-            rsl = arr_blocks[gi]
-        elif k == _K_RDV_SEND:
-            rsl = post_blocks[gi]
-        if k == _K_WAIT_EAGER:
-            rsl2 = post_blocks[gi]
+        if arr_blocks[gi] is not None:
+            rsl = _block(arr_row, arr_blocks[gi], mm.size)
+        if post_blocks[gi] is not None:
+            if k == _K_RDV_SEND:
+                rsl = _block(post_row, post_blocks[gi], mm.size)
+            else:
+                rsl2 = _block(post_row, post_blocks[gi], mm.size)
         groups.append((k, rr, widx, rsl, rsl2, tt2, pl))
 
     return _Tape(groups, reps, (arr_size, post_size), n_events, n_messages,
@@ -525,7 +582,9 @@ def _build_tape(
 #: tape records that the trace needs the scalar fallback — order
 #: dependent, or an order-free trace whose build bailed out — so
 #: neither the scan nor a failed build is repeated.  Sixteen entries
-#: hold every (app, ranks) trace a serve stream cycles through.
+#: hold every (app, ranks) trace a serve stream cycles through; each
+#: keeps its tape's workspace, 35 MiB for any bundled app at 256 ranks x
+#: 864 configurations.
 _TAPE_CACHE: LruDict = LruDict(16, eviction_counter="replay.tape.evictions")
 
 
@@ -571,194 +630,111 @@ def _run_array_tape(
     phase_duration: BatchPhaseDurationFn,
     n: int,
     n_cols: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Order-free driver: level-batched NumPy execution of the tape.
 
     Valid only for order-free traces (:func:`_classify`).  Runs the
     tape's groups once per period, each the identical float64 operation
-    sequence the scalar core performs per event — the redundant
-    ``max(x, clock)`` clamps the scalar blocked/resumed paths apply are
-    exact no-ops there (``x >= clock`` always holds at those points), so
-    dropping them changes no bits.  Returns the final
-    ``(clock, compute, p2p, collective)`` state matrices, one row per
-    rank, one column per configuration.
+    sequence the scalar core performs per event on a rank's clock — the
+    redundant ``max(x, clock)`` clamps the scalar blocked/resumed paths
+    apply are exact no-ops there (``x >= clock`` always holds at those
+    points), so dropping them changes no bits.  Returns each column's
+    makespan, the scalar ``total_ns``: the per-rank time breakdown is
+    not tracked.
 
-    Full-rank groups run as ``out=``-pipelined kernels over the state
-    matrices plus two scratch workspaces: at paper scale a (256, 864)
+    The state is two ``(ranks, configs)`` matrices, ``clock`` and
+    ``link_free``, plus one scratch matrix.  Every group kernel reads
+    its consumed buffer block as a slice view and writes the result
+    into ``clock`` in place through ``out=`` (at paper scale a chained
     float64 temporary costs more in allocator and fault traffic than
-    the arithmetic it carries, so expressions that would chain three
-    temporaries are fused into in-place ufunc calls.  The
-    consumer-ordered buffer layout makes every consumed slot block a
-    contiguous slice: the kernel takes the *view*, finishes the value
-    in place (the slots are dead afterwards — each has exactly one
-    reader) and adopts it as the new ``clock``, so receive/wait groups
-    move zero gather bytes; only producers pay a fancy-index scatter.
-    Partial groups — rare outside warmup levels — keep the simpler
-    gather/compute/scatter form over the same views.  In-place ufuncs
-    and buffer adoption do not change results: each kernel applies the
-    same ops, in the same order, with the same operand values,
-    element-wise.
+    the arithmetic it carries); only producers pay a fancy-index
+    scatter.  A group that covers every rank works on the state itself;
+    a partial one — rare outside warmup levels — on its gathered rows,
+    scattered back after.  In-place ufuncs change no result: each
+    kernel applies the same ops, in the same order, to the same operand
+    values, element-wise.
     """
     ov = net.overhead_ns
+    # Durations are per call, not per period: build and check each
+    # compute group's (members, configs) matrix once.
+    durs = []
+    for kind, _, _, _, _, _, pl in tape.groups:
+        dur = None
+        if kind == _K_COMPUTE:
+            dur = np.empty((len(pl), n_cols))
+            for j, (rank, ph) in enumerate(pl):
+                dur[j] = phase_duration(rank, ph)
+            if not (np.isfinite(dur).all() and dur.min() >= 0):
+                raise ValueError(
+                    "phase duration must be finite and non-negative")
+        durs.append(dur)
     # Workspaces persist on the tape between runs: refaulting the
     # slot buffers' pages every call costs multiples of the actual
-    # compute.  Only the five state matrices need re-zeroing; every
-    # buffer slot is written by its producer group before any reader
-    # group reads it (the DAG leveling guarantees the order), so the
-    # message buffers carry over uninitialized.  The locals rebind to
-    # adopted views as the run progresses; the cache keeps the
-    # original allocations.
+    # compute.  Only the state needs re-zeroing; every buffer row is
+    # written by its producer group before its reader group reads it
+    # (the DAG leveling guarantees the order), so the message buffers
+    # carry over uninitialized.
     if tape.ws is None or tape.ws[0] != n_cols:
         arr_size, post_size = tape.n_msgs
         tape.ws = (n_cols,
                    np.empty((arr_size, n_cols)),
                    np.empty((post_size, n_cols)),
-                   [np.empty((n, n_cols)) for _ in range(5)],
+                   np.empty((n, n_cols)),
                    np.empty((n, n_cols)),
                    np.empty((n, n_cols)))
-    _, arr_buf, post_buf, state, ws1_home, ws2 = tape.ws
-    clock, link_free, p2p, comp, coll = state
-    for m in state:
-        m.fill(0.0)
+    _, arr_buf, post_buf, clock, link_free, ws = tape.ws
+    clock.fill(0.0)
+    link_free.fill(0.0)
 
     for _ in range(tape.reps):
-        # Each period rewrites the message buffers, which ``clock`` and
-        # ``ws1`` may alias after adopting slot blocks of the last
-        # period: re-home both first (copying values changes no bits).
-        if clock is not state[0]:
-            np.copyto(state[0], clock)
-            clock = state[0]
-        ws1 = ws1_home
-        for kind, rr, widx, rsl, rsl2, tt2, pl in tape.groups:
-            full = type(rr) is slice
-            if kind == _K_COMPUTE:
-                dur = ws1 if full else np.empty((len(pl), n_cols))
-                for j, (rank, ph) in enumerate(pl):
-                    dur[j] = phase_duration(rank, ph)
-                if dur.min() < 0:
-                    raise ValueError("phase duration must be non-negative")
-                if full:
-                    np.add(clock, dur, out=clock)
-                    np.add(comp, dur, out=comp)
-                else:
-                    clock[rr] += dur
-                    comp[rr] += dur
-            elif kind == _K_EAGER_SEND:
-                if full:
-                    np.add(clock, ov, out=clock)                 # ready
-                    np.maximum(clock, link_free, out=link_free)  # start
-                    np.add(link_free, tt2, out=link_free)        # arrival
-                    for tgt, src in widx:
-                        arr_buf[tgt] = link_free if src is None else \
-                            link_free[src]
-                    np.add(p2p, ov, out=p2p)
-                else:
-                    ready = clock[rr]
-                    np.add(ready, ov, out=ready)
-                    lf = link_free[rr]
-                    np.maximum(ready, lf, out=lf)
-                    np.add(lf, tt2, out=lf)
-                    for tgt, src in widx:
-                        arr_buf[tgt] = lf if src is None else lf[src]
-                    link_free[rr] = lf
-                    clock[rr] = ready
-                    p2p[rr] += ov
-            elif kind == _K_RECV_EAGER:
-                av = arr_buf[rsl]
-                if full:
-                    np.add(clock, tt2, out=ws1)      # post + transfer
-                    np.maximum(av, ws1, out=av)      # done, finished in place
-                    np.subtract(av, clock, out=ws2)
-                    np.add(p2p, ws2, out=p2p)
-                    clock = av
-                else:
-                    pre = clock[rr]
-                    done = np.maximum(av, pre + tt2)
-                    p2p[rr] += done - pre
-                    clock[rr] = done
-            elif kind == _K_IRECV_POST:
-                if full:
-                    post_buf[widx] = clock
-                    np.add(clock, ov, out=clock)
-                    np.add(p2p, ov, out=p2p)
-                else:
-                    pre = clock[rr]
-                    post_buf[widx] = pre
-                    clock[rr] = pre + ov
-                    p2p[rr] += ov
-            elif kind == _K_RDV_POST:
-                post_buf[widx] = clock if full else clock[rr]
-            elif kind == _K_RDV_SEND:
-                pv = post_buf[rsl]
-                if full:
-                    np.add(clock, ov, out=ws1)           # ready
-                    np.maximum(ws1, pv, out=ws1)
-                    np.maximum(ws1, link_free, out=ws1)  # start
-                    np.subtract(ws1, clock, out=ws2)
-                    np.add(p2p, ws2, out=p2p)
-                    np.add(ws1, tt2, out=link_free)      # arrival
-                    for tgt, src in widx:
-                        arr_buf[tgt] = link_free if src is None else \
-                            link_free[src]
-                    clock, ws1 = ws1, clock
-                else:
-                    pre = clock[rr]
-                    ready = pre + ov
-                    start = np.maximum(np.maximum(ready, pv), link_free[rr])
-                    arrival = start + tt2
-                    for tgt, src in widx:
-                        arr_buf[tgt] = arrival if src is None else arrival[src]
-                    link_free[rr] = arrival
-                    p2p[rr] += start - pre
-                    clock[rr] = start
-            elif kind == _K_RDV_COMPLETE:
-                av = arr_buf[rsl]
-                if full:
-                    np.subtract(av, clock, out=ws2)
-                    np.add(p2p, ws2, out=p2p)
-                    clock = av
-                else:
-                    pre = clock[rr]
-                    p2p[rr] += av - pre
-                    clock[rr] = av
-            elif kind == _K_WAIT_ARR:
-                av = arr_buf[rsl]
-                if full:
-                    np.maximum(av, clock, out=av)    # done, finished in place
-                    np.subtract(av, clock, out=ws2)
-                    np.add(p2p, ws2, out=p2p)
-                    clock = av
-                else:
-                    pre = clock[rr]
-                    done = np.maximum(av, pre)
-                    p2p[rr] += done - pre
-                    clock[rr] = done
-            elif kind == _K_WAIT_EAGER:
-                av = arr_buf[rsl]
-                pv = post_buf[rsl2]
-                if full:
-                    np.add(pv, tt2, out=pv)
-                    np.maximum(av, pv, out=pv)       # buffered value
-                    np.maximum(pv, clock, out=pv)    # done, finished in place
-                    np.subtract(pv, clock, out=ws2)
-                    np.add(p2p, ws2, out=p2p)
-                    clock = pv
-                else:
-                    pre = clock[rr]
-                    value = np.maximum(av, pv + tt2)
-                    done = np.maximum(value, pre)
-                    p2p[rr] += done - pre
-                    clock[rr] = done
-            else:  # _K_COLL: enter clocks are frozen — every rank is parked
+        for (kind, rr, widx, rsl, rsl2, tt2, pl), dur in zip(tape.groups,
+                                                             durs):
+            if kind == _K_COLL:  # enter clocks are frozen: all ranks parked
                 ckind, size = pl
-                cost = collective_cost_ns(ckind, n, size, net)
                 done_row = clock.max(axis=0)
-                np.add(done_row, cost, out=done_row)
-                np.subtract(done_row[None, :], clock, out=ws1)
-                np.add(coll, ws1, out=coll)
+                np.add(done_row, collective_cost_ns(ckind, n, size, net),
+                       out=done_row)
                 clock[:] = done_row
+                continue
+            full = type(rr) is slice
+            c = clock[rr]    # the state itself when ``full``, else a copy
+            if kind == _K_COMPUTE:
+                np.add(c, dur, out=c)
+            elif kind in (_K_EAGER_SEND, _K_RDV_SEND):
+                lf = link_free[rr]
+                np.add(c, ov, out=c)                          # ready
+                if kind == _K_EAGER_SEND:
+                    np.maximum(c, lf, out=lf)                 # start
+                    np.add(lf, tt2, out=lf)                   # arrival
+                else:
+                    np.maximum(c, post_buf[rsl], out=c)
+                    np.maximum(c, lf, out=c)                  # start
+                    np.add(c, tt2, out=lf)                    # arrival
+                for tgt, src in widx:
+                    arr_buf[tgt] = lf if src is None else lf[src]
+                if not full:
+                    link_free[rr] = lf
+            elif kind == _K_RECV_EAGER:
+                np.add(c, tt2, out=c)                         # post + transfer
+                np.maximum(arr_buf[rsl], c, out=c)
+            elif kind == _K_IRECV_POST:
+                post_buf[widx] = c
+                np.add(c, ov, out=c)
+            elif kind == _K_RDV_POST:
+                post_buf[widx] = c
+            elif kind == _K_RDV_COMPLETE:
+                np.copyto(c, arr_buf[rsl])
+            elif kind == _K_WAIT_ARR:
+                np.maximum(arr_buf[rsl], c, out=c)
+            else:  # _K_WAIT_EAGER
+                w = ws[:len(c)]
+                np.add(post_buf[rsl2], tt2, out=w)
+                np.maximum(arr_buf[rsl], w, out=w)            # buffered value
+                np.maximum(w, c, out=c)
+            if not full:
+                clock[rr] = c
 
-    return clock, comp, p2p, coll
+    return clock.max(axis=0)
 
 
 def _run_scalar(
@@ -766,7 +742,7 @@ def _run_scalar(
     net: NetworkConfig,
     phase_duration: BatchPhaseDurationFn,
     n_configs: int,
-) -> List[ReplayResult]:
+) -> np.ndarray:
     """Reference path: the scalar event engine once per column.
 
     ``phase_duration`` runs once per ``(rank, phase)`` per call, not
@@ -784,8 +760,9 @@ def _run_scalar(
             col = columns[key] = np.broadcast_to(dur, (n_configs,)).tolist()
         return col
 
-    return [replay(trace, net, lambda r, p, _c=c: column(r, p)[_c])
-            for c in range(n_configs)]
+    return np.array([replay(trace, net,
+                            lambda r, p, _c=c: column(r, p)[_c]).total_ns
+                     for c in range(n_configs)], dtype=np.float64)
 
 
 def replay_batch(
@@ -793,17 +770,17 @@ def replay_batch(
     net: NetworkConfig,
     phase_duration: BatchPhaseDurationFn,
     n_configs: int,
-) -> List[ReplayResult]:
+) -> np.ndarray:
     """Replay ``trace`` for ``n_configs`` configurations in one pass.
 
     ``phase_duration(rank, phase)`` returns the phase's duration as a
-    float64 column over the configuration axis.  The result list holds
-    one :class:`~repro.network.replay.ReplayResult` per configuration,
-    bit-identical to ``replay(trace, net, scalar_fn_i, ...)`` with
-    ``scalar_fn_i`` reading column ``i`` — on the array tape when the
-    trace is order-free and its tape builds, otherwise because that is
-    literally what the scalar fallback runs (and a structural deadlock
-    raises the scalar diagnostic).
+    float64 column over the configuration axis.  Returns one float64
+    makespan per configuration, bit-identical to ``replay(trace, net,
+    scalar_fn_i).total_ns`` with ``scalar_fn_i`` reading column ``i`` —
+    on the array tape when the trace is order-free and its tape builds,
+    otherwise because that is literally what the scalar fallback runs
+    (and a structural deadlock raises the scalar diagnostic).  The
+    per-rank breakdown is the scalar :func:`replay`'s alone.
 
     Counters: ``replay.batch.array_events`` (config-events priced by
     the tape), ``replay.batch.driver.{array,scalar}`` (the path this
@@ -819,26 +796,10 @@ def replay_batch(
         if tape is None:
             obs.inc("replay.batch.driver.scalar")
             return _run_scalar(trace, net, phase_duration, n_configs)
-        clock, comp, p2p, coll = _run_array_tape(
-            tape, net, phase_duration, trace.n_ranks, n_configs)
+        total = _run_array_tape(tape, net, phase_duration, trace.n_ranks,
+                                n_configs)
         obs.inc("replay.batch.driver.array")
         obs.inc("replay.batch.array_events", tape.n_events * n_configs)
         obs.inc("replay.events", tape.n_events * n_configs)
         obs.inc("replay.messages", tape.n_messages * n_configs)
-        total = clock.max(axis=0)
-        # Config-major copies: one transpose pass instead of n_configs
-        # strided column extractions; rows are disjoint views, and
-        # per-config consumers never share them.  Always copies — the
-        # state matrices are the tape's cached workspace, which the
-        # next run overwrites (``ascontiguousarray`` returned a view of
-        # it for a single column).
-        comp_t = comp.T.copy()
-        p2p_t = p2p.T.copy()
-        coll_t = coll.T.copy()
-        return [ReplayResult(total_ns=float(total[c]),
-                             compute_ns=comp_t[c],
-                             p2p_ns=p2p_t[c],
-                             collective_ns=coll_t[c],
-                             n_messages=tape.n_messages,
-                             bytes_sent=tape.bytes_sent)
-                for c in range(n_configs)]
+        return total

@@ -7,12 +7,18 @@ the campaign metrics.
 """
 
 import json
+import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.apps import get_app
 from repro.config import DesignSpace
 from repro.core import FailNTimes, Musa, SweepAbort, run_sweep
+from repro.core import batch as batch_mod
+from repro.core import musa as musa_mod
+from repro.core.batch import BatchEvaluator
 from repro.obs import MetricsRegistry, summarize
 
 APPS = ["spmz"]
@@ -97,3 +103,25 @@ class TestJournalResume:
                             mode="replay", resume=journal, metrics=reg)
         assert reg.counter("sweep.tasks.skipped") == n_journaled
         assert canon(resumed) == replay_reference
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteRunTime:
+    """A non-finite replay makespan fails the point in both engines
+    instead of reaching a record."""
+
+    def test_scalar_engine_rejects(self, monkeypatch, bad):
+        monkeypatch.setattr(musa_mod, "replay",
+                            lambda *a, **k: SimpleNamespace(total_ns=bad))
+        musa = Musa(get_app("spmz"))
+        with pytest.raises(ValueError, match="non-finite"):
+            musa.simulate_node(SPACE.configs()[0], n_ranks=N_RANKS,
+                               mode="replay")
+
+    def test_batch_engine_rejects(self, monkeypatch, bad):
+        monkeypatch.setattr(batch_mod, "replay_batch",
+                            lambda trace, net, fn, n: np.full(n, bad))
+        ev = BatchEvaluator(Musa(get_app("spmz")))
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.evaluate_frame(SPACE.configs(), n_ranks=N_RANKS,
+                              mode="replay")

@@ -1,16 +1,17 @@
 """Config-vectorized replay ≡ per-config scalar replay, bit for bit.
 
 The batched engine's contract is exact equivalence: for every
-configuration column, ``replay_batch`` must produce the same
-``ReplayResult`` — down to the float bits — that the scalar engine
-produces when handed that column's duration function.  The property
+configuration column, ``replay_batch`` must produce the same makespan
+— down to the float bits — that the scalar engine's ``total_ns`` is
+when handed that column's duration function.  The property
 tests drive the array tape (unlimited buses) and the per-column scalar
 fallback (finite buses), with per-config compute scalings chosen to
 flip the global ``(clock, rank)`` step order mid-replay; the
 regressions pin the tape bail-out fallback, the collective pricing
 path, the order-free classification of :func:`_classify`, the
 period tape and its full-tape fallback (flat and loaded traces,
-unbalanced periods), and that every bundled app stays on a period tape.
+unbalanced periods), that every bundled app stays on a period tape,
+and that message buffer rows are reused once their values are dead.
 """
 
 import numpy as np
@@ -29,7 +30,6 @@ from repro.trace import (BurstTrace, MpiCall, RankTrace, burst_from_dict,
 
 from .test_replay_engines import (
     _skewed_duration,
-    assert_results_equal,
     phase,
     round_traces,
     trace,
@@ -54,12 +54,19 @@ def batch_duration(scales):
     return fn
 
 
-def assert_batch_equals_scalar(t, net, scales, **kw):
-    dur = batch_duration(scales)
-    out = replay_batch(t, net, dur, len(scales), **kw)
-    for c in range(len(scales)):
+def assert_totals_equal(out, t, net, dur):
+    """``out`` holds, bit for bit, each column's scalar ``total_ns``."""
+    assert out.dtype == np.float64 and out.ndim == 1
+    for c in range(len(out)):
         ref = replay(t, net, lambda r, p, _c=c: dur(r, p)[_c])
-        assert_results_equal(ref, out[c])
+        assert float.hex(float(out[c])) == float.hex(ref.total_ns), c
+
+
+def assert_batch_equals_scalar(t, net, scales):
+    dur = batch_duration(scales)
+    out = replay_batch(t, net, dur, len(scales))
+    assert out.shape == (len(scales),)
+    assert_totals_equal(out, t, net, dur)
     return out
 
 
@@ -211,9 +218,10 @@ class TestCollectivePricing:
         for n_buses in (0, 2):
             net = zero_net(latency_us=0.2, cpu_overhead_us=0.1,
                            n_buses=n_buses)
-            out = assert_batch_equals_scalar(t, net, scales)
+            assert_batch_equals_scalar(t, net, scales)
             # Collective time must be non-trivial for the test to bite.
-            assert all(r.collective_ns.sum() > 0 for r in out)
+            ref = replay(t, net, lambda r, p: _skewed_duration(r, p))
+            assert ref.collective_ns.sum() > 0
 
 
 class TestForcedDivergence:
@@ -252,10 +260,7 @@ class TestForcedDivergence:
         out = replay_batch(t, net, self.duration, 2)
         assert reg.counter("replay.batch.driver.scalar") == scalar0
         assert reg.counter("replay.batch.array_events") > arr0
-        for c in range(2):
-            ref = replay(t, net,
-                         lambda r, p, _c=c: self.duration(r, p)[_c])
-            assert_results_equal(ref, out[c])
+        assert_totals_equal(out, t, net, self.duration)
 
     def test_tape_bailout_falls_back_to_scalar_replay(self, monkeypatch):
         # An order-free trace whose tape build bails out runs the scalar
@@ -272,10 +277,7 @@ class TestForcedDivergence:
         assert reg.counter("replay.batch.driver.scalar") - drv0 == 1
         assert reg.counter("replay.batch.array_fallbacks") - fb0 == 1
         assert reg.counter("replay.batch.array_events") == arr0
-        for c in range(2):
-            ref = replay(t, net,
-                         lambda r, p, _c=c: self.duration(r, p)[_c])
-            assert_results_equal(ref, out[c])
+        assert_totals_equal(out, t, net, self.duration)
 
 
 class TestOrderFreeClassification:
@@ -332,21 +334,48 @@ class TestDeadlockAndValidation:
             replay_batch(t, zero_net(), batch_duration(()), 0)
 
     def test_results_survive_the_next_run(self):
-        # Results must not alias the tape's cached workspace, which the
-        # next run on the same tape overwrites (one column included).
+        # The returned makespans must not alias the tape's cached
+        # workspace, which the next run on the same tape overwrites
+        # (one column included).
         t = trace([[phase()], [phase()]])
         net = zero_net()
         for n_cols in (1, 3):
             first = replay_batch(t, net, lambda r, p: np.full(n_cols, 5.0),
                                  n_cols)
-            replay_batch(t, net, lambda r, p: np.full(n_cols, 9.0), n_cols)
-            assert all((r.compute_ns == 5.0).all() for r in first)
+            second = replay_batch(t, net,
+                                  lambda r, p: np.full(n_cols, 9.0), n_cols)
+            assert (first == 5.0).all() and (second == 9.0).all()
+            assert not np.shares_memory(first, second)
 
     def test_rejects_negative_duration(self):
         t = trace([[phase()]])
         with pytest.raises(ValueError, match="non-negative"):
             replay_batch(t, zero_net(),
                          lambda r, p: np.array([1.0, -1.0]), 2)
+
+    @pytest.mark.parametrize("n_buses", [0, 1])
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_nonfinite_duration(self, bad, n_buses):
+        # Both engines, one message: the array tape (unlimited buses),
+        # the per-column scalar fallback (a finite bus pool) and the
+        # scalar replay itself.
+        t = trace([[phase()], [phase()]])
+        net = zero_net(n_buses=n_buses)
+        match = "phase duration must be finite and non-negative"
+        with pytest.raises(ValueError, match=match):
+            replay_batch(t, net, lambda r, p: np.array([1.0, bad]), 2)
+        with pytest.raises(ValueError, match=match):
+            replay(t, net, lambda r, p: bad)
+
+    def test_rejects_nonfinite_lulesh_duration(self):
+        musa = Musa(get_app("lulesh"))
+        t = musa._burst_trace(4, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                replay(t, musa.network, lambda r, p: bad)
+            with pytest.raises(ValueError, match="finite"):
+                replay_batch(t, musa.network,
+                             lambda r, p: np.array([1e6, bad]), 2)
 
 
 class TestAppTraceEquivalence:
@@ -367,11 +396,8 @@ class TestAppTraceEquivalence:
                 bandwidth_gbs=musa.network.bandwidth_gbs,
                 cpu_overhead_us=musa.network.cpu_overhead_us,
                 n_buses=n_buses)
-            out = replay_batch(tr, net, dur, len(cfg))
-            for c in range(len(cfg)):
-                ref = replay(tr, net,
-                             lambda r, p, _c=c: dur(r, p)[_c])
-                assert_results_equal(ref, out[c])
+            assert_totals_equal(replay_batch(tr, net, dur, len(cfg)), tr,
+                                net, dur)
 
 
 class TestBundledAppsStayOnTape:
@@ -405,20 +431,21 @@ class TestPeriodicTape:
         base = {id(p): 1000.0 * (i + 1)
                 for i, p in enumerate(musa.phases)}
         cfg = np.array([1.0, 0.37, 1.0 + 2**-35])
-        for n_ranks in (1, 7, 64):
+        # Paper scale (256 ranks) is where message buffer rows are
+        # reused across exchanges and periods.
+        for n_ranks, iters in ((1, (1, 2, 3, 4)), (7, (1, 2, 3, 4)),
+                               (64, (1, 2, 3, 4)), (256, (4,))):
             scales = musa.app.rank_scales(n_ranks)
 
             def dur(rank, ph):
                 return base[id(ph)] * cfg * scales[rank]
 
-            for n_iter in (1, 2, 3, 4):
+            for n_iter in iters:
                 t = musa._burst_trace(n_ranks, n_iter)
                 assert _tape_for(t, musa.network).reps == n_iter
-                out = replay_batch(t, musa.network, dur, len(cfg))
-                for c in range(len(cfg)):
-                    ref = replay(t, musa.network,
-                                 lambda r, p, _c=c: dur(r, p)[_c])
-                    assert_results_equal(ref, out[c])
+                assert_totals_equal(replay_batch(t, musa.network, dur,
+                                                 len(cfg)),
+                                    t, musa.network, dur)
 
     P = (phase(phase_id=0), phase(phase_id=1))
 
@@ -448,9 +475,8 @@ class TestPeriodicTape:
                    repeats=3)
 
     def test_rendezvous_iterations_run_one_period(self):
-        # Blocking rendezvous sends make the driver adopt message-buffer
-        # rows as its clock and scratch matrices; each period must
-        # re-home them before it rewrites those buffers.
+        # Blocking rendezvous sends: each period rewrites the buffer
+        # rows the last one read.
         def rdv(rank):
             peer = 1 - rank
             return [MpiCall(kind="irecv", peer=peer, size_bytes=65536,
@@ -478,9 +504,8 @@ class TestPeriodicTape:
         assert _tape_for(flat, net).n_events == _tape_for(t, net).n_events
         scales = (0.5, 1.0, 7.3)
         out = assert_batch_equals_scalar(flat, net, scales)
-        for a, b in zip(out, replay_batch(t, net, batch_duration(scales),
-                                          len(scales))):
-            assert_results_equal(a, b)
+        assert np.array_equal(out, replay_batch(
+            t, net, batch_duration(scales), len(scales)))
 
     def test_pending_request_in_period_is_rejected(self):
         with pytest.raises(ValueError, match="unwaited"):
@@ -526,3 +551,68 @@ class TestPeriodicTape:
         self.check([self.iteration(0, 0) + again,
                     self.iteration(1, 0) + self.iteration(1, 1)], 2,
                    reps=1)
+
+
+class TestBufferReuse:
+    """Message buffer rows are reused once their values are dead: a
+    reader block takes the rows of blocks read before its first
+    producer runs, and a never-read slot holds its row only while its
+    producer group runs."""
+
+    @staticmethod
+    def iteration(k):
+        # Ranks 0 and 1 trade eager isends that both sides wait on (a
+        # doubly-read arrival); rank 2 sends rank 0 a blocking
+        # rendezvous message, and rank 1 an eager one it never receives
+        # (a never-read slot).  Rank 2's shape differs, so most groups
+        # are partial.
+        def pair(peer):
+            return [MpiCall(kind="irecv", peer=peer, size_bytes=8,
+                            request=2 * k),
+                    MpiCall(kind="isend", peer=peer, size_bytes=8,
+                            request=2 * k + 1)]
+
+        waits = [MpiCall(kind="wait", request=2 * k),
+                 MpiCall(kind="wait", request=2 * k + 1)]
+        end = [phase(phase_id=0), MpiCall(kind="allreduce", size_bytes=8)]
+        return [
+            pair(1) + [MpiCall(kind="recv", peer=2, size_bytes=65536)]
+            + waits + end,
+            pair(0) + waits + end,
+            [MpiCall(kind="send", peer=0, size_bytes=65536),
+             MpiCall(kind="send", peer=1, size_bytes=8, tag=9)] + end,
+        ]
+
+    def test_rows_are_reused_across_iterations(self):
+        its = [self.iteration(k) for k in range(3)]
+        t = trace([sum((it[r] for it in its), []) for r in range(3)])
+        net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
+        tape = _tape_for(t, net)
+        assert tape is not None and tape.reps == 1
+        kinds = {g[0] for g in tape.groups}
+        assert {replay_batch_mod._K_RDV_SEND, replay_batch_mod._K_WAIT_EAGER,
+                replay_batch_mod._K_RDV_COMPLETE} <= kinds
+        assert any(g[1] is not None and type(g[1]) is not slice
+                   for g in tape.groups), "no partial group"
+        # One row per (slot, reader) pair would take this many rows.
+        read = [0, 0]
+        for kind, _, _, rsl, rsl2, _, _ in tape.groups:
+            if rsl is not None:
+                read[kind == replay_batch_mod._K_RDV_SEND] += \
+                    rsl.stop - rsl.start
+            if rsl2 is not None:
+                read[1] += rsl2.stop - rsl2.start
+        arr_rows, post_rows = tape.n_msgs
+        assert arr_rows < read[0] and post_rows < read[1]
+        assert_batch_equals_scalar(t, net, (0.5, 1.0, 7.3))
+
+
+@pytest.mark.parametrize("app", APP_NAMES)
+def test_paper_scale_buffers_are_bounded(app):
+    # One halo exchange's rows (six neighbours, two arrival readers and
+    # one post reader each, per rank): later exchanges and periods
+    # reuse the rows the earlier ones read.
+    musa = Musa(get_app(app))
+    tape = _tape_for(musa._burst_trace(256, None), musa.network)
+    arr_rows, post_rows = tape.n_msgs
+    assert arr_rows <= 3072 and post_rows <= 1536, tape.n_msgs
