@@ -83,6 +83,12 @@ class ResultSet:
         self._index[key] = len(self._records)
         self._records.append(record)
 
+    def _get_keyed(self, key: Tuple) -> Optional[Record]:
+        """The entry stored under ``key`` (a :meth:`_key` tuple), or
+        None: the lookup behind resume, without per-field kwargs."""
+        j = self._index.get(key)
+        return None if j is None else self._records[j]
+
     @staticmethod
     def _key(record: Record) -> Tuple:
         return tuple(record[k] for k in CONFIG_KEYS)

@@ -69,7 +69,9 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice, product
 from multiprocessing import get_context
+from operator import itemgetter
 from pathlib import Path
 from queue import Empty as _QueueEmpty
 from typing import (
@@ -85,7 +87,7 @@ from typing import (
 
 from ..apps.registry import get_app
 from ..config.node import NodeConfig
-from ..config.space import DesignSpace
+from ..config.space import AXES, DesignSpace
 from ..obs import MetricsRegistry, ProgressMeter, get_metrics, set_metrics, warn
 from .batch import BatchEvaluator
 from .checkpoint import Journal, replay_journal, task_key
@@ -417,15 +419,26 @@ class _TaskTable:
     that evaluates it, so scheduling a million-point range space costs
     index arithmetic, not a million dataclasses.  Any other config
     iterable (tests, ad-hoc lists) is materialized once.
+
+    Task keys come from axis values, not nodes: a space's config keys
+    are the product of its axis values in :data:`AXES` order, a list's
+    are read once per node, so the parent matches and assembles results
+    by key without building a :class:`NodeConfig`.
     """
 
     def __init__(self, app_names: Sequence[str], space) -> None:
         self.app_names = list(app_names)
         if hasattr(space, "config_at"):
             self.config_at = space.config_at
+            self._axes = [space.axis_values(a) for a in AXES]
+            self._listed_keys = None
         else:
             space = list(space)
             self.config_at = space.__getitem__
+            self._axes = None
+            axis_key = itemgetter(*AXES)
+            self._listed_keys = [axis_key(node.axis_values())
+                                 for node in space]
         self.n_configs = len(space)
 
     def __len__(self) -> int:
@@ -439,6 +452,21 @@ class _TaskTable:
             raise IndexError(idx)
         app_i, cfg_i = divmod(idx, self.n_configs)
         return self.app_names[app_i], self.config_at(cfg_i)
+
+    def keys(self, indices: range) -> List[Tuple]:
+        """The task key of each of ``indices``, a ``range(K, len(self),
+        N)``, in order: ``(app,) + config key``, equal to
+        :func:`_point_key` of the task."""
+        step = indices.step
+        out: List[Tuple] = []
+        for app_i, app in enumerate(self.app_names):
+            first = (indices.start - app_i * self.n_configs) % step
+            configs = (self._listed_keys if self._axes is None
+                       else product(*self._axes))
+            head = (app,)
+            out.extend([head + key
+                        for key in islice(configs, first, None, step)])
+        return out
 
 
 def _parse_shard(shard) -> Optional[Tuple[int, int]]:
@@ -852,24 +880,22 @@ def run_sweep(
     journal: Optional[Journal] = None
     try:
         with reg.span("sweep.run"):
-            done: Dict[Tuple, Dict] = {}
-            if resume is not None:
-                replayed = replay_journal(resume)
-                for rec in replayed.results.lazy():
-                    done[task_key(rec)] = rec
-
             indices = (range(len(tasks)) if shard_kn is None
                        else range(shard_kn[0], len(tasks), shard_kn[1]))
+            keys = tasks.keys(indices)
             completed: Dict[int, Dict] = {}  # resumed records by index
             pending = list(indices)
-            if done:
-                pending = []
-                for i in indices:
-                    rec = done.get(_point_key(*tasks[i]))
-                    if rec is None:
-                        pending.append(i)
-                    else:
-                        completed[i] = rec
+            if resume is not None:
+                # The replay indexes its records by task key already.
+                resumed = replay_journal(resume).results
+                if len(resumed):
+                    pending = []
+                    for i, key in zip(indices, keys):
+                        rec = resumed._get_keyed(key)
+                        if rec is None:
+                            pending.append(i)
+                        else:
+                            completed[i] = rec
             n_resumed = len(completed)
             reg.inc("sweep.tasks.skipped", n_resumed)
 
@@ -904,6 +930,6 @@ def run_sweep(
             set_metrics(prev_reg)
 
     results = ResultSet()
-    for i in indices:
-        results.add(sched.completed[i])
+    for i, key in zip(indices, keys):
+        results._add_keyed(key, sched.completed[i])
     return results

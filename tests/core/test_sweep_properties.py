@@ -2,6 +2,9 @@
 
 * ``sweep_configs`` ordering is deterministic (row-major over the
   Table I axes, apps outermost) for arbitrary sub-spaces;
+* the task table's keys, read from axis values, equal the keys of the
+  tasks' nodes, value types included, for any space, config list and
+  shard;
 * ``run_sweep`` results are independent of worker count and chunk
   size — one worker and N workers produce identical records;
 * the journal round-trips arbitrary record sets, deduplicates on
@@ -17,9 +20,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import CACHE_LABELS, CORE_LABELS, DesignSpace, MEMORY_LABELS
+from repro.config import (
+    CACHE_LABELS,
+    CORE_LABELS,
+    MEMORY_LABELS,
+    DesignSpace,
+    axis_linspace,
+    axis_range,
+    range_design_space,
+    smoke_design_space,
+)
 from repro.config.node import CORE_COUNTS, FREQUENCIES_GHZ, VECTOR_WIDTHS_BITS
 from repro.core import CONFIG_KEYS, Journal, replay_journal, run_sweep, sweep_configs
+from repro.core.sweep import _point_key, _TaskTable
 
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -68,6 +81,66 @@ class TestOrderingProperties:
                         ax["frequency"], ax["vector"], ax["cores"]))
         assert got == expected
         assert len(set(got)) == len(got)  # no duplicate design points
+
+
+# Range spaces with int- and float-valued numeric axes.
+_frequencies = st.one_of(
+    st.builds(axis_linspace, st.floats(0.5, 2.0), st.floats(2.5, 4.0),
+              st.integers(1, 5)),
+    st.builds(axis_range, st.integers(1, 2), st.integers(2, 5),
+              st.integers(1, 2)),
+)
+range_spaces = st.builds(
+    range_design_space,
+    core_labels=_axis_subset(CORE_LABELS),
+    cache_labels=_axis_subset(CACHE_LABELS),
+    memory_labels=_axis_subset(MEMORY_LABELS),
+    frequencies=_frequencies,
+    vector_widths=_axis_subset(VECTOR_WIDTHS_BITS),
+    core_counts=st.builds(axis_range, st.integers(1, 8),
+                          st.integers(8, 40), st.integers(4, 16)),
+)
+
+
+def _shards(n_tasks):
+    """``None`` (the whole table) or a valid ``(K, N)`` shard."""
+    return st.one_of(
+        st.none(),
+        st.integers(1, n_tasks + 2).flatmap(
+            lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+
+
+def _assert_keys_match_nodes(tasks, shard):
+    k, n = shard or (0, 1)
+    indices = range(k, len(tasks), n)
+    keys = tasks.keys(indices)
+    want = [_point_key(*tasks[i]) for i in indices]
+    assert keys == want
+    assert ([tuple(map(type, key)) for key in keys]
+            == [tuple(map(type, key)) for key in want])
+
+
+class TestTaskKeys:
+    @_SETTINGS
+    @given(space=st.one_of(range_spaces, spaces), apps=app_lists,
+           data=st.data())
+    def test_space_keys_match_node_keys(self, space, apps, data):
+        tasks = _TaskTable(apps, space)
+        _assert_keys_match_nodes(tasks, data.draw(_shards(len(tasks))))
+
+    @_SETTINGS
+    @given(space=st.one_of(range_spaces, spaces), apps=app_lists,
+           data=st.data())
+    def test_config_list_keys_match_node_keys(self, space, apps, data):
+        tasks = _TaskTable(apps, list(space))
+        _assert_keys_match_nodes(tasks, data.draw(_shards(len(tasks))))
+
+    @pytest.mark.parametrize("space", [DesignSpace(), smoke_design_space()],
+                             ids=["table1", "smoke"])
+    @pytest.mark.parametrize("shard", [None, (0, 1), (2, 7), (6, 7)])
+    def test_named_spaces(self, space, shard):
+        tasks = _TaskTable(["hydro", "lulesh"], space)
+        _assert_keys_match_nodes(tasks, shard)
 
 
 # Journal records: full config identity plus one payload field.
