@@ -42,7 +42,8 @@ The parallel scheduler is **one parent-side FIFO of shards**:
 
 * tasks come from a task table (lazy ``DesignSpace.config_at`` when the
   space has it), so the parent schedules indices and never builds a
-  :class:`NodeConfig` before dispatch;
+  :class:`NodeConfig` before dispatch; it resumes and assembles
+  results by task keys read from the space's axis values;
 * the queued work is packed into app x config-batch *shards*
   (``sweep.shards`` counts them) of ``(idx, attempt)`` pairs, each one
   evaluator batch; a worker resolves the pairs to ``(app, node)``
