@@ -403,7 +403,7 @@ class ResultFrame:
             if kind == "i8":
                 cols[k] = ("i8", np.array(vals, dtype=np.int64), None)
             elif kind == "f8":
-                if any(v is None for v in vals):
+                if None in vals:
                     mask = np.array([v is None for v in vals], dtype=bool)
                     arr = np.array([0.0 if v is None else v for v in vals],
                                    dtype=np.float64)

@@ -61,9 +61,10 @@ array driver), ``replay.batch.driver.{array,scalar}`` (which path a
 never masquerade as an array-driver run), ``replay.batch.array_fallbacks``
 (order-free batches whose tape could not be built), ``replay.tape.builds``
 / ``replay.tape.evictions`` (tape cache misses that built, and entries
-the cache dropped), plus the scalar-equivalent ``replay.events`` /
-``replay.messages`` totals (the scalar path reports those, and
-``replay.bus_waits``, through its ``replay()`` calls).
+the cache dropped), ``replay.tape.workspace_bytes`` (bytes allocated
+for the tapes' cached workspaces), plus the scalar-equivalent
+``replay.events`` / ``replay.messages`` totals (the scalar path reports
+those, and ``replay.bus_waits``, through its ``replay()`` calls).
 """
 
 from __future__ import annotations
@@ -210,6 +211,13 @@ def _classify(
 # bit-identical; the tape shrinks by the factor ``reps``, and its message
 # buffers hold the values live at one time, not a whole period's.
 
+#: Columns per block of :func:`_run_array_tape`, which bounds a tape's
+#: cached workspace to ``rows x 64 x 8`` bytes.  At 256 ranks, blocks
+#: of 64 and 128 columns ran a sweep's calls fastest (within noise of
+#: each other, ahead of 32 and 256: EXPERIMENTS.md, "Column-blocked
+#: replay tape"); 64 keeps the smaller workspace.
+_BLOCK_COLS = 64
+
 (_K_COMPUTE, _K_EAGER_SEND, _K_RECV_EAGER, _K_IRECV_POST, _K_RDV_SEND,
  _K_RDV_POST, _K_RDV_COMPLETE, _K_WAIT_ARR, _K_WAIT_EAGER,
  _K_COLL) = range(10)
@@ -251,9 +259,9 @@ class _Tape:
     #: (``n_events``/``n_messages``/``bytes_sent`` count all periods).
     #: ``n_msgs`` holds the (arrival, post) buffer row counts, sized by
     #: live range (:func:`_live_rows`); ``ws`` caches the driver's
-    #: buffers and state matrices between runs (tens of MB at paper
-    #: scale — repaying their first-touch page faults on every call
-    #: costs more than the arithmetic).
+    #: buffers and state matrices for one column block between runs
+    #: (:func:`_workspace`: repaying their first-touch page faults on
+    #: every call costs more than the arithmetic).
     __slots__ = ("groups", "reps", "n_msgs", "n_events", "n_messages",
                  "bytes_sent", "ws")
 
@@ -583,8 +591,8 @@ def _build_tape(
 #: dependent, or an order-free trace whose build bailed out — so
 #: neither the scan nor a failed build is repeated.  Sixteen entries
 #: hold every (app, ranks) trace a serve stream cycles through; each
-#: keeps its tape's workspace, 35 MiB for any bundled app at 256 ranks x
-#: 864 configurations.
+#: keeps its tape's one-block workspace, at most 2.6 MiB for any
+#: bundled app at 256 ranks, however many configurations a call has.
 _TAPE_CACHE: LruDict = LruDict(16, eviction_counter="replay.tape.evictions")
 
 
@@ -624,6 +632,26 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     return entry[1]
 
 
+def _workspace(tape: _Tape, n: int, w: int) -> Tuple[np.ndarray, ...]:
+    """The tape's ``(arr_buf, post_buf, clock, link_free, scratch)`` for
+    a ``w``-column block: contiguous row ranges of one ``(rows, w)``
+    view on the tape's cached buffer.
+
+    The buffer only grows, to the widest block the tape has run, so
+    calls whose column counts differ (a sweep's full and remainder
+    shards) reuse its pages instead of refaulting a new allocation.
+    Growth is counted under ``replay.tape.workspace_bytes``.
+    """
+    arr_size, post_size = tape.n_msgs
+    a, p = arr_size, arr_size + post_size
+    rows = p + 3 * n
+    if tape.ws is None or tape.ws.size < rows * w:
+        tape.ws = np.empty(rows * w)
+        get_metrics().inc("replay.tape.workspace_bytes", tape.ws.nbytes)
+    v = tape.ws[:rows * w].reshape(rows, w)
+    return v[:a], v[a:p], v[p:p + n], v[p + n:p + 2 * n], v[p + 2 * n:]
+
+
 def _run_array_tape(
     tape: _Tape,
     net: NetworkConfig,
@@ -642,7 +670,13 @@ def _run_array_tape(
     makespan, the scalar ``total_ns``: the per-rank time breakdown is
     not tracked.
 
-    The state is two ``(ranks, configs)`` matrices, ``clock`` and
+    Columns never interact — every kernel op is element-wise over the
+    config axis and a collective is a per-column max — so the driver
+    runs the whole tape over blocks of at most :data:`_BLOCK_COLS`
+    columns, each from zeroed state, and its workspace holds one block
+    (:func:`_workspace`) however many columns the call has.
+
+    The state is two ``(ranks, block)`` matrices, ``clock`` and
     ``link_free``, plus one scratch matrix.  Every group kernel reads
     its consumed buffer block as a slice view and writes the result
     into ``clock`` in place through ``out=`` (at paper scale a chained
@@ -655,86 +689,82 @@ def _run_array_tape(
     values, element-wise.
     """
     ov = net.overhead_ns
-    # Durations are per call, not per period: build and check each
-    # compute group's (members, configs) matrix once.
-    durs = []
+    # Durations and collective costs are per call, not per period or
+    # block: build and check each compute group's (members, configs)
+    # matrix, and price each collective, once.
+    args = []
     for kind, _, _, _, _, _, pl in tape.groups:
-        dur = None
+        arg = None
         if kind == _K_COMPUTE:
-            dur = np.empty((len(pl), n_cols))
+            arg = np.empty((len(pl), n_cols))
             for j, (rank, ph) in enumerate(pl):
-                dur[j] = phase_duration(rank, ph)
-            if not (np.isfinite(dur).all() and dur.min() >= 0):
+                arg[j] = phase_duration(rank, ph)
+            if not (np.isfinite(arg).all() and arg.min() >= 0):
                 raise ValueError(
                     "phase duration must be finite and non-negative")
-        durs.append(dur)
-    # Workspaces persist on the tape between runs: refaulting the
-    # slot buffers' pages every call costs multiples of the actual
-    # compute.  Only the state needs re-zeroing; every buffer row is
-    # written by its producer group before its reader group reads it
-    # (the DAG leveling guarantees the order), so the message buffers
-    # carry over uninitialized.
-    if tape.ws is None or tape.ws[0] != n_cols:
-        arr_size, post_size = tape.n_msgs
-        tape.ws = (n_cols,
-                   np.empty((arr_size, n_cols)),
-                   np.empty((post_size, n_cols)),
-                   np.empty((n, n_cols)),
-                   np.empty((n, n_cols)),
-                   np.empty((n, n_cols)))
-    _, arr_buf, post_buf, clock, link_free, ws = tape.ws
-    clock.fill(0.0)
-    link_free.fill(0.0)
+        elif kind == _K_COLL:
+            arg = collective_cost_ns(pl[0], n, pl[1], net)
+        args.append(arg)
 
-    for _ in range(tape.reps):
-        for (kind, rr, widx, rsl, rsl2, tt2, pl), dur in zip(tape.groups,
-                                                             durs):
-            if kind == _K_COLL:  # enter clocks are frozen: all ranks parked
-                ckind, size = pl
-                done_row = clock.max(axis=0)
-                np.add(done_row, collective_cost_ns(ckind, n, size, net),
-                       out=done_row)
-                clock[:] = done_row
-                continue
-            full = type(rr) is slice
-            c = clock[rr]    # the state itself when ``full``, else a copy
-            if kind == _K_COMPUTE:
-                np.add(c, dur, out=c)
-            elif kind in (_K_EAGER_SEND, _K_RDV_SEND):
-                lf = link_free[rr]
-                np.add(c, ov, out=c)                          # ready
-                if kind == _K_EAGER_SEND:
-                    np.maximum(c, lf, out=lf)                 # start
-                    np.add(lf, tt2, out=lf)                   # arrival
-                else:
-                    np.maximum(c, post_buf[rsl], out=c)
-                    np.maximum(c, lf, out=c)                  # start
-                    np.add(c, tt2, out=lf)                    # arrival
-                for tgt, src in widx:
-                    arr_buf[tgt] = lf if src is None else lf[src]
+    total = np.empty(n_cols)
+    for lo in range(0, n_cols, _BLOCK_COLS):
+        hi = min(lo + _BLOCK_COLS, n_cols)
+        # Only the state needs zeroing; every buffer row is written by
+        # its producer group before its reader group reads it (the DAG
+        # leveling guarantees the order), so the message buffers carry
+        # over uninitialized.
+        arr_buf, post_buf, clock, link_free, ws = _workspace(tape, n,
+                                                             hi - lo)
+        clock.fill(0.0)
+        link_free.fill(0.0)
+        blk = [a[:, lo:hi] if type(a) is np.ndarray else a for a in args]
+        for _ in range(tape.reps):
+            for (kind, rr, widx, rsl, rsl2, tt2, _), arg in zip(tape.groups,
+                                                                blk):
+                if kind == _K_COLL:  # enter clocks frozen: all ranks parked
+                    done_row = clock.max(axis=0)
+                    np.add(done_row, arg, out=done_row)
+                    clock[:] = done_row
+                    continue
+                full = type(rr) is slice
+                c = clock[rr]  # the state itself when ``full``, else a copy
+                if kind == _K_COMPUTE:
+                    np.add(c, arg, out=c)
+                elif kind in (_K_EAGER_SEND, _K_RDV_SEND):
+                    lf = link_free[rr]
+                    np.add(c, ov, out=c)                      # ready
+                    if kind == _K_EAGER_SEND:
+                        np.maximum(c, lf, out=lf)             # start
+                        np.add(lf, tt2, out=lf)               # arrival
+                    else:
+                        np.maximum(c, post_buf[rsl], out=c)
+                        np.maximum(c, lf, out=c)              # start
+                        np.add(c, tt2, out=lf)                # arrival
+                    for tgt, src in widx:
+                        arr_buf[tgt] = lf if src is None else lf[src]
+                    if not full:
+                        link_free[rr] = lf
+                elif kind == _K_RECV_EAGER:
+                    np.add(c, tt2, out=c)                     # post + transfer
+                    np.maximum(arr_buf[rsl], c, out=c)
+                elif kind == _K_IRECV_POST:
+                    post_buf[widx] = c
+                    np.add(c, ov, out=c)
+                elif kind == _K_RDV_POST:
+                    post_buf[widx] = c
+                elif kind == _K_RDV_COMPLETE:
+                    np.copyto(c, arr_buf[rsl])
+                elif kind == _K_WAIT_ARR:
+                    np.maximum(arr_buf[rsl], c, out=c)
+                else:  # _K_WAIT_EAGER
+                    w = ws[:len(c)]
+                    np.add(post_buf[rsl2], tt2, out=w)
+                    np.maximum(arr_buf[rsl], w, out=w)        # buffered value
+                    np.maximum(w, c, out=c)
                 if not full:
-                    link_free[rr] = lf
-            elif kind == _K_RECV_EAGER:
-                np.add(c, tt2, out=c)                         # post + transfer
-                np.maximum(arr_buf[rsl], c, out=c)
-            elif kind == _K_IRECV_POST:
-                post_buf[widx] = c
-                np.add(c, ov, out=c)
-            elif kind == _K_RDV_POST:
-                post_buf[widx] = c
-            elif kind == _K_RDV_COMPLETE:
-                np.copyto(c, arr_buf[rsl])
-            elif kind == _K_WAIT_ARR:
-                np.maximum(arr_buf[rsl], c, out=c)
-            else:  # _K_WAIT_EAGER
-                w = ws[:len(c)]
-                np.add(post_buf[rsl2], tt2, out=w)
-                np.maximum(arr_buf[rsl], w, out=w)            # buffered value
-                np.maximum(w, c, out=c)
-            if not full:
-                clock[rr] = c
-
-    return clock.max(axis=0)
+                    clock[rr] = c
+        np.max(clock, axis=0, out=total[lo:hi])
+    return total
 
 
 def _run_scalar(

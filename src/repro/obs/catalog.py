@@ -75,6 +75,8 @@ CATALOG = (
     Metric("replay.tape.builds", "replay tapes built (tape-cache misses)",
            "replay_tape_builds", "replay tapes built", "replay"),
     Metric("replay.tape.evictions", "tapes dropped from the tape cache"),
+    Metric("replay.tape.workspace_bytes",
+           "bytes allocated for tape workspaces"),
     Metric("replay.batch.array_fallbacks", "traces the tape cannot encode"),
     Metric("replay.batch.driver.array", "batched replays run on the tape"),
     Metric("replay.batch.driver.scalar", "batched replays run per config"),

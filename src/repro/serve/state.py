@@ -74,6 +74,12 @@ from ..obs import get_metrics
 
 __all__ = ["QueryError", "ServeState"]
 
+#: The most ranks a query may ask for.  Serve builds the trace of every
+#: (app, ranks) a query names and keeps it cached, so an unbounded rank
+#: count would let one request exhaust the host; the bundled studies
+#: replay at most 256 ranks.
+MAX_QUERY_RANKS = 4096
+
 
 class QueryError(ValueError):
     """A malformed or unanswerable query (HTTP 400, not a server bug)."""
@@ -184,8 +190,9 @@ class ServeState:
             raise QueryError(f"space must be full|smoke, got {space!r}")
         ranks = query.get("ranks", 256)
         if (isinstance(ranks, bool) or not isinstance(ranks, Integral)
-                or ranks < 1):
-            raise QueryError(f"ranks must be an integer >= 1, got {ranks!r}")
+                or not 1 <= ranks <= MAX_QUERY_RANKS):
+            raise QueryError(f"ranks must be an integer in 1.."
+                             f"{MAX_QUERY_RANKS}, got {ranks!r}")
         ranks = int(ranks)
         subset = query.get("subset") or {}
         if not isinstance(subset, dict):

@@ -154,6 +154,22 @@ class TestFailureStubs:
             canonical_loads(frame.to_block_line())[BLOCK_KEY])
         assert back.canonical_lines() == lines
 
+    def test_masked_and_unmasked_f8_columns_round_trip(self):
+        # The decoder masks an f8 column only when a cell is None: "x"
+        # decodes with a mask, "z" (finite and non-finite floats)
+        # without one.
+        recs = [{"x": None, "z": 1.5}, {"x": 2.0, "z": float("-inf")},
+                {"x": None, "z": 0.0}]
+        frame = ResultFrame.from_records(recs)
+        back = ResultFrame.from_block_payload(
+            canonical_loads(frame.to_block_line())[BLOCK_KEY])
+        assert [back.column_kind(k) for k in ("x", "z")] == ["f8", "f8"]
+        assert back._cols["x"][2].tolist() == [True, False, True]
+        assert back._cols["z"][2] is None
+        assert [back.cell("x", i) for i in range(3)] == [None, 2.0, None]
+        assert back.column("z").tolist() == [1.5, float("-inf"), 0.0]
+        assert back.canonical_lines() == frame.canonical_lines()
+
 
 class TestFrameBasics:
     def test_reserved_keys_rejected(self):

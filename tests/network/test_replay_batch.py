@@ -11,7 +11,8 @@ regressions pin the tape bail-out fallback, the collective pricing
 path, the order-free classification of :func:`_classify`, the
 period tape and its full-tape fallback (flat and loaded traces,
 unbalanced periods), that every bundled app stays on a period tape,
-and that message buffer rows are reused once their values are dead.
+that message buffer rows are reused once their values are dead, and
+that column blocks change no bit and bound the cached workspace.
 """
 
 import numpy as np
@@ -605,6 +606,55 @@ class TestBufferReuse:
         arr_rows, post_rows = tape.n_msgs
         assert arr_rows < read[0] and post_rows < read[1]
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 7.3))
+
+
+class TestColumnBlocks:
+    """The driver runs the tape over blocks of at most ``_BLOCK_COLS``
+    columns from one block-sized workspace per tape: results equal
+    scalar replay bit for bit on either side of every block boundary,
+    and the workspace grows only to the widest block the tape ran."""
+
+    @staticmethod
+    def blocked_trace():
+        # Partial groups, a doubly-read isend arrival, a rendezvous
+        # send and a collective, on every column.
+        its = [TestBufferReuse.iteration(k) for k in range(2)]
+        return trace([sum((it[r] for it in its), []) for r in range(3)])
+
+    @staticmethod
+    def rows(tape, t):
+        return sum(tape.n_msgs) + 3 * t.n_ranks
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_block_boundaries_equal_scalar(self, monkeypatch, k):
+        monkeypatch.setattr(replay_batch_mod, "_BLOCK_COLS", k)
+        t = self.blocked_trace()
+        net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
+        assert order_free(t, net)
+        tape = _tape_for(t, net)
+        assert tape is not None
+        for n_cols in sorted({1, max(k - 1, 1), k, k + 1, 2 * k + 3}):
+            scales = [SCALE_POOL[i % len(SCALE_POOL)] for i in range(n_cols)]
+            out = assert_batch_equals_scalar(t, net, scales)
+            assert not np.shares_memory(out, tape.ws)
+            assert tape.ws.nbytes <= self.rows(tape, t) * k * 8
+
+    def test_workspace_grows_to_one_block(self, monkeypatch):
+        monkeypatch.setattr(replay_batch_mod, "_BLOCK_COLS", 64)
+        t = self.blocked_trace()
+        net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
+        tape = _tape_for(t, net)
+        row_bytes = self.rows(tape, t) * 8
+        reg = get_metrics()
+        grown = []
+        for n_cols in (3, 200, 40, 200):
+            before = reg.counter("replay.tape.workspace_bytes")
+            replay_batch(t, net, batch_duration(np.ones(n_cols)), n_cols)
+            grown.append(reg.counter("replay.tape.workspace_bytes") - before)
+        # Allocated twice: 3 columns, then one 64-column block that
+        # every later call reuses.
+        assert grown == [3 * row_bytes, 64 * row_bytes, 0, 0]
+        assert tape.ws.nbytes == 64 * row_bytes
 
 
 @pytest.mark.parametrize("app", APP_NAMES)

@@ -14,6 +14,7 @@ import pytest
 from repro.core.canon import canonical_dumps
 from repro.core.store import ResultStore
 from repro.serve import ReproServer, ServeClient, ServeState
+from repro.serve.state import MAX_QUERY_RANKS
 from repro.obs import MetricsRegistry, set_metrics
 
 SMOKE_QUERY = {"kind": "sweep", "apps": ["spmz"], "space": "smoke"}
@@ -95,6 +96,20 @@ def test_bad_query_maps_to_400(server):
     assert not json.loads(body)["ok"]
     with pytest.raises(RuntimeError):
         client.query({"kind": "nope"})
+
+
+@pytest.mark.parametrize("ranks", [MAX_QUERY_RANKS + 1, 10**7])
+def test_oversized_ranks_is_400_before_engine_work(server, ranks):
+    srv, reg = server
+    client = ServeClient(port=srv.port)
+    query = dict(SMOKE_QUERY, mode="replay", ranks=ranks)
+    status, body = client.raw_query(query)
+    assert status == 400
+    assert "ranks" in json.loads(body)["error"]
+    # No trace was built and nothing was simulated or replayed.
+    moved = [name for name in reg.snapshot()["counters"]
+             if name.startswith(("musa.", "replay."))]
+    assert moved == []
 
 
 def test_unknown_route_404_and_method_405(server):
