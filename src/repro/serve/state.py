@@ -34,7 +34,8 @@ Query shapes (plain dicts, the HTTP layer passes JSON bodies through):
 ``{"kind": "sweep", "apps": [...], "subset": {axis: value-or-list},
    "space": "full"|"smoke", "mode": "fast"|"replay", "ranks": N}``
     The records for every (app, config) in the (restricted) space, in
-    canonical sweep order.
+    canonical sweep order.  ``ranks`` runs from 1 to
+    :data:`MAX_QUERY_RANKS` (default 256).
 
 ``{"kind": "best", ..., "objective": "time_ns"|"energy_j"|"edp"|...,
    "power_cap_w": W, "area_cap_mm2": A, "min_frequency_ghz": F,
