@@ -321,35 +321,37 @@ class BatchEvaluator:
             n_busy[lp, lc] = n_busy_new
 
         # ------- node-level event totals, accumulated in task order ----------
-        def task_order_total(per_slot, width=n_configs) -> np.ndarray:
-            # Per phase, sum over tasks of per_slot[slot[t]] * work[t],
-            # added in task order (accumulate is sequential, np.sum is
-            # pairwise): one accumulate over every phase's zero-padded
-            # task rows, read at each phase's own last task.
-            if not rows:
-                return np.zeros((n_phases, width))
-            terms = np.stack(per_slot)[app.slot_of] * app.work[:, :, None]
-            np.add.accumulate(terms, axis=0, out=terms)
-            return terms[app.last, np.arange(n_phases)]
-
-        dram_bytes = [t.dram_bytes for t in timing]
-        l1 = [t.l1_accesses for t in timing]
-        tot_instr = task_order_total([t.instructions for t in timing])
-        # Config-invariant: the same accumulation, one column.
-        tot_flops = task_order_total(
-            [np.array([t.scalar_flops]) for t in timing], width=1)[:, 0]
-        tot_l1 = task_order_total(l1)
-        tot_l2 = task_order_total([t.l2_accesses for t in timing])
-        tot_l3 = task_order_total([t.l3_accesses for t in timing])
-        tot_dram = task_order_total([t.dram_accesses for t in timing])
-        tot_bytes = task_order_total(dram_bytes)
-        # Scalar computes (sig.row_hit_rate * dram_bytes) * w and
-        # (store/mem * l1_accesses) * w per task; hoist the per-kernel
-        # left factor, keep the * w and the accumulation per task.
-        row_hit_w = task_order_total(
-            [r * b for r, b in zip(app.row_hit_rate, dram_bytes)])
-        store_w = task_order_total(
-            [r * c for r, c in zip(app.store_ratio, l1)])
+        # Per phase, sum over tasks of per_slot[slot[t]] * work[t], added
+        # in task order (np.sum is pairwise): one running sum over every
+        # phase's zero-padded task rows, each row one contiguous block of
+        # all quantities, read at each phase's own last task.  Scalar
+        # computes (sig.row_hit_rate * dram_bytes) * w and (store/mem *
+        # l1_accesses) * w per task; hoist the per-kernel left factor,
+        # keep the * w and the accumulation per task.  Flops are
+        # config-invariant: the same sum in every column.
+        totals = np.zeros((n_phases, 9, n_configs))
+        if rows:
+            per_slot = np.stack([np.stack([
+                t.instructions, np.full(n_configs, t.scalar_flops),
+                t.l1_accesses, t.l2_accesses, t.l3_accesses,
+                t.dram_accesses, t.dram_bytes, r * t.dram_bytes,
+                c * t.l1_accesses])
+                for t, r, c in zip(timing, app.row_hit_rate,
+                                   app.store_ratio)])
+            ends: Dict[int, List[int]] = {}
+            for p, r in enumerate(app.last.tolist()):
+                ends.setdefault(r, []).append(p)
+            work = app.work[:, :, None, None]
+            acc = per_slot[app.slot_of[0]] * work[0]
+            for r in range(rows):
+                if r:
+                    acc += per_slot[app.slot_of[r]] * work[r]
+                done = ends.get(r)
+                if done is not None:
+                    totals[done] = acc[done]
+        (tot_instr, tot_flops, tot_l1, tot_l2, tot_l3, tot_dram, tot_bytes,
+         row_hit_w, store_w) = totals.transpose(1, 0, 2)
+        tot_flops = tot_flops[:, 0]
 
         with np.errstate(divide="ignore", invalid="ignore"):
             row_hit = np.where(tot_bytes != 0.0, row_hit_w / tot_bytes, 0.0)

@@ -37,6 +37,8 @@ import json
 import math
 import pickle
 from collections.abc import Mapping
+from itertools import compress, islice
+from operator import attrgetter, is_not
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +46,8 @@ import numpy as np
 from .canon import NONFINITE_KEY, canonical_dumps
 
 __all__ = ["ResultFrame", "FrameRow", "BLOCK_KEY", "BLOCK_SCHEMA",
-           "pack_frame", "unpack_frame", "scalar_fragment"]
+           "pack_frame", "unpack_frame", "scalar_fragment",
+           "memoizable_fragment", "row_keys"]
 
 #: Reserved top-level key marking a columnar block line in a journal or
 #: store file.  Like ``NONFINITE_KEY`` it may not appear in user
@@ -101,6 +104,32 @@ def _object_array(values: Sequence[Any]) -> np.ndarray:
     for i, v in enumerate(values):
         arr[i] = v
     return arr
+
+
+def _shared_cells(values: Sequence[Any]) -> List[Any]:
+    """``values`` with equal ``str`` cells made one object.
+
+    A decoded block holds one fresh ``str`` per label cell, although a
+    column repeats a handful of labels; sharing them keeps a resumed
+    frame as small as the one a worker shipped.  Other cells (numbers,
+    lists) are kept as they are.
+    """
+    seen: Dict[str, str] = {}
+    return [seen.setdefault(v, v) if type(v) is str else v for v in values]
+
+
+def memoizable_fragment(v: Any) -> bool:
+    """Whether a fragment memo keyed on ``(type(v), v)`` may keep the
+    text of ``v``: equal keys must render alike.
+
+    The type separates ``False == 0`` and ``1 == 1.0``.  Float zeros are
+    never kept (``0.0 == -0.0``), nor containers, whose equal items may
+    differ in type or sign.  Checked on a miss only, so hits cost
+    nothing.
+    """
+    if type(v) is float:
+        return v != 0.0
+    return v is None or type(v) in (str, int, bool)
 
 
 def _float_fragment(x: float) -> str:
@@ -171,6 +200,33 @@ class FrameRow(Mapping):
     def to_dict(self) -> Dict[str, Any]:
         """Materialize the row as a plain record dict (schema order)."""
         return {k: self._frame.cell(k, self._i) for k in self._frame.keys}
+
+
+_FRAME_OF = attrgetter("_frame")
+_ROW_OF = attrgetter("_i")
+
+
+def row_keys(rows: Sequence[FrameRow], keys: Sequence[str]) -> List[Tuple]:
+    """``tuple(row[k] for k in keys)`` of each row, read column-wise.
+
+    Consecutive rows of one frame form a run, read with one column
+    gather per key; a run at consecutive indices (a shard's rows, in
+    order) gathers by slice.
+    """
+    n = len(rows)
+    if not n:
+        return []
+    frames = list(map(_FRAME_OF, rows))
+    at = list(map(_ROW_OF, rows))
+    cuts = list(compress(range(1, n),
+                         map(is_not, frames, islice(frames, 1, None))))
+    out: List[Tuple] = []
+    for a, b in zip([0] + cuts, cuts + [n]):
+        run: Any = slice(at[a], at[a] + b - a)
+        if at[a:b] != list(range(run.start, run.stop)):
+            run = at[a:b]
+        out.extend(zip(*[frames[a].cells(k, run) for k in keys]))
+    return out
 
 
 class ResultFrame:
@@ -281,6 +337,16 @@ class ResultFrame:
             return float(arr[i])
         return arr[i]
 
+    def cells(self, key: str, indices: Any) -> List[Any]:
+        """``[self.cell(key, i) for i in indices]``, read column-wise
+        (``indices`` is an index array or a slice)."""
+        kind, arr, mask = self._cols[key]
+        vals = arr[indices].tolist()
+        if mask is not None:
+            return [None if m else v
+                    for v, m in zip(vals, mask[indices].tolist())]
+        return vals
+
     def column(self, key: str) -> Any:
         """The raw column array (f8 columns: None cells read as NaN)."""
         kind, arr, mask = self._cols[key]
@@ -319,9 +385,7 @@ class ResultFrame:
             return ["null" if m else _float_fragment(v)
                     for v, m in zip(vals, mask.tolist())]
         # Object column: full canonical encoding, memoized per distinct
-        # value (axis labels repeat heavily across a sweep).  The memo
-        # keys on (type, value): ``False == 0`` and ``1 == 1.0`` hash
-        # alike but render differently.
+        # value (axis labels repeat heavily across a sweep).
         memo: Dict[Any, str] = {}
         out = []
         for v in arr.tolist():
@@ -332,7 +396,8 @@ class ResultFrame:
                 continue
             if frag is None:
                 frag = canonical_dumps(v)
-                memo[(type(v), v)] = frag
+                if memoizable_fragment(v):
+                    memo[(type(v), v)] = frag
             out.append(frag)
         return out
 
@@ -411,7 +476,7 @@ class ResultFrame:
                 else:
                     cols[k] = ("f8", np.array(vals, dtype=np.float64), None)
             elif kind == "obj":
-                cols[k] = ("obj", _object_array(list(vals)), None)
+                cols[k] = ("obj", _object_array(_shared_cells(vals)), None)
             else:
                 raise ValueError(f"column {k!r}: unknown kind {kind!r}")
         return cls(keys, cols, n)

@@ -16,6 +16,7 @@ set is backed by a single frame.
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
 from typing import (
     Any,
@@ -33,7 +34,7 @@ from typing import (
 import numpy as np
 
 from .canon import canonical_dumps, canonical_loads
-from .frame import FrameRow, ResultFrame
+from .frame import FrameRow, ResultFrame, row_keys
 
 __all__ = ["ResultSet", "CONFIG_KEYS"]
 
@@ -46,15 +47,61 @@ Record = Mapping[str, Any]
 
 
 class ResultSet:
-    """An append-only collection of sweep records."""
+    """An append-only collection of sweep records.
+
+    The config-key index behind lookups may be unbuilt (``None``) on a
+    set made by :meth:`_of_distinct`; every keyed access builds it
+    first, through :meth:`_keyed`.
+    """
 
     def __init__(self, records: Optional[Sequence[Record]] = None):
         self._records: List[Record] = []
-        self._index: Dict[Tuple, int] = {}
+        self._index: Optional[Dict[Tuple, int]] = {}
         for r in records or ():
             self.add(r)
 
     # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def _of_distinct(cls, records: Sequence[Record]) -> "ResultSet":
+        """Trusted constructor over records with distinct config keys.
+
+        The caller guarantees every record carries every config key and
+        no two share one (a sweep's tasks, a subset of a set).  The key
+        index is built on the first keyed access, so a set that is only
+        iterated or saved never holds one key tuple per record.
+        """
+        out = cls()
+        out._records = list(records)
+        out._index = None
+        return out
+
+    def _keyed(self) -> Dict[Tuple, int]:
+        """The config-key index, built on first use.
+
+        Runs of frame rows are keyed column-wise
+        (:func:`~repro.core.frame.row_keys`) rather than one cell read
+        per record per field.
+        """
+        if self._index is not None:
+            return self._index
+        try:
+            keys = row_keys(self._records, CONFIG_KEYS)
+        except AttributeError:      # plain dicts (failure stubs) as well
+            keys = []
+            for kind, run in groupby(self._records, key=type):
+                run = list(run)
+                keys.extend(row_keys(run, CONFIG_KEYS) if kind is FrameRow
+                            else map(self._key, run))
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) != len(keys):
+            seen: set = set()
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"duplicate record for config {key}")
+                seen.add(key)
+        self._index = index
+        return index
 
     def add(self, record: Record, copy: bool = True) -> None:
         """Insert one record.
@@ -67,26 +114,23 @@ class ResultSet:
         missing = [k for k in CONFIG_KEYS if k not in record]
         if missing:
             raise ValueError(f"record missing config keys: {missing}")
-        key = self._key(record)
-        if key in self._index:
-            raise ValueError(f"duplicate record for config {key}")
-        self._index[key] = len(self._records)
         if copy and type(record) is dict:
             record = dict(record)
-        self._records.append(record)
+        self._add_keyed(self._key(record), record)
 
     def _add_keyed(self, key: Tuple, record: Record) -> None:
         """Trusted insert: the caller guarantees ``key == _key(record)``
         and that the record carries every config key."""
-        if key in self._index:
+        index = self._keyed()
+        if key in index:
             raise ValueError(f"duplicate record for config {key}")
-        self._index[key] = len(self._records)
+        index[key] = len(self._records)
         self._records.append(record)
 
     def _get_keyed(self, key: Tuple) -> Optional[Record]:
         """The entry stored under ``key`` (a :meth:`_key` tuple), or
         None: the lookup behind resume, without per-field kwargs."""
-        j = self._index.get(key)
+        j = self._keyed().get(key)
         return None if j is None else self._records[j]
 
     @staticmethod
@@ -154,7 +198,7 @@ class ResultSet:
             raise ValueError(f"lookup needs all config keys; missing {missing}")
         key = tuple(config[k] for k in CONFIG_KEYS)
         try:
-            return self._records[self._index[key]]
+            return self._records[self._keyed()[key]]
         except KeyError:
             raise KeyError(f"no record for config {key}") from None
 
@@ -174,10 +218,9 @@ class ResultSet:
 
         Equality-only filters over a frame-backed set run column-wise:
         one vectorized mask per field instead of one cell access per
-        record per field, and the surviving rows are re-keyed from the
-        config columns without materializing any row dict.
+        record per field; the surviving rows, a subset of distinct
+        ones, are indexed on their first keyed access.
         """
-        out = ResultSet()
         backing = (self._backing_frame()
                    if predicate is None and equals else None)
         if backing is not None and all(k in backing[0].keys for k in equals):
@@ -190,12 +233,9 @@ class ResultSet:
                                         dtype=bool, count=len(col))
                 else:
                     keep &= col == v
-            kept = np.nonzero(keep)[0]
-            key_cols = [frame.column(k)[idx[kept]].tolist()
-                        for k in CONFIG_KEYS]
-            for j, key in zip(kept.tolist(), zip(*key_cols)):
-                out._add_keyed(key, self._records[j])
-            return out
+            return ResultSet._of_distinct(
+                [self._records[j] for j in np.nonzero(keep)[0].tolist()])
+        out = ResultSet()
         for r in self._records:
             if any(r.get(k) != v for k, v in equals.items()):
                 continue

@@ -70,7 +70,7 @@ from typing import (
 
 from ..obs import get_metrics
 from .canon import canonical_dumps, content_digest
-from .frame import ResultFrame, scalar_fragment
+from .frame import ResultFrame, memoizable_fragment, scalar_fragment
 from .linelog import LineLog, LineScan
 
 __all__ = ["ResultStore", "code_version", "make_provenance", "store_key",
@@ -145,8 +145,9 @@ def _render_keys(apps: Iterable[str], rows: Iterable[Sequence[Any]],
     serializing one dict per point; the splice reproduces
     ``canonical_dumps`` of the keyed-input dict byte-for-byte (sorted
     top-level keys: app, code_version, config, mode, ranks, schema).
-    The memo keys on ``(type, value)``: ``4`` and ``4.0`` hash alike but
-    render differently.
+    The memo keys on ``(type, value)`` and keeps only what
+    :func:`~repro.core.frame.memoizable_fragment` allows: ``4`` and
+    ``4.0``, or ``0.0`` and ``-0.0``, hash alike but render differently.
     """
     cv = json.dumps(code_version)
     tail = ('},"mode":' + json.dumps(mode) + ',"ranks":' + str(int(ranks))
@@ -164,7 +165,9 @@ def _render_keys(apps: Iterable[str], rows: Iterable[Sequence[Any]],
         for axis_head, v in zip(_AXIS_HEADS, row):
             frag = memo.get((type(v), v))
             if frag is None:
-                frag = memo[(type(v), v)] = scalar_fragment(v)
+                frag = scalar_fragment(v)
+                if memoizable_fragment(v):
+                    memo[(type(v), v)] = frag
             text.append(axis_head)
             text.append(frag)
         text.append(tail)

@@ -42,8 +42,9 @@ The parallel scheduler is **one parent-side FIFO of shards**:
 
 * tasks come from a task table (lazy ``DesignSpace.config_at`` when the
   space has it), so the parent schedules indices and never builds a
-  :class:`NodeConfig` before dispatch; it resumes and assembles
-  results by task keys read from the space's axis values;
+  :class:`NodeConfig` before dispatch; it matches resumed results by
+  task keys read from the space's axis values and assembles results by
+  task index;
 * the queued work is packed into app x config-batch *shards*
   (``sweep.shards`` counts them) of ``(idx, attempt)`` pairs, each one
   evaluator batch; a worker resolves the pairs to ``(app, node)``
@@ -423,8 +424,8 @@ class _TaskTable:
 
     Task keys come from axis values, not nodes: a space's config keys
     are the product of its axis values in :data:`AXES` order, a list's
-    are read once per node, so the parent matches and assembles results
-    by key without building a :class:`NodeConfig`.
+    are read once per node, so the parent matches resumed results by
+    key without building a :class:`NodeConfig`.
     """
 
     def __init__(self, app_names: Sequence[str], space) -> None:
@@ -883,7 +884,6 @@ def run_sweep(
         with reg.span("sweep.run"):
             indices = (range(len(tasks)) if shard_kn is None
                        else range(shard_kn[0], len(tasks), shard_kn[1]))
-            keys = tasks.keys(indices)
             completed: Dict[int, Dict] = {}  # resumed records by index
             pending = list(indices)
             if resume is not None:
@@ -891,7 +891,7 @@ def run_sweep(
                 resumed = replay_journal(resume).results
                 if len(resumed):
                     pending = []
-                    for i, key in zip(indices, keys):
+                    for i, key in zip(indices, tasks.keys(indices)):
                         rec = resumed._get_keyed(key)
                         if rec is None:
                             pending.append(i)
@@ -930,7 +930,5 @@ def run_sweep(
         if prev_reg is not None:
             set_metrics(prev_reg)
 
-    results = ResultSet()
-    for i, key in zip(indices, keys):
-        results._add_keyed(key, sched.completed[i])
-    return results
+    # One record per task: distinct keys by construction.
+    return ResultSet._of_distinct([sched.completed[i] for i in indices])

@@ -279,60 +279,76 @@ _SMALL_D_MAX = 256
 
 #: Survival tables keyed ``(assoc, n_sets)``, one owned row each.  The
 #: L3 set count divided by each occupancy gives many keys: a cold
-#: ``sweep_fast`` round needs 166, over only two associativities.
+#: ``sweep_fast`` round needs 166, over only two associativities.  A
+#: table holds NaN at each distance not built yet: reuse profiles read
+#: a few distances, and the recurrence runs only as deep as the largest.
 _SURVIVAL_TABLES: LruDict = LruDict(512, eviction_counter="miss.table.evictions")
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def _survival_rows(assoc: int, p: np.ndarray) -> np.ndarray:
-    """``tab[d, i] = P(Binom(d, p[i, 0]) >= assoc)`` for d = 0.._SMALL_D_MAX.
+def _survival_rows(assoc: int, p: np.ndarray,
+                   distances: Sequence[int]) -> np.ndarray:
+    """``tab[j, i] = P(Binom(distances[j], p[i]) >= assoc)``.
 
-    Built from the exact one-more-trial pmf recurrence
-    ``pmf_{d+1}[k] = pmf_d[k]*q + pmf_d[k-1]*p``, one pmf row per key,
-    and summed over the upper tail directly, so no scipy is needed and
-    small tail values are not lost to a ``1 - cdf`` cancellation.  Every
-    element sees the float64 operations of a one-key loop and each tail
-    is a C-contiguous row sum, so a table's bits do not depend on the
-    other keys of its call.
+    ``distances`` ascend, at most ``_SMALL_D_MAX``.  Built from the
+    exact one-more-trial pmf recurrence
+    ``pmf_{d+1}[k] = pmf_d[k]*q + pmf_d[k-1]*p``, run d-major (each
+    step updates contiguous rows of all keys) up to the largest
+    distance, and summed over the upper tail directly, so no scipy is
+    needed and small tail values are not lost to a ``1 - cdf``
+    cancellation.  Every element sees the float64 operations of a
+    one-key loop and each tail is the sum of a C-contiguous copy of
+    one key's pmf, so a table's bits do not depend on the other keys
+    or distances of its call.
     """
-    n, q = _SMALL_D_MAX + 1, 1.0 - p
-    pmf = np.zeros((len(p), n), dtype=np.float64)
-    pmf[:, 0] = 1.0
+    n, q = distances[-1] + 1, 1.0 - p
+    pmf = np.zeros((n, len(p)), dtype=np.float64)
+    pmf[0] = 1.0
     moved = np.empty_like(pmf)
-    tab = np.zeros((n, len(p)), dtype=np.float64)
+    tab = np.zeros((len(distances), len(p)), dtype=np.float64)
+    row_of = {d: j for j, d in enumerate(distances)}
     for d in range(n):
         if d:
-            np.multiply(pmf[:, :d], p, out=moved[:, :d])
-            kept = pmf[:, :d + 1]
+            np.multiply(pmf[:d], p, out=moved[:d])
+            kept = pmf[:d + 1]
             np.multiply(kept, q, out=kept)
-            grown = kept[:, 1:]
-            np.add(grown, moved[:, :d], out=grown)
-        if d >= assoc:
-            np.add.reduce(pmf[:, assoc:d + 1], axis=1, out=tab[d])
+            grown = kept[1:]
+            np.add(grown, moved[:d], out=grown)
+        j = row_of.get(d)
+        if j is not None and d >= assoc:
+            tails = np.ascontiguousarray(pmf[assoc:d + 1].T)
+            np.add.reduce(tails, axis=1, out=tab[j])
     return tab
 
 
-def _survival_tables(assocs, n_sets) -> np.ndarray:
-    """Tables of the ``(assoc, n_sets)`` keys, ``(G, _SMALL_D_MAX + 1)``.
+def _survival_tables(assocs, n_sets, distances) -> np.ndarray:
+    """``tab[g, j] = P(Binom(distances[j], 1 / n_sets[g]) >= assocs[g])``.
 
-    Keys missing from ``_SURVIVAL_TABLES`` are built together: one
-    :func:`_survival_rows` recurrence per distinct ``max(0, assoc)``.
+    ``distances`` are ints in ``0.._SMALL_D_MAX``.  Keys missing from
+    ``_SURVIVAL_TABLES``, or missing one of the distances there, are
+    built together: one :func:`_survival_rows` recurrence per distinct
+    ``max(0, assoc)``, over the distinct distances asked for.
     """
+    distances = np.asarray(distances, dtype=np.intp)
+    need = np.flatnonzero(np.bincount(distances))
     keys = [(int(a), int(s)) for a, s in zip(assocs, n_sets)]
     tables, missing = {}, {}
     for key in dict.fromkeys(keys):
         tab = _SURVIVAL_TABLES.get(key)
-        if tab is None:
+        if tab is None or np.isnan(tab[need]).any():
             missing.setdefault(max(0, key[0]), []).append(key)
-        else:
-            tables[key] = tab
+        tables[key] = tab
     for assoc, group in missing.items():
-        p = 1.0 / np.array([[s] for _, s in group], dtype=np.float64)
-        built = _survival_rows(assoc, p)
+        p = 1.0 / np.array([s for _, s in group], dtype=np.float64)
+        built = _survival_rows(assoc, p, need.tolist())
         for i, key in enumerate(group):
-            tables[key] = _SURVIVAL_TABLES[key] = built[:, i].copy()
-    return np.stack([tables[key] for key in keys])
+            tab = tables[key]
+            if tab is None:
+                tab = tables[key] = np.full(_SMALL_D_MAX + 1, np.nan)
+            tab[need] = built[:, i]
+            _SURVIVAL_TABLES[key] = tab
+    return np.stack([tables[key][distances] for key in keys])
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:
@@ -365,8 +381,8 @@ def _setassoc_miss_prob(distances: np.ndarray, assoc: int,
     out = np.empty_like(d)
     small = d <= _SMALL_D_MAX
     if small.any():
-        tab = _survival_tables([assoc], [n_sets])[0]
-        out[small] = tab[np.maximum(d[small], 0).astype(int)]
+        out[small] = _survival_tables(
+            [assoc], [n_sets], np.maximum(d[small], 0).astype(int))[0]
     big = ~small
     if big.any():
         sd = np.sqrt(np.maximum(d[big] * p * (1 - p), 1e-12))
@@ -392,9 +408,8 @@ def _setassoc_miss_prob_batch(distances: np.ndarray, assocs: np.ndarray,
     out = np.empty((len(assocs), len(d)), dtype=np.float64)
     small = d <= _SMALL_D_MAX
     if small.any():
-        idx = np.maximum(d[small], 0).astype(int)
-        tabs = _survival_tables(assocs, sets)
-        out[:, small] = tabs[:, idx]
+        out[:, small] = _survival_tables(
+            assocs, sets, np.maximum(d[small], 0).astype(int))
     big = ~small
     if big.any():
         sd = np.sqrt(np.maximum((d[None, big] * p[:, None]) * (1 - p)[:, None],

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.canon import canonical_dumps, canonical_loads, content_digest
@@ -22,6 +22,7 @@ from repro.core.frame import (
     FrameRow,
     ResultFrame,
     pack_frame,
+    row_keys,
     scalar_fragment,
     unpack_frame,
 )
@@ -54,6 +55,9 @@ def record_batches(draw):
 class TestFrameEqualsDictPath:
     @settings(max_examples=120, deadline=None)
     @given(records=record_batches())
+    @example(records=[{"0": False}, {"0": 0.0}, {"0": -0.0}])
+    @example(records=[{"0": (0.0,)}, {"0": (-0.0,)}, {"0": (1,)},
+                      {"0": (True,)}])
     def test_canonical_lines_and_digests_bit_identical(self, records):
         frame = ResultFrame.from_records(records)
         assert frame.canonical_lines() == \
@@ -169,6 +173,48 @@ class TestFailureStubs:
         assert [back.cell("x", i) for i in range(3)] == [None, 2.0, None]
         assert back.column("z").tolist() == [1.5, float("-inf"), 0.0]
         assert back.canonical_lines() == frame.canonical_lines()
+
+
+class TestBlockDecode:
+    def test_equal_strings_shared_and_list_cells_kept(self):
+        recs = [{"core": c, "tags": t, "mix": m}
+                for c, t, m in (("medium", ["a", "b"], "x"),
+                                ("high", ["a", "b"], ["x"]),
+                                ("medium", [], 3),
+                                ("medium", ["a"], "x"))]
+        frame = ResultFrame.from_records(recs)
+        back = ResultFrame.from_block_payload(
+            canonical_loads(frame.to_block_line())[BLOCK_KEY])
+        assert back.to_records() == recs
+        assert back.canonical_lines() == frame.canonical_lines()
+        # One str object per distinct label, not one per decoded cell.
+        core = back.column("core")
+        assert core[0] is core[2] is core[3]
+        mix = back.column("mix")
+        assert mix[0] is mix[3]
+        # List cells stay distinct lists, even when equal.
+        tags = back.column("tags")
+        assert type(tags[0]) is list and tags[0] == tags[1]
+        assert tags[0] is not tags[1]
+
+
+class TestRowKeys:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_reads(self, data):
+        # Rows of two frames, in any order and with repeats, including
+        # a masked f8 column whose None cells must not read as NaN.
+        frames = [ResultFrame.from_records(
+            [{"a": f"f{f}", "x": None if i % 3 == 0 else float(i),
+              "n": i} for i in range(size)])
+            for f, size in enumerate((5, 7))]
+        rows = data.draw(st.lists(
+            st.sampled_from([fr.row(i) for fr in frames
+                             for i in range(len(fr))]), max_size=20))
+        rows += [frames[1].row(i) for i in range(2, 6)]  # a slice run
+        keys = ("n", "x", "a")
+        assert row_keys(rows, keys) == \
+            [tuple(r[k] for k in keys) for r in rows]
 
 
 class TestFrameBasics:

@@ -102,6 +102,14 @@ class TestStoreKey:
             "v") == [w for r, w in zip(records, want)
                      if r["app"] == "lulesh"]
 
+    def test_batch_keys_separate_signed_zeros(self):
+        # 0.0 == -0.0 hash alike but render "0.0" vs "-0.0": a memo
+        # keyed on (type, value) handed the second the first's text.
+        configs = [dict(CONFIG, frequency=0.0), dict(CONFIG, frequency=-0.0)]
+        want = [store_key("lulesh", c, "fast", 256, "v") for c in configs]
+        assert want[0] != want[1]
+        assert store_keys_batch("lulesh", configs, "fast", 256, "v") == want
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, fresh_metrics):

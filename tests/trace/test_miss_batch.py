@@ -174,8 +174,13 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def _tables(keys):
-    return _survival_tables([a for a, _ in keys], [s for _, s in keys])
+#: Every distance a table holds, so oracle comparisons stay complete.
+_ALL_D = np.arange(_SMALL_D_MAX + 1)
+
+
+def _tables(keys, distances=_ALL_D):
+    return _survival_tables([a for a, _ in keys], [s for _, s in keys],
+                            distances)
 
 
 class TestSurvivalTables:
@@ -202,9 +207,9 @@ class TestSurvivalTables:
         calls = []
         build = kernel._survival_rows
 
-        def counted(assoc, p):
+        def counted(assoc, p, distances):
             calls.append((assoc, len(p)))
-            return build(assoc, p)
+            return build(assoc, p, distances)
 
         monkeypatch.setattr(kernel, "_survival_rows", counted)
         # 6 distinct keys over 3 associativities (-2 groups with 0).
@@ -220,6 +225,41 @@ class TestSurvivalTables:
             _tables([(8, 64), (8, 7)])
             assert calls == [(8, 1)]
         assert np.array_equal(_bits(first), _bits(again))
+
+    def test_partial_tables_then_completed(self, monkeypatch):
+        # Only the distances asked for are built, the rest stay NaN
+        # until a later call asks for them; built cells keep their bits.
+        depths = []
+        build = kernel._survival_rows
+
+        def counted(assoc, p, distances):
+            depths.append(max(distances))
+            return build(assoc, p, distances)
+
+        monkeypatch.setattr(kernel, "_survival_rows", counted)
+        keys = [(8, 64), (16, 3), (8, 1), (_SMALL_D_MAX + 1, 5), (0, 1)]
+        ref = np.stack([_binom_survival_table(a, s) for a, s in keys])
+        with _fresh_tables() as tables:
+            few = [146, 3, 0, 3, 86]
+            got = _tables(keys, few)
+            assert np.array_equal(_bits(got), _bits(ref[:, few]))
+            assert depths == [146] * 4  # one per associativity
+            for key in keys:
+                built = ~np.isnan(tables[key])
+                assert np.flatnonzero(built).tolist() == [0, 3, 86, 146]
+            partial = {key: tables[key].copy() for key in keys}
+            depths.clear()
+            assert np.array_equal(_bits(_tables(keys, [86, 0])),
+                                  _bits(ref[:, [86, 0]]))
+            assert depths == []
+            got = _tables(keys)
+            assert np.array_equal(_bits(got), _bits(ref))
+            for key in keys:
+                tab = tables[key]
+                assert not np.isnan(tab).any()
+                done = ~np.isnan(partial[key])
+                assert np.array_equal(_bits(tab[done]),
+                                      _bits(partial[key][done]))
 
     def test_eviction_keeps_the_other_tables(self):
         keys = [(8, 64), (8, 100), (16, 64), (16, 3)]
