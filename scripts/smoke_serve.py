@@ -4,12 +4,15 @@
 Starts the asyncio server on an ephemeral port, issues the same sweep
 query twice, and asserts the serving contracts:
 
-* the second request is answered entirely from the content-addressed
-  store — the store-hit counter covers every point and **zero** engine
-  counters move;
+* the second request is an exact repeat, answered from the rendered
+  answer cache: the cache-hit counter moves by one, **zero** store and
+  engine counters move, and its bytes equal the uncached answer
+  (``ServeState.handle`` rendered), which reports every point as a
+  store hit;
 * the result payload is byte-identical across servings and bit-
   identical to a direct ``run_sweep`` of the same inputs;
-* best/delta queries reuse the same store entries (no re-evaluation);
+* best/delta queries reuse the same store entries (no re-evaluation):
+  a query that is not an exact repeat reads every point from the store;
 * invalidation drops the entries and the next query re-evaluates.
 
 Exits non-zero on any violation.
@@ -71,23 +74,28 @@ def main() -> int:
     print(f"  cold query OK: {parsed1['served']['evaluated']} evaluated, "
           f"{int(reg.counter('store.put'))} store puts")
 
-    # 2. Warm query: all store hits, zero engine counters, result
-    #    byte-identical.
-    engines_before = {c: reg.counter(c) for c in ENGINE_COUNTERS}
-    hits_before = reg.counter("store.hit")
+    # 2. Exact repeat: answered from the answer cache, zero store and
+    #    engine counters, bytes equal to the uncached answer.
+    watched = ENGINE_COUNTERS + ("store.hit", "store.miss")
+    before = {c: reg.counter(c) for c in watched}
+    cache_hits = reg.counter("serve.cache.hit")
     status2, body2 = client.raw_query(QUERY)
     assert status2 == 200, body2
     parsed2 = json.loads(body2)
     assert parsed2["served"]["evaluated"] == 0, parsed2["served"]
     assert parsed2["served"]["store_hits"] == len(space), parsed2["served"]
-    assert reg.counter("store.hit") - hits_before == len(space)
-    for c in ENGINE_COUNTERS:
-        moved = reg.counter(c) - engines_before[c]
-        assert moved == 0, f"engine counter {c} moved by {moved} on a hit"
+    assert reg.counter("serve.cache.hit") - cache_hits == 1
+    for c in watched:
+        moved = reg.counter(c) - before[c]
+        assert moved == 0, f"counter {c} moved by {moved} on a cache hit"
+    uncached = canonical_dumps(state.handle(QUERY)) + "\n"
+    assert body2 == uncached.encode("utf-8"), "cached body != uncached"
     assert canonical_dumps(parsed2["result"]) == \
         canonical_dumps(parsed1["result"]), "result payload not byte-stable"
-    print(f"  warm query OK: {parsed2['served']['store_hits']} store hits, "
-          "zero engine work, byte-identical result")
+    print(f"  repeat query OK: answer-cache hit, "
+          f"{parsed2['served']['store_hits']} points reported as store "
+          "hits, zero store and engine work, bytes equal the uncached "
+          "answer")
 
     # 3. Bit-identity against a direct sweep of the same inputs.
     direct = run_sweep(["spmz"], space, processes=1)
@@ -95,10 +103,13 @@ def main() -> int:
         "served records differ from a direct run_sweep"
     print(f"  bit-identity OK: {len(direct)} records match run_sweep")
 
-    # 4. Best/delta queries reuse the stored points.
+    # 4. Best/delta queries reuse the stored points: not exact
+    #    repeats, so every point is read from the store.
+    hits_before = reg.counter("store.hit")
     best = client.query({"kind": "best", "apps": ["spmz"], "space": "smoke",
                          "objective": "time_ns"})
     assert best["served"]["evaluated"] == 0, best["served"]
+    assert reg.counter("store.hit") - hits_before == len(space)
     delta = client.query({"kind": "delta", "apps": ["spmz"],
                           "space": "smoke", "axis": "vector",
                           "a": 128, "b": 512})

@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..obs import inc as obs_inc
 from ..obs import warn as obs_warn
@@ -112,7 +112,6 @@ class JournalReplay:
     """Everything a resuming sweep needs to know about a journal."""
 
     results: ResultSet = field(default_factory=ResultSet)
-    done: Set[Tuple] = field(default_factory=set)
     failed: List[Dict] = field(default_factory=list)
     duplicates: int = 0
     corrupt_lines: int = 0
@@ -198,7 +197,7 @@ def _count_drops(out: JournalReplay, what: Any) -> None:
 def replay_journal(path: Union[str, Path]) -> JournalReplay:
     """Replay a (possibly partial) journal in one pass.
 
-    Successful records land in ``results``/``done``; failure stubs are
+    Successful records land in ``results``; failure stubs are
     collected separately so the caller can retry them; duplicates keep
     their first occurrence and are counted, as are undecodable lines.
 
@@ -214,7 +213,6 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
     results, stubs = _scan_journal(p, _keep_record, out)
     for key, record in results.items():
         out.results._add_keyed(key, record)
-    out.done.update(results)
     out.failed.extend(s if type(s) is dict else s.to_dict()
                       for s in stubs.values())
     _count_drops(out, f"journal {p}")
@@ -296,9 +294,10 @@ def merge_journal(
 
     Returns the replay of the merged content (results + surviving
     stubs); counts land under ``checkpoint.merged_*``.  With
-    ``collect=False`` the returned replay carries ``done`` keys and
-    counts but leaves ``results``/``failed`` empty, keeping the merge
-    itself O(keys) in memory for very large campaigns.
+    ``collect=False`` the returned replay carries only the counts
+    (``duplicates``, ``corrupt_lines``, ``meta``) and leaves
+    ``results``/``failed`` empty, keeping the merge itself O(keys) in
+    memory for very large campaigns.
     """
     if not paths:
         raise ValueError("merge_journal needs at least one input journal")
@@ -320,7 +319,6 @@ def merge_journal(
         rewrite(out_path, (fetch.canonical_line(refs[key])
                            for refs in (records, stubs)
                            for key in sorted(refs)))
-        merged.done.update(records)
         if collect:
             for key in sorted(records):
                 merged.results._add_keyed(key, fetch.record(records[key]))

@@ -118,12 +118,15 @@ CATALOG = (
     Metric("store.corrupt_lines", "unreadable store lines skipped"),
     Metric("store.duplicates_dropped", "repeated store entries dropped"),
     # -- serve: the query front end -------------------------------------
-    Metric("serve.requests", "queries handled",
+    Metric("serve.requests", "queries handled, answer-cache hits included",
            "serve_requests", "serve requests", "serve"),
     Metric("serve.singleflight.coalesced", "queries joined to one in flight",
            "serve_coalesced", "serve queries coalesced", "serve"),
     Metric("serve.query.*", "queries handled, per query kind"),
     Metric("serve.errors", "requests answered with an error"),
+    Metric("serve.cache.hit", "queries answered from the answer cache"),
+    Metric("serve.cache.miss", "queries the answer cache could not answer"),
+    Metric("serve.cache.evictions", "answers dropped from the answer cache"),
     # -- shards: the sweep's shard queue and worker pool ----------------
     Metric("sweep.timeout_unavailable", "task budgets run without SIGALRM",
            "timeout_unavailable", "timeouts unavailable", sparse=True),

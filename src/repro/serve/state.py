@@ -108,6 +108,10 @@ class ServeState:
         self._evaluators: Dict[str, BatchEvaluator] = {}
         self._flights: Dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
+        #: Store invalidations run so far, counted once each has
+        #: finished: an answer cached while this count held still stays
+        #: what :meth:`handle` would answer again.
+        self.invalidations = 0
 
     # -- singleflight front door ----------------------------------------------
 
@@ -144,25 +148,38 @@ class ServeState:
                 self._flights.pop(digest, None)
             flight.event.set()
 
+    def query_key(self, query: Dict) -> str:
+        """The digest :meth:`handle` keys ``query``'s flight by: equal
+        for queries that differ only in dict ordering or omitted
+        defaults.  Raises :class:`QueryError` as :meth:`handle` would."""
+        return content_digest(self._normalize(query))
+
     def invalidate(self, criteria: Dict) -> int:
         """Selective store invalidation (``{"app": ..., "mode": ...,
         "code_version": ...}``; ``{"stale": true}`` drops every entry
         not produced by this server's code version; ``{"all": true}``
         drops everything)."""
         crit = dict(criteria or {})
-        if crit.pop("stale", False):
-            return self.store.invalidate_stale(self.code_version)
-        if crit.pop("all", False):
-            return self.store.invalidate()
-        allowed = {"app", "mode", "code_version"}
-        unknown = set(crit) - allowed
-        if unknown:
-            raise QueryError(f"unknown invalidation fields {sorted(unknown)}; "
-                             f"allowed: {sorted(allowed)}, 'stale', 'all'")
-        if not crit:
-            raise QueryError("empty invalidation; pass criteria, "
-                             "'stale': true, or 'all': true")
-        return self.store.invalidate(**crit)
+        stale, everything = crit.pop("stale", False), crit.pop("all", False)
+        if not (stale or everything):
+            allowed = {"app", "mode", "code_version"}
+            unknown = set(crit) - allowed
+            if unknown:
+                raise QueryError(
+                    f"unknown invalidation fields {sorted(unknown)}; "
+                    f"allowed: {sorted(allowed)}, 'stale', 'all'")
+            if not crit:
+                raise QueryError("empty invalidation; pass criteria, "
+                                 "'stale': true, or 'all': true")
+        try:
+            if stale:
+                return self.store.invalidate_stale(self.code_version)
+            if everything:
+                return self.store.invalidate()
+            return self.store.invalidate(**crit)
+        finally:
+            with self._flights_lock:
+                self.invalidations += 1
 
     # -- query normalization --------------------------------------------------
 

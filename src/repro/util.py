@@ -30,27 +30,47 @@ def _metrics():
     return _get_metrics()
 
 
-class LruDict(OrderedDict):
-    """A memo dict bounded to ``maxsize`` entries.
+def _nbytes(value) -> int:
+    """A value's size for a byte budget: ``nbytes``, else ``len()``."""
+    size = getattr(value, "nbytes", None)
+    return len(value) if size is None else int(size)
 
-    Reads refresh recency; an insert past the cap evicts the
-    least-recently-used entry and counts it under the obs counter named
-    by ``eviction_counter`` (a name listed in :mod:`repro.obs.catalog`).
-    Quacks like the plain dicts it replaces (``in`` / ``[]`` / ``[]=`` /
-    ``.get`` / ``clear``), so callers that receive the cache as an
-    argument need no changes.
+
+class LruDict(OrderedDict):
+    """A memo dict bounded to ``maxsize`` entries, ``max_bytes`` bytes,
+    or both.
+
+    Reads refresh recency; an insert past a bound evicts
+    least-recently-used entries until it holds, and counts them under
+    the obs counter named by ``eviction_counter`` (a name listed in
+    :mod:`repro.obs.catalog`).  Quacks like the plain dicts it replaces
+    (``in`` / ``[]`` / ``[]=`` / ``.get`` / ``clear``), so callers that
+    receive the cache as an argument need no changes.
 
     Unlike a wipe-at-capacity cache, eviction is per-entry: the hot
     working set stays resident and cold entries (and whatever their
     values pin — e.g. phase objects held to guard against recycled
     ``id()`` keys) are released incrementally.
+
+    With ``max_bytes``, each value is sized by its ``nbytes`` (arrays)
+    or else ``len()`` (bytes, str), and ``nbytes`` is the sum resident.
+    A value larger than the whole budget is not kept: it is dropped at
+    once (with any value its key held) and counted as an eviction.
     """
 
-    def __init__(self, maxsize: int, *, eviction_counter: str) -> None:
-        if maxsize < 1:
+    def __init__(self, maxsize: Optional[int] = None, *,
+                 eviction_counter: str,
+                 max_bytes: Optional[int] = None) -> None:
+        if maxsize is None and max_bytes is None:
+            raise ValueError("give maxsize, max_bytes or both")
+        if maxsize is not None and maxsize < 1:
             raise ValueError("maxsize must be >= 1")
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError("max_bytes must be >= 0")
         super().__init__()
         self.maxsize = maxsize
+        self.max_bytes = max_bytes
+        self.nbytes = 0
         self.eviction_counter = eviction_counter
 
     def __getitem__(self, key):
@@ -65,11 +85,51 @@ class LruDict(OrderedDict):
             return default
 
     def __setitem__(self, key, value) -> None:
+        if self.max_bytes is not None:
+            self._set_sized(key, value)
+            return
         super().__setitem__(key, value)
         self.move_to_end(key)
         evicted = 0
         while len(self) > self.maxsize:
-            self.popitem(last=False)
+            super().popitem(last=False)
             evicted += 1
         if evicted:
             _metrics().inc(self.eviction_counter, evicted)
+
+    def _set_sized(self, key, value) -> None:
+        if key in self:
+            del self[key]
+        size = _nbytes(value)
+        if size > self.max_bytes:
+            _metrics().inc(self.eviction_counter)
+            return
+        super().__setitem__(key, value)
+        self.nbytes += size
+        evicted = 0
+        while self.nbytes > self.max_bytes or (
+                self.maxsize is not None and len(self) > self.maxsize):
+            self.nbytes -= _nbytes(super().popitem(last=False)[1])
+            evicted += 1
+        if evicted:
+            _metrics().inc(self.eviction_counter, evicted)
+
+    # The C ``OrderedDict`` deletes without calling back into a
+    # subclass, so each way out keeps ``nbytes`` itself.
+    def __delitem__(self, key) -> None:
+        self.pop(key)
+
+    def pop(self, key, *default):
+        if self.max_bytes is not None and key in self:
+            self.nbytes -= _nbytes(dict.__getitem__(self, key))
+        return super().pop(key, *default)
+
+    def popitem(self, last: bool = True):
+        key, value = super().popitem(last)
+        if self.max_bytes is not None:
+            self.nbytes -= _nbytes(value)
+        return key, value
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0

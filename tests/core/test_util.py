@@ -1,4 +1,5 @@
-"""Tests for :mod:`repro.util` — the shared LRU memo dict.
+"""Tests for :mod:`repro.util` — the shared LRU memo dict, bounded by
+entries or bytes.
 
 The eviction path is hot (it runs inside memo inserts on the batched
 evaluation fast path), so beyond the LRU semantics these tests pin the
@@ -112,3 +113,79 @@ class TestEvictionCounting:
             assert reg_a.counter("test.lru.evictions") == 1
         finally:
             set_metrics(prev)
+
+
+class TestByteBudget:
+    def test_evicts_least_recent_until_within_budget(self):
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            d = LruDict(max_bytes=10, eviction_counter="test.lru.evictions")
+            d["a"] = b"aaaa"
+            d["b"] = b"bbb"
+            d["c"] = b"cc"
+            assert d["a"] == b"aaaa"   # refresh "a": "b" is now LRU
+            d["d"] = b"ddd"            # 12 bytes: drops "b" only
+            assert list(d) == ["c", "a", "d"] and d.nbytes == 9
+            assert reg.counter("test.lru.evictions") == 1
+            d["e"] = b"eeeeeeee"       # 17 bytes: drops "c", "a", "d"
+            assert list(d) == ["e"] and d.nbytes == 8
+            assert reg.counter("test.lru.evictions") == 4
+        finally:
+            set_metrics(prev)
+
+    def test_resident_bytes_never_exceed_budget(self):
+        import random
+        rng = random.Random(7)
+        d = LruDict(max_bytes=64, eviction_counter="test.lru.evictions")
+        for _ in range(500):
+            key = rng.randrange(12)
+            op = rng.random()
+            if op < 0.7:
+                d[key] = bytes(rng.randrange(80))
+            elif op < 0.8:
+                d.pop(key, None)
+            elif op < 0.9 and d:
+                d.popitem(last=rng.random() < 0.5)
+            elif key in d:
+                del d[key]
+            assert d.nbytes == sum(len(v) for v in d.values())
+            assert d.nbytes <= 64
+
+    def test_oversized_value_not_kept(self):
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            d = LruDict(max_bytes=8, eviction_counter="test.lru.evictions")
+            d["a"] = b"aaaa"
+            d["big"] = b"x" * 9
+            assert "big" not in d and list(d) == ["a"] and d.nbytes == 4
+            d["a"] = b"y" * 9          # replaces nothing: the key drops
+            assert not d and d.nbytes == 0
+            assert reg.counter("test.lru.evictions") == 2
+        finally:
+            set_metrics(prev)
+
+    def test_arrays_sized_by_nbytes(self):
+        import numpy as np
+        d = LruDict(max_bytes=100, eviction_counter="test.lru.evictions")
+        d["a"] = np.zeros(5)
+        d["b"] = "text"
+        assert d.nbytes == 44
+        d["a"] = np.zeros(2)
+        assert d.nbytes == 20
+        d.clear()
+        assert d.nbytes == 0
+
+    def test_both_bounds(self):
+        d = LruDict(2, max_bytes=100, eviction_counter="test.lru.evictions")
+        d["a"], d["b"], d["c"] = b"1", b"2", b"3"
+        assert list(d) == ["b", "c"] and d.nbytes == 2
+
+    def test_validation(self):
+        for kwargs in ({}, {"max_bytes": -1}, {"maxsize": 0}):
+            try:
+                LruDict(eviction_counter="test.lru.evictions", **kwargs)
+            except ValueError:
+                continue
+            raise AssertionError(f"{kwargs} must be rejected")

@@ -11,15 +11,22 @@ regressions pin the tape bail-out fallback, the collective pricing
 path, the order-free classification of :func:`_classify`, the
 period tape and its full-tape fallback (flat and loaded traces,
 unbalanced periods), that every bundled app stays on a period tape,
-that message buffer rows are reused once their values are dead, and
-that column blocks change no bit and bound the cached workspace.
+that message buffer rows are reused once their values are dead,
+that column blocks change no bit and bound the cached workspace, and
+that a fresh process replays without importing ``numpy.ma``.
 """
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.apps import APP_NAMES, get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
@@ -666,3 +673,29 @@ def test_paper_scale_buffers_are_bounded(app):
     tape = _tape_for(musa._burst_trace(256, None), musa.network)
     arr_rows, post_rows = tape.n_msgs
     assert arr_rows <= 3072 and post_rows <= 1536, tape.n_msgs
+
+
+def test_fresh_replay_leaves_numpy_ma_unimported():
+    # NumPy's plain ``np.unique`` imports ``numpy.ma`` (about 15 ms and
+    # 1 MB); the tape build levels its DAG without it, so a fresh
+    # server or sweep worker that replays never loads it.
+    code = textwrap.dedent("""
+        import sys
+        from repro.apps import get_app
+        from repro.config import smoke_design_space
+        from repro.core.batch import BatchEvaluator
+        from repro.core.musa import Musa
+        from repro.obs import get_metrics
+
+        evaluator = BatchEvaluator(Musa(get_app("spmz")))
+        evaluator.evaluate_frame(smoke_design_space().configs()[:2],
+                                 n_ranks=32, mode="replay")
+        assert get_metrics().counter("replay.tape.builds") == 1
+        print("numpy.ma" in sys.modules)
+    """)
+    src_root = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src_root)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
