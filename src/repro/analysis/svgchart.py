@@ -1,18 +1,17 @@
-"""Dependency-free SVG charts (grouped bars, trend lines).
+"""Dependency-free SVG bar charts.
 
 The paper's figures are grouped bar charts (apps on the x-axis, one bar
 per axis value).  matplotlib is not available in this environment, so
 this module emits standalone SVG directly — enough to eyeball a figure
-in a browser next to the paper's plot.  :func:`line_chart` renders the
-benchmark ledger's trend trajectories the same way.
+in a browser next to the paper's plot.
 """
 
 from __future__ import annotations
 
 import html
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
-__all__ = ["grouped_bar_chart", "line_chart"]
+__all__ = ["grouped_bar_chart"]
 
 _PALETTE = ("#4878a8", "#e49444", "#5ba053", "#bf5b50", "#8268a8",
             "#99755a", "#d684bd", "#7f7f7f")
@@ -133,112 +132,6 @@ def grouped_bar_chart(
         lx += 14 + 7 * max(3, len(str(v))) + 16
 
     # axes
-    parts.append(
-        f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
-        f'y2="{margin_t + plot_h}" stroke="#333"/>')
-    parts.append(
-        f'<line x1="{margin_l}" y1="{margin_t + plot_h}" '
-        f'x2="{width - margin_r}" y2="{margin_t + plot_h}" stroke="#333"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
-def line_chart(
-    series: Mapping[str, Sequence[Tuple[float, float]]],
-    title: str = "",
-    width: int = 720,
-    height: int = 300,
-    y_label: str = "",
-    x_label: str = "",
-    reference_line: Optional[float] = None,
-) -> str:
-    """Render ``series[name] = [(x, y), ...]`` as a multi-line chart.
-
-    Used for benchmark trend trajectories (x = run sequence, y =
-    normalized cost).  Points are drawn as markers so single-entry
-    series remain visible; ``reference_line`` draws a dashed horizontal
-    guide (e.g. the regression-gate baseline).
-    """
-    named = {k: [(float(x), float(y)) for x, y in pts]
-             for k, pts in series.items() if pts}
-    if not named:
-        raise ValueError("need at least one non-empty series")
-    margin_l, margin_r, margin_t, margin_b = 64, 16, 36, 56
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
-    if plot_w <= 0 or plot_h <= 0:
-        raise ValueError("chart too small for its margins")
-
-    xs = [x for pts in named.values() for x, _ in pts]
-    ys = [y for pts in named.values() for _, y in pts]
-    if reference_line is not None:
-        ys = ys + [reference_line]
-    x_lo, x_hi = min(xs), max(xs)
-    y_hi = max(max(ys), 0.0) * 1.12 or 1.0
-    x_span = (x_hi - x_lo) or 1.0
-
-    def x_of(x: float) -> float:
-        return margin_l + plot_w * (x - x_lo) / x_span
-
-    def y_of(y: float) -> float:
-        return margin_t + plot_h * (1.0 - y / y_hi)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}" '
-        'font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2}" y="18" text-anchor="middle" '
-            f'font-size="13">{html.escape(title)}</text>')
-    for i in range(6):
-        val = y_hi * i / 5
-        y = y_of(val)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{_fmt(y)}" '
-            f'x2="{width - margin_r}" y2="{_fmt(y)}" stroke="#e0e0e0"/>')
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{_fmt(y + 4)}" '
-            f'text-anchor="end">{val:.3g}</text>')
-    if y_label:
-        parts.append(
-            f'<text x="14" y="{margin_t + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {margin_t + plot_h / 2})">'
-            f'{html.escape(y_label)}</text>')
-    if x_label:
-        parts.append(
-            f'<text x="{margin_l + plot_w / 2}" y="{height - margin_b + 30}" '
-            f'text-anchor="middle">{html.escape(x_label)}</text>')
-    if reference_line is not None and 0 <= reference_line <= y_hi:
-        y = y_of(reference_line)
-        parts.append(
-            f'<line x1="{margin_l}" y1="{_fmt(y)}" '
-            f'x2="{width - margin_r}" y2="{_fmt(y)}" '
-            'stroke="#555" stroke-dasharray="4 3"/>')
-
-    lx = margin_l
-    ly = height - margin_b + 44
-    for si, (name, pts) in enumerate(named.items()):
-        color = _PALETTE[si % len(_PALETTE)]
-        pts = sorted(pts)
-        coords = " ".join(f"{_fmt(x_of(x))},{_fmt(y_of(y))}"
-                          for x, y in pts)
-        if len(pts) > 1:
-            parts.append(f'<polyline points="{coords}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.6"/>')
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{_fmt(x_of(x))}" cy="{_fmt(y_of(y))}" r="3" '
-                f'fill="{color}"><title>{html.escape(name)}: '
-                f'({x:g}, {y:.4g})</title></circle>')
-        parts.append(f'<rect x="{lx}" y="{ly - 9}" width="10" height="10" '
-                     f'fill="{color}"/>')
-        parts.append(f'<text x="{lx + 14}" y="{ly}">'
-                     f'{html.escape(name)}</text>')
-        lx += 14 + 7 * max(3, len(name)) + 16
-
     parts.append(
         f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
         f'y2="{margin_t + plot_h}" stroke="#333"/>')

@@ -105,8 +105,6 @@ class AppModel(ABC):
 
     #: application name as used in the paper's figures
     name: str = ""
-    #: thread count of the traced native run (fixes trace parallelism)
-    traced_threads: int = 48
     #: halo message payload per neighbour (bytes)
     halo_bytes: int = 256 * 1024
     #: number of 8-byte allreduce operations per iteration
@@ -248,11 +246,6 @@ class AppModel(ABC):
                                        repeats=n_iter, n_iterations=n_iter)
 
     # -- bookkeeping -------------------------------------------------------------
-
-    def work_per_iteration_ns(self) -> float:
-        """Reference (native-trace) compute work of one iteration."""
-        return sum(p.total_task_ns + p.serial_ns
-                   for p in self.canonical_phases())
 
     def _rng(self, stream: str) -> np.random.Generator:
         """Deterministic per-purpose RNG.

@@ -32,7 +32,6 @@ class BtMz(AppModel):
     """BT-MZ application model."""
 
     name = "btmz"
-    traced_threads = 48
     halo_bytes = 3200 * 1024
     allreduce_per_iter = 1
     rank_imbalance = 0.45

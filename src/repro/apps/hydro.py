@@ -35,7 +35,6 @@ class Hydro(AppModel):
     """HYDRO application model."""
 
     name = "hydro"
-    traced_threads = 48
     halo_bytes = 128 * 1024
     allreduce_per_iter = 1
     rank_imbalance = 0.08

@@ -35,7 +35,6 @@ class Lulesh(AppModel):
     """LULESH application model."""
 
     name = "lulesh"
-    traced_threads = 48
     halo_bytes = 1500 * 1024
     allreduce_per_iter = 3   # dt + energy + volume checks per step
     rank_imbalance = 0.55

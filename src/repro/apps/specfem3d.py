@@ -34,7 +34,6 @@ class Specfem3D(AppModel):
     """Specfem3D application model."""
 
     name = "spec3d"
-    traced_threads = 48
     halo_bytes = 2600 * 1024
     allreduce_per_iter = 1
     rank_imbalance = 0.50

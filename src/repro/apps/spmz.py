@@ -35,7 +35,6 @@ class SpMz(AppModel):
     """SP-MZ application model."""
 
     name = "spmz"
-    traced_threads = 48
     halo_bytes = 2600 * 1024
     allreduce_per_iter = 1
     rank_imbalance = 0.35

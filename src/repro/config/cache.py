@@ -85,16 +85,6 @@ class CacheHierarchy:
         ):
             raise ValueError("latencies must be monotonically non-decreasing")
 
-    def l3_per_core_bytes(self, n_cores: int) -> float:
-        """Fair-share slice of the shared L3 for one of ``n_cores`` users."""
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        return self.l3.size_bytes / n_cores
-
-    @property
-    def levels(self) -> Tuple[CacheLevelConfig, CacheLevelConfig, CacheLevelConfig]:
-        return (self.l1, self.l2, self.l3)
-
 
 def _l1() -> CacheLevelConfig:
     # Fixed across the whole design space ("L1=32K" in Fig. 6 captions).

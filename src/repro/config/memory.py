@@ -63,10 +63,6 @@ class MemoryConfig:
     def total_dimms(self) -> int:
         return self.n_channels * self.dimms_per_channel
 
-    @property
-    def total_capacity_gb(self) -> int:
-        return self.total_dimms * self.dimm_capacity_gb
-
 
 _DDR4_CH_BW = 2333e6 * 8 / 1e9     # 18.664 GB/s
 _HBM_CH_BW = 32.0                  # GB/s per pseudo-channel-pair (HBM2-class)

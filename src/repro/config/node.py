@@ -7,7 +7,7 @@ subsystem, CPU frequency, FPU vector width, and cores per socket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from .cache import CacheHierarchy, cache_preset
@@ -59,11 +59,6 @@ class NodeConfig:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def cycle_ns(self) -> float:
-        """Duration of one core cycle in nanoseconds."""
-        return 1.0 / self.frequency_ghz
-
-    @property
     def vector_lanes(self) -> int:
         """Number of double-precision (64-bit) SIMD lanes."""
         return max(1, self.vector_bits // 64)
@@ -75,14 +70,6 @@ class NodeConfig:
             f"{self.core.label}|{self.cache.label}|{self.memory.label}"
             f"|{self.frequency_ghz:g}GHz|{self.vector_bits}b|{self.n_cores}c"
         )
-
-    def memory_latency_cycles(self) -> float:
-        """Unloaded memory latency expressed in core cycles at this frequency.
-
-        DRAM latency is constant in wall-clock time, so faster cores see
-        proportionally more stall cycles per miss (Sec. V-B5).
-        """
-        return self.memory.idle_latency_ns * self.frequency_ghz
 
     # -- variation helpers ---------------------------------------------------
 

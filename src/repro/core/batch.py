@@ -197,8 +197,8 @@ class BatchEvaluator:
         """Columnar results for every node, in input order.
 
         Both modes run the app's default iteration count; fast mode
-        leaves out the analytic communication term, as
-        ``Musa.simulate_node`` does by default.
+        times the compute region only, and replay mode adds
+        communication, as ``Musa.simulate_node`` does.
 
         The per-kernel compute timings are resolved column-wise over the
         whole batch, and with ``mode='replay'`` the Dimemas-style
@@ -478,9 +478,8 @@ class BatchEvaluator:
             compute_iter = compute_iter + pc.makespan
 
         if mode == "fast":
-            # Scalar: n_iter * (ci * max_scale + comm_iter), per config,
-            # with comm_iter = 0.0 (no analytic communication term).
-            total_ns = n_iter * (compute_iter * max_scale + 0.0)
+            # Scalar: n_iter * (ci * max_scale), per config.
+            total_ns = n_iter * (compute_iter * max_scale)
         else:
             # One config-vectorized replay pass for the whole batch: the
             # per-phase makespan columns scaled per rank reproduce the

@@ -7,11 +7,11 @@ paper's three simulation modes:
   the traced tasks on N cores, no microarchitecture — Fig. 2a/2b/3/4;
 * **detailed mode** (Sec. V-B): per-phase interval-analysis timing with
   cache/bandwidth/power models for one :class:`NodeConfig`;
-* **integrated runs**: detailed compute timings spliced into the
-  rank-level communication model, either analytically (``fast``, used
-  by the 864-point sweep — communication is configuration-invariant,
-  exactly as in MUSA where Dimemas parameters are fixed) or through the
-  full Dimemas-style replay (``replay``).
+* **integrated runs**: detailed compute timings per node, either as
+  the compute region alone (``fast``, the sweep default: communication
+  is configuration-invariant, as in MUSA where the Dimemas parameters
+  are fixed) or spliced into the full Dimemas-style replay, which adds
+  communication (``replay``).
 
 Phase-level results are memoized per (phase, node) so the 864-point
 sweep re-simulates only what changes.
@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..apps.base import AppModel, grid_neighbors, rank_grid_dims
+from ..apps.base import AppModel
 from ..config.node import NodeConfig
-from ..network.collectives import collective_cost_ns
 from ..network.model import NetworkConfig, marenostrum4_network
 from ..network.replay import ReplayResult, replay
 from ..obs import get_metrics
@@ -56,8 +55,6 @@ class RunResult:
     gmem_req_per_s: float              # billions of DRAM requests / s / node
     bw_utilization: float              # peak over phases
     occupancy: float                   # busy core-time / total core-time
-    compute_ns: float                  # per-iteration critical-path compute
-    comm_ns: float                     # per-iteration communication
 
     def record(self) -> Dict:
         """Flat dict for :class:`~repro.core.results.ResultSet`."""
@@ -140,11 +137,6 @@ class Musa:
         region = max(self.phases, key=lambda p: p.total_task_ns)
         return self.burst_phase(region, n_cores).makespan_ns
 
-    def compute_region_speedup(self, n_cores: int) -> float:
-        """Fig. 2a metric: single-region speedup vs one core."""
-        return (self.compute_region_makespan(1)
-                / self.compute_region_makespan(n_cores))
-
     def _burst_trace(self, n_ranks: int,
                      n_iterations: Optional[int]) -> BurstTrace:
         # ``None`` means the default: key both spellings to one trace,
@@ -174,13 +166,9 @@ class Musa:
 
     # --------------------------------------------------------------- detailed
 
-    def phase_detail(self, phase: ComputePhase, node: NodeConfig,
-                     collect_spans: bool = False) -> PhaseDetail:
+    def phase_detail(self, phase: ComputePhase,
+                     node: NodeConfig) -> PhaseDetail:
         """Detailed-mode simulation of one phase (memoized per node)."""
-        if collect_spans:
-            return simulate_phase_detailed(phase, self.detailed, node,
-                                           collect_spans=True,
-                                           timing_cache=self._timing_cache)
         key = (id(phase), node.label)
         obs = get_metrics()
         if key not in self._detail_cache:
@@ -192,59 +180,32 @@ class Musa:
             obs.inc("musa.phase_detail.hit")
         return self._detail_cache[key]
 
-    def comm_iteration_ns(self, n_ranks: int) -> float:
-        """Analytic per-iteration communication cost.
-
-        Halo injection (sequential isend/irecv posting, pipelined
-        transfers sharing the NIC) plus the iteration's collectives.
-        Configuration-invariant: the network is fixed across the design
-        space, as in the paper.
-        """
-        if n_ranks <= 0:
-            raise ValueError("n_ranks must be positive")
-        if n_ranks == 1:
-            return 0.0
-        net = self.network
-        n_nb = len(grid_neighbors(0, rank_grid_dims(n_ranks)))
-        halo_once = (
-            2 * n_nb * net.overhead_ns
-            + n_nb * self.app.halo_bytes / net.bandwidth_gbs
-            + net.latency_us * 1e3
-        )
-        halo = halo_once * len(self.phases)  # one exchange per phase
-        coll = self.app.allreduce_per_iter * collective_cost_ns(
-            "allreduce", n_ranks, 8, net)
-        return halo + coll
-
     def simulate_node(
         self,
         node: NodeConfig,
         n_ranks: int = 256,
         n_iterations: Optional[int] = None,
         mode: str = "fast",
-        include_comm: bool = False,
     ) -> RunResult:
         """Integrated detailed run of the application's traced region.
 
-        ``mode='fast'`` combines per-phase detailed makespans with the
-        rank-imbalance critical path; with ``include_comm`` it adds the
-        analytic communication model.  ``mode='replay'`` splices the
-        same detailed timings into the full Dimemas-style replay
-        (communication always included), run on the reactive
-        event-driven engine — usable at the paper's 256-rank scale and
-        reported through the ``replay.*`` metrics counters.  The
-        design-space figures
-        (Figs. 5-9) evaluate the detailed *compute region* per node —
-        communication is configuration-invariant and enters only the
-        scaling study (Fig. 2b) — so the sweep default excludes it.
+        ``mode='fast'`` times the compute region only: per-phase
+        detailed makespans along the rank-imbalance critical path.
+        ``mode='replay'`` splices the same detailed timings into the
+        full Dimemas-style replay, which adds communication; it runs on
+        the reactive event-driven engine, usable at the paper's
+        256-rank scale and reported through the ``replay.*`` metrics
+        counters.  Communication is configuration-invariant, so
+        the design-space figures (Figs. 5-9) and the sweep default use
+        fast mode; the scaling study (Fig. 2b) replays burst-mode
+        timings through :meth:`simulate_burst_full`.
         """
         if mode not in ("fast", "replay"):
             raise ValueError("mode must be 'fast' or 'replay'")
         obs = get_metrics()
         obs.inc("musa.simulate_node")
         with obs.span("musa.simulate_node"):
-            return self._simulate_node(node, n_ranks, n_iterations, mode,
-                                       include_comm)
+            return self._simulate_node(node, n_ranks, n_iterations, mode)
 
     def _simulate_node(
         self,
@@ -252,17 +213,15 @@ class Musa:
         n_ranks: int,
         n_iterations: Optional[int],
         mode: str,
-        include_comm: bool,
     ) -> RunResult:
         n_iter = self.app.resolve_iterations(n_iterations)
         details = [self.phase_detail(p, node) for p in self.phases]
         scales = self.app.rank_scales(n_ranks)
         max_scale = float(scales.max())
         compute_iter = sum(d.makespan_ns for d in details)
-        comm_iter = self.comm_iteration_ns(n_ranks) if include_comm else 0.0
 
         if mode == "fast":
-            total_ns = n_iter * (compute_iter * max_scale + comm_iter)
+            total_ns = n_iter * (compute_iter * max_scale)
         else:
             trace = self._burst_trace(n_ranks, n_iter)
             by_id = {id(p): d for p, d in zip(self.phases, details)}
@@ -273,7 +232,7 @@ class Musa:
             total_ns = replay(trace, self.network, duration).total_ns
 
         return self._assemble_result(node, n_ranks, n_iter, details,
-                                     total_ns, compute_iter, comm_iter)
+                                     total_ns)
 
     # ----------------------------------------------------------------- power
 
@@ -284,8 +243,6 @@ class Musa:
         n_iter: int,
         details,
         total_ns: float,
-        compute_iter: float,
-        comm_iter: float,
     ) -> RunResult:
         total_s = total_ns * 1e-9
         if not 0.0 < total_s < float("inf"):
@@ -363,6 +320,4 @@ class Musa:
             bw_utilization=max((d.bw_utilization for d in details),
                                default=0.0),
             occupancy=busy_core_ns / (total_ns * node.n_cores),
-            compute_ns=compute_iter,
-            comm_ns=comm_iter,
         )

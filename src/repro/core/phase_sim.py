@@ -53,7 +53,6 @@ class PhaseDetail:
     store_fraction: float        # of memory instructions
     row_hit_rate: float          # traffic-weighted
     bw_utilization: float        # of derated channel capacity
-    core_dynamic_j: float        # placeholder, filled by power integration
     timings: Tuple[KernelTiming, ...]
 
     @property
@@ -134,7 +133,7 @@ def _simulate_phase_detailed(
             n_busy_cores=0.0, schedule=sched, instructions=0.0, scalar_flops=0.0,
             l1_accesses=0.0, l2_accesses=0.0, l3_accesses=0.0, dram_accesses=0.0,
             dram_bytes=0.0, store_fraction=0.0, row_hit_rate=0.0,
-            bw_utilization=0.0, core_dynamic_j=0.0, timings=(),
+            bw_utilization=0.0, timings=(),
         )
 
     imb = _imbalance_factors(phase)
@@ -223,6 +222,5 @@ def _simulate_phase_detailed(
         store_fraction=store_frac,
         row_hit_rate=row_hit,
         bw_utilization=utilization,
-        core_dynamic_j=0.0,
         timings=tuple(timings[k] for k in kernel_names),
     )

@@ -77,7 +77,6 @@ class ChannelResult:
 
     counts: CommandCounts
     finish_cycle: float
-    total_latency_cycles: float
     n_requests: int
 
 
@@ -117,7 +116,6 @@ class _Channel:
         # re-prepared (a second ACT would close the pending row).
         bank_pending = [0] * t.n_banks
         now = 0.0
-        total_latency = 0.0
         n_done = 0
         head = 0
         n = len(entries)
@@ -178,12 +176,10 @@ class _Channel:
             self.banks[bank_idx].column_issued(issue)
             bank_pending[bank_idx] -= 1
             self.bus_free = issue + t.burst_cycles
-            data_done = issue + t.cl + t.burst_cycles
             if req.is_write:
                 self.counts.n_wr += 1
             else:
                 self.counts.n_rd += 1
-            total_latency += data_done - req.arrival_cycle
             n_done += 1
             now = max(now, issue)
             # Compact: swap the issued entry to the head and advance.
@@ -194,7 +190,6 @@ class _Channel:
         return ChannelResult(
             counts=self.counts,
             finish_cycle=self.bus_free + t.cl,
-            total_latency_cycles=total_latency,
             n_requests=n_done,
         )
 

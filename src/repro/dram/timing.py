@@ -46,10 +46,6 @@ class DramTiming:
         return self.tras + self.trp
 
     @property
-    def burst_bytes(self) -> int:
-        return self.burst_cycles * self.bus_bytes_per_cycle
-
-    @property
     def peak_bw_gbs(self) -> float:
         """Peak channel bandwidth in GB/s."""
         return self.bus_bytes_per_cycle / self.tck_ns

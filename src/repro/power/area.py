@@ -34,11 +34,6 @@ class NodeArea:
     def total_mm2(self) -> float:
         return self.cores_mm2 + self.l2_mm2 + self.l3_mm2 + self.uncore_mm2
 
-    @property
-    def cache_fraction(self) -> float:
-        t = self.total_mm2
-        return (self.l2_mm2 + self.l3_mm2) / t if t > 0 else 0.0
-
 
 @dataclass(frozen=True)
 class AreaModel:

@@ -73,11 +73,6 @@ class PhaseResult:
             return 1.0
         return float(self.busy_ns.sum() / (self.n_cores * self.makespan_ns))
 
-    @property
-    def idle_ns(self) -> float:
-        """Aggregate idle core-time inside the phase (leakage waste)."""
-        return float(self.n_cores * self.makespan_ns - self.busy_ns.sum())
-
 
 #: id(phase) -> (structure tag or None, phase) — the phase reference is
 #: kept so a garbage-collected phase cannot alias a recycled id().

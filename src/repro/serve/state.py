@@ -158,25 +158,32 @@ class ServeState:
         """Selective store invalidation (``{"app": ..., "mode": ...,
         "code_version": ...}``; ``{"stale": true}`` drops every entry
         not produced by this server's code version; ``{"all": true}``
-        drops everything)."""
-        crit = dict(criteria or {})
-        stale, everything = crit.pop("stale", False), crit.pop("all", False)
-        if not (stale or everything):
-            allowed = {"app", "mode", "code_version"}
-            unknown = set(crit) - allowed
-            if unknown:
-                raise QueryError(
-                    f"unknown invalidation fields {sorted(unknown)}; "
-                    f"allowed: {sorted(allowed)}, 'stale', 'all'")
-            if not crit:
-                raise QueryError("empty invalidation; pass criteria, "
-                                 "'stale': true, or 'all': true")
+        drops everything).  ``stale`` and ``all`` stand alone.  A
+        rejected request raises :class:`QueryError` before the store or
+        the invalidation count is touched."""
+        if not isinstance(criteria, dict):
+            raise QueryError("invalidation must be a JSON object")
+        allowed = {"app", "mode", "code_version"}
+        unknown = set(criteria) - allowed - {"stale", "all"}
+        if unknown:
+            raise QueryError(
+                f"unknown invalidation fields {sorted(unknown)}; "
+                f"allowed: {sorted(allowed)}, 'stale', 'all'")
+        flag = next((k for k in ("stale", "all") if k in criteria), None)
+        if flag is not None:
+            if not isinstance(criteria[flag], bool):
+                raise QueryError(f"'{flag}' must be true or false")
+            if len(criteria) > 1:
+                raise QueryError(f"'{flag}' takes no other field")
+        if not criteria or (flag is not None and not criteria[flag]):
+            raise QueryError("empty invalidation; pass criteria, "
+                             "'stale': true, or 'all': true")
         try:
-            if stale:
+            if criteria.get("stale"):
                 return self.store.invalidate_stale(self.code_version)
-            if everything:
+            if criteria.get("all"):
                 return self.store.invalidate()
-            return self.store.invalidate(**crit)
+            return self.store.invalidate(**criteria)
         finally:
             with self._flights_lock:
                 self.invalidations += 1

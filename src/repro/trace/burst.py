@@ -117,11 +117,6 @@ class RankTrace:
         # Summed in flat-stream order: the flat trace's value, bit for bit.
         return sum(per * self.repeats)
 
-    @property
-    def total_mpi_bytes(self) -> int:
-        return self.repeats * sum(c.size_bytes for c in self.mpi_calls()
-                                  if c.kind in {"send", "isend"})
-
 
 class EventColumns(NamedTuple):
     """Event streams of all ranks as int64 columns, one row per event.
@@ -358,9 +353,3 @@ class BurstTrace:
     def kernel_names(self) -> List[str]:
         """All kernel names referenced by any task, sorted."""
         return sorted({t.kernel for ph in self.phases for t in ph.tasks})
-
-    def phase_counts(self) -> Tuple[int, int]:
-        """(total compute phases, total MPI calls) across ranks."""
-        n_phase = int((self.columns.kind == PHASE).sum())
-        n_mpi = len(self.columns.kind) - n_phase
-        return n_phase * self.repeats, n_mpi * self.repeats

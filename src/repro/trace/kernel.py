@@ -22,7 +22,7 @@ address streams for validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -260,17 +260,6 @@ class ReuseProfile:
             np.sum(p_miss * self._weights, axis=1) + self.cold_fraction,
             0.0, 1.0)
         return out
-
-    def scaled(self, factor: float) -> "ReuseProfile":
-        """Profile with all distances multiplied by ``factor``.
-
-        Models working sets growing/shrinking (e.g. larger inputs or
-        cache-line-level false sharing) without rebuilding components.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return ReuseProfile(self._edges * factor, self._weights,
-                            self.cold_fraction)
 
 
 #: Largest stack distance priced with the exact binomial tail; beyond it

@@ -121,18 +121,6 @@ class SynthesisReport:
         self.capacities = tuple(c for c in capacities
                                 if c <= representable_lines)
 
-    def miss_ratio_errors(self) -> List[float]:
-        """Absolute miss-ratio error at each representable capacity."""
-        return [
-            abs(self.measured.miss_ratio(c) - self.target.miss_ratio(c))
-            for c in self.capacities
-        ]
-
-    @property
-    def max_error(self) -> float:
-        errors = self.miss_ratio_errors()
-        return max(errors) if errors else 0.0
-
 
 def _calibrate_sizes(targets: Sequence[float], weights: Sequence[float],
                      cold_fraction: float,

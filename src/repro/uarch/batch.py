@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config.cache import LINE_BYTES, CacheHierarchy
-from ..config.memory import MemoryConfig
 from ..config.node import NodeConfig
 from ..trace.kernel import KernelSignature
 from .core_model import _MIN_EXPOSURE
@@ -79,7 +78,6 @@ class NodeBatch:
     vector_bits: Tuple[int, ...]
     hierarchies: Tuple[CacheHierarchy, ...]     # distinct, first-seen order
     hierarchy_idx: np.ndarray
-    memories: Tuple[MemoryConfig, ...]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -121,7 +119,6 @@ class NodeBatch:
             vector_bits=tuple(n.vector_bits for n in nodes),
             hierarchies=tuple(distinct),
             hierarchy_idx=hierarchy_idx,
-            memories=tuple(n.memory for n in nodes),
         )
 
 

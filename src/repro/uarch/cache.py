@@ -35,12 +35,6 @@ class CacheStats:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def mpki(self, instructions: float) -> float:
-        """Misses per kilo-instruction given an instruction count."""
-        if instructions <= 0:
-            raise ValueError("instructions must be positive")
-        return 1000.0 * self.misses / instructions
-
 
 class SetAssociativeCache:
     """One set-associative LRU cache level.

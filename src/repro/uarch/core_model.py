@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from ..config.cache import LINE_BYTES
 from ..config.node import NodeConfig
 from ..trace.kernel import KernelSignature
-from .hierarchy import MissProfile, hierarchy_miss_profile
+from .hierarchy import hierarchy_miss_profile
 from .vector import VectorizationResult, vectorize
 
 __all__ = ["KernelTiming", "time_kernel"]
@@ -62,7 +62,6 @@ class KernelTiming:
     dram_lines: float          # line-granular DRAM traffic (fusion-invariant)
     frequency_ghz: float
     row_hit_rate: float
-    miss_profile: MissProfile
     vectorization: VectorizationResult
 
     @property
@@ -90,15 +89,6 @@ class KernelTiming:
         if factor < 1.0:
             raise ValueError("contention can only slow execution down")
         return replace(self, mem_stall_cycles=self.mem_stall_cycles * factor)
-
-    def mpki(self) -> tuple:
-        """(L1, L2, L3) misses per kilo (fused) instruction."""
-        n = self.instructions
-        if n <= 0:
-            return (0.0, 0.0, 0.0)
-        return (1000.0 * self.l2_accesses / n,
-                1000.0 * self.l3_accesses / n,
-                1000.0 * self.dram_accesses / n)
 
 
 def _exposure(latency_cycles: float, hide_window_cycles: float) -> float:
@@ -201,6 +191,5 @@ def time_kernel(
         dram_lines=dram_lines_traffic,
         frequency_ghz=node.frequency_ghz,
         row_hit_rate=sig.row_hit_rate,
-        miss_profile=miss,
         vectorization=vec,
     )

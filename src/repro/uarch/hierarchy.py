@@ -44,25 +44,17 @@ class MissProfile:
         if not self.miss_l1 >= self.miss_l2 >= self.miss_l3:
             raise ValueError("miss ratios must be non-increasing across levels")
 
-    def mpki(self, mem_per_instr: float) -> tuple:
-        """(L1, L2, L3) misses-per-kilo-instruction for a given memory
-        instruction density (after any SIMD fusion)."""
-        if mem_per_instr < 0:
-            raise ValueError("mem_per_instr must be non-negative")
-        return (
-            1000.0 * mem_per_instr * self.miss_l1,
-            1000.0 * mem_per_instr * self.miss_l2,
-            1000.0 * mem_per_instr * self.miss_l3,
-        )
-
 
 def hierarchy_miss_profile(
     sig: KernelSignature,
     hierarchy: CacheHierarchy,
     l3_share_cores: int = 1,
-    access_granularity_scale: float = 1.0,
 ) -> MissProfile:
     """Per-level miss ratios of ``sig``'s access stream on ``hierarchy``.
+
+    SIMD fusion widens each access, but a fused access touches adjacent
+    lines the scalar stream touched anyway, so the line-level reuse
+    distances apply unchanged at every vector width.
 
     Parameters
     ----------
@@ -71,20 +63,11 @@ def hierarchy_miss_profile(
         profile sees ``L3 / l3_share_cores`` of the capacity.  Use the
         *occupied* core count — idle cores don't pollute the LLC
         (Sec. V-A's underused-shared-resources observation).
-    access_granularity_scale:
-        SIMD fusion widens each access; a fused access touches adjacent
-        lines it would have touched anyway, so line-level reuse distances
-        are unchanged — this parameter exists for sensitivity studies
-        (ablation: set >1 to model fused accesses spanning lines).
     """
     if l3_share_cores <= 0:
         raise ValueError("l3_share_cores must be positive")
-    if access_granularity_scale <= 0:
-        raise ValueError("access_granularity_scale must be positive")
 
     reuse = sig.reuse
-    if access_granularity_scale != 1.0:
-        reuse = reuse.scaled(access_granularity_scale)
 
     l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     m1 = reuse.miss_ratio(l1.n_lines, associativity=l1.associativity,

@@ -83,5 +83,5 @@ class TestDeterminism:
     def test_traces_reproducible(self):
         a = get_app("btmz").burst_trace(4, 1)
         b = get_app("btmz").burst_trace(4, 1)
-        assert a.phase_counts() == b.phase_counts()
+        assert a.columns.kind.tolist() == b.columns.kind.tolist()
         assert a.ranks[2].total_compute_ns == b.ranks[2].total_compute_ns

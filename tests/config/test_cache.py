@@ -11,6 +11,9 @@ from repro.config import (
     CacheLevelConfig,
     cache_preset,
 )
+from repro.uarch import hierarchy_miss_profile
+
+from ..uarch.test_hierarchy import _sig
 
 
 class TestPresets:
@@ -47,17 +50,24 @@ class TestGeometry:
 
     def test_sets_times_ways_is_lines(self):
         for label in CACHE_LABELS:
-            for lvl in cache_preset(label).levels:
+            h = cache_preset(label)
+            for lvl in (h.l1, h.l2, h.l3):
                 assert lvl.n_sets * lvl.associativity == lvl.n_lines
 
     def test_l3_fair_share(self):
+        # 100K lines (6.4 MB) fit the whole 64 MB L3, not a 1 MB slice
+        # of it: the miss model gives each of 64 busy cores L3 / 64.
+        sig = _sig([(100_000, 1.0)])
         h = cache_preset("64M:512K")
-        assert h.l3_per_core_bytes(64) == pytest.approx(1 * MIB)
-        assert h.l3_per_core_bytes(1) == 64 * MIB
+        alone = hierarchy_miss_profile(sig, h, l3_share_cores=1)
+        shared = hierarchy_miss_profile(sig, h, l3_share_cores=64)
+        assert alone.miss_l3 < 0.1
+        assert shared.miss_l3 > 0.9
 
     def test_share_rejects_zero_cores(self):
         with pytest.raises(ValueError):
-            cache_preset("64M:512K").l3_per_core_bytes(0)
+            hierarchy_miss_profile(_sig([(10, 1.0)]), cache_preset("64M:512K"),
+                                   l3_share_cores=0)
 
 
 class TestValidation:

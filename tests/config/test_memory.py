@@ -28,8 +28,9 @@ class TestPresets:
     def test_dimm_population_matches_paper(self):
         # Sec. IV-C: 4ch -> 8 DIMMs / 64 GB, 8ch -> 16 DIMMs / 128 GB.
         m4, m8 = memory_preset("4chDDR4"), memory_preset("8chDDR4")
-        assert (m4.total_dimms, m4.total_capacity_gb) == (8, 64)
-        assert (m8.total_dimms, m8.total_capacity_gb) == (16, 128)
+        for m, dimms, gb in ((m4, 8, 64), (m8, 16, 128)):
+            assert m.total_dimms == dimms
+            assert m.total_dimms * m.dimm_capacity_gb == gb
 
     def test_hbm_has_no_energy_data(self):
         assert not memory_preset("16chHBM").energy_data_available

@@ -20,20 +20,10 @@ class TestBaseline:
 
 
 class TestDerived:
-    def test_cycle_time(self):
-        assert baseline_node().cycle_ns == pytest.approx(0.5)
-        assert baseline_node().with_(frequency_ghz=2.5).cycle_ns == pytest.approx(0.4)
-
     @pytest.mark.parametrize("bits,lanes", [(64, 1), (128, 2), (256, 4),
                                             (512, 8), (1024, 16), (2048, 32)])
     def test_vector_lanes(self, bits, lanes):
         assert baseline_node().with_(vector_bits=bits).vector_lanes == lanes
-
-    def test_memory_latency_scales_with_frequency(self):
-        slow = baseline_node().with_(frequency_ghz=1.5)
-        fast = baseline_node().with_(frequency_ghz=3.0)
-        assert fast.memory_latency_cycles() == pytest.approx(
-            2 * slow.memory_latency_cycles())
 
     def test_label_is_unique_per_config(self):
         a = baseline_node()

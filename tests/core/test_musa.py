@@ -14,10 +14,9 @@ def musa():
 
 class TestBurstMode:
     def test_region_speedup_monotone(self, musa):
-        s1 = musa.compute_region_speedup(1)
-        s32 = musa.compute_region_speedup(32)
-        s64 = musa.compute_region_speedup(64)
-        assert s1 == pytest.approx(1.0)
+        t1 = musa.compute_region_makespan(1)
+        s32 = t1 / musa.compute_region_makespan(32)
+        s64 = t1 / musa.compute_region_makespan(64)
         assert 1.0 < s32 <= 64
         assert s32 <= s64 * 1.01
 
@@ -95,20 +94,6 @@ class TestDetailedMode:
         assert r.power.memory_w is None
         assert r.power.core_l1_w > 0
 
-    def test_comm_excluded_by_default(self, musa, node64):
-        without = musa.simulate_node(node64)
-        with_comm = musa.simulate_node(node64, include_comm=True)
-        assert with_comm.time_ns > without.time_ns
-
-    def test_fast_vs_replay_agree(self, node64):
-        """The analytic integration must track the full replay."""
-        m = Musa(get_app("btmz"))
-        fast = m.simulate_node(node64, n_ranks=16, n_iterations=2,
-                               mode="fast", include_comm=True)
-        full = m.simulate_node(node64, n_ranks=16, n_iterations=2,
-                               mode="replay")
-        assert fast.time_ns == pytest.approx(full.time_ns, rel=0.30)
-
     def test_invalid_mode(self, musa, node64):
         with pytest.raises(ValueError):
             musa.simulate_node(node64, mode="magic")
@@ -134,16 +119,3 @@ class TestMemoLru:
                       tight._trace_cache, tight._timing_cache):
             assert len(cache) <= 1
 
-
-class TestCommModel:
-    def test_single_rank_no_comm(self, musa):
-        assert musa.comm_iteration_ns(1) == 0.0
-
-    def test_comm_grows_with_halo(self):
-        a = Musa(get_app("hydro")).comm_iteration_ns(256)
-        b = Musa(get_app("btmz")).comm_iteration_ns(256)
-        assert b > a  # btmz has much bigger halos
-
-    def test_comm_independent_of_node_config(self, musa):
-        # Configuration-invariance: the paper's network is fixed.
-        assert musa.comm_iteration_ns(256) == musa.comm_iteration_ns(256)

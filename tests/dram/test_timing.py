@@ -23,7 +23,7 @@ class TestStandards:
 
     def test_burst_moves_one_line(self):
         for t in DRAM_STANDARDS.values():
-            assert t.burst_bytes == 64
+            assert t.burst_cycles * t.bus_bytes_per_cycle == 64
 
     def test_row_cycle_time(self):
         t = dram_standard("DDR4-2400")

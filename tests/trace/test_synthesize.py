@@ -81,7 +81,9 @@ class TestSynthesizeCalibrated:
 
         prof = get_app(app).detailed_trace()[kernel].reuse
         rep = synthesize_calibrated(prof, n_accesses=50_000, seed=3)
-        assert rep.max_error < 0.06
+        errors = [abs(rep.measured.miss_ratio(c) - rep.target.miss_ratio(c))
+                  for c in rep.capacities]
+        assert errors and max(errors) < 0.06
 
     def test_representable_horizon_reported(self):
         # A deep component with a short stream cannot be represented.

@@ -62,20 +62,6 @@ class TestMissProfile:
         assert small.miss_l2 > 0.6
         assert big.miss_l2 < 0.25
 
-    def test_mpki_arithmetic(self):
-        sig = _sig([(2000, 1.0)])
-        mp = hierarchy_miss_profile(sig, cache_preset("64M:512K"))
-        l1, l2, l3 = mp.mpki(mem_per_instr=0.35)
-        assert l1 == pytest.approx(1000 * 0.35 * mp.miss_l1)
-        assert l1 >= l2 >= l3
-
-    def test_granularity_scale(self):
-        sig = _sig([(400, 1.0)])
-        base = hierarchy_miss_profile(sig, cache_preset("64M:512K"))
-        scaled = hierarchy_miss_profile(sig, cache_preset("64M:512K"),
-                                        access_granularity_scale=4.0)
-        assert scaled.miss_l1 >= base.miss_l1
-
     def test_rejects_bad_args(self):
         sig = _sig([(10, 1.0)])
         with pytest.raises(ValueError):
