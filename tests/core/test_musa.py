@@ -5,6 +5,7 @@ import pytest
 from repro.apps import get_app
 from repro.core import Musa
 from repro.obs import get_metrics
+from tests.integration.test_fidelity import check_point
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +94,10 @@ class TestDetailedMode:
         assert r.energy_j is None
         assert r.power.memory_w is None
         assert r.power.core_l1_w > 0
+
+    def test_fast_vs_replay_agree(self, node64):
+        """Fast mode plus the communication oracle must track the replay."""
+        check_point(Musa(get_app("btmz")), node64, 16, 2)
 
     def test_invalid_mode(self, musa, node64):
         with pytest.raises(ValueError):
