@@ -6,19 +6,10 @@ from .pareto import ParetoPoint, best_configs, front_indices, pareto_front
 from .pca import PCA_VARIABLES, PcaResult, app_pca, pca
 from .recommend import Recommendation, RecommendationReport, recommend
 from .search import SearchResult, search_front
-from .report import (format_metrics_summary, format_panel, format_rows,
-                     format_stacked_power)
+from .report import format_metrics_summary, format_panel, format_rows
 from .sensitivity import AxisSwing, render_tornado, tornado
 from .scaling import ScalingCurve, compute_region_scaling, full_app_scaling
 from .svgchart import grouped_bar_chart
-from .tracestats import (
-    MessageStats,
-    TaskGranularity,
-    message_stats,
-    parallelism_profile,
-    task_granularity,
-    trace_summary,
-)
 from .timeline import (
     OccupancyStats,
     RankActivityStats,
@@ -52,13 +43,6 @@ __all__ = [
     "format_metrics_summary",
     "format_panel",
     "format_rows",
-    "format_stacked_power",
-    "MessageStats",
-    "TaskGranularity",
-    "message_stats",
-    "parallelism_profile",
-    "task_granularity",
-    "trace_summary",
     "render_tornado",
     "tornado",
     "full_app_scaling",

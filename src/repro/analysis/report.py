@@ -6,12 +6,11 @@ output can be compared line-by-line with the paper's plots.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..obs.catalog import CATALOG
 
-__all__ = ["format_metrics_summary", "format_panel", "format_stacked_power",
-           "format_rows"]
+__all__ = ["format_metrics_summary", "format_panel", "format_rows"]
 
 
 def format_rows(title: str, header: Sequence[str],
@@ -85,26 +84,4 @@ def format_panel(
             mean, std = cells[v]
             row.append(f"{mean:.3f}±{std:.2f}")
         rows.append(row)
-    return format_rows(title, header, rows)
-
-
-def format_stacked_power(
-    title: str,
-    components: Dict[str, Dict[object, Dict[str, Optional[float]]]],
-    values: Sequence[object],
-) -> str:
-    """Stacked power panel: per app and axis value, the Core+L1 /
-    L2+L3Cache / Memory watt split (the paper's Figs. 5b-9b)."""
-    header = ["app", "value", "Core+L1", "L2+L3", "Memory", "total"]
-    rows = []
-    for app, per_value in components.items():
-        for v in values:
-            cell = per_value[v]
-            total = (
-                None
-                if cell.get("memory") is None
-                else cell["core_l1"] + cell["l2_l3"] + cell["memory"]
-            )
-            rows.append([app, v, cell["core_l1"], cell["l2_l3"],
-                         cell.get("memory"), total])
     return format_rows(title, header, rows)

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -79,7 +79,6 @@ class SearchResult:
     n_space: int
     rounds: int
     converged: bool               # neighborhood closure reached (vs budget)
-    front_point_indices: List[int] = field(default_factory=list)
 
     @property
     def evaluated_fraction(self) -> float:
@@ -350,7 +349,6 @@ def search_front(
         app=app, front=front, results=results,
         n_evaluated=n_done, n_space=n_space, rounds=rounds,
         converged=converged,
-        front_point_indices=sorted(pts_idx[j] for j in sel),
     )
 
 

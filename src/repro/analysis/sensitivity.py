@@ -37,7 +37,6 @@ class AxisSwing:
     high_value: object
     low_metric: float       # metric at the worst axis value
     high_metric: float      # metric at the best axis value
-    baseline_metric: float
 
     @property
     def swing(self) -> float:
@@ -88,7 +87,6 @@ def tornado(
         swings.append(AxisSwing(
             axis=axis, low_value=worst[1], high_value=best[1],
             low_metric=worst[0], high_metric=best[0],
-            baseline_metric=float(base_metric),
         ))
     swings.sort(key=lambda s: s.swing, reverse=True)
     return swings

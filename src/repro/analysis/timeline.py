@@ -36,7 +36,6 @@ class OccupancyStats:
     busy_fraction: float           # aggregate busy / (cores x makespan)
     active_cores: int              # cores that executed at least one task
     idle_core_fraction: float      # cores that never ran a task
-    busy_per_core: np.ndarray
 
     @property
     def starved(self) -> bool:
@@ -47,17 +46,15 @@ class OccupancyStats:
 
 def occupancy_stats(result: PhaseResult) -> OccupancyStats:
     """Occupancy statistics of a scheduled phase."""
-    busy = result.busy_ns.copy()
     makespan = result.makespan_ns
     n = result.n_cores
-    active = int((busy > 0).sum())
+    active = int((result.busy_ns > 0).sum())
     return OccupancyStats(
         n_cores=n,
         makespan_ns=makespan,
         busy_fraction=result.occupancy,
         active_cores=active,
         idle_core_fraction=1.0 - active / n,
-        busy_per_core=busy,
     )
 
 
@@ -67,7 +64,6 @@ class RankActivityStats:
 
     n_ranks: int
     total_ns: float
-    compute_fraction: np.ndarray     # per-rank
     collective_fraction: np.ndarray  # per-rank (barrier/allreduce incl. wait)
     p2p_fraction: np.ndarray
 
@@ -83,7 +79,6 @@ def rank_activity_stats(result: ReplayResult) -> RankActivityStats:
     return RankActivityStats(
         n_ranks=result.n_ranks,
         total_ns=t,
-        compute_fraction=result.compute_ns / t,
         collective_fraction=result.collective_ns / t,
         p2p_fraction=result.p2p_ns / t,
     )

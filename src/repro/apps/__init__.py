@@ -6,7 +6,6 @@ from .hydro import Hydro
 from .lulesh import Lulesh
 from .registry import APP_CLASSES, APP_NAMES, all_apps, get_app
 from .specfem3d import Specfem3D
-from .synthetic import SyntheticApp, make_app
 from .spmz import SpMz
 
 __all__ = [
@@ -17,11 +16,9 @@ __all__ = [
     "Hydro",
     "Lulesh",
     "SpMz",
-    "SyntheticApp",
     "Specfem3D",
     "all_apps",
     "get_app",
     "grid_neighbors",
-    "make_app",
     "rank_grid_dims",
 ]

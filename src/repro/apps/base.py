@@ -161,8 +161,7 @@ class AppModel(ABC):
 
     def detailed_trace(self) -> DetailedTrace:
         """The per-kernel detailed trace (MUSA samples one iteration)."""
-        return DetailedTrace(app=self.name, kernels=self.kernels(),
-                             sampled_rank=0, sampled_iteration=1)
+        return DetailedTrace(app=self.name, kernels=self.kernels())
 
     def representative_phase(self) -> ComputePhase:
         """The single compute region used for the Fig. 2a scaling study

@@ -18,7 +18,7 @@ from .memory import (
     MemoryConfig,
     memory_preset,
 )
-from .parse import format_node, parse_node
+from .parse import parse_node
 from .node import (
     CORE_COUNTS,
     FREQUENCIES_GHZ,
@@ -61,7 +61,6 @@ __all__ = [
     "axis_linspace",
     "axis_range",
     "baseline_node",
-    "format_node",
     "cache_preset",
     "core_preset",
     "full_design_space",

@@ -9,7 +9,7 @@ register file sizes (IRF/FRF).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 __all__ = ["CoreConfig", "CORE_PRESETS", "core_preset", "CORE_LABELS"]
@@ -67,25 +67,6 @@ class CoreConfig:
             (self.irf_size + self.frf_size) / (ref.irf_size + ref.frf_size),
         )
         return sum(terms) / len(terms)
-
-    def scaled(self, factor: float) -> "CoreConfig":
-        """Return a copy with every sizing knob scaled by ``factor``.
-
-        Convenience for ablation studies outside the four paper presets.
-        """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(
-            self,
-            label=f"{self.label}x{factor:g}",
-            rob_size=max(1, round(self.rob_size * factor)),
-            issue_width=max(1, round(self.issue_width * factor)),
-            store_buffer=max(1, round(self.store_buffer * factor)),
-            n_alu=max(1, round(self.n_alu * factor)),
-            n_fpu=max(1, round(self.n_fpu * factor)),
-            irf_size=max(1, round(self.irf_size * factor)),
-            frf_size=max(1, round(self.frf_size * factor)),
-        )
 
 
 def _presets() -> Dict[str, CoreConfig]:

@@ -35,12 +35,10 @@ class MemoryConfig:
     """
 
     label: str
-    technology: str            # "DDR4" or "HBM"
     n_channels: int
     channel_bw_gbs: float      # peak GB/s per channel
     idle_latency_ns: float
     dimms_per_channel: int     # 0 for on-package (HBM) stacks
-    dimm_capacity_gb: int
     #: True when the standard lacks public energy data (HBM in the paper).
     energy_data_available: bool = True
 
@@ -51,8 +49,8 @@ class MemoryConfig:
             raise ValueError("channel_bw_gbs must be positive")
         if self.idle_latency_ns <= 0:
             raise ValueError("idle_latency_ns must be positive")
-        if self.dimms_per_channel < 0 or self.dimm_capacity_gb < 0:
-            raise ValueError("DIMM parameters must be non-negative")
+        if self.dimms_per_channel < 0:
+            raise ValueError("dimms_per_channel must be non-negative")
 
     @property
     def peak_bw_gbs(self) -> float:
@@ -71,27 +69,27 @@ _HBM_CH_BW = 32.0                  # GB/s per pseudo-channel-pair (HBM2-class)
 def _presets() -> Dict[str, MemoryConfig]:
     return {
         "4chDDR4": MemoryConfig(
-            label="4chDDR4", technology="DDR4", n_channels=4,
+            label="4chDDR4", n_channels=4,
             channel_bw_gbs=_DDR4_CH_BW, idle_latency_ns=60.0,
-            dimms_per_channel=2, dimm_capacity_gb=8,
+            dimms_per_channel=2,
         ),
         "8chDDR4": MemoryConfig(
-            label="8chDDR4", technology="DDR4", n_channels=8,
+            label="8chDDR4", n_channels=8,
             channel_bw_gbs=_DDR4_CH_BW, idle_latency_ns=60.0,
-            dimms_per_channel=2, dimm_capacity_gb=8,
+            dimms_per_channel=2,
         ),
         # Table II "MEM+": 16-channel DDR4.
         "16chDDR4": MemoryConfig(
-            label="16chDDR4", technology="DDR4", n_channels=16,
+            label="16chDDR4", n_channels=16,
             channel_bw_gbs=_DDR4_CH_BW, idle_latency_ns=60.0,
-            dimms_per_channel=2, dimm_capacity_gb=8,
+            dimms_per_channel=2,
         ),
         # Table II "MEM++": 16-channel HBM; lower latency, no public
         # energy data (paper reports energy as n/a for this point).
         "16chHBM": MemoryConfig(
-            label="16chHBM", technology="HBM", n_channels=16,
+            label="16chHBM", n_channels=16,
             channel_bw_gbs=_HBM_CH_BW, idle_latency_ns=45.0,
-            dimms_per_channel=0, dimm_capacity_gb=0,
+            dimms_per_channel=0,
             energy_data_available=False,
         ),
     }

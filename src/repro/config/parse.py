@@ -3,7 +3,7 @@
 ``parse_node("aggressive/96M:1M/8chDDR4/2.0GHz/512b/64c")`` builds the
 corresponding :class:`~repro.config.node.NodeConfig`; fields may appear
 in any order, and omitted fields fall back to the Fig. 1 baseline.
-``format_node`` is the inverse.  Used by the CLI and handy in notebooks.
+Used by the CLI and handy in notebooks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .core import CORE_PRESETS, core_preset
 from .memory import MEMORY_PRESETS, memory_preset
 from .node import NodeConfig, baseline_node
 
-__all__ = ["parse_node", "format_node"]
+__all__ = ["parse_node"]
 
 _FREQ_RE = re.compile(r"^(\d+(?:\.\d+)?)\s*ghz$", re.IGNORECASE)
 _VEC_RE = re.compile(r"^(\d+)\s*b(?:its?)?$", re.IGNORECASE)
@@ -74,10 +74,3 @@ def parse_node(spec: str, base: Optional[NodeConfig] = None) -> NodeConfig:
             "'<n>c')"
         )
     return node
-
-
-def format_node(node: NodeConfig) -> str:
-    """Render a node as a spec string ``parse_node`` round-trips."""
-    return (f"{node.core.label}/{node.cache.label}/{node.memory.label}/"
-            f"{node.frequency_ghz:g}GHz/{node.vector_bits}b/"
-            f"{node.n_cores}c")

@@ -10,12 +10,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..apps.base import AppModel
 from ..apps.registry import all_apps
 from ..config.node import NodeConfig
-from .musa import Musa, RunResult
+from .musa import Musa
 
-__all__ = ["AppDelta", "NodeComparison", "compare_nodes"]
+__all__ = ["AppDelta", "NodeComparison", "compare_nodes", "geo_mean"]
+
+
+def geo_mean(values: Sequence[float]) -> float:
+    """Geometric mean (the right average for ratios)."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    if len(arr) == 0:
+        raise ValueError("geo_mean of empty sequence")
+    if np.any(arr <= 0):
+        raise ValueError("geo_mean requires positive values")
+    return float(np.exp(np.log(arr).mean()))
 
 
 @dataclass(frozen=True)
@@ -26,8 +38,6 @@ class AppDelta:
     speedup: float                 # time_A / time_B (>1 = B faster)
     power_ratio: float             # power_B / power_A
     energy_ratio: Optional[float]  # energy_B / energy_A (None for HBM)
-    a: RunResult
-    b: RunResult
 
     @property
     def perf_per_watt_ratio(self) -> float:
@@ -50,13 +60,7 @@ class NodeComparison:
 
     @property
     def mean_speedup(self) -> float:
-        from .metrics import geo_mean
-
         return geo_mean([d.speedup for d in self.deltas])
-
-    def winners(self, threshold: float = 1.05) -> Tuple[str, ...]:
-        """Apps that meaningfully profit from B."""
-        return tuple(d.app for d in self.deltas if d.speedup > threshold)
 
     def render(self) -> str:
         from ..analysis.report import format_rows
@@ -98,7 +102,6 @@ def compare_nodes(
             speedup=ra.time_ns / rb.time_ns,
             power_ratio=pb / pa if pa > 0 else float("inf"),
             energy_ratio=energy,
-            a=ra, b=rb,
         ))
     return NodeComparison(node_a=node_a, node_b=node_b,
                           deltas=tuple(deltas))

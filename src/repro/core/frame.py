@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .canon import NONFINITE_KEY, canonical_dumps
+from .canon import canonical_dumps
 
 __all__ = ["ResultFrame", "FrameRow", "BLOCK_KEY", "BLOCK_SCHEMA",
            "pack_frame", "unpack_frame", "scalar_fragment",
@@ -232,7 +232,7 @@ def row_keys(rows: Sequence[FrameRow], keys: Sequence[str]) -> List[Tuple]:
 class ResultFrame:
     """Immutable columnar batch of result records with one schema.
 
-    Construct via :meth:`from_records` or :meth:`from_columns`; rows
+    Construct via :meth:`from_columns` or :meth:`from_block_payload`; rows
     are exposed as :class:`FrameRow` views through :meth:`row`.
     """
 
@@ -248,33 +248,13 @@ class ResultFrame:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_records(cls, records: Sequence[Mapping]) -> "ResultFrame":
-        """Build a frame from uniform-schema record dicts."""
-        records = list(records)
-        if not records:
-            return cls((), {}, 0)
-        keys = tuple(records[0].keys())
-        key_set = set(keys)
-        if len(key_set) != len(keys):
-            raise ValueError("duplicate keys in record")
-        if NONFINITE_KEY in key_set or BLOCK_KEY in key_set:
-            raise ValueError("record uses a reserved key")
-        for r in records[1:]:
-            if set(r.keys()) != key_set:
-                raise ValueError(
-                    "records do not share one schema: "
-                    f"{sorted(key_set)} vs {sorted(r.keys())}")
-        cols = {k: _infer_column([r[k] for r in records]) for k in keys}
-        return cls(keys, cols, len(records))
-
-    @classmethod
     def from_columns(cls, keys: Sequence[str],
                      columns: Mapping[str, Any]) -> "ResultFrame":
         """Build a frame from ready-made columns.
 
         Each column is an ``np.int64`` array, an ``np.float64`` array
         (optionally a ``(values, none_mask)`` pair), an object array,
-        or a plain list (inferred like :meth:`from_records`).  This is
+        or a plain list, whose kind is inferred from its values.  This is
         the zero-copy path the batch evaluator uses: float64 columns it
         computed are adopted as-is.
         """

@@ -187,10 +187,6 @@ class ResultSet:
         """Failed-task stubs recorded by the fault-tolerant sweep."""
         return self.filter(lambda r: bool(r.get("failed")))
 
-    def successes(self) -> "ResultSet":
-        """Records carrying real simulation results (no failure stubs)."""
-        return self.filter(lambda r: not r.get("failed"))
-
     def lookup(self, **config) -> Record:
         """Exact-match lookup by full config key."""
         missing = [k for k in CONFIG_KEYS if k not in config]

@@ -31,8 +31,10 @@ The store writes **block** lines only (DESIGN §10):
 line carrying a whole :class:`~repro.core.frame.ResultFrame` of records
 that share one ``(mode, ranks, code_version)`` identity, plus their
 per-record keys and a common provenance.  Per-record keys are computed
-from the frame's columns (:func:`store_keys_frame`) and are
-bit-identical to :func:`store_key` of the same inputs.  Entries loaded
+from the frame's columns (:func:`store_keys_frame`): each is the
+SHA-256 of the canonical JSON (:func:`~repro.core.canon.content_digest`)
+of the point's keyed inputs (schema, app, six-axis config, mode, ranks,
+code version).  Entries loaded
 from a block stay columnar: ``get`` materializes a thin entry dict
 whose ``record`` is a lazy ``FrameRow`` view.  Stores written before
 the block format hold one scalar entry dict per line; the loader still
@@ -69,11 +71,11 @@ from typing import (
 )
 
 from ..obs import get_metrics
-from .canon import canonical_dumps, content_digest
+from .canon import canonical_dumps
 from .frame import ResultFrame, memoizable_fragment, scalar_fragment
 from .linelog import LineLog, LineScan
 
-__all__ = ["ResultStore", "code_version", "make_provenance", "store_key",
+__all__ = ["ResultStore", "code_version", "make_provenance",
            "store_keys_batch", "store_keys_frame",
            "STORE_KEY_SCHEMA", "STORE_BLOCK_KEY", "STORE_BLOCK_SCHEMA"]
 
@@ -99,23 +101,6 @@ def code_version(root: Optional[Path] = None) -> str:
     return "unknown"
 
 
-def store_key(app: str, config: Dict[str, Any], mode: str, ranks: int,
-              code_version: str) -> str:
-    """Canonical SHA-256 content address of one design-point query.
-
-    ``config`` is the six-axis mapping produced by
-    :meth:`repro.config.node.NodeConfig.axis_values`.
-    """
-    return content_digest({
-        "schema": STORE_KEY_SCHEMA,
-        "app": app,
-        "config": dict(config),
-        "mode": mode,
-        "ranks": int(ranks),
-        "code_version": code_version,
-    })
-
-
 #: Reserved top-level key marking a columnar block line in the store
 #: file (one frame of records + per-record keys + shared provenance).
 STORE_BLOCK_KEY = "__block__"
@@ -137,7 +122,7 @@ _AXIS_HEADS: Tuple[str, ...] = tuple(
 
 def _render_keys(apps: Iterable[str], rows: Iterable[Sequence[Any]],
                  mode: str, ranks: int, code_version: str) -> List[str]:
-    """:func:`store_key` of each ``(app, row)`` pair, by fragment splicing.
+    """Store key of each ``(app, row)`` pair, by fragment splicing.
 
     A row holds one value per axis, in :data:`_AXIS_KEYS_SORTED` order.
     Each key text is spliced from memoized fragments (a space reuses a
@@ -178,11 +163,13 @@ def _render_keys(apps: Iterable[str], rows: Iterable[Sequence[Any]],
 def store_keys_batch(app: str, configs: Sequence[Mapping[str, Any]],
                      mode: str, ranks: int,
                      code_version: str) -> List[str]:
-    """Vectorized :func:`store_key` over one app's config sequence.
+    """Store keys of one app's config sequence.
 
     Each config is the six-axis mapping of
-    :meth:`repro.config.node.NodeConfig.axis_values`.  Bit-identical to
-    calling :func:`store_key` per config.
+    :meth:`repro.config.node.NodeConfig.axis_values`; its key is the
+    content digest of ``{"schema": STORE_KEY_SCHEMA, "app": app,
+    "config": config, "mode": mode, "ranks": ranks, "code_version":
+    code_version}``.
     """
     rows = ([cfg[k] for k in _AXIS_KEYS_SORTED] for cfg in configs)
     return _render_keys(repeat(app), rows, mode, ranks, code_version)
@@ -194,7 +181,7 @@ def store_keys_frame(frame: ResultFrame, mode: str, ranks: int,
 
     The frame's config columns carry exactly the values
     ``NodeConfig.axis_values()`` reports (labels and axis scalars), so
-    the keys are bit-identical to :func:`store_key` over the same
+    the keys are bit-identical to :func:`store_keys_batch` over the same
     points — pinned by the store tests.
     """
     cols = [frame.column(k).tolist() for k in _AXIS_KEYS_SORTED]
@@ -365,7 +352,7 @@ class ResultStore:
         """Store every row of a frame as one columnar block line.
 
         Keys are computed vectorized from the frame's columns
-        (bit-identical to :func:`store_key` per row); rows whose key is
+        (as :func:`store_keys_batch` renders them); rows whose key is
         already present are skipped: the first occurrence wins, and
         content addressing makes a repeat byte-equivalent anyway.  One
         line, one write, at most one fsync — this is the store's only

@@ -35,8 +35,9 @@ was:
   :mod:`repro.obs`, with worker deltas merged back into the parent.
 
 The returned :class:`~repro.core.results.ResultSet` is always in the
-canonical ``sweep_configs`` order, independent of worker count, batch
-size and completion order.
+canonical task order (apps outermost, then the space's row-major
+configs), independent of worker count, batch size and completion
+order.
 
 The parallel scheduler is **one parent-side FIFO of shards**:
 
@@ -103,7 +104,6 @@ __all__ = [
     "SweepAbort",
     "TaskTimeout",
     "run_sweep",
-    "sweep_configs",
 ]
 
 
@@ -403,19 +403,10 @@ def _unpack_outcomes(wire: List[Tuple], packed: List[bytes]) -> List[Tuple]:
 
 # ------------------------------------------------------------ parent side
 
-def sweep_configs(
-    app_names: Sequence[str],
-    space: Iterable[NodeConfig],
-) -> List:
-    """Materialize (app, node) work items in deterministic order."""
-    configs = list(space)
-    return [(app, node) for app in app_names for node in configs]
-
-
 class _TaskTable:
     """(app, node) tasks in app-major x space row-major order.
 
-    Indexable like the materialized :func:`sweep_configs` list.  A
+    Indexable like a materialized list of ``(app, node)`` pairs.  A
     space with random access stays lazy: each :class:`NodeConfig` is
     built on demand through ``DesignSpace.config_at``, by the worker
     that evaluates it, so scheduling a million-point range space costs

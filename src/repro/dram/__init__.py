@@ -1,6 +1,6 @@
 """DRAM subsystem models (Ramulator substitute)."""
 
-from .analytic import efficiency, loaded_latency_ns, sustained_bandwidth_gbs
+from .analytic import efficiency, sustained_bandwidth_gbs
 from .bank import Bank
 from .controller import (
     ChannelResult,
@@ -22,6 +22,5 @@ __all__ = [
     "DramTiming",
     "dram_standard",
     "efficiency",
-    "loaded_latency_ns",
     "sustained_bandwidth_gbs",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form DRAM bandwidth/latency envelopes.
+"""Closed-form DRAM bandwidth envelopes.
 
 The design-space sweep cannot afford event-level DRAM simulation for
 every task of every configuration; it uses these closed forms, which
@@ -13,7 +13,6 @@ from .timing import DramTiming, dram_standard
 __all__ = [
     "sustained_bandwidth_gbs",
     "efficiency",
-    "loaded_latency_ns",
 ]
 
 
@@ -42,23 +41,3 @@ def sustained_bandwidth_gbs(timing: DramTiming, n_channels: int,
     if n_channels <= 0:
         raise ValueError("n_channels must be positive")
     return n_channels * timing.peak_bw_gbs * efficiency(timing, row_hit_rate)
-
-
-def loaded_latency_ns(timing: DramTiming, utilization: float,
-                      row_hit_rate: float) -> float:
-    """Average request latency as queueing builds up.
-
-    Idle latency is tRCD+CL+burst for a row miss and CL+burst for a hit;
-    the M/M/1-style term grows it toward saturation (capped at 95%
-    utilization to stay finite, as in the node model).
-    """
-    if not 0.0 <= row_hit_rate <= 1.0:
-        raise ValueError("row_hit_rate must be in [0, 1]")
-    if utilization < 0:
-        raise ValueError("utilization must be non-negative")
-    hit_lat = timing.cl + timing.burst_cycles
-    miss_lat = timing.trp + timing.trcd + timing.cl + timing.burst_cycles
-    idle = row_hit_rate * hit_lat + (1.0 - row_hit_rate) * miss_lat
-    u = min(utilization, 0.95)
-    queue = idle * 0.5 * u / (1.0 - u)
-    return timing.ns(idle + queue)

@@ -77,7 +77,6 @@ class ChannelResult:
 
     counts: CommandCounts
     finish_cycle: float
-    n_requests: int
 
 
 class _Channel:
@@ -116,7 +115,6 @@ class _Channel:
         # re-prepared (a second ACT would close the pending row).
         bank_pending = [0] * t.n_banks
         now = 0.0
-        n_done = 0
         head = 0
         n = len(entries)
         while head < n:
@@ -180,7 +178,6 @@ class _Channel:
                 self.counts.n_wr += 1
             else:
                 self.counts.n_rd += 1
-            n_done += 1
             now = max(now, issue)
             # Compact: swap the issued entry to the head and advance.
             idx = entries.index(best, head, head + self.window)
@@ -190,7 +187,6 @@ class _Channel:
         return ChannelResult(
             counts=self.counts,
             finish_cycle=self.bus_free + t.cl,
-            n_requests=n_done,
         )
 
 

@@ -50,9 +50,6 @@ class DramTiming:
         """Peak channel bandwidth in GB/s."""
         return self.bus_bytes_per_cycle / self.tck_ns
 
-    def ns(self, cycles: float) -> float:
-        return cycles * self.tck_ns
-
 
 def _standards() -> Dict[str, DramTiming]:
     return {

@@ -48,27 +48,6 @@ class PowerBreakdown:
         total = self.total_w
         return None if total is None else total * runtime_s
 
-    def fraction(self, component: str) -> Optional[float]:
-        """Share of a component ('core_l1', 'l2_l3', 'memory') in the total."""
-        total = self.total_w
-        if total is None or total == 0:
-            return None
-        value = {
-            "core_l1": self.core_l1_w,
-            "l2_l3": self.l2_l3_w,
-            "memory": self.memory_w,
-        }[component]
-        return value / total
-
-    def scaled(self, factor: float) -> "PowerBreakdown":
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return PowerBreakdown(
-            core_l1_w=self.core_l1_w * factor,
-            l2_l3_w=self.l2_l3_w * factor,
-            memory_w=None if self.memory_w is None else self.memory_w * factor,
-        )
-
     def __add__(self, other: "PowerBreakdown") -> "PowerBreakdown":
         mem = (
             None

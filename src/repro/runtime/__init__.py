@@ -3,9 +3,7 @@
 from .openmp import (
     imbalanced_durations,
     parallel_for,
-    pipeline_deps,
     task_phase,
-    wavefront_deps,
 )
 from .hetero import HeteroMix, area_matched_mix, simulate_phase_hetero
 from .scheduler import PhaseResult, TaskSpan, simulate_phase
@@ -18,10 +16,8 @@ __all__ = [
     "area_matched_mix",
     "imbalanced_durations",
     "parallel_for",
-    "pipeline_deps",
     "simulate_phase",
     "simulate_phase_hetero",
     "simulate_phase_stealing",
     "task_phase",
-    "wavefront_deps",
 ]

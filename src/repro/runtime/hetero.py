@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config.core import CoreConfig, core_preset
+from ..config.core import core_preset
 from ..config.node import NodeConfig
 from ..power.area import AreaModel
 from ..trace.events import ComputePhase
@@ -57,8 +57,6 @@ class HeteroMix:
 
     n_big: int
     n_little: int
-    big: CoreConfig
-    little: CoreConfig
     #: little-core relative speed (vs the big core) for the workload
     little_speed: float
 
@@ -105,5 +103,5 @@ def area_matched_mix(
     n_little = int((total_area - big_area) // little_each)
     if n_little == 0 and n_big == 0:
         raise ValueError("area budget fits no cores at all")
-    return HeteroMix(n_big=n_big, n_little=n_little, big=big_cfg,
-                     little=little_cfg, little_speed=little_speed)
+    return HeteroMix(n_big=n_big, n_little=n_little,
+                     little_speed=little_speed)

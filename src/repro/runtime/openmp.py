@@ -7,9 +7,9 @@ way the extended tracer would emit them:
 
 * :func:`parallel_for` — a worksharing loop becomes one task per chunk
   with an implicit barrier;
-* :func:`task_phase` — an OmpSs task region with explicit dependencies;
-* :func:`pipeline_deps` / :func:`wavefront_deps` — common dependency
-  topologies of the studied applications.
+* :func:`task_phase` — an OmpSs task region with explicit dependencies.
+
+Every phase ends in a barrier (taskwait or the loop's implicit one).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from ..trace.events import ComputePhase, TaskRecord
 __all__ = [
     "parallel_for",
     "task_phase",
-    "pipeline_deps",
-    "wavefront_deps",
     "imbalanced_durations",
 ]
 
@@ -110,7 +108,6 @@ def parallel_for(
         tasks=tasks,
         serial_ns=serial_ns,
         creation_ns=creation_ns,
-        barrier_after=True,   # worksharing loops have an implicit barrier
         critical_ns=critical_ns,
     )
 
@@ -125,7 +122,6 @@ def task_phase(
     creation_ns: float = 300.0,
     serial_ns: float = 0.0,
     serial_task_ns: float = 0.0,
-    barrier_after: bool = True,
     rng: Optional[np.random.Generator] = None,
 ) -> ComputePhase:
     """An OmpSs/OpenMP task region with optional explicit dependencies.
@@ -173,41 +169,4 @@ def task_phase(
         tasks=tuple(tasks),
         serial_ns=serial_ns,
         creation_ns=creation_ns,
-        barrier_after=barrier_after,
     )
-
-
-def pipeline_deps(n_stages: int, width: int) -> Tuple[Tuple[int, ...], ...]:
-    """Dependencies of a ``width``-wide, ``n_stages``-deep pipeline.
-
-    Task ``(s, w)`` (index ``s*width + w``) depends on ``(s-1, w)`` —
-    per-lane chains, as in per-zone solver sweeps (BT-MZ/SP-MZ style).
-    """
-    if n_stages <= 0 or width <= 0:
-        raise ValueError("n_stages and width must be positive")
-    deps = []
-    for s in range(n_stages):
-        for w in range(width):
-            deps.append(() if s == 0 else ((s - 1) * width + w,))
-    return tuple(deps)
-
-
-def wavefront_deps(rows: int, cols: int) -> Tuple[Tuple[int, ...], ...]:
-    """Dependencies of a 2-D wavefront: (i,j) waits on (i-1,j) and (i,j-1).
-
-    The classic diagonal-sweep pattern of the NAS SP/BT solvers: the
-    available parallelism grows and shrinks along anti-diagonals, capping
-    mean concurrency well below ``rows*cols``.
-    """
-    if rows <= 0 or cols <= 0:
-        raise ValueError("rows and cols must be positive")
-    deps = []
-    for i in range(rows):
-        for j in range(cols):
-            d = []
-            if i > 0:
-                d.append((i - 1) * cols + j)
-            if j > 0:
-                d.append(i * cols + (j - 1))
-            deps.append(tuple(d))
-    return tuple(deps)

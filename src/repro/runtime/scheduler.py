@@ -59,7 +59,6 @@ class PhaseResult:
     busy_ns: np.ndarray          # per-core busy time (len == n_cores)
     n_tasks: int
     serial_ns: float
-    creation_ns_total: float
     spans: Optional[Tuple[TaskSpan, ...]] = None
 
     @property
@@ -120,8 +119,9 @@ class _Prologue:
     the list scheduler here and the work-stealing policy.
 
     Task ``i`` is created at ``create_time[i] = serial + (i+1)*creation``
-    by the master thread, which is busy until ``master_done`` (the last
-    creation; 0 for a phase without tasks).  ``children[i]`` lists the
+    (``creation``: the phase's scaled per-task overhead) by the master
+    thread, which is busy until ``master_done`` (the last creation; 0
+    for a phase without tasks).  ``children[i]`` lists the
     tasks that depend on task ``i`` and ``n_deps[i]`` counts its
     unresolved dependencies (a fresh list per call: the schedulers
     decrement it).
@@ -129,7 +129,6 @@ class _Prologue:
 
     durations: List[float]
     serial: float
-    creation: float
     critical_total: float
     create_time: List[float]
     master_done: float
@@ -147,7 +146,6 @@ class _Prologue:
             busy_ns=busy,
             n_tasks=n,
             serial_ns=self.serial,
-            creation_ns_total=n * self.creation,
             spans=None if spans is None else tuple(spans),
         )
 
@@ -181,7 +179,6 @@ def _prologue(phase: ComputePhase, n_cores: int, overhead_scale: float = 1.0,
     return _Prologue(
         durations=durations,
         serial=serial,
-        creation=creation,
         critical_total=phase.critical_ns * overhead_scale,
         create_time=create_time,
         master_done=create_time[-1] if n else 0.0,
@@ -283,7 +280,6 @@ class PhaseBatch:
 
     makespan_ns: np.ndarray        # (lanes,)
     serial_ns: np.ndarray          # (lanes,)
-    creation_ns_total: np.ndarray  # (lanes,)
     busy_sum_ns: np.ndarray        # (lanes,)
     busy_ns: np.ndarray            # (lanes, max cores), zero-padded
     n_tasks: np.ndarray            # (lanes,), int64
@@ -396,7 +392,6 @@ def simulate_phase_batch(
     serial = np.array([p.serial_ns for p in phases])[pidx]
     creation = np.array([p.creation_ns for p in phases])[pidx]
     makespan = serial + np.array([p.critical_ns for p in phases])[pidx]
-    creation_total = n_task * creation
     busy_sum = np.zeros(n_lanes)
     busy_mat = np.zeros((n_lanes, int(nc.max()) if n_lanes else 0))
 
@@ -411,8 +406,7 @@ def simulate_phase_batch(
             busy_sum[k] = ref.busy_ns.sum()
             busy_mat[k, :ref.n_cores] = ref.busy_ns
 
-    out = PhaseBatch(makespan, serial, creation_total, busy_sum, busy_mat,
-                     n_task)
+    out = PhaseBatch(makespan, serial, busy_sum, busy_mat, n_task)
     if fast.any():
         get_metrics().inc("sched.batch.fast", int(fast.sum()))
     # Lanes without tasks are done: serial + critical, no busy time.

@@ -291,7 +291,8 @@ class ServeState:
         axes = [node.axis_values() for node in nodes]
         # Vectorized content addressing: one fragment-spliced key render
         # per point instead of a dict build + canonical serialization
-        # (bit-identical to store_key, pinned by the store tests).
+        # (bit-identical to the content digest of the keyed inputs,
+        # pinned by the store tests).
         keys = {}
         for app in norm["apps"]:
             for i, key in enumerate(store_keys_batch(

@@ -12,16 +12,6 @@ from .events import (
 from .kernel import InstructionMix, KernelSignature, ReuseProfile
 from .reuse import FenwickTree, profile_stream, stack_distances
 from .synthesize import SynthesisReport, synthesize_calibrated, synthesize_stream
-from .serialize import (
-    burst_from_dict,
-    burst_to_dict,
-    detailed_from_dict,
-    detailed_to_dict,
-    load_burst,
-    load_detailed,
-    save_burst,
-    save_detailed,
-)
 
 __all__ = [
     "COLLECTIVE_KINDS",
@@ -38,15 +28,7 @@ __all__ = [
     "ReuseProfile",
     "SynthesisReport",
     "TaskRecord",
-    "burst_from_dict",
-    "burst_to_dict",
-    "detailed_from_dict",
-    "detailed_to_dict",
-    "load_burst",
-    "load_detailed",
     "profile_stream",
-    "save_burst",
-    "save_detailed",
     "stack_distances",
     "synthesize_calibrated",
     "synthesize_stream",

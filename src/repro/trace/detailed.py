@@ -3,8 +3,7 @@
 MUSA traces one representative iteration of one rank in detailed mode
 and reuses it for every architectural configuration.  Our substitute
 stores one :class:`~repro.trace.kernel.KernelSignature` per kernel
-(task type) plus the sampling metadata, which is all the detailed
-timing model needs.
+(task type), which is all the detailed timing model needs.
 """
 
 from __future__ import annotations
@@ -27,23 +26,14 @@ class DetailedTrace:
         Application name.
     kernels:
         Mapping from kernel name to its signature.
-    sampled_rank:
-        Which rank the detailed sample was taken from (MUSA typically
-        traces rank 0).
-    sampled_iteration:
-        Which iteration was sampled (usually the second, past warm-up).
     """
 
     app: str
     kernels: Mapping[str, KernelSignature]
-    sampled_rank: int = 0
-    sampled_iteration: int = 1
 
     def __post_init__(self) -> None:
         if not self.kernels:
             raise ValueError("detailed trace needs at least one kernel")
-        if self.sampled_rank < 0 or self.sampled_iteration < 0:
-            raise ValueError("sample metadata must be non-negative")
         for name, sig in self.kernels.items():
             if not isinstance(sig, KernelSignature):
                 raise TypeError(f"kernel {name!r} is not a KernelSignature")
@@ -73,7 +63,3 @@ class DetailedTrace:
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.kernels))
-
-    def covers(self, kernel_names) -> bool:
-        """True if every name in ``kernel_names`` has a signature."""
-        return all(name in self.kernels for name in kernel_names)

@@ -70,9 +70,6 @@ class ComputePhase:
         *per task*.  Wall-clock because runtime event timings come from
         the native trace and do not scale with simulated frequency
         (Sec. V-B5).
-    barrier_after:
-        Whether the phase ends with a thread barrier (taskwait / implicit
-        ``parallel for`` barrier).
     critical_ns:
         Total time inside ``omp critical`` sections, serialized across
         threads.
@@ -82,7 +79,6 @@ class ComputePhase:
     tasks: Tuple[TaskRecord, ...]
     serial_ns: float = 0.0
     creation_ns: float = 0.0
-    barrier_after: bool = True
     critical_ns: float = 0.0
 
     def __post_init__(self) -> None:

@@ -438,8 +438,6 @@ class KernelSignature:
         the dataflow allows (ROB size may further limit it).
     reuse:
         Stack-distance profile of memory accesses.
-    bytes_per_access:
-        Payload bytes per scalar memory instruction (8 for double).
     row_hit_rate:
         DRAM row-buffer hit probability of the kernel's miss stream
         (high for streaming kernels, low for irregular/gather access);
@@ -454,7 +452,6 @@ class KernelSignature:
     trip_count: float
     mlp: float
     reuse: ReuseProfile
-    bytes_per_access: float = 8.0
     row_hit_rate: float = 0.6
 
     def __post_init__(self) -> None:
@@ -468,8 +465,6 @@ class KernelSignature:
             raise ValueError("trip_count must be >= 1")
         if self.mlp < 1:
             raise ValueError("mlp must be >= 1")
-        if self.bytes_per_access <= 0:
-            raise ValueError("bytes_per_access must be positive")
         if not 0.0 <= self.row_hit_rate <= 1.0:
             raise ValueError("row_hit_rate must be in [0, 1]")
 

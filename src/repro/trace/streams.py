@@ -19,11 +19,8 @@ import numpy as np
 
 __all__ = [
     "sequential_sweep",
-    "strided",
     "random_uniform",
-    "zipf",
     "stencil1d",
-    "multi_array",
     "interleave",
 ]
 
@@ -49,19 +46,6 @@ def sequential_sweep(ws_bytes: int, n_sweeps: int = 2,
     return np.tile(one, n_sweeps)
 
 
-def strided(ws_bytes: int, stride_bytes: int, n_accesses: int,
-            base: int = 0) -> np.ndarray:
-    """Fixed-stride accesses wrapping around a working set.
-
-    Strides >= one cache line defeat spatial locality (one miss per
-    access on the first sweep), the pattern of column-major traversals.
-    """
-    _check_positive(ws_bytes=ws_bytes, stride_bytes=stride_bytes,
-                    n_accesses=n_accesses)
-    offsets = (np.arange(n_accesses, dtype=np.int64) * stride_bytes) % ws_bytes
-    return base + offsets
-
-
 def random_uniform(ws_bytes: int, n_accesses: int, seed: int = 0,
                    elem_bytes: int = _DOUBLE, base: int = 0) -> np.ndarray:
     """Uniformly random element accesses within a working set.
@@ -75,28 +59,6 @@ def random_uniform(ws_bytes: int, n_accesses: int, seed: int = 0,
     n_elems = max(1, ws_bytes // elem_bytes)
     idx = rng.integers(0, n_elems, size=n_accesses, dtype=np.int64)
     return base + idx * elem_bytes
-
-
-def zipf(ws_bytes: int, n_accesses: int, alpha: float = 1.2, seed: int = 0,
-         elem_bytes: int = _DOUBLE, base: int = 0) -> np.ndarray:
-    """Zipf-distributed accesses: hot-cold locality within a working set.
-
-    Models codes with skewed reuse (lookup tables, unstructured meshes
-    with popular nodes) — a small hot set absorbs most accesses.
-    """
-    _check_positive(ws_bytes=ws_bytes, n_accesses=n_accesses,
-                    elem_bytes=elem_bytes)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    rng = np.random.default_rng(seed)
-    n_elems = max(1, ws_bytes // elem_bytes)
-    ranks = np.arange(1, n_elems + 1, dtype=np.float64)
-    probs = ranks ** (-alpha)
-    probs /= probs.sum()
-    # Shuffle rank->address so hot elements are spread across the array.
-    perm = rng.permutation(n_elems)
-    idx = rng.choice(n_elems, size=n_accesses, p=probs)
-    return base + perm[idx].astype(np.int64) * elem_bytes
 
 
 def stencil1d(n_points: int, radius: int = 1, n_arrays: int = 2,
@@ -117,21 +79,6 @@ def stencil1d(n_points: int, radius: int = 1, n_arrays: int = 2,
     write = array_stride + i * elem_bytes
     per_point = np.stack(reads + [write], axis=1).reshape(-1)
     return np.tile(per_point, n_iters)
-
-
-def multi_array(n_points: int, n_arrays: int, n_iters: int = 2,
-                elem_bytes: int = _DOUBLE) -> np.ndarray:
-    """Point-wise traversal of many coupled field arrays (LULESH-like).
-
-    Each grid point touches one element of each of ``n_arrays`` distinct
-    arrays; the aggregate working set is ``n_arrays`` times the grid.
-    """
-    _check_positive(n_points=n_points, n_arrays=n_arrays, n_iters=n_iters,
-                    elem_bytes=elem_bytes)
-    stride = n_points * elem_bytes
-    i = np.arange(n_points, dtype=np.int64) * elem_bytes
-    per_point = np.stack([i + a * stride for a in range(n_arrays)], axis=1)
-    return np.tile(per_point.reshape(-1), n_iters)
 
 
 def interleave(streams: Sequence[np.ndarray], seed: Optional[int] = 0,

@@ -27,7 +27,6 @@ from ..dram.timing import DramTiming, dram_standard
 from ..trace.kernel import KernelSignature
 from ..trace.synthesize import synthesize_calibrated
 from .cache import CacheHierarchySim
-from .cpu import dram_efficiency
 
 __all__ = ["KernelValidation", "validate_kernel"]
 
@@ -44,8 +43,6 @@ class KernelValidation:
     # *measured* row locality: closed-form envelope vs FR-FCFS controller
     analytic_efficiency: Optional[float]
     measured_efficiency: Optional[float]
-    #: the sweep's conservative node-level derating for this kernel
-    node_model_efficiency: float = 0.0
     #: capacities beyond this are outside the synthesized stream's horizon
     representable_lines: float = 0.0
 
@@ -133,6 +130,5 @@ def validate_kernel(
         exact_miss=exact,
         analytic_efficiency=envelope_eff,
         measured_efficiency=measured_eff,
-        node_model_efficiency=dram_efficiency(sig.row_hit_rate),
         representable_lines=report.representable_lines,
     )

@@ -39,12 +39,10 @@ class VectorizationResult:
     All scales are multipliers on the scalarized (trace) counts.
     """
 
-    lanes: int                  # lanes the hardware offers
     effective_lanes: float      # achieved reduction on fusable work
     instr_scale: float          # total dynamic instructions multiplier
     fp_scale: float             # fp instruction multiplier
     mem_scale: float            # memory instruction multiplier
-    bytes_per_access_scale: float  # growth of per-access payload
 
     def __post_init__(self) -> None:
         if not 0 < self.instr_scale <= 1.0 + 1e-9:
@@ -117,16 +115,11 @@ def vectorize(sig: KernelSignature, vector_bits: int) -> VectorizationResult:
         + (m.load + m.store) * mem_scale
         + m.int_alu + m.branch + m.other
     )
-    # Bytes per access grow exactly as accesses shrink: traffic conserved.
-    bytes_scale = 1.0 / mem_scale
-
     return VectorizationResult(
-        lanes=lanes,
         effective_lanes=r,
         instr_scale=instr_scale,
         fp_scale=fp_scale,
         mem_scale=mem_scale,
-        bytes_per_access_scale=bytes_scale,
     )
 
 

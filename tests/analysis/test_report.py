@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import format_panel, format_rows, format_stacked_power
+from repro.analysis import format_panel, format_rows
 
 
 class TestFormatRows:
@@ -26,16 +26,3 @@ class TestFormatPanel:
         assert "hydro" in out
         assert "1.200±0.05" in out
         assert "vec=512" in out
-
-
-class TestFormatStackedPower:
-    def test_total_and_na(self):
-        comps = {
-            "lulesh": {
-                "4ch": {"core_l1": 100.0, "l2_l3": 20.0, "memory": 15.0},
-                "hbm": {"core_l1": 100.0, "l2_l3": 20.0, "memory": None},
-            }
-        }
-        out = format_stacked_power("P", comps, values=("4ch", "hbm"))
-        assert "135.000" in out
-        assert "n/a" in out

@@ -19,10 +19,11 @@ from repro.config import DesignSpace, axis_linspace, axis_range, \
     full_design_space
 from repro.core import ResultSet
 from repro.core.batch import BatchEvaluator
-from repro.core.frame import ResultFrame
 from repro.core.musa import Musa
-from repro.core.store import ResultStore, store_key, store_keys_batch
+from repro.core.store import ResultStore, store_keys_batch
 from repro.obs import MetricsRegistry
+
+from ..core.reference import frame_from_records, store_key
 
 APP = "lulesh"
 FULL = full_design_space()
@@ -82,8 +83,6 @@ class TestExactFrontRecovery:
             == len(exhaustive_front)
         assert len(res.results) == res.n_evaluated
         assert 0 < res.evaluated_fraction < 1
-        assert len(res.front_point_indices) == len(res.front)
-        assert res.front_point_indices == sorted(res.front_point_indices)
 
 
 class TestBudget:
@@ -172,8 +171,7 @@ class TestStoreStreaming:
 
 
 class TestFrontTies:
-    """A tie in (x, y) goes to the lowest space index, in ``front`` and
-    ``front_point_indices`` alike."""
+    """A tie in (x, y) goes to the lowest space index."""
 
     #: Seeds visit index 0, then 2, then 1: the tied pair (1, 2) is
     #: acquired out of index order.
@@ -190,21 +188,15 @@ class TestFrontTies:
                 x, y = self.METRICS[node.n_cores]
                 records.append({"app": APP, **node.axis_values(),
                                 "time_ns": x, "power_total_w": y})
-            return ResultFrame.from_records(records)
+            return frame_from_records(records)
 
-    def test_front_point_indices_name_the_front_configs(self):
+    def test_tie_goes_to_lowest_index(self):
         space = self.LINE
         res = search_front(APP, space, max_evals=len(space), patience=None,
                            evaluator=self.TiedEvaluator(),
                            metrics=MetricsRegistry())
         assert res.n_evaluated == len(space)
-        named = [space.config_at(i).axis_values()
-                 for i in res.front_point_indices]
-        front = [{k: v for k, v in p.config.items() if k != "app"}
-                 for p in res.front]
-        assert sorted(sorted(c.items()) for c in named) == \
-            sorted(sorted(c.items()) for c in front)
-        assert res.front_point_indices == [0, 1]
+        assert sorted(p.config["cores"] for p in res.front) == [32, 64]
         ref = pareto_front(res.results, APP, cores=None)
         assert _as_tuples(res.front) == _as_tuples(ref)
 

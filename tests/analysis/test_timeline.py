@@ -66,8 +66,8 @@ class TestRankActivityStats:
         musa = Musa(get_app("btmz"))
         res = musa.simulate_burst_full(n_cores=32, n_ranks=8, n_iterations=1)
         stats = rank_activity_stats(res)
-        total = (stats.compute_fraction + stats.collective_fraction
-                 + stats.p2p_fraction)
+        total = (res.compute_ns / stats.total_ns
+                 + stats.collective_fraction + stats.p2p_fraction)
         assert (total <= 1.0 + 1e-9).all()
 
 

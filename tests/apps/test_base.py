@@ -64,7 +64,7 @@ class TestAppModelInterface:
         app = get_app(name)
         detailed = app.detailed_trace()
         trace = app.burst_trace(n_ranks=4, n_iterations=1)
-        assert detailed.covers(trace.kernel_names())
+        assert all(k in detailed for k in trace.kernel_names())
 
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_rank_scales_normalized(self, name):

@@ -82,23 +82,3 @@ class TestValidation:
     def test_frozen(self):
         with pytest.raises(Exception):
             core_preset("medium").rob_size = 999
-
-
-class TestScaled:
-    def test_doubling(self):
-        c = core_preset("medium").scaled(2.0)
-        assert c.rob_size == 360
-        assert c.issue_width == 8
-        assert c.n_fpu == 6
-
-    def test_shrinking_floors_at_one(self):
-        c = core_preset("lowend").scaled(0.01)
-        assert c.rob_size >= 1
-        assert c.issue_width >= 1
-
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError):
-            core_preset("medium").scaled(0.0)
-
-    def test_label_annotated(self):
-        assert "x2" in core_preset("high").scaled(2.0).label

@@ -26,11 +26,10 @@ class TestPresets:
         assert bw8 == pytest.approx(2 * bw4)
 
     def test_dimm_population_matches_paper(self):
-        # Sec. IV-C: 4ch -> 8 DIMMs / 64 GB, 8ch -> 16 DIMMs / 128 GB.
+        # Sec. IV-C: 4ch -> 8 DIMMs, 8ch -> 16 DIMMs.
         m4, m8 = memory_preset("4chDDR4"), memory_preset("8chDDR4")
-        for m, dimms, gb in ((m4, 8, 64), (m8, 16, 128)):
+        for m, dimms in ((m4, 8), (m8, 16)):
             assert m.total_dimms == dimms
-            assert m.total_dimms * m.dimm_capacity_gb == gb
 
     def test_hbm_has_no_energy_data(self):
         assert not memory_preset("16chHBM").energy_data_available
@@ -52,18 +51,18 @@ class TestPresets:
 class TestValidation:
     def test_rejects_zero_channels(self):
         with pytest.raises(ValueError):
-            MemoryConfig(label="x", technology="DDR4", n_channels=0,
+            MemoryConfig(label="x", n_channels=0,
                          channel_bw_gbs=10, idle_latency_ns=60,
-                         dimms_per_channel=2, dimm_capacity_gb=8)
+                         dimms_per_channel=2)
 
     def test_rejects_nonpositive_latency(self):
         with pytest.raises(ValueError):
-            MemoryConfig(label="x", technology="DDR4", n_channels=4,
+            MemoryConfig(label="x", n_channels=4,
                          channel_bw_gbs=10, idle_latency_ns=0,
-                         dimms_per_channel=2, dimm_capacity_gb=8)
+                         dimms_per_channel=2)
 
     def test_rejects_negative_dimms(self):
         with pytest.raises(ValueError):
-            MemoryConfig(label="x", technology="DDR4", n_channels=4,
+            MemoryConfig(label="x", n_channels=4,
                          channel_bw_gbs=10, idle_latency_ns=60,
-                         dimms_per_channel=-1, dimm_capacity_gb=8)
+                         dimms_per_channel=-1)

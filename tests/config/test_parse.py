@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.config import baseline_node, format_node, parse_node
+from repro.config import baseline_node, parse_node
+
+
+def format_node(node):
+    """The spec string of ``node``, in the order ``parse_node`` documents."""
+    return (f"{node.core.label}/{node.cache.label}/{node.memory.label}/"
+            f"{node.frequency_ghz:g}GHz/{node.vector_bits}b/"
+            f"{node.n_cores}c")
 
 
 class TestParseNode:

@@ -26,7 +26,8 @@ class TestCompareNodes:
             assert d.power_ratio > 1.0  # more DIMMs, more background power
 
     def test_winners(self, channels_comparison):
-        assert channels_comparison.winners() == ("lulesh",)
+        assert [d.app for d in channels_comparison.deltas
+                if d.speedup > 1.05] == ["lulesh"]
 
     def test_geomean(self, channels_comparison):
         speeds = [d.speedup for d in channels_comparison.deltas]

@@ -8,10 +8,11 @@ import stat
 import pytest
 
 from repro.core.checkpoint import Journal, merge_journal
-from repro.core.frame import ResultFrame
 from repro.core.linelog import LineLog, LineScan
 from repro.core.store import ResultStore
 from repro.obs import MetricsRegistry, set_metrics
+
+from .reference import frame_from_records
 
 
 def _record(vector):
@@ -125,7 +126,7 @@ def test_store_compaction_fsyncs_directory_after_rename(tmp_path, sync_log):
     config = {"core": "medium", "cache": "64M:512K", "memory": "4chDDR4",
               "frequency": 2.0, "vector": 128, "cores": 64}
     prov = {"engine": "batch", "created_s": 0.0, "obs": {}}
-    frame = ResultFrame.from_records(
+    frame = frame_from_records(
         [dict(config, app=app, time_ns=1.0) for app in ("lulesh", "spmz")])
     with ResultStore(tmp_path / "s.jsonl") as store:
         store.put_frame(frame, "fast", 256, "v", prov)

@@ -1,42 +1,8 @@
-"""Tests for evaluation metrics."""
+"""Tests for the geometric mean of speedups."""
 
 import pytest
 
-from repro.core import geo_mean, normalized_energy, parallel_efficiency, speedup
-
-
-class TestSpeedup:
-    def test_basic(self):
-        assert speedup(100.0, 50.0) == pytest.approx(2.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-
-
-class TestParallelEfficiency:
-    def test_perfect(self):
-        assert parallel_efficiency(64.0, 1.0, 64) == pytest.approx(1.0)
-
-    def test_half(self):
-        assert parallel_efficiency(64.0, 2.0, 64) == pytest.approx(0.5)
-
-    def test_rejects_zero_units(self):
-        with pytest.raises(ValueError):
-            parallel_efficiency(1.0, 1.0, 0)
-
-
-class TestNormalizedEnergy:
-    def test_ratio(self):
-        assert normalized_energy(10.0, 5.0) == pytest.approx(0.5)
-
-    def test_none_propagates(self):
-        assert normalized_energy(None, 5.0) is None
-        assert normalized_energy(10.0, None) is None
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            normalized_energy(0.0, 1.0)
+from repro.core import geo_mean
 
 
 class TestGeoMean:
@@ -53,19 +19,3 @@ class TestGeoMean:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geo_mean([1.0, 0.0])
-
-
-class TestEnergyDelay:
-    def test_edp(self):
-        from repro.core import energy_delay_product
-
-        assert energy_delay_product(10.0, 2.0) == pytest.approx(20.0)
-        assert energy_delay_product(None, 2.0) is None
-        with pytest.raises(ValueError):
-            energy_delay_product(0.0, 1.0)
-
-    def test_ed2p(self):
-        from repro.core import energy_delay_squared
-
-        assert energy_delay_squared(10.0, 2.0) == pytest.approx(40.0)
-        assert energy_delay_squared(None, 2.0) is None

@@ -7,6 +7,8 @@ import pytest
 from repro.core import ResultSet
 from repro.core.results import CONFIG_KEYS
 
+from .reference import frame_from_records
+
 
 def rec(app="a", core="medium", cache="64M:512K", memory="4chDDR4",
         frequency=2.0, vector=128, cores=64, **extra):
@@ -61,9 +63,8 @@ class TestAddCopySemantics:
         assert rs.lookup(**rec()) is r
 
     def test_frame_rows_are_never_copied(self):
-        from repro.core.frame import ResultFrame
 
-        frame = ResultFrame.from_records([rec(time_ns=1.0)])
+        frame = frame_from_records([rec(time_ns=1.0)])
         rs = ResultSet()
         rs.add(frame.row(0))
         entry = next(rs.lazy())
@@ -196,9 +197,8 @@ class TestLazyIndex:
         assert len(swept) == 9
 
     def test_mixed_entries_index_like_eager_adds(self):
-        from repro.core.frame import ResultFrame
 
-        frames = [ResultFrame.from_records(
+        frames = [frame_from_records(
             [rec(app=app, vector=v, cores=c, time_ns=float(v))
              for v in (128, 256) for c in (32, 64)])
             for app in ("a", "b")]

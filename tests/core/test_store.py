@@ -16,16 +16,16 @@ from repro.config import smoke_design_space
 from repro.core.batch import BatchEvaluator
 from repro.core.canon import canonical_dumps, canonical_loads
 from repro.core.checkpoint import Journal, merge_journal
-from repro.core.frame import ResultFrame
 from repro.core.musa import Musa
 from repro.core.store import (
     STORE_BLOCK_KEY,
     ResultStore,
-    store_key,
     store_keys_batch,
     store_keys_frame,
 )
 from repro.obs import MetricsRegistry, set_metrics
+
+from .reference import frame_from_records, store_key
 
 
 CONFIG = {"core": "medium", "cache": "64M:512K", "memory": "4chDDR4",
@@ -56,7 +56,7 @@ def _inputs(rec, code_version="abc1234"):
 
 def _put(store, *records, code_version="abc1234"):
     """Store ``records`` as one block line; returns their keys."""
-    return store.put_frame(ResultFrame.from_records(records), "fast", 256,
+    return store.put_frame(frame_from_records(records), "fast", 256,
                            code_version, PROV)
 
 
@@ -91,7 +91,7 @@ class TestStoreKey:
                    _record(2, cores=4, frequency=8.0, vector=4)]
         want = [store_key(r["app"], _inputs(r)["config"], "fast", 256, "v")
                 for r in records]
-        frame = ResultFrame.from_records(records)
+        frame = frame_from_records(records)
         assert store_keys_frame(frame, "fast", 256, "v") == want
         for rec, key in zip(records, want):
             assert store_keys_batch(rec["app"], [_inputs(rec)["config"]],

@@ -8,7 +8,8 @@ import pytest
 from repro.apps import APP_NAMES
 from repro.config import DesignSpace
 from repro.config.space import range_design_space
-from repro.core import normalize_axis, run_sweep, sweep_configs
+from repro.core import normalize_axis, run_sweep
+from repro.core.sweep import _TaskTable
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ class TestSweep:
                                                      rel=1e-9)
 
     def test_sweep_configs_ordering(self, tiny_space):
-        tasks = sweep_configs(["a", "b"], tiny_space)
+        tasks = list(_TaskTable(["a", "b"], tiny_space))
         assert len(tasks) == 8
         assert tasks[0][0] == "a" and tasks[-1][0] == "b"
 

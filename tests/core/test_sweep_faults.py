@@ -95,7 +95,7 @@ class TestInjectedFaults:
         assert reg.counter("sweep.tasks.failed") == 1
         assert reg.counter("sweep.tasks.completed") == 3
         # Surviving records are bit-identical to the clean run.
-        for rec in rs.successes():
+        for rec in rs.filter(lambda r: not r.get("failed")):
             cfg = {k: rec[k] for k in ("app", "core", "cache", "memory",
                                        "frequency", "vector", "cores")}
             assert clean_run.lookup(**cfg) == rec

@@ -1,6 +1,6 @@
 """Property tests for the sweep engine and journal.
 
-* ``sweep_configs`` ordering is deterministic (row-major over the
+* the task table's ordering is deterministic (row-major over the
   Table I axes, apps outermost) for arbitrary sub-spaces;
 * the task table's keys, read from axis values, equal the keys of the
   tasks' nodes, value types included, for any space, config list and
@@ -31,7 +31,7 @@ from repro.config import (
     smoke_design_space,
 )
 from repro.config.node import CORE_COUNTS, FREQUENCIES_GHZ, VECTOR_WIDTHS_BITS
-from repro.core import CONFIG_KEYS, Journal, replay_journal, run_sweep, sweep_configs
+from repro.core import CONFIG_KEYS, Journal, replay_journal, run_sweep
 from repro.core.sweep import _point_key, _TaskTable
 
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -62,8 +62,8 @@ class TestOrderingProperties:
     @_SETTINGS
     @given(space=spaces, apps=app_lists)
     def test_sweep_configs_deterministic_row_major(self, space, apps):
-        tasks = sweep_configs(apps, space)
-        again = sweep_configs(apps, space)
+        tasks = list(_TaskTable(apps, space))
+        again = list(_TaskTable(apps, space))
         assert [(a, n.label) for a, n in tasks] \
             == [(a, n.label) for a, n in again]
         # Row-major cartesian order, apps outermost.

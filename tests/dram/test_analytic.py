@@ -8,7 +8,6 @@ from repro.dram import (
     DramSystem,
     dram_standard,
     efficiency,
-    loaded_latency_ns,
     sustained_bandwidth_gbs,
 )
 from repro.uarch import dram_efficiency
@@ -57,24 +56,3 @@ class TestSustainedBandwidth:
     def test_rejects_zero_channels(self):
         with pytest.raises(ValueError):
             sustained_bandwidth_gbs(dram_standard("DDR4-2400"), 0, 0.5)
-
-
-class TestLoadedLatency:
-    def test_grows_with_utilization(self):
-        t = dram_standard("DDR4-2400")
-        lats = [loaded_latency_ns(t, u, 0.5) for u in (0.0, 0.5, 0.9)]
-        assert lats == sorted(lats)
-
-    def test_row_miss_latency_higher(self):
-        t = dram_standard("DDR4-2400")
-        assert loaded_latency_ns(t, 0.0, 0.0) > loaded_latency_ns(t, 0.0, 1.0)
-
-    def test_idle_latency_magnitude(self):
-        # Unloaded row-miss latency ~ tRP+tRCD+CL+burst in ns: tens of ns.
-        t = dram_standard("DDR4-2400")
-        lat = loaded_latency_ns(t, 0.0, 0.0)
-        assert 20 < lat < 80
-
-    def test_finite_at_saturation(self):
-        t = dram_standard("DDR4-2400")
-        assert np.isfinite(loaded_latency_ns(t, 2.0, 0.5))

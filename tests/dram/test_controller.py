@@ -63,7 +63,7 @@ class TestDramSystem:
         sys = DramSystem(ddr4, n_channels=2)
         res = sys.run(seq_lines(1000), write_fraction=0.3)
         assert res.counts.n_col == 1000
-        assert sum(c.n_requests for c in res.per_channel) == 1000
+        assert sum(c.counts.n_col for c in res.per_channel) == 1000
 
     def test_write_fraction(self, ddr4):
         res = DramSystem(ddr4, 1).run(seq_lines(2000), write_fraction=0.25)

@@ -29,10 +29,6 @@ class TestStandards:
         t = dram_standard("DDR4-2400")
         assert t.trc == t.tras + t.trp
 
-    def test_ns_conversion(self):
-        t = dram_standard("DDR4-2400")
-        assert t.ns(t.cl) == pytest.approx(t.cl * t.tck_ns)
-
     def test_unknown_raises(self):
         with pytest.raises(KeyError):
             dram_standard("DDR5-6400")

@@ -16,10 +16,7 @@ from repro.trace import (
     RankTrace,
     ReuseProfile,
     TaskRecord,
-    detailed_from_dict,
-    detailed_to_dict,
 )
-from repro.trace.detailed import DetailedTrace
 from repro.uarch import resolve_contention, time_kernel
 
 
@@ -89,15 +86,6 @@ class TestTimingProperties:
         r = resolve_contention(t, n_busy, node.memory)
         assert r.timing.cycles >= t.cycles - 1e-9
         assert r.achieved_bw_gbs <= r.capacity_gbs + 1e-6
-
-    @given(sig=signature_strategy)
-    @settings(max_examples=30, deadline=None)
-    def test_serialize_round_trip_preserves_timing(self, sig):
-        trace = DetailedTrace(app="x", kernels={"k": sig})
-        again = detailed_from_dict(detailed_to_dict(trace))
-        node = baseline_node(64)
-        assert time_kernel(again["k"], node).cycles == pytest.approx(
-            time_kernel(sig, node).cycles, rel=1e-9)
 
 
 class TestReplayProperties:

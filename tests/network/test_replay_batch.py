@@ -33,8 +33,9 @@ from repro.network import NetworkConfig, replay
 from repro.network import replay_batch as replay_batch_mod
 from repro.network.replay_batch import _classify, _tape_for, replay_batch
 from repro.obs import get_metrics
-from repro.trace import (BurstTrace, MpiCall, RankTrace, burst_from_dict,
-                         burst_to_dict)
+from repro.trace import BurstTrace, MpiCall, RankTrace
+
+from ..trace.burst_dict import burst_from_dict, burst_to_dict
 
 from .test_replay_engines import (
     _skewed_duration,

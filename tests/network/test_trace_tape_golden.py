@@ -19,7 +19,9 @@ import pytest
 from repro.apps import APP_NAMES, get_app
 from repro.core.musa import Musa
 from repro.network.replay_batch import _tape_for
-from repro.trace import ComputePhase, burst_from_dict, burst_to_dict
+from repro.trace import ComputePhase
+
+from ..trace.burst_dict import burst_from_dict, burst_to_dict
 
 #: ``{app-ranks: (trace digest, tape digest)}``.
 GOLDEN = {

@@ -23,12 +23,6 @@ class TestPowerBreakdown:
         p = PowerBreakdown(core_l1_w=100.0, l2_l3_w=20.0, memory_w=None)
         assert p.energy_j(10.0) is None
 
-    def test_fraction(self):
-        p = PowerBreakdown(core_l1_w=70.0, l2_l3_w=20.0, memory_w=10.0)
-        assert p.fraction("l2_l3") == pytest.approx(0.20)
-        assert p.fraction("core_l1") == pytest.approx(0.70)
-        assert p.fraction("memory") == pytest.approx(0.10)
-
     def test_addition(self):
         a = PowerBreakdown(10.0, 2.0, 3.0)
         b = PowerBreakdown(5.0, 1.0, 1.0)
@@ -40,10 +34,6 @@ class TestPowerBreakdown:
         a = PowerBreakdown(10.0, 2.0, None)
         b = PowerBreakdown(5.0, 1.0, 1.0)
         assert (a + b).memory_w is None
-
-    def test_scaled(self):
-        p = PowerBreakdown(10.0, 2.0, 3.0).scaled(2.0)
-        assert p.total_w == pytest.approx(30.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -76,10 +76,7 @@ class TestHeteroScheduler:
 
 class TestHeteroMix:
     def test_speeds_layout(self):
-        from repro.config import core_preset
-
-        mix = HeteroMix(n_big=2, n_little=3, big=core_preset("aggressive"),
-                        little=core_preset("lowend"), little_speed=0.6)
+        mix = HeteroMix(n_big=2, n_little=3, little_speed=0.6)
         np.testing.assert_allclose(mix.speeds(),
                                    [1.0, 1.0, 0.6, 0.6, 0.6])
         assert mix.n_cores == 5
@@ -91,11 +88,12 @@ class TestHeteroMix:
         am = AreaModel()
         budget = am.core_mm2(node) * 64
         mix = area_matched_mix(node, n_big=8, little_speed=0.6)
-        spent = (am.core_mm2(node.with_(core=mix.big)) * mix.n_big
-                 + am.core_mm2(node.with_(core=mix.little)) * mix.n_little)
+        big = am.core_mm2(node.with_(core="aggressive"))
+        little = am.core_mm2(node.with_(core="lowend"))
+        spent = big * mix.n_big + little * mix.n_little
         assert spent <= budget
         # and nearly all of it is used (within one little core)
-        assert budget - spent < am.core_mm2(node.with_(core=mix.little))
+        assert budget - spent < little
 
     def test_little_cores_outnumber_big(self):
         node = baseline_node(64).with_(core="aggressive")

@@ -6,11 +6,11 @@ import pytest
 from repro.runtime import (
     imbalanced_durations,
     parallel_for,
-    pipeline_deps,
     simulate_phase,
     task_phase,
-    wavefront_deps,
 )
+
+from .deps import pipeline_deps, wavefront_deps
 
 
 class TestImbalancedDurations:
@@ -53,10 +53,6 @@ class TestParallelFor:
     def test_work_conserved(self):
         p = parallel_for(0, "k", n_iterations=77, iter_ns=3.0, chunk=5)
         assert sum(t.work_units for t in p.tasks) == 77
-
-    def test_implicit_barrier(self):
-        p = parallel_for(0, "k", n_iterations=8, iter_ns=1.0)
-        assert p.barrier_after
 
     def test_deterministic_given_rng(self):
         a = parallel_for(0, "k", 100, 10.0, chunk=1, imbalance=0.3,

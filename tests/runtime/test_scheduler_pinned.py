@@ -21,14 +21,14 @@ import pytest
 from repro.apps import APP_NAMES, get_app
 from repro.core import Musa
 from repro.runtime import (
-    pipeline_deps,
     simulate_phase,
     simulate_phase_hetero,
     simulate_phase_stealing,
     task_phase,
-    wavefront_deps,
 )
 from repro.runtime.scheduler import simulate_phase_batch
+
+from .deps import pipeline_deps, wavefront_deps
 
 CORES = (1, 2, 7, 64, 300)
 
@@ -55,23 +55,25 @@ def _speeds(n_cores):
     return [1.0] * big + [0.6] * (n_cores - big)
 
 
-def _feed(h, result):
+def _feed(h, result, creation_ns):
+    """Hash one schedule; ``creation_ns`` is the run's per-task creation
+    cost, whose total the digests were recorded with."""
     h.update(float(result.makespan_ns).hex().encode())
     h.update(np.asarray(result.busy_ns, dtype=np.float64).tobytes())
     h.update(str(int(result.n_tasks)).encode())
     h.update(float(result.serial_ns).hex().encode())
-    h.update(float(result.creation_ns_total).hex().encode())
+    h.update(float(result.n_tasks * creation_ns).hex().encode())
     for s in result.spans or ():
         h.update(f"{s.task_index},{s.core},{float(s.start_ns).hex()},"
                  f"{float(s.end_ns).hex()};".encode())
 
 
-def _scalar_digest(run):
+def _scalar_digest(run, overhead_scale):
     h = hashlib.sha256()
     n = 0
     for phase in _phases():
         for nc in CORES:
-            _feed(h, run(phase, nc))
+            _feed(h, run(phase, nc), phase.creation_ns * overhead_scale)
             n += 1
     return n, h.hexdigest()
 
@@ -132,7 +134,8 @@ PINNED_BURST = {
 
 @pytest.mark.parametrize("name", sorted(SCALAR_RUNS))
 def test_scalar_schedulers_pinned(name):
-    n, digest = _scalar_digest(SCALAR_RUNS[name])
+    n, digest = _scalar_digest(SCALAR_RUNS[name],
+                               1.7 if name == "overhead_scale" else 1.0)
     assert n == 90
     assert digest == PINNED_SCALAR[name]
 
@@ -150,7 +153,9 @@ def test_batch_scheduler_pinned(explicit):
                                  [nc for _, nc in lanes],
                                  task_durations_ns=mat)
     h = hashlib.sha256()
-    for col in (batch.makespan_ns, batch.serial_ns, batch.creation_ns_total,
+    creation_ns_total = batch.n_tasks * np.array(
+        [p.creation_ns for p, _ in lanes])
+    for col in (batch.makespan_ns, batch.serial_ns, creation_ns_total,
                 batch.busy_sum_ns, batch.busy_ns):
         h.update(np.ascontiguousarray(col, dtype=np.float64).tobytes())
     h.update(np.asarray(batch.n_tasks, dtype=np.int64).tobytes())

@@ -127,7 +127,7 @@ class TestKernelSignature:
 
     @pytest.mark.parametrize("field,value", [
         ("instr_per_unit", 0.0), ("ilp", 0.0), ("vec_fraction", 1.5),
-        ("trip_count", 0.5), ("mlp", 0.0), ("bytes_per_access", 0.0),
+        ("trip_count", 0.5), ("mlp", 0.0),
         ("row_hit_rate", 1.5),
     ])
     def test_validation(self, field, value):

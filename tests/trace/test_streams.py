@@ -5,12 +5,9 @@ import pytest
 
 from repro.trace.streams import (
     interleave,
-    multi_array,
     random_uniform,
     sequential_sweep,
     stencil1d,
-    strided,
-    zipf,
 )
 
 
@@ -29,16 +26,6 @@ class TestSequentialSweep:
         assert s.min() == 1 << 20
 
 
-class TestStrided:
-    def test_stride_wraps(self):
-        s = strided(ws_bytes=256, stride_bytes=64, n_accesses=8)
-        assert list(s) == [0, 64, 128, 192, 0, 64, 128, 192]
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            strided(ws_bytes=0, stride_bytes=64, n_accesses=8)
-
-
 class TestRandomAndZipf:
     def test_random_deterministic_by_seed(self):
         a = random_uniform(ws_bytes=1 << 16, n_accesses=100, seed=7)
@@ -50,18 +37,6 @@ class TestRandomAndZipf:
     def test_random_within_working_set(self):
         s = random_uniform(ws_bytes=1024, n_accesses=500, seed=0)
         assert s.max() < 1024 and s.min() >= 0
-
-    def test_zipf_is_skewed(self):
-        s = zipf(ws_bytes=8 * 10000, n_accesses=20000, alpha=1.3, seed=0)
-        _, counts = np.unique(s, return_counts=True)
-        counts = np.sort(counts)[::-1]
-        # Top 1% of elements take far more than 1% of accesses.
-        top = counts[: max(1, len(counts) // 100)].sum()
-        assert top / counts.sum() > 0.05
-
-    def test_zipf_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            zipf(ws_bytes=800, n_accesses=10, alpha=0.0)
 
 
 class TestStencil:
@@ -79,17 +54,6 @@ class TestStencil:
     def test_rejects_single_array(self):
         with pytest.raises(ValueError):
             stencil1d(n_points=4, n_arrays=1)
-
-
-class TestMultiArray:
-    def test_working_set_scales_with_arrays(self):
-        s1 = multi_array(n_points=100, n_arrays=2, n_iters=1)
-        s2 = multi_array(n_points=100, n_arrays=10, n_iters=1)
-        assert len(set(s2 // 64)) > len(set(s1 // 64)) * 3
-
-    def test_length(self):
-        s = multi_array(n_points=50, n_arrays=4, n_iters=3)
-        assert len(s) == 50 * 4 * 3
 
 
 class TestInterleave:

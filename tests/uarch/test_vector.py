@@ -47,7 +47,6 @@ class TestFusionFactor:
 class TestVectorize:
     def test_64bit_means_scalar(self, simple_kernel):
         v = vectorize(simple_kernel, 64)
-        assert v.lanes == 1
         assert v.instr_scale == pytest.approx(1.0)
         assert v.effective_lanes == 1.0
 
@@ -62,12 +61,6 @@ class TestVectorize:
         # int/branch/other fraction is preserved 1:1.
         preserved = m.int_alu + m.branch + m.other
         assert v.instr_scale >= preserved
-
-    def test_bytes_conserved(self, simple_kernel):
-        # mem instructions shrink by exactly the factor the per-access
-        # payload grows.
-        v = vectorize(simple_kernel, 512)
-        assert v.mem_scale * v.bytes_per_access_scale == pytest.approx(1.0)
 
     def test_full_vectorizable_kernel_scales_by_lanes(self, simple_reuse):
         from repro.trace import InstructionMix, KernelSignature
