@@ -1,17 +1,16 @@
 """Table II + Fig. 11: unconventional application-specific configurations.
 
-SP-MZ chases SIMD width (Vector+ 1024-bit, Vector++ 2048-bit): modest
-extra speedup at rapidly exploding power/energy.  LULESH chases memory
-bandwidth with narrow FPUs (MEM+ 16-channel DDR4, MEM++ 16-channel
-HBM): large energy savings at near-parity performance, with HBM's lower
-latency the fastest memory configuration (no energy data for HBM, as in
-the paper).
+The paper's claims are the ``fig11.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`.  HBM (MEM++) reports no energy,
+as in the paper.
 """
 
 import pytest
 from conftest import write_figure
+from figure_common import assert_claims
 
 from repro.analysis import format_rows
+from repro.analysis.claims import special_runs
 from repro.apps import get_app
 from repro.config import unconventional_configs
 from repro.core import Musa
@@ -19,12 +18,7 @@ from repro.core import Musa
 
 @pytest.fixture(scope="module")
 def results():
-    out = {}
-    for app, cfgs in unconventional_configs().items():
-        musa = Musa(get_app(app))
-        out[app] = {label: musa.simulate_node(node)
-                    for label, node in cfgs.items()}
-    return out
+    return special_runs()
 
 
 def render(results) -> str:
@@ -65,25 +59,6 @@ def test_fig11_unconventional(benchmark, results, output_dir):
 
     benchmark(simulate_special)
 
-    spmz, lulesh = results["spmz"], results["lulesh"]
-
-    # SP-MZ: wider vectors keep helping but cost explodes.
-    assert spmz["Best-DSE"].time_ns >= spmz["Vector+"].time_ns
-    assert spmz["Vector+"].time_ns >= spmz["Vector++"].time_ns
-    p_ratio = (spmz["Vector++"].power.total_w
-               / spmz["Best-DSE"].power.total_w)
-    e_ratio = spmz["Vector++"].energy_j / spmz["Best-DSE"].energy_j
-    assert p_ratio > 1.4       # paper: 3.14x
-    assert e_ratio > 1.2       # paper: 2.5x
-
-    # LULESH: MEM+ saves energy at near-parity performance.
-    e_mem = lulesh["MEM+"].energy_j / lulesh["Best-DSE"].energy_j
-    assert e_mem < 0.90        # paper: -47%
-    perf_mem = lulesh["Best-DSE"].time_ns / lulesh["MEM+"].time_ns
-    assert perf_mem == pytest.approx(1.0, abs=0.12)  # paper: +7%
-
-    # MEM++ (HBM): fastest memory config, no energy data.
-    assert lulesh["MEM++"].time_ns < lulesh["MEM+"].time_ns
-    assert lulesh["MEM++"].energy_j is None
+    assert_claims("fig11", special=results)
 
     write_figure(output_dir, "fig11_unconventional.txt", render(results))

@@ -1,39 +1,19 @@
 """Fig. 5: FPU vector-width exploration (128/256/512-bit).
 
-Paper shapes: 512-bit buys 20% (HYDRO) to 75% (SP-MZ), ~40% average,
-nothing for LULESH; Core+L1 power +60% on average; 256-bit configs save
-3-18% energy for most apps.
+The paper's claims are the ``fig5.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`, checked on the 864-point sweep.
 """
 
 from conftest import write_figure
-from figure_common import mean_bar, render_axis_figure
+from figure_common import assert_claims, render_axis_figure
 
-from repro.apps import APP_NAMES
 from repro.core import normalize_axis
 
 
 def test_fig5_vector_width(benchmark, full_sweep, output_dir):
-    bars = benchmark(normalize_axis, full_sweep, "vector", 128, "time_ns")
-
-    s512 = {a: mean_bar(bars, a, 64, 512) for a in APP_NAMES}
-    # Who wins and by roughly what factor.
-    assert max(s512, key=s512.get) == "spmz"
-    assert 1.5 < s512["spmz"] < 2.2          # paper 1.75
-    assert 1.05 < s512["hydro"] < 1.35       # paper 1.20
-    assert abs(s512["lulesh"] - 1.0) < 0.05  # paper ~1.0
-    non_lulesh = [v for a, v in s512.items() if a != "lulesh"]
-    assert 1.25 < sum(non_lulesh) / 4 < 1.65  # paper avg 1.40
-
-    # Power: +~60% Core+L1 on average at 512-bit.
-    pbars = normalize_axis(full_sweep, "vector", 128, "power_core_l1_w")
-    p512 = [mean_bar(pbars, a, 64, 512) for a in APP_NAMES]
-    assert 1.25 < sum(p512) / 5 < 1.9
-
-    # Energy: 256-bit saves energy for the vectorizing apps.
-    ebars = normalize_axis(full_sweep, "vector", 128, "energy_j")
-    for app in ("spmz", "btmz"):
-        assert mean_bar(ebars, app, 64, 256) < 1.0
+    benchmark(normalize_axis, full_sweep, "vector", 128, "time_ns")
+    assert_claims("fig5", full_sweep)
 
     write_figure(output_dir, "fig5_vector.txt", render_axis_figure(
-        full_sweep, "vector", 128, (128, 256, 512),
+        full_sweep, "vector",
         "Fig. 5 — FPU vector width (normalized to 128-bit)"))

@@ -1,54 +1,19 @@
 """Fig. 6: cache-size exploration (32M:256K / 64M:512K / 96M:1M).
 
-Paper shapes: ~11% average speedup at 96M:1M on 64 cores, led by HYDRO
-(~21%, its working set fits a 512 kB L2); Specfem3D flat; the L2+L3
-power share roughly doubles per capacity step; 64M:512K is the best
-energy trade-off.
+The paper's claims are the ``fig6.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`, checked on the 864-point sweep.
 """
 
 from conftest import write_figure
-from figure_common import mean_bar, render_axis_figure
+from figure_common import assert_claims, render_axis_figure
 
-from repro.apps import APP_NAMES
 from repro.core import normalize_axis
-
-BASE, MID, BIG = "32M:256K", "64M:512K", "96M:1M"
 
 
 def test_fig6_cache_sizes(benchmark, full_sweep, output_dir):
-    bars = benchmark(normalize_axis, full_sweep, "cache", BASE, "time_ns")
-
-    s = {a: mean_bar(bars, a, 64, BIG) for a in APP_NAMES}
-    assert 1.10 < s["hydro"] < 1.40          # paper 1.21
-    assert 1.03 < s["btmz"] < 1.25           # paper 1.09
-    assert abs(s["spec3d"] - 1.0) < 0.08     # paper flat
-    avg = sum(s.values()) / 5
-    assert 1.03 < avg < 1.25                 # paper 1.11
-
-    # Diminishing returns: the 64M step captures most of each app's gain.
-    for app in ("hydro", "btmz"):
-        mid = mean_bar(bars, app, 64, MID)
-        big = mean_bar(bars, app, 64, BIG)
-        assert mid > 1.0
-        assert big - mid < mid - 1.0 + 0.06
-
-    # Energy: the middle point is never worse than the small config for
-    # the cache-sensitive apps (Sec. V-B2's trade-off recommendation).
-    ebars = normalize_axis(full_sweep, "cache", BASE, "energy_j")
-    for app in ("hydro", "btmz"):
-        assert mean_bar(ebars, app, 64, MID) < 1.02
-
-    # Power ladder: share roughly doubles per step.
-    for app in ("spmz", "btmz"):
-        shares = {}
-        for label in (BASE, MID, BIG):
-            sub = full_sweep.filter(app=app, cores=64, cache=label)
-            shares[label] = float(
-                (sub.values("power_l2_l3_w") / sub.values("power_total_w"))
-                .mean())
-        assert shares[BASE] < shares[MID] < shares[BIG]
-        assert shares[BIG] > 2.0 * shares[BASE]
+    benchmark(normalize_axis, full_sweep, "cache", "32M:256K", "time_ns")
+    assert_claims("fig6", full_sweep)
 
     write_figure(output_dir, "fig6_cache.txt", render_axis_figure(
-        full_sweep, "cache", BASE, (BASE, MID, BIG),
+        full_sweep, "cache",
         "Fig. 6 — L3:L2 cache sizes (normalized to 32M:256K)"))

@@ -1,48 +1,19 @@
 """Fig. 7: core out-of-order capability exploration.
 
-Paper shapes: low-end cores ~35% slower than aggressive (Specfem3D
-~60% slower) at ~50% of the power; high/medium within a few percent of
-aggressive while saving ~18-20% power — the recommended design points.
+The paper's claims are the ``fig7.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`, checked on the 864-point sweep.
 """
 
 from conftest import write_figure
-from figure_common import mean_bar, render_axis_figure
+from figure_common import assert_claims, render_axis_figure
 
-from repro.apps import APP_NAMES
 from repro.core import normalize_axis
-
-ORDER = ("aggressive", "lowend", "high", "medium")  # paper legend order
 
 
 def test_fig7_ooo_capability(benchmark, full_sweep, output_dir):
-    bars = benchmark(normalize_axis, full_sweep, "core", "aggressive",
-                     "time_ns")
-
-    s_low = {a: mean_bar(bars, a, 64, "lowend") for a in APP_NAMES}
-    # Specfem3D is the most latency-bound: worst on the low-end core.
-    assert min(s_low, key=s_low.get) == "spec3d"
-    assert s_low["spec3d"] < 0.60            # paper: 60% slower
-    for a in APP_NAMES:
-        assert 0.35 < s_low[a] < 0.85        # paper: ~35% slower majority
-
-    # Intermediate cores stay close to aggressive.
-    for a in APP_NAMES:
-        assert mean_bar(bars, a, 64, "high") > 0.90
-        assert mean_bar(bars, a, 64, "medium") > 0.82
-
-    # Power: low-end ~half; medium/high save meaningful power.
-    pbars = normalize_axis(full_sweep, "core", "aggressive",
-                           "power_core_l1_w")
-    p_low = [mean_bar(pbars, a, 64, "lowend") for a in APP_NAMES]
-    assert 0.35 < sum(p_low) / 5 < 0.75      # paper: ~50%
-    for a in APP_NAMES:
-        assert mean_bar(pbars, a, 64, "medium") < 0.95
-        assert mean_bar(pbars, a, 64, "high") < 1.0
-
-    # Energy: memory-bound LULESH gets savings from medium cores.
-    ebars = normalize_axis(full_sweep, "core", "aggressive", "energy_j")
-    assert mean_bar(ebars, "lulesh", 64, "medium") < 0.97
+    benchmark(normalize_axis, full_sweep, "core", "aggressive", "time_ns")
+    assert_claims("fig7", full_sweep)
 
     write_figure(output_dir, "fig7_ooo.txt", render_axis_figure(
-        full_sweep, "core", "aggressive", ORDER,
+        full_sweep, "core",
         "Fig. 7 — core OoO structures (normalized to aggressive)"))

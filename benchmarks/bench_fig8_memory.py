@@ -1,44 +1,19 @@
 """Fig. 8: memory-channel exploration (4 vs 8 DDR4 channels).
 
-Paper shapes: only LULESH profits (up to ~60% at 64 cores — the only
-app whose occupied cores saturate four channels); DRAM power roughly
-doubles with the extra DIMMs yet node power grows only 10-20%; LULESH
-saves ~30% energy with eight channels.
+The paper's claims are the ``fig8.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`, checked on the 864-point sweep.
 """
 
 from conftest import write_figure
-from figure_common import mean_bar, render_axis_figure
+from figure_common import assert_claims, render_axis_figure
 
-from repro.apps import APP_NAMES
 from repro.core import normalize_axis
 
 
 def test_fig8_memory_channels(benchmark, full_sweep, output_dir):
-    bars = benchmark(normalize_axis, full_sweep, "memory", "4chDDR4",
-                     "time_ns")
-
-    s = {a: mean_bar(bars, a, 64, "8chDDR4") for a in APP_NAMES}
-    assert s["lulesh"] > 1.25                 # paper: up to 1.6
-    for a in ("hydro", "spmz", "btmz", "spec3d"):
-        assert s[a] < 1.10                    # nobody else profits
-
-    # The 64-core panel beats (or matches) the 32-core one for LULESH:
-    # more occupied cores -> more bandwidth demand.
-    assert s["lulesh"] >= mean_bar(bars, "lulesh", 32, "8chDDR4") - 0.05
-
-    # DRAM power ~doubles; node power up only modestly.
-    mem_p = normalize_axis(full_sweep, "memory", "4chDDR4",
-                           "power_memory_w")
-    tot_p = normalize_axis(full_sweep, "memory", "4chDDR4",
-                           "power_total_w")
-    for a in APP_NAMES:
-        assert 1.5 < mean_bar(mem_p, a, 64, "8chDDR4") < 2.3
-        assert mean_bar(tot_p, a, 64, "8chDDR4") < 1.25
-
-    # LULESH energy savings with 8 channels.
-    ebars = normalize_axis(full_sweep, "memory", "4chDDR4", "energy_j")
-    assert mean_bar(ebars, "lulesh", 64, "8chDDR4") < 0.85  # paper 0.70
+    benchmark(normalize_axis, full_sweep, "memory", "4chDDR4", "time_ns")
+    assert_claims("fig8", full_sweep)
 
     write_figure(output_dir, "fig8_memory.txt", render_axis_figure(
-        full_sweep, "memory", "4chDDR4", ("4chDDR4", "8chDDR4"),
+        full_sweep, "memory",
         "Fig. 8 — memory channels (normalized to 4-channel DDR4)"))

@@ -1,48 +1,19 @@
 """Fig. 9: CPU frequency exploration (1.5 / 2.0 / 2.5 / 3.0 GHz).
 
-Paper shapes: performance scales with frequency for all apps except
-HYDRO, whose fixed-wall-clock runtime (task creation) events bottleneck
-it above 2.5 GHz; node power grows ~2.5x for the 2x frequency step —
-each 1% of performance costs ~1.25% power.
+The paper's claims are the ``fig9.*`` rows of
+:data:`repro.analysis.claims.CLAIMS`, checked on the 864-point sweep.
 """
 
 from conftest import write_figure
-from figure_common import mean_bar, render_axis_figure
+from figure_common import assert_claims, render_axis_figure
 
-from repro.apps import APP_NAMES
 from repro.core import normalize_axis
-
-FREQS = (1.5, 2.0, 2.5, 3.0)
 
 
 def test_fig9_frequency(benchmark, full_sweep, output_dir):
-    bars = benchmark(normalize_axis, full_sweep, "frequency", 1.5,
-                     "time_ns")
-
-    # Compute-bound apps keep scaling.
-    for a in ("spmz", "btmz"):
-        assert mean_bar(bars, a, 64, 3.0) > 1.55
-
-    # HYDRO's runtime bottleneck: the 2.5 -> 3.0 GHz step adds almost
-    # nothing (wall-clock task-creation events don't scale with f).
-    h25 = mean_bar(bars, "hydro", 64, 2.5)
-    h30 = mean_bar(bars, "hydro", 64, 3.0)
-    assert h30 - h25 < 0.10
-    assert h25 > 1.25
-
-    # Monotone speedups everywhere.
-    for a in APP_NAMES:
-        seq = [mean_bar(bars, a, 64, f) for f in FREQS]
-        assert all(x <= y + 0.07 for x, y in zip(seq, seq[1:]))
-
-    # Power grows super-linearly with frequency.
-    pbars = normalize_axis(full_sweep, "frequency", 1.5, "power_total_w")
-    for a in ("hydro", "spmz", "btmz"):
-        p30 = mean_bar(pbars, a, 64, 3.0)
-        s30 = mean_bar(bars, a, 64, 3.0)
-        assert p30 > 1.6           # paper: ~2.5x
-        assert p30 > s30           # perf/W worsens: ~1.25% power per 1% perf
+    benchmark(normalize_axis, full_sweep, "frequency", 1.5, "time_ns")
+    assert_claims("fig9", full_sweep)
 
     write_figure(output_dir, "fig9_frequency.txt", render_axis_figure(
-        full_sweep, "frequency", 1.5, FREQS,
+        full_sweep, "frequency",
         "Fig. 9 — CPU clock frequency (normalized to 1.5 GHz)"))

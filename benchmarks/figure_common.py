@@ -1,4 +1,4 @@
-"""Shared rendering for the per-axis figures (Figs. 5-9).
+"""Shared claim checks and rendering for the paper figures (Figs. 5-9, 11).
 
 Each figure has three panels: (a) normalized speedup, (b) the
 Core+L1 / L2+L3 / Memory power split, (c) normalized energy-to-solution
@@ -8,18 +8,24 @@ Core+L1 / L2+L3 / Memory power split, (c) normalized energy-to-solution
 from typing import Sequence
 
 from repro.analysis import format_panel, format_rows
+from repro.analysis.claims import ClaimFixtures, check_claims
 from repro.apps import APP_NAMES
+from repro.config import FIGURE_AXES
 from repro.core import ResultSet, axis_table, normalize_axis
 
-__all__ = ["render_axis_figure", "mean_bar"]
+__all__ = ["assert_claims", "render_axis_figure"]
 
 
-def mean_bar(bars, app, cores, value) -> float:
-    hits = [b for b in bars if b.app == app and b.cores == cores
-            and b.value == value]
-    if len(hits) != 1:
-        raise AssertionError(f"missing bar {app}/{cores}/{value}")
-    return hits[0].mean
+def assert_claims(figure: str, sweep=None, special=None) -> None:
+    """Check ``figure``'s rows of :data:`repro.analysis.claims.CLAIMS`.
+
+    The sweep serves as both the plane and the frequency column, so
+    every bar is a sweep mean; ``special`` holds the Table II runs.
+    """
+    verdicts = check_claims(ClaimFixtures(sweep, sweep, special), figure)
+    failed = [f"{v.claim.name} = {v.value:.4f} (bound {v.claim.bound})"
+              for v in verdicts if not v.holds]
+    assert verdicts and not failed, failed
 
 
 def _power_split_rows(results: ResultSet, axis: str, values: Sequence,
@@ -38,14 +44,10 @@ def _power_split_rows(results: ResultSet, axis: str, values: Sequence,
     return rows
 
 
-def render_axis_figure(
-    results: ResultSet,
-    axis: str,
-    baseline,
-    values: Sequence,
-    title: str,
-) -> str:
-    """Render one paper figure (a/b/c panels x 32/64-core columns)."""
+def render_axis_figure(results: ResultSet, axis: str, title: str) -> str:
+    """Render one paper figure (a/b/c panels x 32/64-core columns) over
+    the axis values of :data:`repro.config.FIGURE_AXES`."""
+    baseline, values = FIGURE_AXES[axis]
     speed = normalize_axis(results, axis, baseline, "time_ns")
     energy = normalize_axis(results, axis, baseline, "energy_j")
     blocks = [title]

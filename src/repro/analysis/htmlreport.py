@@ -11,21 +11,13 @@ from __future__ import annotations
 import html
 from typing import Dict, List, Optional
 
+from ..config import FIGURE_AXES
 from ..core.normalize import normalize_axis
 from ..core.results import ResultSet
 from .recommend import recommend
 from .svgchart import grouped_bar_chart
 
 __all__ = ["build_html_report"]
-
-#: axis -> (baseline, ordered values) for the figure set
-_AXES = {
-    "vector": (128, (128, 256, 512)),
-    "cache": ("32M:256K", ("32M:256K", "64M:512K", "96M:1M")),
-    "core": ("aggressive", ("aggressive", "lowend", "high", "medium")),
-    "memory": ("4chDDR4", ("4chDDR4", "8chDDR4")),
-    "frequency": (1.5, (1.5, 2.0, 2.5, 3.0)),
-}
 
 _FIGURE_TITLES = {
     "vector": "Fig. 5 — FPU vector width",
@@ -52,7 +44,7 @@ figure { margin: 1em 0; }
 
 
 def _axis_svg(results: ResultSet, axis: str, cores: int) -> Optional[str]:
-    baseline, values = _AXES[axis]
+    baseline, values = FIGURE_AXES[axis]
     present = results.unique(axis)
     if baseline not in present or len(present) < 2:
         return None
@@ -116,7 +108,7 @@ def build_html_report(results: ResultSet, cores: int = 64,
                  "configuration at this core count.</p>")
     parts.append(_characterization_table(results, cores))
 
-    for axis in _AXES:
+    for axis in FIGURE_AXES:
         svg = _axis_svg(results, axis, cores)
         if svg is None:
             continue

@@ -16,7 +16,9 @@ Subcommands mirror the paper's workflow:
   campaign across processes or hosts and union the partial journals
   into one resumable, byte-stable file;
 * ``repro search <app>`` — active Pareto-front search instead of an
-  exhaustive sweep (range spaces with 10^5+ points).
+  exhaustive sweep (range spaces with 10^5+ points);
+* ``repro claims`` — the paper's Figs. 5-9 and Table II claims checked
+  in fast and replay mode.
 
 Every subcommand prints to stdout; sweeps persist a JSON
 :class:`~repro.core.results.ResultSet` consumable by ``figure``.
@@ -41,22 +43,13 @@ from ..apps import APP_NAMES, get_app
 from ..config import (
     CACHE_LABELS,
     CORE_LABELS,
-    DesignSpace,
-    MEMORY_LABELS,
+    FIGURE_AXES,
     baseline_node,
     full_design_space,
+    plane_design_space,
     smoke_design_space,
 )
 from ..core import Musa, ResultSet, run_sweep
-
-#: Axis name -> (baseline value, value list) for the `figure` command.
-FIGURE_AXES = {
-    "vector": (128, (128, 256, 512)),
-    "cache": ("32M:256K", CACHE_LABELS),
-    "core": ("aggressive", ("aggressive", "lowend", "high", "medium")),
-    "memory": ("4chDDR4", MEMORY_LABELS),
-    "frequency": (1.5, (1.5, 2.0, 2.5, 3.0)),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,6 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive co-design guidelines from a sweep")
     r.add_argument("--results", default="results.json")
     r.add_argument("--cores", type=int, default=64)
+
+    sub.add_parser("claims",
+                   help="check the paper's Figs. 5-9 and Table II claims "
+                        "in fast and replay mode (exit 1 if a fast-mode "
+                        "claim fails)")
 
     v = sub.add_parser("validate",
                        help="cross-check the analytic models against the "
@@ -369,7 +367,7 @@ def cmd_sweep(args) -> int:
     if args.smoke:
         space = smoke_design_space()
     elif args.plane:
-        space = DesignSpace(frequencies=(2.0,), core_counts=(32, 64))
+        space = plane_design_space()
     else:
         space = full_design_space()
     total = len(space) * len(args.apps)
@@ -554,6 +552,30 @@ def cmd_recommend(args) -> int:
         return 1
     print(recommend(results, cores=args.cores).render())
     return 0
+
+
+def cmd_claims(args) -> int:
+    from ..analysis.claims import check_claims, claim_fixtures, comm_share
+
+    fast, replay = claim_fixtures("fast"), claim_fixtures("replay")
+    verdicts = list(zip(check_claims(fast), check_claims(replay)))
+    print(format_rows(
+        "Paper claims, fast vs replay mode (256 ranks); only fast mode "
+        "sets the exit code",
+        ["claim", "paper", "bound", "fast", "", "replay", ""],
+        [[f.claim.name, f.claim.paper, f.claim.bound,
+          f.value, "ok" if f.holds else "FAIL",
+          r.value, "ok" if r.holds else "FAIL"] for f, r in verdicts]))
+    print()
+    print(format_rows(
+        "Communication share of the replayed baseline run "
+        "(1 - fast / replay time)",
+        ["app", "cores", "share"], comm_share(fast, replay)))
+    n_fast = sum(f.holds for f, _ in verdicts)
+    n_replay = sum(r.holds for _, r in verdicts)
+    print(f"\n{n_fast}/{len(verdicts)} claims hold in fast mode, "
+          f"{n_replay}/{len(verdicts)} in replay mode")
+    return 0 if n_fast == len(verdicts) else 1
 
 
 def cmd_validate(args) -> int:
@@ -791,6 +813,7 @@ _COMMANDS = {
     "scaling": cmd_scaling,
     "timeline": cmd_timeline,
     "recommend": cmd_recommend,
+    "claims": cmd_claims,
     "validate": cmd_validate,
     "explain": cmd_explain,
     "compare": cmd_compare,

@@ -28,10 +28,12 @@ from .node import (
 )
 from .space import (
     AXES,
+    FIGURE_AXES,
     DesignSpace,
     axis_linspace,
     axis_range,
     full_design_space,
+    plane_design_space,
     range_design_space,
     smoke_design_space,
     unconventional_configs,
@@ -44,6 +46,7 @@ __all__ = [
     "CORE_COUNTS",
     "CORE_LABELS",
     "CORE_PRESETS",
+    "FIGURE_AXES",
     "FREQUENCIES_GHZ",
     "GB",
     "KIB",
@@ -65,6 +68,7 @@ __all__ = [
     "core_preset",
     "full_design_space",
     "memory_preset",
+    "plane_design_space",
     "range_design_space",
     "smoke_design_space",
     "parse_node",

@@ -25,9 +25,9 @@ from .core import CORE_LABELS, core_preset
 from .memory import MEMORY_LABELS, memory_preset
 from .node import CORE_COUNTS, FREQUENCIES_GHZ, VECTOR_WIDTHS_BITS, NodeConfig
 
-__all__ = ["DesignSpace", "axis_linspace", "axis_range",
-           "full_design_space", "range_design_space", "smoke_design_space",
-           "unconventional_configs"]
+__all__ = ["FIGURE_AXES", "DesignSpace", "axis_linspace", "axis_range",
+           "full_design_space", "plane_design_space", "range_design_space",
+           "smoke_design_space", "unconventional_configs"]
 
 #: Axis names in canonical iteration order (outermost first).
 AXES: Tuple[str, ...] = ("core", "cache", "memory", "frequency", "vector", "cores")
@@ -257,6 +257,25 @@ def range_design_space(
         vector_widths=vector_widths,
         core_counts=core_counts or axis_range(4, 252, 4),
     )
+
+
+#: Axis -> (baseline value, bar values) of the paper's Figs. 5-9.
+FIGURE_AXES = {
+    "vector": (128, VECTOR_WIDTHS_BITS),
+    "cache": ("32M:256K", CACHE_LABELS),
+    "core": ("aggressive", ("aggressive", "lowend", "high", "medium")),
+    "memory": ("4chDDR4", MEMORY_LABELS),
+    "frequency": (1.5, FREQUENCIES_GHZ),
+}
+
+
+def plane_design_space() -> DesignSpace:
+    """The 2 GHz / {32, 64}-core plane: 144 configurations.
+
+    Every Figs. 5-8 axis at the paper's clock; ``repro sweep --plane``
+    and the claim fixtures of :mod:`repro.analysis.claims` share it.
+    """
+    return DesignSpace(frequencies=(2.0,), core_counts=(32, 64))
 
 
 def smoke_design_space() -> DesignSpace:

@@ -8,7 +8,7 @@ once per app, with every phase's task rows padded to the app's largest
 task count (padded rows carry zero work).
 
 The app's phases are evaluated in **one pass**.  A *lane* is one
-(phase, config) pair; each of the ``_N_REFINE`` refine iterations
+(phase, config) pair; each of the ``N_REFINE`` refine iterations
 stacks every still-active lane of every phase:
 
 * kernels are timed column-wise over the configuration axis
@@ -61,7 +61,7 @@ from ..uarch.batch import NodeBatch, resolve_contention_batch, time_kernel_batch
 from ..util import LruDict
 from .frame import ResultFrame
 from .musa import Musa, RunResult
-from .phase_sim import _imbalance_factors
+from .phase_sim import N_REFINE, _imbalance_factors
 
 __all__ = ["BatchEvaluator", "RECORD_KEYS"]
 
@@ -73,9 +73,6 @@ RECORD_KEYS = (
     "power_total_w", "energy_j", "mpki_l1", "mpki_l2", "mpki_l3",
     "gmem_req_per_s", "bw_utilization", "occupancy",
 )
-
-#: Matches the scalar path (simulate_phase_detailed's default).
-_N_REFINE = 2
 
 
 @dataclass(frozen=True)
@@ -253,7 +250,7 @@ class BatchEvaluator:
         busy = np.zeros((n_phases, n_configs))
         util = np.zeros((n_phases, n_configs))
         timing: List = [None] * len(app.slots)
-        for it in range(_N_REFINE):
+        for it in range(N_REFINE):
             live = active.any(axis=1)
             # Frozen lanes keep the share of the iteration they converged
             # in (NOT round(frozen n_busy): 2.4 -> 2.6 converges with

@@ -26,7 +26,11 @@ from ..trace.events import ComputePhase
 from ..uarch.core_model import KernelTiming, time_kernel
 from ..uarch.cpu import resolve_contention
 
-__all__ = ["PhaseDetail", "simulate_phase_detailed"]
+__all__ = ["N_REFINE", "PhaseDetail", "simulate_phase_detailed"]
+
+#: Occupancy refine passes per phase; the batched evaluator runs the
+#: same count per ``evaluate_frame``.
+N_REFINE = 2
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,6 @@ def simulate_phase_detailed(
     phase: ComputePhase,
     detailed: DetailedTrace,
     node: NodeConfig,
-    collect_spans: bool = False,
-    n_refine: int = 2,
     timing_cache: Optional[Dict] = None,
 ) -> PhaseDetail:
     """Simulate ``phase`` on ``node`` in detailed mode.
@@ -110,21 +112,15 @@ def simulate_phase_detailed(
     obs = get_metrics()
     obs.inc("phase_sim.calls")
     with obs.span("phase_sim.simulate"):
-        return _simulate_phase_detailed(phase, detailed, node,
-                                        collect_spans, n_refine,
-                                        timing_cache)
+        return _simulate_phase_detailed(phase, detailed, node, timing_cache)
 
 
 def _simulate_phase_detailed(
     phase: ComputePhase,
     detailed: DetailedTrace,
     node: NodeConfig,
-    collect_spans: bool,
-    n_refine: int,
     timing_cache: Optional[Dict] = None,
 ) -> PhaseDetail:
-    if n_refine < 1:
-        raise ValueError("n_refine must be >= 1")
     tasks = phase.tasks
     if not tasks:
         sched = simulate_phase(phase, node.n_cores)
@@ -147,7 +143,7 @@ def _simulate_phase_detailed(
     timings: Dict[str, KernelTiming] = {}
     utilization = 0.0
     obs = get_metrics()
-    for _ in range(n_refine):
+    for _ in range(N_REFINE):
         share = max(1, int(round(n_busy)))
         timings = {}
         utilization = 0.0
@@ -169,8 +165,7 @@ def _simulate_phase_detailed(
             timings[t.kernel].duration_ns * t.work_units for t in tasks
         ]) * imb
         sched = simulate_phase(phase, node.n_cores,
-                               task_durations_ns=durations.tolist(),
-                               collect_spans=collect_spans)
+                               task_durations_ns=durations.tolist())
         # Refine concurrency from the actual schedule: average busy cores
         # over the task-execution portion of the phase.
         exec_ns = max(sched.makespan_ns - sched.serial_ns, 1e-9)

@@ -93,16 +93,6 @@ class ReplayResult:
     def n_ranks(self) -> int:
         return len(self.compute_ns)
 
-    @property
-    def mpi_ns(self) -> np.ndarray:
-        return self.p2p_ns + self.collective_ns
-
-    @property
-    def mpi_fraction(self) -> float:
-        """Aggregate share of rank-time spent in MPI."""
-        total = self.n_ranks * self.total_ns
-        return float(self.mpi_ns.sum() / total) if total > 0 else 0.0
-
 
 class _BusPool:
     """Dimemas's finite-bus model: at most ``n_buses`` simultaneous

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.apps import get_app
+from repro.analysis import claims
+from repro.apps import APP_NAMES, get_app
 from repro.cli import build_parser, main
 from repro.config import DesignSpace, smoke_design_space
 from repro.core import Musa, ResultSet, run_sweep
@@ -110,7 +111,7 @@ class TestCommands:
         tiny = DesignSpace(core_labels=("medium",),
                            cache_labels=("64M:512K",), frequencies=(2.0,),
                            vector_widths=(128,), core_counts=(32, 64))
-        monkeypatch.setattr(cli_main, "DesignSpace", lambda **kw: tiny)
+        monkeypatch.setattr(cli_main, "plane_design_space", lambda: tiny)
         rc = main(["sweep", "--apps", "hydro", "--plane",
                    "--out", str(out_path), "--processes", "1"])
         assert rc == 0
@@ -311,3 +312,45 @@ class TestRecommendAndValidate:
     def test_report_missing_results(self, tmp_path):
         rc = main(["report", "--results", str(tmp_path / "no.json")])
         assert rc == 1
+
+
+@pytest.fixture(scope="module")
+def claim_runs():
+    """Both modes' claim fixtures, simulated once for the module."""
+    return {mode: claims.claim_fixtures(mode) for mode in ("fast", "replay")}
+
+
+class TestClaims:
+    @pytest.fixture(autouse=True)
+    def _simulate_once(self, claim_runs, monkeypatch):
+        monkeypatch.setattr(claims, "claim_fixtures", claim_runs.__getitem__)
+
+    def test_one_row_per_claim_with_both_modes(self, claim_runs, capsys):
+        assert main(["claims"]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        for claim in claims.CLAIMS:
+            rows = [r for r in lines if r[:1] == [claim.name]]
+            assert len(rows) == 1, claim.name
+            fast = claim.check(claim_runs["fast"])
+            replay = claim.check(claim_runs["replay"])
+            assert rows[0][-4:] == [
+                f"{fast.value:.3f}", "ok" if fast.holds else "FAIL",
+                f"{replay.value:.3f}", "ok" if replay.holds else "FAIL"]
+        shares = [r for r in lines if len(r) == 3 and r[0] in APP_NAMES]
+        assert sorted((r[0], int(r[1])) for r in shares) == sorted(
+            (a, c) for a in APP_NAMES for c in (32, 64))
+        assert all(0.0 < float(r[2]) < 1.0 for r in shares)
+
+    @pytest.mark.parametrize("holds_in, rc, row", [
+        ("replay", 1, ["0.000", "FAIL", "1.000", "ok"]),
+        ("fast", 0, ["1.000", "ok", "0.000", "FAIL"]),
+    ], ids=["fast_failure_exits_1", "replay_failure_exits_0"])
+    def test_only_fast_mode_sets_exit_code(self, holds_in, rc, row,
+                                           claim_runs, monkeypatch, capsys):
+        fake = claims.Claim("test.mode_dependent", "-", 0.5, None,
+                            lambda fx: float(fx is claim_runs[holds_in]))
+        monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS + (fake,))
+        assert main(["claims"]) == rc
+        rows = [line.split()[-4:] for line in
+                capsys.readouterr().out.splitlines() if fake.name in line]
+        assert rows == [row]

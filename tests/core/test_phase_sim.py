@@ -12,19 +12,23 @@ def spmz():
     return app, app.detailed_trace(), app.iteration_phases()
 
 
+@pytest.fixture
+def d(spmz, node64):
+    """SP-MZ's first phase on the baseline 64-core node."""
+    app, detailed, phases = spmz
+    return simulate_phase_detailed(phases[0], detailed, node64)
+
+
 class TestSimulatePhaseDetailed:
-    def test_basic_outputs(self, spmz, node64):
-        app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64)
+    def test_basic_outputs(self, d):
         assert d.makespan_ns > 0
         assert d.busy_core_ns > 0
         assert 1 <= d.n_busy_cores <= 64
         assert d.instructions > 0
         assert 0 < d.occupancy <= 1.0
 
-    def test_event_totals_scale_with_tasks(self, spmz, node64):
+    def test_event_totals_scale_with_tasks(self, spmz, d):
         app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64)
         sig = detailed["sp_solve"]
         work = sum(t.work_units for t in phases[0].tasks)
         # Instruction totals = per-unit fused instructions x total work.
@@ -33,27 +37,23 @@ class TestSimulatePhaseDetailed:
         expected = sig.instr_per_unit * vectorize(sig, 128).instr_scale * work
         assert d.instructions == pytest.approx(expected, rel=1e-6)
 
-    def test_concurrency_capped_by_tasks(self, spmz, node64):
-        app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64)
-        assert d.n_busy_cores <= phases[0].n_tasks
+    def test_concurrency_capped_by_tasks(self, spmz, d):
+        assert d.n_busy_cores <= spmz[2][0].n_tasks
 
-    def test_imbalance_preserved(self, spmz, node64):
-        """Trace-level intra-phase imbalance survives re-timing."""
-        app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64,
-                                    collect_spans=True)
-        durs = [s.duration_ns for s in d.schedule.spans]
-        assert max(durs) / (sum(durs) / len(durs)) > 1.05
+    def test_imbalance_preserved(self, spmz, d):
+        """Trace-level intra-phase imbalance survives re-timing.  Each of
+        the phase's tasks runs alone on one of cores 1..n (core 0 hands
+        them out), so those cores' busy times are the task durations."""
+        busy = d.schedule.busy_ns[1:]
+        ran = busy[busy > 0]
+        assert len(ran) == spmz[2][0].n_tasks
+        assert ran.max() / ran.mean() > 1.05
 
-    def test_store_fraction_sane(self, spmz, node64):
-        app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64)
+    def test_store_fraction_sane(self, d):
         assert 0.0 <= d.store_fraction <= 1.0
 
-    def test_row_hit_weighted(self, spmz, node64):
-        app, detailed, phases = spmz
-        d = simulate_phase_detailed(phases[0], detailed, node64)
+    def test_row_hit_weighted(self, spmz, d):
+        detailed = spmz[1]
         rhs = [detailed[k].row_hit_rate for k in detailed.names()]
         assert min(rhs) - 1e-9 <= d.row_hit_rate <= max(rhs) + 1e-9
 
@@ -77,16 +77,16 @@ class TestSimulatePhaseDetailed:
         assert d.makespan_ns == pytest.approx(500.0)
         assert d.instructions == 0.0
 
-    def test_refinement_converges(self, spmz, node64):
-        app, detailed, phases = spmz
-        d1 = simulate_phase_detailed(phases[0], detailed, node64, n_refine=1)
-        d4 = simulate_phase_detailed(phases[0], detailed, node64, n_refine=4)
-        assert d4.makespan_ns == pytest.approx(d1.makespan_ns, rel=0.25)
+    def test_refinement_converges(self, spmz, node64, monkeypatch):
+        from repro.core import phase_sim
 
-    def test_rejects_bad_refine(self, spmz, node64):
         app, detailed, phases = spmz
-        with pytest.raises(ValueError):
-            simulate_phase_detailed(phases[0], detailed, node64, n_refine=0)
+        makespans = []
+        for n_refine in (1, 4):
+            monkeypatch.setattr(phase_sim, "N_REFINE", n_refine)
+            makespans.append(simulate_phase_detailed(
+                phases[0], detailed, node64).makespan_ns)
+        assert makespans[1] == pytest.approx(makespans[0], rel=0.25)
 
 
 class TestTimingCacheKey:

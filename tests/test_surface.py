@@ -40,9 +40,6 @@ ALLOWED = {
     "total_compute_ns": (
         "RankTrace's reference compute time; the physics invariants "
         "check replay against it", 5),
-    "mpi_fraction": (
-        "ReplayResult's communication share, to be reported next to "
-        "the fast/replay claim table", 1),
     "capacity_gbs": (
         "contention result field; its tests check that achieved "
         "bandwidth never exceeds the derated capacity", 5),
