@@ -241,8 +241,8 @@ class AppModel(ABC):
             size=np.tile(size, n_ranks), request=np.tile(request, n_ranks),
             phase=np.tile(phase, n_ranks),
             offsets=np.arange(n_ranks + 1) * len(kind))
-        return BurstTrace.from_columns(self.name, columns, phases,
-                                       repeats=n_iter, n_iterations=n_iter)
+        return BurstTrace(self.name, columns, phases, repeats=n_iter,
+                          n_iterations=n_iter)
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -6,6 +6,15 @@ compute-phase durations supplied by a callback — burst-mode scheduling
 results or detailed-simulation timings, exactly how MUSA splices the
 two levels together (Sec. II).
 
+It reads the trace's integer columns
+(:class:`~repro.trace.burst.EventColumns`) directly, each converted to
+a list once per replay: a rank's stream is its period's rows walked
+``repeats`` times.  Every copy reuses the period's own request ids,
+which is exact because a valid period closes every request it opens
+(the trace checks that), so no id is pending when the next copy opens
+it again.  A rank's event index is its flat position,
+``k * len(period) + row`` in copy ``k``.
+
 The engine is a reactive discrete-event simulator in the Dimemas
 tradition (Girona et al., EuroPVM/MPI 2000): runnable ranks sit in a
 ready-heap keyed by virtual time, and a rank blocked on an unmatched
@@ -52,8 +61,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_metrics
-from ..trace.burst import BurstTrace
-from ..trace.events import ComputePhase, MpiCall
+from ..trace.burst import (FIRST_COLLECTIVE, IRECV, ISEND, KINDS, PHASE,
+                           RECV, SEND, BurstTrace)
+from ..trace.events import ComputePhase
 from .collectives import collective_cost_ns
 from .model import NetworkConfig
 
@@ -140,6 +150,7 @@ class _Matcher:
 @dataclass
 class _RankState:
     clock: float = 0.0
+    #: flat index of the rank's next event
     cursor: int = 0
     compute_ns: float = 0.0
     p2p_ns: float = 0.0
@@ -173,13 +184,21 @@ class _ReplayCore:
         phase_duration: PhaseDurationFn,
         collect_segments: bool,
     ) -> None:
-        self.trace = trace
         self.net = net
         self.phase_duration = phase_duration
         self.collect_segments = collect_segments
         self.n = trace.n_ranks
         self.states = [_RankState() for _ in range(self.n)]
-        self.events = [trace.ranks[r].events for r in range(self.n)]
+        c = trace.columns
+        self.phases = trace.phases
+        #: one (kind, peer, tag, size, request, phase) tuple per row
+        self.rows = list(zip(*(a.tolist() for a in c[:6])))
+        bounds = c.offsets.tolist()
+        #: each rank's first row and period length; it runs
+        #: ``n_events[r]`` events, ``repeats`` copies of its period
+        self.start = bounds[:-1]
+        self.period_len = [b - a for a, b in zip(bounds, bounds[1:])]
+        self.n_events = [n * trace.repeats for n in self.period_len]
         self.matcher = _Matcher()
         self.buses = _BusPool(net.n_buses)
         self.segments: List[TimelineSegment] = []
@@ -267,15 +286,20 @@ class _ReplayCore:
 
     # ------------------------------------------------------------- stepping
 
+    def _row(self, rank: int) -> Tuple[int, int, int, int, int, int]:
+        """The row of ``rank``'s next event."""
+        return self.rows[self.start[rank]
+                         + self.states[rank].cursor % self.period_len[rank]]
+
     def step(self, rank: int) -> bool:
         """Process one event of ``rank``; False means it blocked."""
         self.n_steps += 1
         st = self.states[rank]
-        ev = self.events[rank][st.cursor]
+        kind, peer, tag, size, request, phase = self._row(rank)
         net = self.net
 
-        if isinstance(ev, ComputePhase):
-            dur = self.phase_duration(rank, ev)
+        if kind == PHASE:
+            dur = self.phase_duration(rank, self.phases[phase])
             if not 0.0 <= dur < np.inf:
                 raise ValueError(
                     "phase duration must be finite and non-negative")
@@ -287,9 +311,8 @@ class _ReplayCore:
             st.cursor += 1
             return True
 
-        call: MpiCall = ev
-        if call.is_collective:
-            key = (call.kind, self.coll_seq[rank][call.kind])
+        if kind >= FIRST_COLLECTIVE:
+            key = (kind, self.coll_seq[rank][kind])
             if key not in self.coll_done:
                 enters = self.coll_enter[key]
                 if rank in enters:
@@ -299,8 +322,7 @@ class _ReplayCore:
                     self.coll_waiters[key].append(rank)
                     return False  # parked until everyone arrives
                 # Last arrival: price the collective, wake the others.
-                cost = collective_cost_ns(call.kind, self.n,
-                                          call.size_bytes, net)
+                cost = collective_cost_ns(KINDS[kind], self.n, size, net)
                 self.coll_done[key] = max(enters.values()) + cost
                 for waiter in self.coll_waiters.pop(key, ()):
                     self.wake(waiter)
@@ -311,14 +333,14 @@ class _ReplayCore:
                     rank, "collective", enter_ns, t_done))
             st.collective_ns += t_done - enter_ns
             st.clock = t_done
-            self.coll_seq[rank][call.kind] += 1
+            self.coll_seq[rank][kind] += 1
             st.cursor += 1
             return True
 
-        if call.kind in ("send", "isend"):
-            key = (rank, call.peer, call.tag)
-            transfer = net.transfer_ns(call.size_bytes)
-            if net.is_eager(call.size_bytes) or call.kind == "isend":
+        if kind == SEND or kind == ISEND:
+            key = (rank, peer, tag)
+            transfer = net.transfer_ns(size)
+            if kind == ISEND or net.is_eager(size):
                 # Buffered: the sender proceeds immediately, but its
                 # outgoing link serializes transfers (Dimemas node
                 # link) and the global bus pool may delay the wire
@@ -338,13 +360,13 @@ class _ReplayCore:
                 t0 = st.clock
                 st.clock += net.overhead_ns
                 st.p2p_ns += net.overhead_ns
-                if call.kind == "isend":
-                    st.requests[call.request] = arrival
+                if kind == ISEND:
+                    st.requests[request] = arrival
                 if self.collect_segments:
                     self.segments.append(
                         TimelineSegment(rank, "p2p", t0, st.clock))
                 self.n_messages += 1
-                self.bytes_sent += call.size_bytes
+                self.bytes_sent += size
                 st.cursor += 1
                 return True
             # Rendezvous blocking send: released once the transfer starts.
@@ -359,7 +381,7 @@ class _ReplayCore:
                 st.clock = release
                 st.pending_slot = None
                 self.n_messages += 1
-                self.bytes_sent += call.size_bytes
+                self.bytes_sent += size
                 st.cursor += 1
                 return True
             rq = self.matcher.recvs[key]
@@ -374,7 +396,7 @@ class _ReplayCore:
                 st.p2p_ns += start - st.clock
                 st.clock = start
                 self.n_messages += 1
-                self.bytes_sent += call.size_bytes
+                self.bytes_sent += size
                 st.cursor += 1
                 return True
             # No receiver yet: advertise the rendezvous send and park.
@@ -384,16 +406,16 @@ class _ReplayCore:
             st.pending_slot = slot
             return False
 
-        if call.kind in ("recv", "irecv"):
-            key = (call.peer, rank, call.tag)
-            if call.kind == "irecv":
+        if kind == RECV or kind == IRECV:
+            key = (peer, rank, tag)
+            if kind == IRECV:
                 done = self._match_source(key, st.clock)
                 if done is not None:
-                    st.requests[call.request] = done
+                    st.requests[request] = done
                 else:
                     slot, resolver = self._resolver(rank)
                     self.matcher.recvs[key].append((st.clock, resolver))
-                    st.requests[call.request] = slot
+                    st.requests[request] = slot
                 st.clock += net.overhead_ns
                 st.p2p_ns += net.overhead_ns
                 st.cursor += 1
@@ -420,27 +442,22 @@ class _ReplayCore:
             st.cursor += 1
             return True
 
-        if call.kind == "wait":
-            entry = st.requests.get(call.request)
-            if entry is None:
-                raise ValueError(
-                    f"rank {rank}: wait on unknown request {call.request}")
-            if isinstance(entry, list):  # unresolved irecv slot
-                if entry[0] is None:
-                    return False  # the resolver wakes us on match
-                done = max(entry[0], st.clock)
-            else:
-                done = max(entry, st.clock)
-            if self.collect_segments and done > st.clock:
-                self.segments.append(
-                    TimelineSegment(rank, "wait", st.clock, done))
-            st.p2p_ns += done - st.clock
-            st.clock = done
-            del st.requests[call.request]
-            st.cursor += 1
-            return True
-
-        raise ValueError(f"unhandled MPI call kind {call.kind!r}")
+        # A wait: the trace opened its request earlier in the period.
+        entry = st.requests[request]
+        if isinstance(entry, list):  # unresolved irecv slot
+            if entry[0] is None:
+                return False  # the resolver wakes us on match
+            done = max(entry[0], st.clock)
+        else:
+            done = max(entry, st.clock)
+        if self.collect_segments and done > st.clock:
+            self.segments.append(
+                TimelineSegment(rank, "wait", st.clock, done))
+        st.p2p_ns += done - st.clock
+        st.clock = done
+        del st.requests[request]
+        st.cursor += 1
+        return True
 
     # ------------------------------------------------------------- finishing
 
@@ -449,15 +466,12 @@ class _ReplayCore:
         stuck = [r for r in range(self.n) if not self.states[r].done]
         details = []
         for r in stuck[:8]:
-            ev = self.events[r][self.states[r].cursor]
-            if isinstance(ev, MpiCall):
-                desc = ev.kind
-                if ev.peer is not None:
-                    desc += f"(peer={ev.peer})"
-                elif ev.request is not None:
-                    desc += f"(request={ev.request})"
-            else:
-                desc = type(ev).__name__
+            kind, peer, _, _, request, _ = self._row(r)
+            desc = KINDS[kind]
+            if peer >= 0:
+                desc += f"(peer={peer})"
+            elif request >= 0:
+                desc += f"(request={request})"
             details.append(f"rank {r}@event{self.states[r].cursor}:{desc}")
         return RuntimeError(
             f"replay deadlock; {len(stuck)} rank(s) stuck: {details}")
@@ -486,10 +500,10 @@ def _run_event(core: _ReplayCore, order: Sequence[int]) -> None:
     dependency resolves.
     """
     states = core.states
-    events = core.events
+    n_events = core.n_events
     heap: List[Tuple[float, int]] = []
     for r in order:
-        if events[r]:
+        if n_events[r]:
             heappush(heap, (states[r].clock, r))
         else:
             states[r].done = True
@@ -500,7 +514,7 @@ def _run_event(core: _ReplayCore, order: Sequence[int]) -> None:
     while heap:
         _, r = heappop(heap)
         st = states[r]
-        n_ev = len(events[r])
+        n_ev = n_events[r]
         while True:
             if st.cursor >= n_ev:
                 st.done = True

@@ -37,14 +37,14 @@ A trace stores one period per rank plus a repeat count (every bundled
 app's generator emits one iteration, repeated ``n_iterations`` times);
 when the period is message-balanced the tape covers that period and
 runs ``reps`` times, carrying the ``clock`` and ``link_free`` matrices
-across periods, and the flat stream is never built.  Neither path of a
-batched replay builds event objects: only the scalar reference reads
-them.  Every group kernel writes ``clock`` in place through ``out=``,
-so a level costs stream passes over the state, not allocator
-round-trips for chained temporaries, and message buffers reuse the
-rows of values already read.  Every float64 operation along a column
-stays the identical scalar operation — see the tape section below for
-why dropped clamps are exact no-ops.
+across periods, and the flat stream is never built.  Otherwise the
+tape covers :func:`_flat_columns`, the period tiled ``repeats`` times
+with request ids numbered on across copies.  Every group kernel writes
+``clock`` in place through ``out=``, so a level costs stream passes
+over the state, not allocator round-trips for chained temporaries, and
+message buffers reuse the rows of values already read.  Every float64
+operation along a column stays the identical scalar operation — see the
+tape section below for why dropped clamps are exact no-ops.
 
 **Scalar reference** (:func:`_run_scalar`).  Everything else — a
 finite bus pool, whose grant order depends on each configuration's
@@ -75,7 +75,7 @@ import numpy as np
 
 from ..obs import get_metrics
 from ..trace.burst import (FIRST_COLLECTIVE, IRECV, ISEND, KINDS, RECV, SEND,
-                           WAIT, BurstTrace, EventColumns, RankTrace)
+                           WAIT, BurstTrace, EventColumns)
 from ..trace.events import ComputePhase
 from ..util import LruDict
 from .collectives import collective_cost_ns
@@ -600,14 +600,33 @@ def _build_tape(
 _TAPE_CACHE: LruDict = LruDict(16, eviction_counter="replay.tape.evictions")
 
 
+def _flat_columns(trace: BurstTrace) -> EventColumns:
+    """Each rank's period tiled ``repeats`` times, copy ``k`` offsetting
+    every request id by ``k * (max id + 1)`` of its rank: the ids a rank
+    numbering its requests across iterations would use."""
+    c = trace.columns
+    length = np.diff(c.offsets)
+    offsets = np.concatenate(([0], np.cumsum(length * trace.repeats)))
+    rank = np.repeat(np.arange(c.n_ranks), length * trace.repeats)
+    copy, at = np.divmod(np.arange(offsets[-1]) - offsets[rank],
+                         length[rank])
+    row = c.offsets[rank] + at
+    top = np.full(c.n_ranks, -1, dtype=np.int64)
+    np.maximum.at(top, c.event_ranks(), c.request)
+    request = c.request[row]
+    request = np.where(request >= 0, request + copy * (top[rank] + 1), -1)
+    return EventColumns(c.kind[row], c.peer[row], c.tag[row], c.size[row],
+                        request, c.phase[row], offsets)
+
+
 def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
     """The cached tape for ``(trace, net)``, or ``None`` for the scalar
     fallback (counted under ``replay.batch.array_fallbacks`` when the
     trace is order-free, i.e. its tape build bailed out).
 
     A periodic trace's tape covers one period, or, when the period is
-    not message-balanced, the flat stream that :attr:`RankTrace.events`
-    builds (never for an app generator's trace).  Every bail-out
+    not message-balanced, the flat stream of :func:`_flat_columns`
+    (never for an app generator's trace).  Every bail-out
     condition of a period persists in its repetition, so a period that
     cannot be built is not retried as the full trace.
     """
@@ -622,9 +641,8 @@ def _tape_for(trace: BurstTrace, net: NetworkConfig) -> Optional[_Tape]:
                 # Not message-balanced: the tape covers the flat stream.
                 # Its keys and protocols are the period's, so it
                 # classifies as order-free too.
-                built = BurstTrace(trace.app, [
-                    RankTrace(rank=rt.rank, period=rt.events)
-                    for rt in trace.ranks])
+                built = BurstTrace(trace.app, _flat_columns(trace),
+                                   trace.phases)
                 verdict = _classify(built, net)
             p2p_key, eager, reps = verdict
             tape = _build_tape(built.columns, built.phases, net, p2p_key,

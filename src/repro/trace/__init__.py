@@ -1,21 +1,13 @@
 """Multi-level trace substrate (replaces Extrae + DynamoRIO output)."""
 
-from .burst import BurstTrace, EventColumns, RankTrace
+from .burst import BurstTrace, EventColumns
 from .detailed import DetailedTrace
-from .events import (
-    COLLECTIVE_KINDS,
-    P2P_KINDS,
-    ComputePhase,
-    MpiCall,
-    TaskRecord,
-)
+from .events import ComputePhase, TaskRecord
 from .kernel import InstructionMix, KernelSignature, ReuseProfile
 from .reuse import FenwickTree, profile_stream, stack_distances
 from .synthesize import SynthesisReport, synthesize_calibrated, synthesize_stream
 
 __all__ = [
-    "COLLECTIVE_KINDS",
-    "P2P_KINDS",
     "BurstTrace",
     "ComputePhase",
     "DetailedTrace",
@@ -23,8 +15,6 @@ __all__ = [
     "FenwickTree",
     "InstructionMix",
     "KernelSignature",
-    "MpiCall",
-    "RankTrace",
     "ReuseProfile",
     "SynthesisReport",
     "TaskRecord",

@@ -1,26 +1,21 @@
-"""Event records of the coarse-grain (burst) trace.
+"""Compute-phase records of the coarse-grain (burst) trace.
 
 A burst trace captures, per MPI rank, the alternation of compute phases
 and MPI communication events over the whole application run — the same
-information Extrae records for MUSA.  Compute phases carry the runtime
-system events (task creation, task execution, barriers, critical
-sections) needed to re-simulate scheduling for any core count.
+information Extrae records for MUSA.  Its MPI calls are rows of the
+trace's integer columns (:mod:`repro.trace.burst`); its compute phases,
+defined here, carry the runtime system events (task creation, task
+execution, barriers, critical sections) needed to re-simulate
+scheduling for any core count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
-__all__ = [
-    "TaskRecord",
-    "ComputePhase",
-    "MpiCall",
-    "P2P_KINDS",
-    "COLLECTIVE_KINDS",
-    "RankEvent",
-]
+__all__ = ["TaskRecord", "ComputePhase"]
 
 
 @dataclass(frozen=True)
@@ -106,51 +101,3 @@ class ComputePhase:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
-
-
-P2P_KINDS = frozenset({"send", "recv", "isend", "irecv", "wait"})
-COLLECTIVE_KINDS = frozenset(
-    {"barrier", "allreduce", "reduce", "bcast", "alltoall", "allgather"}
-)
-
-
-@dataclass(frozen=True)
-class MpiCall:
-    """One MPI call in a rank's event stream.
-
-    ``peer`` is the remote rank for point-to-point calls (``None`` for
-    collectives), ``size_bytes`` the message payload (0 for barrier),
-    and ``request`` a rank-local id linking isend/irecv to their wait.
-    Peers and request ids are non-negative: a trace stores ``None`` as
-    -1 in its integer columns.
-    """
-
-    kind: str
-    peer: Optional[int] = None
-    size_bytes: int = 0
-    tag: int = 0
-    request: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in P2P_KINDS and self.kind not in COLLECTIVE_KINDS:
-            raise ValueError(f"unknown MPI call kind {self.kind!r}")
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
-        if self.peer is not None and self.peer < 0:
-            raise ValueError("peer must be a non-negative rank")
-        if self.request is not None and self.request < 0:
-            raise ValueError("request id must be non-negative")
-        if self.kind in {"send", "recv", "isend", "irecv"} and self.peer is None:
-            raise ValueError(f"{self.kind} requires a peer rank")
-        if self.kind in {"isend", "irecv"} and self.request is None:
-            raise ValueError(f"{self.kind} requires a request id")
-        if self.kind == "wait" and self.request is None:
-            raise ValueError("wait requires a request id")
-
-    @property
-    def is_collective(self) -> bool:
-        return self.kind in COLLECTIVE_KINDS
-
-
-#: A rank's trace is a sequence of these.
-RankEvent = Union[ComputePhase, MpiCall]

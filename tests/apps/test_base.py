@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import APP_NAMES, all_apps, get_app, grid_neighbors, rank_grid_dims
+from repro.trace.burst import PHASE
 
 
 class TestRankGrid:
@@ -88,7 +89,7 @@ class TestAppModelInterface:
         app = get_app(name)
         t = app.burst_trace(n_ranks=8, n_iterations=2)
         assert t.n_ranks == 8
-        n_phases = sum(len(rt.compute_phases()) for rt in t) * t.repeats
+        n_phases = int((t.columns.kind == PHASE).sum()) * t.repeats
         n_app_phases = len(app.iteration_phases())
         assert n_phases == 8 * 2 * n_app_phases
 
@@ -112,4 +113,10 @@ class TestAppModelInterface:
     @pytest.mark.parametrize("name", APP_NAMES)
     def test_work_per_iteration_positive(self, name):
         t = get_app(name).burst_trace(n_ranks=2, n_iterations=1)
-        assert all(rt.total_compute_ns > 0 for rt in t)
+        c = t.columns
+        rows = c.kind == PHASE
+        work = [t.phases[i].total_task_ns + t.phases[i].serial_ns
+                for i in c.phase[rows]]
+        per_rank = np.bincount(c.event_ranks()[rows], weights=work,
+                               minlength=t.n_ranks)
+        assert (per_rank > 0).all()

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from repro.config import baseline_node, memory_preset
 from repro.network import NetworkConfig, replay
 from repro.trace import (
-    BurstTrace,
     ComputePhase,
     InstructionMix,
     KernelSignature,
-    MpiCall,
-    RankTrace,
     ReuseProfile,
     TaskRecord,
 )
 from repro.uarch import resolve_contention, time_kernel
+
+from ..trace.encode import Call, burst
 
 
 def _sig(ilp, vec, trip, mlp, components, cold, row_hit):
@@ -102,9 +101,7 @@ class TestReplayProperties:
                 TaskRecord(kernel="k", duration_ns=1.0),))
             for i in range(len(durations))
         )
-        ranks = tuple(
-            RankTrace(rank=r, period=phases) for r in range(n_ranks))
-        trace = BurstTrace(app="t", ranks=ranks)
+        trace = burst([phases] * n_ranks)
         net = NetworkConfig(latency_us=0.001, bandwidth_gbs=100.0,
                             cpu_overhead_us=0.001)
         res = replay(trace, net,
@@ -119,10 +116,7 @@ class TestReplayProperties:
         slow_rank %= n_ranks
         phase = ComputePhase(phase_id=0, tasks=(
             TaskRecord(kernel="k", duration_ns=1.0),))
-        ranks = tuple(
-            RankTrace(rank=r, period=(phase, MpiCall(kind="barrier")))
-            for r in range(n_ranks))
-        trace = BurstTrace(app="t", ranks=ranks)
+        trace = burst([(phase, Call(kind="barrier"))] * n_ranks)
         net = NetworkConfig(latency_us=0.001, bandwidth_gbs=100.0,
                             cpu_overhead_us=0.001)
         res = replay(trace, net,

@@ -16,10 +16,10 @@ from repro.network.replay import ReplayResult, _ReplayCore
 
 def _run_polling(core: _ReplayCore, order: Sequence[int]) -> None:
     states = core.states
-    events = core.events
+    n_events = core.n_events
     active = []
     for r in order:
-        if events[r]:
+        if n_events[r]:
             active.append(r)
         else:
             states[r].done = True
@@ -37,7 +37,7 @@ def _run_polling(core: _ReplayCore, order: Sequence[int]) -> None:
             raise core.deadlock_error()
         st = states[best]
         if core.step(best):
-            if st.cursor >= len(events[best]):
+            if st.cursor >= n_events[best]:
                 st.done = True
                 active.remove(best)
         else:

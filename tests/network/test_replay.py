@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.network import NetworkConfig, marenostrum4_network, replay
-from repro.trace import BurstTrace, ComputePhase, MpiCall, RankTrace, TaskRecord
+from repro.trace import ComputePhase, TaskRecord
+
+from ..trace.encode import Call, burst
 
 
 def phase(duration=100.0, phase_id=0):
@@ -17,9 +19,7 @@ def const_duration(value):
 
 
 def trace(rank_events, app="t"):
-    ranks = tuple(RankTrace(rank=r, period=tuple(evs))
-                  for r, evs in enumerate(rank_events))
-    return BurstTrace(app=app, ranks=ranks)
+    return burst(rank_events, app=app)
 
 
 @pytest.fixture
@@ -50,8 +50,8 @@ class TestComputeOnly:
 class TestPointToPoint:
     def test_eager_send_recv(self, net):
         t = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=1024)],
-            [MpiCall(kind="recv", peer=0, size_bytes=1024)],
+            [Call(kind="send", peer=1, size_bytes=1024)],
+            [Call(kind="recv", peer=0, size_bytes=1024)],
         ])
         res = replay(t, net, const_duration(0.0))
         assert res.n_messages == 1
@@ -61,8 +61,8 @@ class TestPointToPoint:
     def test_rendezvous_send_blocks_for_receiver(self, net):
         big = 10 * 1024 * 1024  # above eager threshold
         t = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=big)],
-            [phase(), MpiCall(kind="recv", peer=0, size_bytes=big)],
+            [Call(kind="send", peer=1, size_bytes=big)],
+            [phase(), Call(kind="recv", peer=0, size_bytes=big)],
         ])
         res = replay(t, net, const_duration(5000.0))
         # Sender released only once receiver posted (after its phase).
@@ -70,18 +70,18 @@ class TestPointToPoint:
 
     def test_recv_before_send_blocks(self, net):
         t = trace([
-            [phase(), MpiCall(kind="send", peer=1, size_bytes=8)],
-            [MpiCall(kind="recv", peer=0, size_bytes=8)],
+            [phase(), Call(kind="send", peer=1, size_bytes=8)],
+            [Call(kind="recv", peer=0, size_bytes=8)],
         ])
         res = replay(t, net, const_duration(1000.0))
         assert res.total_ns >= 1000.0
 
     def test_isend_irecv_wait(self, net):
         t = trace([
-            [MpiCall(kind="isend", peer=1, size_bytes=64, request=0),
-             phase(), MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="irecv", peer=0, size_bytes=64, request=0),
-             phase(), MpiCall(kind="wait", request=0)],
+            [Call(kind="isend", peer=1, size_bytes=64, request=0),
+             phase(), Call(kind="wait", request=0)],
+            [Call(kind="irecv", peer=0, size_bytes=64, request=0),
+             phase(), Call(kind="wait", request=0)],
         ])
         res = replay(t, net, const_duration(10.0))
         assert res.n_messages == 1
@@ -91,10 +91,10 @@ class TestPointToPoint:
         # Two sends same (src, dst, tag) must match two recvs in order;
         # replay completes without deadlock and counts both.
         t = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=100),
-             MpiCall(kind="send", peer=1, size_bytes=200)],
-            [MpiCall(kind="recv", peer=0, size_bytes=100),
-             MpiCall(kind="recv", peer=0, size_bytes=200)],
+            [Call(kind="send", peer=1, size_bytes=100),
+             Call(kind="send", peer=1, size_bytes=200)],
+            [Call(kind="recv", peer=0, size_bytes=100),
+             Call(kind="recv", peer=0, size_bytes=200)],
         ])
         res = replay(t, fast_net, const_duration(0.0))
         assert res.n_messages == 2
@@ -106,10 +106,10 @@ class TestPointToPoint:
         net = NetworkConfig(latency_us=0.0001, bandwidth_gbs=1.0,
                             cpu_overhead_us=0.0001)
         size = 1024 * 1024
-        sends = [MpiCall(kind="isend", peer=p, size_bytes=size, request=p)
+        sends = [Call(kind="isend", peer=p, size_bytes=size, request=p)
                  for p in (1, 2, 3, 4)]
-        waits = [MpiCall(kind="wait", request=p) for p in (1, 2, 3, 4)]
-        receivers = [[MpiCall(kind="recv", peer=0, size_bytes=size)]
+        waits = [Call(kind="wait", request=p) for p in (1, 2, 3, 4)]
+        receivers = [[Call(kind="recv", peer=0, size_bytes=size)]
                      for _ in range(4)]
         t = trace([sends + waits] + receivers)
         res = replay(t, net, const_duration(0.0))
@@ -119,8 +119,8 @@ class TestPointToPoint:
 class TestCollectives:
     def test_barrier_synchronizes(self, net):
         t = trace([
-            [phase(), MpiCall(kind="barrier")],
-            [MpiCall(kind="barrier")],
+            [phase(), Call(kind="barrier")],
+            [Call(kind="barrier")],
         ])
         res = replay(t, net, lambda r, p: 10_000.0)
         # Rank 1 waits for rank 0's compute inside the barrier.
@@ -128,9 +128,9 @@ class TestCollectives:
 
     def test_imbalance_becomes_collective_wait(self, net):
         t = trace([
-            [phase(), MpiCall(kind="allreduce", size_bytes=8)],
-            [phase(), MpiCall(kind="allreduce", size_bytes=8)],
-            [phase(), MpiCall(kind="allreduce", size_bytes=8)],
+            [phase(), Call(kind="allreduce", size_bytes=8)],
+            [phase(), Call(kind="allreduce", size_bytes=8)],
+            [phase(), Call(kind="allreduce", size_bytes=8)],
         ])
         res = replay(t, net, lambda r, p: 1000.0 * (1 + 10 * (r == 2)))
         # Fast ranks idle ~9000 ns in the allreduce.
@@ -138,9 +138,9 @@ class TestCollectives:
         assert res.collective_ns[2] < res.collective_ns[0]
 
     def test_multiple_collectives_sequence(self, net):
-        evs = [MpiCall(kind="allreduce", size_bytes=8),
-               MpiCall(kind="barrier"),
-               MpiCall(kind="allreduce", size_bytes=8)]
+        evs = [Call(kind="allreduce", size_bytes=8),
+               Call(kind="barrier"),
+               Call(kind="allreduce", size_bytes=8)]
         t = trace([list(evs), list(evs)])
         res = replay(t, net, const_duration(0.0))
         assert res.total_ns > 0
@@ -149,7 +149,7 @@ class TestCollectives:
 class TestDeadlockDetection:
     def test_unmatched_recv_deadlocks(self, net):
         t = trace([
-            [MpiCall(kind="recv", peer=1, size_bytes=8)],
+            [Call(kind="recv", peer=1, size_bytes=8)],
             [],
         ])
         with pytest.raises(RuntimeError, match="deadlock"):
@@ -157,7 +157,7 @@ class TestDeadlockDetection:
 
     def test_collective_mismatch_deadlocks(self, net):
         t = trace([
-            [MpiCall(kind="barrier")],
+            [Call(kind="barrier")],
             [],
         ])
         with pytest.raises(RuntimeError, match="deadlock"):
@@ -167,8 +167,8 @@ class TestDeadlockDetection:
 class TestSegments:
     def test_segments_collected(self, net):
         t = trace([
-            [phase(), MpiCall(kind="barrier")],
-            [phase(), MpiCall(kind="barrier")],
+            [phase(), Call(kind="barrier")],
+            [phase(), Call(kind="barrier")],
         ])
         res = replay(t, net, const_duration(100.0), collect_segments=True)
         kinds = {s.kind for s in res.segments}
@@ -183,8 +183,8 @@ class TestSegments:
 class TestAggregateAccounting:
     def test_mpi_fraction_bounds(self, net):
         t = trace([
-            [phase(), MpiCall(kind="barrier")],
-            [phase(), MpiCall(kind="barrier")],
+            [phase(), Call(kind="barrier")],
+            [phase(), Call(kind="barrier")],
         ])
         res = replay(t, net, lambda r, p: 100.0 + 900.0 * r)
         mpi = (res.p2p_ns + res.collective_ns).sum()
@@ -212,12 +212,12 @@ class TestFiniteBuses:
                              cpu_overhead_us=0.0001, n_buses=1)
         size = 1024 * 1024
         t = trace([
-            [MpiCall(kind="isend", peer=2, size_bytes=size, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="isend", peer=3, size_bytes=size, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="recv", peer=0, size_bytes=size)],
-            [MpiCall(kind="recv", peer=1, size_bytes=size)],
+            [Call(kind="isend", peer=2, size_bytes=size, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="isend", peer=3, size_bytes=size, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="recv", peer=0, size_bytes=size)],
+            [Call(kind="recv", peer=1, size_bytes=size)],
         ])
         res1 = replay(t, slow, const_duration(0.0))
         free = NetworkConfig(latency_us=0.0001, bandwidth_gbs=1.0,

@@ -33,9 +33,8 @@ from repro.network import NetworkConfig, replay
 from repro.network import replay_batch as replay_batch_mod
 from repro.network.replay_batch import _classify, _tape_for, replay_batch
 from repro.obs import get_metrics
-from repro.trace import BurstTrace, MpiCall, RankTrace
-
 from ..trace.burst_dict import burst_from_dict, burst_to_dict
+from ..trace.encode import Call, burst
 
 from .test_replay_engines import (
     _skewed_duration,
@@ -130,13 +129,13 @@ def rich_traces(draw):
 
     def post(r, kind, peer, size, tag, opened):
         req = free[r].pop(0)        # the lowest id not pending
-        events[r].append(MpiCall(kind=kind, peer=peer, size_bytes=size,
-                                 tag=tag, request=req))
+        events[r].append(Call(kind=kind, peer=peer, size_bytes=size,
+                              tag=tag, request=req))
         opened.append(req)
 
     def wait_all(r, opened):
         for req in draw(st.permutations(opened)):
-            events[r].append(MpiCall(kind="wait", request=req))
+            events[r].append(Call(kind="wait", request=req))
         free[r] = sorted(free[r] + opened)
 
     pid = 0
@@ -146,7 +145,7 @@ def rich_traces(draw):
             kind = draw(st.sampled_from(["allreduce", "barrier", "bcast"]))
             size = 0 if kind == "barrier" else draw(st.integers(0, 4096))
             for r in range(n_ranks):
-                events[r].append(MpiCall(kind=kind, size_bytes=size))
+                events[r].append(Call(kind=kind, size_bytes=size))
         elif shape == "pairs":
             perm = draw(st.permutations(range(n_ranks)))
             for i in range(0, n_ranks - 1, 2):
@@ -158,13 +157,13 @@ def rich_traces(draw):
                     if draw(st.booleans()):
                         post(a, "isend", b, size, tag, sent)
                     else:
-                        events[a].append(MpiCall(kind="send", peer=b,
-                                                 size_bytes=size, tag=tag))
+                        events[a].append(Call(kind="send", peer=b,
+                                              size_bytes=size, tag=tag))
                     if draw(st.booleans()):
                         post(b, "irecv", a, size, tag, got)
                     else:
-                        events[b].append(MpiCall(kind="recv", peer=a,
-                                                 size_bytes=size, tag=tag))
+                        events[b].append(Call(kind="recv", peer=a,
+                                              size_bytes=size, tag=tag))
                 wait_all(a, sent)
                 wait_all(b, got)
         else:  # every rank trades with both ring neighbours, nonblocking
@@ -184,9 +183,7 @@ def rich_traces(draw):
                 events[r].append(phase(phase_id=pid))
             pid += 1
     repeats = draw(st.integers(1, 3))
-    return BurstTrace(app="rich", n_iterations=repeats, ranks=tuple(
-        RankTrace(rank=r, period=tuple(evs), repeats=repeats)
-        for r, evs in enumerate(events)))
+    return burst(events, app="rich", repeats=repeats, n_iterations=repeats)
 
 
 class TestRichShapes:
@@ -215,12 +212,12 @@ class TestCollectivePricing:
         for r in range(n):
             evs.append([
                 phase(phase_id=0),
-                MpiCall(kind="allreduce", size_bytes=64),
+                Call(kind="allreduce", size_bytes=64),
                 phase(phase_id=1),
-                MpiCall(kind="barrier"),
-                MpiCall(kind="bcast", size_bytes=4096),
+                Call(kind="barrier"),
+                Call(kind="bcast", size_bytes=4096),
                 phase(phase_id=2),
-                MpiCall(kind="allreduce", size_bytes=8),
+                Call(kind="allreduce", size_bytes=8),
             ])
         t = trace(evs)
         scales = (0.25, 1.0, 3.0, 1.0 + 2**-30)
@@ -242,13 +239,13 @@ class TestForcedDivergence:
         # isend first (per config) holds the bus for 1000 ns.
         return trace([
             [phase(phase_id=0),
-             MpiCall(kind="isend", peer=1, size_bytes=1000, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="recv", peer=0, size_bytes=1000)],
+             Call(kind="isend", peer=1, size_bytes=1000, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="recv", peer=0, size_bytes=1000)],
             [phase(phase_id=0),
-             MpiCall(kind="isend", peer=3, size_bytes=1000, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="recv", peer=2, size_bytes=1000)],
+             Call(kind="isend", peer=3, size_bytes=1000, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="recv", peer=2, size_bytes=1000)],
         ])
 
     def duration(self, rank, ph):
@@ -301,11 +298,11 @@ class TestOrderFreeClassification:
         # is outstanding, so pairing depends on step order.
         net = zero_net(eager_threshold_bytes=64)
         t = trace([
-            [MpiCall(kind="isend", peer=1, size_bytes=8, request=0),
-             MpiCall(kind="wait", request=0),
-             MpiCall(kind="send", peer=1, size_bytes=1000)],
-            [MpiCall(kind="recv", peer=0, size_bytes=8),
-             MpiCall(kind="recv", peer=0, size_bytes=1000)],
+            [Call(kind="isend", peer=1, size_bytes=8, request=0),
+             Call(kind="wait", request=0),
+             Call(kind="send", peer=1, size_bytes=1000)],
+            [Call(kind="recv", peer=0, size_bytes=8),
+             Call(kind="recv", peer=0, size_bytes=1000)],
         ])
         assert not order_free(t, net)
         # The scalar fallback reproduces the scalar results.
@@ -314,12 +311,12 @@ class TestOrderFreeClassification:
     def test_distinct_tags_keep_keys_pure(self):
         net = zero_net(eager_threshold_bytes=64)
         t = trace([
-            [MpiCall(kind="isend", peer=1, size_bytes=8, request=0,
-                     tag=1),
-             MpiCall(kind="wait", request=0),
-             MpiCall(kind="send", peer=1, size_bytes=1000, tag=2)],
-            [MpiCall(kind="recv", peer=0, size_bytes=8, tag=1),
-             MpiCall(kind="recv", peer=0, size_bytes=1000, tag=2)],
+            [Call(kind="isend", peer=1, size_bytes=8, request=0,
+                  tag=1),
+             Call(kind="wait", request=0),
+             Call(kind="send", peer=1, size_bytes=1000, tag=2)],
+            [Call(kind="recv", peer=0, size_bytes=8, tag=1),
+             Call(kind="recv", peer=0, size_bytes=1000, tag=2)],
         ])
         assert order_free(t, net)
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 2.0))
@@ -329,7 +326,7 @@ class TestDeadlockAndValidation:
     @pytest.mark.parametrize("n_buses", [0, 1])
     def test_deadlock_reproduces_scalar_diagnostic(self, n_buses):
         t = trace([
-            [phase(), MpiCall(kind="recv", peer=1, size_bytes=8)],
+            [phase(), Call(kind="recv", peer=1, size_bytes=8)],
             [phase()],
         ])
         with pytest.raises(RuntimeError,
@@ -431,8 +428,9 @@ class TestBundledAppsStayOnTape:
 class TestPeriodicTape:
     """A message-balanced period replays its own tape ``repeats`` times;
     a flat trace (``repeats == 1``, e.g. one loaded from disk) or an
-    unbalanced period builds the full tape from the flat view.  Both
-    must equal scalar replay, which reads the flat view, bit for bit."""
+    unbalanced period builds the full tape from the flat columns.  Both
+    must equal scalar replay, which walks the period ``repeats`` times,
+    bit for bit."""
 
     @pytest.mark.parametrize("app", APP_NAMES)
     def test_app_traces_equal_scalar(self, app):
@@ -462,19 +460,17 @@ class TestPeriodicTape:
         """One halo-plus-allreduce iteration of a 2-rank ring; request
         ids grow across iterations, as a real trace's do."""
         peer = 1 - rank
-        return [MpiCall(kind="irecv", peer=peer, size_bytes=size,
-                        request=2 * k),
-                MpiCall(kind="isend", peer=peer, size_bytes=size,
-                        request=2 * k + 1),
+        return [Call(kind="irecv", peer=peer, size_bytes=size,
+                     request=2 * k),
+                Call(kind="isend", peer=peer, size_bytes=size,
+                     request=2 * k + 1),
                 self.P[rank],
-                MpiCall(kind="wait", request=2 * k),
-                MpiCall(kind="wait", request=2 * k + 1),
-                MpiCall(kind="allreduce", size_bytes=8)]
+                Call(kind="wait", request=2 * k),
+                Call(kind="wait", request=2 * k + 1),
+                Call(kind="allreduce", size_bytes=8)]
 
     def check(self, rank_events, n_iterations, reps, repeats=1):
-        t = BurstTrace(app="t", n_iterations=n_iterations, ranks=tuple(
-            RankTrace(rank=r, period=tuple(evs), repeats=repeats)
-            for r, evs in enumerate(rank_events)))
+        t = burst(rank_events, repeats=repeats, n_iterations=n_iterations)
         net = zero_net(latency_us=0.3, cpu_overhead_us=0.1)
         assert _tape_for(t, net).reps == reps
         assert_batch_equals_scalar(t, net, (0.5, 1.0, 7.3))
@@ -488,12 +484,12 @@ class TestPeriodicTape:
         # rows the last one read.
         def rdv(rank):
             peer = 1 - rank
-            return [MpiCall(kind="irecv", peer=peer, size_bytes=65536,
-                            request=0),
-                    MpiCall(kind="send", peer=peer, size_bytes=65536),
-                    MpiCall(kind="wait", request=0),
+            return [Call(kind="irecv", peer=peer, size_bytes=65536,
+                         request=0),
+                    Call(kind="send", peer=peer, size_bytes=65536),
+                    Call(kind="wait", request=0),
                     self.P[rank],
-                    MpiCall(kind="allreduce", size_bytes=8)]
+                    Call(kind="allreduce", size_bytes=8)]
 
         self.check([rdv(r) for r in range(2)], 3, reps=3, repeats=3)
 
@@ -518,9 +514,8 @@ class TestPeriodicTape:
 
     def test_pending_request_in_period_is_rejected(self):
         with pytest.raises(ValueError, match="unwaited"):
-            RankTrace(rank=0, repeats=2, period=(
-                MpiCall(kind="irecv", peer=1, size_bytes=8, request=0),
-                self.P[0]))
+            burst([(Call(kind="irecv", peer=1, size_bytes=8, request=0),
+                    self.P[0]), ()], repeats=2)
 
     def test_differing_last_iteration_builds_full_tape(self):
         self.check([self.iteration(r, 0) + self.iteration(r, 1)
@@ -530,25 +525,25 @@ class TestPeriodicTape:
     def test_request_pending_across_iterations_builds_full_tape(self):
         # Rank 0 posts both receives in iteration 0 and waits on them in
         # iteration 1.
-        rank0 = [MpiCall(kind="irecv", peer=1, size_bytes=8, request=0),
-                 self.P[0], MpiCall(kind="allreduce", size_bytes=8),
-                 MpiCall(kind="irecv", peer=1, size_bytes=8, request=1),
-                 MpiCall(kind="wait", request=0), self.P[0],
-                 MpiCall(kind="allreduce", size_bytes=8),
-                 MpiCall(kind="wait", request=1)]
-        rank1 = [MpiCall(kind="send", peer=0, size_bytes=8), self.P[1],
-                 MpiCall(kind="allreduce", size_bytes=8)] * 2
+        rank0 = [Call(kind="irecv", peer=1, size_bytes=8, request=0),
+                 self.P[0], Call(kind="allreduce", size_bytes=8),
+                 Call(kind="irecv", peer=1, size_bytes=8, request=1),
+                 Call(kind="wait", request=0), self.P[0],
+                 Call(kind="allreduce", size_bytes=8),
+                 Call(kind="wait", request=1)]
+        rank1 = [Call(kind="send", peer=0, size_bytes=8), self.P[1],
+                 Call(kind="allreduce", size_bytes=8)] * 2
         self.check([rank0, rank1], 2, reps=1)
 
     def test_send_received_an_iteration_later_builds_full_tape(self):
         # Rank 0 sends twice per period while rank 1 receives once:
         # FIFO matching pairs rank 1's second receive with rank 0's
         # second send of period 0, so one period cannot replay alone.
-        rank0 = [MpiCall(kind="send", peer=1, size_bytes=8),
-                 MpiCall(kind="send", peer=1, size_bytes=8),
-                 self.P[0], MpiCall(kind="allreduce", size_bytes=8)]
-        rank1 = [MpiCall(kind="recv", peer=0, size_bytes=8),
-                 self.P[1], MpiCall(kind="allreduce", size_bytes=8)]
+        rank0 = [Call(kind="send", peer=1, size_bytes=8),
+                 Call(kind="send", peer=1, size_bytes=8),
+                 self.P[0], Call(kind="allreduce", size_bytes=8)]
+        rank1 = [Call(kind="recv", peer=0, size_bytes=8),
+                 self.P[1], Call(kind="allreduce", size_bytes=8)]
         self.check([rank0, rank1], 2, reps=1, repeats=2)
 
     def test_equal_but_distinct_phase_builds_full_tape(self):
@@ -576,20 +571,20 @@ class TestBufferReuse:
         # (a never-read slot).  Rank 2's shape differs, so most groups
         # are partial.
         def pair(peer):
-            return [MpiCall(kind="irecv", peer=peer, size_bytes=8,
-                            request=2 * k),
-                    MpiCall(kind="isend", peer=peer, size_bytes=8,
-                            request=2 * k + 1)]
+            return [Call(kind="irecv", peer=peer, size_bytes=8,
+                         request=2 * k),
+                    Call(kind="isend", peer=peer, size_bytes=8,
+                         request=2 * k + 1)]
 
-        waits = [MpiCall(kind="wait", request=2 * k),
-                 MpiCall(kind="wait", request=2 * k + 1)]
-        end = [phase(phase_id=0), MpiCall(kind="allreduce", size_bytes=8)]
+        waits = [Call(kind="wait", request=2 * k),
+                 Call(kind="wait", request=2 * k + 1)]
+        end = [phase(phase_id=0), Call(kind="allreduce", size_bytes=8)]
         return [
-            pair(1) + [MpiCall(kind="recv", peer=2, size_bytes=65536)]
+            pair(1) + [Call(kind="recv", peer=2, size_bytes=65536)]
             + waits + end,
             pair(0) + waits + end,
-            [MpiCall(kind="send", peer=0, size_bytes=65536),
-             MpiCall(kind="send", peer=1, size_bytes=8, tag=9)] + end,
+            [Call(kind="send", peer=0, size_bytes=65536),
+             Call(kind="send", peer=1, size_bytes=8, tag=9)] + end,
         ]
 
     def test_rows_are_reused_across_iterations(self):

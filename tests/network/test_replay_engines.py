@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from repro.apps import get_app
 from repro.core.musa import Musa
 from repro.network import NetworkConfig, replay
-from repro.trace import BurstTrace, ComputePhase, MpiCall, RankTrace, TaskRecord
+from repro.trace import ComputePhase, TaskRecord
 
+from ..trace.encode import Call, burst
 from .polling_oracle import polling_replay
 
 #: The production event engine and the polling reference.
@@ -43,9 +44,7 @@ def const_duration(value):
 
 
 def trace(rank_events, app="t"):
-    ranks = tuple(RankTrace(rank=r, period=tuple(evs))
-                  for r, evs in enumerate(rank_events))
-    return BurstTrace(app=app, ranks=ranks)
+    return burst(rank_events, app=app)
 
 
 def zero_net(**kw):
@@ -81,12 +80,12 @@ class TestEagerCostRegressions:
         # priced it at 100).
         net = zero_net(n_buses=1)
         t = trace([
-            [MpiCall(kind="isend", peer=1, size_bytes=1000, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="recv", peer=0, size_bytes=1000)],
-            [MpiCall(kind="isend", peer=3, size_bytes=100, request=0),
-             MpiCall(kind="wait", request=0)],
-            [MpiCall(kind="recv", peer=2, size_bytes=100)],
+            [Call(kind="isend", peer=1, size_bytes=1000, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="recv", peer=0, size_bytes=1000)],
+            [Call(kind="isend", peer=3, size_bytes=100, request=0),
+             Call(kind="wait", request=0)],
+            [Call(kind="recv", peer=2, size_bytes=100)],
         ])
         for engine in ENGINES:
             res = run(t, net, const_duration(0.0), engine)
@@ -99,12 +98,12 @@ class TestEagerCostRegressions:
         # completes at 200 even though it posted its receive at 0.
         net = zero_net()
         t = trace([
-            [MpiCall(kind="isend", peer=1, size_bytes=100, request=0),
-             MpiCall(kind="isend", peer=2, size_bytes=100, request=1),
-             MpiCall(kind="wait", request=0),
-             MpiCall(kind="wait", request=1)],
-            [MpiCall(kind="recv", peer=0, size_bytes=100)],
-            [MpiCall(kind="recv", peer=0, size_bytes=100)],
+            [Call(kind="isend", peer=1, size_bytes=100, request=0),
+             Call(kind="isend", peer=2, size_bytes=100, request=1),
+             Call(kind="wait", request=0),
+             Call(kind="wait", request=1)],
+            [Call(kind="recv", peer=0, size_bytes=100)],
+            [Call(kind="recv", peer=0, size_bytes=100)],
         ])
         for engine in ENGINES:
             res = run(t, net, const_duration(0.0), engine)
@@ -132,10 +131,10 @@ class TestRendezvousCostRegressions:
         # the receiver side at 500 — the transfer still has to wait
         # for the bus, so completion is 2000, not 1500.
         t = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=1000)],
-            [phase(500.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
-            [MpiCall(kind="send", peer=3, size_bytes=1000)],
-            [MpiCall(kind="recv", peer=2, size_bytes=1000)],
+            [Call(kind="send", peer=1, size_bytes=1000)],
+            [phase(500.0), Call(kind="recv", peer=0, size_bytes=1000)],
+            [Call(kind="send", peer=3, size_bytes=1000)],
+            [Call(kind="recv", peer=2, size_bytes=1000)],
         ])
         res = self._run(t, lambda r, p: 500.0, engine)
         assert res.total_ns == pytest.approx(2000.0)
@@ -146,16 +145,16 @@ class TestRendezvousCostRegressions:
         # sender-side path prices one trace and the receiver-side path
         # the other — must cost exactly the same.
         congestor = [
-            [MpiCall(kind="send", peer=3, size_bytes=1000)],
-            [MpiCall(kind="recv", peer=2, size_bytes=1000)],
+            [Call(kind="send", peer=3, size_bytes=1000)],
+            [Call(kind="recv", peer=2, size_bytes=1000)],
         ]
         recv_side = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=1000)],
-            [phase(500.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
+            [Call(kind="send", peer=1, size_bytes=1000)],
+            [phase(500.0), Call(kind="recv", peer=0, size_bytes=1000)],
         ] + congestor)
         send_side = trace([
-            [phase(500.0), MpiCall(kind="send", peer=1, size_bytes=1000)],
-            [MpiCall(kind="recv", peer=0, size_bytes=1000)],
+            [phase(500.0), Call(kind="send", peer=1, size_bytes=1000)],
+            [Call(kind="recv", peer=0, size_bytes=1000)],
         ] + congestor)
         a = self._run(recv_side, lambda r, p: 500.0, engine)
         b = self._run(send_side, lambda r, p: 500.0, engine)
@@ -169,10 +168,10 @@ class TestRendezvousCostRegressions:
         # receiver side at t=10.  The second transfer serializes on
         # rank 0's outgoing link: [10, 1010] then [1010, 2010].
         t = trace([
-            [MpiCall(kind="send", peer=1, size_bytes=1000),
-             MpiCall(kind="send", peer=2, size_bytes=1000)],
-            [phase(10.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
-            [phase(10.0), MpiCall(kind="recv", peer=0, size_bytes=1000)],
+            [Call(kind="send", peer=1, size_bytes=1000),
+             Call(kind="send", peer=2, size_bytes=1000)],
+            [phase(10.0), Call(kind="recv", peer=0, size_bytes=1000)],
+            [phase(10.0), Call(kind="recv", peer=0, size_bytes=1000)],
         ])
         res = run(t, zero_net(eager_threshold_bytes=64),
                   lambda r, p: 10.0, engine)
@@ -183,7 +182,7 @@ class TestDeadlockDiagnostic:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_names_stuck_ranks_and_events(self, engine):
         t = trace([
-            [phase(), MpiCall(kind="recv", peer=1, size_bytes=8)],
+            [phase(), Call(kind="recv", peer=1, size_bytes=8)],
             [phase()],
         ])
         with pytest.raises(RuntimeError,
@@ -193,8 +192,8 @@ class TestDeadlockDiagnostic:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_counts_stuck_ranks(self, engine):
         t = trace([
-            [MpiCall(kind="barrier")],
-            [MpiCall(kind="barrier")],
+            [Call(kind="barrier")],
+            [Call(kind="barrier")],
             [],
         ])
         with pytest.raises(RuntimeError, match=r"2 rank\(s\) stuck"):
@@ -252,7 +251,7 @@ def round_traces(draw):
             kind = draw(st.sampled_from(["allreduce", "barrier", "bcast"]))
             size = 0 if kind == "barrier" else draw(st.integers(0, 4096))
             for r in range(n_ranks):
-                events[r].append(MpiCall(kind=kind, size_bytes=size))
+                events[r].append(Call(kind=kind, size_bytes=size))
         else:
             perm = draw(st.permutations(range(n_ranks)))
             for i in range(0, n_ranks - 1, 2):
@@ -262,17 +261,17 @@ def round_traces(draw):
                     ra, rb = next_req[a], next_req[b]
                     next_req[a] += 1
                     next_req[b] += 1
-                    events[a] += [MpiCall(kind="isend", peer=b,
-                                          size_bytes=size, request=ra),
-                                  MpiCall(kind="wait", request=ra)]
-                    events[b] += [MpiCall(kind="irecv", peer=a,
-                                          size_bytes=size, request=rb),
-                                  MpiCall(kind="wait", request=rb)]
+                    events[a] += [Call(kind="isend", peer=b,
+                                       size_bytes=size, request=ra),
+                                  Call(kind="wait", request=ra)]
+                    events[b] += [Call(kind="irecv", peer=a,
+                                       size_bytes=size, request=rb),
+                                  Call(kind="wait", request=rb)]
                 else:  # blocking pair
-                    events[a].append(MpiCall(kind="send", peer=b,
-                                             size_bytes=size))
-                    events[b].append(MpiCall(kind="recv", peer=a,
-                                             size_bytes=size))
+                    events[a].append(Call(kind="send", peer=b,
+                                          size_bytes=size))
+                    events[b].append(Call(kind="recv", peer=a,
+                                          size_bytes=size))
         if draw(st.booleans()):
             for r in range(n_ranks):
                 events[r].append(phase(phase_id=pid))

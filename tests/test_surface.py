@@ -37,9 +37,6 @@ READER_DIRS = ("src", "benchmarks", "perf", "scripts", "examples")
 #: ROADMAP item number).  An entry stops being accepted once the name
 #: has a reader of its own.
 ALLOWED = {
-    "total_compute_ns": (
-        "RankTrace's reference compute time; the physics invariants "
-        "check replay against it", 5),
     "capacity_gbs": (
         "contention result field; its tests check that achieved "
         "bandwidth never exceeds the derated capacity", 5),

@@ -3,13 +3,17 @@
 ``tests/network/test_trace_tape_golden.py`` hashes :func:`burst_to_dict`
 output, so its key set and order are frozen with those digests (every
 phase records ``"barrier_after": True``, the only barrier the model
-has).  :func:`burst_from_dict` rebuilds a flat trace, ``repeats == 1``,
-with fresh phase objects.
+has).  Each rank's events are its flat stream (:func:`rank_events`:
+the period ``repeats`` times, request ids numbered on across copies).
+:func:`burst_from_dict` rebuilds a flat trace, ``repeats == 1``, with
+fresh phase objects.
 """
 
 from typing import Any, Dict
 
-from repro.trace import BurstTrace, ComputePhase, MpiCall, RankTrace, TaskRecord
+from repro.trace import BurstTrace, ComputePhase, TaskRecord
+
+from .encode import Call, burst, rank_events
 
 
 def burst_to_dict(trace: BurstTrace) -> Dict[str, Any]:
@@ -38,8 +42,8 @@ def burst_to_dict(trace: BurstTrace) -> Dict[str, Any]:
         "app": trace.app,
         "n_iterations": trace.n_iterations,
         "ranks": [
-            {"rank": rt.rank, "events": [event(e) for e in rt.events]}
-            for rt in trace.ranks
+            {"rank": r, "events": [event(e) for e in events]}
+            for r, events in enumerate(rank_events(trace))
         ],
     }
 
@@ -58,12 +62,8 @@ def burst_from_dict(data: Dict[str, Any]) -> BurstTrace:
                 creation_ns=d["creation_ns"],
                 critical_ns=d["critical_ns"],
             )
-        return MpiCall(kind=d["kind"], peer=d["peer"], size_bytes=d["size"],
-                       tag=d["tag"], request=d["req"])
+        return Call(kind=d["kind"], peer=d["peer"], size_bytes=d["size"],
+                    tag=d["tag"], request=d["req"])
 
-    ranks = tuple(
-        RankTrace(rank=r["rank"], period=tuple(event(e) for e in r["events"]))
-        for r in data["ranks"]
-    )
-    return BurstTrace(app=data["app"], ranks=ranks,
-                      n_iterations=data["n_iterations"])
+    return burst([[event(e) for e in r["events"]] for r in data["ranks"]],
+                 app=data["app"], n_iterations=data["n_iterations"])

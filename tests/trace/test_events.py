@@ -1,8 +1,12 @@
 """Tests for burst-trace event records."""
 
+import numpy as np
 import pytest
 
-from repro.trace import ComputePhase, MpiCall, TaskRecord
+from repro.trace import BurstTrace, ComputePhase, TaskRecord
+from repro.trace.burst import FIRST_COLLECTIVE, KINDS
+
+from .encode import Call, burst, columns_from_ranks
 
 
 class TestTaskRecord:
@@ -90,38 +94,49 @@ class TestComputePhase:
 
 
 class TestMpiCall:
+    """An MPI call is a row of the trace's columns: the trace's row
+    checks accept or reject it."""
+
     def test_p2p_requires_peer(self):
         with pytest.raises(ValueError, match="requires a peer"):
-            MpiCall(kind="send", size_bytes=10)
+            burst([[Call(kind="send", size_bytes=10)]])
 
     def test_nonblocking_requires_request(self):
         with pytest.raises(ValueError, match="request"):
-            MpiCall(kind="isend", peer=1, size_bytes=10)
+            burst([[Call(kind="isend", peer=1, size_bytes=10)], []])
 
     def test_wait_requires_request(self):
-        with pytest.raises(ValueError):
-            MpiCall(kind="wait")
+        with pytest.raises(ValueError, match="wait requires a request id"):
+            burst([[Call(kind="wait")]])
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown MPI call"):
-            MpiCall(kind="sendrecv", peer=1)
+        # Kinds are codes into KINDS; a code past its end is no call.
+        cols, _ = columns_from_ranks([[Call(kind="barrier")]])
+        with pytest.raises(ValueError,
+                           match="unknown event kind code 12"):
+            BurstTrace("x", cols._replace(kind=np.array([len(KINDS)])), ())
 
     def test_collective_flag(self):
-        assert MpiCall(kind="allreduce", size_bytes=8).is_collective
-        assert not MpiCall(kind="send", peer=0, size_bytes=8).is_collective
+        assert set(KINDS[1:FIRST_COLLECTIVE]) == {
+            "send", "recv", "isend", "irecv", "wait"}
+        assert set(KINDS[FIRST_COLLECTIVE:]) == {
+            "barrier", "allreduce", "reduce", "bcast", "alltoall",
+            "allgather"}
 
     def test_barrier_zero_payload(self):
-        b = MpiCall(kind="barrier")
-        assert b.size_bytes == 0
+        c = burst([[Call(kind="barrier")]]).columns
+        assert (c.size.tolist(), c.peer.tolist(), c.request.tolist()) == (
+            [0], [-1], [-1])
 
     def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            MpiCall(kind="bcast", size_bytes=-1)
+        with pytest.raises(ValueError, match="size_bytes must be"):
+            burst([[Call(kind="bcast", size_bytes=-1)]])
 
     def test_rejects_negative_peer(self):
+        # -1 encodes "no peer"; below it is a bad rank.
         with pytest.raises(ValueError, match="peer must be"):
-            MpiCall(kind="send", peer=-1, size_bytes=8)
+            burst([[Call(kind="send", peer=-2, size_bytes=8)]])
 
     def test_rejects_negative_request(self):
         with pytest.raises(ValueError, match="request id must be"):
-            MpiCall(kind="isend", peer=1, size_bytes=8, request=-1)
+            burst([[Call(kind="isend", peer=0, size_bytes=8, request=-2)]])
