@@ -56,10 +56,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..apps.registry import get_app
 from ..config.space import DesignSpace
-from ..core.batch import BatchEvaluator
-from ..core.musa import Musa
+from ..core.batch import BatchEvaluator, evaluator_for
 from ..core.results import CONFIG_KEYS, ResultSet
 from ..core.store import ResultStore, make_provenance, store_keys_batch
 from ..obs import MetricsRegistry, get_metrics, set_metrics
@@ -183,8 +181,9 @@ def search_front(
         engine.  Points already in the store are reused, not
         re-evaluated.
     evaluator:
-        Share a warmed :class:`BatchEvaluator` across calls (e.g. the
-        benchmark harness); by default one is built for ``app``.
+        The :class:`BatchEvaluator` to run; by default the process's
+        shared one for ``app`` (:func:`~repro.core.batch.evaluator_for`),
+        so later fronts of the same app start with warm miss tables.
 
     Counters: ``search.evaluated`` (points acquired),
     ``search.rounds``, ``search.front_size`` (final front),
@@ -208,7 +207,7 @@ def search_front(
     reg = metrics or get_metrics()
     prev_reg = set_metrics(reg) if reg is not get_metrics() else None
     if evaluator is None:
-        evaluator = BatchEvaluator(Musa(get_app(app)))
+        evaluator = evaluator_for(app)
     rng = random.Random(seed)
 
     done = np.zeros(n_space, dtype=bool)

@@ -11,10 +11,12 @@ The app's phases are evaluated in **one pass**.  A *lane* is one
 (phase, config) pair; each of the ``N_REFINE`` refine iterations
 stacks every still-active lane of every phase:
 
-* kernels are timed column-wise over the configuration axis
-  (:mod:`repro.uarch.batch`) on the batched cache-miss model, once per
-  (kernel, share column) not yet in the call's kernel memo, and all of
-  the iteration's misses share **one** contention fixed point
+* the (kernel, share column) pairs not yet in the call's kernel memo
+  are timed in **one** :func:`~repro.uarch.batch.time_kernel_batch`
+  call over (kernel, config) lanes, which reads the evaluator's dense
+  miss tables in one gather and prices the cells they lack in one fill
+  (:class:`~repro.uarch.hierarchy.MissTable`), and all of the
+  iteration's misses share **one** contention fixed point
   (:func:`~repro.uarch.batch.resolve_contention_batch`);
 * all lanes share **one** schedule replay
   (:func:`~repro.runtime.scheduler.simulate_phase_batch`, which takes a
@@ -51,6 +53,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..apps import get_app
 from ..config.node import NodeConfig
 from ..network.replay_batch import replay_batch
 from ..obs import get_metrics
@@ -58,12 +61,13 @@ from ..power.technology import energy_scale
 from ..runtime.scheduler import simulate_phase_batch
 from ..trace.events import ComputePhase
 from ..uarch.batch import NodeBatch, resolve_contention_batch, time_kernel_batch
+from ..uarch.hierarchy import MissTable
 from ..util import LruDict
 from .frame import ResultFrame
 from .musa import Musa, RunResult
 from .phase_sim import N_REFINE, _imbalance_factors
 
-__all__ = ["BatchEvaluator", "RECORD_KEYS"]
+__all__ = ["BatchEvaluator", "RECORD_KEYS", "evaluator_for"]
 
 #: The flat-record schema of ``RunResult.record()``, in its insertion
 #: order — the frame path builds these columns directly.
@@ -115,23 +119,26 @@ class _PhaseCols:
 class BatchEvaluator:
     """Evaluates one app's integrated fast mode over config batches.
 
-    Owns per-app memoization: miss profiles keyed on the full hashable
-    ``(kernel, hierarchy, share)`` and SIMD fusion keyed on
-    ``(kernel, width)`` persist for the evaluator's lifetime; resolved
-    kernel-timing *columns* are memoized per :meth:`evaluate_frame` call by
+    Owns per-app memoization: miss ratios in one dense
+    :class:`~repro.uarch.hierarchy.MissTable` per (kernel, hierarchy),
+    indexed by L3 share, and SIMD fusion keyed on ``(kernel, width)``,
+    both kept for the evaluator's lifetime; resolved kernel-timing
+    *columns* are memoized per :meth:`evaluate_frame` call by
     ``(kernel, share-column)``, which is what makes kernels shared by
     several phases (SP-MZ's ``sp_solve``) nearly free, mirroring the
-    scalar path's ``(kernel, node, share)`` cache.
+    scalar path's ``(kernel, node, share)`` cache.  Use
+    :func:`evaluator_for` to share one evaluator per app in a process.
     """
 
     def __init__(self, musa: Musa, memo_cap: int = 16384) -> None:
         self.musa = musa
         self._app = self._app_invariants(musa)
-        # LRU-bounded like Musa's memos (PR 4): a long-lived process
-        # (the sweep service) evaluates unbounded config streams through
-        # one evaluator, and these were the last unbounded memo dicts.
-        self._miss_memo: Dict = LruDict(
-            memo_cap, eviction_counter="batch.memo.evictions")
+        # The miss table is bounded by its axes (the app's kernels x the
+        # cache presets x the largest share); the SIMD memo is
+        # LRU-bounded like Musa's memos, since a long-lived process
+        # (the sweep service) evaluates unbounded config streams
+        # through one evaluator.
+        self._miss_table = MissTable()
         self._vec_memo: Dict = LruDict(
             memo_cap, eviction_counter="batch.memo.evictions")
 
@@ -261,8 +268,8 @@ class BatchEvaluator:
             skeys = [share[p].tobytes() if live[p] else None
                      for p in range(n_phases)]
 
-            # Kernel timings: memo hits, then one contention fixed point
-            # over every miss of the iteration.
+            # Kernel timings: memo hits, then one stacked timing call and
+            # one contention fixed point over every miss of the iteration.
             misses: Dict = {}
             for p, k in app.slots:
                 if not live[p]:
@@ -272,13 +279,13 @@ class BatchEvaluator:
                     obs.inc("phase_sim.kernel_memo.hit", n_configs)
                     continue
                 obs.inc("phase_sim.kernel_memo.miss", n_configs)
-                misses[mk] = (time_kernel_batch(
-                    detailed[k], nb, share[p], miss_memo=self._miss_memo,
-                    vec_memo=self._vec_memo), share[p])
+                misses[mk] = p
             if misses:
-                resolved = resolve_contention_batch(
-                    [tb for tb, _ in misses.values()],
-                    [sh for _, sh in misses.values()], nb)
+                miss_shares = share[list(misses.values())]
+                timings = time_kernel_batch(
+                    [detailed[k] for k, _ in misses], nb, miss_shares,
+                    miss_table=self._miss_table, vec_memo=self._vec_memo)
+                resolved = resolve_contention_batch(timings, miss_shares, nb)
                 for mk, cb in zip(misses, resolved):
                     kernel_memo[mk] = (cb.timing, cb.utilization)
             util[live] = 0.0
@@ -603,3 +610,18 @@ class BatchEvaluator:
             columns["power_total_w"] = power_total_w
             columns["energy_j"] = energy_j
         return ResultFrame.from_columns(RECORD_KEYS, columns)
+
+
+#: One evaluator per app for the whole process: sweep workers, ``repro
+#: serve`` and search share it, so each app's miss tables are priced
+#: once per process, not once per sweep shard, query or front.
+_EVALUATORS: Dict[str, BatchEvaluator] = {}
+
+
+def evaluator_for(app_name: str) -> BatchEvaluator:
+    """This process's :class:`BatchEvaluator` of the named app."""
+    evaluator = _EVALUATORS.get(app_name)
+    if evaluator is None:
+        evaluator = _EVALUATORS[app_name] = BatchEvaluator(
+            Musa(get_app(app_name)))
+    return evaluator

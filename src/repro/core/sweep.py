@@ -2,9 +2,10 @@
 
 Runs the full (or a restricted) design space for a set of applications
 as a sharded task schedule, inline or across worker processes.  Each
-worker owns one lazily-built :class:`~repro.core.musa.Musa` instance
-per application, so trace generation happens once per (worker, app) and
-phase-detail memoization works across the configs the worker handles —
+worker uses one lazily-built evaluator per application
+(:func:`~repro.core.batch.evaluator_for`), so trace generation and the
+miss tables happen once per (worker, app) and memoization works across
+the configs the worker handles —
 the same amortization MUSA gets from reusing one trace for the whole
 campaign.
 
@@ -88,14 +89,12 @@ from typing import (
     Union,
 )
 
-from ..apps.registry import get_app
 from ..config.node import NodeConfig
 from ..config.space import AXES, DesignSpace
 from ..obs import MetricsRegistry, ProgressMeter, get_metrics, set_metrics, warn
-from .batch import BatchEvaluator
+from .batch import evaluator_for
 from .checkpoint import Journal, replay_journal, task_key
 from .frame import FrameRow, pack_frame, unpack_frame
-from .musa import Musa
 from .results import CONFIG_KEYS, ResultSet
 
 __all__ = [
@@ -156,13 +155,6 @@ class FailNTimes:
 
 # --------------------------------------------------------------- worker side
 
-# Per-process Musa cache (workers are forked/spawned per sweep).
-_MUSA_CACHE: Dict[str, Musa] = {}
-
-# Per-process batched-evaluator cache, keyed like _MUSA_CACHE.
-_BATCH_EVALUATORS: Dict[str, BatchEvaluator] = {}
-
-
 @dataclass(frozen=True)
 class _RunSettings:
     """Everything a shard's evaluation needs besides its task pairs;
@@ -172,18 +164,6 @@ class _RunSettings:
     mode: str
     timeout_s: Optional[float]
     fault_hook: Optional[Callable[[str, NodeConfig, int], None]]
-
-
-def _musa_for(app_name: str) -> Musa:
-    if app_name not in _MUSA_CACHE:
-        _MUSA_CACHE[app_name] = Musa(get_app(app_name))
-    return _MUSA_CACHE[app_name]
-
-
-def _evaluator_for(app_name: str) -> BatchEvaluator:
-    if app_name not in _BATCH_EVALUATORS:
-        _BATCH_EVALUATORS[app_name] = BatchEvaluator(_musa_for(app_name))
-    return _BATCH_EVALUATORS[app_name]
 
 
 def _describe(exc: BaseException) -> str:
@@ -285,7 +265,7 @@ def _execute_batch(shard, tasks, settings: _RunSettings
                 runnable.append((idx, attempt, node))
             if runnable:
                 ok_payloads = None
-                evaluator = _evaluator_for(app_name)
+                evaluator = evaluator_for(app_name)
                 nodes = [t[2] for t in runnable]
                 try:
                     # One frame for the whole shard; outcomes carry lazy
@@ -305,7 +285,7 @@ def _execute_batch(shard, tasks, settings: _RunSettings
                 else:
                     for idx, attempt, node in runnable:  # hooks already ran
                         try:
-                            rec = _musa_for(app_name).simulate_node(
+                            rec = evaluator.musa.simulate_node(
                                 node, n_ranks=n_ranks, mode=mode).record()
                         except TaskTimeout:
                             raise

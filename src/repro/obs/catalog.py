@@ -84,7 +84,10 @@ CATALOG = (
     Metric("miss.batch.geometries", "cache geometries the miss model priced",
            "miss_batch_geometries", "miss-model geometries evaluated",
            sparse=True),
+    Metric("miss.table.builds", "survival tables built or rebuilt"),
     Metric("miss.table.evictions", "survival tables dropped from the cache"),
+    Metric("contention.unconverged",
+           "contention fixed points stopped at the iteration cap"),
     Metric("sched.batch.fast", "config columns the vector scheduler ran",
            "sched_batch_fast", "scheduler columns vectorized", "sched"),
     Metric("sched.batch.fallbacks", "config columns simulated one by one",

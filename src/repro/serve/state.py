@@ -22,12 +22,13 @@ in front of the engine:
   evaluation; followers wait for the leader's response instead of
   racing the engine (``serve.singleflight.coalesced`` counts them).
 
-Warm state is shared across requests: one :class:`BatchEvaluator` per
-application (its phase-detail and batch-signature memos persist), plus
-the process-global trace and replay-tape caches.  A single engine lock
-serializes evaluation — the engine's memos and the obs registry are
-not re-entrant, and queries differing in content don't share work
-anyway.
+Warm state is shared across requests: the process's one
+:class:`BatchEvaluator` per application
+(:func:`~repro.core.batch.evaluator_for`; its miss tables and memos
+persist), plus the process-global trace and replay-tape caches.  A
+single engine lock serializes evaluation — the engine's memos and the
+obs registry are not re-entrant, and queries differing in content
+don't share work anyway.
 
 Query shapes (plain dicts, the HTTP layer passes JSON bodies through):
 
@@ -59,16 +60,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.optimize import Constraints, optimize_node
-from ..apps import APP_NAMES, get_app
+from ..apps import APP_NAMES
 from ..config.space import (
     AXES,
     DesignSpace,
     full_design_space,
     smoke_design_space,
 )
-from ..core.batch import BatchEvaluator
+from ..core.batch import evaluator_for
 from ..core.canon import content_digest
-from ..core.musa import Musa
 from ..core.results import ResultSet
 from ..core.store import ResultStore, make_provenance, store_keys_batch
 from ..obs import get_metrics
@@ -105,7 +105,6 @@ class ServeState:
         self.code_version = code_version
         self.started_s = time.time()
         self._engine_lock = threading.Lock()
-        self._evaluators: Dict[str, BatchEvaluator] = {}
         self._flights: Dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
         #: Store invalidations run so far, counted once each has
@@ -268,12 +267,6 @@ class ServeState:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _evaluator(self, app_name: str) -> BatchEvaluator:
-        if app_name not in self._evaluators:
-            self._evaluators[app_name] = BatchEvaluator(
-                Musa(get_app(app_name)))
-        return self._evaluators[app_name]
-
     def _sweep_records(self, norm: Dict,
                        space: Optional[DesignSpace] = None
                        ) -> Tuple[List[Dict], Dict[str, int]]:
@@ -316,7 +309,7 @@ class ServeState:
                 reg = get_metrics()
                 for app, idxs in misses.items():
                     before = reg.snapshot()
-                    frame = self._evaluator(app).evaluate_frame(
+                    frame = evaluator_for(app).evaluate_frame(
                         [nodes[i] for i in idxs], n_ranks=ranks, mode=mode)
                     delta = reg.delta(before, reg.snapshot())
                     evaluated += len(idxs)

@@ -27,9 +27,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..obs import get_metrics
 from ..util import LruDict
 
-__all__ = ["InstructionMix", "ReuseProfile", "KernelSignature"]
+__all__ = ["InstructionMix", "ReuseProfile", "KernelSignature",
+           "prime_survival_tables"]
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,8 @@ class ReuseProfile:
     ``d`` intervening lines fall in its set).
     """
 
-    __slots__ = ("_edges", "_weights", "cold_fraction")
+    __slots__ = ("_edges", "_weights", "cold_fraction", "_mids",
+                 "_small_distances")
 
     def __init__(self, edges: Sequence[float], weights: Sequence[float],
                  cold_fraction: float = 0.0) -> None:
@@ -99,6 +102,11 @@ class ReuseProfile:
         self._edges = edges_arr
         self._weights = weights_arr * scale
         self.cold_fraction = float(cold_fraction)
+        # Each bucket is priced at its geometric mid; the mids at most
+        # _SMALL_D_MAX read the exact survival tables at these ints.
+        self._mids = np.sqrt(np.maximum(edges_arr[:-1], 0.25) * edges_arr[1:])
+        self._small_distances = np.maximum(
+            self._mids[self._mids <= _SMALL_D_MAX], 0).astype(int)
 
     # -- constructors --------------------------------------------------------
 
@@ -184,7 +192,7 @@ class ReuseProfile:
         """
         if capacity_lines <= 0:
             return 1.0
-        mids = np.sqrt(np.maximum(self._edges[:-1], 0.25) * self._edges[1:])
+        mids = self._mids
         if associativity <= 0:
             p_miss = (mids >= capacity_lines).astype(np.float64)
             # log-linear interpolation inside the straddling bucket
@@ -228,7 +236,7 @@ class ReuseProfile:
         live = ~empty
         if not live.any():
             return out
-        mids = np.sqrt(np.maximum(self._edges[:-1], 0.25) * self._edges[1:])
+        mids = self._mids
         p_miss = np.empty((int(live.sum()), n_buckets), dtype=np.float64)
         caps_l, assocs_l, sets_l = caps[live], assocs[live], sets[live]
 
@@ -314,14 +322,24 @@ def _survival_rows(assoc: int, p: np.ndarray,
 def _survival_tables(assocs, n_sets, distances) -> np.ndarray:
     """``tab[g, j] = P(Binom(distances[j], 1 / n_sets[g]) >= assocs[g])``.
 
-    ``distances`` are ints in ``0.._SMALL_D_MAX``.  Keys missing from
-    ``_SURVIVAL_TABLES``, or missing one of the distances there, are
-    built together: one :func:`_survival_rows` recurrence per distinct
-    ``max(0, assoc)``, over the distinct distances asked for.
+    ``distances`` are ints in ``0.._SMALL_D_MAX``; the keys' tables come
+    from :func:`_tables_for`.
     """
     distances = np.asarray(distances, dtype=np.intp)
-    need = np.flatnonzero(np.bincount(distances))
     keys = [(int(a), int(s)) for a, s in zip(assocs, n_sets)]
+    tables = _tables_for(keys, np.flatnonzero(np.bincount(distances)))
+    return np.stack([tables[key][distances] for key in keys])
+
+
+def _tables_for(keys, need: np.ndarray) -> dict:
+    """The survival table of every ``(assoc, n_sets)`` key, holding at
+    least the distances ``need`` (ascending ints).
+
+    Keys missing from ``_SURVIVAL_TABLES``, or missing one of ``need``
+    there, are built together: one :func:`_survival_rows` recurrence
+    per distinct ``max(0, assoc)``, over ``need``.  Each key built is
+    counted under ``miss.table.builds``.
+    """
     tables, missing = {}, {}
     for key in dict.fromkeys(keys):
         tab = _SURVIVAL_TABLES.get(key)
@@ -337,7 +355,29 @@ def _survival_tables(assocs, n_sets, distances) -> np.ndarray:
                 tab = tables[key] = np.full(_SMALL_D_MAX + 1, np.nan)
             tab[need] = built[:, i]
             _SURVIVAL_TABLES[key] = tab
-    return np.stack([tables[key][distances] for key in keys])
+        get_metrics().inc("miss.table.builds", len(group))
+    return tables
+
+
+def prime_survival_tables(profiles: Sequence[ReuseProfile],
+                          assocs: Sequence[int],
+                          n_sets: Sequence[int]) -> None:
+    """Build every set-associative ``(assoc, n_sets)`` survival table
+    that ``profiles`` will read, once, over the union of their small
+    distances.
+
+    :meth:`ReuseProfile.miss_ratio_batch` builds the keys it lacks over
+    its own profile's distances only, so profiles priced one after
+    another rebuild a shared key for each new distance; priming first
+    turns those builds into gathers.  A table's bits do not depend on
+    the keys or distances it is built with, so priming changes no
+    miss ratio.
+    """
+    need = np.flatnonzero(np.bincount(
+        np.concatenate([p._small_distances for p in profiles])))
+    keys = [(int(a), int(s)) for a, s in zip(assocs, n_sets) if a > 0]
+    if len(need) and keys:
+        _tables_for(keys, need)
 
 
 def _norm_sf(x: np.ndarray) -> np.ndarray:

@@ -11,10 +11,15 @@ batch with elementwise array arithmetic.
 **Exactness contract** (enforced by the property suite): every batched
 result is bitwise-identical to the scalar path, not merely close.
 
-* miss profiles and SIMD fusion take few distinct values per batch, so
-  they are computed by the *scalar* model once per distinct value and
-  scattered (:func:`~.hierarchy.hierarchy_miss_profile_batch`,
-  :func:`~.vector.vectorize_batch`) — trivially exact;
+* SIMD fusion takes few distinct values per batch, so it is computed
+  by the *scalar* model once per distinct width and scattered
+  (:func:`~.vector.vectorize_batch`) — trivially exact; miss ratios
+  are gathered from dense per-(kernel, hierarchy) tables indexed by L3
+  share (:class:`~.hierarchy.MissTable`), whose cells are priced by
+  the batched miss model, bitwise per geometry;
+* :func:`time_kernel_batch` times several kernels at once over
+  ``(kernels, configs)`` lanes, each per-kernel scalar a
+  ``(kernels, 1)`` column, so one call serves a refine iteration;
 * the interval-analysis formulas and the contention fixed point are
   replicated op-for-op: same operand order, same associativity, same
   float64 intermediates.  IEEE-754 elementwise ops are deterministic,
@@ -33,10 +38,11 @@ import numpy as np
 
 from ..config.cache import LINE_BYTES, CacheHierarchy
 from ..config.node import NodeConfig
+from ..obs import get_metrics
 from ..trace.kernel import KernelSignature
 from .core_model import _MIN_EXPOSURE
 from .cpu import _DAMPING, _MAX_ITER, _QUEUE_GAIN, _U_CLIP, dram_efficiency
-from .hierarchy import hierarchy_miss_profile_batch
+from .hierarchy import MissTable, hierarchy_miss_profile_batch
 from .vector import VectorizationResult, vectorize_batch
 
 __all__ = [
@@ -168,44 +174,63 @@ class KernelTimingBatch:
 
 
 def time_kernel_batch(
-    sig: KernelSignature,
+    sigs: Sequence[KernelSignature],
     batch: NodeBatch,
-    shares: Sequence[int],
+    shares: np.ndarray,
     mem_latency_ns: float = 0.0,
-    miss_memo: Optional[Dict[Tuple, Tuple[float, float, float]]] = None,
+    miss_table: Optional[MissTable] = None,
     vec_memo: Optional[Dict[Tuple[str, int], VectorizationResult]] = None,
-) -> KernelTimingBatch:
-    """Batched :func:`~repro.uarch.core_model.time_kernel`.
+) -> List[KernelTimingBatch]:
+    """Batched :func:`~repro.uarch.core_model.time_kernel` over
+    (kernel, configuration) lanes.
 
-    ``shares[i]`` is ``l3_share_cores`` for configuration ``i``.  The
-    arithmetic mirrors the scalar function operation-for-operation (see
-    the module docstring for why that yields bitwise equality).
+    ``shares[j, i]`` is ``l3_share_cores`` for kernel ``sigs[j]`` on
+    configuration ``i``.  Per-kernel scalars become ``(kernels, 1)``
+    columns broadcast along the configuration axis, and the arithmetic
+    mirrors the scalar function operation-for-operation (see the module
+    docstring for why that yields bitwise equality).  Returns one
+    :class:`KernelTimingBatch` per kernel, in input order, whose arrays
+    are rows of the stacked lanes.
     """
-    vecs = vectorize_batch(sig, batch.vector_bits, memo=vec_memo)
+    shares = np.asarray(shares, dtype=np.int64)
+    vecs = [vectorize_batch(sig, batch.vector_bits, memo=vec_memo)
+            for sig in sigs]
     miss_l1, miss_l2, miss_l3 = hierarchy_miss_profile_batch(
-        sig, batch.hierarchies, batch.hierarchy_idx, shares, memo=miss_memo)
+        sigs, batch.hierarchies, batch.hierarchy_idx, shares,
+        table=miss_table)
 
     f64 = np.float64
-    instr_scale = np.array([v.instr_scale for v in vecs], f64)
-    fp_scale = np.array([v.fp_scale for v in vecs], f64)
-    mem_scale = np.array([v.mem_scale for v in vecs], f64)
+    instr_scale = np.array([[v.instr_scale for v in vs] for vs in vecs], f64)
+    fp_scale = np.array([[v.fp_scale for v in vs] for vs in vecs], f64)
+    mem_scale = np.array([[v.mem_scale for v in vs] for vs in vecs], f64)
 
-    n0 = sig.instr_per_unit
-    m = sig.mix
+    def col(values) -> np.ndarray:
+        return np.array(values, f64)[:, None]
+
+    # Per-kernel scalars, each the Python float the scalar model uses.
+    n0 = col([s.instr_per_unit for s in sigs])
+    n0_fp = col([s.instr_per_unit * s.mix.fp for s in sigs])
+    n0_mem = col([s.instr_per_unit * s.mix.mem for s in sigs])
+    n0_store = col([s.instr_per_unit * s.mix.store for s in sigs])
+    # n_int + n_br, with n_int = n0 * (int_alu + other), n_br = n0 * branch.
+    n_int_br = col([s.instr_per_unit * (s.mix.int_alu + s.mix.other)
+                    + s.instr_per_unit * s.mix.branch for s in sigs])
+    ilp = col([s.ilp for s in sigs])
+    mlp = col([s.mlp for s in sigs])
+    prefetch_mlp = col([s.mlp * s.row_hit_rate for s in sigs])
+
     n_instr = n0 * instr_scale
-    n_fp = (n0 * m.fp) * fp_scale       # scalar: (n0 * m.fp) * fp_scale
-    n_mem = (n0 * m.mem) * mem_scale
-    n_int = n0 * (m.int_alu + m.other)  # config-invariant scalars
-    n_br = n0 * m.branch
+    n_fp = n0_fp * fp_scale              # scalar: (n0 * m.fp) * fp_scale
+    n_mem = n0_mem * mem_scale
 
     # --- base component (same operand order as the scalar model) -------------
     dispatch = n_instr / batch.issue_width
-    dependency = n_instr / sig.ilp
+    dependency = n_instr / ilp
     fu_fp = n_fp / batch.n_fpu
     fu_mem = n_mem / batch.l1_ports
     store_ports = np.where(batch.store_buffer < 64, 1.0, 2.0)
-    fu_store = ((n0 * m.store) * mem_scale) / store_ports
-    fu_int = (n_int + n_br) / batch.n_alu
+    fu_store = (n0_store * mem_scale) / store_ports
+    fu_int = n_int_br / batch.n_alu
     base = np.maximum(np.maximum(np.maximum(np.maximum(np.maximum(
         dispatch, dependency), fu_fp), fu_mem), fu_store), fu_int)
 
@@ -217,7 +242,7 @@ def time_kernel_batch(
     l2_acc = n_mem * miss_l1
     l3_acc = n_mem * miss_l2
     dram_acc = n_mem * miss_l3
-    dram_lines_traffic = (n0 * m.mem) * miss_l3
+    dram_lines_traffic = n0_mem * miss_l3
 
     l2_stall = l2_acc * np.maximum(batch.l2_latency - hide_window,
                                    batch.l2_latency * _MIN_EXPOSURE)
@@ -232,31 +257,33 @@ def time_kernel_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         miss_per_instr = np.where(n_instr > 0, dram_acc / n_instr, 0.0)
     window_mlp = np.maximum(1.0, batch.rob_size * miss_per_instr)
-    prefetch_mlp = sig.mlp * sig.row_hit_rate
     mlp_eff = np.maximum(1.0, np.minimum(
-        np.minimum(sig.mlp, batch.max_mlp),
+        np.minimum(mlp, batch.max_mlp),
         np.maximum(window_mlp, prefetch_mlp)))
     mem_exposure = np.maximum(mem_lat_cycles - hide_window,
                               mem_lat_cycles * _MIN_EXPOSURE)
     mem_stall = dram_acc * mem_exposure / mlp_eff
 
-    return KernelTimingBatch(
-        kernel=sig.name,
-        base_cycles=base,
-        l2_stall_cycles=l2_stall,
-        l3_stall_cycles=l3_stall,
-        mem_stall_cycles=mem_stall,
-        instructions=n_instr,
-        scalar_flops=n0 * m.fp,
-        l1_accesses=n_mem,
-        l2_accesses=l2_acc,
-        l3_accesses=l3_acc,
-        dram_accesses=dram_acc,
-        dram_lines=dram_lines_traffic,
-        frequency_ghz=batch.frequency_ghz,
-        row_hit_rate=sig.row_hit_rate,
-        vectorizations=tuple(vecs),
-    )
+    return [
+        KernelTimingBatch(
+            kernel=sig.name,
+            base_cycles=base[j],
+            l2_stall_cycles=l2_stall[j],
+            l3_stall_cycles=l3_stall[j],
+            mem_stall_cycles=mem_stall[j],
+            instructions=n_instr[j],
+            scalar_flops=sig.instr_per_unit * sig.mix.fp,
+            l1_accesses=n_mem[j],
+            l2_accesses=l2_acc[j],
+            l3_accesses=l3_acc[j],
+            dram_accesses=dram_acc[j],
+            dram_lines=dram_lines_traffic[j],
+            frequency_ghz=batch.frequency_ghz,
+            row_hit_rate=sig.row_hit_rate,
+            vectorizations=tuple(vs),
+        )
+        for j, (sig, vs) in enumerate(zip(sigs, vecs))
+    ]
 
 
 @dataclass(frozen=True)
@@ -286,8 +313,10 @@ def resolve_contention_batch(
     satisfies the scalar convergence test is assigned ``d_new`` and
     frozen — exactly where the scalar loop breaks — so every lane
     reproduces its scalar iteration sequence bit-for-bit, however long
-    the other lanes run.  Returns one :class:`ContentionBatch` per
-    kernel, in input order.
+    the other lanes run.  Lanes still moving after ``_MAX_ITER``
+    iterations keep their last damped step, as the scalar loop does,
+    and are counted under ``contention.unconverged``.  Returns one
+    :class:`ContentionBatch` per kernel, in input order.
     """
     if not timings:
         return []
@@ -328,7 +357,11 @@ def resolve_contention_batch(
                       where=active)
             active &= ~conv
         d = np.maximum(np.maximum(d, d_floor), t_fixed + t_mem0)
-
+    unconverged = int(np.count_nonzero(active))
+    if unconverged:
+        # Lanes the scalar loop would also leave at the cap.
+        get_metrics().inc("contention.unconverged", unconverged)
+    with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(
             trivial, 1.0,
             np.maximum(1.0, (d - t_fixed) / np.where(trivial, 1.0, t_mem0)))

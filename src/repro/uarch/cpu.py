@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config.memory import MemoryConfig
+from ..obs import get_metrics
 from .core_model import KernelTiming
 
 __all__ = ["ContentionResult", "dram_efficiency", "resolve_contention"]
@@ -73,7 +74,9 @@ def resolve_contention(
     The phase simulator calls this with the *occupied* core count (from
     the runtime schedule), so poorly-scaling applications never build up
     enough demand to saturate the channels — the Specfem3D-vs-LULESH
-    asymmetry of Sec. V-B4.
+    asymmetry of Sec. V-B4.  A fixed point still moving after
+    ``_MAX_ITER`` damped steps keeps its last step and is counted under
+    ``contention.unconverged``.
     """
     if n_busy_cores <= 0:
         raise ValueError("n_busy_cores must be positive")
@@ -102,6 +105,9 @@ def resolve_contention(
             d = d_new
             break
         d = _DAMPING * d + (1.0 - _DAMPING) * d_new
+    else:
+        # Stopped at the cap: d is the last damped step, not a fixed point.
+        get_metrics().inc("contention.unconverged")
     d = max(d, d_floor, t_fixed + t_mem0)
 
     # Guard against catastrophic cancellation when t_mem0 is tiny.

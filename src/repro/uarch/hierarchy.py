@@ -17,9 +17,9 @@ import numpy as np
 
 from ..config.cache import CacheHierarchy
 from ..obs import get_metrics
-from ..trace.kernel import KernelSignature
+from ..trace.kernel import KernelSignature, prime_survival_tables
 
-__all__ = ["MissProfile", "hierarchy_miss_profile",
+__all__ = ["MissProfile", "MissTable", "hierarchy_miss_profile",
            "hierarchy_miss_profile_batch"]
 
 
@@ -86,86 +86,149 @@ def hierarchy_miss_profile(
     return MissProfile(miss_l1=m1, miss_l2=m2, miss_l3=m3)
 
 
-def hierarchy_miss_profile_batch(
-    sig: KernelSignature,
-    hierarchies: Sequence[CacheHierarchy],
-    index: Sequence[int],
-    shares: Sequence[int],
-    memo: Optional[Dict[Tuple, Tuple[float, float, float]]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`hierarchy_miss_profile` over a configuration axis.
+class MissTable:
+    """Dense miss ratios of a set of kernels, one table per (kernel,
+    hierarchy), indexed by L3 share.
 
-    Config ``i`` runs on ``hierarchies[index[i]]`` with
-    ``l3_share_cores = shares[i]``; the result is the ``(miss_l1,
-    miss_l2, miss_l3)`` columns.  Miss ratios depend only on
-    ``(hierarchy, share)``, and a sweep batch contains few distinct
-    pairs (3 cache presets x a handful of occupancy values), so the
-    pairs are deduplicated as integers (``np.unique`` of
-    ``index * stride + share``).  The distinct pairs' per-level cache
-    geometries are deduplicated again (the fixed L1 is shared by every
-    preset) and evaluated in **one** :meth:`~repro.trace.kernel.\
-ReuseProfile.miss_ratio_batch` pass — bitwise-identical to per-config
-    scalar :func:`hierarchy_miss_profile` calls, since the batched miss
-    model is bitwise-identical per geometry and the monotonicity clamp
-    is applied the same way per pair.  The number of geometry rows
-    actually evaluated is counted under ``miss.batch.geometries``.
-    ``memo`` — keyed ``(kernel, hierarchy, share)`` on the full hashable
-    hierarchy, never a display label — lets a caller share distinct-pair
-    evaluations across batches.
+    The share reaches only the shared L3, so the clamped L1 and L2
+    ratios are stored once per (kernel, hierarchy) and the clamped L3
+    ratio once per share.  Kernels are keyed by name (one table serves
+    one app's kernels) and hierarchies by value; both axes and the
+    share axis grow on demand, and a cell not priced yet holds NaN.
+    Each cell holds the floats scalar :func:`hierarchy_miss_profile`
+    returns.  Not thread-safe: callers serialize evaluations.
     """
-    index = np.asarray(index, dtype=np.int64)
-    shares = np.asarray(shares, dtype=np.int64)
-    if index.shape != shares.shape or index.ndim != 1:
-        raise ValueError("index and shares must be aligned 1-D sequences")
-    if np.any(shares <= 0):
-        raise ValueError("shares must be positive")
-    stride = int(shares.max(initial=0)) + 1
-    pairs, inverse = np.unique(index * stride + shares, return_inverse=True)
-    keys = [(sig.name, hierarchies[h], s)
-            for h, s in zip(*(a.tolist() for a in np.divmod(pairs, stride)))]
-    ratios = np.empty((len(pairs), 3))
-    pending: List[int] = []
-    for p, key in enumerate(keys):
-        hit = memo.get(key) if memo is not None else None
-        if hit is None:
-            pending.append(p)
-        else:
-            ratios[p] = hit
 
-    if pending:
-        # Dedup the (capacity, assoc, n_sets) rows across pairs and levels,
-        # evaluate them in a single 2-D pass, then gather per pair.
+    def __init__(self) -> None:
+        self._kernels: Dict[str, int] = {}
+        self._hierarchies: Dict[CacheHierarchy, int] = {}
+        self._l12 = np.full((0, 0, 2), np.nan)
+        self._l3 = np.full((0, 0, 0), np.nan)
+
+    def _ids(self, sigs: Sequence[KernelSignature],
+             hierarchies: Sequence[CacheHierarchy],
+             max_share: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Table rows of ``sigs`` and ``hierarchies``, growing every
+        axis to hold them and shares up to ``max_share``."""
+        kid = np.array([self._kernels.setdefault(s.name, len(self._kernels))
+                        for s in sigs], np.int64)
+        hid = np.array([self._hierarchies.setdefault(h, len(self._hierarchies))
+                        for h in hierarchies], np.int64)
+        n_k, n_h, n_s = self._l3.shape
+        want = (max(n_k, len(self._kernels)), max(n_h, len(self._hierarchies)),
+                max(n_s, max_share + 1))
+        if want != (n_k, n_h, n_s):
+            # Shares grow in blocks of 64 (a sweep's core counts), the
+            # kernel and hierarchy axes one entry at a time.
+            want = want[:2] + (-(-want[2] // 64) * 64,)
+            l3 = np.full(want, np.nan)
+            l3[:n_k, :n_h, :n_s] = self._l3
+            l12 = np.full(want[:2] + (2,), np.nan)
+            l12[:n_k, :n_h] = self._l12
+            self._l3, self._l12 = l3, l12
+        return kid, hid
+
+    def _fill(self, sigs: Sequence[KernelSignature], kid: np.ndarray,
+              hierarchies: Sequence[CacheHierarchy], hid: np.ndarray,
+              cells: np.ndarray) -> None:
+        """Price the ``(kernel row, hierarchy row, share)`` ``cells``.
+
+        The cells' per-level geometries (and the L1 and L2 of each
+        (kernel, hierarchy) not priced yet) are deduplicated across
+        kernels, their survival tables are built once over the union of
+        the kernels' distances, and each kernel then prices its own
+        geometries in one ``miss_ratio_batch`` pass.
+        """
+        sig_of = dict(zip(kid.tolist(), sigs))
+        h_of = dict(zip(hid.tolist(), hierarchies))
         geom_index: Dict[Tuple[float, int, int], int] = {}
 
         def _row(cap: float, assoc: int, n_sets: int) -> int:
             return geom_index.setdefault((cap, assoc, n_sets),
                                          len(geom_index))
 
-        level_idx = []
-        for p in pending:
-            _, h, s = keys[p]
-            l1, l2, l3 = h.l1, h.l2, h.l3
-            l3_lines = max(1.0, l3.n_lines / s)
-            l3_sets = max(1, int(l3.n_sets // s))
-            level_idx.append((
-                _row(float(l1.n_lines), l1.associativity, l1.n_sets),
-                _row(float(l2.n_lines), l2.associativity, l2.n_sets),
-                _row(l3_lines, l3.associativity, l3_sets),
-            ))
+        # kernel row -> {hierarchy row: (L1, L2) geometry rows} for the
+        # pairs not priced yet, and -> [((hierarchy row, share), L3
+        # geometry row)] for the cells.
+        l12_rows: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        l3_rows: Dict[int, List] = {}
+        for k, h, s in cells.tolist():
+            hier = h_of[h]
+            l12 = l12_rows.setdefault(k, {})
+            if h not in l12 and np.isnan(self._l12[k, h, 0]):
+                l1, l2 = hier.l1, hier.l2
+                l12[h] = (
+                    _row(float(l1.n_lines), l1.associativity, l1.n_sets),
+                    _row(float(l2.n_lines), l2.associativity, l2.n_sets))
+            l3 = hier.l3
+            l3_rows.setdefault(k, []).append(((h, s), _row(
+                max(1.0, l3.n_lines / s), l3.associativity,
+                max(1, int(l3.n_sets // s)))))
+
         geom = np.asarray(list(geom_index), dtype=np.float64)
-        miss = sig.reuse.miss_ratio_batch(
-            geom[:, 0], geom[:, 1].astype(np.int64),
-            geom[:, 2].astype(np.int64))
-        get_metrics().inc("miss.batch.geometries", len(geom_index))
+        caps, assocs = geom[:, 0], geom[:, 1].astype(np.int64)
+        n_sets = geom[:, 2].astype(np.int64)
+        prime_survival_tables([sig_of[k].reuse for k in l3_rows],
+                              assocs, n_sets)
+        obs = get_metrics()
+        for k, l3_cells in l3_rows.items():
+            l12 = l12_rows[k]
+            rows = sorted({r for pair in l12.values() for r in pair}
+                          | {r for _, r in l3_cells})
+            obs.inc("miss.batch.geometries", len(rows))
+            miss = np.empty(len(geom_index))
+            miss[rows] = sig_of[k].reuse.miss_ratio_batch(
+                caps[rows], assocs[rows], n_sets[rows])
+            # The scalar clamp: m2 = min(m2, m1); m3 = min(m3, m2).
+            for h, (r1, r2) in l12.items():
+                m1 = miss[r1]
+                self._l12[k, h] = (m1, min(miss[r2], m1))
+            for (h, s), r in l3_cells:
+                self._l3[k, h, s] = min(miss[r], self._l12[k, h, 1])
 
-        fresh = miss[np.asarray(level_idx)]
-        # The scalar clamp: m2 = min(m2, m1); m3 = min(m3, m2).
-        fresh[:, 1] = np.minimum(fresh[:, 1], fresh[:, 0])
-        fresh[:, 2] = np.minimum(fresh[:, 2], fresh[:, 1])
-        ratios[pending] = fresh
-        if memo is not None:
-            for p, row in zip(pending, fresh.tolist()):
-                memo[keys[p]] = tuple(row)
 
-    cols = ratios.T[:, inverse]
-    return cols[0], cols[1], cols[2]
+def hierarchy_miss_profile_batch(
+    sigs: Sequence[KernelSignature],
+    hierarchies: Sequence[CacheHierarchy],
+    index: Sequence[int],
+    shares: np.ndarray,
+    table: Optional[MissTable] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`hierarchy_miss_profile` over (kernel, configuration) lanes.
+
+    Config ``i`` runs on ``hierarchies[index[i]]``, and kernel ``j``
+    sees ``l3_share_cores = shares[j, i]``; the result is the
+    ``(miss_l1, miss_l2, miss_l3)`` columns, each ``(kernels,
+    configs)``.  The ratios are read from ``table`` (a fresh
+    :class:`MissTable` when ``None``) in one gather; only the call's
+    distinct hierarchies are hashed, once each.  Cells not in the
+    table are priced first in one fill: bitwise-identical to
+    per-lane scalar :func:`hierarchy_miss_profile` calls, since the
+    batched miss model is bitwise-identical per geometry and the
+    monotonicity clamp is applied the same way per cell.  The number
+    of (kernel, geometry) rows priced is counted under
+    ``miss.batch.geometries``.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    shares = np.asarray(shares, dtype=np.int64)
+    if index.ndim != 1 or shares.shape != (len(sigs), len(index)):
+        raise ValueError("shares must be (kernels, configs), index 1-D")
+    if np.any(shares <= 0):
+        raise ValueError("shares must be positive")
+    table = table if table is not None else MissTable()
+    kid, hid = table._ids(sigs, hierarchies, int(shares.max(initial=0)))
+    k_ix, h_ix = kid[:, None], hid[index][None, :]
+    m3 = table._l3[k_ix, h_ix, shares]
+    hole = np.isnan(m3)
+    if hole.any():
+        flat = np.ravel_multi_index(
+            (np.broadcast_to(k_ix, shares.shape)[hole],
+             np.broadcast_to(h_ix, shares.shape)[hole], shares[hole]),
+            table._l3.shape)
+        flat.sort()
+        flat = flat[np.r_[True, flat[1:] != flat[:-1]]]
+        cells = np.stack(np.unravel_index(flat, table._l3.shape), axis=1)
+        table._fill(sigs, kid, hierarchies, hid, cells)
+        m3 = table._l3[k_ix, h_ix, shares]
+    l12 = table._l12[k_ix, h_ix]
+    return l12[..., 0], l12[..., 1], m3

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.batch as batch_mod
+import repro.uarch.batch as uarch_batch
 from repro.apps import APP_NAMES, get_app
-from repro.config import DesignSpace
+from repro.config import DesignSpace, axis_range, range_design_space
 from repro.core import BatchEvaluator, run_sweep
 from repro.core.batch import BatchEvaluator as _BE
 from repro.core.musa import Musa
+from repro.core.phase_sim import N_REFINE
 from repro.obs import get_metrics
 
 
@@ -143,9 +146,43 @@ class TestSweepBatching:
             run_sweep(["spmz"], tiny_space, batch_size=0)
 
 
+class TestStackedKernelLayer:
+    """Each refine iteration times all of its kernel-memo misses in one
+    ``time_kernel_batch`` call, which reads the miss tables in one
+    ``hierarchy_miss_profile_batch`` call."""
+
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_one_kernel_and_miss_call_per_refine_iteration(
+            self, app_name, monkeypatch):
+        calls = {"time": 0, "miss": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(batch_mod, "time_kernel_batch", counted(
+            "time", uarch_batch.time_kernel_batch))
+        monkeypatch.setattr(uarch_batch, "hierarchy_miss_profile_batch",
+                            counted("miss",
+                                    uarch_batch.hierarchy_miss_profile_batch))
+        # 16 core counts, so phases converge to many share columns.
+        nodes = list(range_design_space(
+            frequencies=(2.0,), core_counts=axis_range(8, 128, 8)))[::5]
+        ev = BatchEvaluator(Musa(get_app(app_name)))
+        for frame in range(2):
+            before = dict(calls)
+            ev.evaluate_frame(nodes[frame::2])
+            assert 1 <= calls["time"] - before["time"] <= N_REFINE
+            assert calls["miss"] - before["miss"] == \
+                calls["time"] - before["time"]
+
+
 class TestBoundedMemos:
     """PR 8 regression: the evaluator's miss/vec memos were the last
-    unbounded plain dicts — a leak in any long-lived process."""
+    unbounded plain dicts — a leak in any long-lived process.  The SIMD
+    memo is LRU-bounded; the miss table is bounded by its axes."""
 
     def test_small_cap_evicts_and_stays_bounded(self, tiny_space):
         reg = get_metrics()
@@ -153,8 +190,15 @@ class TestBoundedMemos:
         ev = BatchEvaluator(Musa(get_app("spmz")), memo_cap=2)
         nodes = list(tiny_space)
         res = ev.evaluate_frame(nodes).to_records()
-        assert len(ev._miss_memo) <= 2
         assert len(ev._vec_memo) <= 2
+        # The app's kernels x the space's hierarchies x one 64-share
+        # block per 64 cores, each cell one float (plus L1 and L2).
+        n_k = len(ev.musa.detailed.kernels)
+        n_h = len({n.cache for n in nodes})
+        n_s = -(-(max(n.n_cores for n in nodes) + 1) // 64) * 64
+        table = ev._miss_table
+        assert table._l3.nbytes + table._l12.nbytes \
+            <= n_k * n_h * (n_s + 2) * 8
         assert reg.counter("batch.memo.evictions") > before
         # Eviction changes memory behaviour only, never results.
         assert res == _batched_records("spmz", nodes)

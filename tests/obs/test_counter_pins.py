@@ -15,7 +15,9 @@ from repro.analysis import search_front
 from repro.apps import get_app
 from repro.config import DesignSpace, axis_linspace, smoke_design_space
 from repro.core import run_sweep
+from repro.core import batch as batch_mod
 from repro.core import sweep as sweep_mod
+from repro.core.batch import evaluator_for
 from repro.core.canon import canonical_dumps
 from repro.core.musa import Musa
 from repro.core.store import code_version
@@ -49,13 +51,12 @@ _SEARCH_SPACE = DesignSpace(
 
 @pytest.fixture(scope="module")
 def workload_counters():
-    """One smoke-scale pass; shared because the miss-profile memo is
-    per-evaluator (a second pass would hit the memo and skip the
-    geometry computation whose counter this suite pins).  The sweep
-    module caches evaluators per process, so evict the app's entry
-    first — earlier suite tests may have warmed its memo."""
-    sweep_mod._BATCH_EVALUATORS.pop("spmz", None)
-    sweep_mod._MUSA_CACHE.pop("spmz", None)
+    """One smoke-scale pass; shared because the miss table is
+    per-evaluator (a second pass would read the table and skip the
+    geometry computation whose counter this suite pins).  Evaluators
+    are cached per process, so evict the app's entry first — earlier
+    suite tests may have warmed its table."""
+    batch_mod._EVALUATORS.pop("spmz", None)
     reg = MetricsRegistry()
     prev = get_metrics()
     set_metrics(reg)
@@ -68,7 +69,7 @@ def workload_counters():
                   batch_size=4, metrics=reg)
         # Columnar store plane: one block line for the whole frame.
         from repro.core.store import ResultStore
-        ev = sweep_mod._BATCH_EVALUATORS["spmz"]
+        ev = evaluator_for("spmz")
         frame = ev.evaluate_frame(list(smoke_design_space()))
         with tempfile.TemporaryDirectory() as td:
             with ResultStore(Path(td) / "pins.jsonl") as store:
@@ -88,7 +89,7 @@ def workload_counters():
 
         search_front("spmz", _SEARCH_SPACE, max_evals=len(_SEARCH_SPACE),
                      patience=None, metrics=reg,
-                     evaluator=sweep_mod._BATCH_EVALUATORS.get("spmz"))
+                     evaluator=evaluator_for("spmz"))
     finally:
         set_metrics(prev)
     yield reg.snapshot()["counters"]

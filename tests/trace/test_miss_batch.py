@@ -29,8 +29,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.config import NodeConfig, cache_preset, core_preset, \
-    memory_preset
+from repro.apps import APP_NAMES, get_app
+from repro.config import NodeConfig, axis_range, cache_preset, \
+    core_preset, memory_preset, range_design_space
+from repro.core.batch import BatchEvaluator
+from repro.core.musa import Musa
 from repro.obs import MetricsRegistry, set_metrics
 from repro.trace import InstructionMix, KernelSignature, ReuseProfile
 from repro.trace import kernel
@@ -38,7 +41,7 @@ from repro.trace.kernel import (_SMALL_D_MAX, _setassoc_miss_prob,
                                 _setassoc_miss_prob_batch, _survival_tables)
 from repro.uarch import hierarchy_miss_profile
 from repro.uarch.batch import NodeBatch
-from repro.uarch.hierarchy import hierarchy_miss_profile_batch
+from repro.uarch.hierarchy import MissTable, hierarchy_miss_profile_batch
 from repro.util import LruDict
 
 #: The oracle's own cache, so it never fills the production one.
@@ -304,28 +307,40 @@ class TestHierarchyBatchBitwise:
             for share in (1, 16, 64):
                 index.append(h)
                 shares.append(share)
-        cols = hierarchy_miss_profile_batch(sig, hierarchies, index, shares)
+        cols = hierarchy_miss_profile_batch([sig], hierarchies, index,
+                                            [shares])
         for k, (h, s) in enumerate(zip(index, shares)):
             ref = hierarchy_miss_profile(sig, hierarchies[h],
                                          l3_share_cores=s)
-            got = tuple(float(c[k]) for c in cols)
+            got = tuple(float(c[0, k]) for c in cols)
             assert got == (ref.miss_l1, ref.miss_l2, ref.miss_l3), (h, s)
 
     def test_memo_shares_distinct_pairs_across_batches(self):
+        # The table is the memo: a later batch reads the cells an
+        # earlier one priced and prices nothing itself.
         sig = _sig([(2000, 1.0)])
         h = cache_preset("64M:512K")
-        memo = {}
-        first = hierarchy_miss_profile_batch(sig, [h], [0, 0], [1, 1],
-                                             memo=memo)
-        assert len(memo) == 1
-        again = hierarchy_miss_profile_batch(sig, [h], [0], [1], memo=memo)
+        table = MissTable()
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            first = hierarchy_miss_profile_batch([sig], [h], [0, 0],
+                                                 [[1, 1]], table=table)
+            priced = reg.counter("miss.batch.geometries")
+            again = hierarchy_miss_profile_batch([sig], [h], [0], [[1]],
+                                                 table=table)
+        finally:
+            set_metrics(prev)
+        assert priced == 3  # L1, L2 and one L3 share
+        assert reg.counter("miss.batch.geometries") == priced
+        assert _filled_cells(table) == 1
         for a, f in zip(again, first):
-            assert a[0] == f[0] == f[1]
+            assert a[0, 0] == f[0, 0] == f[0, 1]
 
     def test_equal_but_distinct_hierarchies(self):
         # Equal hierarchy objects that are not the same object must
         # behave exactly like one shared object: same miss columns, same
-        # geometry count, one memo entry per (kernel, hierarchy, share).
+        # geometry count, one table cell per (kernel, hierarchy, share).
         sig = _sig([(100, 0.4), (5000, 0.3), (5e6, 0.3)], cold=0.01)
         h = cache_preset("96M:1M")
         twins = [copy.deepcopy(h) for _ in range(4)]
@@ -338,39 +353,137 @@ class TestHierarchyBatchBitwise:
                                 frequency_ghz=2.0, vector_bits=128,
                                 n_cores=64) for c in caches]
             nb = NodeBatch.from_nodes(nodes)
-            reg, memo = MetricsRegistry(), {}
+            reg, table = MetricsRegistry(), MissTable()
             prev = set_metrics(reg)
             try:
                 cols = hierarchy_miss_profile_batch(
-                    sig, nb.hierarchies, nb.hierarchy_idx, shares,
-                    memo=memo)
+                    [sig], nb.hierarchies, nb.hierarchy_idx, [shares],
+                    table=table)
             finally:
                 set_metrics(prev)
-            return nb, cols, reg.counter("miss.batch.geometries"), memo
+            return nb, cols, reg.counter("miss.batch.geometries"), table
 
-        nb_one, one, geoms_one, memo_one = run([h] * len(shares))
-        nb_eq, eq, geoms_eq, memo_eq = run(
+        nb_one, one, geoms_one, table_one = run([h] * len(shares))
+        nb_eq, eq, geoms_eq, table_eq = run(
             [twins[i % len(twins)] for i in range(len(shares))])
         assert len(nb_one.hierarchies) == len(nb_eq.hierarchies) == 1
         for a, b in zip(one, eq):
             assert np.array_equal(a, b)
         assert geoms_eq == geoms_one > 0
-        assert len(memo_eq) == len(memo_one) == len(set(shares))
+        assert _filled_cells(table_eq) == _filled_cells(table_one) \
+            == len(set(shares))
 
-        # Without the batch's dedupe (one index per object), the pairs
-        # still collapse to the same geometries and memo keys.
-        reg, memo = MetricsRegistry(), {}
+        # Without the batch's dedupe (one index per object), the twins
+        # still hash to one table row: the same geometries and cells.
+        reg, table = MetricsRegistry(), MissTable()
         prev = set_metrics(reg)
         try:
             raw = hierarchy_miss_profile_batch(
-                sig, twins, [i % len(twins) for i in range(len(shares))],
-                shares, memo=memo)
+                [sig], twins, [i % len(twins) for i in range(len(shares))],
+                [shares], table=table)
         finally:
             set_metrics(prev)
         for a, b in zip(one, raw):
             assert np.array_equal(a, b)
         assert reg.counter("miss.batch.geometries") == geoms_one
-        assert len(memo) == len(set(shares))
+        assert _filled_cells(table) == len(set(shares))
+
+
+def _filled_cells(table: MissTable) -> int:
+    """L3 cells a table has priced (an unpriced cell holds NaN)."""
+    return int(np.count_nonzero(~np.isnan(table._l3)))
+
+
+class TestDenseMissTable:
+    """Every cell of the dense (kernel, hierarchy, share) tables is the
+    float scalar :func:`hierarchy_miss_profile` returns."""
+
+    PRESETS = ("64M:512K", "96M:1M", "32M:256K")
+    MAX_SHARE = 252
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        return [sig for app in APP_NAMES
+                for sig in Musa(get_app(app)).detailed.kernels.values()]
+
+    def test_every_cell_equals_scalar(self, bundled):
+        rng = np.random.default_rng(40)
+        hierarchies = [cache_preset(label) for label in self.PRESETS]
+        table = MissTable()
+        lanes = []
+        # Interleaved kernel subsets on random configs; the share range
+        # widens so the table grows past its first 64-share block twice.
+        for top in (40, 130, self.MAX_SHARE):
+            for _ in range(3):
+                picks = rng.choice(len(bundled), size=4, replace=True)
+                sigs = [bundled[i] for i in picks]
+                index = rng.integers(0, len(hierarchies), size=24)
+                shares = rng.integers(1, top + 1, size=(len(sigs), 24))
+                lanes.append((sigs, index, shares, hierarchy_miss_profile_batch(
+                    sigs, hierarchies, index, shares, table=table)))
+        # Then every kernel x preset x share 1..252, kernels shuffled.
+        order = rng.permutation(len(bundled))
+        sigs = [bundled[i] for i in order]
+        index = np.repeat(np.arange(len(hierarchies)), self.MAX_SHARE)
+        shares = np.tile(np.arange(1, self.MAX_SHARE + 1), len(hierarchies))
+        shares = np.broadcast_to(shares, (len(sigs), len(shares)))
+        full = hierarchy_miss_profile_batch(sigs, hierarchies, index, shares,
+                                            table=table)
+        assert table._l3.shape == (len(bundled), len(hierarchies), 256)
+        assert _filled_cells(table) == len(bundled) * len(hierarchies) \
+            * self.MAX_SHARE
+        lanes.append((sigs, index, shares, full))
+
+        ref = {}
+        for sigs, index, shares, cols in lanes:
+            for j, sig in enumerate(sigs):
+                for i, h in enumerate(index.tolist()):
+                    s = int(shares[j, i])
+                    key = (sig.name, h, s)
+                    if key not in ref:
+                        m = hierarchy_miss_profile(sig, hierarchies[h], s)
+                        ref[key] = _bits(np.array(
+                            [m.miss_l1, m.miss_l2, m.miss_l3]))
+                    got = _bits(np.array([c[j, i] for c in cols]))
+                    assert np.array_equal(got, ref[key]), key
+        assert len(ref) == len(bundled) * len(hierarchies) * self.MAX_SHARE
+
+    def test_rejects_misaligned_shares(self):
+        sig = _sig([(2000, 1.0)])
+        h = cache_preset("64M:512K")
+        with pytest.raises(ValueError, match="kernels, configs"):
+            hierarchy_miss_profile_batch([sig, sig], [h], [0, 0], [[1, 1]])
+        with pytest.raises(ValueError, match="positive"):
+            hierarchy_miss_profile_batch([sig], [h], [0], [[0]])
+
+
+class TestSurvivalBuildsOnce:
+    """A cold sweep_fast-shaped round of one app (its frames through one
+    evaluator) builds each ``(assoc, n_sets)`` survival key once: each
+    refine iteration's fill builds its missing keys over the union of
+    the stacked kernels' distances, so a later kernel finds its keys
+    complete.  Keys shared by apps are extended when a later app brings
+    new distances, so the count is per app."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    def test_cold_round_builds_each_key_once(self, app):
+        # One frequency of the 16-core-count range space, 1,152 configs.
+        nodes = list(range_design_space(
+            frequencies=(1.0,), core_counts=axis_range(8, 128, 8)).configs())
+        shards = [nodes[i * len(nodes) // 5:(i + 1) * len(nodes) // 5]
+                  for i in range(5)]
+        reg = MetricsRegistry()
+        prev = set_metrics(reg)
+        try:
+            with _fresh_tables() as tables:
+                ev = BatchEvaluator(Musa(get_app(app)))
+                for shard in shards:
+                    ev.evaluate_frame(shard)
+                keys = len(tables)
+        finally:
+            set_metrics(prev)
+        assert reg.counter("miss.table.evictions") == 0
+        assert reg.counter("miss.table.builds") == keys > 0
 
 
 class TestScipyCrossCheck:

@@ -13,6 +13,7 @@ import pytest
 
 import repro.uarch.cpu as cpu
 from repro.config import baseline_node, memory_preset
+from repro.obs import MetricsRegistry, set_metrics
 from repro.trace import InstructionMix, KernelSignature, ReuseProfile
 from repro.uarch import resolve_contention, time_kernel
 from repro.uarch.batch import (NodeBatch, resolve_contention_batch,
@@ -75,7 +76,7 @@ def stacked():
               np.array([8, 8, 8, 64, 64, 64], np.int64),
               np.array([n.n_cores for n in NODES], np.int64)]
     sigs = KERNELS + (KERNELS[0],)
-    timings = [time_kernel_batch(sig, nb, sh) for sig, sh in zip(sigs, shares)]
+    timings = time_kernel_batch(sigs, nb, np.stack(shares))
     zero_lines = timings[1].dram_lines.copy()
     zero_lines[[0, 3]] = 0.0
     timings[1] = replace(timings[1], dram_lines=zero_lines)
@@ -140,3 +141,23 @@ def test_validation(stacked):
         resolve_contention_batch(timings[:1], [np.zeros(len(NODES))], nb)
     with pytest.raises(ValueError):
         resolve_contention_batch(timings[:2], shares[:1], nb)
+
+
+def test_capped_lanes_counted_alike_in_both_paths(stacked):
+    # Both paths count a fixed point stopped at the iteration cap under
+    # one counter: the batch once per capped lane, the scalar once per
+    # capped call.
+    nb, timings, shares, templates = stacked
+    batch_reg, scalar_reg = MetricsRegistry(), MetricsRegistry()
+    prev = set_metrics(batch_reg)
+    try:
+        resolve_contention_batch(timings, shares, nb)
+        set_metrics(scalar_reg)
+        for tb, sh, tmpl in zip(timings, shares, templates):
+            for i, node in enumerate(NODES):
+                _scalar(_lane_timing(tb, i, tmpl), int(sh[i]), node.memory)
+    finally:
+        set_metrics(prev)
+    capped = scalar_reg.counter("contention.unconverged")
+    assert capped > 0
+    assert batch_reg.counter("contention.unconverged") == capped
