@@ -90,6 +90,10 @@ class _AppInvariants:
     slots: Tuple[Tuple[int, str], ...]
     first_slot: np.ndarray           # (phases,) its first kernel's slot
     slot_of: np.ndarray              # (rows, phases) task slot, 0 when padded
+    slot_rows: Tuple                 # (slots,) its task rows: a slice when
+                                     # contiguous, else an index array
+    slot_change: frozenset           # rows whose slot_of row differs from
+                                     # the row before
     work: np.ndarray                 # (rows, phases) task work units
     imb: np.ndarray                  # (rows, phases) task imbalance factors
     last: np.ndarray                 # (phases,) last task row, 0 when empty
@@ -151,6 +155,7 @@ class BatchEvaluator:
         work = np.zeros((rows, len(phases)))
         imb = np.zeros((rows, len(phases)))
         slots: List[Tuple[int, str]] = []
+        slot_rows: List = []
         first_slot = np.zeros(len(phases), np.int64)
         for p, phase in enumerate(phases):
             tasks = phase.tasks
@@ -162,12 +167,20 @@ class BatchEvaluator:
             slots.extend((p, k) for k in kernel_names)
             n = len(tasks)
             slot_of[:n, p] = [pos[t.kernel] for t in tasks]
+            for k in kernel_names:
+                r = np.flatnonzero(slot_of[:n, p] == pos[k])
+                slot_rows.append(slice(r[0], r[-1] + 1)
+                                 if r[-1] - r[0] + 1 == len(r) else r)
             work[:n, p] = [t.work_units for t in tasks]
             imb[:n, p] = _imbalance_factors(phase)
         sigs = [musa.detailed[k] for _, k in slots]
         return _AppInvariants(
             phases=phases, n_tasks=n_tasks, slots=tuple(slots),
-            first_slot=first_slot, slot_of=slot_of, work=work, imb=imb,
+            first_slot=first_slot, slot_of=slot_of,
+            slot_rows=tuple(slot_rows),
+            slot_change=frozenset((np.flatnonzero(
+                (np.diff(slot_of, axis=0) != 0).any(axis=1)) + 1).tolist()),
+            work=work, imb=imb,
             last=np.maximum(n_tasks - 1, 0),
             row_hit_rate=np.array([s.row_hit_rate for s in sigs]),
             store_ratio=np.array([s.mix.store / s.mix.mem if s.mix.mem > 0
@@ -300,13 +313,27 @@ class BatchEvaluator:
             lane_p, lane_c = np.nonzero(lanes)
             if not len(lane_p):
                 break
-            # Per-task durations of every lane at once: the same (gather *
-            # work) * imb float64 sequence the scalar path runs per
-            # config, elementwise over lanes.
-            dur_tab = (np.stack([t.duration_ns for t in timing])
-                       if timing else np.zeros((0, n_configs)))
-            durations = ((dur_tab[app.slot_of[:, lane_p], lane_c]
-                          * app.work[:, lane_p]) * app.imb[:, lane_p])
+            # Per-task durations of every lane: per slot, the same
+            # (duration * work) * imb float64 sequence the scalar path
+            # runs per config, over the slot's task rows and its phase's
+            # lanes.  Lanes are phase-major, so each phase's lanes are
+            # one column block; a slot whose task rows are contiguous is
+            # written in place.  Padded rows stay zero.
+            durations = np.zeros((rows, len(lane_p)))
+            block = np.searchsorted(lane_p, np.arange(n_phases + 1)).tolist()
+            for s, (p, _) in enumerate(app.slots):
+                lo, hi = block[p], block[p + 1]
+                if lo == hi:
+                    continue
+                r = app.slot_rows[s]
+                d = timing[s].duration_ns[lane_c[lo:hi]]
+                if isinstance(r, slice):
+                    out = durations[r, lo:hi]
+                    np.multiply(d, app.work[r, p, None], out=out)
+                    out *= app.imb[r, p, None]
+                else:
+                    durations[r, lo:hi] = ((d * app.work[r, p, None])
+                                           * app.imb[r, p, None])
             sched = simulate_phase_batch(
                 [app.phases[p] for p in lane_p], nb.n_cores[lane_c],
                 task_durations_ns=durations)
@@ -346,10 +373,18 @@ class BatchEvaluator:
             for p, r in enumerate(app.last.tolist()):
                 ends.setdefault(r, []).append(p)
             work = app.work[:, :, None, None]
-            acc = per_slot[app.slot_of[0]] * work[0]
+            # Rows repeat their predecessor's slots except at slot_change
+            # (a one-kernel phase never changes), so the per-slot block is
+            # gathered once per run of equal rows.
+            block = per_slot[app.slot_of[0]]
+            acc = block * work[0]
+            term = np.empty_like(acc)
             for r in range(rows):
                 if r:
-                    acc += per_slot[app.slot_of[r]] * work[r]
+                    if r in app.slot_change:
+                        block = per_slot[app.slot_of[r]]
+                    np.multiply(block, work[r], out=term)
+                    acc += term
                 done = ends.get(r)
                 if done is not None:
                     totals[done] = acc[done]

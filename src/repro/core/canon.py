@@ -48,6 +48,8 @@ def _encode(obj: Any) -> Any:
         if math.isinf(obj):
             return {NONFINITE_KEY: _ENCODE[obj]}
         return obj
+    if isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, Mapping):
         # dicts and read-only views alike (e.g. a columnar FrameRow):
         # both serialize to the same key-sorted canonical bytes.
@@ -56,6 +58,15 @@ def _encode(obj: Any) -> Any:
                 f"mapping uses the reserved key {NONFINITE_KEY!r}")
         return {k: _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # A list of finite numbers (a result column) has nothing to
+        # replace: its sum is finite only if every element is a finite
+        # number, and anything else (a non-finite float, None, a string,
+        # a container) makes the sum raise or come out non-finite.
+        try:
+            if math.isfinite(sum(obj)):
+                return obj
+        except (TypeError, ValueError, OverflowError):
+            pass
         return [_encode(v) for v in obj]
     return obj
 

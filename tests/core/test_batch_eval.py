@@ -6,6 +6,8 @@ every float in every record — so the batch axis never perturbs science
 results, only throughput.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,6 +179,33 @@ class TestStackedKernelLayer:
             assert 1 <= calls["time"] - before["time"] <= N_REFINE
             assert calls["miss"] - before["miss"] == \
                 calls["time"] - before["time"]
+
+
+class TestMixedKernelPhase:
+    """A phase whose tasks alternate between two kernels: neither
+    kernel's task rows are contiguous, so their durations are scattered
+    rather than written as one block.  No bundled app has such a
+    phase."""
+
+    def test_bitwise_equal_on_interleaved_kernels(self, tiny_space):
+        spmz = type(get_app("spmz"))
+
+        class Mixed(spmz):
+            name = "spmz_mixed"
+
+            def iteration_phases(self):
+                first, *rest = super().iteration_phases()
+                names = sorted(self.kernels())
+                tasks = tuple(replace(t, kernel=names[i % 2])
+                              for i, t in enumerate(first.tasks))
+                return (replace(first, tasks=tasks), *rest)
+
+        musa = Musa(Mixed())
+        ev = BatchEvaluator(musa)
+        assert any(not isinstance(r, slice) for r in ev._app.slot_rows)
+        nodes = list(tiny_space)
+        assert ev.evaluate_frame(nodes).to_records() == \
+            [musa.simulate_node(n).record() for n in nodes]
 
 
 class TestBoundedMemos:

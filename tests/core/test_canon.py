@@ -94,6 +94,49 @@ class TestRoundTrip:
         assert canonical_dumps(back) == canonical_dumps(obj)
 
 
+def _elementwise_dumps(obj):
+    """The canonical text built without the numeric-list fast path:
+    every element of every list visited, non-finite floats replaced."""
+    def enc(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return {NONFINITE_KEY: "nan" if math.isnan(v)
+                    else ("inf" if v > 0 else "-inf")}
+        if isinstance(v, dict):
+            return {k: enc(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [enc(x) for x in v]
+        return v
+    return json.dumps(enc(obj), sort_keys=True, allow_nan=False,
+                      separators=(",", ":"))
+
+
+class TestNumericListFastPath:
+    """A list of finite numbers is written as is; every other list is
+    still visited element by element.  Both give the same bytes."""
+
+    @pytest.mark.parametrize("obj", [
+        [1.5, -0.0, 2, True, 1e-300],
+        (1.0, 2.0),
+        [],
+        [1e308, 1e308],             # finite values, overflowing sum
+        [10 ** 400, 1.0],           # an int too large for a float
+        [1.0, math.nan], [math.inf, -math.inf], [-math.inf],
+        [1.0, None], ["a", 1.0], [[1.0, math.nan]], [{"x": math.inf}],
+    ])
+    def test_same_bytes_as_elementwise(self, obj):
+        assert canonical_dumps({"col": obj}) == _elementwise_dumps({"col": obj})
+
+    @given(st.lists(st.none() | st.integers(-2**60, 2**60)
+                    | st.floats(allow_nan=True, allow_infinity=True),
+                    max_size=12))
+    def test_same_bytes_property(self, values):
+        assert canonical_dumps(values) == _elementwise_dumps(values)
+
+    def test_reserved_key_inside_list_rejected(self):
+        with pytest.raises(ValueError):
+            canonical_dumps([{NONFINITE_KEY: "nan"}])
+
+
 class TestDigestStability:
     def test_key_order_invariant(self):
         a = {"x": 1, "y": [2.5, {"p": 1, "q": 2}]}
